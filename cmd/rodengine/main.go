@@ -105,7 +105,6 @@ func main() {
 		queue      = flag.Int("queue", engine.DefaultIngressCap, "per-node ingress queue bound (tuples); arrivals beyond it are shed")
 		shedPolicy = flag.String("shed-policy", "drop-newest", "load-shedding policy at the ingress bound: drop-newest | drop-oldest")
 		outboxCap  = flag.Int("outbox", engine.DefaultOutboxCap, "per-peer outbox buffer (tuples); overflow is dropped and counted")
-		batchMax   = flag.Int("batch", engine.DefaultBatchMax, "max tuples moved per lock acquisition / wire batch (1 = per-tuple hot path)")
 		workers    = flag.Int("workers", 0, "worker lanes per node (parallel data-plane shards; 0 = one per core, 1 = single-lane)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run here")
@@ -126,7 +125,6 @@ func main() {
 		IngressCap: *queue,
 		ShedPolicy: policy,
 		OutboxCap:  *outboxCap,
-		BatchMax:   *batchMax,
 		Workers:    w,
 	}
 

@@ -8,8 +8,8 @@
 //	         [-bins 4096] [-mean 100] [-stats] [-csv out.csv] [-sparkline]
 //	rodtrace -spans spans.jsonl [-top 5]
 //
-// With -spans, rodtrace reads span events (JSON lines from rodload
-// -trace-out, or the JSON array served by the monitor's /events endpoint),
+// With -spans, rodtrace reads span events (JSON lines from rodengine
+// -events, or the JSON array served by the monitor's /events endpoint),
 // correlates them into per-tuple traces keyed by origin timestamp and
 // sequence number, prints the per-stage latency decomposition across all
 // sampled tuples, and renders the slowest fully-correlated traces hop by

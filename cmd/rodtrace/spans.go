@@ -46,7 +46,7 @@ func runSpans(path string, top int) error {
 	}
 	traces, stageVals := correlate(events)
 	if len(traces) == 0 {
-		return fmt.Errorf("no span events in %s (run rodload with -trace-out, or fetch /events from a monitor)", path)
+		return fmt.Errorf("no span events in %s (run rodengine with -events and -trace-sample, or fetch /events from a monitor)", path)
 	}
 
 	// Aggregate decomposition across every sampled stage crossing.

@@ -17,9 +17,9 @@
 //     utilization, feasibility headroom, delivered counts and shed onset.
 //
 //   - The chaos soak (scenario.go + episode.go): seeded scenarios composing
-//     link faults (sever/drop/delay), node kills, live migrations and
-//     batch/legacy wire mixes, asserting the ledger plus the paper-derived
-//     metamorphic invariants (metamorphic.go) after every episode.
+//     link faults (sever/drop/delay), node kills and live migrations,
+//     asserting the ledger plus the paper-derived metamorphic invariants
+//     (metamorphic.go) after every episode.
 //
 // cmd/rodcheck is the CLI entry point; CI runs a small seeded scenario set
 // per push and a nightly soak with longer episodes.

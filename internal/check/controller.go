@@ -84,7 +84,6 @@ func GenerateController(seed int64) (*Scenario, error) {
 		trace.New("flash", dt, flash), trace.New("wave", dt, wave))
 
 	s.Config = engine.NodeConfig{
-		BatchMax:    64,
 		BackoffBase: 10 * time.Millisecond,
 		BackoffMax:  150 * time.Millisecond,
 	}

@@ -91,7 +91,6 @@ func RunEpisode(sc *Scenario, ev *obs.EventLog) (*EpisodeResult, error) {
 			Trace:   sc.Traces[i],
 			Addrs:   dests,
 			MaxRate: 5000,
-			Legacy:  sc.LegacySources,
 		}
 		wg.Add(1)
 		go func(slot int) {

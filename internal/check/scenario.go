@@ -120,8 +120,7 @@ type Scenario struct {
 	Traces []*trace.Trace // per input stream, wall-clock tuples/second
 	Wall   time.Duration  // source drive time
 
-	Config        engine.NodeConfig
-	LegacySources bool // drive sources over per-tuple legacy wire frames
+	Config engine.NodeConfig
 
 	Schedule []FaultOp
 	Severs   int // sever faults in Schedule (ledger slack derives from this)
@@ -219,12 +218,9 @@ func generate(seed int64, nodes int, class Class, allowShed bool) (*Scenario, er
 		s.Traces = append(s.Traces, trace.New(fmt.Sprintf("chk%d", c), dt, rates))
 	}
 
-	// Data-plane knobs: mix batched and legacy wire, shrink the ingress
-	// queue for shed exercises, keep reconnect backoff small so healed
-	// links drain quickly at quiescence.
-	batch := []int{1, 64, 256}[rng.Intn(3)]
+	// Data-plane knobs: shrink the ingress queue for shed exercises, keep
+	// reconnect backoff small so healed links drain quickly at quiescence.
 	cfg := engine.NodeConfig{
-		BatchMax:    batch,
 		BackoffBase: 10 * time.Millisecond,
 		BackoffMax:  150 * time.Millisecond,
 	}
@@ -235,7 +231,6 @@ func generate(seed int64, nodes int, class Class, allowShed bool) (*Scenario, er
 		}
 	}
 	s.Config = cfg
-	s.LegacySources = rng.Float64() < 0.3
 
 	s.genSchedule(rng)
 	return s, nil
@@ -305,7 +300,6 @@ func GenerateCorrSpike(seed int64, nodes int) (*Scenario, error) {
 	}
 
 	s.Config = engine.NodeConfig{
-		BatchMax:    64,
 		BackoffBase: 10 * time.Millisecond,
 		BackoffMax:  150 * time.Millisecond,
 	}
@@ -385,7 +379,6 @@ func GenerateRecover(seed int64, nodes int) (*Scenario, error) {
 	}
 
 	s.Config = engine.NodeConfig{
-		BatchMax:        []int{64, 256}[rng.Intn(2)],
 		BackoffBase:     10 * time.Millisecond,
 		BackoffMax:      150 * time.Millisecond,
 		CheckpointEvery: time.Duration(50+rng.Intn(100)) * time.Millisecond,

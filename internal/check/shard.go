@@ -100,7 +100,6 @@ func GenerateSharded(seed int64, k int) (*ShardedScenario, error) {
 	}
 	s.Trace = trace.New("keys", dt, rates)
 	s.Config = engine.NodeConfig{
-		BatchMax:    64,
 		IngressCap:  512,
 		BackoffBase: 10 * time.Millisecond,
 		BackoffMax:  150 * time.Millisecond,

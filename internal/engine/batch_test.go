@@ -12,7 +12,7 @@ import (
 )
 
 // SendBatch → ReadBatch round-trips tuples exactly, splitting batches that
-// exceed the wire cap and emitting single tuples as legacy frames.
+// exceed the wire cap.
 func TestBatchWireRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 63, 256, MaxBatchWire + 7} {
 		var buf bytes.Buffer
@@ -32,12 +32,6 @@ func TestBatchWireRoundTrip(t *testing.T) {
 		}
 		if b := buf.Bytes(); len(b) == 0 || b[0] != connTuples {
 			t.Fatalf("n=%d: preamble missing", n)
-		}
-		if n == 1 {
-			// Single tuples must cost no batch-header overhead.
-			if buf.Len() != 1+tupleFrameSize {
-				t.Fatalf("single tuple used %d bytes, want %d", buf.Len(), 1+tupleFrameSize)
-			}
 		}
 		tr := NewTupleReader(bytes.NewReader(buf.Bytes()[1:])) // skip preamble
 		var out []Tuple
@@ -59,59 +53,6 @@ func TestBatchWireRoundTrip(t *testing.T) {
 	}
 }
 
-// A batch frame declaring more tuples than the cap is rejected with an
-// error before any payload is trusted.
-func TestReadBatchRejectsOversizedCount(t *testing.T) {
-	frame := []byte{opBatch, 0xff, 0xff, 0xff, 0xff}
-	if _, err := NewTupleReader(bytes.NewReader(frame)).ReadBatch(); err == nil {
-		t.Fatal("oversized batch count must error")
-	}
-	if _, err := NewTupleReader(bytes.NewReader([]byte{0x80})).ReadBatch(); err == nil {
-		t.Fatal("unknown opcode must error")
-	}
-}
-
-// Mixed-version wire: legacy single-tuple frames and batch frames
-// interleaved on one connection all reach the node — an old sender and a
-// batching sender can share a receiver.
-func TestMixedVersionWire(t *testing.T) {
-	n, err := NewNode("127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	// Subscribe stream 1 to an operator so arrivals are queued, not dropped.
-	n.addOp(&OpSpec{ID: 1, Name: "sink", Kind: "delay", Cost: 0, Selectivity: 0, Inputs: []int{1}, Out: 2},
-		map[int][]Dest{1: {{Local: true, LocalOp: 1}}})
-
-	tw, err := NewTupleWriterDial(n.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tw.Close()
-	total := 0
-	batch := make([]Tuple, 64)
-	for round := 0; round < 4; round++ {
-		if err := tw.Send(Tuple{Stream: 1, Seq: int64(total)}); err != nil {
-			t.Fatal(err)
-		}
-		total++
-		for i := range batch {
-			batch[i] = Tuple{Stream: 1, Seq: int64(total + i)}
-		}
-		if err := tw.SendBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		total += len(batch)
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, 2*time.Second, "all mixed frames injected", func() bool {
-		return n.Stats().Injected == int64(total)
-	})
-}
-
 // A tuple with no local subscription and no relay route is counted in
 // DroppedNoRoute and warns once per stream instead of vanishing.
 func TestNoRouteAccounting(t *testing.T) {
@@ -124,7 +65,7 @@ func TestNoRouteAccounting(t *testing.T) {
 	n.SetObserver(ev, nil, 0)
 
 	for i := 0; i < 10; i++ {
-		n.enqueueInbound(Tuple{Stream: 7, Seq: int64(i)})
+		n.enqueueInboundBatch([]Tuple{{Stream: 7, Seq: int64(i)}})
 	}
 	n.enqueueInboundBatch([]Tuple{{Stream: 8}, {Stream: 8}, {Stream: 7}})
 	s := n.Stats()

@@ -124,11 +124,10 @@ type Collector struct {
 	closing   bool
 	conns     map[net.Conn]bool
 
-	hist       *obs.Histogram // optional; set via SetObserver
-	sinkCount  *obs.Counter
-	stages     *obs.StageSet
-	events     *obs.EventLog
-	traceEvery int64
+	hist      *obs.Histogram // optional; set via SetObserver
+	sinkCount *obs.Counter
+	stages    *obs.StageSet
+	events    *obs.EventLog
 
 	// At-least-once sink dedup (SetDedup): per-stream max-Seq watermarks.
 	// A tuple at or below its stream's watermark is a duplicate delivery —
@@ -188,12 +187,14 @@ func (c *Collector) record(lat float64) {
 func (c *Collector) Addr() string { return c.ln.Addr().String() }
 
 // SetObserver mirrors sink latencies into an obs histogram and counter,
-// records traced tuples' final deliver stage into stages, and emits sampled
-// sink trace spans (1 in traceEvery tuples per stream; 0 disables spans).
-// Any argument may be nil.
-func (c *Collector) SetObserver(h *obs.Histogram, count *obs.Counter, stages *obs.StageSet, ev *obs.EventLog, traceEvery int64) {
+// records traced tuples' final deliver stage into stages, and emits a sink
+// trace span for every tuple that arrives flagged. Any argument may be nil.
+// The trailing sampling stride is unused: trace context survives every hop,
+// so the sink never re-derives which tuples were sampled. The parameter
+// stays because benchmark/ (frozen) passes it.
+func (c *Collector) SetObserver(h *obs.Histogram, count *obs.Counter, stages *obs.StageSet, ev *obs.EventLog, _ int64) {
 	c.mu.Lock()
-	c.hist, c.sinkCount, c.stages, c.events, c.traceEvery = h, count, stages, ev, traceEvery
+	c.hist, c.sinkCount, c.stages, c.events = h, count, stages, ev
 	c.mu.Unlock()
 }
 
@@ -268,7 +269,7 @@ func (c *Collector) accept() {
 				}
 				now := time.Now().UnixNano()
 				c.mu.Lock()
-				hist, count, stages, ev, every := c.hist, c.sinkCount, c.stages, c.events, c.traceEvery
+				hist, count, stages, ev := c.hist, c.sinkCount, c.stages, c.events
 				c.mu.Unlock()
 				for _, t := range batch {
 					if !c.sinkAdmit(t) {
@@ -294,12 +295,6 @@ func (c *Collector) accept() {
 						ev.Emit(obs.LevelDebug, obs.EventSpan, "stage", "sink",
 							"stream", int(t.Stream), "seq", t.Seq, "ts", t.Ts,
 							"deliver", deliver, "latency", lat)
-					} else if tracePick(every, t) {
-						// Context stripped by a legacy hop: still emit the sink
-						// span so the trace remains correlated end to end.
-						ev.Emit(obs.LevelDebug, obs.EventSpan, "stage", "sink",
-							"stream", int(t.Stream), "seq", t.Seq, "ts", t.Ts,
-							"latency", lat)
 					}
 				}
 			}
@@ -380,16 +375,10 @@ type SourceDriver struct {
 	Count *obs.Counter
 
 	// Keys, when set, stamps each injected tuple's partition key (e.g. a
-	// seeded Zipfian generator from internal/workload). Keyed tuples ride
-	// the keyed wire frames and route through partition tables downstream;
+	// seeded Zipfian generator from internal/workload). Keyed tuples carry
+	// the key on the wire and route through partition tables downstream;
 	// nil leaves tuples unkeyed (slot fallback hashes the sequence number).
 	Keys func() uint64
-
-	// Legacy forces per-tuple legacy wire frames instead of batch frames —
-	// the pre-batching baseline that rodload measures the speedup against.
-	// Legacy frames cannot carry trace context; the first batch-aware node
-	// re-marks the same sampled tuples from the shared stride.
-	Legacy bool
 
 	// TraceEvery flags 1 in TraceEvery tuples (per-stream rotating offset)
 	// with trace context at the source, stamping the origin timestamp as
@@ -491,17 +480,7 @@ func (s *SourceDriver) Run(duration time.Duration, stop <-chan struct{}) (int64,
 						s.Dropped += int64(k)
 						continue
 					}
-					var err error
-					if s.Legacy {
-						for _, t := range batch {
-							if err = d.tw.Send(t); err != nil {
-								break
-							}
-						}
-					} else {
-						err = d.tw.SendBatch(batch)
-					}
-					if err != nil {
+					if err := d.tw.SendBatch(batch); err != nil {
 						d.dead = true
 						s.Dropped += int64(k)
 						continue

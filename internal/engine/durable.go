@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,7 +19,7 @@ import (
 // The design splits responsibility between the two ends of every durable
 // link:
 //
-//   - The RECEIVER logs each seqmark-tagged ingress batch to its WAL and
+//   - The RECEIVER logs each sequence-bearing ingress batch to its WAL and
 //     acks only after the fsync-batched group commit — so an acked batch
 //     is recoverable, and an unacked one is by definition still retained
 //     in the sender's outbox and will be re-sent on reconnect.
@@ -46,9 +47,14 @@ import (
 // into the lane queues, then open the gates. Re-sent retained batches
 // arriving afterwards dedup against the restored+replayed watermarks.
 
-// walRecordTuples tags a WAL record holding admitted ingress tuples
-// (version byte followed by standard wire frames).
-const walRecordTuples byte = 0x01
+// walRecordTuples tags a WAL record holding admitted ingress tuples (tag
+// byte followed by opTuples wire frames). walRecordRetired is the tag the
+// pre-opTuples binaries wrote; its frames are not decodable any more, and
+// since every logged tuple was acked, such a record stops recovery.
+const (
+	walRecordTuples  byte = 0x02
+	walRecordRetired byte = 0x01
+)
 
 // manifestFile persists the deployed spec and run state at control-plane
 // transitions; checkpointFile persists drained-moment operator state.
@@ -134,8 +140,10 @@ func (n *Node) openDurability() error {
 		n.dedupMu.Unlock()
 		from = ck.WalPos + 1
 	}
-	if err := wl.Replay(from, func(_ uint64, payload []byte) error {
-		n.replayRecord(payload)
+	if err := wl.Replay(from, func(seq uint64, payload []byte) error {
+		if err := n.replayRecord(payload); err != nil {
+			return fmt.Errorf("record %d: %w", seq, err)
+		}
 		return nil
 	}); err != nil {
 		wl.Close()
@@ -151,17 +159,28 @@ func (n *Node) openDurability() error {
 
 // replayRecord re-admits one WAL record's tuples: advance the dedup
 // watermarks (these tuples were admitted by the previous incarnation) and
-// enqueue them into the lane queues. Unknown record versions are skipped —
-// replay is idempotent and tolerant by construction.
-func (n *Node) replayRecord(payload []byte) {
-	if len(payload) == 0 || payload[0] != walRecordTuples {
-		return
+// enqueue them into the lane queues. Records under an unknown tag are
+// skipped, but a data record this binary cannot decode is an error: its
+// tuples were acked, so starting without them would lose them silently.
+func (n *Node) replayRecord(payload []byte) error {
+	if len(payload) == 0 {
+		return nil
+	}
+	switch payload[0] {
+	case walRecordTuples:
+	case walRecordRetired:
+		return fmt.Errorf("tag 0x%02x holds tuples in the retired pre-opTuples format", walRecordRetired)
+	default:
+		return nil
 	}
 	tr := NewTupleReader(bytes.NewReader(payload[1:]))
 	for {
 		batch, err := tr.ReadBatch()
+		if err == io.EOF {
+			return nil // clean end between frames
+		}
 		if err != nil {
-			return // io.EOF between frames: done; anything else: stop (CRC already vetted the record)
+			return fmt.Errorf("tag 0x%02x: %w", walRecordTuples, err)
 		}
 		n.dedupMu.Lock()
 		for i := range batch {

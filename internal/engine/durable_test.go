@@ -1,7 +1,13 @@
 package engine
 
 import (
+	"encoding/json"
+	"errors"
+	"io"
 	"net"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +15,7 @@ import (
 	"rodsp/internal/placement"
 	"rodsp/internal/query"
 	"rodsp/internal/trace"
+	"rodsp/internal/wal"
 )
 
 // TestDedupWatermarkFirstTuple pins the "seq 0" regression: sources number
@@ -48,9 +55,9 @@ func TestDedupWatermarkFirstTuple(t *testing.T) {
 }
 
 // TestDurableIngressMixedFrames drives one live tuple connection through
-// every frame generation at once — hello, seqmark-tagged durable batches,
-// an unmarked legacy frame, a traced batch, and a duplicate re-send — and
-// asserts the durability contract visible at the two ends: every marked
+// every frame shape at once — hello, sequence-bearing durable batches, an
+// unsequenced frame, a traced batch, and a duplicate re-send — and asserts
+// the durability contract visible at the two ends: every sequenced
 // batch is acked (after the group commit), the duplicate re-send is
 // filtered by the watermarks yet still acked, and the sink sees each
 // distinct tuple exactly once.
@@ -84,17 +91,9 @@ func TestDurableIngressMixedFrames(t *testing.T) {
 	if _, err := conn.Write(appendHello(nil, 42, "test-sender")); err != nil {
 		t.Fatal(err)
 	}
-	frame := func(ts []Tuple) []byte {
-		var buf []byte
-		buf = appendFrames(buf, ts)
-		return buf
-	}
 	sendMarked := func(mark uint64, ts []Tuple) {
 		t.Helper()
-		if _, err := conn.Write(appendSeqMark(nil, mark)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(frame(ts)); err != nil {
+		if _, err := conn.Write(appendSeqFrame(nil, ts, mark)); err != nil {
 			t.Fatal(err)
 		}
 		ack, err := readAck(conn)
@@ -108,8 +107,8 @@ func TestDurableIngressMixedFrames(t *testing.T) {
 
 	// Durable batch from seq 0 (the watermark regression path).
 	sendMarked(1, []Tuple{{Stream: in, Seq: 0}, {Stream: in, Seq: 1}, {Stream: in, Seq: 2}})
-	// Unmarked legacy frame on the same connection: volatile path, no ack.
-	if err := WriteTuple(conn, Tuple{Stream: in, Seq: 3}); err != nil {
+	// Unsequenced frame on the same connection: volatile path, no ack.
+	if _, err := conn.Write(appendFrames(nil, []Tuple{{Stream: in, Seq: 3}})); err != nil {
 		t.Fatal(err)
 	}
 	// Traced durable batch.
@@ -270,9 +269,7 @@ func TestConcurrentReplaySameSenderNoDuplicates(t *testing.T) {
 
 	const batches, per = 40, 5
 	sendMarked := func(conn net.Conn, mark uint64, ts []Tuple) error {
-		buf := appendSeqMark(nil, mark)
-		buf = appendFrames(buf, ts)
-		if _, err := conn.Write(buf); err != nil {
+		if _, err := conn.Write(appendSeqFrame(nil, ts, mark)); err != nil {
 			return err
 		}
 		_, err := readAck(conn)
@@ -329,7 +326,7 @@ func TestDeployRefreshesOutboxDurability(t *testing.T) {
 		defer n.peersMu.Unlock()
 		return n.peers[peer]
 	}
-	n.send(peer, Tuple{Stream: 1}) // creates the outbox before any spec
+	n.sendBatch(peer, []Tuple{{Stream: 1}}) // creates the outbox before any spec
 	o := peerOutbox()
 	if o == nil || o.durable {
 		t.Fatalf("pre-deploy outbox must exist in volatile mode (got %+v)", o)
@@ -337,7 +334,7 @@ func TestDeployRefreshesOutboxDurability(t *testing.T) {
 	if err := n.deploy(&NodeSpec{DurablePeers: []string{peer}}); err != nil {
 		t.Fatal(err)
 	}
-	n.send(peer, Tuple{Stream: 1})
+	n.sendBatch(peer, []Tuple{{Stream: 1}})
 	o2 := peerOutbox()
 	if o2 == nil || !o2.durable {
 		t.Fatal("deploy naming the peer durable must recreate the outbox in durable mode")
@@ -349,7 +346,7 @@ func TestDeployRefreshesOutboxDurability(t *testing.T) {
 	if err := n.deploy(&NodeSpec{}); err != nil {
 		t.Fatal(err)
 	}
-	n.send(peer, Tuple{Stream: 1})
+	n.sendBatch(peer, []Tuple{{Stream: 1}})
 	if o3 := peerOutbox(); o3 == nil || o3.durable || o3 == o2 {
 		t.Fatal("redeploy dropping the peer must recreate the outbox in volatile mode")
 	}
@@ -365,5 +362,85 @@ func TestRestartNodeRejectsLiveExternal(t *testing.T) {
 	defer cl.Close()
 	if err := cl.RestartNode(5); err == nil {
 		t.Fatal("out-of-range index must error")
+	}
+}
+
+// walDirWith hand-builds a recoverable WAL directory: a manifest naming an
+// empty spec plus one log record per payload.
+func walDirWith(t *testing.T, payloads ...[]byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	m, err := json.Marshal(&durableManifest{Spec: &NodeSpec{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.WriteFileAtomic(filepath.Join(dir, manifestFile), m); err != nil {
+		t.Fatal(err)
+	}
+	wl, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if _, err := wl.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestReplayRefusesUndecodableRecords pins "never ack what cannot be
+// replayed" at recovery: every logged tuple was acked upstream, so a data
+// record this binary cannot decode — one written by a pre-opTuples binary,
+// or one cut short inside a frame — must stop the node from starting (WAL
+// left in place) instead of being skipped. Records under a tag no binary
+// ever wrote stay skipped.
+func TestReplayRefusesUndecodableRecords(t *testing.T) {
+	ts := []Tuple{{Stream: 1, Seq: 0}, {Stream: 1, Seq: 1}, {Stream: 1, Seq: 2}}
+	good := appendFrames([]byte{walRecordTuples}, ts)
+	// What the retired binary logged: tag 0x01, then its 0x81 batch frame.
+	retired := append([]byte{walRecordRetired, 0x81, 0, 0, 0, 1}, make([]byte, tupleFrameSize)...)
+
+	n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{WALDir: walDirWith(t, []byte{0x7f, 1, 2, 3}, good)})
+	if err != nil {
+		t.Fatalf("unknown tag + good record must recover: %v", err)
+	}
+	if got := n.Stats().Replayed; got != int64(len(ts)) {
+		t.Errorf("replayed %d tuples, want %d", got, len(ts))
+	}
+	n.Close()
+
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		names   string
+		is      error
+	}{
+		{"retired tag", retired, "0x01", nil},
+		{"retired frame under the live tag", append([]byte{walRecordTuples}, retired[1:]...), "0x81", errRetiredOpcode},
+		{"truncated record", good[:len(good)-5], "0x02", io.ErrUnexpectedEOF},
+	} {
+		dir := walDirWith(t, good, c.payload)
+		n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{WALDir: dir})
+		if err == nil {
+			n.Close()
+			t.Errorf("%s: node started on a WAL it cannot replay", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.names) || (c.is != nil && !errors.Is(err, c.is)) {
+			t.Errorf("%s: err = %v, want one naming %s", c.name, err, c.names)
+		}
+		if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) == 0 {
+			t.Errorf("%s: WAL segments gone after the refused start", c.name)
+		}
+		if _, err := os.Stat(filepath.Join(dir, manifestFile)); err != nil {
+			t.Errorf("%s: manifest gone after the refused start: %v", c.name, err)
+		}
 	}
 }

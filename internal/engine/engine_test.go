@@ -14,15 +14,12 @@ import (
 
 func TestTupleWireRoundTrip(t *testing.T) {
 	f := func(stream int32, ts, seq int64, val float64) bool {
-		var buf bytes.Buffer
 		in := Tuple{Stream: stream, Ts: ts, Seq: seq, Value: val}
-		if err := WriteTuple(&buf, in); err != nil {
+		batch, err := NewTupleReader(bytes.NewReader(appendFrames(nil, []Tuple{in}))).ReadBatch()
+		if err != nil || len(batch) != 1 {
 			return false
 		}
-		out, err := ReadTuple(&buf)
-		if err != nil {
-			return false
-		}
+		out := batch[0]
 		if math.IsNaN(val) {
 			return out.Stream == in.Stream && out.Ts == in.Ts && out.Seq == in.Seq && math.IsNaN(out.Value)
 		}
@@ -40,14 +37,17 @@ func TestTupleWriterBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := tw.Send(Tuple{Stream: int32(i)}); err != nil {
+		if err := tw.SendBatch([]Tuple{{Stream: int32(i)}}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("%d bytes written before Flush", buf.Len())
 	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != 1+10*tupleFrameSize {
+	if buf.Len() != 1+10*(frameHeaderSize+tupleFrameSize) {
 		t.Fatalf("buffer = %d bytes", buf.Len())
 	}
 	if buf.Bytes()[0] != connTuples {
@@ -592,7 +592,7 @@ func TestCollectorReset(t *testing.T) {
 	}
 	defer conn.Close()
 	for i := 0; i < 5; i++ {
-		conn.Send(Tuple{Ts: time.Now().UnixNano()})
+		conn.SendBatch([]Tuple{{Ts: time.Now().UnixNano()}}) //nolint:errcheck
 	}
 	conn.Flush()
 	deadline := time.Now().Add(2 * time.Second)

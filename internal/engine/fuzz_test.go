@@ -9,98 +9,48 @@ import (
 	"time"
 )
 
-// FuzzReadTuple ensures the frame decoder never panics and round-trips
-// whatever WriteTuple produced.
-func FuzzReadTuple(f *testing.F) {
-	var seed bytes.Buffer
-	WriteTuple(&seed, Tuple{Stream: 3, Ts: 123456789, Seq: 42, Value: 3.14}) //nolint:errcheck
-	f.Add(seed.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{0, 1, 2})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tup, err := ReadTuple(bytes.NewReader(data))
-		if err != nil {
-			return // short/invalid input is fine; must not panic
-		}
-		var buf bytes.Buffer
-		if err := WriteTuple(&buf, tup); err != nil {
-			t.Fatal(err)
-		}
-		if len(data) >= tupleFrameSize && !bytes.Equal(buf.Bytes(), data[:tupleFrameSize]) {
-			t.Fatalf("re-encode mismatch: %x vs %x", buf.Bytes(), data[:tupleFrameSize])
-		}
-	})
-}
-
-// FuzzReadFrame covers the versioned frame decoder: arbitrary opcode and
-// length prefixes must never panic or over-allocate (declared batch counts
-// are capped), and a stream beginning with a legacy frame must decode it
-// identically to ReadTuple.
+// FuzzReadFrame covers the frame decoder: arbitrary opcodes, field masks
+// and length prefixes must never panic or over-allocate (declared counts
+// are capped), and whatever decodes must re-encode to a frame that decodes
+// to the same tuples.
 func FuzzReadFrame(f *testing.F) {
-	var legacy bytes.Buffer
-	WriteTuple(&legacy, Tuple{Stream: 3, Ts: 123456789, Seq: 42, Value: 3.14}) //nolint:errcheck
-	f.Add(legacy.Bytes())
-	var batched bytes.Buffer
-	tw, _ := NewTupleWriter(&batched)
-	tw.SendBatch([]Tuple{{Stream: 1}, {Stream: 2, Seq: 9}, {Stream: 3, Value: -1}}) //nolint:errcheck
-	tw.Flush()                                                                      //nolint:errcheck
-	f.Add(batched.Bytes()[1:])                                                      // strip the connTuples preamble
-	var traced bytes.Buffer
-	tw2, _ := NewTupleWriter(&traced)
-	tw2.SendBatch([]Tuple{ //nolint:errcheck
+	f.Add(appendFrames(nil, []Tuple{{Stream: 1}, {Stream: 2, Seq: 9}, {Stream: 3, Value: -1}}))
+	f.Add(appendFrames(nil, []Tuple{
 		{Stream: 1, Flags: TupleTraced, TraceTs: 987654321},
 		{Stream: 2, Seq: 9},
-	})
-	tw2.Flush() //nolint:errcheck
-	f.Add(traced.Bytes()[1:])
-	// One connection interleaving all three frame variants.
-	var mixed bytes.Buffer
-	tw3, _ := NewTupleWriter(&mixed)
-	tw3.Send(Tuple{Stream: 7, Seq: 1})                                          //nolint:errcheck
-	tw3.SendBatch([]Tuple{{Stream: 7, Seq: 2}, {Stream: 8, Seq: 3}})            //nolint:errcheck
-	tw3.SendBatch([]Tuple{{Stream: 7, Seq: 4, Flags: TupleTraced, TraceTs: 5}}) //nolint:errcheck
-	tw3.Flush()                                                                 //nolint:errcheck
-	f.Add(mixed.Bytes()[1:])
-	f.Add([]byte{opBatch, 0xff, 0xff, 0xff, 0xff})  // absurd declared count
-	f.Add([]byte{opBatch, 0, 0, 0, 0})              // keep-alive (empty batch)
-	f.Add([]byte{opTraced, 0xff, 0xff, 0xff, 0xff}) // absurd traced count
-	f.Add([]byte{opTraced, 0, 0, 0, 0})             // empty traced batch
-	f.Add([]byte{0x80, 1, 2, 3})                    // unknown opcode
+	}))
+	f.Add(appendFrames(nil, []Tuple{{Stream: 4, Seq: 1, Key: 0xfeed}, {Stream: 4, Seq: 2}}))
+	f.Add(appendSeqFrame(nil, []Tuple{{Stream: 5, Seq: 7, Key: 3, Flags: TupleTraced, TraceTs: 11}}, 42))
+	f.Add([]byte{opTuples, 0, 0xff, 0xff, 0xff, 0xff})               // absurd declared count
+	f.Add([]byte{opTuples, fieldTrace | fieldKey, 0, 1, 0, 1})       // one past the cap
+	f.Add([]byte{opTuples, 0, 0, 0, 0, 0})                           // empty frame
+	f.Add([]byte{opTuples, 0x08, 0, 0, 0, 1})                        // unknown field bit
+	f.Add([]byte{opTuples, fieldSeq, 0, 0, 0, 1, 0xff, 0xff})        // sequence cut short
+	f.Add(appendFrames(nil, []Tuple{{Stream: 1}, {Stream: 2}})[:40]) // record cut short
+	f.Add([]byte{0x81, 0, 0, 0, 1})                                  // retired batch opcode
+	f.Add([]byte{0x87, 0, 0, 0, 0, 0, 0, 0, 42})                     // retired sequence mark
+	f.Add(make([]byte, tupleFrameSize))                              // bare pre-batch tuple
+	f.Add([]byte{0x80, 1, 2, 3})                                     // unknown opcode
 	f.Add([]byte{})
-	// Durability opcodes: a hello announcing a sender identity, a seqmark
-	// tagging the following batch, and a stray ack (acks normally flow the
-	// other way; the reader must skip one without desync).
+	// Durability frames: a hello announcing a sender identity and a stray
+	// ack (acks normally flow the other way; the reader must skip one
+	// without desync).
 	hello := appendHello(nil, 12345, "127.0.0.1:7101")
 	f.Add(hello)
-	f.Add(hello[:3])                                                         // truncated hello
-	f.Add(appendHello(nil, 1, string(make([]byte, 300))))                    // oversized sender addr
-	f.Add(appendSeqMark(nil, 42))                                            // mark with no batch behind it
-	f.Add([]byte{opSeqMark, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // absurd mark seq
+	f.Add(hello[:3])                                      // truncated hello
+	f.Add(appendHello(nil, 1, string(make([]byte, 300)))) // oversized sender addr
 	var ackBuf bytes.Buffer
 	writeAck(&ackBuf, 7) //nolint:errcheck
 	f.Add(ackBuf.Bytes())
-	// A durable sender's stream: hello, then seqmark-tagged batches
-	// interleaved with every legacy variant on one connection. The batch
-	// frames are rendered through the normal writer (preamble stripped) so
-	// the seed is byte-exact wire traffic.
-	frame := func(ts []Tuple) []byte {
-		var buf bytes.Buffer
-		w, _ := NewTupleWriter(&buf)
-		w.SendBatch(ts) //nolint:errcheck
-		w.Flush()       //nolint:errcheck
-		return buf.Bytes()[1:]
-	}
-	var durable bytes.Buffer
-	durable.Write(appendHello(nil, 99, "127.0.0.1:9"))                                  //nolint:errcheck
-	durable.Write(appendSeqMark(nil, 1))                                                //nolint:errcheck
-	durable.Write(frame([]Tuple{{Stream: 5, Seq: 1}, {Stream: 5, Seq: 2}}))             //nolint:errcheck
-	WriteTuple(&durable, Tuple{Stream: 6, Seq: 3})                                      //nolint:errcheck
-	durable.Write(appendSeqMark(nil, 2))                                                //nolint:errcheck
-	durable.Write(frame([]Tuple{{Stream: 5, Seq: 3, Flags: TupleTraced, TraceTs: 11}})) //nolint:errcheck
-	f.Add(durable.Bytes())
+	// A durable sender's stream: hello, then sequenced batches interleaved
+	// with an unsequenced one on one connection.
+	durable := appendHello(nil, 99, "127.0.0.1:9")
+	durable = appendSeqFrame(durable, []Tuple{{Stream: 5, Seq: 1}, {Stream: 5, Seq: 2}}, 1)
+	durable = appendFrames(durable, []Tuple{{Stream: 6, Seq: 3}})
+	durable = appendSeqFrame(durable, []Tuple{{Stream: 5, Seq: 3, Flags: TupleTraced, TraceTs: 11}}, 2)
+	f.Add(durable)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := NewTupleReader(bytes.NewReader(data))
-		first := true
 		for {
 			batch, err := tr.ReadBatch()
 			if err != nil {
@@ -109,22 +59,19 @@ func FuzzReadFrame(f *testing.F) {
 			if len(batch) == 0 || len(batch) > MaxBatchWire {
 				t.Fatalf("ReadBatch returned %d tuples", len(batch))
 			}
-			if first && len(data) > 0 && data[0]&0x80 == 0 {
-				// Legacy first frame: must match the single-frame decoder.
-				want, err := ReadTuple(bytes.NewReader(data))
-				if err != nil || len(batch) != 1 {
-					t.Fatalf("legacy frame: batch=%d err=%v", len(batch), err)
-				}
-				if batch[0] != want && !(batch[0].Value != batch[0].Value && want.Value != want.Value) {
-					t.Fatalf("legacy decode mismatch: %+v vs %+v", batch[0], want)
+			again, err := NewTupleReader(bytes.NewReader(appendFrame(nil, batch, fieldTrace|fieldKey, 0))).ReadBatch()
+			if err != nil || len(again) != len(batch) {
+				t.Fatalf("re-encode of %d tuples: %d tuples, err %v", len(batch), len(again), err)
+			}
+			for i := range batch {
+				if again[i] != batch[i] && batch[i].Value == batch[i].Value { // NaN payloads differ by ==
+					t.Fatalf("re-encode tuple %d: %+v vs %+v", i, again[i], batch[i])
 				}
 			}
-			first = false
 		}
 		// The reader's reusable buffers stay bounded by the wire cap no
-		// matter what lengths the input declared (traced records are the
-		// widest frame variant).
-		if cap(tr.buf) > MaxBatchWire*tracedFrameSize {
+		// matter what lengths the input declared.
+		if cap(tr.buf) > MaxBatchWire*recordSize(fieldTrace|fieldKey) {
 			t.Fatalf("payload buffer grew to %d", cap(tr.buf))
 		}
 		if cap(tr.slab) > MaxBatchWire {

@@ -70,12 +70,6 @@ type NodeConfig struct {
 	// FlushTimeout is the per-flush write deadline, so a stalled (but not
 	// dead) peer surfaces as a link failure. Default 2s.
 	FlushTimeout time.Duration
-	// BatchMax bounds how many tuples one lock acquisition may move on the
-	// hot path: an ingress admission chunk, a worker dequeue run, and an
-	// outbox wire batch. 1 restores the per-tuple hot path (the
-	// pre-batching baseline rodload measures against). <= 0 selects
-	// DefaultBatchMax.
-	BatchMax int
 	// Workers is the worker-lane count: parallel data-plane shards, each
 	// with its own bounded queue, shed accounting and worker goroutine
 	// (see lane.go for the (stream, key) → lane assignment). <= 0 selects
@@ -103,8 +97,11 @@ type NodeConfig struct {
 const (
 	DefaultIngressCap = 100000
 	DefaultOutboxCap  = 4096
-	DefaultBatchMax   = 256
 )
+
+// batchMax bounds how many tuples one lock acquisition may move on the hot
+// path: an ingress admission chunk and a worker dequeue run.
+const batchMax = 256
 
 func (cfg *NodeConfig) applyDefaults() {
 	if cfg.IngressCap <= 0 {
@@ -124,12 +121,6 @@ func (cfg *NodeConfig) applyDefaults() {
 	}
 	if cfg.FlushTimeout <= 0 {
 		cfg.FlushTimeout = 2 * time.Second
-	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = DefaultBatchMax
-	}
-	if cfg.BatchMax > MaxBatchWire {
-		cfg.BatchMax = MaxBatchWire
 	}
 	cfg.Workers = resolveWorkers(cfg.Workers)
 	if cfg.WALDir != "" && cfg.CheckpointEvery <= 0 {
@@ -465,14 +456,15 @@ func (n *Node) serveConn(conn net.Conn) {
 	}
 }
 
-// serveTuples drains one tuple connection. Seqmark-tagged batches from
-// durable senders take the durability path: dedup against the per-stream
-// watermarks, WAL-append the survivors, wait for the group commit, admit,
-// then ack the mark so the sender releases its retained copy — the ack is
-// written only after fsync, which is the at-least-once linchpin (anything
-// unacked is still retained upstream and re-sent). Unmarked frames (legacy
-// senders, sources, or a node without a WAL) take the volatile path
-// unchanged; both coexist on one connection.
+// serveTuples drains one tuple connection until it ends or a frame fails
+// to decode (nothing of a bad frame is admitted). Sequence-bearing batches
+// from durable senders take the durability path: dedup against the
+// per-stream watermarks, WAL-append the survivors, wait for the group
+// commit, admit, then ack the sequence so the sender releases its retained
+// copy — the ack is written only after fsync, which is the at-least-once
+// linchpin (anything unacked is still retained upstream and re-sent).
+// Frames without a sequence (sources, or a node without a WAL) take the
+// volatile path; both coexist on one connection.
 //
 // The whole filter→log→commit→advance window runs under a per-sender
 // admission lock: a sender that reconnects and replays a retained batch
@@ -491,8 +483,8 @@ func (n *Node) serveTuples(r io.Reader, conn net.Conn) {
 		if err != nil {
 			return
 		}
-		seq, marked := tr.TakeMark()
-		if !marked || n.wal == nil {
+		seq, sequenced := tr.BatchSeq()
+		if !sequenced || n.wal == nil {
 			n.enqueueInboundBatch(batch)
 			continue
 		}
@@ -535,7 +527,7 @@ func (n *Node) serveTuples(r io.Reader, conn net.Conn) {
 
 // admitLock returns (creating on first use) the durable-admission mutex for
 // one sender identity — the address announced in its hello frame, which an
-// outbox keeps across reconnects and a restarted node re-announces. Marked
+// outbox keeps across reconnects and a restarted node re-announces. Sequenced
 // batches that arrive without a hello (hand-rolled senders) share the ""
 // key, which is safe (over-serialization, never under-).
 func (n *Node) admitLock(sender string) *sync.Mutex {
@@ -549,13 +541,6 @@ func (n *Node) admitLock(sender string) *sync.Mutex {
 	return m
 }
 
-// enqueueInbound accepts a single tuple arriving from the network (or a
-// source injector); see enqueueInboundBatch for the amortized path.
-func (n *Node) enqueueInbound(t Tuple) {
-	batch := [1]Tuple{t}
-	n.enqueueInboundBatch(batch[:])
-}
-
 // relayRun is one per-destination slice of tuples to forward, built while
 // admitting a batch and shipped after all queue locks are released.
 type relayRun struct {
@@ -565,7 +550,7 @@ type relayRun struct {
 
 // enqueueInboundBatch admits a batch of tuples arriving from the network
 // (or a source injector) to the bounded per-lane work queues, processing
-// chunks of at most BatchMax tuples. Shedding (per the configured policy),
+// chunks of at most batchMax tuples. Shedding (per the configured policy),
 // per-stream shed counters, the shed-onset hysteresis latch and relay
 // fan-out are all computed batch-wise with per-tuple accounting preserved;
 // relays are grouped per destination so the outbox is offered slices
@@ -573,8 +558,8 @@ type relayRun struct {
 func (n *Node) enqueueInboundBatch(ts []Tuple) {
 	for len(ts) > 0 {
 		chunk := ts
-		if len(chunk) > n.cfg.BatchMax {
-			chunk = ts[:n.cfg.BatchMax]
+		if len(chunk) > batchMax {
+			chunk = ts[:batchMax]
 		}
 		ts = ts[len(chunk):]
 		n.enqueueChunk(chunk)
@@ -653,10 +638,9 @@ func (n *Node) enqueueChunk(chunk []Tuple) {
 	n.injected.Add(int64(len(chunk)))
 	for ci := range chunk {
 		t := &chunk[ci]
-		// Mark trace samples at first ingress. Sources that pre-flag their
-		// tuples use the same stride, so a legacy link that strips the
-		// context re-selects the same tuples here (TraceTs restarts from the
-		// origin Ts, keeping the telescoped sum equal to the sink latency).
+		// Mark trace samples at first ingress unless the source already
+		// flagged them (TraceTs starts from the origin Ts, keeping the
+		// telescoped sum equal to the sink latency).
 		if every > 0 && t.Flags&TupleTraced == 0 && tracePick(every, *t) {
 			t.Flags |= TupleTraced
 		}
@@ -786,14 +770,6 @@ func (n *Node) stall(sec float64) {
 // stallStream is the reserved stream id carrying stall work items.
 const stallStream int32 = -1
 
-// send hands one tuple to the destination's outbox without ever blocking;
-// see sendBatch. Reports whether the tuple was accepted; rejected tuples
-// are counted in the outbox's drop counter.
-func (n *Node) send(addr string, t Tuple) bool {
-	batch := [1]Tuple{t}
-	return n.sendBatch(addr, batch[:]) == 1
-}
-
 // sendBatch offers a run of tuples to the destination's outbox (shared
 // mutex ring — the multi-producer path used by ingress relays and tests)
 // without ever blocking: a dead, slow or partitioned peer costs the caller
@@ -803,14 +779,11 @@ func (n *Node) send(addr string, t Tuple) bool {
 // outbox's drop counter.
 func (n *Node) sendBatch(addr string, ts []Tuple) int {
 	t0 := time.Now()
-	o := n.outboxFor(addr)
 	accepted := 0
-	if o != nil {
+	if o := n.outboxFor(addr); o != nil {
 		accepted = o.enqueueBatch(ts)
 	}
-	if d := int64(time.Since(t0)); d > n.sendMaxNanos.Load() {
-		n.sendMaxNanos.Store(d)
-	}
+	storeMax(&n.sendMaxNanos, int64(time.Since(t0)))
 	return accepted
 }
 
@@ -819,15 +792,24 @@ func (n *Node) sendBatch(addr string, ts []Tuple) int {
 // Same non-blocking, drop-with-counter contract as sendBatch.
 func (n *Node) sendBatchLane(laneID uint32, addr string, ts []Tuple) int {
 	t0 := time.Now()
-	o := n.outboxFor(addr)
 	accepted := 0
-	if o != nil {
+	if o := n.outboxFor(addr); o != nil {
 		accepted = o.enqueueLane(int(laneID), ts)
 	}
-	if d := int64(time.Since(t0)); d > n.sendMaxNanos.Load() {
-		n.sendMaxNanos.Store(d)
-	}
+	storeMax(&n.sendMaxNanos, int64(time.Since(t0)))
 	return accepted
+}
+
+// storeMax raises a to v if v is larger. The compare-and-swap loop keeps
+// the maximum under concurrent callers, where a load-then-store would let
+// a smaller value overwrite a larger one written in between.
+func storeMax(a *atomic.Int64, v int64) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
 // outboxFor returns (creating on first use) the outbox for addr; nil once

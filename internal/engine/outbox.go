@@ -15,7 +15,7 @@ import (
 
 // Per-peer outbox: every remote destination gets its own goroutine fed by
 // two kinds of buffer. The shared mutex ring serves multi-producer callers
-// (ingress relays, tests, legacy send()); each worker lane additionally
+// (ingress relays, tests); each worker lane additionally
 // owns one lock-free SPSC ring to this peer, so the hot egress path never
 // takes a mutex. The writer gathers runs from the shared ring and every
 // lane ring per wakeup, encodes them into per-run buffers, and flushes the
@@ -87,7 +87,7 @@ type outbox struct {
 	vbufs   net.Buffers
 
 	// Durable (retain-until-ack) mode: the peer runs a WAL, so every
-	// shipped gather goes out as one seqmark+batch pair and is retained
+	// shipped gather goes out as sequence-bearing frames and is retained
 	// (copied) until the peer's cumulative ack covers its sequence —
 	// `sent` advances on ack, not on write, and a reconnect replays the
 	// hello plus every retained batch in order. Retention is bounded by
@@ -127,13 +127,6 @@ func newOutbox(n *Node, addr string, durable bool) *outbox {
 		o.lanes[i] = newSPSCRing(laneCap)
 	}
 	return o
-}
-
-// enqueue offers one tuple without blocking; on overflow the tuple is
-// dropped and counted.
-func (o *outbox) enqueue(t Tuple) bool {
-	batch := [1]Tuple{t}
-	return o.enqueueBatch(batch[:]) == 1
 }
 
 // enqueueBatch offers a run of tuples to the shared mutex ring under a
@@ -284,30 +277,13 @@ func (o *outbox) sendHelloAndRetained(conn net.Conn) error {
 	buf := appendHello(o.reenc[:0], o.incarnation, o.node.Addr())
 	o.retMu.Lock()
 	for _, rb := range o.retained {
-		buf = appendSeqMark(buf, rb.seq)
-		buf = appendDurableBatch(buf, rb.ts)
+		buf = appendSeqFrame(buf, rb.ts, rb.seq)
 	}
 	o.retMu.Unlock()
 	o.reenc = buf
 	conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
 	_, err := conn.Write(buf)
 	return err
-}
-
-// appendDurableBatch appends ts as exactly one batch frame (never the
-// legacy single-tuple shape), upgraded to the traced/keyed record forms
-// when needed — a seqmark must be followed by one batch frame.
-func appendDurableBatch(dst []byte, ts []Tuple) []byte {
-	traced, keyed := false, false
-	for i := range ts {
-		if ts[i].Flags != 0 {
-			traced = true
-		}
-		if ts[i].Key != 0 {
-			keyed = true
-		}
-	}
-	return appendBatchFrame(dst, ts, traced, keyed)
 }
 
 // setConn publishes the live connection so a sever fault can break it.
@@ -380,15 +356,10 @@ func (o *outbox) run() {
 // blocking shutdown. Drop accounting stays per tuple: a fault-dropped or
 // write-failed gather counts each of its tuples.
 func (o *outbox) writeLoop(conn net.Conn) error {
-	tw, err := NewTupleWriter(conn)
-	if err != nil {
-		return err
-	}
-	// Flush the connection preamble now: subsequent batched flushes write
-	// straight to the socket (vectored), bypassing the TupleWriter's
-	// buffer, so nothing may linger in it.
+	// Every later write goes straight to the socket (vectored), so the
+	// connection preamble does too.
 	conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
-	if err := tw.Flush(); err != nil {
+	if _, err := conn.Write([]byte{connTuples}); err != nil {
 		return err
 	}
 	var ackDone chan error
@@ -413,7 +384,7 @@ func (o *outbox) writeLoop(conn net.Conn) error {
 				if len(run) == 0 {
 					return errOutboxClosed
 				}
-				if err := o.ship(tw, conn, run, f); err != nil {
+				if err := o.ship(conn, run, f); err != nil {
 					o.dropRemaining()
 					return errOutboxClosed
 				}
@@ -426,7 +397,7 @@ func (o *outbox) writeLoop(conn net.Conn) error {
 				break
 			}
 			f := o.node.linkFault(o.addr)
-			if err := o.ship(tw, conn, run, f); err != nil {
+			if err := o.ship(conn, run, f); err != nil {
 				return err
 			}
 		}
@@ -435,10 +406,10 @@ func (o *outbox) writeLoop(conn net.Conn) error {
 
 // ship writes and flushes one gathered run, honoring an injected fault,
 // and settles the run's accounting (sent on success, dropped on fault or
-// failure; in-flight is cleared either way). In batch mode each source run
-// is encoded into its own reusable buffer and the whole gather goes out as
-// one vectored write; BatchMax == 1 keeps the legacy per-tuple frame path.
-func (o *outbox) ship(tw *TupleWriter, conn net.Conn, run []Tuple, f *LinkFault) error {
+// failure; in-flight is cleared either way). Each source run is encoded
+// into its own reusable buffer and the whole gather goes out as one
+// vectored write.
+func (o *outbox) ship(conn net.Conn, run []Tuple, f *LinkFault) error {
 	total := int64(len(run))
 	if f != nil && f.Drop {
 		o.dropped.Add(total)
@@ -472,48 +443,26 @@ func (o *outbox) ship(tw *TupleWriter, conn net.Conn, run []Tuple, f *LinkFault)
 	if o.durable {
 		return o.shipDurable(conn, run, f)
 	}
-	var err error
-	if o.node.cfg.BatchMax > 1 {
-		bufs := o.vbufs[:0]
-		prev := 0
-		for si, end := range o.segEnds {
-			seg := run[prev:end]
-			prev = end
-			if len(seg) == 0 {
-				continue
-			}
-			o.encBufs[si] = appendFrames(o.encBufs[si][:0], seg)
-			bufs = append(bufs, o.encBufs[si])
+	bufs := o.vbufs[:0]
+	prev := 0
+	for si, end := range o.segEnds {
+		seg := run[prev:end]
+		prev = end
+		if len(seg) == 0 {
+			continue
 		}
-		o.vbufs = bufs // WriteTo consumes its receiver; keep the backing array
-		if len(bufs) > 0 {
-			if f != nil && f.Delay > 0 {
-				select {
-				case <-o.quit:
-				case <-time.After(f.Delay):
-				}
-			}
-			conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
-			_, err = bufs.WriteTo(conn)
-		}
-	} else {
-		for _, t := range run {
-			if err = tw.Send(t); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			if f != nil && f.Delay > 0 {
-				select {
-				case <-o.quit:
-				case <-time.After(f.Delay):
-				}
-			}
-			conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
-			err = tw.Flush()
+		o.encBufs[si] = appendFrames(o.encBufs[si][:0], seg)
+		bufs = append(bufs, o.encBufs[si])
+	}
+	o.vbufs = bufs // WriteTo consumes its receiver; keep the backing array
+	if f != nil && f.Delay > 0 {
+		select {
+		case <-o.quit:
+		case <-time.After(f.Delay):
 		}
 	}
-	if err != nil {
+	conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
+	if _, err := bufs.WriteTo(conn); err != nil {
 		o.dropped.Add(total)
 		o.inflight.Store(0)
 		return err
@@ -526,13 +475,13 @@ func (o *outbox) ship(tw *TupleWriter, conn net.Conn, run []Tuple, f *LinkFault)
 // shipDurable ships one gather in durable mode: wait for retention room
 // (acks free it — dropping here would defeat retain-until-ack, so overload
 // backpressures into the rings instead), retain a copy under the next
-// sequence number, then write the seqmark+batch pair. `sent` does NOT
+// sequence number, then write it as one sequence-bearing frame. `sent` does NOT
 // advance here — applyAck settles it when the peer's fsync ack arrives. A
 // write error keeps the retained copies for the reconnect replay.
 //
 // A single gather can exceed OutboxCap (one run from the shared ring plus
 // one per lane ring, each up to outboxBatchMax), so the run ships as a
-// sequence of bounded seqmark+batch pairs. The room wait only blocks while
+// sequence of bounded frames, one sequence each. The room wait only blocks while
 // something IS retained: an empty retention always admits the next chunk,
 // so the writer can never livelock waiting for acks that would only arrive
 // once it makes progress.
@@ -574,9 +523,7 @@ func (o *outbox) shipDurable(conn net.Conn, run []Tuple, f *LinkFault) error {
 		if werr != nil {
 			continue
 		}
-		buf := appendSeqMark(o.reenc[:0], rb.seq)
-		buf = appendDurableBatch(buf, rb.ts)
-		o.reenc = buf
+		o.reenc = appendSeqFrame(o.reenc[:0], rb.ts, rb.seq)
 		if f != nil && f.Delay > 0 {
 			select {
 			case <-o.quit:
@@ -584,7 +531,7 @@ func (o *outbox) shipDurable(conn net.Conn, run []Tuple, f *LinkFault) error {
 			}
 		}
 		conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
-		if _, err := conn.Write(buf); err != nil {
+		if _, err := conn.Write(o.reenc); err != nil {
 			werr = err
 		}
 	}

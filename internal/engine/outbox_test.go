@@ -3,6 +3,8 @@ package engine
 import (
 	"bufio"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,7 +72,7 @@ func TestOutboxOverflowAccounting(t *testing.T) {
 	const total = 100
 	accepted := 0
 	for i := 0; i < total; i++ {
-		if n.send(addr, Tuple{Stream: 1, Seq: int64(i)}) {
+		if n.sendBatch(addr, []Tuple{{Stream: 1, Seq: int64(i)}}) == 1 {
 			accepted++
 		}
 	}
@@ -123,7 +125,7 @@ func TestOutboxReconnectAfterPartition(t *testing.T) {
 	defer b.Close()
 	addr := b.Addr()
 
-	a.send(addr, Tuple{Stream: 1})
+	a.sendBatch(addr, []Tuple{{Stream: 1}})
 	waitUntil(t, 2*time.Second, "first delivery", func() bool {
 		return b.Stats().Injected > 0
 	})
@@ -133,13 +135,13 @@ func TestOutboxReconnectAfterPartition(t *testing.T) {
 	// The severed link surfaces as a relay_error once the outbox notices
 	// (the break, or the next failed dial).
 	waitUntil(t, 2*time.Second, "relay_error after sever", func() bool {
-		a.send(addr, Tuple{Stream: 1})
+		a.sendBatch(addr, []Tuple{{Stream: 1}})
 		return ev.Count(obs.EventRelayError) > 0
 	})
 
 	a.ClearLinkFault(addr)
 	waitUntil(t, 4*time.Second, "delivery after heal", func() bool {
-		a.send(addr, Tuple{Stream: 1})
+		a.sendBatch(addr, []Tuple{{Stream: 1}})
 		return b.Stats().Injected > before
 	})
 	if s := a.outboxSnapshots()[0]; s.Reconnects < 1 {
@@ -168,7 +170,7 @@ func TestOutboxDropFault(t *testing.T) {
 	defer b.Close()
 	addr := b.Addr()
 
-	a.send(addr, Tuple{Stream: 1})
+	a.sendBatch(addr, []Tuple{{Stream: 1}})
 	waitUntil(t, 2*time.Second, "first delivery", func() bool {
 		return b.Stats().Injected > 0
 	})
@@ -176,7 +178,7 @@ func TestOutboxDropFault(t *testing.T) {
 
 	a.SetLinkFault(addr, LinkFault{Drop: true})
 	for i := 0; i < 50; i++ {
-		a.send(addr, Tuple{Stream: 1})
+		a.sendBatch(addr, []Tuple{{Stream: 1}})
 	}
 	waitUntil(t, 2*time.Second, "drops counted", func() bool {
 		return a.outboxSnapshots()[0].Dropped >= 50
@@ -186,7 +188,7 @@ func TestOutboxDropFault(t *testing.T) {
 	}
 	a.ClearLinkFault(addr)
 	waitUntil(t, 2*time.Second, "delivery after clearing drop fault", func() bool {
-		a.send(addr, Tuple{Stream: 1})
+		a.sendBatch(addr, []Tuple{{Stream: 1}})
 		return b.Stats().Injected > before
 	})
 }
@@ -196,14 +198,14 @@ func TestOutboxDropFault(t *testing.T) {
 // ring plus one per lane ring), so a durable writer that waits for
 // retTuples+len(run) <= cap before retaining would spin forever on its very
 // first gather. The oversized gather must instead ship as multiple bounded
-// seqmark+batch pairs and fully settle once the peer acks them.
+// sequence-bearing frames and fully settle once the peer acks them.
 func TestDurableShipOversizedGather(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	// Receiver: decode frames off the connection and ack every seqmark, the
+	// Receiver: decode frames off the connection and ack every sequence, the
 	// way a durable peer would after its group commit.
 	go func() {
 		conn, err := ln.Accept()
@@ -220,7 +222,7 @@ func TestDurableShipOversizedGather(t *testing.T) {
 			if _, err := tr.ReadBatch(); err != nil {
 				return
 			}
-			if seq, ok := tr.TakeMark(); ok {
+			if seq, ok := tr.BatchSeq(); ok {
 				if err := writeAck(conn, seq); err != nil {
 					return
 				}
@@ -282,5 +284,33 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// storeMax keeps the largest value under concurrent writers; the
+// load-then-store it replaced could end below the maximum.
+func TestStoreMaxConcurrent(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		var a atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 1000; i++ {
+					storeMax(&a, int64(i*8+g))
+				}
+			}(g)
+		}
+		wg.Wait()
+		if got := a.Load(); got != 999*8+7 {
+			t.Fatalf("max = %d, want %d", got, 999*8+7)
+		}
+	}
+	var a atomic.Int64
+	a.Store(10)
+	storeMax(&a, 3)
+	if a.Load() != 10 {
+		t.Fatalf("storeMax lowered the value to %d", a.Load())
 	}
 }

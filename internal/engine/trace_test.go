@@ -11,9 +11,9 @@ import (
 	"rodsp/internal/trace"
 )
 
-// Traced batch frames round-trip flags and trace timestamps exactly, and
-// mixed batches (any flagged tuple) promote the whole frame to the traced
-// variant without corrupting untraced members.
+// Frames round-trip flags and trace timestamps exactly, and a mixed batch
+// (any flagged tuple) carries the trace field for the whole frame without
+// corrupting untraced members.
 func TestTracedWireRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 63, 256} {
 		var buf bytes.Buffer
@@ -35,13 +35,11 @@ func TestTracedWireRoundTrip(t *testing.T) {
 		if err := tw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		// Any flagged member forces the traced frame (a legacy frame cannot
-		// carry the context), so even n=1 pays the batch header here.
-		if want := 1 + batchHeaderSize + n*tracedFrameSize; buf.Len() != want {
+		if want := 1 + frameHeaderSize + n*(tupleFrameSize+traceFieldSize); buf.Len() != want {
 			t.Fatalf("n=%d: frame used %d bytes, want %d", n, buf.Len(), want)
 		}
-		if op := buf.Bytes()[1]; op != opTraced {
-			t.Fatalf("n=%d: opcode 0x%02x, want opTraced", n, op)
+		if fields := buf.Bytes()[2]; fields != fieldTrace {
+			t.Fatalf("n=%d: field mask 0x%02x, want fieldTrace", n, fields)
 		}
 		tr := NewTupleReader(bytes.NewReader(buf.Bytes()[1:])) // skip preamble
 		var out []Tuple
@@ -68,27 +66,20 @@ func TestUntracedBatchStaysPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	tw.Flush() //nolint:errcheck
-	if want := 1 + batchHeaderSize + 16*tupleFrameSize; buf.Len() != want {
+	if want := 1 + frameHeaderSize + 16*tupleFrameSize; buf.Len() != want {
 		t.Fatalf("untraced batch used %d bytes, want %d", buf.Len(), want)
-	}
-	if op := buf.Bytes()[1]; op != opBatch {
-		t.Fatalf("opcode 0x%02x, want opBatch", op)
 	}
 }
 
-// Legacy, plain-batch and traced frames interleaved on one connection all
-// decode in order, with trace context surviving exactly where it was sent.
+// Plain and traced frames interleaved on one connection all decode in
+// order, with trace context surviving exactly where it was sent.
 func TestMixedTracedWire(t *testing.T) {
 	var buf bytes.Buffer
 	tw, _ := NewTupleWriter(&buf)
-	legacy := Tuple{Stream: 1, Seq: 1, Value: 0.5}
 	plain := []Tuple{{Stream: 2, Seq: 2}, {Stream: 2, Seq: 3}}
 	traced := []Tuple{
 		{Stream: 3, Seq: 4, Flags: TupleTraced, TraceTs: 99},
 		{Stream: 3, Seq: 5},
-	}
-	if err := tw.Send(legacy); err != nil {
-		t.Fatal(err)
 	}
 	if err := tw.SendBatch(plain); err != nil {
 		t.Fatal(err)
@@ -96,21 +87,21 @@ func TestMixedTracedWire(t *testing.T) {
 	if err := tw.SendBatch(traced); err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.Send(legacy); err != nil {
+	if err := tw.SendBatch(plain[:1]); err != nil {
 		t.Fatal(err)
 	}
 	tw.Flush() //nolint:errcheck
 
 	tr := NewTupleReader(bytes.NewReader(buf.Bytes()[1:]))
 	var out []Tuple
-	for len(out) < 6 {
+	for len(out) < 5 {
 		batch, err := tr.ReadBatch()
 		if err != nil {
 			t.Fatalf("ReadBatch after %d tuples: %v", len(out), err)
 		}
 		out = append(out, batch...)
 	}
-	want := []Tuple{legacy, plain[0], plain[1], traced[0], traced[1], legacy}
+	want := []Tuple{plain[0], plain[1], traced[0], traced[1], plain[0]}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("tuple %d = %+v, want %+v", i, out[i], want[i])

@@ -10,10 +10,12 @@ package engine
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
+	"slices"
 	"time"
 )
 
@@ -21,50 +23,32 @@ import (
 // declares its role.
 const (
 	connControl byte = 'C' // newline-delimited JSON control messages
-	connTuples  byte = 'T' // binary tuple frames (legacy single or batch)
+	connTuples  byte = 'T' // binary frames: opTuples, opHello, opAck
 )
 
-// Frame versioning inside a tuple connection. Wire stream ids are
-// non-negative, so the big-endian first byte of a legacy 28-byte tuple
-// frame is always 0x00–0x7F; bytes with the high bit set are reserved as
-// versioned frame opcodes. Legacy senders therefore interoperate with
-// batch-aware receivers on the same connection, frame by frame.
+// Frame opcodes on a tuple connection. Every frame starts with an opcode
+// whose high bit is set; tuples travel only in opTuples frames.
 const (
-	// opBatch introduces a length-prefixed batch frame:
+	// opTuples is the one tuple frame — a batch is the only unit a tuple
+	// travels in:
 	//
-	//	opBatch | uint32(count) | count × 28-byte tuple
-	opBatch byte = 0x81
-	// opTraced introduces a trace-annotated batch frame:
+	//	opTuples | fields u8 | count u32 | [batchSeq u64 if fieldSeq] |
+	//	count × (28-byte tuple [+ flags u8 + traceTs i64 if fieldTrace]
+	//	                       [+ key u64 if fieldKey])
 	//
-	//	opTraced | uint32(count) | count × 37-byte traced record
-	//
-	// where each record is the 28-byte tuple followed by one flags byte
-	// and the big-endian trace timestamp (nanoseconds at the tuple's last
-	// stage boundary). Writers emit it only when a batch contains at least
-	// one flagged tuple, so untraced traffic pays no wire overhead; legacy
-	// and plain batch frames decode with zero trace context.
-	opTraced byte = 0x82
-	// opKeyed introduces a keyed batch frame:
-	//
-	//	opKeyed | uint32(count) | count × 36-byte keyed record
-	//
-	// where each record is the 28-byte tuple followed by the big-endian
-	// 64-bit partition key. Writers emit it only when a batch carries at
-	// least one nonzero key, so unkeyed traffic pays no wire overhead;
-	// older frames decode with key zero.
-	opKeyed byte = 0x83
-	// opKeyedTraced combines opTraced and opKeyed: 45-byte records, the
-	// traced record followed by the 64-bit key.
-	opKeyedTraced byte = 0x84
+	// Writers set fieldTrace / fieldKey only when some tuple in the batch
+	// has a nonzero flags byte / key, so plain traffic pays 28 bytes per
+	// tuple; absent fields decode as zero. fieldSeq carries the sender's
+	// per-outbox durability sequence: the receiver logs the batch and acks
+	// that sequence, while frames without it take the volatile path.
+	opTuples byte = 0x88
 	// opHello identifies a durable sender right after the preamble:
 	//
 	//	opHello | uint64(incarnation) | uint16(len) | sender address
 	//
 	// The incarnation is the sender outbox's birth timestamp; a receiver
 	// uses (address, incarnation) to tell a reconnect of the same outbox
-	// from a restarted node. Non-durable senders never emit it, and
-	// receivers that predate it would reject the opcode — durable mode is
-	// only negotiated between nodes of one cluster, which share a binary.
+	// from a restarted node. Non-durable senders never emit it.
 	opHello byte = 0x85
 	// opAck is the durability acknowledgement:
 	//
@@ -77,21 +61,30 @@ const (
 	// connection's return direction; a TupleReader that encounters one
 	// (a stray on a half-duplex reader) skips it harmlessly.
 	opAck byte = 0x86
-	// opSeqMark tags the NEXT batch frame with a per-connection durability
-	// sequence number:
-	//
-	//	opSeqMark | uint64(batchSeq)
-	//
-	// A durable sender emits mark+batch pairs; the receiver logs the batch
-	// and acks the mark's sequence. Unmarked frames (legacy senders, or a
-	// sender in plain mode) take the non-durable path unchanged, so all
-	// frame shapes coexist on one connection.
-	opSeqMark byte = 0x87
 )
 
-// MaxBatchWire caps the tuple count one batch frame may declare; larger
-// batches are split by the writer and rejected by the reader (bounding
-// the decoder's allocation to ~1.8 MB no matter what the prefix claims).
+// Field-presence bits of an opTuples frame; any other bit is rejected.
+const (
+	fieldSeq   byte = 1 << 0 // header carries a durability batch sequence
+	fieldTrace byte = 1 << 1 // records carry flags + trace timestamp
+	fieldKey   byte = 1 << 2 // records carry the partition key
+)
+
+// Decode errors a tuple connection is dropped with. Peers and WAL records
+// of binaries that predate opTuples (bare 28-byte tuples, whose first byte
+// has the high bit clear, and the per-shape batch opcodes 0x81–0x84 plus
+// the 0x87 sequence mark) are refused, never guessed at.
+var (
+	errBareTuple     = errors.New("engine: bare tuple frame from a pre-batch peer")
+	errRetiredOpcode = errors.New("engine: retired frame opcode")
+	errUnknownOpcode = errors.New("engine: unknown frame opcode")
+	errUnknownField  = errors.New("engine: unknown tuple-frame field bits")
+	errBatchTooLarge = errors.New("engine: tuple frame exceeds MaxBatchWire")
+)
+
+// MaxBatchWire caps the tuple count one frame may declare; larger batches
+// are split by the writer and rejected by the reader, which bounds the
+// decoder's buffers no matter what the prefix claims.
 const MaxBatchWire = 65536
 
 // TupleTraced flags a tuple carrying causal trace context: its TraceTs is
@@ -104,8 +97,7 @@ const TupleTraced uint8 = 1 << 0
 // the sampled-trace context: TraceTs holds the wall timestamp (ns) of the
 // tuple's last recorded stage boundary, so each hop can attribute
 // now−TraceTs to one stage and the stage durations telescope to the
-// end-to-end latency. Only the traced batch frame carries them on the
-// wire; legacy and plain batch frames drop both (decode as zero).
+// end-to-end latency.
 type Tuple struct {
 	Stream int32
 	Ts     int64
@@ -117,7 +109,7 @@ type Tuple struct {
 
 	// Key is the partition key for keyed (sharded) streams: hashed through
 	// the per-operator partition table to pick a shard replica. Zero means
-	// unkeyed; only the keyed frames carry it on the wire.
+	// unkeyed.
 	Key uint64
 
 	// target is in-memory routing state (never on the wire): when nonzero,
@@ -127,22 +119,17 @@ type Tuple struct {
 	target int32
 }
 
-const tupleFrameSize = 4 + 8 + 8 + 8
-
-// tracedFrameSize is the traced record: tuple + flags byte + trace ts.
-const tracedFrameSize = tupleFrameSize + 1 + 8
-
-// keyedFrameSize is the keyed record: tuple + 64-bit partition key.
-const keyedFrameSize = tupleFrameSize + 8
-
-// keyedTracedFrameSize is the keyed traced record: traced record + key.
-const keyedTracedFrameSize = tracedFrameSize + 8
-
-// batchHeaderSize is the opcode plus the uint32 tuple count.
-const batchHeaderSize = 1 + 4
-
-// ackFrameSize is the opAck / opSeqMark frame: opcode + uint64 sequence.
-const ackFrameSize = 1 + 8
+// Wire sizes: the fixed tuple record, its optional fields, the frame
+// header (opcode, field mask, count), the sequence that follows it under
+// fieldSeq, and the ack frame (opcode + sequence).
+const (
+	tupleFrameSize  = 4 + 8 + 8 + 8
+	traceFieldSize  = 1 + 8
+	keyFieldSize    = 8
+	frameHeaderSize = 1 + 1 + 4
+	seqFieldSize    = 8
+	ackFrameSize    = 1 + 8
+)
 
 // maxHelloAddr bounds the sender-address length a hello frame may declare.
 const maxHelloAddr = 256
@@ -160,14 +147,6 @@ func appendHello(dst []byte, incarnation uint64, sender string) []byte {
 	return append(dst, sender...)
 }
 
-// appendSeqMark appends a durability sequence mark for the next batch frame.
-func appendSeqMark(dst []byte, seq uint64) []byte {
-	var buf [ackFrameSize]byte
-	buf[0] = opSeqMark
-	binary.BigEndian.PutUint64(buf[1:9], seq)
-	return append(dst, buf[:]...)
-}
-
 // writeAck writes one ack frame for batchSeq to w (the receiver→sender
 // direction of a durable connection).
 func writeAck(w io.Writer, seq uint64) error {
@@ -178,122 +157,155 @@ func writeAck(w io.Writer, seq uint64) error {
 	return err
 }
 
-// readAck reads one ack frame from r, tolerating (skipping) any stray
-// seqmark or hello frames. Used by a durable sender's ack-reader loop.
+// readAck reads one ack frame from r: acks are the only frames a receiver
+// writes back. Used by a durable sender's ack-reader loop.
 func readAck(r io.Reader) (uint64, error) {
 	var buf [ackFrameSize]byte
-	for {
-		if _, err := io.ReadFull(r, buf[:1]); err != nil {
-			return 0, err
+	if _, err := io.ReadFull(r, buf[:1]); err != nil {
+		return 0, err
+	}
+	if buf[0] != opAck {
+		return 0, fmt.Errorf("engine: unexpected frame opcode 0x%02x on ack channel", buf[0])
+	}
+	if _, err := io.ReadFull(r, buf[1:]); err != nil {
+		return 0, unexpectedEOF(err)
+	}
+	return binary.BigEndian.Uint64(buf[1:9]), nil
+}
+
+// recordSize is the per-tuple record width under a field mask.
+func recordSize(fields byte) int {
+	rec := tupleFrameSize
+	if fields&fieldTrace != 0 {
+		rec += traceFieldSize
+	}
+	if fields&fieldKey != 0 {
+		rec += keyFieldSize
+	}
+	return rec
+}
+
+// fieldsOf returns the optional record fields ts needs on the wire.
+func fieldsOf(ts []Tuple) byte {
+	var fields byte
+	for i := range ts {
+		if ts[i].Flags != 0 {
+			fields |= fieldTrace
 		}
-		switch buf[0] {
-		case opAck:
-			if _, err := io.ReadFull(r, buf[1:]); err != nil {
-				return 0, unexpectedEOF(err)
-			}
-			return binary.BigEndian.Uint64(buf[1:9]), nil
-		case opSeqMark:
-			if _, err := io.ReadFull(r, buf[1:]); err != nil {
-				return 0, unexpectedEOF(err)
-			}
-		case opHello:
-			var hdr [10]byte
-			if _, err := io.ReadFull(r, hdr[:]); err != nil {
-				return 0, unexpectedEOF(err)
-			}
-			n := int(binary.BigEndian.Uint16(hdr[8:10]))
-			if n > maxHelloAddr {
-				return 0, fmt.Errorf("engine: hello declares %d-byte sender (cap %d)", n, maxHelloAddr)
-			}
-			if _, err := io.CopyN(io.Discard, r, int64(n)); err != nil {
-				return 0, unexpectedEOF(err)
-			}
-		default:
-			return 0, fmt.Errorf("engine: unexpected frame opcode 0x%02x on ack channel", buf[0])
+		if ts[i].Key != 0 {
+			fields |= fieldKey
+		}
+		if fields == fieldTrace|fieldKey {
+			break
+		}
+	}
+	return fields
+}
+
+// encodeRecords writes ts as len(ts) records of recordSize(fields) bytes
+// into buf. Each optional field is its own pass over the batch, so no
+// per-tuple work depends on the mask.
+func encodeRecords(buf []byte, ts []Tuple, fields byte) {
+	rec := recordSize(fields)
+	for i := range ts {
+		b := buf[i*rec : i*rec+tupleFrameSize]
+		binary.BigEndian.PutUint32(b[0:4], uint32(ts[i].Stream))
+		binary.BigEndian.PutUint64(b[4:12], uint64(ts[i].Ts))
+		binary.BigEndian.PutUint64(b[12:20], uint64(ts[i].Seq))
+		binary.BigEndian.PutUint64(b[20:28], math.Float64bits(ts[i].Value))
+	}
+	off := tupleFrameSize
+	if fields&fieldTrace != 0 {
+		for i := range ts {
+			b := buf[i*rec+off : i*rec+off+traceFieldSize]
+			b[0] = ts[i].Flags
+			binary.BigEndian.PutUint64(b[1:9], uint64(ts[i].TraceTs))
+		}
+		off += traceFieldSize
+	}
+	if fields&fieldKey != 0 {
+		for i := range ts {
+			binary.BigEndian.PutUint64(buf[i*rec+off:i*rec+off+keyFieldSize], ts[i].Key)
 		}
 	}
 }
 
-// encodeTuple writes t's 28-byte wire form into buf[:tupleFrameSize].
-func encodeTuple(buf []byte, t Tuple) {
-	binary.BigEndian.PutUint32(buf[0:4], uint32(t.Stream))
-	binary.BigEndian.PutUint64(buf[4:12], uint64(t.Ts))
-	binary.BigEndian.PutUint64(buf[12:20], uint64(t.Seq))
-	binary.BigEndian.PutUint64(buf[20:28], math.Float64bits(t.Value))
-}
-
-// decodeTuple parses one 28-byte wire form from buf[:tupleFrameSize].
-func decodeTuple(buf []byte) Tuple {
-	return Tuple{
-		Stream: int32(binary.BigEndian.Uint32(buf[0:4])),
-		Ts:     int64(binary.BigEndian.Uint64(buf[4:12])),
-		Seq:    int64(binary.BigEndian.Uint64(buf[12:20])),
-		Value:  math.Float64frombits(binary.BigEndian.Uint64(buf[20:28])),
+// decodeRecords is the inverse of encodeRecords: it fills ts from
+// len(ts) records in buf; fields the mask omits decode as zero.
+func decodeRecords(ts []Tuple, buf []byte, fields byte) {
+	rec := recordSize(fields)
+	for i := range ts {
+		b := buf[i*rec : i*rec+tupleFrameSize]
+		ts[i] = Tuple{
+			Stream: int32(binary.BigEndian.Uint32(b[0:4])),
+			Ts:     int64(binary.BigEndian.Uint64(b[4:12])),
+			Seq:    int64(binary.BigEndian.Uint64(b[12:20])),
+			Value:  math.Float64frombits(binary.BigEndian.Uint64(b[20:28])),
+		}
+	}
+	off := tupleFrameSize
+	if fields&fieldTrace != 0 {
+		for i := range ts {
+			b := buf[i*rec+off : i*rec+off+traceFieldSize]
+			ts[i].Flags = b[0]
+			ts[i].TraceTs = int64(binary.BigEndian.Uint64(b[1:9]))
+		}
+		off += traceFieldSize
+	}
+	if fields&fieldKey != 0 {
+		for i := range ts {
+			ts[i].Key = binary.BigEndian.Uint64(buf[i*rec+off : i*rec+off+keyFieldSize])
+		}
 	}
 }
 
-// encodeTraced writes t's 37-byte traced record into buf[:tracedFrameSize].
-func encodeTraced(buf []byte, t Tuple) {
-	encodeTuple(buf, t)
-	buf[tupleFrameSize] = t.Flags
-	binary.BigEndian.PutUint64(buf[tupleFrameSize+1:tracedFrameSize], uint64(t.TraceTs))
-}
-
-// decodeTraced parses one traced record from buf[:tracedFrameSize].
-func decodeTraced(buf []byte) Tuple {
-	t := decodeTuple(buf)
-	t.Flags = buf[tupleFrameSize]
-	t.TraceTs = int64(binary.BigEndian.Uint64(buf[tupleFrameSize+1 : tracedFrameSize]))
-	return t
-}
-
-// encodeKeyed writes t's 36-byte keyed record into buf[:keyedFrameSize].
-func encodeKeyed(buf []byte, t Tuple) {
-	encodeTuple(buf, t)
-	binary.BigEndian.PutUint64(buf[tupleFrameSize:keyedFrameSize], t.Key)
-}
-
-// decodeKeyed parses one keyed record from buf[:keyedFrameSize].
-func decodeKeyed(buf []byte) Tuple {
-	t := decodeTuple(buf)
-	t.Key = binary.BigEndian.Uint64(buf[tupleFrameSize:keyedFrameSize])
-	return t
-}
-
-// encodeKeyedTraced writes t's 45-byte keyed traced record.
-func encodeKeyedTraced(buf []byte, t Tuple) {
-	encodeTraced(buf, t)
-	binary.BigEndian.PutUint64(buf[tracedFrameSize:keyedTracedFrameSize], t.Key)
-}
-
-// decodeKeyedTraced parses one keyed traced record.
-func decodeKeyedTraced(buf []byte) Tuple {
-	t := decodeTraced(buf)
-	t.Key = binary.BigEndian.Uint64(buf[tracedFrameSize:keyedTracedFrameSize])
-	return t
-}
-
-// WriteTuple writes one legacy single-tuple frame.
-func WriteTuple(w io.Writer, t Tuple) error {
-	var buf [tupleFrameSize]byte
-	encodeTuple(buf[:], t)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-// ReadTuple reads one legacy single-tuple frame.
-func ReadTuple(r io.Reader) (Tuple, error) {
-	var buf [tupleFrameSize]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return Tuple{}, err
+// appendFrame appends ts to dst as exactly one opTuples frame; seq is
+// written when fields has fieldSeq. A frame cannot declare more than
+// MaxBatchWire tuples, so handing it more is a caller bug (appendFrames
+// splits; durable chunks are bounded far below the cap).
+func appendFrame(dst []byte, ts []Tuple, fields byte, seq uint64) []byte {
+	if len(ts) > MaxBatchWire {
+		panic(fmt.Sprintf("engine: appendFrame: %d tuples in one frame (cap %d)", len(ts), MaxBatchWire))
 	}
-	return decodeTuple(buf[:]), nil
+	hdr := frameHeaderSize
+	if fields&fieldSeq != 0 {
+		hdr += seqFieldSize
+	}
+	n := len(dst)
+	need := hdr + len(ts)*recordSize(fields)
+	dst = slices.Grow(dst, need)[:n+need]
+	buf := dst[n:]
+	buf[0] = opTuples
+	buf[1] = fields
+	binary.BigEndian.PutUint32(buf[2:6], uint32(len(ts)))
+	if fields&fieldSeq != 0 {
+		binary.BigEndian.PutUint64(buf[6:14], seq)
+	}
+	encodeRecords(buf[hdr:], ts, fields)
+	return dst
 }
 
-// TupleWriter batches frames over a connection. Send writes legacy
-// single-tuple frames; SendBatch amortizes framing and buffer management
-// over a whole batch via the versioned batch frame, reusing one encode
-// buffer across calls.
+// appendFrames appends ts as unsequenced frames split at MaxBatchWire
+// (nothing for an empty ts). Shared by the buffered TupleWriter, the
+// outbox's vectored flush and the WAL record payload.
+func appendFrames(dst []byte, ts []Tuple) []byte {
+	fields := fieldsOf(ts)
+	for len(ts) > 0 {
+		k := min(len(ts), MaxBatchWire)
+		dst = appendFrame(dst, ts[:k], fields, 0)
+		ts = ts[k:]
+	}
+	return dst
+}
+
+// appendSeqFrame appends ts as the one frame a durability sequence number
+// covers (the receiver acks seq for exactly these tuples).
+func appendSeqFrame(dst []byte, ts []Tuple, seq uint64) []byte {
+	return appendFrame(dst, ts, fieldsOf(ts)|fieldSeq, seq)
+}
+
+// TupleWriter buffers tuple frames over a connection, reusing one encode
+// buffer across calls so the steady-state path allocates nothing.
 type TupleWriter struct {
 	bw  *bufio.Writer
 	c   io.Closer
@@ -325,16 +337,8 @@ func NewTupleWriterDial(addr string) (*TupleWriter, error) {
 	return tw, nil
 }
 
-// Send writes one tuple into the buffer as a legacy single-tuple frame.
-func (tw *TupleWriter) Send(t Tuple) error { return WriteTuple(tw.bw, t) }
-
-// SendBatch writes a batch of tuples into the buffer. A single untraced
-// tuple goes out as a legacy frame (no batch overhead); larger batches use
-// the versioned batch frame, split at MaxBatchWire. Batches containing any
-// flagged tuple use the traced frame so the context survives the hop — a
-// single flagged tuple goes as a one-record traced frame, since the legacy
-// frame cannot carry it. The encode buffer is reused across calls, so the
-// steady-state path allocates nothing.
+// SendBatch writes a batch of tuples into the buffer as tuple frames
+// (see appendFrames).
 func (tw *TupleWriter) SendBatch(ts []Tuple) error {
 	tw.enc = appendFrames(tw.enc[:0], ts)
 	if len(tw.enc) == 0 {
@@ -342,87 +346,6 @@ func (tw *TupleWriter) SendBatch(ts []Tuple) error {
 	}
 	_, err := tw.bw.Write(tw.enc)
 	return err
-}
-
-// appendFrames appends the wire encoding of ts to dst and returns the
-// extended buffer, emitting exactly the frames SendBatch would: a single
-// untraced, unkeyed tuple goes out as a legacy 28-byte frame; anything
-// else as versioned batch frames split at MaxBatchWire, upgraded to the
-// traced/keyed record shapes when any tuple in the run needs them. Shared
-// by the buffered TupleWriter path and the outbox's vectored flush.
-func appendFrames(dst []byte, ts []Tuple) []byte {
-	traced, keyed := false, false
-	for i := range ts {
-		if ts[i].Flags != 0 {
-			traced = true
-		}
-		if ts[i].Key != 0 {
-			keyed = true
-		}
-		if traced && keyed {
-			break
-		}
-	}
-	for len(ts) > MaxBatchWire {
-		dst = appendBatchFrame(dst, ts[:MaxBatchWire], traced, keyed)
-		ts = ts[MaxBatchWire:]
-	}
-	switch len(ts) {
-	case 0:
-		return dst
-	case 1:
-		if traced || keyed {
-			return appendBatchFrame(dst, ts, traced, keyed)
-		}
-		n := len(dst)
-		dst = append(dst, make([]byte, tupleFrameSize)...)
-		encodeTuple(dst[n:], ts[0])
-		return dst
-	default:
-		return appendBatchFrame(dst, ts, traced, keyed)
-	}
-}
-
-func appendBatchFrame(dst []byte, ts []Tuple, traced, keyed bool) []byte {
-	rec, op := tupleFrameSize, opBatch
-	switch {
-	case traced && keyed:
-		rec, op = keyedTracedFrameSize, opKeyedTraced
-	case traced:
-		rec, op = tracedFrameSize, opTraced
-	case keyed:
-		rec, op = keyedFrameSize, opKeyed
-	}
-	n := len(dst)
-	need := batchHeaderSize + len(ts)*rec
-	if cap(dst)-n < need {
-		grown := make([]byte, n, n+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:n+need]
-	buf := dst[n:]
-	buf[0] = op
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(ts)))
-	switch op {
-	case opKeyedTraced:
-		for i, t := range ts {
-			encodeKeyedTraced(buf[batchHeaderSize+i*rec:], t)
-		}
-	case opTraced:
-		for i, t := range ts {
-			encodeTraced(buf[batchHeaderSize+i*rec:], t)
-		}
-	case opKeyed:
-		for i, t := range ts {
-			encodeKeyed(buf[batchHeaderSize+i*rec:], t)
-		}
-	default:
-		for i, t := range ts {
-			encodeTuple(buf[batchHeaderSize+i*rec:], t)
-		}
-	}
-	return dst
 }
 
 // Flush pushes buffered frames to the socket.
@@ -440,33 +363,27 @@ func (tw *TupleWriter) Close() error {
 	return ferr
 }
 
-// TupleReader decodes the frame stream after the connTuples preamble,
-// accepting legacy single-tuple frames, versioned batch frames and
-// trace-annotated batch frames interleaved on the same connection. The decode slab and payload buffer
-// are reused across calls, so steady-state decoding allocates nothing.
+// TupleReader decodes the frame stream after the connTuples preamble. The
+// decode slab and payload buffer are reused across calls, so steady-state
+// decoding allocates nothing.
 type TupleReader struct {
 	r    io.Reader
-	hdr  [batchHeaderSize]byte
+	hdr  [frameHeaderSize + seqFieldSize]byte
 	buf  []byte  // reusable frame payload buffer
 	slab []Tuple // reusable decode slab; valid until the next ReadBatch
 
-	// Durability context recorded from control frames interleaved with the
-	// tuple frames. A seqmark applies to the batch returned by the SAME
-	// ReadBatch call that consumed it; TakeMark reads and clears it.
-	mark        uint64
-	hasMark     bool
+	// Durability context: the sequence of the frame ReadBatch last
+	// returned, and the sender identity from the connection's hello.
+	seq         uint64
+	hasSeq      bool
 	helloInc    uint64
 	helloSender string
 	sawHello    bool
 }
 
-// TakeMark returns the durability sequence attached to the batch just
-// returned by ReadBatch (and clears it). ok is false for unmarked frames.
-func (tr *TupleReader) TakeMark() (seq uint64, ok bool) {
-	seq, ok = tr.mark, tr.hasMark
-	tr.hasMark = false
-	return seq, ok
-}
+// BatchSeq returns the durability sequence of the batch ReadBatch just
+// returned; ok is false when its frame carried none.
+func (tr *TupleReader) BatchSeq() (seq uint64, ok bool) { return tr.seq, tr.hasSeq }
 
 // Hello returns the sender identity announced on this connection, if any.
 func (tr *TupleReader) Hello() (incarnation uint64, sender string, ok bool) {
@@ -474,95 +391,63 @@ func (tr *TupleReader) Hello() (incarnation uint64, sender string, ok bool) {
 }
 
 // NewTupleReader wraps r (typically already buffered by the caller).
-func NewTupleReader(r io.Reader) *TupleReader {
-	return &TupleReader{r: r}
-}
+func NewTupleReader(r io.Reader) *TupleReader { return &TupleReader{r: r} }
 
-// ReadBatch reads the next frame and returns its tuples. The returned
-// slice aliases the reader's internal slab and is only valid until the
-// next call. Legacy frames yield a one-tuple batch. Frames declaring more
-// than MaxBatchWire tuples (or an unknown opcode) are rejected with an
-// error rather than trusted with an allocation.
+// ReadBatch reads the next tuple frame and returns its tuples, consuming
+// any hello or stray ack frames before it. The returned slice aliases the
+// reader's internal slab and is only valid until the next call. io.EOF
+// means the stream ended between frames; a frame cut short is
+// io.ErrUnexpectedEOF. Anything that is not a well-formed frame of this
+// binary — a bare tuple, a retired or unknown opcode, an unknown field
+// bit, a count above MaxBatchWire — is an error, never trusted with an
+// allocation.
 func (tr *TupleReader) ReadBatch() ([]Tuple, error) {
 	for {
 		if _, err := io.ReadFull(tr.r, tr.hdr[:1]); err != nil {
 			return nil, err
 		}
-		if tr.hdr[0]&0x80 == 0 {
-			// Legacy frame: the byte we read is the stream id's first byte.
-			if cap(tr.buf) < tupleFrameSize {
-				tr.buf = make([]byte, tupleFrameSize)
+		switch op := tr.hdr[0]; {
+		case op == opTuples:
+		case op == opHello:
+			if err := tr.readHello(); err != nil {
+				return nil, err
 			}
-			buf := tr.buf[:tupleFrameSize]
-			buf[0] = tr.hdr[0]
-			if _, err := io.ReadFull(tr.r, buf[1:]); err != nil {
-				return nil, unexpectedEOF(err)
-			}
-			if cap(tr.slab) < 1 {
-				tr.slab = make([]Tuple, 1)
-			}
-			tr.slab = tr.slab[:1]
-			tr.slab[0] = decodeTuple(buf)
-			return tr.slab, nil
-		}
-		var rec int
-		switch tr.hdr[0] {
-		case opBatch:
-			rec = tupleFrameSize
-		case opTraced:
-			rec = tracedFrameSize
-		case opKeyed:
-			rec = keyedFrameSize
-		case opKeyedTraced:
-			rec = keyedTracedFrameSize
-		case opHello:
-			var hdr [10]byte
-			if _, err := io.ReadFull(tr.r, hdr[:]); err != nil {
-				return nil, unexpectedEOF(err)
-			}
-			n := int(binary.BigEndian.Uint16(hdr[8:10]))
-			if n > maxHelloAddr {
-				return nil, fmt.Errorf("engine: hello declares %d-byte sender (cap %d)", n, maxHelloAddr)
-			}
-			if cap(tr.buf) < n {
-				tr.buf = make([]byte, n)
-			}
-			if _, err := io.ReadFull(tr.r, tr.buf[:n]); err != nil {
-				return nil, unexpectedEOF(err)
-			}
-			tr.helloInc = binary.BigEndian.Uint64(hdr[0:8])
-			tr.helloSender = string(tr.buf[:n])
-			tr.sawHello = true
 			continue
-		case opSeqMark:
-			var buf [8]byte
-			if _, err := io.ReadFull(tr.r, buf[:]); err != nil {
-				return nil, unexpectedEOF(err)
-			}
-			tr.mark = binary.BigEndian.Uint64(buf[:])
-			tr.hasMark = true
-			continue
-		case opAck:
+		case op == opAck:
 			// Stray ack on the tuple direction: skip harmlessly.
-			var buf [8]byte
-			if _, err := io.ReadFull(tr.r, buf[:]); err != nil {
+			if _, err := io.ReadFull(tr.r, tr.hdr[1:ackFrameSize]); err != nil {
 				return nil, unexpectedEOF(err)
 			}
 			continue
+		case op&0x80 == 0:
+			return nil, fmt.Errorf("%w (first byte 0x%02x)", errBareTuple, op)
+		case op >= 0x81 && op <= 0x84, op == 0x87:
+			return nil, fmt.Errorf("%w 0x%02x", errRetiredOpcode, op)
 		default:
-			return nil, fmt.Errorf("engine: unknown frame opcode 0x%02x", tr.hdr[0])
+			return nil, fmt.Errorf("%w 0x%02x", errUnknownOpcode, op)
 		}
-		if _, err := io.ReadFull(tr.r, tr.hdr[1:]); err != nil {
+		if _, err := io.ReadFull(tr.r, tr.hdr[1:frameHeaderSize]); err != nil {
 			return nil, unexpectedEOF(err)
 		}
-		n := int(binary.BigEndian.Uint32(tr.hdr[1:5]))
+		fields := tr.hdr[1]
+		if fields&^(fieldSeq|fieldTrace|fieldKey) != 0 {
+			return nil, fmt.Errorf("%w 0x%02x", errUnknownField, fields)
+		}
+		n := int(binary.BigEndian.Uint32(tr.hdr[2:6]))
 		if n > MaxBatchWire {
-			return nil, fmt.Errorf("engine: batch frame declares %d tuples (cap %d)", n, MaxBatchWire)
+			return nil, fmt.Errorf("%w: declares %d tuples", errBatchTooLarge, n)
+		}
+		tr.hasSeq = fields&fieldSeq != 0
+		if tr.hasSeq {
+			if _, err := io.ReadFull(tr.r, tr.hdr[frameHeaderSize:]); err != nil {
+				return nil, unexpectedEOF(err)
+			}
+			tr.seq = binary.BigEndian.Uint64(tr.hdr[frameHeaderSize:])
 		}
 		if n == 0 {
-			continue // empty batch: keep-alive, nothing to deliver
+			continue // empty frame: nothing to deliver (writers never send one)
 		}
-		need := n * rec
+		need := n * recordSize(fields)
 		if cap(tr.buf) < need {
 			tr.buf = make([]byte, need)
 		}
@@ -574,26 +459,31 @@ func (tr *TupleReader) ReadBatch() ([]Tuple, error) {
 			tr.slab = make([]Tuple, n)
 		}
 		tr.slab = tr.slab[:n]
-		switch rec {
-		case tracedFrameSize:
-			for i := range tr.slab {
-				tr.slab[i] = decodeTraced(buf[i*rec:])
-			}
-		case keyedFrameSize:
-			for i := range tr.slab {
-				tr.slab[i] = decodeKeyed(buf[i*rec:])
-			}
-		case keyedTracedFrameSize:
-			for i := range tr.slab {
-				tr.slab[i] = decodeKeyedTraced(buf[i*rec:])
-			}
-		default:
-			for i := range tr.slab {
-				tr.slab[i] = decodeTuple(buf[i*rec:])
-			}
-		}
+		decodeRecords(tr.slab, buf, fields)
 		return tr.slab, nil
 	}
+}
+
+// readHello consumes a hello frame's body and records the sender identity.
+func (tr *TupleReader) readHello() error {
+	hdr := tr.hdr[1 : 1+8+2]
+	if _, err := io.ReadFull(tr.r, hdr); err != nil {
+		return unexpectedEOF(err)
+	}
+	n := int(binary.BigEndian.Uint16(hdr[8:10]))
+	if n > maxHelloAddr {
+		return fmt.Errorf("engine: hello declares %d-byte sender (cap %d)", n, maxHelloAddr)
+	}
+	if cap(tr.buf) < n {
+		tr.buf = make([]byte, n)
+	}
+	if _, err := io.ReadFull(tr.r, tr.buf[:n]); err != nil {
+		return unexpectedEOF(err)
+	}
+	tr.helloInc = binary.BigEndian.Uint64(hdr[0:8])
+	tr.helloSender = string(tr.buf[:n])
+	tr.sawHello = true
+	return nil
 }
 
 // unexpectedEOF upgrades a mid-frame EOF so callers can distinguish a

@@ -164,7 +164,7 @@ func (r *workerRun) relayOf(sid int32) []Dest {
 // tuples from its own lane queue, charges their processing cost against
 // the node-wide virtual-time accumulator (sleeping whenever virtual time
 // runs ahead of wall time), and routes outputs. The lane lock is taken
-// once per run of up to BatchMax tuples; all routing state comes from one
+// once per run of up to batchMax tuples; all routing state comes from one
 // atomic snapshot load per run.
 func (n *Node) laneWorker(l *lane) {
 	defer n.wg.Done()
@@ -179,8 +179,8 @@ func (n *Node) laneWorker(l *lane) {
 			return
 		}
 		k := l.qlenLocked()
-		if k > n.cfg.BatchMax {
-			k = n.cfg.BatchMax
+		if k > batchMax {
+			k = batchMax
 		}
 		run.tuples = append(run.tuples[:0], l.queue[l.qhead:l.qhead+k]...)
 		for i := 0; i < k; i++ {

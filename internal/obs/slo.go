@@ -178,9 +178,9 @@ func StageReportFrom(set *StageSet) []StageReport {
 }
 
 // RunReport is the machine-readable outcome of one graded run, written by
-// rodload and rodcheck and archived/gated by CI.
+// rodcheck -slo/-report.
 type RunReport struct {
-	Harness  string   `json:"harness"` // "rodload" | "rodcheck"
+	Harness  string   `json:"harness"` // "rodcheck"
 	Grade    string   `json:"grade"`   // pass | degraded | fail
 	Reasons  []string `json:"reasons,omitempty"`
 	SLO      SLOSpec  `json:"slo"`
