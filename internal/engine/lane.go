@@ -31,8 +31,7 @@ import (
 // reordering they allow is the same reordering migration relays already
 // introduce.
 
-// maxWorkers caps the lane count (and with it the per-peer SPSC ring
-// count) at a sane bound.
+// maxWorkers caps the lane count at a sane bound.
 const maxWorkers = 64
 
 // resolveWorkers maps the configured worker count to the effective lane

@@ -69,7 +69,7 @@ func (s *tupleSink) count() int {
 // Per-(stream, key) FIFO ordering, end to end: tuples injected in order on
 // one stream must arrive at a remote sink in that order after crossing the
 // full multicore data plane — sharded ingress admission, a pinned worker
-// lane, the lane's lock-free SPSC outbox ring, and the vectored flush. Runs
+// lane, and the peer's outbox ring shared with every other lane. Runs
 // with GOMAXPROCS >= 4 and four worker lanes so the lanes genuinely execute
 // in parallel under -race.
 func TestLaneOrderingEndToEnd(t *testing.T) {

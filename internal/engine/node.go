@@ -57,9 +57,10 @@ type NodeConfig struct {
 	IngressCap int
 	// ShedPolicy picks the victim when the ingress queue is full.
 	ShedPolicy ShedPolicy
-	// OutboxCap bounds each per-peer outbox; overflow drops with a
-	// counter. With W lanes each lane's SPSC ring holds ceil(OutboxCap/W).
-	// <= 0 selects DefaultOutboxCap.
+	// OutboxCap is the number of tuples one per-peer outbox holds, in
+	// total: accepted-but-unwritten plus, on a durable link, written-but-
+	// unacked. Every producer shares it; an offer beyond it drops with a
+	// counter. <= 0 selects DefaultOutboxCap.
 	OutboxCap int
 	// BackoffBase/BackoffMax shape the reconnect schedule
 	// (base·2^attempt capped at max, ±25% jitter). Defaults 50ms / 2s.
@@ -79,10 +80,10 @@ type NodeConfig struct {
 	Workers int
 	// WALDir enables the per-node durability layer: ingress batches from
 	// durable peers are WAL-logged (fsync-batched) before admission and
-	// acked back so senders release their retained copies, and a restart
-	// with the same WALDir recovers the deployed spec, operator state and
-	// the unprocessed backlog (see durable.go). Empty disables durability
-	// (the legacy volatile data plane).
+	// acked back so senders release them from their outbox rings, and a
+	// restart with the same WALDir recovers the deployed spec, operator
+	// state and the unprocessed backlog (see durable.go). Empty disables
+	// durability (the legacy volatile data plane).
 	WALDir string
 	// CheckpointEvery is the interval between checkpoint attempts; a
 	// checkpoint only lands at a drained moment (empty lanes, empty
@@ -256,6 +257,22 @@ func slotOf(t *Tuple) int {
 	return query.SlotOfKey(k)
 }
 
+// resolve maps one partition slot to where its tuples go from this node:
+// target is the owning replica's local operator id + 1 when it is installed
+// here (the Tuple.target encoding), otherwise addr is where to send — the
+// replica's remote home, or the recorded new home of a replica that
+// migrated away. Both zero means the tuple has nowhere to go.
+func (pt *partTable) resolve(rs *routeState, slot int) (target int32, addr string) {
+	d := pt.shards[pt.slots[slot]]
+	if !d.Local {
+		return 0, d.Addr
+	}
+	if _, ok := rs.ops[d.LocalOp]; ok {
+		return int32(d.LocalOp) + 1, ""
+	}
+	return 0, pt.relay[d.LocalOp]
+}
+
 // NewNode starts a node listening on addr ("127.0.0.1:0" for an ephemeral
 // port) with the given virtual CPU capacity and default resilience bounds.
 func NewNode(addr string, capacity float64) (*Node, error) {
@@ -390,9 +407,10 @@ func (n *Node) Close() error {
 	}
 	n.connsMu.Unlock()
 	n.wg.Wait()
-	// Lane workers may have pushed to SPSC rings after an outbox writer's
-	// final drain; with all goroutines stopped, sweep the leftovers (live
-	// outboxes and any retired by a durability-mode change alike).
+	// Producers may have appended after an outbox writer's final drain, and
+	// a durable writer exits with its unacked region still in the ring;
+	// with all goroutines stopped, sweep the leftovers (live outboxes and
+	// any retired by a durability-mode change alike).
 	n.peersMu.Lock()
 	for _, o := range n.peers {
 		o.dropRemaining()
@@ -548,6 +566,33 @@ type relayRun struct {
 	ts   []Tuple
 }
 
+// destRuns groups tuples into one run per destination address. reset keeps
+// the runs' backing arrays, so steady-state grouping allocates nothing.
+type destRuns []relayRun
+
+func (d *destRuns) reset() { *d = (*d)[:0] }
+
+func (d *destRuns) add(addr string, t Tuple) {
+	rs := *d
+	i := 0
+	for ; i < len(rs); i++ {
+		if rs[i].addr == addr {
+			break
+		}
+	}
+	if i == len(rs) {
+		if i < cap(rs) {
+			rs = rs[:i+1]
+			rs[i].addr = addr
+			rs[i].ts = rs[i].ts[:0]
+		} else {
+			rs = append(rs, relayRun{addr: addr})
+		}
+		*d = rs
+	}
+	rs[i].ts = append(rs[i].ts, t)
+}
+
 // enqueueInboundBatch admits a batch of tuples arriving from the network
 // (or a source injector) to the bounded per-lane work queues, processing
 // chunks of at most batchMax tuples. Shedding (per the configured policy),
@@ -581,7 +626,7 @@ type ingressSpan struct {
 // allocation-free.
 type ingressScratch struct {
 	perLane [][]Tuple
-	relays  []relayRun
+	relays  destRuns
 	spans   []ingressSpan
 	noRoute []int32
 }
@@ -594,30 +639,9 @@ func (sc *ingressScratch) reset() {
 	for i := range sc.perLane {
 		sc.perLane[i] = sc.perLane[i][:0]
 	}
-	sc.relays = sc.relays[:0]
+	sc.relays.reset()
 	sc.spans = sc.spans[:0]
 	sc.noRoute = sc.noRoute[:0]
-}
-
-// relayTo groups one tuple into the per-destination relay runs, reusing
-// backing arrays across pooled uses.
-func (sc *ingressScratch) relayTo(addr string, t Tuple) {
-	i := 0
-	for ; i < len(sc.relays); i++ {
-		if sc.relays[i].addr == addr {
-			break
-		}
-	}
-	if i == len(sc.relays) {
-		if i < cap(sc.relays) {
-			sc.relays = sc.relays[:i+1]
-			sc.relays[i].addr = addr
-			sc.relays[i].ts = sc.relays[i].ts[:0]
-		} else {
-			sc.relays = append(sc.relays, relayRun{addr: addr})
-		}
-	}
-	sc.relays[i].ts = append(sc.relays[i].ts, t)
 }
 
 // enqueueChunk routes one ingress chunk: it loads the route snapshot once,
@@ -670,18 +694,12 @@ func (n *Node) enqueueChunk(chunk []Tuple) {
 		var partFwd [1]Dest
 		hasLocal := false
 		if pt := rs.parts[int(t.Stream)]; pt != nil {
-			d := pt.shards[pt.slots[slotOf(t)]]
-			if d.Local {
-				if _, ok := rs.ops[d.LocalOp]; ok {
-					t.target = int32(d.LocalOp) + 1
-					hasLocal = true
-				} else if addr := pt.relay[d.LocalOp]; addr != "" {
-					// The replica migrated away; follow it to its new home.
-					partFwd[0] = Dest{Addr: addr}
-					relay = partFwd[:]
-				}
-			} else {
-				partFwd[0] = d
+			target, addr := pt.resolve(rs, slotOf(t))
+			if target != 0 {
+				t.target = target
+				hasLocal = true
+			} else if addr != "" {
+				partFwd[0] = Dest{Addr: addr}
 				relay = partFwd[:]
 			}
 		} else {
@@ -704,7 +722,7 @@ func (n *Node) enqueueChunk(chunk []Tuple) {
 			n.warnMu.Unlock()
 		}
 		for _, d := range relay {
-			sc.relayTo(d.Addr, *t)
+			sc.relays.add(d.Addr, *t)
 		}
 	}
 	if xferBusy > 0 {
@@ -770,31 +788,17 @@ func (n *Node) stall(sec float64) {
 // stallStream is the reserved stream id carrying stall work items.
 const stallStream int32 = -1
 
-// sendBatch offers a run of tuples to the destination's outbox (shared
-// mutex ring — the multi-producer path used by ingress relays and tests)
-// without ever blocking: a dead, slow or partitioned peer costs the caller
-// one bounded ring insertion (accounted, worst case, in sendMaxNanos — the
-// chaos test asserts the worker path never stalls). It returns how many
-// tuples were accepted (a prefix of ts); the rest are counted in the
-// outbox's drop counter.
+// sendBatch offers a run of tuples to the destination's outbox without ever
+// blocking: a dead, slow or partitioned peer costs the caller one bounded
+// ring insertion (accounted, worst case, in sendMaxNanos — the chaos test
+// asserts the worker path never stalls). It returns how many tuples were
+// accepted (a prefix of ts); the rest are counted in the outbox's drop
+// counter.
 func (n *Node) sendBatch(addr string, ts []Tuple) int {
 	t0 := time.Now()
 	accepted := 0
 	if o := n.outboxFor(addr); o != nil {
 		accepted = o.enqueueBatch(ts)
-	}
-	storeMax(&n.sendMaxNanos, int64(time.Since(t0)))
-	return accepted
-}
-
-// sendBatchLane offers a run of tuples to the destination's outbox on the
-// calling lane's lock-free SPSC ring (single producer: the lane worker).
-// Same non-blocking, drop-with-counter contract as sendBatch.
-func (n *Node) sendBatchLane(laneID uint32, addr string, ts []Tuple) int {
-	t0 := time.Now()
-	accepted := 0
-	if o := n.outboxFor(addr); o != nil {
-		accepted = o.enqueueLane(int(laneID), ts)
 	}
 	storeMax(&n.sendMaxNanos, int64(time.Since(t0)))
 	return accepted

@@ -7,29 +7,40 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rodsp/internal/obs"
 )
 
-// Per-peer outbox: every remote destination gets its own goroutine fed by
-// two kinds of buffer. The shared mutex ring serves multi-producer callers
-// (ingress relays, tests); each worker lane additionally
-// owns one lock-free SPSC ring to this peer, so the hot egress path never
-// takes a mutex. The writer gathers runs from the shared ring and every
-// lane ring per wakeup, encodes them into per-run buffers, and flushes the
-// whole gather with one vectored net.Buffers write. The outbox dials with
-// exponential backoff plus jitter, drops with a counter when a ring
-// overflows or the link is down, and re-arms the per-peer relay-error
-// latch on recovery so repeated failures stay visible.
+// Per-peer outbox: every remote destination gets one goroutine (the
+// writer) fed by ONE bounded ring of exactly cfg.OutboxCap tuples. Three
+// monotone positions under one mutex describe everything the outbox holds:
+//
+//	      acked          shipped           tail
+//	        │               │                │
+//	────────┼───────────────┼────────────────┼───────────▶ position
+//	 settled│ on the wire,  │ accepted, not  │ free: tail − acked ≤ OutboxCap
+//	        │ awaiting ack  │ yet written    │
+//
+// Producers (lane workers, ingress relays) append at tail and never block:
+// a full ring drops with a counter. The writer copies the next run
+// [shipped, shipped+k) out under the lock, encodes it as one frame and
+// issues one write. On a volatile link acked follows shipped as soon as the
+// write returns. On a durable link (the peer runs a WAL) the frame carries
+// the position after its last tuple as its sequence, so the peer's
+// cumulative ack IS the new acked cursor: a tuple leaves the ring only when
+// an ack covers it, retention is the region [acked, shipped) held in place,
+// and a reconnect rewinds shipped to acked — replay is the ordinary ship
+// loop. Ack room is ring room, so overload lands where it always has: at
+// enqueueBatch's drop counter. The outbox dials with exponential backoff
+// plus jitter and re-arms the per-peer relay-error latch on recovery so
+// repeated failures stay visible.
 
 // errOutboxClosed signals an orderly shutdown of the writer loop.
 var errOutboxClosed = errors.New("engine: outbox closed")
 
-// outboxBatchMax bounds how many tuples one gather may take per source
-// ring, so a saturated ring cannot delay the flush (and hence delivery)
-// unboundedly.
+// outboxBatchMax bounds how many tuples one frame carries, so a saturated
+// ring cannot delay the flush (and hence delivery) unboundedly.
 const outboxBatchMax = 512
 
 // LinkFault is an injected fault on the outbound link to one peer address:
@@ -42,132 +53,66 @@ type LinkFault struct {
 	Delay time.Duration
 }
 
-// outboxStats is a snapshot of one outbox's accounting. The invariant
-// enqueued == sent + dropped + pending holds at quiescence (Pending counts
-// ring-buffered tuples — shared and per-lane — plus a gathered-but-
-// unflushed writer run; mid-gather the split between ring and in-flight is
-// racy, which is why the ledger audits it only once the node is drained).
+// outboxStats is a snapshot of one outbox's accounting, taken under the
+// ring lock: enqueued == sent + dropped + pending holds in every snapshot.
 type outboxStats struct {
 	Addr       string
-	Enqueued   int64 // tuples accepted into a ring
-	Sent       int64 // tuples flushed to the socket
+	Enqueued   int64 // tuples offered
+	Sent       int64 // tuples written (volatile) or acked (durable)
 	Dropped    int64 // overflow + fault-drop + lost-on-disconnect
-	Pending    int64 // still buffered (rings + writer in-flight)
+	Pending    int64 // still in the ring: tail − acked
 	Reconnects int64 // successful connections after a loss
 }
 
 type outbox struct {
-	node *Node
-	addr string
-	quit chan struct{}
-
-	mu     sync.Mutex
-	ring   []Tuple       // fixed capacity cfg.OutboxCap (multi-producer path)
-	head   int           // index of the oldest buffered tuple
-	count  int           // buffered tuples
-	notify chan struct{} // capacity-1 writer wakeup
-
-	lanes []*spscRing // one SPSC ring per worker lane (lane-worker producers)
-
-	connMu sync.Mutex
-	conn   net.Conn
-
-	enqueued   atomic.Int64
-	sent       atomic.Int64
-	dropped    atomic.Int64
-	inflight   atomic.Int64 // gathered from the rings, not yet flushed
-	reconnects atomic.Int64
-
-	// Writer-owned scratch: the gathered tuples, the boundaries between
-	// source runs within the gather, per-run encode buffers and the
-	// net.Buffers vector reused across flushes.
-	gather  []Tuple
-	segEnds []int
-	encBufs [][]byte
-	vbufs   net.Buffers
-
-	// Durable (retain-until-ack) mode: the peer runs a WAL, so every
-	// shipped gather goes out as sequence-bearing frames and is retained
-	// (copied) until the peer's cumulative ack covers its sequence —
-	// `sent` advances on ack, not on write, and a reconnect replays the
-	// hello plus every retained batch in order. Retention is bounded by
-	// OutboxCap tuples; the writer poll-waits for ack room rather than
-	// dropping, so overload backpressures into the rings (where the
-	// existing overflow accounting applies).
-	durable     bool
+	node        *Node
+	addr        string
+	durable     bool   // retain-until-ack link (decided at creation)
 	incarnation uint64 // sender identity: the owning node's birth nanos
-	batchSeq    uint64 // writer-owned per-outbox durability sequence
-	retMu       sync.Mutex
-	retained    []retainedBatch
-	retTuples   atomic.Int64 // tuples held in retained (stats + cap check)
-	reenc       []byte       // writer-owned durable encode buffer
-}
+	quit        chan struct{}
+	notify      chan struct{} // capacity-1 writer wakeup
 
-// retainedBatch is one shipped-but-unacked durable batch.
-type retainedBatch struct {
-	seq uint64
-	ts  []Tuple
+	mu                   sync.Mutex
+	ring                 []Tuple // position p lives in ring[p % len(ring)]
+	acked, shipped, tail uint64  // acked ≤ shipped ≤ tail ≤ acked + len(ring)
+	enqueued             int64
+	sent                 int64
+	dropped              int64
+	reconnects           int64
+	conn                 net.Conn // live connection, so a sever fault can break it
+
+	// Writer-owned scratch: the run being shipped and its encoded frame.
+	gather []Tuple
+	enc    []byte
 }
 
 func newOutbox(n *Node, addr string, durable bool) *outbox {
-	w := int(n.workers)
-	o := &outbox{
+	return &outbox{
 		node:        n,
 		addr:        addr,
-		ring:        make([]Tuple, n.cfg.OutboxCap),
-		notify:      make(chan struct{}, 1),
-		quit:        make(chan struct{}),
-		lanes:       make([]*spscRing, w),
-		encBufs:     make([][]byte, w+1),
 		durable:     durable,
 		incarnation: uint64(n.bornNano),
+		quit:        make(chan struct{}),
+		notify:      make(chan struct{}, 1),
+		ring:        make([]Tuple, n.cfg.OutboxCap),
+		gather:      make([]Tuple, min(n.cfg.OutboxCap, outboxBatchMax)),
 	}
-	laneCap := (n.cfg.OutboxCap + w - 1) / w
-	for i := range o.lanes {
-		o.lanes[i] = newSPSCRing(laneCap)
-	}
-	return o
 }
 
-// enqueueBatch offers a run of tuples to the shared mutex ring under a
-// single lock acquisition, accepting the longest prefix the ring has room
-// for and dropping (with a counter) the rest. It never blocks; the tuples
-// are copied, so the caller keeps ownership of ts.
+// enqueueBatch offers a run of tuples under a single lock acquisition,
+// accepting the longest prefix the ring has room for and dropping (with a
+// counter) the rest. It never blocks; the tuples are copied, so the caller
+// keeps ownership of ts.
 func (o *outbox) enqueueBatch(ts []Tuple) int {
-	o.enqueued.Add(int64(len(ts)))
 	o.mu.Lock()
-	k := len(o.ring) - o.count
-	if k > len(ts) {
-		k = len(ts)
-	}
-	tail := (o.head + o.count) % len(o.ring)
-	first := len(o.ring) - tail
-	if first > k {
-		first = k
-	}
-	copy(o.ring[tail:], ts[:first])
+	k := min(len(o.ring)-int(o.tail-o.acked), len(ts))
+	at := int(o.tail % uint64(len(o.ring)))
+	first := copy(o.ring[at:], ts[:k])
 	copy(o.ring, ts[first:k])
-	o.count += k
+	o.tail += uint64(k)
+	o.enqueued += int64(len(ts))
+	o.dropped += int64(len(ts) - k)
 	o.mu.Unlock()
-	if k < len(ts) {
-		o.dropped.Add(int64(len(ts) - k))
-	}
-	if k > 0 {
-		o.wake()
-	}
-	return k
-}
-
-// enqueueLane offers a run of tuples on one lane's SPSC ring: no lock, a
-// couple of atomic loads and one atomic store. Same prefix-accept,
-// drop-with-counter contract as enqueueBatch. Must only be called from
-// that lane's worker goroutine (single producer).
-func (o *outbox) enqueueLane(lane int, ts []Tuple) int {
-	o.enqueued.Add(int64(len(ts)))
-	k := o.lanes[lane].push(ts)
-	if k < len(ts) {
-		o.dropped.Add(int64(len(ts) - k))
-	}
 	if k > 0 {
 		o.wake()
 	}
@@ -181,124 +126,63 @@ func (o *outbox) wake() {
 	}
 }
 
-// gatherRuns drains one run from the shared ring and one from every lane
-// ring (each bounded by outboxBatchMax) into the writer's gather buffer,
-// recording the boundary after each source so the flush can keep the runs
-// as separate writev segments. The total is marked in-flight for the
-// stats invariant.
-func (o *outbox) gatherRuns() []Tuple {
-	dst := o.gather[:0]
-	o.segEnds = o.segEnds[:0]
-	o.mu.Lock()
-	k := o.count
-	if k > outboxBatchMax {
-		k = outboxBatchMax
-	}
-	for i := 0; i < k; i++ {
-		dst = append(dst, o.ring[(o.head+i)%len(o.ring)])
-	}
-	o.head = (o.head + k) % len(o.ring)
-	o.count -= k
-	o.inflight.Store(int64(k))
-	o.mu.Unlock()
-	o.segEnds = append(o.segEnds, len(dst))
-	for _, r := range o.lanes {
-		dst = r.drainInto(dst, outboxBatchMax)
-		o.segEnds = append(o.segEnds, len(dst))
-		o.inflight.Store(int64(len(dst)))
-	}
-	o.gather = dst
-	return dst
-}
-
 func (o *outbox) stats() outboxStats {
 	o.mu.Lock()
-	pending := int64(o.count)
-	o.mu.Unlock()
-	for _, r := range o.lanes {
-		pending += int64(r.size())
-	}
+	defer o.mu.Unlock()
 	return outboxStats{
 		Addr:       o.addr,
-		Enqueued:   o.enqueued.Load(),
-		Sent:       o.sent.Load(),
-		Dropped:    o.dropped.Load(),
-		Pending:    pending + o.inflight.Load() + o.retTuples.Load(),
-		Reconnects: o.reconnects.Load(),
+		Enqueued:   o.enqueued,
+		Sent:       o.sent,
+		Dropped:    o.dropped,
+		Pending:    int64(o.tail - o.acked),
+		Reconnects: o.reconnects,
 	}
 }
 
-// applyAck settles every retained batch covered by the peer's cumulative
-// ack: their tuples count as sent and the retention space frees up. Late
-// acks for batches already swept by dropRemaining are no-ops (each batch is
-// settled exactly once, under retMu).
-func (o *outbox) applyAck(seq uint64) {
-	var freed int64
-	o.retMu.Lock()
-	i := 0
-	for ; i < len(o.retained) && o.retained[i].seq <= seq; i++ {
-		freed += int64(len(o.retained[i].ts))
+// applyAck moves acked up to the peer's cumulative ack: the covered tuples
+// count as sent and their ring slots free up. The sequence comes off the
+// network, so it is checked against the cursors: at or below acked it is a
+// stale or duplicate ack and changes nothing; beyond shipped it names
+// tuples that were never written, which fails the connection (reconnect and
+// replay from acked, nothing released).
+func (o *outbox) applyAck(seq uint64) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if seq > o.shipped {
+		return fmt.Errorf("engine: %s acked position %d, beyond shipped %d", o.addr, seq, o.shipped)
 	}
-	if i > 0 {
-		rest := len(o.retained) - i
-		copy(o.retained, o.retained[i:])
-		for j := rest; j < len(o.retained); j++ {
-			o.retained[j] = retainedBatch{}
-		}
-		o.retained = o.retained[:rest]
-		o.retTuples.Add(-freed)
+	if seq > o.acked {
+		o.sent += int64(seq - o.acked)
+		o.acked = seq
+		o.wake() // a fault-drop may be waiting for the retained region to settle
 	}
-	o.retMu.Unlock()
-	if freed > 0 {
-		o.sent.Add(freed)
-	}
+	return nil
 }
 
-// ackReader drains durability acks off one connection's return direction,
-// settling retained batches until the connection fails; the failure is
-// reported so the write loop reconnects (and re-sends what is still
-// retained) even when it has nothing new to ship.
+// ackReader applies durability acks off one connection's return direction
+// until the connection fails or the peer acks out of range; the failure is
+// reported so the write loop reconnects (and replays what is still
+// unacked) even when it has nothing new to ship.
 func (o *outbox) ackReader(conn net.Conn, done chan<- error) {
 	br := bufio.NewReaderSize(conn, 512)
 	for {
 		seq, err := readAck(br)
+		if err == nil {
+			err = o.applyAck(seq)
+		}
 		if err != nil {
 			done <- err
 			return
 		}
-		o.applyAck(seq)
 	}
-}
-
-// sendHelloAndRetained opens a durable connection: announce the sender
-// identity, then replay every still-retained batch in sequence order so
-// the peer (which may have just restarted) recovers anything it lost.
-func (o *outbox) sendHelloAndRetained(conn net.Conn) error {
-	buf := appendHello(o.reenc[:0], o.incarnation, o.node.Addr())
-	o.retMu.Lock()
-	for _, rb := range o.retained {
-		buf = appendSeqFrame(buf, rb.ts, rb.seq)
-	}
-	o.retMu.Unlock()
-	o.reenc = buf
-	conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
-	_, err := conn.Write(buf)
-	return err
-}
-
-// setConn publishes the live connection so a sever fault can break it.
-func (o *outbox) setConn(c net.Conn) {
-	o.connMu.Lock()
-	o.conn = c
-	o.connMu.Unlock()
 }
 
 // breakConn severs the live connection (if any); the writer loop sees the
 // write error and falls back into the dial/backoff cycle.
 func (o *outbox) breakConn() {
-	o.connMu.Lock()
+	o.mu.Lock()
 	c := o.conn
-	o.connMu.Unlock()
+	o.mu.Unlock()
 	if c != nil {
 		c.Close()
 	}
@@ -312,8 +196,9 @@ func (o *outbox) dial() (net.Conn, error) {
 	return net.DialTimeout("tcp", o.addr, o.node.cfg.DialTimeout)
 }
 
-// run is the outbox goroutine: connect (with backoff), drain the rings,
-// reconnect on failure, until quit.
+// run is the outbox goroutine: connect (with backoff), drain the ring,
+// reconnect on failure, until quit. Whatever is still in the ring when it
+// exits is swept into the drop counter by Node.Close.
 func (o *outbox) run() {
 	defer o.node.wg.Done()
 	attempt := 0
@@ -326,21 +211,24 @@ func (o *outbox) run() {
 			attempt++
 			select {
 			case <-o.quit:
-				o.dropRemaining()
 				return
 			case <-time.After(d):
 			}
 			continue
 		}
+		o.mu.Lock()
 		if connected || attempt > 0 {
-			o.reconnects.Add(1)
+			o.reconnects++
 		}
+		o.conn = conn // published so a sever fault can break it
+		o.mu.Unlock()
 		attempt = 0
 		connected = true
-		o.setConn(conn)
 		o.node.peerUp(o.addr)
 		err = o.writeLoop(conn)
-		o.setConn(nil)
+		o.mu.Lock()
+		o.conn = nil
+		o.mu.Unlock()
 		conn.Close()
 		if errors.Is(err, errOutboxClosed) {
 			return
@@ -350,72 +238,99 @@ func (o *outbox) run() {
 }
 
 // writeLoop ships tuples over one connection until it fails or quit fires.
-// Each iteration gathers one run from every source ring and flushes the
-// gather with a single vectored write (one net.Buffers WriteTo) under a
-// write deadline, so a stalled peer surfaces as an error instead of
-// blocking shutdown. Drop accounting stays per tuple: a fault-dropped or
-// write-failed gather counts each of its tuples.
+// A durable connection opens with the hello and a rewind of shipped to
+// acked, so everything the peer has not acknowledged goes out again ahead
+// of anything new.
 func (o *outbox) writeLoop(conn net.Conn) error {
-	// Every later write goes straight to the socket (vectored), so the
-	// connection preamble does too.
-	conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
-	if _, err := conn.Write([]byte{connTuples}); err != nil {
-		return err
-	}
+	open := append(o.enc[:0], connTuples)
 	var ackDone chan error
 	if o.durable {
-		if err := o.sendHelloAndRetained(conn); err != nil {
-			return err
-		}
+		open = appendHello(open, o.incarnation, o.node.Addr())
+		o.mu.Lock()
+		o.shipped = o.acked
+		o.mu.Unlock()
 		ackDone = make(chan error, 1)
 		go o.ackReader(conn, ackDone)
+		// An ack moves a ring cursor, so the reader must not outlive its
+		// connection: applied after the next connection's rewind, a late
+		// ack would read as beyond shipped.
+		defer func() {
+			conn.Close()
+			if ackDone != nil {
+				<-ackDone
+			}
+		}()
+	}
+	o.enc = open
+	conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
+	if _, err := conn.Write(open); err != nil {
+		return err
 	}
 	for {
+		if err := o.drain(conn); err != nil {
+			return err
+		}
 		select {
 		case err := <-ackDone:
-			// The ack channel died: reconnect so retained batches re-send
+			// The ack channel died: reconnect so the unacked region re-sends
 			// even though we may have nothing new to write.
+			ackDone = nil
 			return err
 		case <-o.quit:
-			// Best-effort final drain of whatever is already buffered.
-			f := o.node.linkFault(o.addr)
-			for {
-				run := o.gatherRuns()
-				if len(run) == 0 {
-					return errOutboxClosed
-				}
-				if err := o.ship(conn, run, f); err != nil {
-					o.dropRemaining()
-					return errOutboxClosed
-				}
-			}
+			// Best-effort final drain of whatever arrived since.
+			o.drain(conn) //nolint:errcheck
+			return errOutboxClosed
 		case <-o.notify:
-		}
-		for {
-			run := o.gatherRuns()
-			if len(run) == 0 {
-				break
-			}
-			f := o.node.linkFault(o.addr)
-			if err := o.ship(conn, run, f); err != nil {
-				return err
-			}
 		}
 	}
 }
 
-// ship writes and flushes one gathered run, honoring an injected fault,
-// and settles the run's accounting (sent on success, dropped on fault or
-// failure; in-flight is cleared either way). Each source run is encoded
-// into its own reusable buffer and the whole gather goes out as one
-// vectored write.
-func (o *outbox) ship(conn net.Conn, run []Tuple, f *LinkFault) error {
-	total := int64(len(run))
-	if f != nil && f.Drop {
-		o.dropped.Add(total)
-		o.inflight.Store(0)
-		return nil
+// drain ships run after run until the ring has nothing more to write on
+// this wakeup or a write fails.
+func (o *outbox) drain(conn net.Conn) error {
+	for {
+		if k, err := o.ship(conn); k == 0 || err != nil {
+			return err
+		}
 	}
+}
+
+// ship sends the next run [shipped, shipped+k), k ≤ outboxBatchMax, as one
+// frame with one write under a write deadline (so a stalled peer surfaces
+// as an error instead of blocking shutdown), honoring an injected fault,
+// and returns k (0: nothing to do until the next wakeup). Drop accounting
+// stays per tuple. A volatile run is settled here — sent on success,
+// dropped on a failed write. A durable run carries its end position as the
+// frame sequence and stays in the ring until applyAck covers it; a failed
+// write leaves it for the reconnect replay.
+func (o *outbox) ship(conn net.Conn) (int, error) {
+	f := o.node.linkFault(o.addr)
+	o.mu.Lock()
+	k := min(int(o.tail-o.shipped), len(o.gather))
+	if k == 0 {
+		o.mu.Unlock()
+		return 0, nil
+	}
+	if f != nil && f.Drop {
+		// Discard the run in place. Positions are contiguous, so a durable
+		// link first lets the retained region ahead of it settle (applyAck
+		// wakes the writer) rather than count unacked tuples as dropped.
+		if o.acked == o.shipped {
+			o.acked += uint64(k)
+			o.shipped = o.acked
+			o.dropped += int64(k)
+		} else {
+			k = 0
+		}
+		o.mu.Unlock()
+		return k, nil
+	}
+	run := o.gather[:k]
+	first := copy(run, o.ring[o.shipped%uint64(len(o.ring)):])
+	copy(run[first:], o.ring)
+	o.shipped += uint64(k)
+	seq := o.shipped
+	o.mu.Unlock()
 	// Stage boundary: a traced tuple leaves the outbox now; the time since
 	// its last boundary (the worker's service end, or its ingress admission
 	// on a relay hop) is outbox residence. The tuples go onto the wire with
@@ -441,20 +356,10 @@ func (o *outbox) ship(conn net.Conn, run []Tuple, f *LinkFault) error {
 		}
 	}
 	if o.durable {
-		return o.shipDurable(conn, run, f)
+		o.enc = appendSeqFrame(o.enc[:0], run, seq)
+	} else {
+		o.enc = appendFrames(o.enc[:0], run)
 	}
-	bufs := o.vbufs[:0]
-	prev := 0
-	for si, end := range o.segEnds {
-		seg := run[prev:end]
-		prev = end
-		if len(seg) == 0 {
-			continue
-		}
-		o.encBufs[si] = appendFrames(o.encBufs[si][:0], seg)
-		bufs = append(bufs, o.encBufs[si])
-	}
-	o.vbufs = bufs // WriteTo consumes its receiver; keep the backing array
 	if f != nil && f.Delay > 0 {
 		select {
 		case <-o.quit:
@@ -462,108 +367,27 @@ func (o *outbox) ship(conn net.Conn, run []Tuple, f *LinkFault) error {
 		}
 	}
 	conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
-	if _, err := bufs.WriteTo(conn); err != nil {
-		o.dropped.Add(total)
-		o.inflight.Store(0)
-		return err
+	_, err := conn.Write(o.enc)
+	if !o.durable {
+		o.mu.Lock()
+		o.acked = o.shipped
+		if err != nil {
+			o.dropped += int64(k)
+		} else {
+			o.sent += int64(k)
+		}
+		o.mu.Unlock()
 	}
-	o.sent.Add(total)
-	o.inflight.Store(0)
-	return nil
+	return k, err
 }
 
-// shipDurable ships one gather in durable mode: wait for retention room
-// (acks free it — dropping here would defeat retain-until-ack, so overload
-// backpressures into the rings instead), retain a copy under the next
-// sequence number, then write it as one sequence-bearing frame. `sent` does NOT
-// advance here — applyAck settles it when the peer's fsync ack arrives. A
-// write error keeps the retained copies for the reconnect replay.
-//
-// A single gather can exceed OutboxCap (one run from the shared ring plus
-// one per lane ring, each up to outboxBatchMax), so the run ships as a
-// sequence of bounded frames, one sequence each. The room wait only blocks while
-// something IS retained: an empty retention always admits the next chunk,
-// so the writer can never livelock waiting for acks that would only arrive
-// once it makes progress.
-func (o *outbox) shipDurable(conn net.Conn, run []Tuple, f *LinkFault) error {
-	max := o.node.cfg.OutboxCap
-	if max > outboxBatchMax {
-		max = outboxBatchMax
-	}
-	var werr error
-	for len(run) > 0 {
-		chunk := run
-		if len(chunk) > max {
-			chunk = run[:max]
-		}
-		run = run[len(chunk):]
-		// Once the write has failed no acks are coming on this connection,
-		// so skip the room wait and just retain the rest for the replay
-		// (a transient, gather-bounded overshoot of the retention cap).
-		for werr == nil {
-			ret := int(o.retTuples.Load())
-			if ret == 0 || ret+len(chunk) <= o.node.cfg.OutboxCap {
-				break
-			}
-			select {
-			case <-o.quit:
-				o.dropped.Add(int64(len(chunk) + len(run)))
-				o.inflight.Store(0)
-				return errOutboxClosed
-			case <-time.After(500 * time.Microsecond):
-			}
-		}
-		o.batchSeq++
-		rb := retainedBatch{seq: o.batchSeq, ts: append([]Tuple(nil), chunk...)}
-		o.retMu.Lock()
-		o.retained = append(o.retained, rb)
-		o.retTuples.Add(int64(len(chunk)))
-		o.retMu.Unlock()
-		o.inflight.Store(int64(len(run)))
-		if werr != nil {
-			continue
-		}
-		o.reenc = appendSeqFrame(o.reenc[:0], rb.ts, rb.seq)
-		if f != nil && f.Delay > 0 {
-			select {
-			case <-o.quit:
-			case <-time.After(f.Delay):
-			}
-		}
-		conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
-		if _, err := conn.Write(o.reenc); err != nil {
-			werr = err
-		}
-	}
-	return werr
-}
-
-// dropRemaining counts everything still buffered as dropped (shutdown or
-// terminal link failure with no connection to drain into). The SPSC rings
-// are swept consumer-side; callers must guarantee the writer goroutine is
-// not concurrently gathering (it is the writer itself, or Node.Close after
-// every goroutine has stopped).
+// dropRemaining counts everything still in the ring as dropped — at
+// shutdown no write and no ack is coming.
 func (o *outbox) dropRemaining() {
 	o.mu.Lock()
-	k := int64(o.count)
-	o.head = 0
-	o.count = 0
+	o.dropped += int64(o.tail - o.acked)
+	o.acked, o.shipped = o.tail, o.tail
 	o.mu.Unlock()
-	for _, r := range o.lanes {
-		k += int64(r.discard())
-	}
-	k += o.inflight.Swap(0)
-	// Sweep retained-but-unacked batches: at shutdown no ack is coming.
-	o.retMu.Lock()
-	for _, rb := range o.retained {
-		k += int64(len(rb.ts))
-	}
-	o.retained = nil
-	o.retTuples.Store(0)
-	o.retMu.Unlock()
-	if k > 0 {
-		o.dropped.Add(k)
-	}
 }
 
 // backoffDelay computes the reconnect delay for the given attempt:

@@ -3,6 +3,7 @@ package engine
 import (
 	"bufio"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,122 +157,481 @@ func TestOutboxReconnectAfterPartition(t *testing.T) {
 }
 
 // A Drop fault silently discards tuples while counting them, without
-// breaking the connection.
+// breaking the connection — on a volatile link and on a durable one (where
+// the discarded run also leaves the ring without waiting for an ack).
 func TestOutboxDropFault(t *testing.T) {
-	a, err := NewNode("127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewNode("127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	addr := b.Addr()
+	for _, durable := range []bool{false, true} {
+		name := "volatile"
+		if durable {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) {
+			var acfg, bcfg NodeConfig
+			if durable {
+				acfg.WALDir, bcfg.WALDir = t.TempDir(), t.TempDir()
+			}
+			b, err := NewNodeConfig("127.0.0.1:0", 1, bcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			addr := b.Addr()
+			a, err := NewNodeConfig("127.0.0.1:0", 1, acfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			if durable {
+				if err := a.deploy(&NodeSpec{DurablePeers: []string{addr}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Increasing sequences: a durable receiver dedups on them.
+			var seq int64
+			send := func() {
+				a.sendBatch(addr, []Tuple{{Stream: 1, Seq: seq}})
+				seq++
+			}
 
-	a.sendBatch(addr, []Tuple{{Stream: 1}})
-	waitUntil(t, 2*time.Second, "first delivery", func() bool {
-		return b.Stats().Injected > 0
-	})
-	before := b.Stats().Injected
+			send()
+			waitUntil(t, 2*time.Second, "first delivery", func() bool {
+				return b.Stats().Injected > 0
+			})
+			before := b.Stats().Injected
 
-	a.SetLinkFault(addr, LinkFault{Drop: true})
-	for i := 0; i < 50; i++ {
-		a.sendBatch(addr, []Tuple{{Stream: 1}})
+			a.SetLinkFault(addr, LinkFault{Drop: true})
+			for i := 0; i < 50; i++ {
+				send()
+			}
+			waitUntil(t, 2*time.Second, "drops counted", func() bool {
+				return a.outboxSnapshots()[0].Dropped >= 50
+			})
+			if got := b.Stats().Injected; got != before {
+				t.Fatalf("receiver saw %d tuples during a drop fault (had %d)", got, before)
+			}
+			if s := a.outboxSnapshots()[0]; s.Pending != 0 || s.Sent != before {
+				t.Fatalf("drop fault left sent %d pending %d, want %d and 0", s.Sent, s.Pending, before)
+			}
+			a.ClearLinkFault(addr)
+			waitUntil(t, 2*time.Second, "delivery after clearing drop fault", func() bool {
+				send()
+				return b.Stats().Injected > before
+			})
+		})
 	}
-	waitUntil(t, 2*time.Second, "drops counted", func() bool {
-		return a.outboxSnapshots()[0].Dropped >= 50
-	})
-	if got := b.Stats().Injected; got != before {
-		t.Fatalf("receiver saw %d tuples during a drop fault (had %d)", got, before)
-	}
-	a.ClearLinkFault(addr)
-	waitUntil(t, 2*time.Second, "delivery after clearing drop fault", func() bool {
-		a.sendBatch(addr, []Tuple{{Stream: 1}})
-		return b.Stats().Injected > before
-	})
 }
 
-// TestDurableShipOversizedGather pins the retention livelock: with workers,
-// one gather can collect more tuples than OutboxCap (a run from the shared
-// ring plus one per lane ring), so a durable writer that waits for
-// retTuples+len(run) <= cap before retaining would spin forever on its very
-// first gather. The oversized gather must instead ship as multiple bounded
-// sequence-bearing frames and fully settle once the peer acks them.
-func TestDurableShipOversizedGather(t *testing.T) {
+// seqRun returns n tuples of one stream with consecutive sequences.
+func seqRun(stream int32, from, n int) []Tuple {
+	ts := make([]Tuple, n)
+	for i := range ts {
+		ts[i] = Tuple{Stream: stream, Seq: int64(from + i)}
+	}
+	return ts
+}
+
+// durableSender starts a WAL-armed node whose link to peer is durable.
+func durableSender(t *testing.T, peer string, cfg NodeConfig) *Node {
+	t.Helper()
+	cfg.WALDir = t.TempDir()
+	n, err := NewNodeConfig("127.0.0.1:0", 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	if err := n.deploy(&NodeSpec{DurablePeers: []string{peer}}); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// ackPeer is a hand-rolled durable peer driven from the test goroutine: it
+// decodes frames the way a node would and acks only what the test tells it
+// to. Every read and write runs under a deadline, so a wrong expectation
+// fails the test instead of hanging it.
+type ackPeer struct {
+	t  *testing.T
+	ln *net.TCPListener
+}
+
+type ackConn struct {
+	t    *testing.T
+	conn net.Conn
+	tr   *TupleReader
+}
+
+func newAckPeer(t *testing.T) *ackPeer {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	// Receiver: decode frames off the connection and ack every sequence, the
-	// way a durable peer would after its group commit.
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		br := bufio.NewReaderSize(conn, 16*1024)
-		if _, err := br.ReadByte(); err != nil { // connTuples preamble
-			return
-		}
-		tr := NewTupleReader(br)
-		for {
-			if _, err := tr.ReadBatch(); err != nil {
-				return
-			}
-			if seq, ok := tr.BatchSeq(); ok {
-				if err := writeAck(conn, seq); err != nil {
-					return
-				}
-			}
-		}
-	}()
+	t.Cleanup(func() { ln.Close() })
+	return &ackPeer{t: t, ln: ln.(*net.TCPListener)}
+}
 
-	n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{
-		OutboxCap: 64,
-		Workers:   4,
-		WALDir:    t.TempDir(),
+func (p *ackPeer) addr() string { return p.ln.Addr().String() }
+
+// accept takes the outbox's next connection and consumes its preamble.
+func (p *ackPeer) accept() *ackConn {
+	p.t.Helper()
+	p.ln.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	conn, err := p.ln.Accept()
+	if err != nil {
+		p.t.Fatalf("accept: %v", err)
+	}
+	p.t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(20 * time.Second)) //nolint:errcheck
+	br := bufio.NewReader(conn)
+	if kind, err := br.ReadByte(); err != nil || kind != connTuples {
+		p.t.Fatalf("preamble: %q, %v", kind, err)
+	}
+	return &ackConn{t: p.t, conn: conn, tr: NewTupleReader(br)}
+}
+
+// next returns a copy of the next frame's tuples and its sequence.
+func (c *ackConn) next() ([]Tuple, uint64) {
+	c.t.Helper()
+	batch, err := c.tr.ReadBatch()
+	if err != nil {
+		c.t.Fatalf("reading frame: %v", err)
+	}
+	seq, ok := c.tr.BatchSeq()
+	if !ok {
+		c.t.Fatal("durable link sent a frame without a sequence")
+	}
+	return append([]Tuple(nil), batch...), seq
+}
+
+// readN reads frames until n tuples have arrived, checking that every
+// frame's sequence is the ring position after its last tuple, counted from
+// pos. It returns the tuples.
+func (c *ackConn) readN(pos uint64, n int) []Tuple {
+	c.t.Helper()
+	var got []Tuple
+	for len(got) < n {
+		batch, seq := c.next()
+		got = append(got, batch...)
+		if want := pos + uint64(len(got)); seq != want {
+			c.t.Fatalf("frame sequence %d, want ring position %d", seq, want)
+		}
+	}
+	if len(got) != n {
+		c.t.Fatalf("read %d tuples, want %d", len(got), n)
+	}
+	return got
+}
+
+func (c *ackConn) ack(seq uint64) {
+	c.t.Helper()
+	if err := writeAck(c.conn, seq); err != nil {
+		c.t.Fatalf("writing ack %d: %v", seq, err)
+	}
+}
+
+// wantSeqs fails unless ts carries exactly the sequences from, from+1, ...
+func wantSeqs(t *testing.T, what string, ts []Tuple, from, n int) {
+	t.Helper()
+	if len(ts) != n {
+		t.Fatalf("%s: %d tuples, want %d", what, len(ts), n)
+	}
+	for i := range ts {
+		if ts[i].Seq != int64(from+i) {
+			t.Fatalf("%s: tuple %d has Seq %d, want %d", what, i, ts[i].Seq, from+i)
+		}
+	}
+}
+
+// awaitOutbox polls the node's single outbox until its sent and pending
+// counts match, and returns the matching snapshot.
+func awaitOutbox(t *testing.T, n *Node, what string, sent, pending int64) outboxStats {
+	t.Helper()
+	var s outboxStats
+	waitUntil(t, 5*time.Second, what, func() bool {
+		s = n.outboxSnapshots()[0]
+		return s.Sent == sent && s.Pending == pending
 	})
+	return s
+}
+
+// OutboxCap is the bound: with the writer stalled, every producer together
+// gets exactly OutboxCap tuples accepted, the rest are dropped and counted.
+// The volatile arm stalls the writer with a Delay fault (a peer that merely
+// stops reading cannot: 64 tuples vanish into the kernel's socket buffer);
+// the durable arm's peer accepts the connection and never acks.
+func TestOutboxCapIsTheBound(t *testing.T) {
+	const (
+		bound     = 64
+		producers = 5 // four lanes' workers plus the ingress relay path
+		runs, per = 20, 16
+	)
+	for _, durable := range []bool{false, true} {
+		name := "volatile"
+		if durable {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) {
+			peer := newAckPeer(t)
+			// Connections are held open and never read.
+			var heldMu sync.Mutex
+			var held []net.Conn
+			t.Cleanup(func() {
+				heldMu.Lock()
+				defer heldMu.Unlock()
+				for _, conn := range held {
+					conn.Close()
+				}
+			})
+			go func() {
+				for {
+					conn, err := peer.ln.Accept()
+					if err != nil {
+						return
+					}
+					heldMu.Lock()
+					held = append(held, conn)
+					heldMu.Unlock()
+				}
+			}()
+			cfg := NodeConfig{Workers: 4, OutboxCap: bound}
+			var n *Node
+			if durable {
+				n = durableSender(t, peer.addr(), cfg)
+			} else {
+				var err error
+				if n, err = NewNodeConfig("127.0.0.1:0", 1, cfg); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { n.Close() })
+				n.SetLinkFault(peer.addr(), LinkFault{Delay: time.Hour})
+			}
+			var accepted atomic.Int64
+			offer := func() {
+				var wg sync.WaitGroup
+				for p := 0; p < producers; p++ {
+					wg.Add(1)
+					go func(p int) {
+						defer wg.Done()
+						for r := 0; r < runs; r++ {
+							accepted.Add(int64(n.sendBatch(peer.addr(), seqRun(int32(p+1), r*per, per))))
+						}
+					}(p)
+				}
+				wg.Wait()
+			}
+			offer()
+			// Give the writer time to take its first run out of the ring: a
+			// second buffer behind the ring would show up as room here.
+			time.Sleep(50 * time.Millisecond)
+			offer()
+			const offered = 2 * producers * runs * per
+			s := n.outboxSnapshots()[0]
+			if accepted.Load() != bound || s.Pending != bound || s.Dropped != offered-bound ||
+				s.Enqueued != offered || s.Sent != 0 {
+				t.Fatalf("accepted %d of %d offered with OutboxCap %d: %+v", accepted.Load(), offered, bound, s)
+			}
+		})
+	}
+}
+
+// An ack is a ring cursor written by the peer, so it is validated: stale
+// and duplicate acks change nothing, an in-range ack releases exactly the
+// prefix it covers, and an ack beyond shipped fails the connection without
+// releasing anything — the unacked tuples replay on the next one.
+func TestOutboxAckValidation(t *testing.T) {
+	peer := newAckPeer(t)
+	n := durableSender(t, peer.addr(), NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
+	n.sendBatch(peer.addr(), seqRun(1, 0, 10))
+	c := peer.accept()
+	wantSeqs(t, "first frame", c.readN(0, 10), 0, 10)
+	awaitOutbox(t, n, "shipped, unacked", 0, 10)
+
+	for _, step := range []struct {
+		name          string
+		ack           uint64
+		sent, pending int64
+	}{
+		{"in range, mid frame", 4, 4, 6},
+		{"duplicate", 4, 4, 6},
+		{"stale", 2, 4, 6},
+		{"zero", 0, 4, 6},
+		{"rest of the frame", 10, 10, 0},
+		{"stale after settling", 7, 10, 0},
+	} {
+		c.ack(step.ack)
+		// A no-op ack has no event to wait on. Acks apply in order, so the
+		// next effective step (and the replay below) exposes any cursor a
+		// no-op moved.
+		s := awaitOutbox(t, n, step.name, step.sent, step.pending)
+		if s.Dropped != 0 || s.Enqueued != s.Sent+s.Pending {
+			t.Fatalf("%s: %+v", step.name, s)
+		}
+	}
+
+	// Five more tuples go out as positions 11..15; the peer acks far beyond
+	// them. Nothing is released, the connection fails, and the next one
+	// opens with the hello and the same five tuples.
+	n.sendBatch(peer.addr(), seqRun(1, 10, 5))
+	wantSeqs(t, "second frame", c.readN(10, 5), 10, 5)
+	c.ack(99)
+	c2 := peer.accept()
+	wantSeqs(t, "replay after the out-of-range ack", c2.readN(10, 5), 10, 5)
+	if _, _, ok := c2.tr.Hello(); !ok {
+		t.Fatal("reconnect did not open with a hello")
+	}
+	s := awaitOutbox(t, n, "nothing released by the out-of-range ack", 10, 5)
+	if s.Reconnects < 1 || s.Dropped != 0 {
+		t.Fatalf("after the out-of-range ack: %+v", s)
+	}
+	c2.ack(15)
+	awaitOutbox(t, n, "replayed tuples acked", 15, 0)
+}
+
+// N producers share one outbox to a reading peer: each producer's accepted
+// tuples arrive in the order it offered them, the ledger closes, and the
+// identity enqueued == sent + dropped + pending holds on every snapshot
+// taken while producers and writer are running, not only at the end.
+func TestOutboxMultiProducerFIFO(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 4 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
+	const producers, runs, per = 6, 300, 24
+	sink := newTupleSink(t)
+	addr := sink.ln.Addr().String()
+	// A ring much smaller than the offered total, so it wraps many times
+	// and overflows now and then.
+	n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{OutboxCap: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
+	o := n.outboxFor(addr)
 
-	// Build the durable outbox by hand so the rings can be filled past
-	// OutboxCap before its writer goroutine ever runs.
-	o := newOutbox(n, ln.Addr().String(), true)
-	shared := make([]Tuple, n.cfg.OutboxCap)
-	for i := range shared {
-		shared[i] = Tuple{Stream: 1, Seq: int64(i)}
-	}
-	if got := o.enqueueBatch(shared); got != len(shared) {
-		t.Fatalf("shared ring accepted %d of %d", got, len(shared))
-	}
-	total := len(shared)
-	for li := range o.lanes {
-		laneRun := make([]Tuple, 16)
-		for i := range laneRun {
-			laneRun[i] = Tuple{Stream: 2, Seq: int64(li*16 + i)}
+	stop := make(chan struct{})
+	sampled := make(chan int)
+	go func() {
+		samples := 0
+		defer func() { sampled <- samples }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			samples++
+			if s := o.stats(); s.Enqueued-s.Sent-s.Dropped-s.Pending != 0 {
+				t.Errorf("sample %d breaks the ledger: %+v", samples, s)
+				return
+			}
 		}
-		total += o.enqueueLane(li, laneRun)
-	}
-	if total <= n.cfg.OutboxCap {
-		t.Fatalf("test needs a gather larger than OutboxCap, buffered only %d", total)
-	}
-	n.peersMu.Lock()
-	n.peers[o.addr] = o
-	n.peersMu.Unlock()
-	n.wg.Add(1)
-	go o.run()
+	}()
 
-	waitUntil(t, 5*time.Second, "oversized gather shipped and acked", func() bool {
-		return o.sent.Load() == int64(total) && o.retTuples.Load() == 0
+	want := make([][]int64, producers)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for r := 0; r < runs; r++ {
+				run := seqRun(int32(p+1), r*per, per)
+				for _, tp := range run[:n.sendBatch(addr, run)] {
+					want[p] = append(want[p], tp.Seq)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	waitUntil(t, 10*time.Second, "outbox drained into the sink", func() bool {
+		s := o.stats()
+		return s.Pending == 0 && int64(sink.count()) == s.Sent
 	})
-	if d := o.dropped.Load(); d != 0 {
-		t.Fatalf("durable path dropped %d tuples", d)
+	close(stop)
+	if samples := <-sampled; samples == 0 {
+		t.Fatal("the sampler never ran")
+	}
+
+	s := o.stats()
+	if s.Enqueued != producers*runs*per || s.Enqueued != s.Sent+s.Dropped {
+		t.Fatalf("ledger does not close: %+v", s)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	for p := range want {
+		got := sink.byStream[int32(p+1)]
+		if len(got) != len(want[p]) {
+			t.Fatalf("producer %d: %d tuples at the sink, %d accepted", p, len(got), len(want[p]))
+		}
+		for i := range got {
+			if got[i].Seq != want[p][i] {
+				t.Fatalf("producer %d: arrival %d has Seq %d, want %d (order broken)", p, i, got[i].Seq, want[p][i])
+			}
+		}
+	}
+}
+
+// Retention is the ring itself: while the peer withholds acks the ring
+// fills to OutboxCap and further offers drop with a counter; nothing that
+// was accepted is lost, and the acks settle exactly the accepted tuples.
+func TestDurableRetainInPlace(t *testing.T) {
+	const bound = 64
+	peer := newAckPeer(t)
+	n := durableSender(t, peer.addr(), NodeConfig{OutboxCap: bound})
+	accepted := 0
+	for r := 0; r < 12; r++ {
+		accepted += n.sendBatch(peer.addr(), seqRun(1, r*16, 16))
+	}
+	if accepted != bound {
+		t.Fatalf("accepted %d tuples with no ack outstanding, want OutboxCap %d", accepted, bound)
+	}
+	c := peer.accept()
+	wantSeqs(t, "shipped while unacked", c.readN(0, bound), 0, bound)
+	if got := n.sendBatch(peer.addr(), seqRun(1, 1000, 8)); got != 0 {
+		t.Fatalf("a ring full of unacked tuples accepted %d more", got)
+	}
+	s := awaitOutbox(t, n, "ring full, nothing acked", 0, bound)
+	if s.Dropped != 12*16+8-bound || s.Enqueued != 12*16+8 {
+		t.Fatalf("overflow accounting: %+v", s)
+	}
+
+	c.ack(bound)
+	awaitOutbox(t, n, "everything accepted acked", bound, 0)
+	// The freed ring takes offers again, numbered where the ring left off.
+	if got := n.sendBatch(peer.addr(), seqRun(1, bound, 10)); got != 10 {
+		t.Fatalf("acked ring accepted %d of 10", got)
+	}
+	wantSeqs(t, "after the ack", c.readN(bound, 10), bound, 10)
+	c.ack(bound + 10)
+	awaitOutbox(t, n, "second run acked", bound+10, 0)
+}
+
+// A reconnect rewinds shipped to acked: the new connection opens with the
+// hello, then carries exactly the unacked suffix, in order, under the same
+// positional sequences, ahead of anything new.
+func TestDurableReconnectRewindsToAcked(t *testing.T) {
+	peer := newAckPeer(t)
+	n := durableSender(t, peer.addr(), NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
+	n.sendBatch(peer.addr(), seqRun(1, 0, 10))
+	c := peer.accept()
+	wantSeqs(t, "first connection", c.readN(0, 10), 0, 10)
+	inc, sender, ok := c.tr.Hello()
+	if !ok || sender != n.Addr() {
+		t.Fatalf("hello = (%d, %q, %v), want sender %q", inc, sender, ok, n.Addr())
+	}
+	c.ack(6)
+	awaitOutbox(t, n, "prefix acked", 6, 4)
+	c.conn.Close()
+
+	c2 := peer.accept()
+	wantSeqs(t, "replayed suffix", c2.readN(6, 4), 6, 4)
+	if inc2, sender2, ok := c2.tr.Hello(); !ok || inc2 != inc || sender2 != sender {
+		t.Fatalf("reconnect hello = (%d, %q, %v), want (%d, %q)", inc2, sender2, ok, inc, sender)
+	}
+	n.sendBatch(peer.addr(), seqRun(1, 10, 3))
+	wantSeqs(t, "new tuples after the replay", c2.readN(10, 3), 10, 3)
+	c2.ack(13)
+	s := awaitOutbox(t, n, "all acked", 13, 0)
+	if s.Reconnects < 1 || s.Dropped != 0 {
+		t.Fatalf("after the reconnect: %+v", s)
 	}
 }
 

@@ -39,8 +39,9 @@ const (
 	// Writers set fieldTrace / fieldKey only when some tuple in the batch
 	// has a nonzero flags byte / key, so plain traffic pays 28 bytes per
 	// tuple; absent fields decode as zero. fieldSeq carries the sender's
-	// per-outbox durability sequence: the receiver logs the batch and acks
-	// that sequence, while frames without it take the volatile path.
+	// per-outbox durability sequence (the outbox ring position after the
+	// frame's last tuple): the receiver logs the batch and acks that
+	// sequence, while frames without it take the volatile path.
 	opTuples byte = 0x88
 	// opHello identifies a durable sender right after the preamble:
 	//
@@ -57,9 +58,9 @@ const (
 	// written by the RECEIVER back over the same TCP connection after the
 	// batch with that per-connection sequence number has been fsynced into
 	// its WAL (or deduplicated away). Acks are cumulative: acking seq s
-	// releases every retained batch ≤ s. The sender reads them off the
-	// connection's return direction; a TupleReader that encounters one
-	// (a stray on a half-duplex reader) skips it harmlessly.
+	// releases every tuple the sender shipped up to s. The sender reads
+	// them off the connection's return direction; a TupleReader that
+	// encounters one (a stray on a half-duplex reader) skips it harmlessly.
 	opAck byte = 0x86
 )
 

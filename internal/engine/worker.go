@@ -19,8 +19,8 @@ type workerRun struct {
 	outs    []Tuple
 	cons    []consEntry
 	tgts    []tgtEntry
-	fwds    []relayRun  // queued-before-migration tuples to relay onward
-	egress  []relayRun  // routeBatch per-destination remote groups
+	fwds    destRuns    // queued-before-migration tuples to relay onward
+	egress  destRuns    // routeBatch per-destination remote groups
 	locals  [][]Tuple   // routeBatch per-lane local re-entry buckets
 	samples []runSample // per-(op, run) estimator aggregation
 }
@@ -82,27 +82,6 @@ func (r *workerRun) targetOf(rs *routeState, t *Tuple) *tgtEntry {
 	}
 	r.tgts = append(r.tgts, e)
 	return &r.tgts[len(r.tgts)-1]
-}
-
-// fwdTo groups one tuple into the run's per-destination forward slices,
-// reusing backing arrays across runs.
-func (r *workerRun) fwdTo(addr string, t Tuple) {
-	i := 0
-	for ; i < len(r.fwds); i++ {
-		if r.fwds[i].addr == addr {
-			break
-		}
-	}
-	if i == len(r.fwds) {
-		if i < cap(r.fwds) {
-			r.fwds = r.fwds[:i+1]
-			r.fwds[i].addr = addr
-			r.fwds[i].ts = r.fwds[i].ts[:0]
-		} else {
-			r.fwds = append(r.fwds, relayRun{addr: addr})
-		}
-	}
-	r.fwds[i].ts = append(r.fwds[i].ts, t)
 }
 
 // consEntry caches one stream's local consumer operators for the current
@@ -226,7 +205,7 @@ func (n *Node) laneWorker(l *lane) {
 		var busyDelta, laneBusy int64
 		var stranded int64
 		run.outs = run.outs[:0]
-		run.fwds = run.fwds[:0]
+		run.fwds.reset()
 		run.cons = run.cons[:0]
 		run.tgts = run.tgts[:0]
 		for _, t := range run.tuples {
@@ -252,7 +231,7 @@ func (n *Node) laneWorker(l *lane) {
 				if e := run.targetOf(rs, &t); e.op != nil {
 					cost = n.process(&run, e.op, t)
 				} else if e.relay != "" {
-					run.fwdTo(e.relay, t)
+					run.fwds.add(e.relay, t)
 				} else {
 					stranded++
 				}
@@ -270,7 +249,7 @@ func (n *Node) laneWorker(l *lane) {
 					stranded++
 				}
 				for _, d := range relay {
-					run.fwdTo(d.Addr, t)
+					run.fwds.add(d.Addr, t)
 				}
 			}
 			if cost > 0 {
@@ -325,7 +304,7 @@ func (n *Node) laneWorker(l *lane) {
 		l.processed.Add(int64(len(run.tuples)))
 		run.flushSamples(n.estimator)
 		for i := range run.fwds {
-			n.sendBatchLane(l.id, run.fwds[i].addr, run.fwds[i].ts)
+			n.sendBatch(run.fwds[i].addr, run.fwds[i].ts)
 		}
 		n.routeBatch(l, rs, &run)
 		// Only after the outputs are routed (and counted) does the run's
@@ -381,27 +360,6 @@ func (n *Node) process(run *workerRun, op *liveOp, t Tuple) float64 {
 	return cost
 }
 
-// egressTo groups one tuple into routeBatch's per-destination remote
-// slices, reusing backing arrays across runs.
-func (r *workerRun) egressTo(addr string, t Tuple) {
-	i := 0
-	for ; i < len(r.egress); i++ {
-		if r.egress[i].addr == addr {
-			break
-		}
-	}
-	if i == len(r.egress) {
-		if i < cap(r.egress) {
-			r.egress = r.egress[:i+1]
-			r.egress[i].addr = addr
-			r.egress[i].ts = r.egress[i].ts[:0]
-		} else {
-			r.egress = append(r.egress, relayRun{addr: addr})
-		}
-	}
-	r.egress[i].ts = append(r.egress[i].ts, t)
-}
-
 // routeBatch delivers a run of operator-emitted tuples: local consumers
 // re-enter their lane's queue (bucketed per lane, one lock acquisition per
 // lane); remote destinations are aggregated per peer and pushed onto the
@@ -414,7 +372,7 @@ func (n *Node) routeBatch(l *lane, rs *routeState, run *workerRun) {
 		return
 	}
 	closing := n.closed.Load()
-	run.egress = run.egress[:0]
+	run.egress.reset()
 	var localCount int64
 	for _, t := range outs {
 		// Partitioned (keyed) streams: pick the one replica owning the
@@ -425,23 +383,18 @@ func (n *Node) routeBatch(l *lane, rs *routeState, run *workerRun) {
 		if pt := rs.parts[int(t.Stream)]; pt != nil {
 			slot := slotOf(&t)
 			atomic.AddInt64(&pt.counts[slot], 1)
-			d := pt.shards[pt.slots[slot]]
-			if d.Local {
-				if _, ok := rs.ops[d.LocalOp]; ok && !closing {
-					t.target = int32(d.LocalOp) + 1
-					li := fibLane(uint64(uint32(t.target)), n.workers)
-					run.locals[li] = append(run.locals[li], t)
-					localCount++
-					continue
-				}
-				addr := pt.relay[d.LocalOp]
-				if addr == "" {
-					n.dropNoRt.Add(1)
-					continue
-				}
-				d = Dest{Addr: addr}
+			target, addr := pt.resolve(rs, slot)
+			switch {
+			case target != 0 && !closing:
+				t.target = target
+				li := fibLane(uint64(uint32(target)), n.workers)
+				run.locals[li] = append(run.locals[li], t)
+				localCount++
+			case addr != "":
+				run.egress.add(addr, t)
+			default:
+				n.dropNoRt.Add(1)
 			}
-			run.egressTo(d.Addr, t)
 			continue
 		}
 		if len(rs.subs[int(t.Stream)]) > 0 && !closing {
@@ -450,7 +403,7 @@ func (n *Node) routeBatch(l *lane, rs *routeState, run *workerRun) {
 			localCount++
 		}
 		for _, d := range rs.fwd[int(t.Stream)] {
-			run.egressTo(d.Addr, t)
+			run.egress.add(d.Addr, t)
 		}
 	}
 	if localCount > 0 {
@@ -465,7 +418,7 @@ func (n *Node) routeBatch(l *lane, rs *routeState, run *workerRun) {
 	}
 	for gi := range run.egress {
 		g := &run.egress[gi]
-		accepted := n.sendBatchLane(l.id, g.addr, g.ts)
+		accepted := n.sendBatch(g.addr, g.ts)
 		if accepted == 0 {
 			continue
 		}
