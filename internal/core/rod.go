@@ -174,8 +174,8 @@ func Place(lo *mat.Matrix, c mat.Vec, cfg Config) (*placement.Plan, *Report, err
 			return nil, nil, fmt.Errorf("core: lower bound has %d entries for %d variables", len(cfg.LowerBound), d)
 		}
 		for k := range b {
-			if cfg.LowerBound[k] < 0 {
-				return nil, nil, fmt.Errorf("core: negative lower bound %g for variable %d", cfg.LowerBound[k], k)
+			if v := cfg.LowerBound[k]; !(v >= 0) || math.IsInf(v, 1) {
+				return nil, nil, fmt.Errorf("core: lower bound %g for variable %d, want finite and non-negative", v, k)
 			}
 		}
 		b = feasible.Normalize(cfg.LowerBound, lk, ct)

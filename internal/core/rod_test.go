@@ -150,6 +150,14 @@ func TestPlaceErrors(t *testing.T) {
 			_, _, err := Place(lo, c, Config{LowerBound: mat.VecOf(-1, 0)})
 			return err
 		},
+		"NaN lower bound": func() error {
+			_, _, err := Place(lo, c, Config{LowerBound: mat.VecOf(math.NaN(), 0)})
+			return err
+		},
+		"infinite lower bound": func() error {
+			_, _, err := Place(lo, c, Config{LowerBound: mat.VecOf(0, math.Inf(1))})
+			return err
+		},
 		"min-connections without graph": func() error {
 			_, _, err := Place(lo, c, Config{Selector: SelectMinConnections})
 			return err

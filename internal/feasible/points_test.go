@@ -1,0 +1,209 @@
+package feasible
+
+import (
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"rodsp/internal/mat"
+	"rodsp/internal/par"
+)
+
+// The naive serial reference the table and the flat kernel are held to:
+// random-access Halton, SimplexPoint into a fresh vector, feasiblePoint over
+// Row/Dot. It shares no state with the code under test.
+
+func refPoint(d, i int) mat.Vec {
+	u := make([]float64, d+1)
+	NewHalton(d+1).At(int64(i), u)
+	x := make(mat.Vec, d)
+	SimplexPoint(u, x)
+	return x
+}
+
+func refRatio(w *mat.Matrix, lb mat.Vec, samples int) float64 {
+	scale := 1.0
+	if lb != nil {
+		scale = 1 - lb.Sum()
+	}
+	hits := 0
+	for s := 0; s < samples; s++ {
+		x := refPoint(w.Cols, s)
+		if lb != nil {
+			for k := range x {
+				x[k] = lb[k] + scale*x[k]
+			}
+		}
+		if feasiblePoint(w, x) {
+			hits++
+		}
+	}
+	return float64(hits) / float64(samples)
+}
+
+// forgetTable drops dimension d's memoised points so a test exercises first
+// use and growth on every -count iteration, not only the process's first.
+func forgetTable(d int) {
+	tablesMu.Lock()
+	delete(tables, d)
+	tablesMu.Unlock()
+}
+
+func checkPoints(t *testing.T, what string, d int, pts []float64) {
+	t.Helper()
+	for i := 0; i*d < len(pts); i++ {
+		if !mat.Vec(pts[i*d:(i+1)*d]).Equal(refPoint(d, i), 0) {
+			t.Fatalf("%s: point %d = %v, want %v", what, i, pts[i*d:(i+1)*d], refPoint(d, i))
+		}
+	}
+}
+
+// Growth must fill only the missing suffix and leave every slice handed out
+// earlier exactly as it was.
+func TestSimplexTablePrefixStability(t *testing.T) {
+	const d = 7
+	forgetTable(d)
+	var published [][]float64
+	for _, n := range []int{100, 5000, 60000} {
+		pts := simplexPoints(d, n)
+		if len(pts) != n*d {
+			t.Fatalf("simplexPoints(%d, %d) holds %d floats, want %d", d, n, len(pts), n*d)
+		}
+		published = append(published, pts)
+		for _, p := range published {
+			checkPoints(t, "after growth", d, p)
+		}
+	}
+	// A smaller request is served from what is there.
+	if small := simplexPoints(d, 10); &small[0] != &published[2][0] {
+		t.Fatal("a request the table already covers must not reallocate it")
+	}
+}
+
+// The table-fed flat kernel must return exactly the ratio of the serial
+// reference, for any worker count and budgets that divide into nothing.
+func TestSimplexTableRatioEquality(t *testing.T) {
+	defer par.SetWorkers(0)
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 8; trial++ {
+		w := randWeights(rng, 2+rng.Intn(9), 2+rng.Intn(7))
+		lb := mat.NewVec(w.Cols)
+		for k := range lb {
+			lb[k] = 0.4 * rng.Float64() / float64(w.Cols)
+		}
+		if trial%4 == 3 {
+			lb = nil
+		}
+		samples := []int{1, 7, 997, 4099, 12345}[trial%5] + rng.Intn(3)
+		want := refRatio(w, lb, samples)
+		for _, workers := range []int{1, 2, 8} {
+			par.SetWorkers(workers)
+			if got := mustRatioFrom(t, w, lb, samples); got != want {
+				t.Fatalf("trial %d workers=%d samples=%d: ratio %v, reference %v", trial, workers, samples, got, want)
+			}
+		}
+	}
+}
+
+// Past the cap the samples stream through the scratch block; a chunk that
+// straddles the cached/streamed boundary must still count exactly the
+// reference's hits, and the table must stop growing at the cap.
+func TestSimplexTablePastCap(t *testing.T) {
+	defer par.SetWorkers(0)
+	const d = 64
+	capPoints := tableCapFloats / d
+	n := capPoints + 3000
+
+	rng := rand.New(rand.NewSource(23))
+	w := randWeights(rng, 3, d)
+	for i := range w.Data {
+		w.Data[i] = 0.5 + w.Data[i]/2 // ratio well inside (0, 1)
+	}
+	want := refRatio(w, nil, n)
+	if want <= 0 || want >= 1 {
+		t.Fatalf("reference ratio %v cannot tell hit from miss", want)
+	}
+	for _, workers := range []int{1, 2} {
+		par.SetWorkers(workers)
+		if got := mustRatio(t, w, n); got != want {
+			t.Fatalf("workers=%d: ratio %v, reference %v", workers, got, want)
+		}
+	}
+	if got := len(simplexPoints(d, n)); got != tableCapFloats {
+		t.Fatalf("table holds %d floats after a %d-sample call, want the cap %d", got, n, tableCapFloats)
+	}
+	pts := SamplePoints(d, n)
+	for _, i := range []int{0, capPoints - 1, capPoints, capPoints + streamBlock, n - 1} {
+		if !pts[i].Equal(refPoint(d, i), 0) {
+			t.Fatalf("SamplePoints[%d] differs from the reference", i)
+		}
+	}
+}
+
+// Many goroutines hitting empty tables at once — the portfolio arms and the
+// bench trial-runner do — must each get the reference answer.
+func TestSimplexTableConcurrentFirstUse(t *testing.T) {
+	defer par.SetWorkers(0)
+	par.SetWorkers(4)
+	rng := rand.New(rand.NewSource(29))
+	type job struct {
+		w       *mat.Matrix
+		lb      mat.Vec
+		samples int
+		want    float64
+	}
+	jobs := make([]job, 8)
+	for i := range jobs {
+		d := []int{4, 6, 9}[i%3]
+		j := job{w: randWeights(rng, 3+i, d), samples: []int{300, 2500, 9001, 20011}[i%4]}
+		if i%2 == 0 {
+			j.lb = mat.NewVec(d)
+			j.lb[i%d] = 0.1
+		}
+		j.want = refRatio(j.w, j.lb, j.samples)
+		jobs[i] = j
+		forgetTable(d)
+	}
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := RatioToIdealFrom(j.w, j.lb, j.samples)
+			if err != nil || got != j.want {
+				t.Errorf("job %d (d=%d, n=%d): ratio %v err %v, reference %v", i, j.w.Cols, j.samples, got, err, j.want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// simplexPointTwoPass is SimplexPoint as it was first written — the sum in
+// one pass, every logarithm again for the quotients — kept as the reference
+// the single-pass form must equal bit for bit.
+func simplexPointTwoPass(u, dst []float64) {
+	var sum float64
+	for _, ui := range u {
+		sum += -math.Log1p(-ui)
+	}
+	for k := range dst {
+		dst[k] = -math.Log1p(-u[k]) / sum
+	}
+}
+
+func TestSimplexPointMatchesTwoPass(t *testing.T) {
+	for d := 1; d <= 12; d++ {
+		h := NewHalton(d + 1)
+		u := make([]float64, d+1)
+		got, want := make(mat.Vec, d), make(mat.Vec, d)
+		for i := 0; i < 20000; i++ {
+			h.Next(u)
+			SimplexPoint(u, got)
+			simplexPointTwoPass(u, want)
+			if !got.Equal(want, 0) {
+				t.Fatalf("d=%d point %d: %v, two-pass %v", d, i, got, want)
+			}
+		}
+	}
+}

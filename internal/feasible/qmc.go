@@ -20,11 +20,13 @@ func SimplexPoint(u []float64, dst []float64) {
 		panic(fmt.Sprintf("feasible: SimplexPoint needs %d uniforms for dimension %d", len(dst)+1, len(dst)))
 	}
 	var sum float64
-	for _, ui := range u {
-		sum += -math.Log1p(-ui)
-	}
 	for k := range dst {
-		dst[k] = -math.Log1p(-u[k]) / sum
+		dst[k] = -math.Log1p(-u[k])
+		sum += dst[k]
+	}
+	sum += -math.Log1p(-u[len(dst)])
+	for k := range dst {
+		dst[k] /= sum
 	}
 }
 
@@ -54,12 +56,14 @@ func RatioAuto(w *mat.Matrix, samples int) (float64, error) {
 // bound B, already normalized). A nil lb means the origin. Returns 0 when
 // the restricted region is empty (Σ lb ≥ 1).
 //
-// The sample sweep is chunked across the par worker pool: each worker
-// jump-ahead-seeds its own Halton generator at its chunk start, so every
-// sample point is identical to the serial sweep's, and the per-chunk hit
-// counts are integers reduced in chunk order — the result is bit-identical
-// for any worker count. A malformed budget or lower bound returns an error
-// (not a panic), so a bad config cannot crash a long bench run.
+// The sample points are a pure function of (d, index) and come from the
+// process-wide table (simplexPoints); only the hit count depends on w and lb.
+// The sweep is chunked across the par worker pool and the per-chunk hit
+// counts are integers reduced in chunk order, so the result is bit-identical
+// for any worker count. A malformed budget or lower bound (wrong length, a
+// negative or non-finite entry) returns an error, not a panic and not a
+// ratio, so a bad config can neither crash a long bench run nor score as a
+// plan.
 func RatioToIdealFrom(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
 	d := w.Cols
 	if samples <= 0 {
@@ -70,32 +74,23 @@ func RatioToIdealFrom(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
 		if len(lb) != d {
 			return 0, fmt.Errorf("feasible: lower bound length %d, want %d", len(lb), d)
 		}
+		for k, v := range lb {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return 0, fmt.Errorf("feasible: lower bound entry %d is %g, want finite and non-negative", k, v)
+			}
+		}
 		scale = 1 - lb.Sum()
 		if scale <= 0 {
 			return 0, nil
 		}
 	}
+	table := simplexPoints(d, samples)
 	chunks := par.Chunks(samples, par.Workers())
 	hits := make([]int, len(chunks))
 	_ = par.ForEach(len(chunks), func(ci int) error {
-		c := chunks[ci]
-		h := NewHaltonAt(d+1, int64(c.Lo))
-		u := make([]float64, d+1)
-		x := make(mat.Vec, d)
-		n := 0
-		for s := c.Lo; s < c.Hi; s++ {
-			h.Next(u)
-			SimplexPoint(u, x)
-			if lb != nil {
-				for k := range x {
-					x[k] = lb[k] + scale*x[k]
-				}
-			}
-			if feasiblePoint(w, x) {
-				n++
-			}
-		}
-		hits[ci] = n
+		eachBlock(table, d, chunks[ci].Lo, chunks[ci].Hi, func(_ int, blk []float64) {
+			hits[ci] += countHits(w, lb, scale, blk)
+		})
 		return nil
 	})
 	total := 0
@@ -149,23 +144,15 @@ func RatioToIdealMC(w *mat.Matrix, samples int, seed int64) (float64, error) {
 
 // SamplePoints returns n QMC points uniformly covering the ideal simplex in
 // normalized coordinates — the workload points the Borealis experiments
-// draw "all within the ideal feasible set" (Section 7.1). Each point is a
-// pure function of its sequence index, so the chunked parallel generation
-// reproduces the serial sequence exactly.
+// draw "all within the ideal feasible set" (Section 7.1). They are the same
+// points RatioToIdeal integrates over, copied out of the shared table: the
+// caller owns what it gets.
 func SamplePoints(d, n int) []mat.Vec {
 	pts := make([]mat.Vec, n)
-	chunks := par.Chunks(n, par.Workers())
-	_ = par.ForEach(len(chunks), func(ci int) error {
-		c := chunks[ci]
-		h := NewHaltonAt(d+1, int64(c.Lo))
-		u := make([]float64, d+1)
-		for s := c.Lo; s < c.Hi; s++ {
-			h.Next(u)
-			x := make(mat.Vec, d)
-			SimplexPoint(u, x)
-			pts[s] = x
+	eachBlock(simplexPoints(d, n), d, 0, n, func(first int, blk []float64) {
+		for off := 0; off < len(blk); off += d {
+			pts[first+off/d] = mat.Vec(blk[off : off+d]).Clone()
 		}
-		return nil
 	})
 	return pts
 }
@@ -188,6 +175,41 @@ func Normalize(r, lk mat.Vec, ct float64) mat.Vec {
 		x[k] = lk[k] * r[k] / ct
 	}
 	return x
+}
+
+// countHits returns how many of the flat row-major simplex points in pts
+// land in the feasible set after the map x_k = lb_k + scale·p_k (the identity
+// when lb is nil): W_i·x ≤ 1 on every row, the test feasiblePoint applies,
+// with the rows of w.Data walked in place.
+func countHits(w *mat.Matrix, lb mat.Vec, scale float64, pts []float64) int {
+	d := w.Cols
+	data := w.Data[:w.Rows*d]
+	var buf mat.Vec
+	if lb != nil {
+		buf = make(mat.Vec, d)
+	}
+	hits := 0
+points:
+	for off := 0; off+d <= len(pts); off += d {
+		x := pts[off : off+d]
+		if lb != nil {
+			for k, p := range x {
+				buf[k] = lb[k] + scale*p
+			}
+			x = buf
+		}
+		for r := 0; r < len(data); r += d {
+			var dot float64
+			for k, wk := range data[r : r+d] {
+				dot += wk * x[k]
+			}
+			if dot > 1+1e-12 {
+				continue points
+			}
+		}
+		hits++
+	}
+	return hits
 }
 
 func feasiblePoint(w *mat.Matrix, x mat.Vec) bool {

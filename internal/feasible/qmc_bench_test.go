@@ -3,6 +3,8 @@ package feasible
 import (
 	"math/rand"
 	"testing"
+
+	"rodsp/internal/mat"
 )
 
 func BenchmarkRatioToIdeal(b *testing.B) {
@@ -32,3 +34,32 @@ func BenchmarkRatioToIdealFrom(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRatioToIdealFromDense is shaped like the traffic: a 10 × 5 plan
+// whose ratio is ≈ 0.8 (a ROD plan scores 0.88–0.94), so most points pay for
+// every row instead of leaving on an early one as randWeights' ≈ 0.04 does,
+// at the 60 000-sample budget of the replan workload. Its ns/op is the
+// figure to hold against feasible.ratio_ms of `benchmark/run.sh --trace 1`.
+func BenchmarkRatioToIdealFromDense(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	w := mat.NewMatrix(10, 5)
+	for i := range w.Data {
+		w.Data[i] = 0.8 + 0.3*rng.Float64()
+	}
+	lb := make(mat.Vec, 5)
+	for k := range lb {
+		lb[k] = 0.01
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := RatioToIdealFrom(w, lb, 60000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchRatio = r
+	}
+}
+
+// benchRatio keeps the measured call's result live.
+var benchRatio float64

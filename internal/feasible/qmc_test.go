@@ -266,12 +266,22 @@ func TestRatioErrors(t *testing.T) {
 	for name, f := range map[string]func() (float64, error){
 		"zero samples":    func() (float64, error) { return RatioToIdeal(w, 0) },
 		"negative budget": func() (float64, error) { return RatioToIdealFrom(w, nil, -5) },
-		"bad lb len":      func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(1), 10) },
+		"lb too short":    func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(1), 10) },
+		"lb too long":     func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(0, 0, 0), 10) },
+		"NaN lb":          func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(math.NaN(), 0), 10) },
+		"+Inf lb":         func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(0, math.Inf(1)), 10) },
+		"negative lb":     func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(-0.1, 0.2), 10) },
 		"mc zero samples": func() (float64, error) { return RatioToIdealMC(w, 0, 1) },
 	} {
-		if _, err := f(); err == nil {
-			t.Fatalf("%s should return an error", name)
+		if r, err := f(); err == nil || r != 0 {
+			t.Fatalf("%s: ratio %v err %v, want 0 and an error", name, r, err)
 		}
+	}
+	// The case that used to score a plan feasible nowhere as perfect: NaN
+	// made every comparison false.
+	nowhere := mat.MatrixOf([]float64{5, 5, 5, 5}, []float64{5, 5, 5, 5})
+	if r, err := RatioToIdealFrom(nowhere, mat.VecOf(0, math.NaN(), 0, 0), 1000); err == nil || r != 0 {
+		t.Fatalf("NaN lower bound: ratio %v err %v, want 0 and an error", r, err)
 	}
 }
 

@@ -30,6 +30,9 @@ func Evaluate(p *Plan, lo *mat.Matrix, c mat.Vec, samples int) (float64, error) 
 // {R ≥ B}; lb is the raw lower bound (length d), converted to normalized
 // coordinates internally.
 func EvaluateFrom(p *Plan, lo *mat.Matrix, c mat.Vec, lb mat.Vec, samples int) (float64, error) {
+	if len(lb) != lo.Cols {
+		return 0, fmt.Errorf("placement: lower bound has %d entries for %d variables", len(lb), lo.Cols)
+	}
 	w, err := WeightsOf(p, lo, c)
 	if err != nil {
 		return 0, err

@@ -238,4 +238,17 @@ func TestEvaluateFrom(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("floor-violating plan ratio = %g, want 0", got)
 	}
+	// A malformed floor is an error: never a panic, never a ratio.
+	for name, lb := range map[string]mat.Vec{
+		"NaN":       mat.VecOf(math.NaN(), 0.1),
+		"+Inf":      mat.VecOf(0.1, math.Inf(1)),
+		"negative":  mat.VecOf(-0.1, 0.1),
+		"too long":  mat.VecOf(0.1, 0.1, 0.1),
+		"too short": mat.VecOf(0.1),
+		"nil":       nil,
+	} {
+		if got, err := EvaluateFrom(ideal, lo4, c, lb, 2000); err == nil || got != 0 {
+			t.Fatalf("%s lower bound: ratio %g err %v, want 0 and an error", name, got, err)
+		}
+	}
 }
