@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net"
 	"time"
+
+	"rodsp/internal/query"
 )
 
 // Control plane: JSON request handling plus the route mutators. Mutators
@@ -240,6 +242,11 @@ func (n *Node) handleControl(req *controlRequest) *ControlResponse {
 }
 
 func (n *Node) deploy(spec *NodeSpec) error {
+	for i := range spec.Parts {
+		if err := spec.Parts[i].validate(); err != nil {
+			return err
+		}
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.started.Load() {
@@ -248,35 +255,46 @@ func (n *Node) deploy(spec *NodeSpec) error {
 	rs := emptyRouteState()
 	rs.spec = spec
 	for i := range spec.Parts {
-		rs.parts[spec.Parts[i].Stream] = newPartTable(&spec.Parts[i])
+		rs.stream(spec.Parts[i].Stream).part = newPartTable(&spec.Parts[i])
 	}
 	for _, os := range spec.Ops {
-		lo := &liveOp{spec: os, sideOf: map[int]int{}}
-		for i, in := range os.Inputs {
-			if i < 2 {
-				lo.sideOf[in] = i
-			}
-		}
-		rs.ops[os.ID] = lo
+		rs.ops[os.ID] = newLiveOp(os)
 	}
 	for sid, dests := range spec.Routes {
+		sr := rs.stream(sid)
 		for _, d := range dests {
 			if d.Local {
-				rs.subs[sid] = append(rs.subs[sid], d.LocalOp)
+				sr.subs = append(sr.subs, d.LocalOp)
 			} else {
-				rs.fwd[sid] = append(rs.fwd[sid], d)
+				sr.fwd = append(sr.fwd, d)
 			}
 		}
 	}
 	for sid, x := range spec.XferCost {
-		rs.xfer[sid] = x
+		rs.stream(sid).xfer = x
 	}
-	rs.computeLanes(n.workers)
-	n.route.Store(rs)
+	n.publish(rs)
 	// The durable peer set may have changed with the spec; outboxes created
 	// under the previous route must not keep a stale durability mode.
 	n.refreshOutboxDurability()
 	return nil
+}
+
+// publish completes an edited clone and makes it the live snapshot. Callers
+// hold n.mu.
+func (n *Node) publish(rs *routeState) {
+	rs.complete(n.workers, n.capacity)
+	n.route.Store(rs)
+}
+
+func newLiveOp(spec OpSpec) *liveOp {
+	lo := &liveOp{spec: spec, sideOf: map[int]int{}}
+	for i, in := range spec.Inputs {
+		if i < 2 {
+			lo.sideOf[in] = i
+		}
+	}
+	return lo
 }
 
 // addOp installs one operator at runtime and merges the supplied routes
@@ -285,16 +303,9 @@ func (n *Node) addOp(spec *OpSpec, routes map[int][]Dest) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	rs := n.route.Load().clone()
-	lo := &liveOp{spec: *spec, sideOf: map[int]int{}}
-	for i, in := range spec.Inputs {
-		if i < 2 {
-			lo.sideOf[in] = i
-		}
-	}
-	rs.ops[spec.ID] = lo
+	rs.ops[spec.ID] = newLiveOp(*spec)
 	rs.mergeRoutes(routes)
-	rs.computeLanes(n.workers)
-	n.route.Store(rs)
+	n.publish(rs)
 }
 
 // removeOp uninstalls one operator: its local subscriptions disappear and
@@ -308,14 +319,14 @@ func (n *Node) removeOp(id int, relay map[int][]Dest) error {
 		return fmt.Errorf("engine: operator %d not deployed here", id)
 	}
 	delete(rs.ops, id)
-	for sid, subs := range rs.subs {
-		kept := subs[:0]
-		for _, op := range subs {
+	for _, sr := range rs.streams {
+		kept := sr.subs[:0]
+		for _, op := range sr.subs {
 			if op != id {
 				kept = append(kept, op)
 			}
 		}
-		rs.subs[sid] = kept
+		sr.subs = kept
 	}
 	// Tuples on the removed operator's input streams now relay to its new
 	// home — both tuples arriving from the network (relays, kept separate
@@ -323,22 +334,23 @@ func (n *Node) removeOp(id int, relay map[int][]Dest) error {
 	// locally and installs no relay of its own) and tuples produced by
 	// co-located upstream operators (fwd).
 	for sid, dests := range relay {
+		sr := rs.stream(sid)
 		for _, d := range dests {
 			if d.Local {
 				continue
 			}
-			if !hasDest(rs.relays[sid], d.Addr) {
-				rs.relays[sid] = append(rs.relays[sid], d)
+			if !hasDest(sr.relays, d.Addr) {
+				sr.relays = append(sr.relays, d)
 			}
-			if !hasDest(rs.fwd[sid], d.Addr) {
-				rs.fwd[sid] = append(rs.fwd[sid], d)
+			if !hasDest(sr.fwd, d.Addr) {
+				sr.fwd = append(sr.fwd, d)
 			}
 			// A migrating shard replica: repoint its shard slot at the new
 			// home and record the per-op relay, so keyed tuples — queued,
 			// in-flight, or arriving from peers with stale tables — follow
 			// it. (The blanket relays/fwd entries above are inert for
-			// partitioned streams, whose routing bypasses those maps.)
-			if pt := rs.parts[sid]; pt != nil {
+			// partitioned streams, whose routing never reads them.)
+			if pt := sr.part; pt != nil {
 				for i, opID := range pt.ops {
 					if opID == id && pt.shards[i].Local && pt.shards[i].LocalOp == id {
 						pt.shards[i] = Dest{Addr: d.Addr}
@@ -348,8 +360,23 @@ func (n *Node) removeOp(id int, relay map[int][]Dest) error {
 			}
 		}
 	}
-	rs.computeLanes(n.workers)
-	n.route.Store(rs)
+	n.publish(rs)
+	return nil
+}
+
+// validate rejects a partition table the data plane could not index: the
+// slot table has query.ShardSlots entries (slotOf's range), each naming one
+// of the K shards.
+func (ps *PartitionSpec) validate() error {
+	if ps.K < 1 || len(ps.Shards) != ps.K || len(ps.Ops) != ps.K || len(ps.Slots) != query.ShardSlots {
+		return fmt.Errorf("engine: stream %d: malformed partition table (k=%d, %d shards, %d ops, %d slots)",
+			ps.Stream, ps.K, len(ps.Shards), len(ps.Ops), len(ps.Slots))
+	}
+	for _, s := range ps.Slots {
+		if s < 0 || s >= ps.K {
+			return fmt.Errorf("engine: stream %d: slot shard %d outside [0,%d)", ps.Stream, s, ps.K)
+		}
+	}
 	return nil
 }
 
@@ -359,38 +386,30 @@ func (n *Node) removeOp(id int, relay map[int][]Dest) error {
 // accumulating; relay entries for replicas the new table marks local
 // again are retired.
 func (n *Node) repart(ps *PartitionSpec) error {
-	if ps.K < 1 || len(ps.Shards) != ps.K || len(ps.Ops) != ps.K {
-		return fmt.Errorf("engine: repart stream %d: malformed table (k=%d, %d shards, %d ops)",
-			ps.Stream, ps.K, len(ps.Shards), len(ps.Ops))
-	}
-	for _, s := range ps.Slots {
-		if s < 0 || s >= ps.K {
-			return fmt.Errorf("engine: repart stream %d: slot shard %d outside [0,%d)", ps.Stream, s, ps.K)
-		}
+	if err := ps.validate(); err != nil {
+		return err
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	rs := n.route.Load().clone()
-	pt := rs.parts[ps.Stream]
-	if pt == nil {
-		rs.parts[ps.Stream] = newPartTable(ps)
-		n.route.Store(rs)
+	sr := rs.stream(ps.Stream)
+	if sr.part == nil {
+		sr.part = newPartTable(ps)
+		n.publish(rs)
 		return nil
 	}
+	pt := sr.part
 	pt.parent = ps.Parent
 	pt.k = ps.K
 	pt.slots = append([]int(nil), ps.Slots...)
 	pt.shards = append([]Dest(nil), ps.Shards...)
 	pt.ops = append([]int(nil), ps.Ops...)
-	if len(pt.counts) != len(pt.slots) {
-		pt.counts = make([]int64, len(pt.slots))
-	}
 	for i, d := range pt.shards {
 		if d.Local {
 			delete(pt.relay, pt.ops[i])
 		}
 	}
-	n.route.Store(rs)
+	n.publish(rs)
 	return nil
 }
 
@@ -403,30 +422,31 @@ func hasDest(dests []Dest, addr string) bool {
 	return false
 }
 
-// mergeRoutes merges route entries into the (cloned, unpublished) snapshot,
+// mergeRoutes merges route entries into the (unpublished) snapshot,
 // skipping exact duplicates.
 func (rs *routeState) mergeRoutes(routes map[int][]Dest) {
 	for sid, dests := range routes {
+		sr := rs.stream(sid)
 		for _, d := range dests {
 			if d.Local {
 				dup := false
-				for _, existing := range rs.subs[sid] {
+				for _, existing := range sr.subs {
 					if existing == d.LocalOp {
 						dup = true
 					}
 				}
 				if !dup {
-					rs.subs[sid] = append(rs.subs[sid], d.LocalOp)
+					sr.subs = append(sr.subs, d.LocalOp)
 				}
 			} else {
 				dup := false
-				for _, existing := range rs.fwd[sid] {
+				for _, existing := range sr.fwd {
 					if existing.Addr == d.Addr {
 						dup = true
 					}
 				}
 				if !dup {
-					rs.fwd[sid] = append(rs.fwd[sid], d)
+					sr.fwd = append(sr.fwd, d)
 				}
 			}
 		}

@@ -169,20 +169,6 @@ func (c *Collector) SetSampleCap(n int) {
 	c.mu.Unlock()
 }
 
-// record folds one latency observation into the running stats and the
-// uniform reservoir. Callers must not hold c.mu.
-func (c *Collector) record(lat float64) {
-	c.mu.Lock()
-	c.count++
-	c.welford.Add(lat)
-	if len(c.latencies) < c.cap {
-		c.latencies = append(c.latencies, lat)
-	} else if j := c.rng.Int63n(c.count); int(j) < c.cap {
-		c.latencies[j] = lat
-	}
-	c.mu.Unlock()
-}
-
 // Addr returns the collector's address.
 func (c *Collector) Addr() string { return c.ln.Addr().String() }
 
@@ -219,22 +205,78 @@ func (c *Collector) Duplicates() int64 {
 	return c.dups
 }
 
-// sinkAdmit applies the dedup watermark to one delivered tuple, reporting
-// whether it should be recorded (always true with dedup disabled).
-func (c *Collector) sinkAdmit(t Tuple) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.dedup {
-		return true
-	}
+// duplicate is the sink's dedup rule, applied to each delivered tuple in
+// arrival order: a tuple at or below its stream's max-Seq watermark is a
+// duplicate; any other advances the watermark. Callers hold c.mu and have
+// checked c.dedup.
+func (c *Collector) duplicate(t *Tuple) bool {
 	// Missing entry = stream never seen; sequences start at 0, so the map's
 	// zero value cannot stand in for "none".
 	if mk, seen := c.sinkMarks[t.Stream]; seen && t.Seq <= mk {
-		c.dups++
-		return false
+		return true
 	}
 	c.sinkMarks[t.Stream] = t.Seq
-	return true
+	return false
+}
+
+// recordBatch folds one decoded batch, received at wall time now, into the
+// sink statistics under a single c.mu acquisition: per tuple, in arrival
+// order, the dedup decision, the count, the running moments and the uniform
+// reservoir (one rng draw per admitted tuple past the cap, exactly as if
+// each tuple had been recorded on its own). The observers — counter,
+// histogram, and a traced tuple's deliver stage and sink span — are fed
+// after the unlock. It returns the admitted tuples: batch compacted in
+// place, so the caller's slab is overwritten.
+func (c *Collector) recordBatch(batch []Tuple, now int64) []Tuple {
+	c.mu.Lock()
+	k := 0
+	for i := range batch {
+		t := &batch[i]
+		if c.dedup && c.duplicate(t) {
+			c.dups++
+			continue // duplicate delivery (recovery re-send)
+		}
+		lat := float64(now-t.Ts) / float64(time.Second)
+		c.count++
+		c.welford.Add(lat)
+		if len(c.latencies) < c.cap {
+			c.latencies = append(c.latencies, lat)
+		} else if j := c.rng.Int63n(c.count); int(j) < c.cap {
+			c.latencies[j] = lat
+		}
+		if k != i {
+			batch[k] = *t
+		}
+		k++
+	}
+	hist, count, stages, ev := c.hist, c.sinkCount, c.stages, c.events
+	c.mu.Unlock()
+
+	admitted := batch[:k]
+	if count != nil {
+		count.Add(int64(k))
+	}
+	for i := range admitted {
+		t := &admitted[i]
+		lat := float64(now-t.Ts) / float64(time.Second)
+		if hist != nil {
+			hist.Observe(lat)
+		}
+		if t.Flags&TupleTraced != 0 {
+			// Final stage boundary: the latency is computed at the same
+			// instant, so the tuple's stage durations telescope to exactly
+			// this sink latency.
+			var deliver float64
+			if t.TraceTs > 0 {
+				deliver = float64(now-t.TraceTs) / float64(time.Second)
+			}
+			stages.Observe(obs.StageDeliver, deliver)
+			ev.Emit(obs.LevelDebug, obs.EventSpan, "stage", "sink",
+				"stream", int(t.Stream), "seq", t.Seq, "ts", t.Ts,
+				"deliver", deliver, "latency", lat)
+		}
+	}
+	return admitted
 }
 
 func (c *Collector) accept() {
@@ -267,36 +309,7 @@ func (c *Collector) accept() {
 				if err != nil {
 					return
 				}
-				now := time.Now().UnixNano()
-				c.mu.Lock()
-				hist, count, stages, ev := c.hist, c.sinkCount, c.stages, c.events
-				c.mu.Unlock()
-				for _, t := range batch {
-					if !c.sinkAdmit(t) {
-						continue // duplicate delivery (recovery re-send)
-					}
-					lat := float64(now-t.Ts) / float64(time.Second)
-					c.record(lat)
-					if hist != nil {
-						hist.Observe(lat)
-					}
-					if count != nil {
-						count.Inc()
-					}
-					if t.Flags&TupleTraced != 0 {
-						// Final stage boundary: the latency is computed at the
-						// same instant, so the tuple's stage durations
-						// telescope to exactly this sink latency.
-						var deliver float64
-						if t.TraceTs > 0 {
-							deliver = float64(now-t.TraceTs) / float64(time.Second)
-						}
-						stages.Observe(obs.StageDeliver, deliver)
-						ev.Emit(obs.LevelDebug, obs.EventSpan, "stage", "sink",
-							"stream", int(t.Stream), "seq", t.Seq, "ts", t.Ts,
-							"deliver", deliver, "latency", lat)
-					}
-				}
+				c.recordBatch(batch, time.Now().UnixNano())
 			}
 		}()
 	}

@@ -1,0 +1,156 @@
+package engine
+
+import (
+	"testing"
+	"time"
+)
+
+// Layer microbenchmarks for the three things the data plane decides once per
+// run: the route entry (BenchmarkIngressChunk), the operator mutex
+// (BenchmarkWorkerRun) and the sink lock (BenchmarkSinkBatch). Each moves
+// one 256-tuple run per iteration and reports ns/tuple; the end-to-end
+// figure they add up to is benchmark/'s cpu_ns_per_item on `chain`.
+
+// hotPathNode is one zero-cost pass-through operator from stream 1 to stream
+// 2, whose tuples leave for a peer nothing listens on: the peer's ring fills
+// once and from then on refuses the run, so no writer goroutine competes
+// with the measured one.
+func hotPathNode(tb testing.TB) *Node {
+	tb.Helper()
+	n, err := NewNodeConfig("127.0.0.1:0", 1e6, NodeConfig{BackoffBase: time.Hour, BackoffMax: time.Hour})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { n.Close() })
+	if err := n.deploy(&NodeSpec{
+		Ops:    []OpSpec{{ID: 0, Kind: "map", Selectivity: 1, Inputs: []int{1}, Out: 2}},
+		Routes: map[int][]Dest{1: {{Local: true, LocalOp: 0}}, 2: {{Addr: deadAddr(tb)}}},
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+// parkLane swaps lane li for one no worker serves, so the caller can admit
+// into it and empty it itself without the lane worker racing it for the
+// tuples. The served lane is put back before the node closes (Close wakes
+// workers through n.lanes).
+func parkLane(tb testing.TB, n *Node, li int) *lane {
+	served := n.lanes[li]
+	parked := newLane(uint32(li), served.cap)
+	n.lanes[li] = parked
+	tb.Cleanup(func() { n.lanes[li] = served })
+	return parked
+}
+
+func (l *lane) empty() {
+	l.mu.Lock()
+	l.queue, l.qhead = l.queue[:0], 0
+	l.mu.Unlock()
+}
+
+func reportPerTuple(b *testing.B, perIter int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perIter), "ns/tuple")
+}
+
+// One ingress chunk: route-entry lookup, per-lane bucketing, one lane
+// admission.
+func BenchmarkIngressChunk(b *testing.B) {
+	n := hotPathNode(b)
+	l := parkLane(b, n, 0)
+	chunk := seqRun(1, 0, batchMax)
+	n.enqueueChunk(chunk)
+	l.empty()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.enqueueChunk(chunk)
+		l.empty()
+	}
+	reportPerTuple(b, batchMax)
+}
+
+// One worker run: 256 operator steps, the run's accounting and routeBatch
+// into the dead peer's ring.
+func BenchmarkWorkerRun(b *testing.B) {
+	n := hotPathNode(b)
+	run := workerRun{locals: make([][]Tuple, n.workers), tuples: seqRun(1, 0, batchMax)}
+	for i := 0; i < 2*DefaultOutboxCap/batchMax; i++ {
+		n.processRun(n.lanes[0], &run) // fill the ring, grow the scratch
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.processRun(n.lanes[0], &run)
+	}
+	reportPerTuple(b, batchMax)
+}
+
+// One sink batch: the locked helper alone, without and with the dedup rule.
+func BenchmarkSinkBatch(b *testing.B) {
+	for _, dedup := range []bool{false, true} {
+		name := "dedup=off"
+		if dedup {
+			name = "dedup=on"
+		}
+		b.Run(name, func(b *testing.B) {
+			c, err := NewCollector("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			c.SetDedup(dedup)
+			batch := seqRun(1, 0, batchMax)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range batch {
+					batch[j].Seq += batchMax // fresh sequences: nothing is a duplicate
+				}
+				c.recordBatch(batch, int64(time.Second))
+			}
+			reportPerTuple(b, batchMax)
+		})
+	}
+}
+
+// After warm-up none of the three layers allocates per run.
+func TestHotPathSteadyStateAllocs(t *testing.T) {
+	n := hotPathNode(t)
+	l := parkLane(t, n, 0)
+	chunk := seqRun(1, 0, batchMax)
+	ingress := func() {
+		n.enqueueChunk(chunk)
+		l.empty()
+	}
+	run := workerRun{locals: make([][]Tuple, n.workers), tuples: seqRun(1, 0, batchMax)}
+	worker := func() { n.processRun(l, &run) }
+	c, err := NewCollector("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetSampleCap(batchMax)
+	c.SetDedup(true)
+	batch := seqRun(1, 0, batchMax)
+	sink := func() {
+		for j := range batch {
+			batch[j].Seq += batchMax
+		}
+		c.recordBatch(batch, int64(time.Second))
+	}
+	for _, layer := range []struct {
+		name string
+		run  func()
+	}{{"enqueueChunk", ingress}, {"processRun", worker}, {"recordBatch", sink}} {
+		if raceEnabled && layer.name == "enqueueChunk" {
+			continue // its scratch is pooled; see raceEnabled
+		}
+		for i := 0; i < 2*DefaultOutboxCap/batchMax; i++ {
+			layer.run() // grow the reusable buffers, fill the dead peer's ring
+		}
+		if allocs := testing.AllocsPerRun(100, layer.run); allocs != 0 {
+			t.Errorf("steady-state %s allocates %.1f times per %d-tuple run", layer.name, allocs, batchMax)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Worker lanes — the node's sharded ingress and multi-worker data plane.
@@ -27,7 +28,7 @@ import (
 //
 // Route mutations (deploy, addop/removeop during migration, repart) can
 // re-pin a stream to a different lane; liveOp state is mutex-guarded (see
-// process) so such transitions are safe, and the transient cross-lane
+// workerRun.hold) so such transitions are safe, and the transient cross-lane
 // reordering they allow is the same reordering migration relays already
 // introduce.
 
@@ -118,7 +119,6 @@ func (l *lane) admit(ts []Tuple, policy ShedPolicy) admitResult {
 			victim := ts[i]
 			if policy == DropOldest {
 				victim = l.queue[l.qhead]
-				l.queue[l.qhead] = Tuple{}
 				l.qhead++
 				l.queue = append(l.queue, ts[i])
 				res.admitted = true
@@ -155,34 +155,45 @@ func (l *lane) requeue(ts []Tuple) {
 }
 
 // routeState is the node's copy-on-write routing snapshot: the data-plane
-// hot paths (ingress admission, worker consumer resolution, egress
-// routing) read it with one atomic load and then walk immutable maps, so
-// they never contend with control-plane mutations. Mutators (deploy,
-// addop, removeop, repart) serialize on n.mu, clone the state, and publish
-// the successor with n.route.Store. liveOp pointers and partTable counts
-// slices are shared across snapshots: operator state follows the operator,
-// and per-slot counters (atomics) keep accumulating across repartitions.
+// hot paths (ingress admission, the lane workers, egress routing) read it
+// with one atomic load and then walk immutable state, so they never contend
+// with control-plane mutations. Everything the data plane needs to know
+// about one stream sits in that stream's streamRoute, so a loop that holds a
+// run of tuples looks the entry up once per run of equal Stream, not once
+// per question per tuple. Mutators (deploy, addop, removeop, repart)
+// serialize on n.mu, clone the state, edit the clone, call complete and
+// publish the successor with n.route.Store. liveOp pointers and partTable
+// counts slices are shared across snapshots: operator state follows the
+// operator, and per-slot counters (atomics) keep accumulating across
+// repartitions.
 type routeState struct {
-	spec   *NodeSpec
-	ops    map[int]*liveOp
-	subs   map[int][]int  // stream → local consumer ops
-	fwd    map[int][]Dest // stream → remote destinations (producer side)
-	relays map[int][]Dest // stream → relay targets for *inbound* tuples
-	parts  map[int]*partTable
-	xfer   map[int]float64
-	laneOf map[int32]uint32 // stream → pinned lane (consumer-group hash)
+	spec    *NodeSpec
+	ops     map[int]*liveOp
+	streams map[int32]*streamRoute
 }
 
+// streamRoute is one stream's routing entry. The first group of fields is
+// what mutators edit (on an unpublished clone); the second is derived from
+// it by routeState.complete, so the hot paths never resolve an operator id,
+// hash a stream or divide by the capacity per tuple. A published entry is
+// immutable.
+type streamRoute struct {
+	subs   []int      // local consumer operator ids
+	fwd    []Dest     // remote destinations of tuples produced here
+	relays []Dest     // where *inbound* tuples follow a consumer that left
+	part   *partTable // keyed routing table; nil for a broadcast stream
+	xfer   float64    // transfer cost, cost units per tuple crossing a link
+
+	cons   []*liveOp // subs that are installed here, in subs order
+	lane   uint32    // pinned lane (consumer-group hash, see complete)
+	xferNs int64     // xfer as virtual-CPU ns at this node's capacity
+}
+
+// noRoute is the entry of every stream the snapshot does not mention.
+var noRoute streamRoute
+
 func emptyRouteState() *routeState {
-	return &routeState{
-		ops:    map[int]*liveOp{},
-		subs:   map[int][]int{},
-		fwd:    map[int][]Dest{},
-		relays: map[int][]Dest{},
-		parts:  map[int]*partTable{},
-		xfer:   map[int]float64{},
-		laneOf: map[int32]uint32{},
-	}
+	return &routeState{ops: map[int]*liveOp{}, streams: map[int32]*streamRoute{}}
 }
 
 // nodeID returns the deployed node id (-1 before deployment).
@@ -193,56 +204,62 @@ func (rs *routeState) nodeID() int {
 	return rs.spec.NodeID
 }
 
-// clone deep-copies the routing maps (sharing liveOp pointers and
+// lookup returns the stream's entry (never nil: unmentioned streams share
+// the empty noRoute entry).
+func (rs *routeState) lookup(sid int32) *streamRoute {
+	if sr := rs.streams[sid]; sr != nil {
+		return sr
+	}
+	return &noRoute
+}
+
+// stream returns the entry a mutator edits, creating it on first mention.
+func (rs *routeState) stream(sid int) *streamRoute {
+	sr := rs.streams[int32(sid)]
+	if sr == nil {
+		sr = &streamRoute{}
+		rs.streams[int32(sid)] = sr
+	}
+	return sr
+}
+
+// clone deep-copies the routing state (sharing liveOp pointers and
 // partition-count slices, see routeState) so a mutator can edit freely
-// before publishing.
+// before publishing. The derived fields are copied as they are and rebuilt
+// by complete.
 func (rs *routeState) clone() *routeState {
 	c := &routeState{
-		spec:   rs.spec,
-		ops:    make(map[int]*liveOp, len(rs.ops)),
-		subs:   make(map[int][]int, len(rs.subs)),
-		fwd:    make(map[int][]Dest, len(rs.fwd)),
-		relays: make(map[int][]Dest, len(rs.relays)),
-		parts:  make(map[int]*partTable, len(rs.parts)),
-		xfer:   make(map[int]float64, len(rs.xfer)),
+		spec:    rs.spec,
+		ops:     make(map[int]*liveOp, len(rs.ops)),
+		streams: make(map[int32]*streamRoute, len(rs.streams)),
 	}
 	for k, v := range rs.ops {
 		c.ops[k] = v
 	}
-	for k, v := range rs.subs {
-		c.subs[k] = append([]int(nil), v...)
-	}
-	for k, v := range rs.fwd {
-		c.fwd[k] = append([]Dest(nil), v...)
-	}
-	for k, v := range rs.relays {
-		c.relays[k] = append([]Dest(nil), v...)
-	}
-	for k, v := range rs.parts {
-		c.parts[k] = v.clone()
-	}
-	for k, v := range rs.xfer {
-		c.xfer[k] = v
+	for sid, sr := range rs.streams {
+		cp := *sr
+		cp.subs = append([]int(nil), sr.subs...)
+		cp.fwd = append([]Dest(nil), sr.fwd...)
+		cp.relays = append([]Dest(nil), sr.relays...)
+		if sr.part != nil {
+			cp.part = sr.part.clone()
+		}
+		c.streams[sid] = &cp
 	}
 	return c
 }
 
-// computeLanes (re)derives the stream → lane pinning from the subscription
-// map: streams sharing a consumer operator are unioned into one group (so
-// a join or merge is fed by a single lane), and each group hashes its
-// lowest stream id to a lane. Called by mutators before publishing.
-func (rs *routeState) computeLanes(w uint32) {
-	rs.laneOf = make(map[int32]uint32, len(rs.subs))
-	if w <= 1 {
-		for sid := range rs.subs {
-			rs.laneOf[int32(sid)] = 0
-		}
-		return
-	}
+// complete derives every entry's resolved fields from the edited ones; each
+// mutator calls it on its clone right before publishing. Consumers are the
+// subscribed operators installed here; partition tables get their per-slot
+// resolution; and streams are pinned to lanes: streams sharing a consumer
+// operator are unioned into one group (so a join or merge is fed by a single
+// lane), and each group hashes its lowest stream id to a lane.
+func (rs *routeState) complete(w uint32, capacity float64) {
 	// Union-find over stream ids, keyed by shared consumer op.
-	parent := map[int]int{}
-	var find func(x int) int
-	find = func(x int) int {
+	parent := map[int32]int32{}
+	var find func(x int32) int32
+	find = func(x int32) int32 {
 		p, ok := parent[x]
 		if !ok || p == x {
 			parent[x] = x
@@ -252,7 +269,7 @@ func (rs *routeState) computeLanes(w uint32) {
 		parent[x] = r
 		return r
 	}
-	union := func(a, b int) {
+	union := func(a, b int32) {
 		ra, rb := find(a), find(b)
 		if ra == rb {
 			return
@@ -262,33 +279,37 @@ func (rs *routeState) computeLanes(w uint32) {
 		}
 		parent[rb] = ra
 	}
-	byOp := map[int]int{} // op id → representative input stream
-	for sid, ids := range rs.subs {
-		find(sid)
-		for _, id := range ids {
+	byOp := map[int]int32{} // op id → representative input stream
+	for sid, sr := range rs.streams {
+		sr.cons = nil
+		for _, id := range sr.subs {
+			if op := rs.ops[id]; op != nil {
+				sr.cons = append(sr.cons, op)
+			}
 			if rep, ok := byOp[id]; ok {
 				union(rep, sid)
 			} else {
 				byOp[id] = sid
 			}
 		}
+		sr.xferNs = max(0, int64(time.Duration(sr.xfer/capacity*float64(time.Second))))
+		if sr.part != nil {
+			sr.part.complete(rs)
+		}
 	}
-	for sid := range rs.subs {
-		rs.laneOf[int32(sid)] = fibLane(uint64(uint32(find(sid))), w)
+	for sid, sr := range rs.streams {
+		sr.lane = fibLane(uint64(uint32(find(sid))), w)
 	}
 }
 
-// laneFor assigns one tuple to its lane: targeted (keyed) tuples hash the
-// addressed replica, broadcast tuples use their stream's pinned consumer
-// group, and unrouted streams fall back to a plain stream hash.
-func (rs *routeState) laneFor(t *Tuple, w uint32) uint32 {
+// laneFor assigns one tuple of the stream to its lane: targeted (keyed)
+// tuples hash the addressed replica, whatever the stream's pinning;
+// everything else goes to the stream's pinned consumer group.
+func (sr *streamRoute) laneFor(t *Tuple, w uint32) uint32 {
 	if t.target != 0 {
 		return fibLane(uint64(uint32(t.target)), w)
 	}
-	if l, ok := rs.laneOf[t.Stream]; ok {
-		return l
-	}
-	return fibLane(uint64(uint32(t.Stream)), w)
+	return sr.lane
 }
 
 // clone copies a partition table for a copy-on-write route mutation. The
@@ -302,6 +323,7 @@ func (pt *partTable) clone() *partTable {
 		shards: append([]Dest(nil), pt.shards...),
 		ops:    append([]int(nil), pt.ops...),
 		counts: pt.counts,
+		route:  pt.route,
 		relay:  make(map[int]string, len(pt.relay)),
 	}
 	for k, v := range pt.relay {

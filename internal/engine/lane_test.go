@@ -187,29 +187,33 @@ func TestLaneOrderingEndToEnd(t *testing.T) {
 // their addressed replica regardless of the stream pinning.
 func TestComputeLanesGroupsSharedConsumers(t *testing.T) {
 	rs := emptyRouteState()
-	rs.subs[1] = []int{0}
-	rs.subs[2] = []int{0} // joins op 0 with stream 1
-	rs.subs[3] = []int{1}
-	rs.subs[4] = []int{1, 2} // chains: op 1 ties 3+4, op 2 ties 4+5
-	rs.subs[5] = []int{2}
-	rs.computeLanes(4)
-	if rs.laneOf[1] != rs.laneOf[2] {
-		t.Fatalf("join inputs split across lanes: %d vs %d", rs.laneOf[1], rs.laneOf[2])
+	rs.stream(1).subs = []int{0}
+	rs.stream(2).subs = []int{0} // joins op 0 with stream 1
+	rs.stream(3).subs = []int{1}
+	rs.stream(4).subs = []int{1, 2} // chains: op 1 ties 3+4, op 2 ties 4+5
+	rs.stream(5).subs = []int{2}
+	rs.complete(4, 1)
+	lane := func(sid int32) uint32 { return rs.lookup(sid).lane }
+	if lane(1) != lane(2) {
+		t.Fatalf("join inputs split across lanes: %d vs %d", lane(1), lane(2))
 	}
-	if rs.laneOf[3] != rs.laneOf[4] || rs.laneOf[4] != rs.laneOf[5] {
-		t.Fatalf("transitively shared consumers split: %v", rs.laneOf)
+	if lane(3) != lane(4) || lane(4) != lane(5) {
+		t.Fatalf("transitively shared consumers split: %d %d %d", lane(3), lane(4), lane(5))
 	}
 	// A targeted tuple ignores the stream pinning: its lane is the replica
 	// hash, stable for a given target across any route snapshot.
 	tt := Tuple{Stream: 1, target: 7}
-	if got, want := rs.laneFor(&tt, 4), fibLane(7, 4); got != want {
+	if got, want := rs.lookup(1).laneFor(&tt, 4), fibLane(7, 4); got != want {
 		t.Fatalf("targeted lane = %d, want %d", got, want)
 	}
+	if tt.target = 0; rs.lookup(1).laneFor(&tt, 4) != lane(1) {
+		t.Fatalf("untargeted lane = %d, want the pinned %d", rs.lookup(1).laneFor(&tt, 4), lane(1))
+	}
 	// Single lane: everything collapses to lane 0.
-	rs.computeLanes(1)
-	for sid, l := range rs.laneOf {
-		if l != 0 {
-			t.Fatalf("w=1: stream %d on lane %d", sid, l)
+	rs.complete(1, 1)
+	for sid, sr := range rs.streams {
+		if sr.lane != 0 {
+			t.Fatalf("w=1: stream %d on lane %d", sid, sr.lane)
 		}
 	}
 }

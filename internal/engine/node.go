@@ -204,10 +204,15 @@ type nodeProbe struct {
 type liveOp struct {
 	spec OpSpec
 
-	// mu guards the operator's mutable state. Steady state it is
-	// uncontended (one lane owns the operator's input streams); it exists
-	// for the transient window where a route republish moves a stream to
-	// another lane while the old lane still drains queued tuples.
+	// mu guards the operator's mutable state. A lane worker keeps it from
+	// one tuple to the next while consecutive tuples step this operator
+	// (workerRun.hold) and drops it before it sleeps, observes, emits or
+	// routes, so it is held for at most one run's worth of operator steps
+	// between two pacing sleeps. Steady state nobody waits for it: one lane
+	// owns the operator's input streams. The other takers are the transient
+	// window where a route republish moves a stream to another lane while
+	// the old lane still drains queued tuples, tryCheckpoint (only at a
+	// drained moment) and recovery (before any worker runs).
 	mu        sync.Mutex
 	selAcc    float64
 	window    [2][]int64 // join windows: origin-arrival wall ns per side
@@ -219,11 +224,12 @@ type liveOp struct {
 // slots map to shard indices, shard indices to destinations (a co-located
 // replica, or a remote replica home). relay records the new home of a
 // replica that migrated away from this node, so keyed tuples addressed to
-// the departed copy follow it instead of vanishing. counts accumulates
-// per-slot routed tuples on the splitter's home — the observed slot rates
-// skew-aware repartitioning feeds on; its entries are accessed atomically
-// and the slice is shared across route snapshots. The other fields are
-// immutable once the table is published in a snapshot.
+// the departed copy follow it instead of vanishing. route is the per-slot
+// answer the data plane reads, derived from the other fields by complete.
+// counts accumulates per-slot routed tuples on the splitter's home — the
+// observed slot rates skew-aware repartitioning feeds on; its entries are
+// accessed atomically and the slice is shared across route snapshots. The
+// other fields are immutable once the table is published in a snapshot.
 type partTable struct {
 	parent string
 	k      int
@@ -231,7 +237,18 @@ type partTable struct {
 	shards []Dest
 	ops    []int
 	counts []int64
+	route  []slotDest
 	relay  map[int]string
+}
+
+// slotDest is where one partition slot's tuples go from this node: target
+// is the owning replica's local operator id + 1 when it is installed here
+// (the Tuple.target encoding), otherwise addr is where to send — the
+// replica's remote home, or the recorded new home of a replica that
+// migrated away. Both zero means the tuple has nowhere to go.
+type slotDest struct {
+	target int32
+	addr   string
 }
 
 func newPartTable(ps *PartitionSpec) *partTable {
@@ -257,20 +274,22 @@ func slotOf(t *Tuple) int {
 	return query.SlotOfKey(k)
 }
 
-// resolve maps one partition slot to where its tuples go from this node:
-// target is the owning replica's local operator id + 1 when it is installed
-// here (the Tuple.target encoding), otherwise addr is where to send — the
-// replica's remote home, or the recorded new home of a replica that
-// migrated away. Both zero means the tuple has nowhere to go.
-func (pt *partTable) resolve(rs *routeState, slot int) (target int32, addr string) {
-	d := pt.shards[pt.slots[slot]]
-	if !d.Local {
-		return 0, d.Addr
+// complete resolves every slot against the operators installed in rs. It
+// builds a fresh route slice: the previous one may belong to a published
+// snapshot.
+func (pt *partTable) complete(rs *routeState) {
+	pt.route = make([]slotDest, len(pt.slots))
+	for slot, shard := range pt.slots {
+		d := pt.shards[shard]
+		switch {
+		case !d.Local:
+			pt.route[slot].addr = d.Addr
+		case rs.ops[d.LocalOp] != nil:
+			pt.route[slot].target = int32(d.LocalOp) + 1
+		default:
+			pt.route[slot].addr = pt.relay[d.LocalOp]
+		}
 	}
-	if _, ok := rs.ops[d.LocalOp]; ok {
-		return int32(d.LocalOp) + 1, ""
-	}
-	return 0, pt.relay[d.LocalOp]
 }
 
 // NewNode starts a node listening on addr ("127.0.0.1:0" for an ephemeral
@@ -645,9 +664,9 @@ func (sc *ingressScratch) reset() {
 }
 
 // enqueueChunk routes one ingress chunk: it loads the route snapshot once,
-// buckets admissible tuples per worker lane, then admits each bucket with
-// one lane-lock acquisition. No node-wide lock is taken anywhere on this
-// path.
+// fetches a stream's entry once per run of equal Stream, buckets admissible
+// tuples per worker lane, then admits each bucket with one lane-lock
+// acquisition. No node-wide lock is taken anywhere on this path.
 func (n *Node) enqueueChunk(chunk []Tuple) {
 	if n.closed.Load() {
 		return
@@ -660,8 +679,13 @@ func (n *Node) enqueueChunk(chunk []Tuple) {
 	var xferBusy int64
 	nodeID := rs.nodeID()
 	n.injected.Add(int64(len(chunk)))
+	var sr *streamRoute
+	var sid int32
 	for ci := range chunk {
 		t := &chunk[ci]
+		if sr == nil || t.Stream != sid {
+			sid, sr = t.Stream, rs.lookup(t.Stream)
+		}
 		// Mark trace samples at first ingress unless the source already
 		// flagged them (TraceTs starts from the origin Ts, keeping the
 		// telescoped sum equal to the sink latency).
@@ -682,51 +706,44 @@ func (n *Node) enqueueChunk(chunk []Tuple) {
 				sc.spans = append(sc.spans, ingressSpan{stream: t.Stream, seq: t.Seq, ts: t.Ts, wait: wait})
 			}
 		}
-		// Receive-side transfer CPU cost.
-		if x := rs.xfer[int(t.Stream)]; x > 0 {
-			xferBusy += int64(time.Duration(x / n.capacity * float64(time.Second)))
-		}
+		xferBusy += sr.xferNs // receive-side transfer CPU cost
 		// Keyed (sharded) streams route through the partition table: each
 		// tuple goes to exactly one replica — targeted locally when that
-		// replica lives here, forwarded to its home otherwise. The broadcast
-		// subs/relays paths below never see partitioned streams.
-		var relay []Dest
-		var partFwd [1]Dest
-		hasLocal := false
-		if pt := rs.parts[int(t.Stream)]; pt != nil {
-			target, addr := pt.resolve(rs, slotOf(t))
-			if target != 0 {
-				t.target = target
-				hasLocal = true
-			} else if addr != "" {
-				partFwd[0] = Dest{Addr: addr}
-				relay = partFwd[:]
+		// replica lives here, forwarded to its home otherwise. They never
+		// take the broadcast subs/relays path below.
+		if pt := sr.part; pt != nil {
+			switch d := &pt.route[slotOf(t)]; {
+			case d.target != 0:
+				t.target = d.target
+				li := sr.laneFor(t, n.workers)
+				sc.perLane[li] = append(sc.perLane[li], *t)
+			case d.addr != "":
+				sc.relays.add(d.addr, *t)
+			default:
+				n.dropNoRoute(sc, sid)
 			}
-		} else {
-			relay = rs.relays[int(t.Stream)]
-			hasLocal = len(rs.subs[int(t.Stream)]) > 0
+			continue
 		}
-		if hasLocal {
-			li := rs.laneFor(t, n.workers)
+		if len(sr.subs) > 0 {
+			li := sr.laneFor(t, n.workers)
 			sc.perLane[li] = append(sc.perLane[li], *t)
-		} else if len(relay) == 0 {
-			// No local consumer and no relay route: the tuple has nowhere
-			// to go. Count it (and warn once per stream) instead of
-			// silently absorbing it into the injected count.
-			n.dropNoRt.Add(1)
-			n.warnMu.Lock()
-			if !n.noRouteWarned[t.Stream] {
-				n.noRouteWarned[t.Stream] = true
-				sc.noRoute = append(sc.noRoute, t.Stream)
-			}
-			n.warnMu.Unlock()
+		} else if len(sr.relays) == 0 {
+			n.dropNoRoute(sc, sid)
 		}
-		for _, d := range relay {
+		for _, d := range sr.relays {
 			sc.relays.add(d.Addr, *t)
 		}
 	}
 	if xferBusy > 0 {
 		n.busy.Add(xferBusy)
+	}
+	// Ingress spans go out before the tuples become visible to a lane
+	// worker, so a tuple's "process" span can never precede its "ingress"
+	// span in the event log.
+	for _, sp := range sc.spans {
+		ev.Emit(obs.LevelDebug, obs.EventSpan, "stage", "ingress",
+			"node", nodeID, "stream", int(sp.stream), "seq", sp.seq,
+			"ts", sp.ts, "wait", sp.wait)
 	}
 	for li := range sc.perLane {
 		if len(sc.perLane[li]) == 0 {
@@ -745,11 +762,6 @@ func (n *Node) enqueueChunk(chunk []Tuple) {
 		ev.Emit(obs.LevelWarn, obs.EventNoRoute,
 			"node", nodeID, "stream", int(sid))
 	}
-	for _, sp := range sc.spans {
-		ev.Emit(obs.LevelDebug, obs.EventSpan, "stage", "ingress",
-			"node", nodeID, "stream", int(sp.stream), "seq", sp.seq,
-			"ts", sp.ts, "wait", sp.wait)
-	}
 	// Relays are best-effort: the per-peer outbox absorbs (or drops) the
 	// run without ever blocking the receive path, and link failures
 	// surface as warn events latched per destination (re-armed on
@@ -758,6 +770,19 @@ func (n *Node) enqueueChunk(chunk []Tuple) {
 		n.sendBatch(sc.relays[i].addr, sc.relays[i].ts)
 	}
 	n.scratch.Put(sc)
+}
+
+// dropNoRoute counts one inbound tuple that has neither a local consumer
+// nor a relay route (instead of silently absorbing it into the injected
+// count) and queues the stream's one-shot warn event.
+func (n *Node) dropNoRoute(sc *ingressScratch, sid int32) {
+	n.dropNoRt.Add(1)
+	n.warnMu.Lock()
+	if !n.noRouteWarned[sid] {
+		n.noRouteWarned[sid] = true
+		sc.noRoute = append(sc.noRoute, sid)
+	}
+	n.warnMu.Unlock()
 }
 
 // QueueLen returns the current work-queue length summed over lanes.
@@ -1010,7 +1035,11 @@ func (n *Node) Stats() *NodeStats {
 		}
 	}
 	s.ShedByStream = shedBy
-	for sid, pt := range rs.parts {
+	for sid, sr := range rs.streams {
+		pt := sr.part
+		if pt == nil {
+			continue
+		}
 		routed := false
 		for i := range pt.counts {
 			if atomic.LoadInt64(&pt.counts[i]) > 0 {
@@ -1028,7 +1057,7 @@ func (n *Node) Stats() *NodeStats {
 		for i := range pt.counts {
 			counts[i] = atomic.LoadInt64(&pt.counts[i])
 		}
-		s.PartCounts[sid] = counts
+		s.PartCounts[int(sid)] = counts
 	}
 	if n.started.Load() {
 		elapsed := time.Duration(time.Now().UnixNano() - n.startNano.Load())

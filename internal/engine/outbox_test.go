@@ -44,7 +44,7 @@ func TestBackoffSchedule(t *testing.T) {
 }
 
 // deadAddr returns a localhost address nothing is listening on.
-func deadAddr(t *testing.T) string {
+func deadAddr(t testing.TB) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

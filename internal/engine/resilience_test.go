@@ -52,11 +52,13 @@ func TestCollectorReservoirSampling(t *testing.T) {
 	}
 	defer c.Close()
 	c.SetSampleCap(100)
-	for i := 0; i < 5000; i++ {
-		c.record(1.0)
-	}
-	for i := 0; i < 5000; i++ {
-		c.record(2.0)
+	// Tuples stamped Ts = 0 and received at now have latency now: a 1 s
+	// phase, then a 2 s phase, 5000 tuples each in batches of 50.
+	batch := make([]Tuple, 50)
+	for _, now := range []time.Duration{time.Second, 2 * time.Second} {
+		for i := 0; i < 100; i++ {
+			c.recordBatch(batch, int64(now))
+		}
 	}
 	sum, ok := c.LatencySummary()
 	if !ok {

@@ -5,19 +5,20 @@ import (
 	"time"
 
 	"rodsp/internal/obs"
+	"rodsp/internal/query"
 	"rodsp/internal/stats"
 )
 
 // workerRun holds one lane worker's reusable per-run scratch: the drained
-// tuples, the per-stream consumer cache (resolved lazily from the immutable
-// route snapshot — no lock needed), emitted outputs, per-destination
-// forward groups, local re-entry buckets per lane, and the per-operator
-// estimator samples accumulated over the run. Reuse keeps the steady-state
-// dequeue path allocation-free.
+// tuples, emitted outputs, the operator whose mutex the worker currently
+// holds, the targeted-delivery cache, per-destination forward groups, local
+// re-entry buckets per lane, and the per-operator estimator samples
+// accumulated over the run. Reuse keeps the steady-state dequeue path
+// allocation-free.
 type workerRun struct {
 	tuples  []Tuple
 	outs    []Tuple
-	cons    []consEntry
+	held    *liveOp // operator whose mu this worker holds; see hold
 	tgts    []tgtEntry
 	fwds    destRuns    // queued-before-migration tuples to relay onward
 	egress  destRuns    // routeBatch per-destination remote groups
@@ -56,6 +57,29 @@ func (r *workerRun) flushSamples(est *stats.CostEstimator) {
 	r.samples = r.samples[:0]
 }
 
+// hold makes op the operator this worker has locked. The mutex stays held
+// from one tuple to the next for as long as consecutive tuples step the same
+// operator — a run of one stream with one consumer locks once, a stream with
+// two consumers alternates per tuple — and release drops it: before the next
+// different operator, before every pacing sleep, before a traced tuple's
+// stage observations and span event, and when the tuple loop ends (so never
+// across a sleep, sendBatch, routeBatch, requeue, Emit or Observe).
+func (r *workerRun) hold(op *liveOp) {
+	if r.held == op {
+		return
+	}
+	r.release()
+	op.mu.Lock()
+	r.held = op
+}
+
+func (r *workerRun) release() {
+	if r.held != nil {
+		r.held.mu.Unlock()
+		r.held = nil
+	}
+}
+
 // tgtEntry caches the resolution of one targeted (keyed) delivery for the
 // current run: the addressed replica when it is still installed, or the
 // relay address of its new home when it migrated away mid-queue.
@@ -65,10 +89,11 @@ type tgtEntry struct {
 	relay string
 }
 
-// targetOf returns the cached resolution for a targeted tuple, resolving
-// it from the route snapshot (and the stream's partition-table relay map)
-// on a miss. The snapshot is immutable, so no lock is needed.
-func (r *workerRun) targetOf(rs *routeState, t *Tuple) *tgtEntry {
+// targetOf returns the cached resolution for a targeted tuple of stream
+// entry sr, resolving it from the route snapshot (and the stream's
+// partition-table relay map) on a miss. The snapshot is immutable, so no
+// lock is needed.
+func (r *workerRun) targetOf(rs *routeState, sr *streamRoute, t *Tuple) *tgtEntry {
 	for i := range r.tgts {
 		if r.tgts[i].id == t.target {
 			return &r.tgts[i]
@@ -77,66 +102,11 @@ func (r *workerRun) targetOf(rs *routeState, t *Tuple) *tgtEntry {
 	e := tgtEntry{id: t.target}
 	if op := rs.ops[int(t.target)-1]; op != nil {
 		e.op = op
-	} else if pt := rs.parts[int(t.Stream)]; pt != nil {
-		e.relay = pt.relay[int(t.target)-1]
+	} else if sr.part != nil {
+		e.relay = sr.part.relay[int(t.target)-1]
 	}
 	r.tgts = append(r.tgts, e)
 	return &r.tgts[len(r.tgts)-1]
-}
-
-// consEntry caches one stream's local consumer operators for the current
-// run. liveOp pointers come from the immutable route snapshot; their
-// mutable state is guarded by the per-op mutex. When a stream's
-// subscriptions have all been removed (its operator migrated away between
-// admission and processing), relay carries the stream's relay routes so
-// the drained tuples follow the operator to its new home instead of
-// vanishing.
-type consEntry struct {
-	sid   int32
-	ops   []*liveOp
-	relay []Dest
-}
-
-// consumersOf returns the cached consumer set for sid, resolving it from
-// the route snapshot on a miss.
-func (r *workerRun) consumersOf(rs *routeState, sid int32) []*liveOp {
-	for i := range r.cons {
-		if r.cons[i].sid == sid {
-			return r.cons[i].ops
-		}
-	}
-	if len(r.cons) < cap(r.cons) {
-		r.cons = r.cons[:len(r.cons)+1]
-	} else {
-		r.cons = append(r.cons, consEntry{})
-	}
-	e := &r.cons[len(r.cons)-1]
-	e.sid = sid
-	e.ops = e.ops[:0]
-	for _, id := range rs.subs[int(sid)] {
-		if op := rs.ops[id]; op != nil {
-			e.ops = append(e.ops, op)
-		}
-	}
-	e.relay = e.relay[:0]
-	if len(e.ops) == 0 {
-		// The stream's consumer left after these tuples were admitted
-		// (operator migration). Snapshot the relay routes so the worker can
-		// forward the stranded tuples to the new home.
-		e.relay = append(e.relay, rs.relays[int(sid)]...)
-	}
-	return e.ops
-}
-
-// relayOf returns the relay routes snapshotted for sid (non-empty only
-// when the stream has no local consumers).
-func (r *workerRun) relayOf(sid int32) []Dest {
-	for i := range r.cons {
-		if r.cons[i].sid == sid {
-			return r.cons[i].relay
-		}
-	}
-	return nil
 }
 
 // laneWorker is one lane's share of the node's virtual CPU: it dequeues
@@ -144,7 +114,8 @@ func (r *workerRun) relayOf(sid int32) []Dest {
 // the node-wide virtual-time accumulator (sleeping whenever virtual time
 // runs ahead of wall time), and routes outputs. The lane lock is taken
 // once per run of up to batchMax tuples; all routing state comes from one
-// atomic snapshot load per run.
+// atomic snapshot load per run and one entry lookup per run of equal
+// Stream within it.
 func (n *Node) laneWorker(l *lane) {
 	defer n.wg.Done()
 	run := workerRun{locals: make([][]Tuple, n.workers)}
@@ -161,10 +132,8 @@ func (n *Node) laneWorker(l *lane) {
 		if k > batchMax {
 			k = batchMax
 		}
+		// Tuple holds no pointers, so drained slots need no clearing.
 		run.tuples = append(run.tuples[:0], l.queue[l.qhead:l.qhead+k]...)
-		for i := 0; i < k; i++ {
-			l.queue[l.qhead+i] = Tuple{}
-		}
 		l.qhead += k
 		// Tuples leave the queue before they finish processing; a costly
 		// run can hold them for hundreds of milliseconds. Track the count
@@ -186,127 +155,13 @@ func (n *Node) laneWorker(l *lane) {
 		shedTotal := l.shed.Load()
 		l.mu.Unlock()
 
-		rs := n.route.Load()
-		nodeID := rs.nodeID()
-		ev, stages, _ := n.observer()
 		if shedClear {
+			ev, _, _ := n.observer()
 			ev.Emit(obs.LevelInfo, obs.EventShedClear,
-				"node", nodeID, "lane", int(l.id), "queue", qlen, "cap", l.cap,
+				"node", n.route.Load().nodeID(), "lane", int(l.id), "queue", qlen, "cap", l.cap,
 				"shed", shedTotal)
 		}
-
-		// Process the run outside any lock, pacing per tuple against a
-		// locally accumulated busy delta (concurrent charges from other
-		// lanes and the ingress transfer cost land in n.busy and are picked
-		// up at the next flush).
-		started := n.started.Load()
-		startNano := n.startNano.Load()
-		busyBase := n.busy.Load()
-		var busyDelta, laneBusy int64
-		var stranded int64
-		run.outs = run.outs[:0]
-		run.fwds.reset()
-		run.cons = run.cons[:0]
-		run.tgts = run.tgts[:0]
-		for _, t := range run.tuples {
-			var cost float64
-			outsBefore := len(run.outs)
-			// Stage boundary: a traced tuple leaves the queue now; the time
-			// since its ingress admission is queue wait, the time until its
-			// outputs are ready (including virtual-CPU pacing) is service.
-			tracedT := t.Flags&TupleTraced != 0 && t.Stream != stallStream
-			var svcStart int64
-			if tracedT {
-				svcStart = time.Now().UnixNano()
-			}
-			if t.Stream == stallStream {
-				// Migration state-transfer pause: Value already carries the
-				// cost units making svc = Value/capacity = the stall seconds.
-				cost = t.Value
-			} else if t.target != 0 {
-				// Targeted (keyed) delivery: exactly one addressed replica,
-				// never the stream's broadcast consumer set. If the replica
-				// migrated between admission and draining, forward to its
-				// recorded new home; with no record left, count the loss.
-				if e := run.targetOf(rs, &t); e.op != nil {
-					cost = n.process(&run, e.op, t)
-				} else if e.relay != "" {
-					run.fwds.add(e.relay, t)
-				} else {
-					stranded++
-				}
-			} else if cons := run.consumersOf(rs, t.Stream); len(cons) > 0 {
-				for _, op := range cons {
-					cost += n.process(&run, op, t)
-				}
-			} else {
-				// Admitted while a local consumer existed, drained after it
-				// migrated away: relay toward the new home, or — with no
-				// relay route left — count the loss instead of silently
-				// absorbing the tuple (the conservation ledger audits this).
-				relay := run.relayOf(t.Stream)
-				if len(relay) == 0 {
-					stranded++
-				}
-				for _, d := range relay {
-					run.fwds.add(d.Addr, t)
-				}
-			}
-			if cost > 0 {
-				d := int64(time.Duration(cost / n.capacity * float64(time.Second)))
-				busyDelta += d
-				laneBusy += d
-				if started {
-					// Pace: virtual time must not run ahead of wall time.
-					ahead := busyBase + busyDelta - (time.Now().UnixNano() - startNano)
-					if ahead > int64(500*time.Microsecond) {
-						// Flush the accumulated virtual time before sleeping
-						// so stats polled mid-sleep see it (a costly run can
-						// carry seconds of virtual time; utilization must not
-						// lag by that much). The zero-cost path never touches
-						// the shared accumulator.
-						busyBase = n.busy.Add(busyDelta)
-						busyDelta = 0
-						time.Sleep(time.Duration(ahead))
-					}
-				}
-			}
-			if tracedT {
-				svcEnd := time.Now().UnixNano()
-				var queueSec float64
-				if t.TraceTs > 0 {
-					queueSec = float64(svcStart-t.TraceTs) / float64(time.Second)
-				}
-				svcSec := float64(svcEnd-svcStart) / float64(time.Second)
-				stages.Observe(obs.StageQueue, queueSec)
-				stages.Observe(obs.StageService, svcSec)
-				// Outputs inherit the service-end boundary, so their next
-				// crossing (outbox residence or local re-queue wait) starts
-				// here and the stage durations keep telescoping.
-				for j := outsBefore; j < len(run.outs); j++ {
-					run.outs[j].TraceTs = svcEnd
-				}
-				ev.Emit(obs.LevelDebug, obs.EventSpan, "stage", "process",
-					"node", nodeID, "stream", int(t.Stream), "seq", t.Seq,
-					"ts", t.Ts, "queue", queueSec, "service", svcSec,
-					"cost", cost, "outs", len(run.outs)-outsBefore)
-			}
-		}
-		if busyDelta > 0 {
-			n.busy.Add(busyDelta)
-		}
-		if laneBusy > 0 {
-			l.busy.Add(laneBusy)
-		}
-		if stranded > 0 {
-			n.dropNoRt.Add(stranded)
-		}
-		l.processed.Add(int64(len(run.tuples)))
-		run.flushSamples(n.estimator)
-		for i := range run.fwds {
-			n.sendBatch(run.fwds[i].addr, run.fwds[i].ts)
-		}
-		n.routeBatch(l, rs, &run)
+		n.processRun(l, &run)
 		// Only after the outputs are routed (and counted) does the run's
 		// in-flight claim lapse — one uncontended lock per run, not per
 		// tuple.
@@ -316,12 +171,141 @@ func (n *Node) laneWorker(l *lane) {
 	}
 }
 
+// processRun steps run.tuples through their operators against one route
+// snapshot, then accounts, forwards and routes what the run produced. It
+// runs outside the lane lock, pacing per tuple against a locally accumulated
+// busy delta (concurrent charges from other lanes and the ingress transfer
+// cost land in n.busy and are picked up at the next flush).
+func (n *Node) processRun(l *lane, run *workerRun) {
+	rs := n.route.Load()
+	nodeID := rs.nodeID()
+	ev, stages, _ := n.observer()
+	started := n.started.Load()
+	startNano := n.startNano.Load()
+	busyBase := n.busy.Load()
+	var busyDelta, laneBusy int64
+	var stranded int64
+	run.outs = run.outs[:0]
+	run.fwds.reset()
+	run.tgts = run.tgts[:0]
+	var sr *streamRoute
+	var sid int32
+	for _, t := range run.tuples {
+		var cost float64
+		outsBefore := len(run.outs)
+		// Stage boundary: a traced tuple leaves the queue now; the time
+		// since its ingress admission is queue wait, the time until its
+		// outputs are ready (including virtual-CPU pacing) is service.
+		tracedT := t.Flags&TupleTraced != 0 && t.Stream != stallStream
+		var svcStart int64
+		if tracedT {
+			svcStart = time.Now().UnixNano()
+		}
+		if t.Stream == stallStream {
+			// Migration state-transfer pause: Value already carries the
+			// cost units making svc = Value/capacity = the stall seconds.
+			cost = t.Value
+		} else {
+			if sr == nil || t.Stream != sid {
+				sid, sr = t.Stream, rs.lookup(t.Stream)
+			}
+			if t.target != 0 {
+				// Targeted (keyed) delivery: exactly one addressed
+				// replica, never the stream's broadcast consumer set. If
+				// the replica migrated between admission and draining,
+				// forward to its recorded new home; with no record left,
+				// count the loss.
+				if e := run.targetOf(rs, sr, &t); e.op != nil {
+					cost = n.process(run, e.op, t)
+				} else if e.relay != "" {
+					run.fwds.add(e.relay, t)
+				} else {
+					stranded++
+				}
+			} else if len(sr.cons) > 0 {
+				for _, op := range sr.cons {
+					cost += n.process(run, op, t)
+				}
+			} else {
+				// Admitted while a local consumer existed, drained after
+				// it migrated away: relay toward the new home, or — with
+				// no relay route left — count the loss instead of
+				// silently absorbing the tuple (the conservation ledger
+				// audits this).
+				if len(sr.relays) == 0 {
+					stranded++
+				}
+				for _, d := range sr.relays {
+					run.fwds.add(d.Addr, t)
+				}
+			}
+		}
+		if cost > 0 {
+			d := int64(time.Duration(cost / n.capacity * float64(time.Second)))
+			busyDelta += d
+			laneBusy += d
+			if started {
+				// Pace: virtual time must not run ahead of wall time.
+				ahead := busyBase + busyDelta - (time.Now().UnixNano() - startNano)
+				if ahead > int64(500*time.Microsecond) {
+					// Flush the accumulated virtual time before sleeping
+					// so stats polled mid-sleep see it (a costly run can
+					// carry seconds of virtual time; utilization must not
+					// lag by that much). The zero-cost path never touches
+					// the shared accumulator.
+					busyBase = n.busy.Add(busyDelta)
+					busyDelta = 0
+					run.release()
+					time.Sleep(time.Duration(ahead))
+				}
+			}
+		}
+		if tracedT {
+			run.release()
+			svcEnd := time.Now().UnixNano()
+			var queueSec float64
+			if t.TraceTs > 0 {
+				queueSec = float64(svcStart-t.TraceTs) / float64(time.Second)
+			}
+			svcSec := float64(svcEnd-svcStart) / float64(time.Second)
+			stages.Observe(obs.StageQueue, queueSec)
+			stages.Observe(obs.StageService, svcSec)
+			// Outputs inherit the service-end boundary, so their next
+			// crossing (outbox residence or local re-queue wait) starts
+			// here and the stage durations keep telescoping.
+			for j := outsBefore; j < len(run.outs); j++ {
+				run.outs[j].TraceTs = svcEnd
+			}
+			ev.Emit(obs.LevelDebug, obs.EventSpan, "stage", "process",
+				"node", nodeID, "stream", int(t.Stream), "seq", t.Seq,
+				"ts", t.Ts, "queue", queueSec, "service", svcSec,
+				"cost", cost, "outs", len(run.outs)-outsBefore)
+		}
+	}
+	run.release()
+	if busyDelta > 0 {
+		n.busy.Add(busyDelta)
+	}
+	if laneBusy > 0 {
+		l.busy.Add(laneBusy)
+	}
+	if stranded > 0 {
+		n.dropNoRt.Add(stranded)
+	}
+	l.processed.Add(int64(len(run.tuples)))
+	run.flushSamples(n.estimator)
+	for i := range run.fwds {
+		n.sendBatch(run.fwds[i].addr, run.fwds[i].ts)
+	}
+	n.routeBatch(l, rs, run)
+}
+
 // process runs one tuple through one operator, appending emitted tuples to
 // run.outs and returning the cost-units consumed. The operator's mutable
-// state is guarded by its own mutex (uncontended while one lane owns the
-// operator's streams; see liveOp).
+// state is guarded by its own mutex, which process leaves held for the next
+// tuple (see workerRun.hold).
 func (n *Node) process(run *workerRun, op *liveOp, t Tuple) float64 {
-	op.mu.Lock()
+	run.hold(op)
 	cost := op.spec.Cost
 	produced := op.spec.Selectivity
 	if op.spec.Kind == "join" {
@@ -346,7 +330,6 @@ func (n *Node) process(run *workerRun, op *liveOp, t Tuple) float64 {
 	op.selAcc -= float64(k)
 	op.processed++
 	out := int32(op.spec.Out)
-	op.mu.Unlock()
 	run.sample(op.spec.ID, int64(k), cost)
 	for i := 0; i < k; i++ {
 		// Outputs inherit the partition key (so downstream sharded stages
@@ -362,10 +345,10 @@ func (n *Node) process(run *workerRun, op *liveOp, t Tuple) float64 {
 
 // routeBatch delivers a run of operator-emitted tuples: local consumers
 // re-enter their lane's queue (bucketed per lane, one lock acquisition per
-// lane); remote destinations are aggregated per peer and pushed onto the
-// lane's SPSC outbox rings (charging send-side transfer cost per accepted
-// tuple). Routing state comes from the run's route snapshot; no node-wide
-// lock is taken.
+// lane); remote destinations are aggregated per peer and offered to that
+// peer's outbox ring in one sendBatch each (charging send-side transfer cost
+// per accepted tuple). Routing state comes from the run's route snapshot,
+// one entry lookup per run of equal Stream; no node-wide lock is taken.
 func (n *Node) routeBatch(l *lane, rs *routeState, run *workerRun) {
 	outs := run.outs
 	if len(outs) == 0 {
@@ -374,37 +357,48 @@ func (n *Node) routeBatch(l *lane, rs *routeState, run *workerRun) {
 	closing := n.closed.Load()
 	run.egress.reset()
 	var localCount int64
+	var tally slotTally // keyed tuples of the current stream, per slot
+	var sr *streamRoute
+	var sid int32
 	for _, t := range outs {
+		if sr == nil || t.Stream != sid {
+			if sr != nil && sr.part != nil {
+				tally.flush(sr.part)
+			}
+			sid, sr = t.Stream, rs.lookup(t.Stream)
+		}
 		// Partitioned (keyed) streams: pick the one replica owning the
 		// tuple's slot — a targeted local re-entry when it lives here, a
 		// grouped remote send otherwise. This is also where the per-slot
 		// rate counters accumulate: every tuple of the keyed stream passes
 		// through its splitter's home exactly once.
-		if pt := rs.parts[int(t.Stream)]; pt != nil {
+		if pt := sr.part; pt != nil {
 			slot := slotOf(&t)
-			atomic.AddInt64(&pt.counts[slot], 1)
-			target, addr := pt.resolve(rs, slot)
-			switch {
-			case target != 0 && !closing:
-				t.target = target
-				li := fibLane(uint64(uint32(target)), n.workers)
+			tally.add(slot)
+			switch d := &pt.route[slot]; {
+			case d.target != 0 && !closing:
+				t.target = d.target
+				li := sr.laneFor(&t, n.workers)
 				run.locals[li] = append(run.locals[li], t)
 				localCount++
-			case addr != "":
-				run.egress.add(addr, t)
+			case d.addr != "":
+				run.egress.add(d.addr, t)
 			default:
 				n.dropNoRt.Add(1)
 			}
 			continue
 		}
-		if len(rs.subs[int(t.Stream)]) > 0 && !closing {
-			li := rs.laneFor(&t, n.workers)
+		if len(sr.subs) > 0 && !closing {
+			li := sr.laneFor(&t, n.workers)
 			run.locals[li] = append(run.locals[li], t)
 			localCount++
 		}
-		for _, d := range rs.fwd[int(t.Stream)] {
+		for _, d := range sr.fwd {
 			run.egress.add(d.Addr, t)
 		}
+	}
+	if sr.part != nil {
+		tally.flush(sr.part)
 	}
 	if localCount > 0 {
 		n.emitted.Add(localCount)
@@ -423,10 +417,11 @@ func (n *Node) routeBatch(l *lane, rs *routeState, run *workerRun) {
 			continue
 		}
 		var xferBusy int64
-		for _, t := range g.ts[:accepted] {
-			if x := rs.xfer[int(t.Stream)]; x > 0 {
-				xferBusy += int64(time.Duration(x / n.capacity * float64(time.Second)))
+		for i := range g.ts[:accepted] {
+			if s := g.ts[i].Stream; sr == nil || s != sid {
+				sid, sr = s, rs.lookup(s)
 			}
+			xferBusy += sr.xferNs
 		}
 		n.emitted.Add(int64(accepted))
 		if xferBusy > 0 {
@@ -434,4 +429,33 @@ func (n *Node) routeBatch(l *lane, rs *routeState, run *workerRun) {
 			l.busy.Add(xferBusy)
 		}
 	}
+}
+
+// slotTally is a run's count of one keyed stream's tuples per slot, kept
+// with the list of slots it touched so that folding it into the shared
+// routed counters costs one atomic add per touched slot: a run that
+// alternates keyed and unkeyed outputs per tuple pays one add per switch, as
+// a per-tuple counter would, and a run of one keyed stream pays at most
+// ShardSlots for the whole run.
+type slotTally struct {
+	counts  [query.ShardSlots]int64
+	touched [query.ShardSlots]uint8
+	n       int
+}
+
+func (st *slotTally) add(slot int) {
+	if st.counts[slot] == 0 {
+		st.touched[st.n] = uint8(slot)
+		st.n++
+	}
+	st.counts[slot]++
+}
+
+// flush adds the tallies to pt's counters and empties the tally.
+func (st *slotTally) flush(pt *partTable) {
+	for _, slot := range st.touched[:st.n] {
+		atomic.AddInt64(&pt.counts[slot], st.counts[slot])
+		st.counts[slot] = 0
+	}
+	st.n = 0
 }
