@@ -142,7 +142,7 @@ func BenchmarkQMCFeasibleRatio(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		feasible.RatioToIdeal(w, 4096)
+		feasible.RatioToIdealFrom(w, nil, 4096)
 	}
 }
 

@@ -63,7 +63,7 @@ func (c Figure9Config) Run() (*Table, error) {
 	}
 	type sample struct{ r, ratio float64 }
 	evals, err := RunTrials(c.Matrices, func(m int) (sample, error) {
-		ratio, err := feasible.RatioToIdeal(ws[m], c.Samples)
+		ratio, err := feasible.RatioToIdealFrom(ws[m], nil, c.Samples)
 		if err != nil {
 			return sample{}, err
 		}

@@ -74,7 +74,7 @@ func checkIdealRatio(rng *rand.Rand, cfg MetamorphicConfig) error {
 		if err != nil {
 			return fmt.Errorf("check: ideal weights: %w", err)
 		}
-		ratio, err := feasible.RatioToIdeal(w, cfg.Samples)
+		ratio, err := feasible.RatioToIdealFrom(w, nil, cfg.Samples)
 		if err != nil {
 			return err
 		}
@@ -99,7 +99,7 @@ func checkRatioMonotone(rng *rand.Rand, cfg MetamorphicConfig) error {
 		for _, alpha := range []float64{1, 1.3, 2, 4} {
 			ws := w.Clone()
 			ws.ScaleInPlace(alpha)
-			ratio, err := feasible.RatioToIdeal(ws, cfg.Samples)
+			ratio, err := feasible.RatioToIdealFrom(ws, nil, cfg.Samples)
 			if err != nil {
 				return err
 			}
@@ -112,7 +112,7 @@ func checkRatioMonotone(rng *rand.Rand, cfg MetamorphicConfig) error {
 			prev = ratio
 		}
 		// Single-row scale-up: overloading one node shrinks (or keeps) the set.
-		base, err := feasible.RatioToIdeal(w, cfg.Samples)
+		base, err := feasible.RatioToIdealFrom(w, nil, cfg.Samples)
 		if err != nil {
 			return err
 		}
@@ -122,7 +122,7 @@ func checkRatioMonotone(rng *rand.Rand, cfg MetamorphicConfig) error {
 		for k := range r {
 			r[k] *= 1.8
 		}
-		scaled, err := feasible.RatioToIdeal(ws, cfg.Samples)
+		scaled, err := feasible.RatioToIdealFrom(ws, nil, cfg.Samples)
 		if err != nil {
 			return err
 		}

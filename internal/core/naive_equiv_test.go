@@ -49,7 +49,13 @@ func placeNaive(lo *mat.Matrix, c mat.Vec, cfg Config) (*placement.Plan, *Report
 	nodeOf := make([]int, m)
 	ln := mat.NewMatrix(n, d)
 	report := &Report{Order: order}
-	for j, node := range cfg.Pinned {
+	var pinned []int
+	for j := range cfg.Pinned {
+		pinned = append(pinned, j)
+	}
+	sort.Ints(pinned)
+	for _, j := range pinned {
+		node := cfg.Pinned[j]
 		nodeOf[j] = node
 		ln.Row(node).AddInPlace(lo.Row(j))
 		report.PinnedAssignments++

@@ -4,7 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"rodsp/internal/feasible"
 	"rodsp/internal/mat"
+	"rodsp/internal/par"
+	"rodsp/internal/query"
+	"rodsp/internal/workload"
 )
 
 func benchWorkload(m, d, n int) (*mat.Matrix, mat.Vec) {
@@ -45,3 +49,57 @@ func BenchmarkPlaceBest(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReplanDecision is one placement decision shaped like the replan
+// workload of benchmark/ (not imported from it: that is its own module): the
+// m = 200, d = 5 tree graph on 10 nodes, a lower bound rotating over 16
+// forecast points at 15–50 % of capacity, and load model → PlaceBest(3000) →
+// a 60 000-sample ratio, on one worker. Its CPU profile is the cost budget of
+// a decision (DESIGN §7).
+func BenchmarkReplanDecision(b *testing.B) {
+	defer par.SetWorkers(0)
+	par.SetWorkers(1)
+	g, err := workload.RandomTrees(workload.TreeConfig{Streams: 5, OpsPerStream: 40, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lm, err := query.BuildLoadModel(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	caps := make(mat.Vec, 10)
+	for i := range caps {
+		caps[i] = 0.5 + rng.Float64()
+	}
+	lk, ct := lm.Coef.ColSums(), caps.Sum()
+	bounds := make([]mat.Vec, 16)
+	for f := range bounds {
+		x := make(mat.Vec, lm.D())
+		for k := range x {
+			x[k] = 0.1 + rng.Float64()
+		}
+		x = x.Scale((0.15 + 0.35*rng.Float64()) / x.Sum())
+		bounds[f] = feasible.Denormalize(x, lk, ct)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lb := bounds[i%len(bounds)]
+		lm, err := query.BuildLoadModel(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, rep, err := PlaceBest(lm.Coef, caps, Config{LowerBound: lb, Seed: 1}, 3000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nb := feasible.Normalize(lb, lm.Coef.ColSums(), ct)
+		if benchRatio, err = feasible.RatioToIdealFrom(rep.Weights, nb, 60000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchRatio keeps the measured decision's result live.
+var benchRatio float64

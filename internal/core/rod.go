@@ -221,7 +221,15 @@ func Place(lo *mat.Matrix, c mat.Vec, cfg Config) (*placement.Plan, *Report, err
 	nodeOf := make([]int, m)
 	ln := mat.NewMatrix(n, d)
 	report := &Report{Order: order}
-	for j, node := range cfg.Pinned {
+	// Pinned rows are added in ascending operator order: floating-point
+	// addition does not commute in the last bit, and map order is random.
+	pinned := make([]int, 0, len(cfg.Pinned))
+	for j := range cfg.Pinned {
+		pinned = append(pinned, j)
+	}
+	sort.Ints(pinned)
+	for _, j := range pinned {
+		node := cfg.Pinned[j]
 		if j < 0 || j >= m {
 			return nil, nil, fmt.Errorf("core: pinned operator %d outside [0,%d)", j, m)
 		}

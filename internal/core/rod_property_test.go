@@ -154,6 +154,34 @@ func TestPinnedOperators(t *testing.T) {
 	}
 }
 
+// Operators pinned to one node are added into its load row in operator
+// order, not map order: 0.1 + 0.2 + 0.3 has two bit patterns depending on
+// which pair is summed first, and it used to come out either way.
+func TestPlacePinnedDeterministic(t *testing.T) {
+	lo := mat.MatrixOf(
+		[]float64{0.1, 0},
+		[]float64{0.2, 0},
+		[]float64{0.3, 0},
+		[]float64{0, 1},
+	)
+	c := mat.VecOf(1, 1)
+	cfg := Config{Selector: SelectMaxPlaneDistance, Pinned: map[int]int{0: 0, 1: 0, 2: 0}}
+	var want []uint64
+	for run := 0; run < 200; run++ {
+		_, report, err := Place(lo, c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range report.Weights.Data {
+			if run == 0 {
+				want = append(want, math.Float64bits(v))
+			} else if math.Float64bits(v) != want[i] {
+				t.Fatalf("run %d: Weights.Data[%d] = %v (%#x), run 0 gave %v (%#x)", run, i, v, math.Float64bits(v), math.Float64frombits(want[i]), want[i])
+			}
+		}
+	}
+}
+
 func TestPinnedValidation(t *testing.T) {
 	lo := mat.MatrixOf([]float64{1, 0}, []float64{0, 1})
 	c := mat.VecOf(1, 1)

@@ -22,6 +22,15 @@ func refPoint(d, i int) mat.Vec {
 	return x
 }
 
+func feasiblePoint(w *mat.Matrix, x mat.Vec) bool {
+	for i := 0; i < w.Rows; i++ {
+		if w.Row(i).Dot(x) > 1+1e-12 {
+			return false
+		}
+	}
+	return true
+}
+
 func refRatio(w *mat.Matrix, lb mat.Vec, samples int) float64 {
 	scale := 1.0
 	if lb != nil {

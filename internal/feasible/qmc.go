@@ -30,14 +30,6 @@ func SimplexPoint(u []float64, dst []float64) {
 	}
 }
 
-// RatioToIdeal estimates |F(W)| / |F*|: the fraction of the ideal simplex
-// (in normalized coordinates) that satisfies every node constraint
-// W_i·x ≤ 1. Uses Halton QMC with the given sample budget, fanned across
-// the par worker pool. It errors on a non-positive sample budget.
-func RatioToIdeal(w *mat.Matrix, samples int) (float64, error) {
-	return RatioToIdealFrom(w, nil, samples)
-}
-
 // RatioAuto computes the feasible ratio with exact geometry where available
 // (d = 2 polygon clipping, d = 3 polytope enumeration) and QMC otherwise.
 func RatioAuto(w *mat.Matrix, samples int) (float64, error) {
@@ -47,14 +39,16 @@ func RatioAuto(w *mat.Matrix, samples int) (float64, error) {
 	case 3:
 		return ExactRatio3D(w), nil
 	default:
-		return RatioToIdeal(w, samples)
+		return RatioToIdealFrom(w, nil, samples)
 	}
 }
 
-// RatioToIdealFrom estimates the feasible fraction of the *restricted*
-// ideal region {x ≥ lb, Σ x_k ≤ 1} (Section 6.1 workload sets with lower
-// bound B, already normalized). A nil lb means the origin. Returns 0 when
-// the restricted region is empty (Σ lb ≥ 1).
+// RatioToIdealFrom estimates |F(W)| / |F*|, the fraction of the ideal
+// simplex (in normalized coordinates) that satisfies every node constraint
+// W_i·x ≤ 1, by Halton QMC with the given sample budget. A non-nil lb
+// restricts the ideal region to {x ≥ lb, Σ x_k ≤ 1} (Section 6.1 workload
+// sets with lower bound B, already normalized); nil means the origin.
+// Returns 0 when the restricted region is empty (Σ lb ≥ 1).
 //
 // The sample points are a pure function of (d, index) and come from the
 // process-wide table (simplexPoints); only the hit count depends on w and lb.
@@ -85,11 +79,12 @@ func RatioToIdealFrom(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
 		}
 	}
 	table := simplexPoints(d, samples)
+	pan := packPanels(w)
 	chunks := par.Chunks(samples, par.Workers())
 	hits := make([]int, len(chunks))
 	_ = par.ForEach(len(chunks), func(ci int) error {
 		eachBlock(table, d, chunks[ci].Lo, chunks[ci].Hi, func(_ int, blk []float64) {
-			hits[ci] += countHits(w, lb, scale, blk)
+			hits[ci] += countHits(pan, d, lb, scale, blk)
 		})
 		return nil
 	})
@@ -106,33 +101,30 @@ func RatioToIdealFrom(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
 const mcChunk = 8192
 
 // RatioToIdealMC is the plain (pseudo-random) Monte Carlo counterpart of
-// RatioToIdeal, used to cross-validate the QMC estimator. Samples are
-// drawn in fixed-size chunks, each from an RNG stream derived from seed
-// and the chunk index, evaluated across the par worker pool; the result is
-// identical for any worker count.
+// RatioToIdealFrom(w, nil, samples), used to cross-validate the QMC
+// estimator. Samples are drawn in fixed-size chunks, each from an RNG
+// stream derived from seed and the chunk index, evaluated across the par
+// worker pool; the result is identical for any worker count.
 func RatioToIdealMC(w *mat.Matrix, samples int, seed int64) (float64, error) {
 	d := w.Cols
 	if samples <= 0 {
 		return 0, fmt.Errorf("feasible: sample budget must be positive, got %d", samples)
 	}
+	pan := packPanels(w)
 	chunks := par.FixedChunks(samples, mcChunk)
 	hits := make([]int, len(chunks))
 	_ = par.ForEach(len(chunks), func(ci int) error {
 		c := chunks[ci]
 		rng := rand.New(rand.NewSource(seed + int64(ci)*0x9E3779B9))
 		u := make([]float64, d+1)
-		x := make(mat.Vec, d)
-		n := 0
-		for s := c.Lo; s < c.Hi; s++ {
+		blk := make([]float64, (c.Hi-c.Lo)*d)
+		for off := 0; off < len(blk); off += d {
 			for i := range u {
 				u[i] = rng.Float64()
 			}
-			SimplexPoint(u, x)
-			if feasiblePoint(w, x) {
-				n++
-			}
+			SimplexPoint(u, blk[off:off+d])
 		}
-		hits[ci] = n
+		hits[ci] = countHits(pan, d, nil, 1, blk)
 		return nil
 	})
 	total := 0
@@ -145,7 +137,7 @@ func RatioToIdealMC(w *mat.Matrix, samples int, seed int64) (float64, error) {
 // SamplePoints returns n QMC points uniformly covering the ideal simplex in
 // normalized coordinates — the workload points the Borealis experiments
 // draw "all within the ideal feasible set" (Section 7.1). They are the same
-// points RatioToIdeal integrates over, copied out of the shared table: the
+// points RatioToIdealFrom integrates over, copied out of the shared table: the
 // caller owns what it gets.
 func SamplePoints(d, n int) []mat.Vec {
 	pts := make([]mat.Vec, n)
@@ -177,46 +169,105 @@ func Normalize(r, lk mat.Vec, ct float64) mat.Vec {
 	return x
 }
 
-// countHits returns how many of the flat row-major simplex points in pts
-// land in the feasible set after the map x_k = lb_k + scale·p_k (the identity
-// when lb is nil): W_i·x ≤ 1 on every row, the test feasiblePoint applies,
-// with the rows of w.Data walked in place.
-func countHits(w *mat.Matrix, lb mat.Vec, scale float64, pts []float64) int {
+// panelRows is how many node rows countHits tests a point against in one
+// pass: a single row's dot is one serial chain of adds, four are
+// independent and overlap. pairFits is written out for exactly four.
+const panelRows = 4
+
+// packPanels lays w out for countHits: its rows in groups of panelRows, the
+// last group padded with zero rows, each group stored column by column (the
+// panelRows weights of column 0, then those of column 1, …). A padding row's
+// dot is zero, so it never rejects a point.
+func packPanels(w *mat.Matrix) []float64 {
 	d := w.Cols
-	data := w.Data[:w.Rows*d]
-	var buf mat.Vec
-	if lb != nil {
-		buf = make(mat.Vec, d)
+	groups := (w.Rows + panelRows - 1) / panelRows
+	pan := make([]float64, groups*panelRows*d)
+	for i := 0; i < w.Rows; i++ {
+		g, r := i/panelRows, i%panelRows
+		for k, v := range w.Row(i) {
+			pan[(g*d+k)*panelRows+r] = v
+		}
 	}
-	hits := 0
-points:
-	for off := 0; off+d <= len(pts); off += d {
-		x := pts[off : off+d]
-		if lb != nil {
-			for k, p := range x {
-				buf[k] = lb[k] + scale*p
-			}
-			x = buf
-		}
-		for r := 0; r < len(data); r += d {
-			var dot float64
-			for k, wk := range data[r : r+d] {
-				dot += wk * x[k]
-			}
-			if dot > 1+1e-12 {
-				continue points
-			}
-		}
-		hits++
+	return pan
+}
+
+// countHits returns how many of the flat row-major points in pts land in the
+// feasible set after the map x_k = lb_k + scale·p_k (the identity when lb is
+// nil): W_i·x ≤ 1 + 1e-12 on every row of W, packed by packPanels. It is the
+// package's one hit rule. An odd last point is counted as a pair of itself.
+func countHits(pan []float64, d int, lb mat.Vec, scale float64, pts []float64) int {
+	n := len(pts) / d
+	hits := countPairs(pan, d, lb, scale, pts[:n&^1*d])
+	if n%2 == 1 {
+		last := pts[(n-1)*d : n*d]
+		hits += countPairs(pan, d, lb, scale, append(last[:d:d], last...)) / 2
 	}
 	return hits
 }
 
-func feasiblePoint(w *mat.Matrix, x mat.Vec) bool {
-	for i := 0; i < w.Rows; i++ {
-		if w.Row(i).Dot(x) > 1+1e-12 {
-			return false
+// countPairs is countHits for an even number of points: it maps them two at
+// a time and tests each pair with pairFits.
+func countPairs(pan []float64, d int, lb mat.Vec, scale float64, pts []float64) int {
+	var xa, xb []float64
+	if lb != nil {
+		buf := make([]float64, 2*d)
+		xa, xb = buf[:d], buf[d:]
+	}
+	hits := 0
+	for off := 0; off+2*d <= len(pts); off += 2 * d {
+		a, b := pts[off:off+d], pts[off+d:off+2*d]
+		if lb != nil {
+			for k := range xa {
+				xa[k] = lb[k] + scale*a[k]
+				xb[k] = lb[k] + scale*b[k]
+			}
+			a, b = xa, xb
+		}
+		okA, okB := pairFits(pan, a, b)
+		if okA {
+			hits++
+		}
+		if okB {
+			hits++
 		}
 	}
-	return true
+	return hits
+}
+
+// pairFits tests the points a and b against every panel, one panel at a
+// time: eight independent sums per column. Each row's sum starts from
+// w_i0·x_0 and adds the terms in ascending k, the order Vec.Dot uses, so
+// every dot and every decision is bit-identical to testing the rows one by
+// one. It returns once both points are rejected.
+func pairFits(pan, a, b []float64) (okA, okB bool) {
+	const limit = 1 + 1e-12
+	d := len(a)
+	b = b[:d]
+	stride := panelRows * d
+	okA, okB = true, true
+	for p := 0; p+stride <= len(pan) && (okA || okB); p += stride {
+		q := pan[p : p+stride]
+		a0, b0 := a[0], b[0]
+		ra0, ra1, ra2, ra3 := q[0]*a0, q[1]*a0, q[2]*a0, q[3]*a0
+		rb0, rb1, rb2, rb3 := q[0]*b0, q[1]*b0, q[2]*b0, q[3]*b0
+		for k := 1; k < d; k++ {
+			c := q[panelRows*k : panelRows*k+panelRows : panelRows*k+panelRows]
+			ak, bk := a[k], b[k]
+			ra0 += c[0] * ak
+			ra1 += c[1] * ak
+			ra2 += c[2] * ak
+			ra3 += c[3] * ak
+			rb0 += c[0] * bk
+			rb1 += c[1] * bk
+			rb2 += c[2] * bk
+			rb3 += c[3] * bk
+		}
+		if ra0 > limit || ra1 > limit || ra2 > limit || ra3 > limit {
+			okA = false
+		}
+		if rb0 > limit || rb1 > limit || rb2 > limit || rb3 > limit {
+			okB = false
+		}
+	}
+	return okA, okB
 }

@@ -13,7 +13,7 @@ func BenchmarkRatioToIdeal(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RatioToIdeal(w, 20000); err != nil {
+		if _, err := RatioToIdealFrom(w, nil, 20000); err != nil {
 			b.Fatal(err)
 		}
 	}

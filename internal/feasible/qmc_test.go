@@ -9,14 +9,11 @@ import (
 	"rodsp/internal/mat"
 )
 
-// mustRatio unwraps RatioToIdeal for tests with well-formed inputs.
+// mustRatio unwraps RatioToIdealFrom from the origin for tests with
+// well-formed inputs.
 func mustRatio(t *testing.T, w *mat.Matrix, samples int) float64 {
 	t.Helper()
-	r, err := RatioToIdeal(w, samples)
-	if err != nil {
-		t.Fatalf("RatioToIdeal: %v", err)
-	}
-	return r
+	return mustRatioFrom(t, w, nil, samples)
 }
 
 // mustRatioFrom unwraps RatioToIdealFrom for tests with well-formed inputs.
@@ -264,7 +261,7 @@ func TestRatioToIdealFromMatchesUnrestricted(t *testing.T) {
 func TestRatioErrors(t *testing.T) {
 	w := mat.NewMatrix(1, 2)
 	for name, f := range map[string]func() (float64, error){
-		"zero samples":    func() (float64, error) { return RatioToIdeal(w, 0) },
+		"zero samples":    func() (float64, error) { return RatioToIdealFrom(w, nil, 0) },
 		"negative budget": func() (float64, error) { return RatioToIdealFrom(w, nil, -5) },
 		"lb too short":    func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(1), 10) },
 		"lb too long":     func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(0, 0, 0), 10) },

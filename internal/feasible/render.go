@@ -23,6 +23,7 @@ func RenderASCII(w *mat.Matrix, width, height int) string {
 		height = 4
 	}
 	var b strings.Builder
+	pan := packPanels(w)
 	x := make(mat.Vec, 2)
 	for row := height - 1; row >= 0; row-- {
 		x[1] = (float64(row) + 0.5) / float64(height)
@@ -32,7 +33,7 @@ func RenderASCII(w *mat.Matrix, width, height int) string {
 			switch {
 			case x[0]+x[1] > 1:
 				b.WriteByte(' ')
-			case feasiblePoint(w, x):
+			case countHits(pan, 2, nil, 1, x) == 1:
 				b.WriteByte('#')
 			default:
 				b.WriteString("·")

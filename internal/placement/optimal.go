@@ -16,14 +16,7 @@ func Evaluate(p *Plan, lo *mat.Matrix, c mat.Vec, samples int) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
-	switch lo.Cols {
-	case 2:
-		return feasible.ExactRatio2D(w), nil
-	case 3:
-		return feasible.ExactRatio3D(w), nil
-	default:
-		return feasible.RatioToIdeal(w, samples)
-	}
+	return feasible.RatioAuto(w, samples)
 }
 
 // EvaluateFrom is Evaluate over the Section 6.1 restricted workload set
