@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	rodbench [-quick] [-seed N] [-workers N] [-perf FILE] [experiment ...]
+//	rodbench [-quick] [-seed N] [-workers N] [experiment ...]
 //
 // With no experiment names it runs the full suite. Known experiments:
 // figure2, table2, figure9, figure14, figure15, optimal, latency,
@@ -11,9 +11,7 @@
 //
 // -workers sets the compute-plane worker count (0 = GOMAXPROCS). The
 // rendered tables on stdout are byte-identical for any worker count;
-// per-experiment wall-clock timings go to stderr, and -perf additionally
-// writes them as a machine-readable JSON record (BENCH_placement.json by
-// convention).
+// per-experiment wall-clock timings go to stderr.
 package main
 
 import (
@@ -33,7 +31,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment names and exit")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	workers := flag.Int("workers", 0, "compute-plane worker count (0 = GOMAXPROCS)")
-	perfPath := flag.String("perf", "", "write per-experiment wall-clock timings as JSON to this file")
 	flag.Parse()
 
 	if *list {
@@ -52,7 +49,6 @@ func main() {
 			fail(err)
 		}
 	}
-	perf := bench.NewPerfRecord(par.Workers(), *seed, *quick)
 	total := time.Duration(0)
 	for _, name := range names {
 		fmt.Printf("==== %s ====\n", name)
@@ -62,7 +58,6 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		perf.Add(name, elapsed)
 		total += elapsed
 		fmt.Fprintf(os.Stderr, "rodbench: %-12s %8.3fs (workers=%d)\n", name, elapsed.Seconds(), par.Workers())
 		for i, t := range tables {
@@ -76,11 +71,6 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "rodbench: total        %8.3fs (workers=%d)\n", total.Seconds(), par.Workers())
-	if *perfPath != "" {
-		if err := perf.Write(*perfPath); err != nil {
-			fail(err)
-		}
-	}
 }
 
 func fail(err error) {

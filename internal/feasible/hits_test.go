@@ -44,28 +44,49 @@ points:
 	return hits
 }
 
-// checkKernel compares the panel kernel with the row-wise reference on pts
-// and on its first few prefixes, so empty blocks, a lone point, a pair and a
-// pair plus an odd last point are all covered. It returns the reference
-// count over all of pts.
-func checkKernel(t *testing.T, what string, w *mat.Matrix, lb mat.Vec, pts []float64) int {
+// pointSums is what the point table memoises beside each point: its
+// in-order coordinate sum.
+func pointSums(pts []float64, d int) []float64 {
+	sums := make([]float64, len(pts)/d)
+	for j := range sums {
+		sums[j] = mat.Vec(pts[j*d : (j+1)*d]).Sum()
+	}
+	return sums
+}
+
+// checkKernel compares the kernel, with the safe radius as newHitRule keeps
+// it, always on and always off, with the row-wise reference on pts and on its first few
+// prefixes, so empty blocks, a lone point, a pair and a pair plus an odd last
+// point are all covered. It returns the reference count over all of pts and
+// how many of those points the certificate decided.
+func checkKernel(t *testing.T, what string, w *mat.Matrix, lb mat.Vec, pts []float64) (hits, certified int) {
 	t.Helper()
 	scale := 1.0
 	if lb != nil {
 		scale = 1 - lb.Sum()
 	}
 	d := w.Cols
-	pan := packPanels(w)
-	for _, n := range []int{0, 1, 2, 3, len(pts) / d} {
-		if n*d > len(pts) {
+	built := newHitRule(w, lb, scale)
+	on, off := built, built
+	on.radius, off.radius = certRadius(w, lb, scale), math.Inf(-1)
+	sums := pointSums(pts, d)
+	for _, n := range []int{0, 1, 2, 3, len(sums)} {
+		if n > len(sums) {
 			continue
 		}
 		want := countHitsRowwise(w, lb, scale, pts[:n*d])
-		if got := countHits(pan, d, lb, scale, pts[:n*d]); got != want {
-			t.Fatalf("%s, %d points: panel kernel counts %d hits, row-wise reference %d", what, n, got, want)
+		for _, r := range []hitRule{built, on, off} {
+			if got := r.countHits(pts[:n*d], sums[:n]); got != want {
+				t.Fatalf("%s, %d points, radius %v: kernel counts %d hits, row-wise reference %d", what, n, r.radius, got, want)
+			}
 		}
 	}
-	return countHitsRowwise(w, lb, scale, pts)
+	for _, s := range sums {
+		if s <= on.radius {
+			certified++
+		}
+	}
+	return countHitsRowwise(w, lb, scale, pts), certified
 }
 
 func uniformWeights(rng *rand.Rand, rows, d int, lo, hi float64) *mat.Matrix {
@@ -79,8 +100,9 @@ func uniformWeights(rng *rand.Rand, rows, d int, lo, hi float64) *mat.Matrix {
 func TestHitKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const n = 999 // odd: the last point is paired with itself
+	certified, tested := 0, 0
 	for _, d := range []int{1, 2, 3, 4, 5, 7, 8, 12} {
-		pts := simplexPoints(d, n)
+		pts, _ := simplexPoints(d, n)
 		lb := mat.NewVec(d)
 		for k := range lb {
 			lb[k] = 0.3 * rng.Float64() / float64(d)
@@ -90,19 +112,25 @@ func TestHitKernelMatchesReference(t *testing.T) {
 			// pay for several panels and both outcomes occur.
 			w := uniformWeights(rng, rows, d, 0.6, 1.6)
 			for _, b := range []mat.Vec{nil, lb} {
-				checkKernel(t, fmt.Sprintf("d=%d rows=%d lb=%v", d, rows, b != nil), w, b, pts)
+				_, c := checkKernel(t, fmt.Sprintf("d=%d rows=%d lb=%v", d, rows, b != nil), w, b, pts)
+				certified, tested = certified+c, tested+n
 			}
 		}
 	}
+	// Both sides of the certificate must be exercised: blocks it decides
+	// alone, blocks it leaves to pairFits, and blocks mixing the two.
+	if certified == 0 || certified == tested {
+		t.Fatalf("the certificate decided %d of %d points; the cases must straddle it", certified, tested)
+	}
 
 	const d = 5
-	pts := simplexPoints(d, n)
+	pts, _ := simplexPoints(d, n)
 	zero := uniformWeights(rng, 6, d, 0.8, 1.3)
 	for k := 0; k < d; k++ {
 		zero.Set(2, k, 0)
 	}
 	checkKernel(t, "a zero row", zero, nil, pts)
-	if got := checkKernel(t, "all rows zero", mat.NewMatrix(3, d), nil, pts); got != n {
+	if got, _ := checkKernel(t, "all rows zero", mat.NewMatrix(3, d), nil, pts); got != n {
 		t.Fatalf("all-zero W keeps %d of %d points, want all", got, n)
 	}
 	checkKernel(t, "negative entries", uniformWeights(rng, 9, d, -1, 2.5), nil, pts)
@@ -111,7 +139,7 @@ func TestHitKernelMatchesReference(t *testing.T) {
 		for k := 0; k < d; k++ {
 			w.Set(at, k, 1e300)
 		}
-		if got := checkKernel(t, fmt.Sprintf("rejecting row %d", at), w, nil, pts); got != 0 {
+		if got, _ := checkKernel(t, fmt.Sprintf("rejecting row %d", at), w, nil, pts); got != 0 {
 			t.Fatalf("a row rejecting every point leaves %d hits", got)
 		}
 	}
@@ -124,7 +152,7 @@ func TestHitKernelAtTheLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const limit = 1 + 1e-12
 	for _, d := range []int{2, 5, 7} {
-		pts := simplexPoints(d, 64)
+		pts, _ := simplexPoints(d, 64)
 		lb := mat.NewVec(d)
 		for k := range lb {
 			lb[k] = 0.2 / float64(d)
@@ -206,4 +234,182 @@ func TestRatioToIdealMCMatchesPerPoint(t *testing.T) {
 			t.Fatalf("d=%d: RatioToIdealMC %v, per-point reference %v", d, got, want)
 		}
 	}
+}
+
+// ulpSteps returns the sums s stepped 0, ±1, …, ±4 ulps from s, without
+// negative ones (a point p ≥ 0 cannot have them).
+func ulpSteps(s float64) []float64 {
+	out := []float64{s}
+	up, down := s, s
+	for i := 0; i < 4; i++ {
+		up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+		out = append(out, up)
+		if down >= 0 {
+			out = append(out, down)
+		}
+	}
+	return out
+}
+
+// pointsSummingTo returns points p ≥ 0 of dimension d whose in-order sum is
+// exactly s: every vertex s·e_k, where W_i·p reaches max_k w_ik·Σp, and a few
+// interior points with one coordinate nudged until the sum is s.
+func pointsSummingTo(rng *rand.Rand, d int, s float64) []float64 {
+	var pts []float64
+	for k := 0; k < d; k++ {
+		p := make([]float64, d)
+		p[k] = s
+		pts = append(pts, p...)
+	}
+	for i := 0; i < 4; i++ {
+		p := make(mat.Vec, d)
+		for k := range p {
+			p[k] = rng.Float64()
+		}
+		p = p.Scale(s / p.Sum())
+		for step := 0; step < 64 && p.Sum() != s; step++ {
+			dir := math.Inf(1)
+			if p.Sum() > s {
+				dir = 0
+			}
+			p[d-1] = math.Nextafter(p[d-1], dir)
+		}
+		if p.Sum() == s {
+			pts = append(pts, p...)
+		}
+	}
+	return pts
+}
+
+// Every point the safe radius certifies must be a hit of the row-wise
+// reference, on plans the certificate was not shaped around, with points
+// whose sum sits at the radius and within 4 ulps of it. Rows built so that
+// c_i + scale·max_k w_ik·Σp lands on the limit 1 + 1e-12 put the vertex
+// points at the radius as close to a miss as the margin allows; with ±1e6
+// entries cancelling in c_i, the rounding the margin covers is far above the
+// limit's 1e-12. A NaN or ±Inf entry must switch the certificate off.
+// Counts with the certificate must equal the reference's exactly.
+func TestCertifiedRadiusIsSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	const d = 5
+	const limit = 1 + 1e-12
+
+	type plan struct {
+		name string
+		w    *mat.Matrix
+	}
+	zero := uniformWeights(rng, 6, d, 0.6, 1.6)
+	for k := 0; k < d; k++ {
+		zero.Set(2, k, 0)
+	}
+	mixed := uniformWeights(rng, 8, d, 0.5, 1.5)
+	for i := range mixed.Data {
+		mixed.Data[i] *= []float64{1e-6, 1, 1e6}[rng.Intn(3)]
+	}
+	plans := []plan{
+		{"typical", uniformWeights(rng, 10, d, 0.8, 1.1)},
+		{"negative entries", uniformWeights(rng, 9, d, -1, 2)},
+		{"non-positive rows", uniformWeights(rng, 4, d, -1, 0)},
+		{"a zero row", zero},
+		{"tiny", uniformWeights(rng, 6, d, 0, 1e-6)},
+		{"huge", uniformWeights(rng, 6, d, 0, 1e6)},
+		{"magnitudes 1e-6 to 1e6", mixed},
+	}
+
+	nearOne := make(mat.Vec, d)
+	for k := range nearOne {
+		nearOne[k] = (1 - 1e-9) / d
+	}
+	if gap := 1 - nearOne.Sum(); math.Abs(gap-1e-9) > 1e-15 {
+		t.Fatalf("Σlb is %v from 1, want 1e-9", gap)
+	}
+	typical := make(mat.Vec, d)
+	for k := range typical {
+		typical[k] = 0.3 * rng.Float64() / d
+	}
+	bounds := []mat.Vec{nil, typical, nearOne}
+
+	for _, lb := range bounds {
+		scale := 1.0
+		if lb != nil {
+			scale = 1 - lb.Sum()
+		}
+		cases := plans[:len(plans):len(plans)]
+		for _, sigma := range []float64{0.05, 0.4, 0.9, 1} {
+			// A positive row scaled onto the limit at Σp = σ.
+			v := uniformWeights(rng, 1, d, 0.2, 1.2).Row(0)
+			v = v.Scale(limit / (lbDot(v, lb) + scale*v.Max()*sigma))
+			w := uniformWeights(rng, 4, d, 0, 0.1)
+			copy(w.Row(rng.Intn(4)), v)
+			cases = append(cases, plan{fmt.Sprintf("row at the limit for Σp=%v", sigma), w})
+			if lb == nil {
+				continue
+			}
+			// ±1e6 entries cancelling in c_i, the last entry solved so
+			// that c_i + scale·1e6·σ is the limit.
+			const a = 1e6
+			v = mat.Vec{a, -a, a, -a, 0}
+			v[d-1] = (limit - scale*a*sigma - lbDot(v, lb)) / lb[d-1]
+			w = uniformWeights(rng, 3, d, 0, 0.1)
+			copy(w.Row(rng.Intn(3)), v)
+			cases = append(cases, plan{fmt.Sprintf("cancelling ±1e6 row at the limit for Σp=%v", sigma), w})
+		}
+
+		for _, pl := range cases {
+			what := fmt.Sprintf("%s, lb=%v", pl.name, lb)
+			radius := certRadius(pl.w, lb, scale)
+			if math.IsNaN(radius) || radius > 1 {
+				t.Fatalf("%s: radius %v, want at most 1", what, radius)
+			}
+			targets := []float64{0, 0.25, 0.5, 1}
+			if !math.IsInf(radius, -1) {
+				targets = append(targets, radius)
+			}
+			var pts []float64
+			for _, s := range targets {
+				for _, st := range ulpSteps(s) {
+					pts = append(pts, pointsSummingTo(rng, d, st)...)
+				}
+			}
+			sums := pointSums(pts, d)
+			certified := 0
+			for j, s := range sums {
+				if s <= radius {
+					certified++
+					if countHitsRowwise(pl.w, lb, scale, pts[j*d:(j+1)*d]) != 1 {
+						t.Fatalf("%s: point %v (sum %v ≤ radius %v) is certified but misses", what, pts[j*d:(j+1)*d], s, radius)
+					}
+				}
+			}
+			if certified == 0 && radius >= 0 {
+				t.Fatalf("%s: radius %v certified none of %d points; they must straddle it", what, radius, len(sums))
+			}
+			checkKernel(t, what, pl.w, lb, pts)
+		}
+	}
+
+	// Any non-finite entry switches the certificate off.
+	pts, _ := simplexPoints(d, 301)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, lb := range bounds {
+			w := uniformWeights(rng, 6, d, 0.8, 1.1)
+			w.Set(rng.Intn(6), rng.Intn(d), bad)
+			scale := 1.0
+			if lb != nil {
+				scale = 1 - lb.Sum()
+			}
+			if r := certRadius(w, lb, scale); !math.IsInf(r, -1) {
+				t.Fatalf("entry %v, lb=%v: radius %v, want -Inf", bad, lb, r)
+			}
+			checkKernel(t, fmt.Sprintf("entry %v, lb=%v", bad, lb), w, lb, pts)
+		}
+	}
+}
+
+// lbDot is W_i·lb in the order certRadius sums it, 0 for a nil lb.
+func lbDot(v, lb mat.Vec) float64 {
+	if lb == nil {
+		return 0
+	}
+	return v.Dot(lb)
 }

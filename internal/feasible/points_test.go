@@ -59,33 +59,48 @@ func forgetTable(d int) {
 	tablesMu.Unlock()
 }
 
-func checkPoints(t *testing.T, what string, d int, pts []float64) {
+// checkPoints holds the points numbered first, first+1, … and their sums to
+// the reference: each point bit for bit, each sum exactly the in-order sum of
+// the reference point.
+func checkPoints(t *testing.T, what string, d, first int, pts, sums []float64) {
 	t.Helper()
-	for i := 0; i*d < len(pts); i++ {
-		if !mat.Vec(pts[i*d:(i+1)*d]).Equal(refPoint(d, i), 0) {
-			t.Fatalf("%s: point %d = %v, want %v", what, i, pts[i*d:(i+1)*d], refPoint(d, i))
+	if len(pts) != len(sums)*d {
+		t.Fatalf("%s: %d floats for %d sums", what, len(pts), len(sums))
+	}
+	for j := range sums {
+		i := first + j
+		ref := refPoint(d, i)
+		if !mat.Vec(pts[j*d:(j+1)*d]).Equal(ref, 0) {
+			t.Fatalf("%s: point %d = %v, want %v", what, i, pts[j*d:(j+1)*d], ref)
+		}
+		var sum float64
+		for _, v := range ref {
+			sum += v
+		}
+		if sums[j] != sum {
+			t.Fatalf("%s: sum of point %d = %v, want %v", what, i, sums[j], sum)
 		}
 	}
 }
 
 // Growth must fill only the missing suffix and leave every slice handed out
-// earlier exactly as it was.
+// earlier, points and sums, exactly as it was.
 func TestSimplexTablePrefixStability(t *testing.T) {
 	const d = 7
 	forgetTable(d)
-	var published [][]float64
+	var published [][2][]float64
 	for _, n := range []int{100, 5000, 60000} {
-		pts := simplexPoints(d, n)
-		if len(pts) != n*d {
-			t.Fatalf("simplexPoints(%d, %d) holds %d floats, want %d", d, n, len(pts), n*d)
+		pts, sums := simplexPoints(d, n)
+		if len(pts) != n*d || len(sums) != n {
+			t.Fatalf("simplexPoints(%d, %d) holds %d floats and %d sums, want %d and %d", d, n, len(pts), len(sums), n*d, n)
 		}
-		published = append(published, pts)
+		published = append(published, [2][]float64{pts, sums})
 		for _, p := range published {
-			checkPoints(t, "after growth", d, p)
+			checkPoints(t, "after growth", d, 0, p[0], p[1])
 		}
 	}
 	// A smaller request is served from what is there.
-	if small := simplexPoints(d, 10); &small[0] != &published[2][0] {
+	if pts, sums := simplexPoints(d, 10); &pts[0] != &published[2][0][0] || &sums[0] != &published[2][1][0] {
 		t.Fatal("a request the table already covers must not reallocate it")
 	}
 }
@@ -139,8 +154,22 @@ func TestSimplexTablePastCap(t *testing.T) {
 			t.Fatalf("workers=%d: ratio %v, reference %v", workers, got, want)
 		}
 	}
-	if got := len(simplexPoints(d, n)); got != tableCapFloats {
-		t.Fatalf("table holds %d floats after a %d-sample call, want the cap %d", got, n, tableCapFloats)
+	table, sums := simplexPoints(d, n)
+	if len(table) != tableCapFloats || len(sums) != capPoints {
+		t.Fatalf("table holds %d floats and %d sums after a %d-sample call, want the cap %d and %d", len(table), len(sums), n, tableCapFloats, capPoints)
+	}
+	// The blocks past the cap carry sums too, generated with their points.
+	lo, hi := capPoints-5, capPoints+streamBlock+7
+	next := lo
+	eachBlock(table, sums, d, lo, hi, func(first int, blk, bs []float64) {
+		if first != next {
+			t.Fatalf("block starts at point %d, want %d", first, next)
+		}
+		checkPoints(t, "past the cap", d, first, blk, bs)
+		next += len(bs)
+	})
+	if next != hi {
+		t.Fatalf("blocks ended at point %d, want %d", next, hi)
 	}
 	pts := SamplePoints(d, n)
 	for _, i := range []int{0, capPoints - 1, capPoints, capPoints + streamBlock, n - 1} {
@@ -182,6 +211,14 @@ func TestSimplexTableConcurrentFirstUse(t *testing.T) {
 			got, err := RatioToIdealFrom(j.w, j.lb, j.samples)
 			if err != nil || got != j.want {
 				t.Errorf("job %d (d=%d, n=%d): ratio %v err %v, reference %v", i, j.w.Cols, j.samples, got, err, j.want)
+			}
+			d := j.w.Cols
+			pts, sums := simplexPoints(d, j.samples)
+			for k, s := range sums {
+				if want := mat.Vec(pts[k*d : (k+1)*d]).Sum(); s != want {
+					t.Errorf("job %d (d=%d): sum of point %d = %v, want %v", i, d, k, s, want)
+					return
+				}
 			}
 		}()
 	}

@@ -59,32 +59,18 @@ func RatioAuto(w *mat.Matrix, samples int) (float64, error) {
 // ratio, so a bad config can neither crash a long bench run nor score as a
 // plan.
 func RatioToIdealFrom(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
+	scale, err := boundScale(w.Cols, lb, samples)
+	if err != nil || scale <= 0 {
+		return 0, err
+	}
 	d := w.Cols
-	if samples <= 0 {
-		return 0, fmt.Errorf("feasible: sample budget must be positive, got %d", samples)
-	}
-	scale := 1.0
-	if lb != nil {
-		if len(lb) != d {
-			return 0, fmt.Errorf("feasible: lower bound length %d, want %d", len(lb), d)
-		}
-		for k, v := range lb {
-			if !(v >= 0) || math.IsInf(v, 1) {
-				return 0, fmt.Errorf("feasible: lower bound entry %d is %g, want finite and non-negative", k, v)
-			}
-		}
-		scale = 1 - lb.Sum()
-		if scale <= 0 {
-			return 0, nil
-		}
-	}
-	table := simplexPoints(d, samples)
-	pan := packPanels(w)
+	pts, sums := simplexPoints(d, samples)
+	rule := newHitRule(w, lb, scale)
 	chunks := par.Chunks(samples, par.Workers())
 	hits := make([]int, len(chunks))
 	_ = par.ForEach(len(chunks), func(ci int) error {
-		eachBlock(table, d, chunks[ci].Lo, chunks[ci].Hi, func(_ int, blk []float64) {
-			hits[ci] += countHits(pan, d, lb, scale, blk)
+		eachBlock(pts, sums, d, chunks[ci].Lo, chunks[ci].Hi, func(_ int, blk, bs []float64) {
+			hits[ci] += rule.countHits(blk, bs)
 		})
 		return nil
 	})
@@ -93,6 +79,50 @@ func RatioToIdealFrom(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
 		total += n
 	}
 	return float64(total) / float64(samples), nil
+}
+
+// CertifiedShare is the share of RatioToIdealFrom(w, lb, samples)'s points
+// that the safe radius counts as hits without testing a row: what the
+// certificate saves on this plan. It checks its arguments as
+// RatioToIdealFrom does and is 0 when the restricted region is empty.
+func CertifiedShare(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
+	scale, err := boundScale(w.Cols, lb, samples)
+	if err != nil || scale <= 0 {
+		return 0, err
+	}
+	d := w.Cols
+	rule := newHitRule(w, lb, scale)
+	pts, sums := simplexPoints(d, samples)
+	var rest [certBlock]int
+	n := 0
+	eachBlock(pts, sums, d, 0, samples, func(_ int, _, bs []float64) {
+		for lo := 0; lo < len(bs); lo += certBlock {
+			blk := bs[lo:min(lo+certBlock, len(bs))]
+			n += len(blk) - uncertified(&rest, blk, rule.radius)
+		}
+	})
+	return float64(n) / float64(samples), nil
+}
+
+// boundScale checks a QMC evaluation's budget and lower bound and returns
+// the scale of the map x_k = lb_k + scale·p_k: 1 for a nil lb, 1 − Σ lb
+// otherwise, ≤ 0 when the restricted region is empty.
+func boundScale(d int, lb mat.Vec, samples int) (float64, error) {
+	if samples <= 0 {
+		return 0, fmt.Errorf("feasible: sample budget must be positive, got %d", samples)
+	}
+	if lb == nil {
+		return 1, nil
+	}
+	if len(lb) != d {
+		return 0, fmt.Errorf("feasible: lower bound length %d, want %d", len(lb), d)
+	}
+	for k, v := range lb {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return 0, fmt.Errorf("feasible: lower bound entry %d is %g, want finite and non-negative", k, v)
+		}
+	}
+	return 1 - lb.Sum(), nil
 }
 
 // mcChunk is the fixed Monte-Carlo chunk size. It is independent of the
@@ -110,21 +140,23 @@ func RatioToIdealMC(w *mat.Matrix, samples int, seed int64) (float64, error) {
 	if samples <= 0 {
 		return 0, fmt.Errorf("feasible: sample budget must be positive, got %d", samples)
 	}
-	pan := packPanels(w)
+	rule := newHitRule(w, nil, 1)
 	chunks := par.FixedChunks(samples, mcChunk)
 	hits := make([]int, len(chunks))
 	_ = par.ForEach(len(chunks), func(ci int) error {
 		c := chunks[ci]
 		rng := rand.New(rand.NewSource(seed + int64(ci)*0x9E3779B9))
 		u := make([]float64, d+1)
-		blk := make([]float64, (c.Hi-c.Lo)*d)
-		for off := 0; off < len(blk); off += d {
+		blk, sums := make([]float64, (c.Hi-c.Lo)*d), make([]float64, c.Hi-c.Lo)
+		for j := range sums {
+			p := blk[j*d : (j+1)*d]
 			for i := range u {
 				u[i] = rng.Float64()
 			}
-			SimplexPoint(u, blk[off:off+d])
+			SimplexPoint(u, p)
+			sums[j] = mat.Vec(p).Sum()
 		}
-		hits[ci] = countHits(pan, d, nil, 1, blk)
+		hits[ci] = rule.countHits(blk, sums)
 		return nil
 	})
 	total := 0
@@ -141,7 +173,8 @@ func RatioToIdealMC(w *mat.Matrix, samples int, seed int64) (float64, error) {
 // caller owns what it gets.
 func SamplePoints(d, n int) []mat.Vec {
 	pts := make([]mat.Vec, n)
-	eachBlock(simplexPoints(d, n), d, 0, n, func(first int, blk []float64) {
+	table, sums := simplexPoints(d, n)
+	eachBlock(table, sums, d, 0, n, func(first int, blk, _ []float64) {
 		for off := 0; off < len(blk); off += d {
 			pts[first+off/d] = mat.Vec(blk[off : off+d]).Clone()
 		}
@@ -191,30 +224,166 @@ func packPanels(w *mat.Matrix) []float64 {
 	return pan
 }
 
-// countHits returns how many of the flat row-major points in pts land in the
-// feasible set after the map x_k = lb_k + scale·p_k (the identity when lb is
-// nil): W_i·x ≤ 1 + 1e-12 on every row of W, packed by packPanels. It is the
-// package's one hit rule. An odd last point is counted as a pair of itself.
-func countHits(pan []float64, d int, lb mat.Vec, scale float64, pts []float64) int {
-	n := len(pts) / d
-	hits := countPairs(pan, d, lb, scale, pts[:n&^1*d])
-	if n%2 == 1 {
-		last := pts[(n-1)*d : n*d]
-		hits += countPairs(pan, d, lb, scale, append(last[:d:d], last...)) / 2
+// certMargin scales the fixed margin certRadius keeps below the limit; see
+// certRadius for why 2⁻³⁰ covers every rounding between the radius and the
+// kernel's verdict.
+const certMargin = 0x1p-30
+
+// certRadius returns the safe radius T of one evaluation: every point p ≥ 0
+// whose in-order coordinate sum s satisfies s ≤ T passes every row of w
+// after the map x_k = lb_k + scale·p_k (lb nil: the identity), i.e. pairFits
+// would find each row's dot ≤ 1 + 1e-12. With c_i = W_i·lb,
+// e_i = 2⁻³⁰·(1 + Σ_k|w_ik|·lb_k + scale·max_k|w_ik|) and
+// M_i = max_k w_ik it is
+//
+//	T = min(1, min over rows with M_i > 0 of (1 − c_i − e_i) / (scale·M_i)),
+//
+// since exactly W_i·x = c_i + scale·W_i·p ≤ c_i + scale·M_i·Σp for p ≥ 0.
+// A row with M_i ≤ 0 imposes no limit beyond 1 − c_i − e_i ≥ 0; a row
+// where that fails, or any NaN or ±Inf in w, lb or scale, gives T = −∞ and
+// nothing is certified. The cap at 1 bounds Σp, and so every magnitude
+// below, to that of a simplex point.
+//
+// Why e_i suffices, with u = 2⁻⁵³ and every term non-negative except w and
+// c: fl(lb_k + scale·p_k) is within 2u of its exact value (one fused or two
+// rounded operations), the kernel's ascending-k dot within d·u·Σ_k|w_ik|·x_k
+// of the exact dot of the rounded x, c_i within d·u·Σ_k|w_ik|·lb_k of W_i·lb,
+// Σp within d·u of s, and the quotient, the product scale·M_i and the
+// subtraction add a few u of 1 + |c_i| + e_i. Summed, the computed dot of a
+// point with s ≤ T exceeds 1 − e_i by at most (3d + 12)·u·(1 + Σ_k|w_ik|·lb_k
+// + scale·max_k|w_ik|), which is below e_i for d ≤ 2²⁰; wider points get no
+// certificate. So a certified point is a hit by the same rule pairFits
+// applies, and c_i + scale·(W_i·p) only ever certifies: a point it does not
+// certify is decided by pairFits alone, and every count stays bit-identical.
+func certRadius(w *mat.Matrix, lb mat.Vec, scale float64) float64 {
+	if w.Cols > 1<<20 {
+		return math.Inf(-1)
+	}
+	t := 1.0
+	for i := 0; i < w.Rows; i++ {
+		var c, mag, top float64
+		hi := math.Inf(-1)
+		for k, v := range w.Row(i) {
+			if lb != nil {
+				c += v * lb[k]
+				mag += math.Abs(v) * lb[k]
+			}
+			hi, top = max(hi, v), max(top, math.Abs(v))
+		}
+		room := 1 - c - certMargin*(1+mag+scale*top)
+		if !(room >= 0) {
+			return math.Inf(-1)
+		}
+		if hi > 0 {
+			t = min(t, room/(scale*hi))
+		}
+	}
+	return t
+}
+
+// hitRule is one evaluation's plan laid out for countHits: W packed by
+// packPanels, the map x_k = lb_k + scale·p_k (the identity when lb is nil),
+// and the safe radius of certRadius, or −∞ when it would certify too few
+// points to pay for itself. It is read-only, so every par chunk and the
+// past-the-cap eachBlock path share one.
+type hitRule struct {
+	pan    []float64
+	d      int
+	lb     mat.Vec
+	scale  float64
+	radius float64
+}
+
+func newHitRule(w *mat.Matrix, lb mat.Vec, scale float64) hitRule {
+	r := hitRule{pan: packPanels(w), d: w.Cols, lb: lb, scale: scale, radius: certRadius(w, lb, scale)}
+	// The points with Σp ≤ T are a share T^d of the simplex the QMC points
+	// cover evenly, and about that share of each block certifies.
+	if !(r.radius >= 0) || math.Pow(r.radius, float64(r.d))*gatherEvery < 1 {
+		r.radius = math.Inf(-1)
+	}
+	return r
+}
+
+// certBlock is how many points countHits certifies before it tests the
+// rest; their gathered copies stay in L1.
+const certBlock = 256
+
+// gatherEvery is the fewest points per certified one for which newHitRule
+// keeps the radius: below that share, the pass comparing sums and the
+// gather cost more than the dot products they save.
+const gatherEvery = 8
+
+// countHits returns how many of the flat row-major points in pts (with
+// sums[j] the in-order sum of point j) land in the feasible set after the
+// map: W_i·x ≤ 1 + 1e-12 on every row of W. It is the package's one hit
+// rule. Without a radius, every point goes to countPairs where it lies.
+// With one, a block of certBlock points is taken in two passes: the points
+// with sum ≤ radius count as hits, and the rest are mapped, gathered and
+// tested by countPairs. A certified point is a hit of pairFits too, so
+// either way the count is the same.
+func (r hitRule) countHits(pts, sums []float64) int {
+	d := r.d
+	if r.radius < 0 {
+		var xs []float64
+		if r.lb != nil {
+			xs = make([]float64, 2*d)
+		}
+		return countPairs(r.pan, d, r.lb, r.scale, pts, xs)
+	}
+	var rest [certBlock]int // a block's uncertified points, in order
+	buf := make([]float64, min(len(sums), certBlock)*d)
+	hits := 0
+	for lo := 0; lo < len(sums); lo += certBlock {
+		bs := sums[lo:min(lo+certBlock, len(sums))]
+		blk := pts[lo*d : (lo+len(bs))*d]
+		n := uncertified(&rest, bs, r.radius)
+		for m, j := range rest[:n] {
+			mapPoint(buf[m*d:(m+1)*d], blk[j*d:(j+1)*d], r.lb, r.scale)
+		}
+		hits += len(bs) - n + countPairs(r.pan, d, nil, 1, buf[:n*d], nil)
 	}
 	return hits
 }
 
-// countPairs is countHits for an even number of points: it maps them two at
-// a time and tests each pair with pairFits.
-func countPairs(pan []float64, d int, lb mat.Vec, scale float64, pts []float64) int {
+// uncertified writes the indices of the sums (at most certBlock) above
+// radius into rest, in order, and returns how many there are. It stores
+// every index and advances past the uncertified ones only, so the loop has
+// no branch to mispredict.
+func uncertified(rest *[certBlock]int, sums []float64, radius float64) int {
+	n := 0
+	for j, s := range sums {
+		rest[n] = j
+		if !(s <= radius) {
+			n++
+		}
+	}
+	return n
+}
+
+// mapPoint writes x_k = lb_k + scale·p_k into x, or copies p when lb is nil:
+// the expression countPairs' pair loop maps with, so a gathered point is
+// bit for bit the point countPairs would have tested.
+func mapPoint(x, p []float64, lb mat.Vec, scale float64) {
+	if lb == nil {
+		copy(x, p)
+		return
+	}
+	for k := range x {
+		x[k] = lb[k] + scale*p[k]
+	}
+}
+
+// countPairs counts the hits among pts two points at a time with pairFits;
+// an odd last point is tested as a pair of itself. With lb non-nil each pair
+// is first mapped into xs (at least 2·d floats).
+func countPairs(pan []float64, d int, lb mat.Vec, scale float64, pts, xs []float64) int {
 	var xa, xb []float64
 	if lb != nil {
-		buf := make([]float64, 2*d)
-		xa, xb = buf[:d], buf[d:]
+		xa, xb = xs[:d], xs[d:2*d]
 	}
 	hits := 0
-	for off := 0; off+2*d <= len(pts); off += 2 * d {
+	off := 0
+	for ; off+2*d <= len(pts); off += 2 * d {
 		a, b := pts[off:off+d], pts[off+d:off+2*d]
 		if lb != nil {
 			for k := range xa {
@@ -228,6 +397,16 @@ func countPairs(pan []float64, d int, lb mat.Vec, scale float64, pts []float64) 
 			hits++
 		}
 		if okB {
+			hits++
+		}
+	}
+	if off < len(pts) {
+		last := pts[off : off+d]
+		if lb != nil {
+			mapPoint(xa, last, lb, scale)
+			last = xa
+		}
+		if ok, _ := pairFits(pan, last, last); ok {
 			hits++
 		}
 	}

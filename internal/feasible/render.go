@@ -23,17 +23,18 @@ func RenderASCII(w *mat.Matrix, width, height int) string {
 		height = 4
 	}
 	var b strings.Builder
-	pan := packPanels(w)
-	x := make(mat.Vec, 2)
+	rule := newHitRule(w, nil, 1)
+	x, sum := make(mat.Vec, 2), make([]float64, 1)
 	for row := height - 1; row >= 0; row-- {
 		x[1] = (float64(row) + 0.5) / float64(height)
 		b.WriteByte('|')
 		for col := 0; col < width; col++ {
 			x[0] = (float64(col) + 0.5) / float64(width)
+			sum[0] = x.Sum()
 			switch {
 			case x[0]+x[1] > 1:
 				b.WriteByte(' ')
-			case countHits(pan, 2, nil, 1, x) == 1:
+			case rule.countHits(x, sum) == 1:
 				b.WriteByte('#')
 			default:
 				b.WriteString("·")
