@@ -60,6 +60,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux for -pprof-addr
@@ -223,7 +224,7 @@ func main() {
 			plan, err = placement.LLF(lm.Coef, caps, avg)
 		}
 	case "random":
-		plan = placement.Random(g.NumOps(), *nodes, newRand(*seed))
+		plan = placement.Random(g.NumOps(), *nodes, rand.New(rand.NewSource(*seed)))
 	default:
 		fail(fmt.Errorf("unknown -algo %s", *algo))
 	}

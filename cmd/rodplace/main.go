@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"strings"
 
@@ -106,7 +107,7 @@ func main() {
 			plan, err = placement.Connected(g, lm.Coef, caps, rates)
 		}
 	case "random":
-		plan = placement.Random(g.NumOps(), len(caps), newRand(*seed))
+		plan = placement.Random(g.NumOps(), len(caps), rand.New(rand.NewSource(*seed)))
 	default:
 		fail("unknown -algo " + *algo)
 	}

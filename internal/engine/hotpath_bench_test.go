@@ -1,15 +1,16 @@
 package engine
 
 import (
+	"net"
 	"testing"
 	"time"
 )
 
-// Layer microbenchmarks for the three things the data plane decides once per
-// run: the route entry (BenchmarkIngressChunk), the operator mutex
-// (BenchmarkWorkerRun) and the sink lock (BenchmarkSinkBatch). Each moves
-// one 256-tuple run per iteration and reports ns/tuple; the end-to-end
-// figure they add up to is benchmark/'s cpu_ns_per_item on `chain`.
+// Layer microbenchmarks of the data plane, one run per iteration, reported
+// in ns/tuple: an ingress chunk (BenchmarkIngressChunk), a worker run
+// (BenchmarkWorkerRun), an outbox frame (BenchmarkOutboxShip) and a sink
+// batch (BenchmarkSinkBatch). The end-to-end figure they add up to is
+// benchmark/'s cpu_ns_per_item on `chain`.
 
 // hotPathNode is one zero-cost pass-through operator from stream 1 to stream
 // 2, whose tuples leave for a peer nothing listens on: the peer's ring fills
@@ -86,6 +87,34 @@ func BenchmarkWorkerRun(b *testing.B) {
 	reportPerTuple(b, batchMax)
 }
 
+// discardConn is a connection whose writes all succeed and go nowhere.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
+
+// One outbox frame: a full-size run taken from a full ring, encoded and
+// written to a connection that discards it. After each ship the freed slots
+// are handed back as if a producer had refilled them (tail moves, the slots
+// keep the tuples they held), so only the writer's side is timed.
+func BenchmarkOutboxShip(b *testing.B) {
+	n := hotPathNode(b)
+	o := newOutbox(n, deadAddr(b), false)
+	o.enqueueBatch(seqRun(2, 0, len(o.ring)))
+	var conn net.Conn = discardConn{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if k, err := o.ship(conn); k != outboxBatchMax || err != nil {
+			b.Fatalf("shipped %d tuples (%v), want %d", k, err, outboxBatchMax)
+		}
+		o.mu.Lock()
+		o.tail += outboxBatchMax
+		o.mu.Unlock()
+	}
+	reportPerTuple(b, outboxBatchMax)
+}
+
 // One sink batch: the locked helper alone, without and with the dedup rule.
 func BenchmarkSinkBatch(b *testing.B) {
 	for _, dedup := range []bool{false, true} {
@@ -114,7 +143,7 @@ func BenchmarkSinkBatch(b *testing.B) {
 	}
 }
 
-// After warm-up none of the three layers allocates per run.
+// After warm-up none of the four layers allocates per run.
 func TestHotPathSteadyStateAllocs(t *testing.T) {
 	n := hotPathNode(t)
 	l := parkLane(t, n, 0)
@@ -139,10 +168,19 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 		}
 		c.recordBatch(batch, int64(time.Second))
 	}
+	o := newOutbox(n, deadAddr(t), false)
+	o.enqueueBatch(seqRun(2, 0, len(o.ring)))
+	var conn net.Conn = discardConn{}
+	ship := func() {
+		k, _ := o.ship(conn)
+		o.mu.Lock()
+		o.tail += uint64(k)
+		o.mu.Unlock()
+	}
 	for _, layer := range []struct {
 		name string
 		run  func()
-	}{{"enqueueChunk", ingress}, {"processRun", worker}, {"recordBatch", sink}} {
+	}{{"enqueueChunk", ingress}, {"processRun", worker}, {"ship", ship}, {"recordBatch", sink}} {
 		if raceEnabled && layer.name == "enqueueChunk" {
 			continue // its scratch is pooled; see raceEnabled
 		}

@@ -75,7 +75,7 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 			if op := rs.ops[int(t.target)-1]; op != nil {
 				charge(step(op, t))
 			} else if addr := sr.part.relay[int(t.target)-1]; addr != "" {
-				fwds.add(addr, t)
+				fwds.add(addr, []Tuple{t})
 			} else {
 				n.dropNoRt.Add(1)
 			}
@@ -96,7 +96,7 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 			n.dropNoRt.Add(1)
 		}
 		for _, d := range sr.relays {
-			fwds.add(d.Addr, t)
+			fwds.add(d.Addr, []Tuple{t})
 		}
 	}
 	n.lanes[0].processed.Add(int64(len(tuples)))
@@ -114,7 +114,7 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 			slot := slotOf(&t)
 			atomic.AddInt64(&pt.counts[slot], 1)
 			if d := pt.shards[pt.slots[slot]]; !d.Local {
-				egress.add(d.Addr, t)
+				egress.add(d.Addr, []Tuple{t})
 			} else {
 				// This test keeps keyed outputs off the local lanes (a
 				// re-entry would be stepped by the real lane worker).
@@ -123,7 +123,7 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 			continue
 		}
 		for _, d := range sr.fwd {
-			egress.add(d.Addr, t)
+			egress.add(d.Addr, []Tuple{t})
 		}
 	}
 	for i := range egress {

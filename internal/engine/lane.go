@@ -105,34 +105,43 @@ type admitResult struct {
 	shedTotal   int64
 }
 
-// admit appends a run of tuples to the lane queue under one lock
-// acquisition, shedding per the node policy when the lane bound is hit.
-// Per-tuple accounting (shed counters, the onset hysteresis latch) matches
-// the single-queue semantics exactly, per lane.
-func (l *lane) admit(ts []Tuple, policy ShedPolicy) admitResult {
+// chunkRange is the stretch [lo, hi) of an ingress chunk.
+type chunkRange struct{ lo, hi int }
+
+// admit appends the given stretches of an ingress chunk, in order, to the
+// lane queue under one lock acquisition, shedding per the node policy when
+// the lane bound is hit. The prefix of a stretch that fits goes in with one
+// bulk copy; every tuple after it meets a full lane and is shed one at a
+// time, so per-tuple accounting (shed counters, the onset hysteresis latch,
+// drop-oldest eviction) matches the single-queue semantics exactly, per
+// lane.
+func (l *lane) admit(chunk []Tuple, ranges []chunkRange, policy ShedPolicy) admitResult {
 	var res admitResult
 	l.mu.Lock()
-	for i := range ts {
-		if l.qlenLocked() >= l.cap {
+	for _, r := range ranges {
+		ts := chunk[r.lo:r.hi]
+		k := min(max(l.cap-l.qlenLocked(), 0), len(ts))
+		if k > 0 {
+			l.queue = append(l.queue, ts[:k]...)
+			res.admitted = true
+		}
+		for i := k; i < len(ts); i++ {
 			// Lane full: shed. Drop-newest rejects the arrival; drop-oldest
-			// evicts the head to admit it.
-			victim := ts[i]
+			// evicts the head to admit it, so the lane stays full.
+			victim := ts[i].Stream
 			if policy == DropOldest {
-				victim = l.queue[l.qhead]
+				victim = l.queue[l.qhead].Stream
 				l.qhead++
 				l.queue = append(l.queue, ts[i])
 				res.admitted = true
 			}
 			l.shed.Add(1)
-			l.shedByStream[victim.Stream]++
+			l.shedByStream[victim]++
 			if !l.shedding {
 				l.shedding = true
 				res.shedOnset = true
-				res.onsetStream = victim.Stream
+				res.onsetStream = victim
 			}
-		} else {
-			l.queue = append(l.queue, ts[i])
-			res.admitted = true
 		}
 	}
 	if res.admitted {
@@ -151,6 +160,44 @@ func (l *lane) requeue(ts []Tuple) {
 	l.mu.Lock()
 	l.queue = append(l.queue, ts...)
 	l.cond.Signal()
+	l.mu.Unlock()
+}
+
+// take hands the lane worker its next run, up to batchMax queued tuples, and
+// counts them in flight; callers hold l.mu. The run is not a copy: it
+// aliases the queue slots [qhead, qhead+k), capped so that nothing appended
+// through it could reach the slots behind. Nothing writes those slots while
+// the run is out, because until endRun nothing writes any slot below
+// len(l.queue):
+//
+//   - admit, requeue and stall only append, and an append that outgrows the
+//     array moves the queue to a new one, leaving the old array — which the
+//     run still points into — as it was;
+//   - drop-oldest eviction only advances qhead, past slots behind the run;
+//   - the only writes below len, resetting an empty queue and compacting a
+//     long-drained one, are endRun's, and endRun runs after the run.
+func (l *lane) take() []Tuple {
+	k := min(l.qlenLocked(), batchMax)
+	run := l.queue[l.qhead : l.qhead+k : l.qhead+k]
+	l.qhead += k
+	l.inRun = k
+	return run
+}
+
+// endRun lapses the worker's in-flight claim once its run's outputs are
+// routed and counted (one uncontended lock per run, not per tuple), and only
+// then reuses the drained slots: an empty queue starts over at slot 0, and a
+// queue whose drained prefix is both past 4096 slots and most of its length
+// is compacted.
+func (l *lane) endRun() {
+	l.mu.Lock()
+	l.inRun = 0
+	if l.qhead == len(l.queue) {
+		l.queue, l.qhead = l.queue[:0], 0
+	} else if l.qhead > 4096 && l.qhead*2 > len(l.queue) {
+		l.queue = append(l.queue[:0], l.queue[l.qhead:]...)
+		l.qhead = 0
+	}
 	l.mu.Unlock()
 }
 

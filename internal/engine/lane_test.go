@@ -3,6 +3,7 @@ package engine
 import (
 	"bufio"
 	"net"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -215,5 +216,71 @@ func TestComputeLanesGroupsSharedConsumers(t *testing.T) {
 		if sr.lane != 0 {
 			t.Fatalf("w=1: stream %d on lane %d", sid, sr.lane)
 		}
+	}
+}
+
+// A run the worker took aliases the lane queue (lane.take) until endRun.
+// While it is out, producers evict with drop-oldest, requeue enough to
+// outgrow the queue's array, and keep doing both concurrently with
+// processRun: the run's outputs must equal those of a copy taken at the
+// drain, and the queue must hold exactly what a plain FIFO model holds. The
+// queue is due for compaction from the moment the run is taken, and its
+// survivors would land on the run's slots: compacting before processRun
+// instead of in endRun fails this test.
+func TestLaneDrainAliasIsStable(t *testing.T) {
+	got, ref := hotPathNode(t), hotPathNode(t)
+	const total, laneCap = 9000, 512
+	l := newLane(0, laneCap)
+	l.requeue(seqRun(1, 0, total))
+	take := func() []Tuple {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.take()
+	}
+	for l.qhead+batchMax <= 4352 {
+		take()
+		l.endRun()
+	}
+	// The run will be the slots [start, end); compacting the survivors
+	// [end, total) to the front would overwrite [start, total-end).
+	start, end := l.qhead, l.qhead+batchMax
+	if end <= 4096 || 2*end <= total || total-end <= start {
+		t.Fatalf("a run of [%d, %d) of %d: the queue would not be due for a compaction onto it", start, end, total)
+	}
+	held := take()
+	copied := append([]Tuple(nil), held...)
+	model := seqRun(1, end, total-end)
+	// Every admission meets a full lane, so each tuple evicts the head.
+	admit := func(ts []Tuple) {
+		l.admit(ts, []chunkRange{{0, len(ts)}}, DropOldest)
+		for _, tp := range ts {
+			model = append(model[1:], tp)
+		}
+	}
+	requeue := func(ts []Tuple) {
+		l.requeue(ts)
+		model = append(model, ts...)
+	}
+	admit(seqRun(3, 0, 100))
+	requeue(seqRun(4, 0, cap(l.queue)))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 8; i++ {
+			requeue(seqRun(5, i*1000, 1000))
+			admit(seqRun(6, i*50, 50))
+		}
+	}()
+	run := workerRun{locals: make([][]Tuple, got.workers), tuples: held}
+	got.processRun(l, &run)
+	<-done
+	want := workerRun{locals: make([][]Tuple, ref.workers), tuples: copied}
+	ref.processRun(newLane(0, laneCap), &want)
+	if len(run.outs) != batchMax || !reflect.DeepEqual(run.outs, want.outs) {
+		t.Fatalf("the held run's %d outputs differ from the %d of a copy taken at the drain", len(run.outs), len(want.outs))
+	}
+	l.endRun()
+	if !reflect.DeepEqual(l.queue[l.qhead:], model) {
+		t.Fatalf("the queue holds %d tuples after the run, the FIFO model %d, or they differ", l.qlenLocked(), len(model))
 	}
 }

@@ -591,7 +591,8 @@ type destRuns []relayRun
 
 func (d *destRuns) reset() { *d = (*d)[:0] }
 
-func (d *destRuns) add(addr string, t Tuple) {
+// add appends ts, in order, to addr's run.
+func (d *destRuns) add(addr string, ts []Tuple) {
 	rs := *d
 	i := 0
 	for ; i < len(rs); i++ {
@@ -609,7 +610,7 @@ func (d *destRuns) add(addr string, t Tuple) {
 		}
 		*d = rs
 	}
-	rs[i].ts = append(rs[i].ts, t)
+	rs[i].ts = append(rs[i].ts, ts...)
 }
 
 // enqueueInboundBatch admits a batch of tuples arriving from the network
@@ -640,18 +641,29 @@ type ingressSpan struct {
 }
 
 // ingressScratch is the pooled per-call grouping state of enqueueChunk:
-// admissions bucketed per lane, relay runs per destination, deferred
-// events. Pooled (not per-call) so the unsampled ingress path stays
-// allocation-free.
+// admissions bucketed per lane (as stretches of the chunk, not copies of
+// it), relay runs per destination, deferred events. Pooled (not per-call)
+// so the unsampled ingress path stays allocation-free.
 type ingressScratch struct {
-	perLane [][]Tuple
+	perLane [][]chunkRange
 	relays  destRuns
 	spans   []ingressSpan
 	noRoute []int32
 }
 
 func newIngressScratch(w int) *ingressScratch {
-	return &ingressScratch{perLane: make([][]Tuple, w)}
+	return &ingressScratch{perLane: make([][]chunkRange, w)}
+}
+
+// bucket puts chunk tuple ci on lane li, extending the lane's last stretch
+// when ci follows it directly.
+func (sc *ingressScratch) bucket(li uint32, ci int) {
+	rs := sc.perLane[li]
+	if n := len(rs); n > 0 && rs[n-1].hi == ci {
+		rs[n-1].hi++
+		return
+	}
+	sc.perLane[li] = append(rs, chunkRange{ci, ci + 1})
 }
 
 func (sc *ingressScratch) reset() {
@@ -664,9 +676,10 @@ func (sc *ingressScratch) reset() {
 }
 
 // enqueueChunk routes one ingress chunk: it loads the route snapshot once,
-// fetches a stream's entry once per run of equal Stream, buckets admissible
-// tuples per worker lane, then admits each bucket with one lane-lock
-// acquisition. No node-wide lock is taken anywhere on this path.
+// fetches a stream's entry once per run of equal Stream, records per worker
+// lane which stretches of the chunk it admits, then copies each lane's
+// stretches from the chunk into its queue with one lane-lock acquisition.
+// No node-wide lock is taken anywhere on this path.
 func (n *Node) enqueueChunk(chunk []Tuple) {
 	if n.closed.Load() {
 		return
@@ -715,23 +728,21 @@ func (n *Node) enqueueChunk(chunk []Tuple) {
 			switch d := &pt.route[slotOf(t)]; {
 			case d.target != 0:
 				t.target = d.target
-				li := sr.laneFor(t, n.workers)
-				sc.perLane[li] = append(sc.perLane[li], *t)
+				sc.bucket(sr.laneFor(t, n.workers), ci)
 			case d.addr != "":
-				sc.relays.add(d.addr, *t)
+				sc.relays.add(d.addr, chunk[ci:ci+1])
 			default:
 				n.dropNoRoute(sc, sid)
 			}
 			continue
 		}
 		if len(sr.subs) > 0 {
-			li := sr.laneFor(t, n.workers)
-			sc.perLane[li] = append(sc.perLane[li], *t)
+			sc.bucket(sr.laneFor(t, n.workers), ci)
 		} else if len(sr.relays) == 0 {
 			n.dropNoRoute(sc, sid)
 		}
 		for _, d := range sr.relays {
-			sc.relays.add(d.Addr, *t)
+			sc.relays.add(d.Addr, chunk[ci:ci+1])
 		}
 	}
 	if xferBusy > 0 {
@@ -749,7 +760,7 @@ func (n *Node) enqueueChunk(chunk []Tuple) {
 		if len(sc.perLane[li]) == 0 {
 			continue
 		}
-		res := n.lanes[li].admit(sc.perLane[li], n.cfg.ShedPolicy)
+		res := n.lanes[li].admit(chunk, sc.perLane[li], n.cfg.ShedPolicy)
 		if res.shedOnset {
 			ev.Emit(obs.LevelWarn, obs.EventShedOnset,
 				"node", nodeID, "lane", int(n.lanes[li].id),

@@ -23,18 +23,20 @@ import (
 //	        │ awaiting ack  │ yet written    │
 //
 // Producers (lane workers, ingress relays) append at tail and never block:
-// a full ring drops with a counter. The writer copies the next run
-// [shipped, shipped+k) out under the lock, encodes it as one frame and
-// issues one write. On a volatile link acked follows shipped as soon as the
-// write returns. On a durable link (the peer runs a WAL) the frame carries
-// the position after its last tuple as its sequence, so the peer's
-// cumulative ack IS the new acked cursor: a tuple leaves the ring only when
-// an ack covers it, retention is the region [acked, shipped) held in place,
-// and a reconnect rewinds shipped to acked — replay is the ordinary ship
-// loop. Ack room is ring room, so overload lands where it always has: at
-// enqueueBatch's drop counter. The outbox dials with exponential backoff
-// plus jitter and re-arms the per-peer relay-error latch on recovery so
-// repeated failures stay visible.
+// a full ring drops with a counter. The writer picks the next run
+// [shipped, shipped+k) under the lock, encodes it as one frame straight
+// from the ring slots with the lock released (a run stops at the ring's
+// wrap, so its slots are contiguous; see ship for why nobody else touches
+// them), advances shipped and issues one write. On a volatile link acked
+// follows shipped as soon as the write returns. On a durable link (the peer
+// runs a WAL) the frame carries the position after its last tuple as its
+// sequence, so the peer's cumulative ack IS the new acked cursor: a tuple
+// leaves the ring only when an ack covers it, retention is the region
+// [acked, shipped) held in place, and a reconnect rewinds shipped to acked —
+// replay is the ordinary ship loop. Ack room is ring room, so overload lands
+// where it always has: at enqueueBatch's drop counter. The outbox dials with
+// exponential backoff plus jitter and re-arms the per-peer relay-error latch
+// on recovery so repeated failures stay visible.
 
 // errOutboxClosed signals an orderly shutdown of the writer loop.
 var errOutboxClosed = errors.New("engine: outbox closed")
@@ -81,9 +83,7 @@ type outbox struct {
 	reconnects           int64
 	conn                 net.Conn // live connection, so a sever fault can break it
 
-	// Writer-owned scratch: the run being shipped and its encoded frame.
-	gather []Tuple
-	enc    []byte
+	enc []byte // writer-owned: the frame being shipped
 }
 
 func newOutbox(n *Node, addr string, durable bool) *outbox {
@@ -95,7 +95,6 @@ func newOutbox(n *Node, addr string, durable bool) *outbox {
 		quit:        make(chan struct{}),
 		notify:      make(chan struct{}, 1),
 		ring:        make([]Tuple, n.cfg.OutboxCap),
-		gather:      make([]Tuple, min(n.cfg.OutboxCap, outboxBatchMax)),
 	}
 }
 
@@ -295,18 +294,26 @@ func (o *outbox) drain(conn net.Conn) error {
 	}
 }
 
-// ship sends the next run [shipped, shipped+k), k ≤ outboxBatchMax, as one
-// frame with one write under a write deadline (so a stalled peer surfaces
-// as an error instead of blocking shutdown), honoring an injected fault,
-// and returns k (0: nothing to do until the next wakeup). Drop accounting
-// stays per tuple. A volatile run is settled here — sent on success,
-// dropped on a failed write. A durable run carries its end position as the
-// frame sequence and stays in the ring until applyAck covers it; a failed
-// write leaves it for the reconnect replay.
+// ship sends the next run [shipped, shipped+k) as one frame with one write
+// under a write deadline (so a stalled peer surfaces as an error instead of
+// blocking shutdown), honoring an injected fault, and returns k (0: nothing
+// to do until the next wakeup). The run is at most outboxBatchMax tuples
+// and never crosses the ring's wrap, so it is one contiguous stretch of
+// ring slots, encoded where it lies with the lock released. Producers only
+// write slots at positions ≥ tail, which map onto the ring clear of
+// [acked, tail), and acked never passes shipped, which moves only after the
+// encode — so nothing else touches the run's slots meanwhile, and an ack
+// arriving before shipped moves names tuples not yet written and fails the
+// connection (applyAck). Drop accounting stays per tuple. A volatile run is
+// settled here — sent on success, dropped on a failed write. A durable run
+// carries its end position as the frame sequence and stays in the ring
+// until applyAck covers it; a failed write leaves it for the reconnect
+// replay.
 func (o *outbox) ship(conn net.Conn) (int, error) {
 	f := o.node.linkFault(o.addr)
 	o.mu.Lock()
-	k := min(int(o.tail-o.shipped), len(o.gather))
+	at := int(o.shipped % uint64(len(o.ring)))
+	k := min(int(o.tail-o.shipped), outboxBatchMax, len(o.ring)-at)
 	if k == 0 {
 		o.mu.Unlock()
 		return 0, nil
@@ -325,16 +332,16 @@ func (o *outbox) ship(conn net.Conn) (int, error) {
 		o.mu.Unlock()
 		return k, nil
 	}
-	run := o.gather[:k]
-	first := copy(run, o.ring[o.shipped%uint64(len(o.ring)):])
-	copy(run[first:], o.ring)
-	o.shipped += uint64(k)
-	seq := o.shipped
+	seq := o.shipped + uint64(k)
 	o.mu.Unlock()
+	run := o.ring[at : at+k]
 	// Stage boundary: a traced tuple leaves the outbox now; the time since
 	// its last boundary (the worker's service end, or its ingress admission
-	// on a relay hop) is outbox residence. The tuples go onto the wire with
-	// the refreshed TraceTs, so the receiver's transit stage starts here.
+	// on a relay hop) is outbox residence. The refreshed TraceTs is written
+	// into the ring slot and goes onto the wire from there, so the
+	// receiver's transit stage starts here. A durable replay re-sends the
+	// slot as it was last shipped and refreshes it again: its outbox stage
+	// is the time since the previous send, and the stages still telescope.
 	if ev, stages, _ := o.node.observer(); ev != nil || stages != nil {
 		var now int64
 		for i := range run {
@@ -366,6 +373,9 @@ func (o *outbox) ship(conn net.Conn) (int, error) {
 		case <-time.After(f.Delay):
 		}
 	}
+	o.mu.Lock()
+	o.shipped = seq
+	o.mu.Unlock()
 	conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
 	_, err := conn.Write(o.enc)
 	if !o.durable {

@@ -2,6 +2,9 @@ package engine
 
 import (
 	"bufio"
+	"bytes"
+	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -672,5 +675,206 @@ func TestStoreMaxConcurrent(t *testing.T) {
 	storeMax(&a, 3)
 	if a.Load() != 10 {
 		t.Fatalf("storeMax lowered the value to %d", a.Load())
+	}
+}
+
+// recordConn is a connection whose writes all succeed and are kept, one
+// entry per Write call.
+type recordConn struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (c *recordConn) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+func (c *recordConn) SetWriteDeadline(time.Time) error { return nil }
+
+// ship encodes a run where it lies in the ring, so a run that reaches the
+// ring's end stops there and the rest goes out as the next frame: each
+// write is one frame, carrying exactly the tuples at its positions, and a
+// durable frame's sequence is the position after its last tuple.
+func TestOutboxShipFromRingWrap(t *testing.T) {
+	const ringCap = 16
+	for _, durable := range []bool{false, true} {
+		name := "volatile"
+		if durable {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) {
+			n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{OutboxCap: ringCap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			// No writer goroutine: the test calls ship itself. Tuple Seq
+			// equals ring position throughout.
+			o := newOutbox(n, deadAddr(t), durable)
+			conn := &recordConn{}
+			shipOne := func(from, k int) {
+				t.Helper()
+				if got, err := o.ship(conn); got != k || err != nil {
+					t.Fatalf("ship from position %d: %d tuples (%v), want %d", from, got, err, k)
+				}
+				got, seqs, frames := decodeAll(t, conn.writes[len(conn.writes)-1])
+				if frames != 1 {
+					t.Fatalf("ship from position %d wrote %d frames in one write", from, frames)
+				}
+				wantSeqs(t, fmt.Sprintf("frame from position %d", from), got, from, k)
+				switch {
+				case durable && (len(seqs) != 1 || seqs[0] != uint64(from+k)):
+					t.Fatalf("frame from position %d: sequences %v, want [%d]", from, seqs, from+k)
+				case !durable && len(seqs) != 0:
+					t.Fatalf("volatile frame carries sequences %v", seqs)
+				}
+			}
+			o.enqueueBatch(seqRun(1, 0, 10))
+			shipOne(0, 10)
+			if durable {
+				if err := o.applyAck(10); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Positions 10..21 occupy slots 10..15, then wrap to slots 0..5.
+			if got := o.enqueueBatch(seqRun(1, 10, 12)); got != 12 {
+				t.Fatalf("accepted %d of 12", got)
+			}
+			shipOne(10, 6)
+			shipOne(16, 6)
+			if k, err := o.ship(conn); k != 0 || err != nil {
+				t.Fatalf("an empty ring shipped %d tuples (%v)", k, err)
+			}
+			wantAcked := uint64(22)
+			if durable {
+				wantAcked = 10
+			}
+			if o.acked != wantAcked || o.shipped != 22 || o.tail != 22 || len(conn.writes) != 3 {
+				t.Fatalf("cursors acked %d shipped %d tail %d after %d writes, want %d/22/22 after 3",
+					o.acked, o.shipped, o.tail, len(conn.writes), wantAcked)
+			}
+		})
+	}
+}
+
+// An ack may only cover tuples already written. One that arrives while the
+// run it names is still between encode and write (held there by a Delay
+// fault) fails the connection and releases nothing; the next connection
+// replays the run under the same sequence.
+func TestOutboxEarlyAckRejected(t *testing.T) {
+	peer := newAckPeer(t)
+	n := durableSender(t, peer.addr(), NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
+	n.SetLinkFault(peer.addr(), LinkFault{Delay: 300 * time.Millisecond})
+	n.sendBatch(peer.addr(), seqRun(1, 0, 10))
+	c := peer.accept()
+	c.ack(10)
+	c2 := peer.accept()
+	wantSeqs(t, "replay after the early ack", c2.readN(0, 10), 0, 10)
+	s := awaitOutbox(t, n, "nothing released by the early ack", 0, 10)
+	if s.Reconnects < 1 || s.Dropped != 0 {
+		t.Fatalf("after the early ack: %+v", s)
+	}
+	c2.ack(10)
+	awaitOutbox(t, n, "replayed run acked", 10, 0)
+	c.conn.Close()
+}
+
+// firstFrame accepts the outbox's next connection and returns the bytes it
+// sent, exactly, from the preamble to the end of its first tuple frame, and
+// that frame's tuples. The connection is closed when it returns.
+func (p *ackPeer) firstFrame() ([]byte, []Tuple) {
+	p.t.Helper()
+	p.ln.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	conn, err := p.ln.Accept()
+	if err != nil {
+		p.t.Fatalf("accept: %v", err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(20 * time.Second)) //nolint:errcheck
+	// Unbuffered: the reader consumes exactly the bytes it decodes, and the
+	// tee keeps exactly those.
+	var raw bytes.Buffer
+	r := io.TeeReader(conn, &raw)
+	if _, err := io.ReadFull(r, make([]byte, 1)); err != nil {
+		p.t.Fatalf("preamble: %v", err)
+	}
+	batch, err := NewTupleReader(r).ReadBatch()
+	if err != nil {
+		p.t.Fatalf("reading frame: %v", err)
+	}
+	return raw.Bytes(), append([]Tuple(nil), batch...)
+}
+
+// A reconnect replays the unacked region from the ring slots: the same
+// bytes as the first send, record for record, except each traced tuple's
+// TraceTs. That is refreshed at every ship and kept in the slot, so the
+// replay's outbox stage is the time since the previous send.
+func TestDurableReconnectResendsIdenticalRecords(t *testing.T) {
+	peer := newAckPeer(t)
+	n := durableSender(t, peer.addr(), NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
+	ev := obs.NewEventLog(0)
+	n.SetObserver(ev, nil, 0)
+	const count = 40
+	ts := seqRun(1, 0, count)
+	for i := range ts {
+		ts[i].Ts, ts[i].Value, ts[i].Key = int64(i)*7, float64(i)/3, uint64(1000+i)
+		if i%3 == 0 {
+			ts[i].Flags, ts[i].TraceTs = TupleTraced, 1
+		}
+	}
+	n.sendBatch(peer.addr(), ts)
+	raw1, first := peer.firstFrame() // closing it makes the outbox reconnect
+	raw2, replay := peer.firstFrame()
+
+	wantSeqs(t, "first send", first, 0, count)
+	wantSeqs(t, "replay", replay, 0, count)
+	if len(raw1) != len(raw2) {
+		t.Fatalf("replay is %d bytes, the first send %d", len(raw2), len(raw1))
+	}
+	// Blank each traced record's TraceTs: preamble, hello (opcode,
+	// incarnation, address length, address), frame header, sequence, then
+	// records of recordSize bytes with flags and TraceTs after the fixed 28.
+	recs := 1 + 1 + 8 + 2 + len(n.Addr()) + frameHeaderSize + seqFieldSize
+	rec := recordSize(raw1[recs-seqFieldSize-frameHeaderSize+1])
+	if rec != tupleFrameSize+traceFieldSize+keyFieldSize {
+		t.Fatalf("record size %d: the frame does not carry trace and key fields", rec)
+	}
+	for i := range ts {
+		if ts[i].Flags == 0 {
+			if first[i] != ts[i] || replay[i] != ts[i] {
+				t.Fatalf("untraced tuple %d: sent %+v, then %+v, offered %+v", i, first[i], replay[i], ts[i])
+			}
+			continue
+		}
+		if !(ts[i].TraceTs < first[i].TraceTs && first[i].TraceTs < replay[i].TraceTs) {
+			t.Fatalf("traced tuple %d: TraceTs %d, sent %d, replayed %d: want each ship to refresh it",
+				i, ts[i].TraceTs, first[i].TraceTs, replay[i].TraceTs)
+		}
+		at := recs + i*rec + tupleFrameSize + 1
+		clear(raw1[at : at+8])
+		clear(raw2[at : at+8])
+	}
+	if !bytes.Equal(raw1, raw2) {
+		t.Fatal("the replay differs from the first send outside the traced tuples' TraceTs")
+	}
+	// Each traced tuple's second outbox span is the replay's, and it waited
+	// from the first send's TraceTs to the replay's. (Closing the second
+	// connection starts a third replay, which may have added a third span.)
+	waits := map[int64][]float64{}
+	for _, e := range ev.Events() {
+		if e.Type == obs.EventSpan && e.Fields["stage"] == "outbox" {
+			seq := e.Fields["seq"].(int64)
+			waits[seq] = append(waits[seq], e.Fields["wait"].(float64))
+		}
+	}
+	for i := range ts {
+		if ts[i].Flags == 0 {
+			continue
+		}
+		want := float64(replay[i].TraceTs-first[i].TraceTs) / float64(time.Second)
+		if w := waits[int64(i)]; len(w) < 2 || w[1] != want {
+			t.Fatalf("traced tuple %d: outbox waits %v, want the replay's to be %v", i, w, want)
+		}
 	}
 }

@@ -99,13 +99,22 @@ const TupleTraced uint8 = 1 << 0
 // tuple's last recorded stage boundary, so each hop can attribute
 // now−TraceTs to one stage and the stage durations telescope to the
 // end-to-end latency.
+//
+// The field order packs a Tuple into 56 bytes: the two 4-byte fields share
+// one word and the flags byte goes last. Every hop copies whole Tuples, so
+// TestTupleSize makes growing it a deliberate change.
 type Tuple struct {
 	Stream int32
-	Ts     int64
-	Seq    int64
-	Value  float64
 
-	Flags   uint8
+	// target is in-memory routing state (never on the wire): when nonzero,
+	// the tuple is addressed to local operator id target−1 alone instead of
+	// every subscriber of its stream — how keyed ingress delivers one key
+	// partition to one co-located shard replica.
+	target int32
+
+	Ts      int64
+	Seq     int64
+	Value   float64
 	TraceTs int64
 
 	// Key is the partition key for keyed (sharded) streams: hashed through
@@ -113,11 +122,7 @@ type Tuple struct {
 	// unkeyed.
 	Key uint64
 
-	// target is in-memory routing state (never on the wire): when nonzero,
-	// the tuple is addressed to local operator id target−1 alone instead of
-	// every subscriber of its stream — how keyed ingress delivers one key
-	// partition to one co-located shard replica.
-	target int32
+	Flags uint8
 }
 
 // Wire sizes: the fixed tuple record, its optional fields, the frame
@@ -288,7 +293,7 @@ func appendFrame(dst []byte, ts []Tuple, fields byte, seq uint64) []byte {
 
 // appendFrames appends ts as unsequenced frames split at MaxBatchWire
 // (nothing for an empty ts). Shared by the buffered TupleWriter, the
-// outbox's vectored flush and the WAL record payload.
+// volatile outbox ship and the WAL record payload.
 func appendFrames(dst []byte, ts []Tuple) []byte {
 	fields := fieldsOf(ts)
 	for len(ts) > 0 {

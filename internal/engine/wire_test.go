@@ -9,6 +9,7 @@ import (
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // maskTuples builds n tuples that need exactly the trace/key fields of
@@ -203,5 +204,13 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 	roundTrip() // grow the reusable buffers
 	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
 		t.Fatalf("steady-state SendBatch+ReadBatch allocates %.1f times per batch", allocs)
+	}
+}
+
+// Every hop moves whole Tuples between buffers, so the struct's size is paid
+// on each move: growing it has to be a deliberate change to this figure.
+func TestTupleSize(t *testing.T) {
+	if got := unsafe.Sizeof(Tuple{}); got != 56 {
+		t.Fatalf("Tuple is %d bytes, want 56", got)
 	}
 }

@@ -9,14 +9,14 @@ import (
 	"rodsp/internal/stats"
 )
 
-// workerRun holds one lane worker's reusable per-run scratch: the drained
-// tuples, emitted outputs, the operator whose mutex the worker currently
-// holds, the targeted-delivery cache, per-destination forward groups, local
-// re-entry buckets per lane, and the per-operator estimator samples
-// accumulated over the run. Reuse keeps the steady-state dequeue path
-// allocation-free.
+// workerRun holds one lane worker's per-run state: the run it took (slots of
+// the lane queue itself, see lane.take; read only), emitted outputs, the
+// operator whose mutex the worker currently holds, the targeted-delivery
+// cache, per-destination forward groups, local re-entry buckets per lane,
+// and the per-operator estimator samples accumulated over the run. Reuse
+// keeps the steady-state dequeue path allocation-free.
 type workerRun struct {
-	tuples  []Tuple
+	tuples  []Tuple // read only: aliases the lane queue
 	outs    []Tuple
 	held    *liveOp // operator whose mu this worker holds; see hold
 	tgts    []tgtEntry
@@ -128,22 +128,11 @@ func (n *Node) laneWorker(l *lane) {
 			l.mu.Unlock()
 			return
 		}
-		k := l.qlenLocked()
-		if k > batchMax {
-			k = batchMax
-		}
-		// Tuple holds no pointers, so drained slots need no clearing.
-		run.tuples = append(run.tuples[:0], l.queue[l.qhead:l.qhead+k]...)
-		l.qhead += k
 		// Tuples leave the queue before they finish processing; a costly
-		// run can hold them for hundreds of milliseconds. Track the count
-		// so stats (and the quiescence barrier) never report an empty
-		// pipeline while the worker still owns admitted tuples.
-		l.inRun = k
-		if l.qhead > 4096 && l.qhead*2 > len(l.queue) {
-			l.queue = append(l.queue[:0], l.queue[l.qhead:]...)
-			l.qhead = 0
-		}
+		// run can hold them for hundreds of milliseconds. take counts them
+		// in flight so stats (and the quiescence barrier) never report an
+		// empty pipeline while the worker still owns admitted tuples.
+		run.tuples = l.take()
 		qlen := l.qlenLocked()
 		shedClear := false
 		if l.shedding && qlen <= l.cap/2 {
@@ -162,12 +151,7 @@ func (n *Node) laneWorker(l *lane) {
 				"shed", shedTotal)
 		}
 		n.processRun(l, &run)
-		// Only after the outputs are routed (and counted) does the run's
-		// in-flight claim lapse — one uncontended lock per run, not per
-		// tuple.
-		l.mu.Lock()
-		l.inRun = 0
-		l.mu.Unlock()
+		l.endRun()
 	}
 }
 
@@ -190,7 +174,8 @@ func (n *Node) processRun(l *lane, run *workerRun) {
 	run.tgts = run.tgts[:0]
 	var sr *streamRoute
 	var sid int32
-	for _, t := range run.tuples {
+	for i := range run.tuples {
+		t := &run.tuples[i]
 		var cost float64
 		outsBefore := len(run.outs)
 		// Stage boundary: a traced tuple leaves the queue now; the time
@@ -215,10 +200,10 @@ func (n *Node) processRun(l *lane, run *workerRun) {
 				// the replica migrated between admission and draining,
 				// forward to its recorded new home; with no record left,
 				// count the loss.
-				if e := run.targetOf(rs, sr, &t); e.op != nil {
+				if e := run.targetOf(rs, sr, t); e.op != nil {
 					cost = n.process(run, e.op, t)
 				} else if e.relay != "" {
-					run.fwds.add(e.relay, t)
+					run.fwds.add(e.relay, run.tuples[i:i+1])
 				} else {
 					stranded++
 				}
@@ -236,7 +221,7 @@ func (n *Node) processRun(l *lane, run *workerRun) {
 					stranded++
 				}
 				for _, d := range sr.relays {
-					run.fwds.add(d.Addr, t)
+					run.fwds.add(d.Addr, run.tuples[i:i+1])
 				}
 			}
 		}
@@ -304,7 +289,7 @@ func (n *Node) processRun(l *lane, run *workerRun) {
 // run.outs and returning the cost-units consumed. The operator's mutable
 // state is guarded by its own mutex, which process leaves held for the next
 // tuple (see workerRun.hold).
-func (n *Node) process(run *workerRun, op *liveOp, t Tuple) float64 {
+func (n *Node) process(run *workerRun, op *liveOp, t *Tuple) float64 {
 	run.hold(op)
 	cost := op.spec.Cost
 	produced := op.spec.Selectivity
@@ -332,13 +317,15 @@ func (n *Node) process(run *workerRun, op *liveOp, t Tuple) float64 {
 	out := int32(op.spec.Out)
 	run.sample(op.spec.ID, int64(k), cost)
 	for i := 0; i < k; i++ {
-		// Outputs inherit the partition key (so downstream sharded stages
-		// keep keyed semantics) but never the in-memory target: addressing
-		// is resolved per stream by whoever routes the output.
-		run.outs = append(run.outs, Tuple{
-			Stream: out, Ts: t.Ts, Seq: t.Seq, Value: t.Value,
-			Key: t.Key, Flags: t.Flags, TraceTs: t.TraceTs,
-		})
+		// An output is the input with its stream rewritten, built in its
+		// slot: it inherits Ts, Seq, Value, the trace context and the
+		// partition key (so downstream sharded stages keep keyed
+		// semantics) but never the in-memory target, because addressing is
+		// resolved per stream by whoever routes the output.
+		run.outs = append(run.outs, *t)
+		o := &run.outs[len(run.outs)-1]
+		o.Stream = out
+		o.target = 0
 	}
 	return cost
 }
@@ -348,7 +335,11 @@ func (n *Node) process(run *workerRun, op *liveOp, t Tuple) float64 {
 // lane); remote destinations are aggregated per peer and offered to that
 // peer's outbox ring in one sendBatch each (charging send-side transfer cost
 // per accepted tuple). Routing state comes from the run's route snapshot,
-// one entry lookup per run of equal Stream; no node-wide lock is taken.
+// one entry lookup per run of equal Stream; no node-wide lock is taken. A
+// run of equal Stream on a broadcast stream goes to its lane bucket and to
+// each forward group in one bulk append apiece; keyed outputs are routed one
+// by one, since each picks its own replica. Every bucket and group still
+// receives its tuples in output order.
 func (n *Node) routeBatch(l *lane, rs *routeState, run *workerRun) {
 	outs := run.outs
 	if len(outs) == 0 {
@@ -360,12 +351,11 @@ func (n *Node) routeBatch(l *lane, rs *routeState, run *workerRun) {
 	var tally slotTally // keyed tuples of the current stream, per slot
 	var sr *streamRoute
 	var sid int32
-	for _, t := range outs {
-		if sr == nil || t.Stream != sid {
-			if sr != nil && sr.part != nil {
-				tally.flush(sr.part)
-			}
-			sid, sr = t.Stream, rs.lookup(t.Stream)
+	for i := 0; i < len(outs); {
+		sid, sr = outs[i].Stream, rs.lookup(outs[i].Stream)
+		j := i + 1
+		for j < len(outs) && outs[j].Stream == sid {
+			j++
 		}
 		// Partitioned (keyed) streams: pick the one replica owning the
 		// tuple's slot — a targeted local re-entry when it lives here, a
@@ -373,32 +363,34 @@ func (n *Node) routeBatch(l *lane, rs *routeState, run *workerRun) {
 		// rate counters accumulate: every tuple of the keyed stream passes
 		// through its splitter's home exactly once.
 		if pt := sr.part; pt != nil {
-			slot := slotOf(&t)
-			tally.add(slot)
-			switch d := &pt.route[slot]; {
-			case d.target != 0 && !closing:
-				t.target = d.target
-				li := sr.laneFor(&t, n.workers)
-				run.locals[li] = append(run.locals[li], t)
-				localCount++
-			case d.addr != "":
-				run.egress.add(d.addr, t)
-			default:
-				n.dropNoRt.Add(1)
+			for ; i < j; i++ {
+				t := &outs[i]
+				slot := slotOf(t)
+				tally.add(slot)
+				switch d := &pt.route[slot]; {
+				case d.target != 0 && !closing:
+					t.target = d.target
+					li := sr.laneFor(t, n.workers)
+					run.locals[li] = append(run.locals[li], *t)
+					localCount++
+				case d.addr != "":
+					run.egress.add(d.addr, outs[i:i+1])
+				default:
+					n.dropNoRt.Add(1)
+				}
 			}
+			tally.flush(pt)
 			continue
 		}
 		if len(sr.subs) > 0 && !closing {
-			li := sr.laneFor(&t, n.workers)
-			run.locals[li] = append(run.locals[li], t)
-			localCount++
+			li := sr.lane // outputs carry no target
+			run.locals[li] = append(run.locals[li], outs[i:j]...)
+			localCount += int64(j - i)
 		}
 		for _, d := range sr.fwd {
-			run.egress.add(d.Addr, t)
+			run.egress.add(d.Addr, outs[i:j])
 		}
-	}
-	if sr.part != nil {
-		tally.flush(sr.part)
+		i = j
 	}
 	if localCount > 0 {
 		n.emitted.Add(localCount)

@@ -81,29 +81,6 @@ func RatioToIdealFrom(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
 	return float64(total) / float64(samples), nil
 }
 
-// CertifiedShare is the share of RatioToIdealFrom(w, lb, samples)'s points
-// that the safe radius counts as hits without testing a row: what the
-// certificate saves on this plan. It checks its arguments as
-// RatioToIdealFrom does and is 0 when the restricted region is empty.
-func CertifiedShare(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
-	scale, err := boundScale(w.Cols, lb, samples)
-	if err != nil || scale <= 0 {
-		return 0, err
-	}
-	d := w.Cols
-	rule := newHitRule(w, lb, scale)
-	pts, sums := simplexPoints(d, samples)
-	var rest [certBlock]int
-	n := 0
-	eachBlock(pts, sums, d, 0, samples, func(_ int, _, bs []float64) {
-		for lo := 0; lo < len(bs); lo += certBlock {
-			blk := bs[lo:min(lo+certBlock, len(bs))]
-			n += len(blk) - uncertified(&rest, blk, rule.radius)
-		}
-	})
-	return float64(n) / float64(samples), nil
-}
-
 // boundScale checks a QMC evaluation's budget and lower bound and returns
 // the scale of the map x_k = lb_k + scale·p_k: 1 for a nil lb, 1 − Σ lb
 // otherwise, ≤ 0 when the restricted region is empty.

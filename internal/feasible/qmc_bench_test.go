@@ -40,6 +40,8 @@ func BenchmarkRatioToIdealFrom(b *testing.B) {
 // every row instead of leaving on an early one as randWeights' ≈ 0.04 does,
 // at the 60 000-sample budget of the replan workload. Its ns/op is the
 // figure to hold against feasible.ratio_ms of `benchmark/run.sh --trace 1`.
+// certified/op is the share of its points the safe radius decides without a
+// dot product, counted after the timed loop.
 func BenchmarkRatioToIdealFromDense(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	w := mat.NewMatrix(10, 5)
@@ -59,6 +61,29 @@ func BenchmarkRatioToIdealFromDense(b *testing.B) {
 		}
 		benchRatio = r
 	}
+	b.StopTimer()
+	b.ReportMetric(certifiedShare(w, lb, 60000), "certified/op")
+}
+
+// certifiedShare is the share of RatioToIdealFrom(w, lb, samples)'s points
+// that countHits counts as hits without testing a row: what the safe radius
+// saves on this plan (0 with the radius off).
+func certifiedShare(w *mat.Matrix, lb mat.Vec, samples int) float64 {
+	scale, err := boundScale(w.Cols, lb, samples)
+	if err != nil || scale <= 0 {
+		return 0
+	}
+	rule := newHitRule(w, lb, scale)
+	pts, sums := simplexPoints(w.Cols, samples)
+	var rest [certBlock]int
+	n := 0
+	eachBlock(pts, sums, w.Cols, 0, samples, func(_ int, _, bs []float64) {
+		for lo := 0; lo < len(bs); lo += certBlock {
+			blk := bs[lo:min(lo+certBlock, len(bs))]
+			n += len(blk) - uncertified(&rest, blk, rule.radius)
+		}
+	})
+	return float64(n) / float64(samples)
 }
 
 // benchRatio keeps the measured call's result live.

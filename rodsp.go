@@ -28,6 +28,8 @@
 package rodsp
 
 import (
+	"math/rand"
+
 	"rodsp/internal/cluster"
 	"rodsp/internal/core"
 	"rodsp/internal/engine"
@@ -253,7 +255,7 @@ func PlaceConnected(g *Graph, lm *LoadModel, capacities, avgRates []float64) (*P
 
 // PlaceRandom places operators uniformly with equal per-node counts.
 func PlaceRandom(lm *LoadModel, n int, seed int64) *Plan {
-	return placement.Random(lm.Coef.Rows, n, newRand(seed))
+	return placement.Random(lm.Coef.Rows, n, rand.New(rand.NewSource(seed)))
 }
 
 // ClusterResult describes the winning Section 6.3 clustering+placement
