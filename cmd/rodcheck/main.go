@@ -16,8 +16,7 @@
 // executed twice, elastic controller on and off. The on-arm must migrate the
 // hot operator autonomously and strictly before any overload onset, settle
 // at ledger residual 0 with zero shed; the off-arm must shed or overload
-// (proving the workload genuinely exceeded the static placement). During
-// -soak a controller pair is interleaved every fifteenth episode.
+// (proving the workload genuinely exceeded the static placement).
 //
 // -sharded N runs N keyed-parallelism acceptance pairs: a hot operator whose
 // load exceeds any single node, driven unsharded (must shed), sharded k=4
@@ -38,16 +37,20 @@
 // series must agree under an identical obs schema (controller instruments
 // included).
 //
-// Each episode derives its own seed (base seed + index) and class: every
-// third episode kills a node, every seventh drives a correlated spike (two
-// chains ramping together, strict ledger), the rest stay strict. With
-// -soak the episode loop runs until the duration elapses instead of a fixed
-// count, interleaving a lockstep cross-validation every tenth episode, a
-// kill-and-recover episode every twelfth, a controller pair every
-// fifteenth, a controller lockstep every twentieth, and a sharded pair
-// every twenty-fifth. On the first failure rodcheck
-// writes the failing seed and diagnosis to -fail-out (if set) so CI can
-// archive a one-command reproduction, then exits 1.
+// Every kind runs its N seeds from the base seed up, and everything about
+// a run follows from its seed alone. A chaos episode's class does too
+// (check.ClassFor): it kills a node when seed%3 == 2, else drives a
+// correlated spike (two chains ramping together, strict ledger) when
+// seed%7 == 3, else stays strict. So the repro line of a failure,
+// "-seed S" with one run of its kind, replays exactly the run that failed.
+// With -soak the episode loop runs until the duration elapses instead of a
+// fixed count, interleaving a lockstep cross-validation every tenth
+// episode, a controller pair every fifteenth, a sharded pair every
+// twenty-fifth, a kill-and-recover episode every twelfth and a controller
+// lockstep every twentieth. On the first failure rodcheck writes the
+// failing seed, the diagnosis and the failing run's per-node stats to
+// -fail-out (if set) so CI can archive a one-command reproduction, then
+// exits 1.
 //
 // With -slo each strict episode's sink p99 and ledger shed/drop counts are
 // graded against the spec; the run's grade is the worst episode's. KillNode
@@ -64,11 +67,12 @@ import (
 	"time"
 
 	"rodsp/internal/check"
+	"rodsp/internal/engine"
 	"rodsp/internal/obs"
 )
 
 type failure struct {
-	Kind     string `json:"kind"` // metamorphic | lockstep | episode
+	Kind     string `json:"kind"` // metamorphic, or a kind's name
 	Seed     int64  `json:"seed"`
 	Nodes    int    `json:"nodes"`
 	Class    string `json:"class,omitempty"`
@@ -78,6 +82,45 @@ type failure struct {
 	// WALDir points at the failing recover episode's retained WAL root (logs
 	// and checkpoints for every node), kept on disk for triage.
 	WALDir string `json:"wal_dir,omitempty"`
+	// Stats is the failing run's per-node snapshot as its gate judged it.
+	Stats []*engine.NodeStats `json:"stats,omitempty"`
+}
+
+// kind is one sort of conformance run rodcheck repeats over seeds.
+type kind struct {
+	name  string
+	n     int    // seeds its count flag asks for
+	every int    // -soak interleaves one every this many episodes
+	repro string // flags that replay one seed of it
+	// run executes one seed, returning the line printed when it passes or
+	// the failure when it does not.
+	run func(seed int64) (summary string, f *failure)
+}
+
+// seedOf is the seed of a kind's i-th run from the base seed. A run
+// depends on its seed alone, so "-seed seedOf(base, i)" replays it as the
+// first run.
+func seedOf(base int64, i int) int64 { return base + int64(i) }
+
+// reproLine is the command that replays one failing run.
+func reproLine(seed int64, nodes int, flags string) string {
+	return fmt.Sprintf("go run ./cmd/rodcheck -seed %d -nodes %d %s", seed, nodes, flags)
+}
+
+// episodeRepro replays one chaos episode.
+const episodeRepro = "-episodes 1"
+
+// failed turns an error into a failure; when one of results violated its
+// own gate, the failure carries that run's WAL root and per-node stats.
+func failed(class string, err error, results ...*check.EpisodeResult) *failure {
+	f := &failure{Class: class, Error: err.Error()}
+	for _, r := range results {
+		if r != nil && r.Violation != nil {
+			f.WALDir, f.Stats = r.WALDir, r.Stats
+			break
+		}
+	}
+	return f
 }
 
 func main() {
@@ -118,25 +161,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rodcheck: writing %s: %v\n", *report, err)
 		}
 	}
+	ran := 0 // chaos episodes passed
 
-	fatal := func(f failure) {
-		f.Nodes = *nodes
-		f.Repro = fmt.Sprintf("go run ./cmd/rodcheck -seed %d -episodes 1 -nodes %d", f.Seed, *nodes)
-		if f.Kind == "lockstep" {
-			f.Repro += " -lockstep"
-		}
-		if f.Kind == "controller" {
-			f.Repro = fmt.Sprintf("go run ./cmd/rodcheck -seed %d -episodes 0 -controller 1", f.Seed)
-		}
-		if f.Kind == "sharded" {
-			f.Repro = fmt.Sprintf("go run ./cmd/rodcheck -seed %d -episodes 0 -sharded 1", f.Seed)
-		}
-		if f.Kind == "ctrl-lockstep" {
-			f.Repro = fmt.Sprintf("go run ./cmd/rodcheck -seed %d -episodes 0 -ctrl-lockstep 1", f.Seed)
-		}
-		if f.Kind == "recover" {
-			f.Repro = fmt.Sprintf("go run ./cmd/rodcheck -seed %d -episodes 0 -recover 1 -nodes %d", f.Seed, *nodes)
-		}
+	fatal := func(f *failure, name string, seed int64, repro string) {
+		f.Kind, f.Seed, f.Nodes, f.Episodes = name, seed, *nodes, ran
+		f.Repro = reproLine(seed, *nodes, repro)
 		fmt.Fprintf(os.Stderr, "rodcheck: FAIL (%s, seed %d): %s\n", f.Kind, f.Seed, f.Error)
 		if *failOut != "" {
 			if data, err := json.MarshalIndent(f, "", "  "); err == nil {
@@ -147,196 +176,162 @@ func main() {
 		}
 		rep.Grade = obs.GradeFail
 		rep.Reasons = append(rep.Reasons, fmt.Sprintf("%s failure at seed %d: %s", f.Kind, f.Seed, f.Error))
-		rep.Episodes = f.Episodes
+		rep.Episodes = ran
 		writeReport()
 		os.Exit(1)
 	}
 
 	// Pure compute-plane invariants first: cheap, deterministic, no cluster.
 	if err := check.RunMetamorphic(check.MetamorphicConfig{Seed: *seed}); err != nil {
-		fatal(failure{Kind: "metamorphic", Seed: *seed, Error: err.Error()})
+		fatal(&failure{Error: err.Error()}, "metamorphic", *seed, "-episodes 0")
 	}
 	fmt.Println("rodcheck: metamorphic invariants ok")
 
-	runLockstep := func(s int64) {
-		res, err := check.RunLockstep(check.LockstepConfig{Seed: s, Nodes: *nodes})
-		if err != nil {
-			fatal(failure{Kind: "lockstep", Seed: s, Error: err.Error()})
-		}
-		if res.Violation != nil {
-			fatal(failure{Kind: "lockstep", Seed: s, Error: res.Violation.Error()})
-		}
-		fmt.Printf("rodcheck: lockstep ok (seed %d: sim delivered %d, engine delivered %d, %d migrations)\n",
-			s, res.SimDelivered, res.EngDelivered, res.Migrations)
-	}
+	lockstepN := 0
 	if *lockstep {
-		runLockstep(*seed)
+		lockstepN = 1
 	}
-	ran := 0
+	kinds := []kind{
+		{name: "lockstep", n: lockstepN, every: 10, repro: "-episodes 0 -lockstep",
+			run: func(s int64) (string, *failure) {
+				res, err := check.RunLockstep(check.LockstepConfig{Seed: s, Nodes: *nodes})
+				if err == nil {
+					err = res.Violation
+				}
+				if err != nil {
+					return "", failed(check.Strict.String(), err)
+				}
+				return fmt.Sprintf("lockstep ok (seed %d: sim delivered %d, engine delivered %d, %d migrations)",
+					s, res.SimDelivered, res.EngDelivered, len(res.Moves)), nil
+			}},
+		// The closed-loop acceptance gate: the seeded flash-crowd episode
+		// twice — elastic controller on, then off.
+		{name: "controller", n: *controllerN, every: 15, repro: "-episodes 0 -controller 1",
+			run: func(s int64) (string, *failure) {
+				pr, err := check.RunControllerPair(s, obs.NewEventLog(1024))
+				if err != nil {
+					return "", failed(check.Controller.String(), err)
+				}
+				if pr.Violation != nil {
+					return "", failed(check.Controller.String(), pr.Violation, pr.On, pr.Off)
+				}
+				return fmt.Sprintf("controller pair ok (seed %d: %d proactive migrations, first at %.3fs; baseline shed %d)",
+					s, pr.On.Migrations, pr.FirstMoveT, pr.Off.Ledger.Shed), nil
+			}},
+		// The keyed-parallelism acceptance gate: the seeded hot-operator
+		// workload unsharded, k=4 uniform, and k=4 skew-aware with a live
+		// repartition.
+		{name: "sharded", n: *shardedN, every: 25, repro: "-episodes 0 -sharded 1",
+			run: func(s int64) (string, *failure) {
+				pr, err := check.RunShardedPair(s, 0, obs.NewEventLog(1024))
+				if err != nil {
+					return "", failed(check.Sharded.String(), err)
+				}
+				if pr.Violation != nil {
+					return "", failed(check.Sharded.String(), pr.Violation, pr.Unsharded, pr.Uniform, pr.SkewAware)
+				}
+				return fmt.Sprintf("sharded pair ok (seed %d: unsharded shed %d; k=%d headroom uniform %.3f vs skew-aware %.3f)",
+					s, pr.Unsharded.Ledger.Shed, pr.Scenario.K, pr.HeadroomUniform, pr.HeadroomSkew), nil
+			}},
+		// The durability acceptance gate: a WAL-backed cluster whose interior
+		// victim is killed and restarted mid-run. A failure keeps the WAL
+		// root for triage.
+		{name: "recover", n: *recoverN, every: 12, repro: "-episodes 0 -recover 1",
+			run: func(s int64) (string, *failure) {
+				sc, err := check.GenerateRecover(s, *nodes)
+				if err != nil {
+					return "", failed(check.Recover.String(), err)
+				}
+				res, err := check.RunRecoverEpisode(sc, obs.NewEventLog(1024))
+				if err == nil {
+					err = res.Violation
+				}
+				if err != nil {
+					return "", failed(check.Recover.String(), err, res)
+				}
+				return fmt.Sprintf("recover episode ok (seed %d: sources %d, delivered %d, dups %d, restart %.1f ms)",
+					s, res.Sources, res.Delivered, res.Duplicates, res.RecoverMillis), nil
+			}},
+		{name: "ctrl-lockstep", n: *ctrlLockN, every: 20, repro: "-episodes 0 -ctrl-lockstep 1",
+			run: func(s int64) (string, *failure) {
+				res, err := check.RunControllerLockstep(s, check.Tolerances{})
+				if err == nil {
+					err = res.Violation
+				}
+				if err != nil {
+					return "", failed(check.Controller.String(), err)
+				}
+				return fmt.Sprintf("controller lockstep ok (seed %d: %d autonomous moves replayed, sim delivered %d, engine delivered %d)",
+					s, len(res.Moves), res.SimDelivered, res.EngDelivered), nil
+			}},
+		{name: "episode", n: *episodes, every: 1, repro: episodeRepro,
+			run: func(s int64) (string, *failure) {
+				class := check.ClassFor(s)
+				sc, err := check.Generate(s, *nodes, class)
+				if err != nil {
+					return "", failed(class.String(), err)
+				}
+				res, err := check.RunEpisode(sc, obs.NewEventLog(1024))
+				if err == nil {
+					err = res.Violation
+				}
+				if err != nil {
+					return "", failed(class.String(), err, res)
+				}
+				ran++
+				// Grade strict-path episodes only (Strict and CorrSpike hold the
+				// full ledger): KillNode episodes shed and drop by design (the
+				// ledger still audits them), so they'd poison the SLO.
+				if class != check.KillNode {
+					g, reasons := slo.Grade(res.P99Ms, res.Ledger.Shed, res.Ledger.OutboxDropped+res.Ledger.NoRoute)
+					if res.P99Ms > rep.P99Ms {
+						rep.P50Ms, rep.P99Ms = res.P50Ms, res.P99Ms
+					}
+					rep.SinkTuples += res.Delivered
+					rep.Shed += res.Ledger.Shed
+					rep.Drops += res.Ledger.OutboxDropped + res.Ledger.NoRoute
+					if gradeRank(g) > gradeRank(rep.Grade) {
+						rep.Grade = g
+					}
+					for _, r := range reasons {
+						rep.Reasons = append(rep.Reasons, fmt.Sprintf("episode seed %d: %s", s, r))
+					}
+				}
+				if *verbose {
+					return fmt.Sprintf("episode ok (seed %d, %s, %d faults, %d migrations, residual %d)\n%s",
+						s, class, len(sc.Schedule), res.Migrations, res.Ledger.Residual(), res.Ledger), nil
+				}
+				return fmt.Sprintf("episode ok (seed %d, %s: sources %d, delivered %d, shed %d, residual %d)",
+					s, class, res.Sources, res.Delivered, res.Ledger.Shed, res.Ledger.Residual()), nil
+			}},
+	}
+	runOne := func(k kind, s int64) {
+		summary, f := k.run(s)
+		if f != nil {
+			fatal(f, k.name, s, k.repro)
+		}
+		fmt.Println("rodcheck:", summary)
+	}
 
-	// Controller pairs: the closed-loop acceptance gate. Each pair runs the
-	// seeded flash-crowd episode twice — elastic controller on, then off —
-	// and fails unless the on-arm migrated proactively (every migration
-	// strictly before any overload onset) at residual 0 with zero shed while
-	// the off-arm genuinely shed or overloaded.
-	runControllerPair := func(s int64) {
-		ev := obs.NewEventLog(1024)
-		pr, err := check.RunControllerPair(s, ev)
-		if err != nil {
-			fatal(failure{Kind: "controller", Seed: s, Class: "controller", Error: err.Error(), Episodes: ran})
+	for _, k := range kinds {
+		if k.name == "episode" && *soak > 0 {
+			continue // -soak overrides -episodes
 		}
-		if pr.Violation != nil {
-			fatal(failure{Kind: "controller", Seed: s, Class: "controller", Error: pr.Violation.Error(), Episodes: ran})
+		for i := 0; i < k.n; i++ {
+			runOne(k, seedOf(*seed, i))
 		}
-		fmt.Printf("rodcheck: controller pair ok (seed %d: %d proactive migrations, first at %.3fs; baseline shed %d)\n",
-			s, pr.On.Migrations, pr.FirstMoveT, pr.Off.Ledger.Shed)
 	}
-	for i := 0; i < *controllerN; i++ {
-		runControllerPair(*seed + int64(i))
-	}
-
-	// Sharded pairs: the keyed-parallelism acceptance gate. Each pair drives
-	// the seeded hot-operator workload three ways — unsharded (must shed),
-	// k=4 uniform hashing, k=4 skew-aware with a live repartition — and
-	// fails unless both sharded arms settle at residual 0 with zero shed and
-	// the skew-aware table strictly wins on minimum node headroom.
-	runShardedPair := func(s int64) {
-		ev := obs.NewEventLog(1024)
-		pr, err := check.RunShardedPair(s, 0, ev)
-		if err != nil {
-			fatal(failure{Kind: "sharded", Seed: s, Class: "sharded", Error: err.Error(), Episodes: ran})
-		}
-		if pr.Violation != nil {
-			fatal(failure{Kind: "sharded", Seed: s, Class: "sharded", Error: pr.Violation.Error(), Episodes: ran})
-		}
-		fmt.Printf("rodcheck: sharded pair ok (seed %d: unsharded shed %d; k=%d headroom uniform %.3f vs skew-aware %.3f)\n",
-			s, pr.Unsharded.Ledger.Shed, pr.Scenario.K, pr.HeadroomUniform, pr.HeadroomSkew)
-	}
-	for i := 0; i < *shardedN; i++ {
-		runShardedPair(*seed + int64(i))
-	}
-
-	// Recover episodes: the durability acceptance gate. Each episode deploys
-	// onto a WAL-backed cluster, kills the interior victim mid-run, restarts
-	// it from its log, and fails unless the conservation ledger closes at
-	// residual 0 with zero shed and the sink saw zero duplicate deliveries.
-	// On failure the episode's WAL root is retained and reported for triage.
-	runRecover := func(s int64) {
-		ev := obs.NewEventLog(1024)
-		sc, err := check.GenerateRecover(s, *nodes)
-		if err != nil {
-			fatal(failure{Kind: "recover", Seed: s, Class: "recover", Error: err.Error(), Episodes: ran})
-		}
-		res, err := check.RunRecoverEpisode(sc, ev)
-		if err != nil {
-			fatal(failure{Kind: "recover", Seed: s, Class: "recover", Error: err.Error(), Episodes: ran})
-		}
-		if res.Violation != nil {
-			fatal(failure{Kind: "recover", Seed: s, Class: "recover",
-				Error: res.Violation.Error(), Episodes: ran, WALDir: res.WALDir})
-		}
-		fmt.Printf("rodcheck: recover episode ok (seed %d: sources %d, delivered %d, dups %d, restart %.1f ms)\n",
-			s, res.Sources, res.Delivered, res.Duplicates, res.RecoverMillis)
-	}
-	for i := 0; i < *recoverN; i++ {
-		runRecover(*seed + int64(i))
-	}
-
-	runCtrlLockstep := func(s int64) {
-		res, err := check.RunControllerLockstep(s, check.Tolerances{})
-		if err != nil {
-			fatal(failure{Kind: "ctrl-lockstep", Seed: s, Class: "controller", Error: err.Error(), Episodes: ran})
-		}
-		if res.Violation != nil {
-			fatal(failure{Kind: "ctrl-lockstep", Seed: s, Class: "controller", Error: res.Violation.Error(), Episodes: ran})
-		}
-		fmt.Printf("rodcheck: controller lockstep ok (seed %d: %d autonomous moves replayed, sim delivered %d, engine delivered %d)\n",
-			s, len(res.Moves), res.SimDelivered, res.EngDelivered)
-	}
-	for i := 0; i < *ctrlLockN; i++ {
-		runCtrlLockstep(*seed + int64(i))
-	}
-
-	deadline := time.Time{}
 	if *soak > 0 {
-		deadline = time.Now().Add(*soak)
-	}
-	for i := 0; ; i++ {
-		if *soak > 0 {
-			if time.Now().After(deadline) {
-				break
+		deadline := time.Now().Add(*soak)
+		for i := 0; time.Now().Before(deadline); i++ {
+			for _, k := range kinds {
+				if i%k.every == 0 && (i > 0 || k.every == 1) {
+					runOne(k, seedOf(*seed, i))
+				}
 			}
-		} else if i >= *episodes {
-			break
-		}
-		epSeed := *seed + int64(i)
-		class := check.Strict
-		switch {
-		case i%3 == 2:
-			class = check.KillNode
-		case i%7 == 3:
-			class = check.CorrSpike
-		}
-		if *soak > 0 && i > 0 && i%10 == 0 {
-			runLockstep(epSeed)
-		}
-		if *soak > 0 && i > 0 && i%15 == 0 {
-			runControllerPair(epSeed)
-		}
-		if *soak > 0 && i > 0 && i%20 == 0 {
-			runCtrlLockstep(epSeed)
-		}
-		if *soak > 0 && i > 0 && i%25 == 0 {
-			runShardedPair(epSeed)
-		}
-		if *soak > 0 && i > 0 && i%12 == 0 {
-			runRecover(epSeed)
-		}
-		var sc *check.Scenario
-		var err error
-		if class == check.CorrSpike {
-			sc, err = check.GenerateCorrSpike(epSeed, *nodes)
-		} else {
-			sc, err = check.Generate(epSeed, *nodes, class)
-		}
-		if err != nil {
-			fatal(failure{Kind: "episode", Seed: epSeed, Class: class.String(), Error: err.Error(), Episodes: ran})
-		}
-		ev := obs.NewEventLog(1024)
-		res, err := check.RunEpisode(sc, ev)
-		if err != nil {
-			fatal(failure{Kind: "episode", Seed: epSeed, Class: class.String(), Error: err.Error(), Episodes: ran})
-		}
-		if res.Violation != nil {
-			fatal(failure{Kind: "episode", Seed: epSeed, Class: class.String(), Error: res.Violation.Error(), Episodes: ran})
-		}
-		ran++
-		// Grade strict-path episodes only (Strict and CorrSpike hold the full
-		// ledger): KillNode episodes shed and drop by design (the ledger
-		// still audits them), so they'd poison the SLO.
-		if class == check.Strict || class == check.CorrSpike {
-			g, reasons := slo.Grade(res.P99Ms, res.Ledger.Shed, res.Ledger.OutboxDropped+res.Ledger.NoRoute)
-			if res.P99Ms > rep.P99Ms {
-				rep.P50Ms, rep.P99Ms = res.P50Ms, res.P99Ms
-			}
-			rep.SinkTuples += res.Delivered
-			rep.Shed += res.Ledger.Shed
-			rep.Drops += res.Ledger.OutboxDropped + res.Ledger.NoRoute
-			if gradeRank(g) > gradeRank(rep.Grade) {
-				rep.Grade = g
-			}
-			for _, r := range reasons {
-				rep.Reasons = append(rep.Reasons, fmt.Sprintf("episode %d (seed %d): %s", i, epSeed, r))
-			}
-		}
-		if *verbose {
-			fmt.Printf("rodcheck: episode %d ok (seed %d, %s, %d faults, %d migrations, residual %d)\n%s\n",
-				i, epSeed, class, len(sc.Schedule), res.Migrations, res.Ledger.Residual(), res.Ledger)
-		} else {
-			fmt.Printf("rodcheck: episode %d ok (seed %d, %s: sources %d, delivered %d, shed %d, residual %d)\n",
-				i, epSeed, class, res.Sources, res.Delivered, res.Ledger.Shed, res.Ledger.Residual())
 		}
 	}
+
 	rep.Episodes = ran
 	writeReport()
 	if *sloFlag != "" {

@@ -107,8 +107,8 @@ func (c CrossValConfig) Run() (*Table, error) {
 			}
 			// Both runtimes must emit the identical obs metric schema — the
 			// contract that makes their series directly comparable.
-			if err := sameSchema(simSeries, engSeries); err != nil {
-				return nil, err
+			if err := obs.SameSchema(simSeries, engSeries); err != nil {
+				return nil, fmt.Errorf("bench: sim vs engine: %w", err)
 			}
 			delta := simMean - engMean
 			if delta < 0 {
@@ -120,34 +120,12 @@ func (c CrossValConfig) Run() (*Table, error) {
 	return t, nil
 }
 
-// sameSchema verifies the two series sets expose the same metric names.
-func sameSchema(a, b *obs.SeriesSet) error {
-	an, bn := a.Names(), b.Names()
-	if len(an) != len(bn) {
-		return fmt.Errorf("bench: obs schema mismatch: sim %v vs engine %v", an, bn)
-	}
-	for i := range an {
-		if an[i] != bn[i] {
-			return fmt.Errorf("bench: obs schema mismatch: sim %v vs engine %v", an, bn)
-		}
-	}
-	return nil
-}
-
 // utilFromSeries derives per-node utilization figures from sampled obs
 // series: the time-average of each node's windowed utilization, plus the
 // largest per-node average.
 func utilFromSeries(set *obs.SeriesSet, n int) (mean, max float64) {
 	for i := 0; i < n; i++ {
-		_, vs := set.Series(obs.MetricNodeUtilization, "node", strconv.Itoa(i)).Points()
-		var s float64
-		for _, v := range vs {
-			s += v
-		}
-		var u float64
-		if len(vs) > 0 {
-			u = s / float64(len(vs))
-		}
+		u := set.Series(obs.MetricNodeUtilization, "node", strconv.Itoa(i)).Mean()
 		mean += u
 		if u > max {
 			max = u

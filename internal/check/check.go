@@ -2,7 +2,16 @@
 // seeded verification that the engine and the simulator actually deliver
 // the properties the paper's claims rest on.
 //
-// Three pillars:
+//   - Scenarios (scenario.go, controller.go, shard.go): a Scenario is the
+//     complete description of one run — graph, placement, traces,
+//     data-plane knobs, slot tables, key generator, and one schedule of
+//     timed operations (link faults, migrations, kill, restart, live
+//     repartition). Seeded generators build one per class.
+//
+//   - The runner (run.go): one function executes every engine-backed
+//     scenario — cluster bring-up, source drive, the schedule, quiescence,
+//     snapshot — and one gate judges the snapshot by what the scenario
+//     contains. Every arm of every class is a scenario plus that gate.
 //
 //   - The tuple-conservation ledger (ledger.go): at quiescence, every tuple
 //     a source emitted is delivered, shed, dropped by an outbox, dropped for
@@ -11,15 +20,13 @@
 //     hot-path locks. A positive residual is silent loss; a negative one
 //     beyond the fault-model slack is double counting.
 //
-//   - Lockstep sim↔engine cross-validation (lockstep.go): the same seeded
-//     graph, traces and migration schedule driven through internal/sim and
-//     a loopback engine cluster, gated by per-series tolerances on
-//     utilization, feasibility headroom, delivered counts and shed onset.
+//   - Lockstep sim↔engine cross-validation (lockstep.go): a runner's engine
+//     run, with the migrations it executed replayed in internal/sim, gated
+//     by per-series tolerances on utilization, feasibility headroom,
+//     delivered counts and shed.
 //
-//   - The chaos soak (scenario.go + episode.go): seeded scenarios composing
-//     link faults (sever/drop/delay), node kills and live migrations,
-//     asserting the ledger plus the paper-derived metamorphic invariants
-//     (metamorphic.go) after every episode.
+//   - Metamorphic invariants (metamorphic.go): paper-derived properties of
+//     the placement math, checked on seeded random instances.
 //
 // cmd/rodcheck is the CLI entry point; CI runs a small seeded scenario set
 // per push and a nightly soak with longer episodes.

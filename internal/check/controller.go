@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rodsp/internal/engine"
-	"rodsp/internal/mat"
 	"rodsp/internal/obs"
 	"rodsp/internal/placement"
 	"rodsp/internal/query"
@@ -90,6 +89,14 @@ func GenerateController(seed int64) (*Scenario, error) {
 	return s, nil
 }
 
+// Controller scenarios' monitor smooths source rates with this EWMA factor
+// (the default is 0.4), and their controller charges each migration this
+// state-transfer stall — which lockstep replays into the simulator.
+const (
+	controllerRateAlpha = 0.6
+	controllerStall     = 10 * time.Millisecond
+)
+
 // controllerConfigFor is the per-episode controller tuning: a 50ms decision
 // cadence with a 600ms forecast horizon (12 ticks of lead), so the ramp's
 // trend trips re-placement several hundred milliseconds before the load
@@ -105,144 +112,10 @@ func controllerConfigFor(seed int64) engine.ControllerConfig {
 		HeadroomLow:    0.15,
 		HysteresisGain: 0.02,
 		Samples:        400,
-		Stall:          10 * time.Millisecond,
+		Stall:          controllerStall,
 		Seed:           seed,
 		SeasonPeriod:   20,
 	}
-}
-
-// RunControllerEpisode drives the controller scenario once, with the
-// elastic controller enabled or disabled, asserting the class's per-arm
-// invariants (outbox identities, residual-0 ledger, delivery, coefficient
-// conservation across autonomous moves). ev receives the monitor's events;
-// the caller inspects it for the cross-arm proactive gate.
-func RunControllerEpisode(sc *Scenario, ev *obs.EventLog, enabled bool) (*EpisodeResult, error) {
-	if ev == nil {
-		ev = obs.NewEventLog(8192)
-	}
-	res := &EpisodeResult{Scenario: sc}
-	plan, err := placement.NewPlan(append([]int(nil), sc.Plan.NodeOf...), sc.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	lm, err := query.BuildLoadModel(sc.Graph)
-	if err != nil {
-		return nil, fmt.Errorf("check: controller load model: %w", err)
-	}
-
-	cl, err := engine.StartClusterConfig(sc.Caps, sc.Config)
-	if err != nil {
-		return nil, fmt.Errorf("check: starting cluster: %w", err)
-	}
-	defer cl.Close()
-	if err := cl.Deploy(sc.Graph, plan, sc.Caps); err != nil {
-		return nil, err
-	}
-	if err := cl.Start(); err != nil {
-		return nil, err
-	}
-	mon := cl.StartMonitor(engine.MonitorConfig{
-		Interval:  50 * time.Millisecond,
-		Events:    ev,
-		LM:        lm,
-		Plan:      plan,
-		Caps:      mat.Vec(sc.Caps),
-		RateAlpha: 0.6,
-	})
-	defer mon.Close()
-
-	var ctrl *engine.Controller
-	if enabled {
-		ctrl, err = cl.StartController(controllerConfigFor(sc.Seed))
-		if err != nil {
-			return nil, fmt.Errorf("check: starting controller: %w", err)
-		}
-	}
-
-	addrs := cl.Addrs()
-	inputNodes := engine.InputNodes(sc.Graph, plan)
-	inputs := sc.Graph.Inputs()
-	type srcOut struct {
-		injected int64
-		dropped  int64
-		err      error
-	}
-	outs := make([]srcOut, len(inputs))
-	done := make(chan int, len(inputs))
-	for i, in := range inputs {
-		var dests []string
-		for _, n := range inputNodes[in] {
-			dests = append(dests, addrs[n])
-		}
-		drv := &engine.SourceDriver{
-			Stream:  in,
-			Trace:   sc.Traces[i],
-			Addrs:   dests,
-			MaxRate: 5000,
-			Count:   mon.SourceCounter(in),
-		}
-		go func(slot int) {
-			n, err := drv.Run(sc.Wall, nil)
-			outs[slot] = srcOut{injected: n, dropped: drv.Dropped, err: err}
-			done <- slot
-		}(i)
-	}
-	for range inputs {
-		<-done
-	}
-	// Stop deciding before the drain: the workload is over, and the final
-	// placement must be stable for the conservation checks below.
-	if ctrl != nil {
-		ctrl.Close()
-	}
-	for i := range outs {
-		res.Sources += outs[i].injected
-		res.SrcDropped += outs[i].dropped
-		if outs[i].err != nil {
-			return nil, fmt.Errorf("check: source %d: %w", i, outs[i].err)
-		}
-	}
-
-	if err := cl.AwaitQuiescence(15*time.Second, 100*time.Millisecond); err != nil {
-		res.Violation = violation(ev, sc, fmt.Errorf("check: liveness: %w", err))
-		return res, nil
-	}
-
-	stats, _ := cl.Stats()
-	delivered, _, _, _, _ := cl.Collector.LatencyStats()
-	res.Delivered = delivered
-	if s, ok := cl.Collector.LatencySummary(); ok {
-		res.P50Ms, res.P99Ms = s.P50*1000, s.P99*1000
-	}
-	res.Ledger = Assemble(stats, delivered, res.Sources, res.SrcDropped)
-
-	if err := CheckOutboxes(stats); err != nil {
-		res.Violation = violation(ev, sc, err)
-		return res, nil
-	}
-	if err := res.Ledger.Check(0); err != nil {
-		res.Violation = violation(ev, sc, err)
-		return res, nil
-	}
-	if res.Delivered == 0 {
-		res.Violation = violation(ev, sc, fmt.Errorf("check: no tuple reached the sink (sources=%d)", res.Sources))
-		return res, nil
-	}
-	if ctrl != nil {
-		for _, mv := range ctrl.Moves() {
-			if mv.OK {
-				plan.NodeOf[mv.Op] = mv.To
-				res.Migrations++
-			}
-		}
-		if res.Migrations > 0 {
-			if err := checkCoefSums(sc.Graph, plan); err != nil {
-				res.Violation = violation(ev, sc, err)
-				return res, nil
-			}
-		}
-	}
-	return res, nil
 }
 
 // ControllerPairResult reports the two arms of one controller episode and
@@ -277,13 +150,11 @@ func RunControllerPair(seed int64, ev *obs.EventLog) (*ControllerPairResult, err
 	pr := &ControllerPairResult{Scenario: sc}
 
 	onEv := obs.NewEventLog(8192)
-	pr.On, err = RunControllerEpisode(sc, onEv, true)
-	if err != nil {
+	if pr.On, err = episode(sc, onEv, controlled); err != nil {
 		return nil, err
 	}
 	offEv := obs.NewEventLog(8192)
-	pr.Off, err = RunControllerEpisode(sc, offEv, false)
-	if err != nil {
+	if pr.Off, err = episode(sc, offEv, monitored); err != nil {
 		return nil, err
 	}
 

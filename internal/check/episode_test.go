@@ -1,7 +1,9 @@
 package check
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"rodsp/internal/obs"
 	"rodsp/internal/query"
@@ -21,7 +23,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatalf("same seed produced different scenarios: %+v vs %+v", a, b)
 	}
 	for i := range a.Schedule {
-		if a.Schedule[i] != b.Schedule[i] {
+		if !reflect.DeepEqual(a.Schedule[i], b.Schedule[i]) {
 			t.Fatalf("schedule[%d] differs: %+v vs %+v", i, a.Schedule[i], b.Schedule[i])
 		}
 	}
@@ -84,30 +86,74 @@ func TestRunEpisodeStrict(t *testing.T) {
 }
 
 // TestRunEpisodePerturbedLedgerFails closes the loop on the negative test:
-// a real episode's snapshot, perturbed by a one-tuple drop undercount, must
-// fail the same ledger check the episode just passed.
+// a real run's snapshot, perturbed by a one-tuple drop undercount, must fail
+// the gate the run just passed — for a strict episode and across a
+// recover episode's crash alike, so a class whose gate stops checking the
+// ledger fails here.
 func TestRunEpisodePerturbedLedgerFails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a live loopback cluster")
 	}
-	sc, err := Generate(2, 3, Strict)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		gen  func() (*Scenario, error)
+	}{
+		{"strict", func() (*Scenario, error) { return Generate(2, 3, Strict) }},
+		{"recover", func() (*Scenario, error) { return GenerateRecover(2, 3) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := tc.gen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunEpisode(sc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Violation != nil {
+				t.Fatalf("baseline run failed: %v", res.Violation)
+			}
+			if err := gate(sc, res); err != nil {
+				t.Fatalf("baseline snapshot rejected: %v", err)
+			}
+			res.Ledger.OutboxDropped-- // inject the off-by-one
+			if err := gate(sc, res); err == nil {
+				t.Fatal("perturbed snapshot passed: off-by-one drop undercount not caught")
+			}
+		})
 	}
-	res, err := RunEpisode(sc, nil)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestScheduleOpsRoundTrip pins the schedule vocabulary: every fault kind
+// has a name and an action in the applier, and sorting a schedule keeps
+// same-time operations in insertion order.
+func TestScheduleOpsRoundTrip(t *testing.T) {
+	seen := map[string]bool{}
+	for k := FaultKind(0); k < numFaultKinds; k++ {
+		name := k.String()
+		if name == "?" || seen[name] {
+			t.Fatalf("fault kind %d has name %q", k, name)
+		}
+		seen[name] = true
+		if actions[k] == nil {
+			t.Fatalf("the applier has no action for %s", k)
+		}
 	}
-	if res.Violation != nil {
-		t.Fatalf("baseline episode failed: %v", res.Violation)
+	if got := numFaultKinds.String(); got != "?" {
+		t.Fatalf("out-of-range kind named %q", got)
 	}
-	l := res.Ledger
-	if err := l.Check(sc.Slack()); err != nil {
-		t.Fatalf("baseline ledger rejected: %v", err)
+
+	var ops []FaultOp
+	for k := numFaultKinds - 1; k >= 0; k-- {
+		ops = append(ops, FaultOp{At: time.Duration(k%2) * time.Second, Kind: k})
 	}
-	l.OutboxDropped-- // inject the off-by-one
-	if err := l.Check(sc.Slack()); err == nil {
-		t.Fatal("perturbed ledger passed: off-by-one drop undercount not caught")
+	sortSchedule(ops)
+	prev := FaultOp{At: -1, Kind: numFaultKinds}
+	for _, op := range ops {
+		if op.At < prev.At || (op.At == prev.At && op.Kind > prev.Kind) {
+			t.Fatalf("sort reordered the schedule: %s@%v after %s@%v", op.Kind, op.At, prev.Kind, prev.At)
+		}
+		prev = op
 	}
 }
 

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
-	"time"
 
-	"rodsp/internal/engine"
 	"rodsp/internal/obs"
-	"rodsp/internal/placement"
 	"rodsp/internal/query"
 	"rodsp/internal/sim"
 	"rodsp/internal/trace"
@@ -50,7 +46,10 @@ type LockstepConfig struct {
 
 // LockstepResult carries both runs' summaries for reporting.
 type LockstepResult struct {
-	Scenario     *Scenario
+	Scenario *Scenario
+	// Moves are the migrations the engine run executed — scheduled, or
+	// decided by its controller — replayed verbatim in the simulator.
+	Moves        []sim.ScheduledMove
 	SimUtil      []float64 // per-node mean utilization
 	EngUtil      []float64
 	SimHeadroom  []float64 // per-node mean feasibility headroom
@@ -58,9 +57,11 @@ type LockstepResult struct {
 	SimDelivered int64
 	EngDelivered int64
 	EngShed      int64
-	Migrations   int
 	Violation    error
 }
+
+// ControllerLockstepResult is the closed-loop cross-validation's report.
+type ControllerLockstepResult = LockstepResult
 
 // RunLockstep executes the cross-validation. Scenarios are generated with
 // the shed exercise disabled and only the migration portion of the chaos
@@ -71,7 +72,6 @@ func RunLockstep(cfg LockstepConfig) (*LockstepResult, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 4
 	}
-	cfg.Tol.defaults()
 	sc, err := generate(cfg.Seed, cfg.Nodes, Strict, false)
 	if err != nil {
 		return nil, err
@@ -82,81 +82,55 @@ func RunLockstep(cfg LockstepConfig) (*LockstepResult, error) {
 			moves = append(moves, op)
 		}
 	}
-	res := &LockstepResult{Scenario: sc, Migrations: len(moves)}
+	sc.Schedule, sc.Severs = moves, 0
+	return lockstep(sc, monitored, cfg.Tol)
+}
 
-	simRes, err := runLockstepSim(sc, moves)
+// RunControllerLockstep cross-validates the closed loop itself: the seeded
+// controller scenario runs live on the engine with the elastic controller
+// deciding, then the migrations it actually executed are replayed into the
+// discrete-event simulator as a scheduled-move script with the simulator's
+// controller schema mirror enabled. Both runtimes must emit the identical
+// obs metric schema — including the five controller instruments — and
+// agree on per-node utilization, feasibility headroom, and delivery within
+// tolerances. A systematic gap here means the controller's view of the
+// cluster (the monitor it steers by) has drifted from the model the
+// placement math assumes.
+func RunControllerLockstep(seed int64, tol Tolerances) (*ControllerLockstepResult, error) {
+	sc, err := GenerateController(seed)
 	if err != nil {
-		return nil, fmt.Errorf("check: lockstep sim: %w", err)
+		return nil, err
 	}
-	engSeries, engStats, engDelivered, err := runLockstepEngine(sc, moves)
+	return lockstep(sc, controlled, tol)
+}
+
+// lockstep runs sc on the engine under loop l, gated like any episode,
+// replays the migrations that run executed in the simulator, and compares
+// the two under tol.
+func lockstep(sc *Scenario, l loop, tol Tolerances) (*LockstepResult, error) {
+	tol.defaults()
+	res := &LockstepResult{Scenario: sc}
+	eng, err := episode(sc, nil, l)
 	if err != nil {
 		return nil, fmt.Errorf("check: lockstep engine: %w", err)
 	}
-
-	if err := sameSchema(simRes.Series, engSeries); err != nil {
-		res.Violation = err
+	if eng.Violation != nil {
+		res.Violation = eng.Violation
 		return res, nil
 	}
-
-	res.SimDelivered = simRes.TuplesOut
-	res.EngDelivered = engDelivered
-	for i := 0; i < sc.Nodes; i++ {
-		node := strconv.Itoa(i)
-		res.SimUtil = append(res.SimUtil, seriesMean(simRes.Series, obs.MetricNodeUtilization, node))
-		res.EngUtil = append(res.EngUtil, seriesMean(engSeries, obs.MetricNodeUtilization, node))
-		res.SimHeadroom = append(res.SimHeadroom, seriesMean(simRes.Series, obs.MetricNodeHeadroom, node))
-		res.EngHeadroom = append(res.EngHeadroom, seriesMean(engSeries, obs.MetricNodeHeadroom, node))
-	}
-	for _, s := range engStats {
-		if s != nil {
-			res.EngShed += s.Shed
+	for _, op := range sc.Schedule {
+		if op.Kind == FaultMigrate {
+			res.Moves = append(res.Moves, sim.ScheduledMove{Time: op.At.Seconds(), Op: op.Op, To: op.To, Stall: op.Stall.Seconds()})
 		}
 	}
-
-	// Gates.
-	for i := 0; i < sc.Nodes; i++ {
-		if d := math.Abs(res.SimUtil[i] - res.EngUtil[i]); d > cfg.Tol.UtilAbs {
-			res.Violation = fmt.Errorf("check: lockstep: node %d mean utilization diverged by %.3f (sim %.3f vs engine %.3f, tol %.3f)",
-				i, d, res.SimUtil[i], res.EngUtil[i], cfg.Tol.UtilAbs)
-			return res, nil
-		}
-		if d := math.Abs(res.SimHeadroom[i] - res.EngHeadroom[i]); d > cfg.Tol.HeadroomAbs {
-			res.Violation = fmt.Errorf("check: lockstep: node %d mean headroom diverged by %.3f (sim %.3f vs engine %.3f, tol %.3f)",
-				i, d, res.SimHeadroom[i], res.EngHeadroom[i], cfg.Tol.HeadroomAbs)
-			return res, nil
-		}
+	for _, mv := range eng.moves {
+		res.Moves = append(res.Moves, sim.ScheduledMove{Time: mv.T, Op: mv.Op, To: mv.To, Stall: controllerStall.Seconds()})
 	}
-	if simRes.TuplesOut > 0 {
-		gap := math.Abs(float64(engDelivered-simRes.TuplesOut)) / float64(simRes.TuplesOut)
-		if gap > cfg.Tol.DeliveredRel {
-			res.Violation = fmt.Errorf("check: lockstep: delivered counts diverged by %.1f%% (sim %d vs engine %d, tol %.0f%%)",
-				gap*100, simRes.TuplesOut, engDelivered, cfg.Tol.DeliveredRel*100)
-			return res, nil
-		}
-	}
-	if res.EngShed > cfg.Tol.ShedMax {
-		res.Violation = fmt.Errorf("check: lockstep: engine shed %d tuples on a feasible workload (tol %d)",
-			res.EngShed, cfg.Tol.ShedMax)
-		return res, nil
-	}
-	return res, nil
-}
-
-func runLockstepSim(sc *Scenario, moves []FaultOp) (*sim.Result, error) {
 	sources := map[query.StreamID]*trace.Trace{}
 	for i, in := range sc.Graph.Inputs() {
 		sources[in] = sc.Traces[i]
 	}
-	var sims []sim.ScheduledMove
-	for _, mv := range moves {
-		sims = append(sims, sim.ScheduledMove{
-			Time:  mv.At.Seconds(),
-			Op:    mv.Op,
-			To:    mv.To,
-			Stall: mv.Stall.Seconds(),
-		})
-	}
-	return sim.Run(sim.Config{
+	simRes, err := sim.Run(sim.Config{
 		Graph:          sc.Graph,
 		NodeOf:         sc.Plan.NodeOf,
 		Capacities:     sc.Caps,
@@ -165,107 +139,54 @@ func runLockstepSim(sc *Scenario, moves []FaultOp) (*sim.Result, error) {
 		Seed:           sc.Seed,
 		ChargeTransfer: true,
 		MaxEvents:      20_000_000,
-		Moves:          sims,
-		Obs:            &sim.ObsConfig{},
+		Moves:          res.Moves,
+		// The controller schema mirror, so both runtimes expose the same
+		// instrument set.
+		Obs: &sim.ObsConfig{Controller: sc.Class == Controller},
 	})
+	if err != nil {
+		return nil, fmt.Errorf("check: lockstep sim: %w", err)
+	}
+	res.Violation = res.compare(simRes, eng, tol)
+	return res, nil
 }
 
-func runLockstepEngine(sc *Scenario, moves []FaultOp) (*obs.SeriesSet, []*engine.NodeStats, int64, error) {
-	plan, err := placement.NewPlan(append([]int(nil), sc.Plan.NodeOf...), sc.Nodes)
-	if err != nil {
-		return nil, nil, 0, err
+// compare fills in both runtimes' figures and gates them: identical series
+// schemas, per-node mean utilization and headroom, delivered counts, and
+// the engine's shed.
+func (res *LockstepResult) compare(simRes *sim.Result, eng *EpisodeResult, tol Tolerances) error {
+	if err := obs.SameSchema(simRes.Series, eng.series); err != nil {
+		return fmt.Errorf("check: lockstep: sim vs engine: %w", err)
 	}
-	lm, err := query.BuildLoadModel(sc.Graph)
-	if err != nil {
-		return nil, nil, 0, err
+	res.SimDelivered, res.EngDelivered, res.EngShed = simRes.TuplesOut, eng.Delivered, eng.Ledger.Shed
+	for i := 0; i < res.Scenario.Nodes; i++ {
+		node := strconv.Itoa(i)
+		mean := func(set *obs.SeriesSet, metric string) float64 { return set.Series(metric, "node", node).Mean() }
+		res.SimUtil = append(res.SimUtil, mean(simRes.Series, obs.MetricNodeUtilization))
+		res.EngUtil = append(res.EngUtil, mean(eng.series, obs.MetricNodeUtilization))
+		res.SimHeadroom = append(res.SimHeadroom, mean(simRes.Series, obs.MetricNodeHeadroom))
+		res.EngHeadroom = append(res.EngHeadroom, mean(eng.series, obs.MetricNodeHeadroom))
 	}
-	cl, err := engine.StartClusterConfig(sc.Caps, sc.Config)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	defer cl.Close()
-	mon := cl.StartMonitor(engine.MonitorConfig{
-		Interval: 50 * time.Millisecond,
-		LM:       lm,
-		Plan:     plan,
-		Caps:     sc.Caps,
-	})
-	if err := cl.Deploy(sc.Graph, plan, sc.Caps); err != nil {
-		return nil, nil, 0, err
-	}
-	if err := cl.Start(); err != nil {
-		return nil, nil, 0, err
-	}
-	addrs := cl.Addrs()
-	inputNodes := engine.InputNodes(sc.Graph, plan)
-	inputs := sc.Graph.Inputs()
-	errs := make([]error, len(inputs))
-	var wg sync.WaitGroup
-	for i, in := range inputs {
-		var dests []string
-		for _, n := range inputNodes[in] {
-			dests = append(dests, addrs[n])
-		}
-		drv := &engine.SourceDriver{
-			Stream:  in,
-			Trace:   sc.Traces[i],
-			Addrs:   dests,
-			MaxRate: 5000,
-			Count:   mon.SourceCounter(in),
-		}
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			_, errs[slot] = drv.Run(sc.Wall, nil)
-		}(i)
-	}
-	start := time.Now()
-	for _, mv := range moves {
-		if d := mv.At - time.Since(start); d > 0 {
-			time.Sleep(d)
-		}
-		if err := cl.MoveOperator(sc.Graph, plan, query.OpID(mv.Op), mv.To, mv.Stall); err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, nil, 0, e
-		}
-	}
-	if err := cl.AwaitQuiescence(15*time.Second, 100*time.Millisecond); err != nil {
-		return nil, nil, 0, err
-	}
-	stats, _ := cl.Stats()
-	delivered, _, _, _, _ := cl.Collector.LatencyStats()
-	return mon.Series(), stats, delivered, nil
-}
 
-// sameSchema verifies both runtimes emitted the identical obs metric
-// schema — the contract that makes their series directly comparable.
-func sameSchema(a, b *obs.SeriesSet) error {
-	an, bn := a.Names(), b.Names()
-	if len(an) != len(bn) {
-		return fmt.Errorf("check: obs schema mismatch: sim %v vs engine %v", an, bn)
-	}
-	for i := range an {
-		if an[i] != bn[i] {
-			return fmt.Errorf("check: obs schema mismatch: sim %v vs engine %v", an, bn)
+	for i := range res.SimUtil {
+		if d := math.Abs(res.SimUtil[i] - res.EngUtil[i]); d > tol.UtilAbs {
+			return fmt.Errorf("check: lockstep: node %d mean utilization diverged by %.3f (sim %.3f vs engine %.3f, tol %.3f)",
+				i, d, res.SimUtil[i], res.EngUtil[i], tol.UtilAbs)
 		}
+		if d := math.Abs(res.SimHeadroom[i] - res.EngHeadroom[i]); d > tol.HeadroomAbs {
+			return fmt.Errorf("check: lockstep: node %d mean headroom diverged by %.3f (sim %.3f vs engine %.3f, tol %.3f)",
+				i, d, res.SimHeadroom[i], res.EngHeadroom[i], tol.HeadroomAbs)
+		}
+	}
+	if res.SimDelivered > 0 {
+		gap := math.Abs(float64(res.EngDelivered-res.SimDelivered)) / float64(res.SimDelivered)
+		if gap > tol.DeliveredRel {
+			return fmt.Errorf("check: lockstep: delivered counts diverged by %.1f%% (sim %d vs engine %d, tol %.0f%%)",
+				gap*100, res.SimDelivered, res.EngDelivered, tol.DeliveredRel*100)
+		}
+	}
+	if res.EngShed > tol.ShedMax {
+		return fmt.Errorf("check: lockstep: engine shed %d tuples (tol %d)", res.EngShed, tol.ShedMax)
 	}
 	return nil
-}
-
-// seriesMean is the time-average of one labeled series (0 when empty).
-func seriesMean(set *obs.SeriesSet, metric, node string) float64 {
-	_, vs := set.Series(metric, "node", node).Points()
-	if len(vs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range vs {
-		s += v
-	}
-	return s / float64(len(vs))
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"reflect"
 	"testing"
 
 	"rodsp/internal/obs"
@@ -16,8 +17,12 @@ func TestGenerateRecoverDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.Graph.NumOps() != b.Graph.NumOps() || a.Wall != b.Wall ||
-		a.KillAt != b.KillAt || a.Downtime != b.Downtime || a.Victim != b.Victim {
+		!reflect.DeepEqual(a.Schedule, b.Schedule) || a.Victim != b.Victim {
 		t.Fatalf("same seed produced different recover scenarios: %+v vs %+v", a, b)
+	}
+	if len(a.Schedule) != 2 || a.Schedule[0].Kind != FaultKill || a.Schedule[1].Kind != FaultRestart ||
+		a.Schedule[0].Node != a.Victim || a.Schedule[1].Node != a.Victim || a.Schedule[1].At <= a.Schedule[0].At {
+		t.Fatalf("recover schedule is not a kill then a restart of the victim: %+v", a.Schedule)
 	}
 	if _, err := GenerateRecover(1, 2); err == nil {
 		t.Fatal("recover scenario accepted a 2-node cluster")

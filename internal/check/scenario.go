@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"rodsp/internal/engine"
@@ -36,13 +37,28 @@ const (
 	// strict conservation ledger across the simultaneous spike.
 	CorrSpike
 	// Recover scenarios kill an interior node mid-episode and restart it
-	// from its WAL directory (see recover.go): the ledger must close at
-	// residual 0 with zero slack ACROSS the crash — retained-until-ack
+	// from its WAL directory (see GenerateRecover): the ledger must close
+	// at residual 0 with zero slack ACROSS the crash — retained-until-ack
 	// outboxes cover tuples in flight to the victim, WAL replay covers
 	// tuples the victim admitted but had not finished, and the sink dedup
-	// filter proves no duplicate delivery survived either mechanism.
+	// filter proves no duplicate delivery survived either mechanism. It is
+	// the one durable class: its runs get a WAL root and sink dedup.
 	Recover
 )
+
+// ClassFor is the class of rodcheck's chaos episode for one seed: kill when
+// seed%3 == 2, else corr-spike when seed%7 == 3, else strict. Deriving it
+// from the seed rather than the episode's position in a loop is what lets
+// a failure's "-seed S -episodes 1" repro replay the class that failed.
+func ClassFor(seed int64) Class {
+	switch {
+	case seed%3 == 2:
+		return KillNode
+	case seed%7 == 3:
+		return CorrSpike
+	}
+	return Strict
+}
 
 func (c Class) String() string {
 	switch c {
@@ -60,7 +76,7 @@ func (c Class) String() string {
 	return "strict"
 }
 
-// FaultKind enumerates scheduled chaos operations.
+// FaultKind enumerates the timed operations of an episode's schedule.
 type FaultKind int
 
 const (
@@ -70,32 +86,31 @@ const (
 	FaultHeal
 	FaultMigrate
 	FaultKill
+	FaultRestart     // restart a killed node from its WAL directory
+	FaultRepartition // install a new slot table on a keyed stream, live
+	numFaultKinds
 )
 
-func (k FaultKind) String() string {
-	switch k {
-	case FaultSever:
-		return "sever"
-	case FaultDrop:
-		return "drop"
-	case FaultDelay:
-		return "delay"
-	case FaultHeal:
-		return "heal"
-	case FaultMigrate:
-		return "migrate"
-	case FaultKill:
-		return "kill"
-	}
-	return "?"
+var faultNames = [numFaultKinds]string{
+	FaultSever: "sever", FaultDrop: "drop", FaultDelay: "delay", FaultHeal: "heal",
+	FaultMigrate: "migrate", FaultKill: "kill", FaultRestart: "restart",
+	FaultRepartition: "repartition",
 }
 
-// FaultOp is one timed chaos operation within an episode.
+func (k FaultKind) String() string {
+	if k < 0 || k >= numFaultKinds {
+		return "?"
+	}
+	return faultNames[k]
+}
+
+// FaultOp is one timed operation within an episode. A schedule heals its
+// own link faults before the sources stop, so the cluster can drain.
 type FaultOp struct {
 	At   time.Duration // offset from episode start
 	Kind FaultKind
 
-	Node int // acting node: link-fault source, kill target
+	Node int // acting node: link-fault source, kill and restart target
 	Peer int // link-fault destination node
 
 	Op    int           // migrated operator (FaultMigrate)
@@ -103,12 +118,17 @@ type FaultOp struct {
 	Stall time.Duration // state-transfer stall charged to both homes
 
 	Delay time.Duration // injected flush delay (FaultDelay)
+
+	Stream query.StreamID // repartitioned keyed stream (FaultRepartition)
+	Slots  []int          // its new slot table
 }
 
-// Scenario is one seeded conformance episode: a unit-multiplicity query
-// graph (selectivity-1 chains, one consumer per stream — the shape under
-// which tuple conservation is exact), a placement that forces cross-node
-// hops, wall-clock traces, data-plane knobs, and a chaos schedule.
+// Scenario is the complete description of one conformance run: a
+// unit-multiplicity query graph (selectivity-1 chains, one consumer per
+// stream — the shape under which tuple conservation is exact), a placement
+// that forces cross-node hops, wall-clock traces, data-plane knobs, keyed
+// routing, and the schedule of timed operations applied while the sources
+// run.
 type Scenario struct {
 	Seed  int64
 	Class Class
@@ -122,14 +142,19 @@ type Scenario struct {
 
 	Config engine.NodeConfig
 
+	// Partitions is the initial slot table of each keyed stream, installed
+	// before the cluster starts (the engine twin of sim.Config.Partitions).
+	// Keys, when set, makes each run's key generator: every source stamps
+	// partition keys from a fresh, identically seeded one.
+	Partitions map[query.StreamID][]int
+	Keys       func() (func() uint64, error)
+
 	Schedule []FaultOp
 	Severs   int // sever faults in Schedule (ledger slack derives from this)
 
-	// Recover-class crash plan (see GenerateRecover): the victim node to
-	// kill, when to kill it, and how long it stays down before the restart.
-	Victim   int
-	KillAt   time.Duration
-	Downtime time.Duration
+	// Victim is the Recover class's interior node, the target of its
+	// scheduled kill and restart.
+	Victim int
 }
 
 // severWriteSlack bounds how many tuples one sever fault can double-count:
@@ -141,11 +166,19 @@ const severWriteSlack = 1024
 // Slack is the allowed negative ledger residual for this scenario.
 func (s *Scenario) Slack() int64 { return int64(s.Severs) * severWriteSlack }
 
-// Generate builds the deterministic scenario for (seed, nodes, class).
-// Graphs are 2–4 selectivity-1 chains of 2–4 Delay operators placed
+// durable reports whether the scenario's runs log to a WAL and dedup at
+// the sink.
+func (s *Scenario) durable() bool { return s.Class == Recover }
+
+// Generate builds the deterministic chaos scenario for (seed, nodes,
+// class). Graphs are 2–4 selectivity-1 chains of 2–4 Delay operators placed
 // round-robin with a per-chain offset, so consecutive operators land on
-// different nodes and every chain exercises the wire.
+// different nodes and every chain exercises the wire. CorrSpike is
+// GenerateCorrSpike's shape.
 func Generate(seed int64, nodes int, class Class) (*Scenario, error) {
+	if class == CorrSpike {
+		return GenerateCorrSpike(seed, nodes)
+	}
 	return generate(seed, nodes, class, true)
 }
 
@@ -382,11 +415,17 @@ func GenerateRecover(seed int64, nodes int) (*Scenario, error) {
 		BackoffBase:     10 * time.Millisecond,
 		BackoffMax:      150 * time.Millisecond,
 		CheckpointEvery: time.Duration(50+rng.Intn(100)) * time.Millisecond,
-		// WALDir is filled by RunRecoverEpisode with a per-run temp root.
+		// WALDir is filled per run with a fresh temp root.
 	}
 
-	s.KillAt = time.Duration((0.35 + rng.Float64()*0.15) * float64(s.Wall))
-	s.Downtime = time.Duration(150+rng.Intn(100)) * time.Millisecond
+	// The crash: kill the victim mid-stream, restart it from its WAL
+	// directory after a downtime window.
+	killAt := time.Duration((0.35 + rng.Float64()*0.15) * float64(s.Wall))
+	downtime := time.Duration(150+rng.Intn(100)) * time.Millisecond
+	s.Schedule = []FaultOp{
+		{At: killAt, Kind: FaultKill, Node: s.Victim},
+		{At: killAt + downtime, Kind: FaultRestart, Node: s.Victim},
+	}
 	return s, nil
 }
 
@@ -504,9 +543,5 @@ func pickMigration(rng *rand.Rand, g *query.Graph, nodeOf []int, routed map[quer
 
 // sortSchedule orders by time (stable for equal times, insertion order).
 func sortSchedule(ops []FaultOp) {
-	for i := 1; i < len(ops); i++ {
-		for j := i; j > 0 && ops[j].At < ops[j-1].At; j-- {
-			ops[j], ops[j-1] = ops[j-1], ops[j]
-		}
-	}
+	sort.SliceStable(ops, func(i, j int) bool { return ops[i].At < ops[j].At })
 }

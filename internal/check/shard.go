@@ -42,28 +42,22 @@ const (
 	shardedProfileN = 200_000
 )
 
-// ShardedScenario is one seeded sharded episode: the unsharded base
-// scenario, the PlanShards-split graph, its placement (splitter, merge and
-// tail on node 0; replica i on node 1+i), and the measured slot profile.
+// ShardedScenario is one seeded sharded episode: its three arms as
+// ordinary scenarios of class Sharded, the shard group the planner split
+// off, and the measured slot profile.
 type ShardedScenario struct {
 	Seed int64
 	K    int
 
-	Base *Scenario // unsharded arm: 2 nodes, bounded ingress, must shed
+	Base      *Scenario // unsharded: 2 nodes, bounded ingress, must shed
+	Uniform   *Scenario // PlanShards split, slots assigned i%k
+	SkewAware *Scenario // the same split, skew-aware table, swapped live at Wall/2
 
-	Graph *query.Graph // sharded graph (PlanShards output)
 	Group query.ShardGroup
-	Plan  *placement.Plan
-	Nodes int
-	Caps  []float64
-
-	Trace  *trace.Trace
-	Wall   time.Duration
-	Config engine.NodeConfig
 
 	// SlotRates is the Zipf key profile over the partition table's slots
 	// (fractions summing to 1), measured from the same seeded generator
-	// that drives the episode.
+	// that drives the sharded arms.
 	SlotRates []float64
 }
 
@@ -78,28 +72,24 @@ func GenerateSharded(seed int64, k int) (*ShardedScenario, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("check: sharded episode needs k ≥ 2, got %d", k)
 	}
-	s := &ShardedScenario{Seed: seed, K: k, Wall: shardedEpisodeWall}
+	s := &ShardedScenario{Seed: seed, K: k}
 
-	build := func() (*query.Graph, error) {
-		b := query.NewBuilder()
-		in := b.Input("keys")
-		hot := b.Delay("hot", shardedHotCost, 1, in)
-		b.Delay("tail", 0.00005, 1, hot)
-		return b.Build()
-	}
-	g, err := build()
+	b := query.NewBuilder()
+	in := b.Input("keys")
+	hot := b.Delay("hot", shardedHotCost, 1, in)
+	b.Delay("tail", 0.00005, 1, hot)
+	g, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("check: sharded graph: %w", err)
 	}
 
 	const dt = 0.05
-	bins := int(s.Wall.Seconds()/dt) + 1
-	rates := make([]float64, bins)
+	rates := make([]float64, int(shardedEpisodeWall.Seconds()/dt)+1)
 	for i := range rates {
 		rates[i] = shardedRate
 	}
-	s.Trace = trace.New("keys", dt, rates)
-	s.Config = engine.NodeConfig{
+	traces := []*trace.Trace{trace.New("keys", dt, rates)}
+	cfg := engine.NodeConfig{
 		IngressCap:  512,
 		BackoffBase: 10 * time.Millisecond,
 		BackoffMax:  150 * time.Millisecond,
@@ -114,8 +104,7 @@ func GenerateSharded(seed int64, k int) (*ShardedScenario, error) {
 	s.Base = &Scenario{
 		Seed: seed, Class: Sharded, Nodes: 2,
 		Graph: g, Plan: basePlan, Caps: []float64{1, 1},
-		Traces: []*trace.Trace{s.Trace}, Wall: s.Wall,
-		Config: s.Config,
+		Traces: traces, Wall: shardedEpisodeWall, Config: cfg,
 	}
 
 	// Sharded graph: the planner must decide to split the hot operator into
@@ -131,7 +120,6 @@ func GenerateSharded(seed int64, k int) (*ShardedScenario, error) {
 	if len(decisions) != 1 || decisions[0].K != k {
 		return nil, fmt.Errorf("check: planner decisions %+v, want one split at k=%d", decisions, k)
 	}
-	s.Graph = sharded
 	groups, err := query.ShardGroups(sharded)
 	if err != nil {
 		return nil, err
@@ -142,155 +130,67 @@ func GenerateSharded(seed int64, k int) (*ShardedScenario, error) {
 	// replica i alone on node 1+i, so per-node load is that shard's slot
 	// share times the hot load and the min-headroom comparison reads
 	// directly off node utilizations.
-	s.Nodes = 1 + k
+	nodes := 1 + k
 	nodeOf := make([]int, sharded.NumOps())
 	for i, r := range s.Group.Replicas {
 		nodeOf[r] = 1 + i
 	}
-	s.Plan, err = placement.NewPlan(nodeOf, s.Nodes)
+	plan, err := placement.NewPlan(nodeOf, nodes)
 	if err != nil {
 		return nil, err
 	}
-	s.Caps = make([]float64, s.Nodes)
-	for i := range s.Caps {
-		s.Caps[i] = 1
+	caps := make([]float64, nodes)
+	for i := range caps {
+		caps[i] = 1
 	}
 
 	// Slot profile from a twin of the driving key generator.
-	gen, err := workload.ZipfKeys(seed, shardedZipfS, shardedKeyDomain)
+	keys := func() (func() uint64, error) { return workload.ZipfKeys(seed, shardedZipfS, shardedKeyDomain) }
+	gen, err := keys()
 	if err != nil {
 		return nil, err
 	}
 	s.SlotRates = workload.SlotRates(gen, shardedProfileN)
+
+	arm := func(slots []int) *Scenario {
+		return &Scenario{
+			Seed: seed, Class: Sharded, Nodes: nodes,
+			Graph: sharded, Plan: plan, Caps: caps,
+			Traces: traces, Wall: shardedEpisodeWall, Config: cfg,
+			Partitions: map[query.StreamID][]int{s.Group.Stream: slots},
+			Keys:       keys,
+		}
+	}
+	s.Uniform = arm(query.UniformSlots(k))
+	skew := workload.AssignSkewAware(s.SlotRates, k)
+	s.SkewAware = arm(skew)
+	// Swap shard labels 0 and 1 at half time: slots genuinely reassign
+	// (tuples shift between two live replicas) while the load split stays
+	// the same whenever those shards carry near-equal shares.
+	swapped := make([]int, len(skew))
+	for i, sh := range skew {
+		switch sh {
+		case 0:
+			swapped[i] = 1
+		case 1:
+			swapped[i] = 0
+		default:
+			swapped[i] = sh
+		}
+	}
+	s.SkewAware.Schedule = []FaultOp{{At: shardedEpisodeWall / 2, Kind: FaultRepartition, Stream: s.Group.Stream, Slots: swapped}}
 	return s, nil
 }
 
-// runShardedArm drives the sharded graph once under the given slot table.
-// When repart is true, the table's first two shard labels are swapped by a
-// live repartition at half the drive time — a genuine slot reassignment
-// under traffic. Returns the episode result and the arm's minimum node
-// headroom (1 − max node utilization).
-func runShardedArm(sc *ShardedScenario, ev *obs.EventLog, slots []int, repart bool) (*EpisodeResult, float64, error) {
-	res := &EpisodeResult{Scenario: sc.Base}
-	plan, err := placement.NewPlan(append([]int(nil), sc.Plan.NodeOf...), sc.Nodes)
-	if err != nil {
-		return nil, 0, err
-	}
-	cl, err := engine.StartClusterConfig(sc.Caps, sc.Config)
-	if err != nil {
-		return nil, 0, fmt.Errorf("check: starting cluster: %w", err)
-	}
-	defer cl.Close()
-	if ev != nil {
-		cl.SetEvents(ev)
-	}
-	if err := cl.Deploy(sc.Graph, plan, sc.Caps); err != nil {
-		return nil, 0, err
-	}
-	if err := cl.Repartition(sc.Group.Stream, slots); err != nil {
-		return nil, 0, fmt.Errorf("check: installing slot table: %w", err)
-	}
-	if err := cl.Start(); err != nil {
-		return nil, 0, err
-	}
-
-	keys, err := workload.ZipfKeys(sc.Seed, shardedZipfS, shardedKeyDomain)
-	if err != nil {
-		return nil, 0, err
-	}
-	addrs := cl.Addrs()
-	inputNodes := engine.InputNodes(sc.Graph, plan)
-	in := sc.Graph.Inputs()[0]
-	var dests []string
-	for _, n := range inputNodes[in] {
-		dests = append(dests, addrs[n])
-	}
-	drv := &engine.SourceDriver{
-		Stream:  in,
-		Trace:   sc.Trace,
-		Addrs:   dests,
-		MaxRate: 5000,
-		Keys:    keys,
-	}
-	done := make(chan error, 1)
-	go func() {
-		n, err := drv.Run(sc.Wall, nil)
-		res.Sources, res.SrcDropped = n, drv.Dropped
-		done <- err
-	}()
-
-	if repart {
-		time.Sleep(sc.Wall / 2)
-		// Swap shard labels 0 and 1: slots genuinely reassign (tuples shift
-		// between two live replicas) while the load split stays the same
-		// whenever those shards carry near-equal shares.
-		swapped := make([]int, len(slots))
-		for i, sh := range slots {
-			switch sh {
-			case 0:
-				swapped[i] = 1
-			case 1:
-				swapped[i] = 0
-			default:
-				swapped[i] = sh
-			}
-		}
-		if err := cl.Repartition(sc.Group.Stream, swapped); err != nil {
-			return nil, 0, fmt.Errorf("check: live repartition: %w", err)
-		}
-	}
-	if err := <-done; err != nil {
-		return nil, 0, fmt.Errorf("check: source: %w", err)
-	}
-	if err := cl.AwaitQuiescence(15*time.Second, 100*time.Millisecond); err != nil {
-		res.Violation = violation(ev, sc.Base, fmt.Errorf("check: liveness: %w", err))
-		return res, 0, nil
-	}
-
-	stats, _ := cl.Stats()
-	delivered, _, _, _, _ := cl.Collector.LatencyStats()
-	res.Delivered = delivered
-	if s, ok := cl.Collector.LatencySummary(); ok {
-		res.P50Ms, res.P99Ms = s.P50*1000, s.P99*1000
-	}
-	res.Ledger = Assemble(stats, delivered, res.Sources, res.SrcDropped)
-
-	minHead := 1.0
-	var partTotal int64
+// minHeadroom is a run's minimum node headroom (1 − max node utilization).
+func minHeadroom(stats []*engine.NodeStats) float64 {
+	min := 1.0
 	for _, s := range stats {
-		if s == nil {
-			res.Violation = violation(ev, sc.Base, fmt.Errorf("check: node unreachable in a sharded episode"))
-			return res, 0, nil
-		}
-		if h := 1 - s.Utilization; h < minHead {
-			minHead = h
-		}
-		for _, counts := range s.PartCounts {
-			for _, c := range counts {
-				partTotal += c
-			}
+		if s != nil && 1-s.Utilization < min {
+			min = 1 - s.Utilization
 		}
 	}
-	if err := CheckOutboxes(stats); err != nil {
-		res.Violation = violation(ev, sc.Base, err)
-		return res, minHead, nil
-	}
-	if err := res.Ledger.Check(0); err != nil {
-		res.Violation = violation(ev, sc.Base, err)
-		return res, minHead, nil
-	}
-	if res.Delivered == 0 {
-		res.Violation = violation(ev, sc.Base, fmt.Errorf("check: no tuple reached the sink (sources=%d)", res.Sources))
-		return res, minHead, nil
-	}
-	// Partition-counter conservation: every keyed tuple crossed the
-	// splitter's table exactly once.
-	if keyedIn := res.Sources - res.SrcDropped; partTotal != keyedIn {
-		res.Violation = violation(ev, sc.Base,
-			fmt.Errorf("check: partition counters total %d, want %d keyed tuples", partTotal, keyedIn))
-		return res, minHead, nil
-	}
-	return res, minHead, nil
+	return min
 }
 
 // ShardedPairResult reports the three arms of one sharded episode and the
@@ -324,20 +224,18 @@ func RunShardedPair(seed int64, k int, ev *obs.EventLog) (*ShardedPairResult, er
 	}
 	pr := &ShardedPairResult{Scenario: sc}
 
-	pr.Unsharded, err = RunEpisode(sc.Base, nil)
-	if err != nil {
+	if pr.Unsharded, err = episode(sc.Base, nil, open); err != nil {
 		return nil, fmt.Errorf("check: unsharded arm: %w", err)
 	}
-	pr.Uniform, pr.HeadroomUniform, err = runShardedArm(sc, nil, query.UniformSlots(sc.K), false)
-	if err != nil {
+	if pr.Uniform, err = episode(sc.Uniform, nil, open); err != nil {
 		return nil, fmt.Errorf("check: uniform arm: %w", err)
 	}
 	skewEv := obs.NewEventLog(4096)
-	skew := workload.AssignSkewAware(sc.SlotRates, sc.K)
-	pr.SkewAware, pr.HeadroomSkew, err = runShardedArm(sc, skewEv, skew, true)
-	if err != nil {
+	if pr.SkewAware, err = episode(sc.SkewAware, skewEv, open); err != nil {
 		return nil, fmt.Errorf("check: skew-aware arm: %w", err)
 	}
+	pr.HeadroomUniform = minHeadroom(pr.Uniform.Stats)
+	pr.HeadroomSkew = minHeadroom(pr.SkewAware.Stats)
 
 	fail := func(err error) (*ShardedPairResult, error) {
 		pr.Violation = violation(ev, sc.Base, err)
@@ -361,7 +259,9 @@ func RunShardedPair(seed int64, k int, ev *obs.EventLog) (*ShardedPairResult, er
 	if pr.SkewAware.Ledger.Shed != 0 {
 		return fail(fmt.Errorf("check: skew-aware arm shed %d tuples across the live repartition", pr.SkewAware.Ledger.Shed))
 	}
-	if n := skewEv.Count(obs.EventRepartition); n < 1 {
+	// One repartition event installs the table before the start; the live
+	// swap is the second.
+	if n := skewEv.Count(obs.EventRepartition); n < 2 {
 		return fail(fmt.Errorf("check: skew-aware arm recorded no live repartition"))
 	}
 	if pr.HeadroomSkew <= pr.HeadroomUniform {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"reflect"
 	"testing"
 
 	"rodsp/internal/obs"
@@ -45,13 +46,11 @@ func TestGenerateShardedDeterministic(t *testing.T) {
 	if a.K != 4 || b.K != a.K {
 		t.Fatalf("k = %d/%d, want the planner to land on 4", a.K, b.K)
 	}
-	if len(a.Plan.NodeOf) != len(b.Plan.NodeOf) {
-		t.Fatalf("plan sizes differ: %d vs %d", len(a.Plan.NodeOf), len(b.Plan.NodeOf))
+	if !reflect.DeepEqual(a.Uniform.Plan.NodeOf, b.Uniform.Plan.NodeOf) {
+		t.Fatalf("plans diverge: %v vs %v", a.Uniform.Plan.NodeOf, b.Uniform.Plan.NodeOf)
 	}
-	for i := range a.Plan.NodeOf {
-		if a.Plan.NodeOf[i] != b.Plan.NodeOf[i] {
-			t.Fatalf("plans diverge at op %d: %d vs %d", i, a.Plan.NodeOf[i], b.Plan.NodeOf[i])
-		}
+	if !reflect.DeepEqual(a.SkewAware.Schedule, b.SkewAware.Schedule) {
+		t.Fatalf("live repartitions diverge: %+v vs %+v", a.SkewAware.Schedule, b.SkewAware.Schedule)
 	}
 	for i := range a.SlotRates {
 		if a.SlotRates[i] != b.SlotRates[i] {

@@ -96,6 +96,21 @@ func (s *Series) Min() (float64, bool) {
 	return min, true
 }
 
+// Mean returns the average of the retained values (0 when empty): the
+// time-average of a series sampled at a fixed interval.
+func (s *Series) Mean() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n == 0 {
+		return 0
+	}
+	var sum float64
+	for i := 0; i < s.n; i++ {
+		sum += s.vals[(s.head+i)%len(s.vals)]
+	}
+	return sum / float64(s.n)
+}
+
 // ID renders the series identity as name{k="v",...}.
 func (s *Series) ID() string {
 	if len(s.Labels) == 0 {
@@ -175,6 +190,25 @@ func (ss *SeriesSet) Names() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// SameSchema verifies two sets expose the same metric names — the contract
+// that makes the simulator's and the engine's series directly comparable.
+// A mismatch names the first metric, in sorted order, that only one set has.
+func SameSchema(a, b *SeriesSet) error {
+	an, bn := a.Names(), b.Names()
+	i, j := 0, 0
+	for i < len(an) || j < len(bn) {
+		switch {
+		case j == len(bn) || (i < len(an) && an[i] < bn[j]):
+			return fmt.Errorf("obs: schema mismatch: %s only in the first set", an[i])
+		case i == len(an) || bn[j] < an[i]:
+			return fmt.Errorf("obs: schema mismatch: %s only in the second set", bn[j])
+		}
+		i++
+		j++
+	}
+	return nil
 }
 
 // seriesJSON is the wire form of one series in /series responses.

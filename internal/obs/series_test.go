@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -132,5 +133,47 @@ func TestSeriesSetJSONAndCSV(t *testing.T) {
 	}
 	if rows[2][0] != "1" || rows[2][1] != `rodsp_node_utilization{node="0"}` || rows[2][2] != "0.75" {
 		t.Fatalf("csv data row = %v", rows[2])
+	}
+}
+
+func TestSeriesMean(t *testing.T) {
+	ss := NewSeriesSet(4)
+	s := ss.Series("m")
+	if m := s.Mean(); m != 0 {
+		t.Fatalf("mean of an empty series = %g, want 0", m)
+	}
+	for i := 1; i <= 6; i++ { // the ring keeps 3, 4, 5, 6
+		s.Append(float64(i), float64(i))
+	}
+	if m := s.Mean(); m != 4.5 {
+		t.Fatalf("mean = %g, want 4.5 over the retained points", m)
+	}
+}
+
+func TestSameSchemaNamesFirstDifference(t *testing.T) {
+	set := func(names ...string) *SeriesSet {
+		ss := NewSeriesSet(1)
+		for _, n := range names {
+			ss.Series(n, "node", "0")
+			ss.Series(n, "node", "1")
+		}
+		return ss
+	}
+	if err := SameSchema(set("a", "b", "c"), set("c", "b", "a")); err != nil {
+		t.Fatalf("identical schemas rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		a, b *SeriesSet
+		want string
+	}{
+		{set("a", "b", "c", "d"), set("a", "c"), "b only in the first set"},
+		{set("a", "c"), set("a", "b", "c", "d"), "b only in the second set"},
+		{set("a", "b"), set("a", "b", "z"), "z only in the second set"},
+		{set("x"), set(), "x only in the first set"},
+	} {
+		err := SameSchema(tc.a, tc.b)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("SameSchema(%v, %v) = %v, want %q", tc.a.Names(), tc.b.Names(), err, tc.want)
+		}
 	}
 }
