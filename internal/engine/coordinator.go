@@ -205,38 +205,24 @@ func (c *Collector) Duplicates() int64 {
 	return c.dups
 }
 
-// duplicate is the sink's dedup rule, applied to each delivered tuple in
-// arrival order: a tuple at or below its stream's max-Seq watermark is a
-// duplicate; any other advances the watermark. Callers hold c.mu and have
-// checked c.dedup.
-func (c *Collector) duplicate(t *Tuple) bool {
-	// Missing entry = stream never seen; sequences start at 0, so the map's
-	// zero value cannot stand in for "none".
-	if mk, seen := c.sinkMarks[t.Stream]; seen && t.Seq <= mk {
-		return true
-	}
-	c.sinkMarks[t.Stream] = t.Seq
-	return false
-}
-
 // recordBatch folds one decoded batch, received at wall time now, into the
-// sink statistics under a single c.mu acquisition: per tuple, in arrival
-// order, the dedup decision, the count, the running moments and the uniform
-// reservoir (one rng draw per admitted tuple past the cap, exactly as if
-// each tuple had been recorded on its own). The observers — counter,
-// histogram, and a traced tuple's deliver stage and sink span — are fed
-// after the unlock. It returns the admitted tuples: batch compacted in
-// place, so the caller's slab is overwritten.
+// sink statistics under a single c.mu acquisition: the dedup rule
+// (sinkDedup) first, then per admitted tuple, in arrival order, the count,
+// the running moments and the uniform reservoir (one rng draw per admitted
+// tuple past the cap, exactly as if each tuple had been recorded on its
+// own). The observers — counter, histogram, and a traced tuple's deliver
+// stage and sink span — are fed after the unlock. It returns the admitted
+// tuples: batch compacted in place, so the caller's slab is overwritten.
 func (c *Collector) recordBatch(batch []Tuple, now int64) []Tuple {
 	c.mu.Lock()
-	k := 0
-	for i := range batch {
-		t := &batch[i]
-		if c.dedup && c.duplicate(t) {
-			c.dups++
-			continue // duplicate delivery (recovery re-send)
-		}
-		lat := float64(now-t.Ts) / float64(time.Second)
+	admitted := batch
+	if c.dedup {
+		var dups int64
+		admitted, dups = sinkDedup(c.sinkMarks, batch)
+		c.dups += dups
+	}
+	for i := range admitted {
+		lat := float64(now-admitted[i].Ts) / float64(time.Second)
 		c.count++
 		c.welford.Add(lat)
 		if len(c.latencies) < c.cap {
@@ -244,17 +230,12 @@ func (c *Collector) recordBatch(batch []Tuple, now int64) []Tuple {
 		} else if j := c.rng.Int63n(c.count); int(j) < c.cap {
 			c.latencies[j] = lat
 		}
-		if k != i {
-			batch[k] = *t
-		}
-		k++
 	}
 	hist, count, stages, ev := c.hist, c.sinkCount, c.stages, c.events
 	c.mu.Unlock()
 
-	admitted := batch[:k]
 	if count != nil {
-		count.Add(int64(k))
+		count.Add(int64(len(admitted)))
 	}
 	for i := range admitted {
 		t := &admitted[i]
@@ -342,14 +323,15 @@ func (c *Collector) LatencySummary() (obs.LatencySummary, bool) {
 	return s, ok
 }
 
-// Reset clears accumulated latencies.
+// Reset clears the latency statistics and the duplicate count. The dedup
+// watermarks stay, so a duplicate arriving after a Reset is still caught;
+// SetDedup is what clears them.
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.latencies = c.latencies[:0]
 	c.count = 0
 	c.welford = stats.Welford{}
-	c.sinkMarks = map[int32]int64{}
 	c.dups = 0
 }
 

@@ -22,13 +22,19 @@ import (
 //   - The RECEIVER logs each sequence-bearing ingress batch to its WAL and
 //     acks only after the fsync-batched group commit — so an acked batch
 //     is recoverable, and an unacked one is by definition still retained
-//     in the sender's outbox and will be re-sent on reconnect.
+//     in the sender's outbox and will be re-sent on reconnect. Acks are
+//     cumulative, so a frame whose successor has already arrived whole is
+//     covered by that successor's ack (serveTuples).
 //   - Duplicates from re-sends and replay are filtered by per-stream
-//     tuple-sequence watermarks (sources emit dense per-stream sequences,
-//     lanes preserve per-stream FIFO, and one stream reaches a node over
-//     one link, so "Seq ≤ watermark" identifies a duplicate exactly). The
-//     watermarks are the node's ONLY dedup state: they are checkpointed
-//     with the operator state and re-advanced by replay.
+//     max-Seq watermarks: "Seq ≤ watermark" is a duplicate. That is exact
+//     only while each stream arrives in Seq order (sources emit dense
+//     per-stream sequences, lanes preserve per-stream FIFO, one stream
+//     reaches a node over one link). A restart in the middle of a burst
+//     breaks the premise: replayed and re-sent tuples interleave, and the
+//     rule then drops tuples that were never delivered (a known hole; the
+//     benchmark once lost 512 that way). The watermarks are the node's
+//     ONLY dedup state: they are checkpointed with the operator state and
+//     re-advanced by replay.
 //
 // Checkpoints land only at drained moments (no in-flight durable
 // admission, empty lanes, no worker mid-batch, empty outboxes including
@@ -48,7 +54,8 @@ import (
 // arriving afterwards dedup against the restored+replayed watermarks.
 
 // walRecordTuples tags a WAL record holding admitted ingress tuples (tag
-// byte followed by opTuples wire frames). walRecordRetired is the tag the
+// byte followed by opTuples wire frames; a frame logged as received keeps
+// its sequence field, which replay ignores). walRecordRetired is the tag the
 // pre-opTuples binaries wrote; its frames are not decodable any more, and
 // since every logged tuple was acked, such a record stops recovery.
 const (
@@ -182,52 +189,178 @@ func (n *Node) replayRecord(payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("tag 0x%02x: %w", walRecordTuples, err)
 		}
-		n.dedupMu.Lock()
-		for i := range batch {
-			if mk, seen := n.dedup[batch[i].Stream]; !seen || batch[i].Seq > mk {
-				n.dedup[batch[i].Stream] = batch[i].Seq
-			}
-		}
-		n.dedupMu.Unlock()
+		n.replayMarks(batch)
 		n.replayed.Add(int64(len(batch)))
 		n.enqueueInboundBatch(batch)
 	}
 }
 
-// dedupFilter filters a durable ingress batch against the per-stream
-// watermarks, appending survivors to keep WITHOUT advancing the marks —
-// advanceMarks runs only after the batch is durably logged, so a WAL
-// failure never strands tuples behind an advanced watermark (the sender
-// re-sends and they pass the filter again). Duplicates (re-sent retained
-// batches covering tuples this node already logged) are counted and
-// dropped — they are ledger-invisible, since the sender's `sent` counts
-// each tuple exactly once (on ack). One stream arrives over one link and
-// each connection is served sequentially, so filter-then-advance is not
-// racy per stream.
-func (n *Node) dedupFilter(batch []Tuple, keep []Tuple) []Tuple {
-	n.dedupMu.Lock()
-	for i := range batch {
-		// A missing entry means the stream has never been admitted here —
-		// sequences start at 0, so the zero value cannot double as "none".
-		if mk, seen := n.dedup[batch[i].Stream]; !seen || batch[i].Seq > mk {
-			keep = append(keep, batch[i])
-		} else {
-			n.dedupDropped.Add(1)
-		}
-	}
-	n.dedupMu.Unlock()
-	return keep
+// admission is one tuple connection's durable-admission scratch, reused
+// frame after frame: the survivors of a frame with duplicates, the
+// watermark advances the frame owes once it is durable, and the WAL record.
+type admission struct {
+	keep    []Tuple
+	pending []markRun
+	record  []byte
 }
 
-// advanceMarks advances the per-stream watermarks over ts (now durable).
-func (n *Node) advanceMarks(ts []Tuple) {
+// admitDurable admits one sequence-bearing frame (batch, decoded from
+// frame as received): filter it against the watermarks, log what
+// survives, wait for the group commit, advance the watermarks and enqueue.
+// The record is the tag byte and the frame as received when the filter
+// kept all of it, the survivors re-encoded otherwise. On a WAL error
+// nothing is admitted and no watermark moved, so the sender's re-send
+// passes the filter again. The caller holds the sender's admission lock.
+func (n *Node) admitDurable(batch []Tuple, frame []byte, a *admission) error {
+	n.durableInflight.Add(1)
+	defer n.durableInflight.Add(-1)
+	kept := n.dedupFilter(batch, a)
+	if len(kept) == 0 {
+		return nil
+	}
+	a.record = append(a.record[:0], walRecordTuples)
+	if len(kept) == len(batch) {
+		a.record = append(a.record, frame...)
+	} else {
+		a.record = appendFrames(a.record, kept)
+	}
+	rec, err := n.wal.Append(a.record)
+	if err == nil {
+		err = n.wal.WaitCommitted(rec)
+	}
+	if err != nil {
+		return err
+	}
+	n.advanceMarks(a.pending)
+	n.enqueueInboundBatch(kept)
+	return nil
+}
+
+// The node applies two dedup rules, both per-stream max-Seq watermarks,
+// both decided once per run of one stream instead of once per tuple:
+//
+//   - ingress (dedupFilter + advanceMarks): every tuple of a frame is
+//     compared against its stream's mark as it stood when the frame
+//     arrived; the marks advance to the highest kept Seq only once the
+//     frame is durable. Replay (replayMarks) advances them the same way.
+//   - sink (sinkDedup): a running rule in arrival order — a tuple at or
+//     below the mark is a duplicate, any other becomes the mark.
+//
+// They differ inside a frame (a Seq that recurs or falls back within one
+// frame passes ingress but not the sink); both are kept as they are until
+// the rule itself changes.
+
+// markRun is one pending watermark advance: the highest Seq the ingress
+// filter kept from one run of a stream.
+type markRun struct {
+	stream int32
+	seq    int64
+}
+
+// dedupFilter filters a durable ingress frame against the per-stream
+// watermarks WITHOUT advancing them — advanceMarks applies a.pending only
+// after the frame is durably logged, so a WAL failure never strands tuples
+// behind an advanced watermark (the sender re-sends and they pass the
+// filter again). It returns the tuples to admit: batch itself when nothing
+// is a duplicate, else the survivors compacted into a.keep. Duplicates
+// (re-sent retained frames covering tuples this node already logged) are
+// counted and dropped — they are ledger-invisible, since the sender's
+// `sent` counts each tuple exactly once (on ack). One stream arrives over
+// one link and each connection is served sequentially, so
+// filter-then-advance is not racy per stream.
+func (n *Node) dedupFilter(batch []Tuple, a *admission) []Tuple {
+	a.pending = a.pending[:0]
+	dropped := 0
 	n.dedupMu.Lock()
-	for i := range ts {
-		if mk, seen := n.dedup[ts[i].Stream]; !seen || ts[i].Seq > mk {
-			n.dedup[ts[i].Stream] = ts[i].Seq
+	for i := 0; i < len(batch); {
+		sid := batch[i].Stream
+		// A missing entry means the stream has never been admitted here —
+		// sequences start at 0, so the zero value cannot double as "none".
+		mk, seen := n.dedup[sid]
+		hi, kept := int64(0), false
+		for ; i < len(batch) && batch[i].Stream == sid; i++ {
+			if seen && batch[i].Seq <= mk {
+				if dropped == 0 {
+					a.keep = append(a.keep[:0], batch[:i]...)
+				}
+				dropped++
+				continue
+			}
+			if !kept || batch[i].Seq > hi {
+				hi, kept = batch[i].Seq, true
+			}
+			if dropped > 0 {
+				a.keep = append(a.keep, batch[i])
+			}
+		}
+		if kept {
+			a.pending = append(a.pending, markRun{sid, hi})
 		}
 	}
 	n.dedupMu.Unlock()
+	if dropped == 0 {
+		return batch
+	}
+	n.dedupDropped.Add(int64(dropped))
+	return a.keep
+}
+
+// advanceMarks applies dedupFilter's pending advances (their frame is now
+// durable).
+func (n *Node) advanceMarks(pending []markRun) {
+	n.dedupMu.Lock()
+	for _, p := range pending {
+		if mk, seen := n.dedup[p.stream]; !seen || p.seq > mk {
+			n.dedup[p.stream] = p.seq
+		}
+	}
+	n.dedupMu.Unlock()
+}
+
+// replayMarks advances the watermarks over a replayed frame — its tuples
+// were admitted by the previous incarnation — once per run.
+func (n *Node) replayMarks(batch []Tuple) {
+	n.dedupMu.Lock()
+	for i := 0; i < len(batch); {
+		sid, hi := batch[i].Stream, batch[i].Seq
+		for i++; i < len(batch) && batch[i].Stream == sid; i++ {
+			hi = max(hi, batch[i].Seq)
+		}
+		if mk, seen := n.dedup[sid]; !seen || hi > mk {
+			n.dedup[sid] = hi
+		}
+	}
+	n.dedupMu.Unlock()
+}
+
+// sinkDedup is the sink's rule over one delivered batch: compacts the
+// admitted tuples to the front of batch, in arrival order, and returns them
+// with the number of duplicates dropped. A run's mark is held in a local
+// and written back to marks once, when the run admitted anything.
+func sinkDedup(marks map[int32]int64, batch []Tuple) (admitted []Tuple, dups int64) {
+	k := 0
+	for i := 0; i < len(batch); {
+		sid := batch[i].Stream
+		// Missing entry = stream never seen; sequences start at 0, so the
+		// map's zero value cannot stand in for "none".
+		mk, seen := marks[sid]
+		moved := false
+		for ; i < len(batch) && batch[i].Stream == sid; i++ {
+			if seen && batch[i].Seq <= mk {
+				dups++ // duplicate delivery (recovery re-send)
+				continue
+			}
+			mk, seen, moved = batch[i].Seq, true, true
+			if k != i {
+				batch[k] = batch[i]
+			}
+			k++
+		}
+		if moved {
+			marks[sid] = mk
+		}
+	}
+	return batch[:k], dups
 }
 
 // persistManifest writes the deployed spec and run state; called by the

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"net"
 	"testing"
 	"time"
@@ -10,15 +11,22 @@ import (
 // in ns/tuple: an ingress chunk (BenchmarkIngressChunk), a worker run
 // (BenchmarkWorkerRun), an outbox frame (BenchmarkOutboxShip) and a sink
 // batch (BenchmarkSinkBatch). The end-to-end figure they add up to is
-// benchmark/'s cpu_ns_per_item on `chain`.
+// benchmark/'s cpu_ns_per_item on `chain`; `chain_durable` adds a durable
+// admission per frame (BenchmarkDurableAdmit).
 
 // hotPathNode is one zero-cost pass-through operator from stream 1 to stream
 // 2, whose tuples leave for a peer nothing listens on: the peer's ring fills
 // once and from then on refuses the run, so no writer goroutine competes
 // with the measured one.
 func hotPathNode(tb testing.TB) *Node {
+	return hotPathNodeConfig(tb, NodeConfig{})
+}
+
+// hotPathNodeConfig is hotPathNode with cfg's other fields (e.g. a WAL).
+func hotPathNodeConfig(tb testing.TB, cfg NodeConfig) *Node {
 	tb.Helper()
-	n, err := NewNodeConfig("127.0.0.1:0", 1e6, NodeConfig{BackoffBase: time.Hour, BackoffMax: time.Hour})
+	cfg.BackoffBase, cfg.BackoffMax = time.Hour, time.Hour
+	n, err := NewNodeConfig("127.0.0.1:0", 1e6, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -143,7 +151,46 @@ func BenchmarkSinkBatch(b *testing.B) {
 	}
 }
 
-// After warm-up none of the four layers allocates per run.
+// durableAdmitter returns one durable admission of a 512-tuple sequenced
+// frame — filter, WAL append, group commit, watermark advance, enqueue —
+// on a WAL in dir. The stream's watermark is cleared before each admission
+// so the whole frame is fresh every time, and the parked lane is emptied
+// after it. Checkpoints are held off: a checkpoint attempt reads the lanes
+// parkLane swaps and allocates while other layers are being counted.
+func durableAdmitter(tb testing.TB, dir string) func() {
+	n := hotPathNodeConfig(tb, NodeConfig{WALDir: dir, CheckpointEvery: time.Hour})
+	l := parkLane(tb, n, 0)
+	frame := appendSeqFrame(nil, seqRun(1, 0, outboxBatchMax), outboxBatchMax)
+	tr := NewTupleReader(bytes.NewReader(frame))
+	batch, err := tr.ReadBatch()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var a admission
+	return func() {
+		n.dedupMu.Lock()
+		delete(n.dedup, 1)
+		n.dedupMu.Unlock()
+		if err := n.admitDurable(batch, tr.Frame(), &a); err != nil {
+			tb.Fatal(err)
+		}
+		l.empty()
+	}
+}
+
+// One durable admission of a full outbox frame.
+func BenchmarkDurableAdmit(b *testing.B) {
+	admit := durableAdmitter(b, b.TempDir())
+	admit()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		admit()
+	}
+	reportPerTuple(b, outboxBatchMax)
+}
+
+// After warm-up none of the five layers allocates per run.
 func TestHotPathSteadyStateAllocs(t *testing.T) {
 	n := hotPathNode(t)
 	l := parkLane(t, n, 0)
@@ -180,9 +227,10 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 	for _, layer := range []struct {
 		name string
 		run  func()
-	}{{"enqueueChunk", ingress}, {"processRun", worker}, {"ship", ship}, {"recordBatch", sink}} {
-		if raceEnabled && layer.name == "enqueueChunk" {
-			continue // its scratch is pooled; see raceEnabled
+	}{{"enqueueChunk", ingress}, {"processRun", worker}, {"ship", ship}, {"recordBatch", sink},
+		{"admitDurable", durableAdmitter(t, t.TempDir())}} {
+		if raceEnabled && (layer.name == "enqueueChunk" || layer.name == "admitDurable") {
+			continue // their ingress scratch is pooled; see raceEnabled
 		}
 		for i := 0; i < 2*DefaultOutboxCap/batchMax; i++ {
 			layer.run() // grow the reusable buffers, fill the dead peer's ring

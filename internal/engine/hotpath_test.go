@@ -333,10 +333,11 @@ type refSink struct {
 	latencies []float64
 }
 
-func (r *refSink) add(t Tuple, now int64) {
+// add records one delivered tuple and reports whether it was admitted.
+func (r *refSink) add(t Tuple, now int64) bool {
 	if mk, seen := r.marks[t.Stream]; seen && t.Seq <= mk {
 		r.dups++
-		return
+		return false
 	}
 	r.marks[t.Stream] = t.Seq
 	lat := float64(now-t.Ts) / float64(time.Second)
@@ -347,6 +348,7 @@ func (r *refSink) add(t Tuple, now int64) {
 	} else if j := r.rng.Int63n(r.count); int(j) < r.cap {
 		r.latencies[j] = lat
 	}
+	return true
 }
 
 func TestSinkBatchMatchesPerTupleSink(t *testing.T) {

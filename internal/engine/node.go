@@ -480,28 +480,37 @@ func (n *Node) serveConn(conn net.Conn) {
 		delete(n.conns, conn)
 		n.connsMu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, 16*1024)
-	kind, err := br.ReadByte()
-	if err != nil {
+	var kind [1]byte
+	if _, err := io.ReadFull(conn, kind[:]); err != nil {
 		return
 	}
-	switch kind {
+	switch kind[0] {
 	case connControl:
-		n.serveControl(br, conn)
+		n.serveControl(bufio.NewReaderSize(conn, 16<<10), conn)
 	case connTuples:
-		n.serveTuples(br, conn)
+		n.serveTuples(bufio.NewReaderSize(conn, tupleConnBuffer), conn)
 	}
 }
 
+// tupleConnBuffer is a tuple connection's read buffer. It holds several
+// full durable frames (a 512-tuple one is 14 350 bytes), so serveTuples can
+// see that the next frame has already arrived and leave the ack to it.
+const tupleConnBuffer = 64 << 10
+
 // serveTuples drains one tuple connection until it ends or a frame fails
 // to decode (nothing of a bad frame is admitted). Sequence-bearing batches
-// from durable senders take the durability path: dedup against the
-// per-stream watermarks, WAL-append the survivors, wait for the group
-// commit, admit, then ack the sequence so the sender releases its retained
-// copy — the ack is written only after fsync, which is the at-least-once
-// linchpin (anything unacked is still retained upstream and re-sent).
-// Frames without a sequence (sources, or a node without a WAL) take the
-// volatile path; both coexist on one connection.
+// from durable senders take the durability path (admitDurable: dedup
+// against the per-stream watermarks, WAL-append, wait for the group
+// commit, admit), then ack the sequence so the sender releases its
+// retained copy — the ack is written only after fsync, which is the
+// at-least-once linchpin (anything unacked is still retained upstream and
+// re-sent). Acks are cumulative, so the ack is skipped when br already
+// holds the whole next sequenced frame: reading that frame cannot block,
+// and its ack covers this one. An ack is therefore never withheld across a
+// read that might block; if the next frame then fails (its decode or its
+// WAL write) the connection drops and the sender re-sends both, which the
+// watermarks filter. Frames without a sequence (sources, or a node without a WAL)
+// take the volatile path; both coexist on one connection.
 //
 // The whole filter→log→commit→advance window runs under a per-sender
 // admission lock: a sender that reconnects and replays a retained batch
@@ -510,10 +519,9 @@ func (n *Node) serveConn(conn net.Conn) {
 // second time and be delivered twice. The lock is keyed on the hello
 // identity (stable across reconnects and restarts), so admissions from
 // DIFFERENT senders still share one group commit.
-func (n *Node) serveTuples(r io.Reader, conn net.Conn) {
-	tr := NewTupleReader(r)
-	var keep []Tuple
-	var payload []byte
+func (n *Node) serveTuples(br *bufio.Reader, conn net.Conn) {
+	tr := NewTupleReader(br)
+	var adm admission
 	var admit *sync.Mutex
 	for {
 		batch, err := tr.ReadBatch()
@@ -530,32 +538,21 @@ func (n *Node) serveTuples(r io.Reader, conn net.Conn) {
 			admit = n.admitLock(sender)
 		}
 		admit.Lock()
-		n.durableInflight.Add(1)
-		keep = n.dedupFilter(batch, keep[:0])
-		if len(keep) > 0 {
-			payload = append(payload[:0], walRecordTuples)
-			payload = appendFrames(payload, keep)
-			rec, err := n.wal.Append(payload)
-			if err == nil {
-				err = n.wal.WaitCommitted(rec)
-			}
-			if err != nil {
-				n.durableInflight.Add(-1)
-				admit.Unlock()
-				// The WAL failed: without durability we must not ack (the
-				// sender keeps the batch and re-sends), and the watermarks
-				// were not advanced, so nothing is stranded. Drop the
-				// connection.
-				ev, _, _ := n.observer()
-				ev.Emit(obs.LevelWarn, obs.EventWALError,
-					"node", n.route.Load().nodeID(), "err", err.Error())
-				return
-			}
-			n.advanceMarks(keep)
-			n.enqueueInboundBatch(keep)
-		}
-		n.durableInflight.Add(-1)
+		err = n.admitDurable(batch, tr.Frame(), &adm)
 		admit.Unlock()
+		if err != nil {
+			// The WAL failed: without durability we must not ack (the
+			// sender keeps the batch and re-sends), and the watermarks
+			// were not advanced, so nothing is stranded. Drop the
+			// connection.
+			ev, _, _ := n.observer()
+			ev.Emit(obs.LevelWarn, obs.EventWALError,
+				"node", n.route.Load().nodeID(), "err", err.Error())
+			return
+		}
+		if seqFrameBuffered(br) {
+			continue
+		}
 		if err := writeAck(conn, seq); err != nil {
 			return
 		}

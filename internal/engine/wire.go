@@ -58,7 +58,9 @@ const (
 	// written by the RECEIVER back over the same TCP connection after the
 	// batch with that per-connection sequence number has been fsynced into
 	// its WAL (or deduplicated away). Acks are cumulative: acking seq s
-	// releases every tuple the sender shipped up to s. The sender reads
+	// releases every tuple the sender shipped up to s, so a frame whose
+	// successor has already arrived whole is acked by the successor's
+	// ack. The sender reads
 	// them off the connection's return direction; a TupleReader that
 	// encounters one (a stray on a half-duplex reader) skips it harmlessly.
 	opAck byte = 0x86
@@ -373,10 +375,11 @@ func (tw *TupleWriter) Close() error {
 // decode slab and payload buffer are reused across calls, so steady-state
 // decoding allocates nothing.
 type TupleReader struct {
-	r    io.Reader
-	hdr  [frameHeaderSize + seqFieldSize]byte
-	buf  []byte  // reusable frame payload buffer
-	slab []Tuple // reusable decode slab; valid until the next ReadBatch
+	r     io.Reader
+	hdr   [frameHeaderSize + seqFieldSize]byte
+	buf   []byte  // reusable frame buffer: header, then records
+	frame []byte  // the last frame as received (aliases buf)
+	slab  []Tuple // reusable decode slab; valid until the next ReadBatch
 
 	// Durability context: the sequence of the frame ReadBatch last
 	// returned, and the sender identity from the connection's hello.
@@ -390,6 +393,11 @@ type TupleReader struct {
 // BatchSeq returns the durability sequence of the batch ReadBatch just
 // returned; ok is false when its frame carried none.
 func (tr *TupleReader) BatchSeq() (seq uint64, ok bool) { return tr.seq, tr.hasSeq }
+
+// Frame returns the encoded frame of the batch ReadBatch just returned,
+// header and records exactly as received. It aliases the reader's buffer
+// and is valid until the next ReadBatch.
+func (tr *TupleReader) Frame() []byte { return tr.frame }
 
 // Hello returns the sender identity announced on this connection, if any.
 func (tr *TupleReader) Hello() (incarnation uint64, sender string, ok bool) {
@@ -443,31 +451,53 @@ func (tr *TupleReader) ReadBatch() ([]Tuple, error) {
 		if n > MaxBatchWire {
 			return nil, fmt.Errorf("%w: declares %d tuples", errBatchTooLarge, n)
 		}
+		hdr := frameHeaderSize
 		tr.hasSeq = fields&fieldSeq != 0
 		if tr.hasSeq {
 			if _, err := io.ReadFull(tr.r, tr.hdr[frameHeaderSize:]); err != nil {
 				return nil, unexpectedEOF(err)
 			}
 			tr.seq = binary.BigEndian.Uint64(tr.hdr[frameHeaderSize:])
+			hdr += seqFieldSize
 		}
 		if n == 0 {
 			continue // empty frame: nothing to deliver (writers never send one)
 		}
-		need := n * recordSize(fields)
+		need := hdr + n*recordSize(fields)
 		if cap(tr.buf) < need {
 			tr.buf = make([]byte, need)
 		}
 		buf := tr.buf[:need]
-		if _, err := io.ReadFull(tr.r, buf); err != nil {
+		copy(buf, tr.hdr[:hdr])
+		if _, err := io.ReadFull(tr.r, buf[hdr:]); err != nil {
 			return nil, unexpectedEOF(err)
 		}
 		if cap(tr.slab) < n {
 			tr.slab = make([]Tuple, n)
 		}
 		tr.slab = tr.slab[:n]
-		decodeRecords(tr.slab, buf, fields)
+		decodeRecords(tr.slab, buf[hdr:], fields)
+		tr.frame = buf
 		return tr.slab, nil
 	}
+}
+
+// seqFrameBuffered reports whether br already holds, at its read position,
+// a whole non-empty sequenced tuple frame: the next ReadBatch then returns
+// without reading from the connection, or fails on a malformed header
+// without reading either. (An empty frame is skipped by ReadBatch, which
+// then reads on.)
+func seqFrameBuffered(br *bufio.Reader) bool {
+	const hdr = frameHeaderSize + seqFieldSize
+	if br.Buffered() < hdr {
+		return false
+	}
+	b, _ := br.Peek(hdr) // within Buffered: never reads
+	if b[0] != opTuples || b[1]&fieldSeq == 0 {
+		return false
+	}
+	n := int(binary.BigEndian.Uint32(b[2:6]))
+	return n > 0 && br.Buffered() >= hdr+n*recordSize(b[1])
 }
 
 // readHello consumes a hello frame's body and records the sender identity.

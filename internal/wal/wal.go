@@ -34,6 +34,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -116,6 +117,8 @@ type Log struct {
 	closed  bool
 	failed  error // sticky I/O failure; appends error out after it
 	flushed chan struct{}
+
+	rec []byte // Append's framing buffer (under mu): header + payload, one write
 }
 
 // Open opens (creating if necessary) the log in dir, scanning existing
@@ -295,14 +298,13 @@ func (l *Log) newSegmentLocked() error {
 
 // Append frames payload into the active segment and returns its sequence
 // number. The record is buffered (not yet durable): pair with
-// WaitCommitted to block until the group-commit fsync covers it.
+// WaitCommitted to block until the group-commit fsync covers it. Header
+// and payload go out in one write, staged in a buffer the log reuses.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	if len(payload) > MaxRecordBytes {
 		return 0, fmt.Errorf("wal: record %d bytes exceeds cap %d", len(payload), MaxRecordBytes)
 	}
-	var hdr [recordHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], crc32.Checksum(payload, castagnoli))
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(payload)))
+	crc := crc32.Checksum(payload, castagnoli)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -324,11 +326,13 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		l.fail(err)
-		return 0, err
-	}
-	if _, err := l.f.Write(payload); err != nil {
+	size := recordHeaderSize + len(payload)
+	rec := slices.Grow(l.rec[:0], size)[:size]
+	binary.BigEndian.PutUint32(rec[0:4], crc)
+	binary.BigEndian.PutUint32(rec[4:8], uint32(len(payload)))
+	copy(rec[recordHeaderSize:], payload)
+	l.rec = rec
+	if _, err := l.f.Write(rec); err != nil {
 		l.fail(err)
 		return 0, err
 	}

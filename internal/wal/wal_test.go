@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -93,6 +95,35 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	seq, err := l2.Append([]byte("after"))
 	if err != nil || seq != 101 {
 		t.Fatalf("append after reopen: seq=%d err=%v", seq, err)
+	}
+}
+
+// Append stages each record in one buffer and writes it once; the bytes
+// on disk must stay exactly the documented framing, record after record,
+// whatever the buffer held before (a long record followed by short ones).
+func TestAppendFramingBytes(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := append([][]byte{bytes.Repeat([]byte{0xAB}, 5000), {}}, payloads(20)...)
+	appendAll(t, l, ps)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, p := range ps {
+		want = binary.BigEndian.AppendUint32(want, crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+		want = binary.BigEndian.AppendUint32(want, uint32(len(p)))
+		want = append(want, p...)
+	}
+	got, err := os.ReadFile(lastSegment(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("segment holds %d bytes that differ from the %d-byte reference framing", len(got), len(want))
 	}
 }
 
