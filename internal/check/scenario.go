@@ -158,10 +158,10 @@ type Scenario struct {
 }
 
 // severWriteSlack bounds how many tuples one sever fault can double-count:
-// a failed flush is counted dropped although the peer may have received the
-// run, and one run is at most the outbox batch bound (512) plus headroom
-// for a concurrently broken batched source write.
-const severWriteSlack = 1024
+// a failed write is counted dropped although the peer may have received
+// it, and one sever breaks at most one outbox write (engine.MaxWriteTuples)
+// plus one concurrently broken batched source write (512 of headroom).
+const severWriteSlack = engine.MaxWriteTuples + 512
 
 // Slack is the allowed negative ledger residual for this scenario.
 func (s *Scenario) Slack() int64 { return int64(s.Severs) * severWriteSlack }

@@ -13,7 +13,6 @@ import (
 	"rodsp/internal/obs"
 	"rodsp/internal/placement"
 	"rodsp/internal/query"
-	"rodsp/internal/stats"
 	"rodsp/internal/trace"
 )
 
@@ -120,7 +119,7 @@ type Collector struct {
 	cap       int
 	rng       *rand.Rand
 	count     int64
-	welford   stats.Welford
+	latSumNs  float64 // admitted latencies, ns: exact below 2⁵³
 	closing   bool
 	conns     map[net.Conn]bool
 
@@ -208,11 +207,15 @@ func (c *Collector) Duplicates() int64 {
 // recordBatch folds one decoded batch, received at wall time now, into the
 // sink statistics under a single c.mu acquisition: the dedup rule
 // (sinkDedup) first, then per admitted tuple, in arrival order, the count,
-// the running moments and the uniform reservoir (one rng draw per admitted
+// the latency sum and the uniform reservoir (one rng draw per admitted
 // tuple past the cap, exactly as if each tuple had been recorded on its
-// own). The observers — counter, histogram, and a traced tuple's deliver
-// stage and sink span — are fed after the unlock. It returns the admitted
-// tuples: batch compacted in place, so the caller's slab is overwritten.
+// own). The latency sum is taken per batch as an exact int64 of
+// nanoseconds and added into latSumNs, which is exact while the total
+// stays below 2⁵³ ns, so any batching of one arrival sequence gives the
+// same mean. The observers — counter, histogram, and a traced tuple's
+// deliver stage and sink span — are fed after the unlock. It returns the
+// admitted tuples: batch compacted in place, so the caller's slab is
+// overwritten.
 func (c *Collector) recordBatch(batch []Tuple, now int64) []Tuple {
 	c.mu.Lock()
 	admitted := batch
@@ -221,16 +224,19 @@ func (c *Collector) recordBatch(batch []Tuple, now int64) []Tuple {
 		admitted, dups = sinkDedup(c.sinkMarks, batch)
 		c.dups += dups
 	}
+	var sumNs int64
 	for i := range admitted {
-		lat := float64(now-admitted[i].Ts) / float64(time.Second)
+		ns := now - admitted[i].Ts
+		lat := float64(ns) / float64(time.Second)
+		sumNs += ns
 		c.count++
-		c.welford.Add(lat)
 		if len(c.latencies) < c.cap {
 			c.latencies = append(c.latencies, lat)
 		} else if j := c.rng.Int63n(c.count); int(j) < c.cap {
 			c.latencies[j] = lat
 		}
 	}
+	c.latSumNs += float64(sumNs)
 	hist, count, stages, ev := c.hist, c.sinkCount, c.stages, c.events
 	c.mu.Unlock()
 
@@ -279,7 +285,7 @@ func (c *Collector) accept() {
 				delete(c.conns, conn)
 				c.mu.Unlock()
 			}()
-			br := bufio.NewReader(conn)
+			br := bufio.NewReaderSize(conn, tupleConnBuffer)
 			kind, err := br.ReadByte()
 			if err != nil || kind != connTuples {
 				return
@@ -306,7 +312,7 @@ func (c *Collector) LatencyStats() (int64, float64, float64, float64, float64) {
 	if !ok {
 		return c.count, 0, 0, 0, 0
 	}
-	return c.count, c.welford.Mean(), qs[0], qs[1], qs[2]
+	return c.count, c.latSumNs / float64(c.count) / float64(time.Second), qs[0], qs[1], qs[2]
 }
 
 // LatencySummary digests the retained latencies into the shared summary
@@ -331,7 +337,7 @@ func (c *Collector) Reset() {
 	defer c.mu.Unlock()
 	c.latencies = c.latencies[:0]
 	c.count = 0
-	c.welford = stats.Welford{}
+	c.latSumNs = 0
 	c.dups = 0
 }
 

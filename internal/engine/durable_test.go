@@ -407,10 +407,11 @@ func seqFrames(k, per int) [][]byte {
 	return out
 }
 
-// Acks are cumulative, so a burst of frames that arrives together is acked
-// fewer times than it has frames, ending with its last sequence; frames
-// sent one at a time are acked one at a time; and a frame is never left
-// unacked while the rest of the next one has not arrived.
+// Acks are cumulative, so a burst of frames that arrives together — written
+// by hand, or gathered by one outbox ship — is acked fewer times than it
+// has frames, ending with its last sequence; frames sent one at a time are
+// acked one at a time; and a frame is never left unacked while the rest of
+// the next one has not arrived.
 func TestDurableAckCadence(t *testing.T) {
 	const k, per = 8, 64
 	t.Run("burst", func(t *testing.T) {
@@ -431,6 +432,32 @@ func TestDurableAckCadence(t *testing.T) {
 		}
 		if len(acks) >= k {
 			t.Fatalf("%d frames in one write got %d acks %v, want fewer", k, len(acks), acks)
+		}
+	})
+	t.Run("ship", func(t *testing.T) {
+		// The outbox gathers every ready frame into one write: three frames
+		// (512, 512, 76 tuples) from one ship get fewer than three acks,
+		// the last for the last frame's sequence.
+		conn := durableConn(t)
+		o, _ := shipper(t, 2*outboxBatchMax+76, true)
+		o.enqueueBatch(seqRun(1, 0, 2*outboxBatchMax+76))
+		if got, err := o.ship(conn); got != 2*outboxBatchMax+76 || err != nil {
+			t.Fatalf("shipped %d tuples (%v)", got, err)
+		}
+		var acks []uint64
+		for len(acks) == 0 || acks[len(acks)-1] != o.shipped {
+			ack, err := readAck(conn)
+			if err != nil {
+				t.Fatalf("after acks %v: %v", acks, err)
+			}
+			if ack != outboxBatchMax && ack != 2*outboxBatchMax && ack != o.shipped ||
+				len(acks) > 0 && ack <= acks[len(acks)-1] {
+				t.Fatalf("ack %d after %v", ack, acks)
+			}
+			acks = append(acks, ack)
+		}
+		if len(acks) >= 3 {
+			t.Fatalf("three frames in one ship got %d acks %v, want fewer", len(acks), acks)
 		}
 	})
 	t.Run("idle", func(t *testing.T) {

@@ -24,9 +24,11 @@ import (
 
 // refProcessRun is the reference worker: it re-resolves a tuple's consumers,
 // relay routes, partition table and transfer cost from the snapshot's edited
-// fields for every tuple, locks and unlocks the operator around every step,
-// and bumps the shared per-slot counter once per keyed output. The estimator
-// sample is one per (operator, run), as the package documents.
+// fields for every tuple, steps one tuple per operator call, locks and
+// unlocks the operator around every step, and bumps the shared per-slot
+// counter once per keyed output. The estimator sample is one per (operator,
+// run), as the package documents. A join's window records arrival order
+// only: the test's window is far longer than the test, so nothing expires.
 func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 	rs := n.route.Load()
 	entry := func(sid int32) *streamRoute {
@@ -48,7 +50,14 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 	}
 	step := func(op *liveOp, t Tuple) float64 {
 		op.mu.Lock()
-		op.selAcc += op.spec.Selectivity
+		cost, produced := op.spec.Cost, op.spec.Selectivity
+		if op.spec.Kind == "join" {
+			side := op.sideOf[int(t.Stream)]
+			op.window[side] = append(op.window[side], 0)
+			pairs := float64(len(op.window[1-side]))
+			cost, produced = op.spec.Cost*pairs, op.spec.Selectivity*pairs
+		}
+		op.selAcc += produced
 		k := int(op.selAcc)
 		op.selAcc -= float64(k)
 		op.processed++
@@ -61,15 +70,19 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 		}
 		s.in++
 		s.out += int64(k)
-		s.cpu += op.spec.Cost
+		s.cpu += cost
 		for i := 0; i < k; i++ {
 			outs = append(outs, Tuple{Stream: int32(op.spec.Out), Ts: t.Ts, Seq: t.Seq,
 				Value: t.Value, Key: t.Key, Flags: t.Flags, TraceTs: t.TraceTs})
 		}
-		return op.spec.Cost
+		return cost
 	}
 	var fwds destRuns
 	for _, t := range tuples {
+		if t.Stream == stallStream {
+			charge(t.Value)
+			continue
+		}
 		sr := entry(t.Stream)
 		if t.target != 0 {
 			if op := rs.ops[int(t.target)-1]; op != nil {
@@ -142,6 +155,8 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 //	stream 2 → keyed, replicas 2 and 3 here (tuples arrive targeted)
 //	stream 3 → op 4, which is then removed with a relay route
 //	stream 4 → nothing at all
+//	stream 5 → op 5 (sel 0.7), its only consumer
+//	streams 6, 7 → op 6, a two-input join
 //	stream 12 (replica output) → keyed, both shards remote
 //
 // Every output leaves for a dead peer, so nothing re-enters a lane and the
@@ -160,12 +175,19 @@ func heldLockNode(t *testing.T, peer, relay string) *Node {
 			{ID: 2, Kind: "map", Cost: 0.125, Selectivity: 1, Inputs: []int{2}, Out: 12},
 			{ID: 3, Kind: "map", Cost: 0.125, Selectivity: 1.5, Inputs: []int{2}, Out: 12},
 			{ID: 4, Kind: "map", Cost: 1, Selectivity: 1, Inputs: []int{3}, Out: 13},
+			{ID: 5, Kind: "filter", Cost: 0.3, Selectivity: 0.7, Inputs: []int{5}, Out: 14},
+			{ID: 6, Kind: "join", Cost: 0.01, Selectivity: 0.01, Window: 1e6, Inputs: []int{6, 7}, Out: 15},
 		},
 		Routes: map[int][]Dest{
 			1:  {{Local: true, LocalOp: 0}, {Local: true, LocalOp: 1}},
 			3:  {{Local: true, LocalOp: 4}},
+			5:  {{Local: true, LocalOp: 5}},
+			6:  {{Local: true, LocalOp: 6}},
+			7:  {{Local: true, LocalOp: 6}},
 			10: {{Addr: peer}},
 			11: {{Addr: peer}, {Addr: relay}},
+			14: {{Addr: peer}},
+			15: {{Addr: relay}},
 		},
 		XferCost: map[int]float64{10: 0.5},
 		Parts: []PartitionSpec{
@@ -184,17 +206,32 @@ func heldLockNode(t *testing.T, peer, relay string) *Node {
 	return n
 }
 
-// mixedRun builds one run of n tuples: runs of random length over the four
-// input streams, keyed tuples addressed the way ingress would address them.
+// mixedRun builds one run of n tuples: runs over the seven input streams,
+// mostly short and one in ten up to n long, keyed tuples addressed the way
+// ingress would address them, one tuple in 16 traced and one in 40
+// preceded by a stall.
 func mixedRun(rng *rand.Rand, rs *routeState, n int, seq *int64) []Tuple {
 	ts := make([]Tuple, 0, n)
 	for len(ts) < n {
-		sid := int32(1 + rng.Intn(4))
-		for k := 1 + rng.Intn(6); k > 0 && len(ts) < n; k-- {
+		sid := int32(1 + rng.Intn(7))
+		k := 1 + rng.Intn(6)
+		if rng.Intn(10) == 0 {
+			k = 1 + rng.Intn(n)
+		}
+		for ; k > 0 && len(ts) < n; k-- {
+			if rng.Intn(40) == 0 {
+				ts = append(ts, Tuple{Stream: stallStream, Value: 0.002})
+				if len(ts) == n {
+					break
+				}
+			}
 			*seq++
 			t := Tuple{Stream: sid, Seq: *seq, Ts: *seq * 10, Key: rng.Uint64() | 1, Value: float64(*seq)}
 			if sid == 2 {
 				t.target = rs.lookup(2).part.route[slotOf(&t)].target
+			}
+			if rng.Intn(16) == 0 {
+				t.Flags, t.TraceTs = TupleTraced, *seq
 			}
 			ts = append(ts, t)
 		}
@@ -205,6 +242,7 @@ func mixedRun(rng *rand.Rand, rs *routeState, n int, seq *int64) []Tuple {
 type opState struct {
 	Processed int64
 	SelAcc    float64
+	Window    [2]int
 	Cost, Sel float64
 	Samples   int64
 	CostStd   float64
@@ -214,7 +252,8 @@ func opStates(n *Node) map[int]opState {
 	out := map[int]opState{}
 	for id, op := range n.route.Load().ops {
 		op.mu.Lock()
-		s := opState{Processed: op.processed, SelAcc: op.selAcc}
+		s := opState{Processed: op.processed, SelAcc: op.selAcc,
+			Window: [2]int{len(op.window[0]), len(op.window[1])}}
 		op.mu.Unlock()
 		s.Cost, _ = n.estimator.Cost(id)
 		s.Sel, _ = n.estimator.Selectivity(id)
@@ -230,23 +269,46 @@ func TestHeldOpLockMatchesReference(t *testing.T) {
 	got, ref := heldLockNode(t, peer, relay), heldLockNode(t, peer, relay)
 	rng := rand.New(rand.NewSource(7))
 	run := workerRun{locals: make([][]Tuple, got.workers)}
-	var seq, keyed int64
-	for r := 0; r < 5; r++ {
+	var seq, keyed, traced, stretched int64
+	for r := 0; r < 8; r++ {
 		tuples := mixedRun(rng, got.route.Load(), batchMax, &seq)
 		run.tuples = append(run.tuples[:0], tuples...)
+		before := time.Now().UnixNano()
 		got.processRun(got.lanes[0], &run)
 		if run.held != nil {
 			t.Fatalf("run %d: processRun returned holding operator %d's mutex", r, run.held.spec.ID)
 		}
 		want := refProcessRun(ref, tuples)
+		if len(run.outs) != len(want) {
+			t.Fatalf("run %d: %d outputs, the per-tuple reference %d", r, len(run.outs), len(want))
+		}
+		// A traced tuple's outputs carry its service-end time, which only
+		// the worker knows.
+		for i := range want {
+			if want[i].Flags&TupleTraced != 0 {
+				if run.outs[i].TraceTs < before {
+					t.Fatalf("run %d: traced output %d has TraceTs %d, before the run", r, i, run.outs[i].TraceTs)
+				}
+				run.outs[i].TraceTs = want[i].TraceTs
+				traced++
+			}
+		}
 		if !reflect.DeepEqual(run.outs, want) {
-			t.Fatalf("run %d: outs differ from the per-tuple reference (%d vs %d tuples)", r, len(run.outs), len(want))
+			t.Fatalf("run %d: outs differ from the per-tuple reference", r)
 		}
 		for i := range want {
 			if want[i].Stream == 12 {
 				keyed++
 			}
 		}
+		for i := 1; i < len(tuples); i++ {
+			if s := tuples[i].Stream; s >= 5 && s == tuples[i-1].Stream && tuples[i].Flags == 0 {
+				stretched++
+			}
+		}
+	}
+	if traced == 0 || stretched < batchMax {
+		t.Fatalf("scenario too tame: %d traced outputs, %d tuples continuing a single-consumer stretch", traced, stretched)
 	}
 	if g, w := opStates(got), opStates(ref); !reflect.DeepEqual(g, w) {
 		t.Fatalf("operator state / estimator samples differ:\n got %+v\nwant %+v", g, w)
@@ -280,7 +342,10 @@ func TestHeldOpLockMatchesReference(t *testing.T) {
 // The worker must drop the operator mutex before every pacing sleep: with an
 // operator costing 100 ms of virtual CPU per tuple, whoever else wants the
 // mutex (tryCheckpoint locks it exactly like this) or the node's stats gets
-// them within one sleep, not at the end of the 600 ms run.
+// them within one sleep, not at the end of the 600 ms run. The six tuples
+// are one stretch, stepped in one call, and what the mutex guards must be
+// written back before each sleep: the processed count equals the tuples
+// charged so far.
 func TestHeldOpLockReleasedWhilePacing(t *testing.T) {
 	const pace = 100 * time.Millisecond
 	n, err := NewNode("127.0.0.1:0", 1)
@@ -307,10 +372,14 @@ func TestHeldOpLockReleasedWhilePacing(t *testing.T) {
 		t0 := time.Now()
 		op.mu.Lock()
 		processed := op.processed
+		stepped := (n.busy.Load() + int64(pace)/2) / int64(pace) // flushed before each sleep
 		op.mu.Unlock()
 		st := n.Stats()
 		if d := time.Since(t0); d >= pace {
 			t.Fatalf("probe %d: op.mu + Stats took %v, want under one pacing sleep (%v)", probe, d, pace)
+		}
+		if processed != stepped || processed == 0 {
+			t.Fatalf("probe %d: op.processed %d during a pacing sleep, %d tuples charged", probe, processed, stepped)
 		}
 		if st.WorkerInFlight != 6 || processed == 6 {
 			t.Fatalf("probe %d: run already over (in flight %d, processed %d): the probe proved nothing",
@@ -329,7 +398,7 @@ type refSink struct {
 	marks     map[int32]int64
 	dups      int64
 	count     int64
-	welford   stats.Welford
+	latSumNs  float64
 	latencies []float64
 }
 
@@ -342,7 +411,7 @@ func (r *refSink) add(t Tuple, now int64) bool {
 	r.marks[t.Stream] = t.Seq
 	lat := float64(now-t.Ts) / float64(time.Second)
 	r.count++
-	r.welford.Add(lat)
+	r.latSumNs += float64(now - t.Ts)
 	if len(r.latencies) < r.cap {
 		r.latencies = append(r.latencies, lat)
 	} else if j := r.rng.Int63n(r.count); int(j) < r.cap {
@@ -395,13 +464,13 @@ func TestSinkBatchMatchesPerTupleSink(t *testing.T) {
 			t.Fatalf("batches of %d: %d duplicates, per-tuple sink %d", size, c.Duplicates(), ref.dups)
 		}
 		c.mu.Lock()
-		count, mean, latencies := c.count, c.welford.Mean(), append([]float64(nil), c.latencies...)
+		count, sum, latencies := c.count, c.latSumNs, append([]float64(nil), c.latencies...)
 		c.mu.Unlock()
 		if count != ref.count || int64(len(admitted)) != ref.count {
 			t.Fatalf("batches of %d: count %d, %d returned as admitted, per-tuple sink %d", size, count, len(admitted), ref.count)
 		}
-		if mean != ref.welford.Mean() {
-			t.Fatalf("batches of %d: mean %v, per-tuple sink %v", size, mean, ref.welford.Mean())
+		if sum != ref.latSumNs {
+			t.Fatalf("batches of %d: latency sum %v ns, per-tuple sink %v", size, sum, ref.latSumNs)
 		}
 		if !reflect.DeepEqual(latencies, ref.latencies) {
 			t.Fatalf("batches of %d: reservoir differs from the per-tuple sink", size)

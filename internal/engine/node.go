@@ -492,10 +492,19 @@ func (n *Node) serveConn(conn net.Conn) {
 	}
 }
 
-// tupleConnBuffer is a tuple connection's read buffer. It holds several
-// full durable frames (a 512-tuple one is 14 350 bytes), so serveTuples can
-// see that the next frame has already arrived and leave the ack to it.
+// tupleConnBuffer is a tuple connection's read buffer, on a node and at the
+// sink, and the byte budget of one outbox write (outbox.ship), so one read
+// can take in a whole burst. It holds several full durable frames (a
+// 512-tuple one is 14 350 bytes), so serveTuples can see that the next frame
+// has already arrived and leave the ack to it.
 const tupleConnBuffer = 64 << 10
+
+// MaxWriteTuples bounds how many tuples one outbox write carries: the write
+// stays within tupleConnBuffer bytes and no tuple record is smaller than
+// the fixed 28 bytes. A write that fails is counted dropped although the
+// peer may have read some of it, so this is also how many tuples one broken
+// link can count twice.
+const MaxWriteTuples = tupleConnBuffer / tupleFrameSize
 
 // serveTuples drains one tuple connection until it ends or a frame fails
 // to decode (nothing of a bad frame is admitted). Sequence-bearing batches

@@ -23,26 +23,30 @@ import (
 //	        │ awaiting ack  │ yet written    │
 //
 // Producers (lane workers, ingress relays) append at tail and never block:
-// a full ring drops with a counter. The writer picks the next run
-// [shipped, shipped+k) under the lock, encodes it as one frame straight
-// from the ring slots with the lock released (a run stops at the ring's
-// wrap, so its slots are contiguous; see ship for why nobody else touches
-// them), advances shipped and issues one write. On a volatile link acked
-// follows shipped as soon as the write returns. On a durable link (the peer
-// runs a WAL) the frame carries the position after its last tuple as its
-// sequence, so the peer's cumulative ack IS the new acked cursor: a tuple
-// leaves the ring only when an ack covers it, retention is the region
-// [acked, shipped) held in place, and a reconnect rewinds shipped to acked —
-// replay is the ordinary ship loop. Ack room is ring room, so overload lands
-// where it always has: at enqueueBatch's drop counter. The outbox dials with
-// exponential backoff plus jitter and re-arms the per-peer relay-error latch
-// on recovery so repeated failures stay visible.
+// a full ring drops with a counter. The writer reads [shipped, tail) under
+// the lock and, with the lock released, encodes it straight from the ring
+// slots as consecutive frames of at most outboxBatchMax tuples each (a frame
+// stops at the ring's wrap, so its slots are contiguous; see ship for why
+// nobody else touches them), gathering whole frames while the burst fits the
+// receiver's read buffer; it then advances shipped and issues one write. On
+// a volatile link acked follows shipped as soon as the write returns. On a
+// durable link (the peer runs a WAL) each frame carries the position after
+// its last tuple as its sequence, so the peer's cumulative ack IS the new
+// acked cursor: a tuple leaves the ring only when an ack covers it,
+// retention is the region [acked, shipped) held in place, and a reconnect
+// rewinds shipped to acked — replay is the ordinary ship loop. Ack room is
+// ring room, so overload lands where it always has: at enqueueBatch's drop
+// counter. The outbox dials with exponential backoff plus jitter and re-arms
+// the per-peer relay-error latch on recovery so repeated failures stay
+// visible.
 
 // errOutboxClosed signals an orderly shutdown of the writer loop.
 var errOutboxClosed = errors.New("engine: outbox closed")
 
-// outboxBatchMax bounds how many tuples one frame carries, so a saturated
-// ring cannot delay the flush (and hence delivery) unboundedly.
+// outboxBatchMax bounds how many tuples one frame carries. A frame is the
+// unit a durable receiver logs and acks, so it bounds how much of the ring
+// one ack releases; a write carries as many whole frames as fit in
+// tupleConnBuffer bytes (at most MaxWriteTuples tuples).
 const outboxBatchMax = 512
 
 // LinkFault is an injected fault on the outbound link to one peer address:
@@ -294,78 +298,64 @@ func (o *outbox) drain(conn net.Conn) error {
 	}
 }
 
-// ship sends the next run [shipped, shipped+k) as one frame with one write
-// under a write deadline (so a stalled peer surfaces as an error instead of
-// blocking shutdown), honoring an injected fault, and returns k (0: nothing
-// to do until the next wakeup). The run is at most outboxBatchMax tuples
-// and never crosses the ring's wrap, so it is one contiguous stretch of
-// ring slots, encoded where it lies with the lock released. Producers only
-// write slots at positions ≥ tail, which map onto the ring clear of
-// [acked, tail), and acked never passes shipped, which moves only after the
-// encode — so nothing else touches the run's slots meanwhile, and an ack
-// arriving before shipped moves names tuples not yet written and fails the
-// connection (applyAck). Drop accounting stays per tuple. A volatile run is
-// settled here — sent on success, dropped on a failed write. A durable run
-// carries its end position as the frame sequence and stays in the ring
-// until applyAck covers it; a failed write leaves it for the reconnect
-// replay.
+// ship sends what is ready, [shipped, tail), as a burst of frames with one
+// write under a write deadline (so a stalled peer surfaces as an error
+// instead of blocking shutdown), honoring an injected fault, and returns
+// how many tuples it shipped (0: nothing to do until the next wakeup). A
+// frame is at most outboxBatchMax tuples and never crosses the ring's wrap,
+// so it is one contiguous stretch of ring slots, encoded where it lies with
+// the lock released; whole frames are gathered while the write stays within
+// tupleConnBuffer, the receiver's read buffer. Producers only write slots at
+// positions ≥ tail, which map onto the ring clear of [acked, tail), and
+// acked never passes shipped, which moves only after the encode — so
+// nothing else touches the burst's slots meanwhile, and an ack arriving
+// before shipped moves names tuples not yet written and fails the
+// connection (applyAck). Drop accounting stays per tuple. A volatile burst
+// is settled here — sent on success, dropped on a failed write. Each durable
+// frame carries its end position as its sequence and stays in the ring
+// until applyAck covers it; a failed write leaves the burst for the
+// reconnect replay. A Drop fault discards one frame's worth of tuples per
+// call, and a Delay fault stalls each write.
 func (o *outbox) ship(conn net.Conn) (int, error) {
 	f := o.node.linkFault(o.addr)
 	o.mu.Lock()
-	at := int(o.shipped % uint64(len(o.ring)))
-	k := min(int(o.tail-o.shipped), outboxBatchMax, len(o.ring)-at)
-	if k == 0 {
+	from, tail := o.shipped, o.tail
+	if from == tail {
 		o.mu.Unlock()
 		return 0, nil
 	}
 	if f != nil && f.Drop {
-		// Discard the run in place. Positions are contiguous, so a durable
-		// link first lets the retained region ahead of it settle (applyAck
-		// wakes the writer) rather than count unacked tuples as dropped.
+		// Discard the next frame's run in place. Positions are contiguous,
+		// so a durable link first lets the retained region ahead of it
+		// settle (applyAck wakes the writer) rather than count unacked
+		// tuples as dropped.
+		k := 0
 		if o.acked == o.shipped {
+			k = o.frameLen(from, tail)
 			o.acked += uint64(k)
 			o.shipped = o.acked
 			o.dropped += int64(k)
-		} else {
-			k = 0
 		}
 		o.mu.Unlock()
 		return k, nil
 	}
-	seq := o.shipped + uint64(k)
 	o.mu.Unlock()
-	run := o.ring[at : at+k]
-	// Stage boundary: a traced tuple leaves the outbox now; the time since
-	// its last boundary (the worker's service end, or its ingress admission
-	// on a relay hop) is outbox residence. The refreshed TraceTs is written
-	// into the ring slot and goes onto the wire from there, so the
-	// receiver's transit stage starts here. A durable replay re-sends the
-	// slot as it was last shipped and refreshes it again: its outbox stage
-	// is the time since the previous send, and the stages still telescope.
-	if ev, stages, _ := o.node.observer(); ev != nil || stages != nil {
-		var now int64
-		for i := range run {
-			if run[i].Flags&TupleTraced == 0 {
-				continue
-			}
-			if now == 0 {
-				now = time.Now().UnixNano()
-			}
-			var wait float64
-			if run[i].TraceTs > 0 {
-				wait = float64(now-run[i].TraceTs) / float64(time.Second)
-			}
-			run[i].TraceTs = now
-			stages.Observe(obs.StageOutbox, wait)
-			ev.Emit(obs.LevelDebug, obs.EventSpan, "stage", "outbox",
-				"addr", o.addr, "stream", int(run[i].Stream), "seq", run[i].Seq,
-				"ts", run[i].Ts, "wait", wait)
+	o.enc = o.enc[:0]
+	pos := from
+	for pos < tail {
+		k := o.frameLen(pos, tail)
+		at := int(pos % uint64(len(o.ring)))
+		run := o.ring[at : at+k]
+		fields := fieldsOf(run)
+		if o.durable {
+			fields |= fieldSeq
 		}
-	}
-	if o.durable {
-		o.enc = appendSeqFrame(o.enc[:0], run, seq)
-	} else {
-		o.enc = appendFrames(o.enc[:0], run)
+		if len(o.enc) > 0 && len(o.enc)+frameSize(fields, k) > tupleConnBuffer {
+			break
+		}
+		o.traceOut(run)
+		pos += uint64(k)
+		o.enc = appendFrame(o.enc, run, fields, pos)
 	}
 	if f != nil && f.Delay > 0 {
 		select {
@@ -374,10 +364,11 @@ func (o *outbox) ship(conn net.Conn) (int, error) {
 		}
 	}
 	o.mu.Lock()
-	o.shipped = seq
+	o.shipped = pos
 	o.mu.Unlock()
 	conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
 	_, err := conn.Write(o.enc)
+	k := int(pos - from)
 	if !o.durable {
 		o.mu.Lock()
 		o.acked = o.shipped
@@ -389,6 +380,44 @@ func (o *outbox) ship(conn net.Conn) (int, error) {
 		o.mu.Unlock()
 	}
 	return k, err
+}
+
+// frameLen is the length of the frame that starts at position pos: at most
+// outboxBatchMax tuples, ending at tail or at the ring's end.
+func (o *outbox) frameLen(pos, tail uint64) int {
+	return min(int(tail-pos), outboxBatchMax, len(o.ring)-int(pos%uint64(len(o.ring))))
+}
+
+// traceOut marks the stage boundary of a traced tuple leaving the outbox:
+// the time since its last boundary (the worker's service end, or its
+// ingress admission on a relay hop) is outbox residence. The refreshed
+// TraceTs is written into the ring slot and goes onto the wire from there,
+// so the receiver's transit stage starts here. A durable replay re-sends the
+// slot as it was last shipped and refreshes it again: its outbox stage is
+// the time since the previous send, and the stages still telescope.
+func (o *outbox) traceOut(run []Tuple) {
+	ev, stages, _ := o.node.observer()
+	if ev == nil && stages == nil {
+		return
+	}
+	var now int64
+	for i := range run {
+		if run[i].Flags&TupleTraced == 0 {
+			continue
+		}
+		if now == 0 {
+			now = time.Now().UnixNano()
+		}
+		var wait float64
+		if run[i].TraceTs > 0 {
+			wait = float64(now-run[i].TraceTs) / float64(time.Second)
+		}
+		run[i].TraceTs = now
+		stages.Observe(obs.StageOutbox, wait)
+		ev.Emit(obs.LevelDebug, obs.EventSpan, "stage", "outbox",
+			"addr", o.addr, "stream", int(run[i].Stream), "seq", run[i].Seq,
+			"ts", run[i].Ts, "wait", wait)
+	}
 }
 
 // dropRemaining counts everything still in the ring as dropped — at

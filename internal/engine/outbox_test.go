@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -692,70 +693,167 @@ func (c *recordConn) Write(p []byte) (int, error) {
 
 func (c *recordConn) SetWriteDeadline(time.Time) error { return nil }
 
-// ship encodes a run where it lies in the ring, so a run that reaches the
-// ring's end stops there and the rest goes out as the next frame: each
-// write is one frame, carrying exactly the tuples at its positions, and a
-// durable frame's sequence is the position after its last tuple.
-func TestOutboxShipFromRingWrap(t *testing.T) {
-	const ringCap = 16
+// shipper is an outbox with no writer goroutine, for a test that calls ship
+// itself and records each write. Tuple Seq equals ring position throughout.
+func shipper(t *testing.T, ringCap int, durable bool) (*outbox, *recordConn) {
+	t.Helper()
+	n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{OutboxCap: ringCap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return newOutbox(n, deadAddr(t), durable), &recordConn{}
+}
+
+// shipWant ships once and checks that it made one write of whole frames,
+// carrying exactly the tuples at positions [from, ends[last]) in one frame
+// per entry of ends, and that a durable frame's sequence is the position
+// after its last tuple (ends itself).
+func shipWant(t *testing.T, o *outbox, conn *recordConn, from int, ends ...uint64) {
+	t.Helper()
+	k := int(ends[len(ends)-1]) - from
+	writes := len(conn.writes)
+	if got, err := o.ship(conn); got != k || err != nil {
+		t.Fatalf("ship from position %d: %d tuples (%v), want %d", from, got, err, k)
+	}
+	if len(conn.writes) != writes+1 {
+		t.Fatalf("ship from position %d made %d writes", from, len(conn.writes)-writes)
+	}
+	w := conn.writes[writes]
+	if len(w) > tupleConnBuffer {
+		t.Fatalf("ship from position %d wrote %d bytes, over the %d-byte budget", from, len(w), tupleConnBuffer)
+	}
+	got, seqs, frames := decodeAll(t, w)
+	if frames != len(ends) {
+		t.Fatalf("ship from position %d wrote %d frames, want %d", from, frames, len(ends))
+	}
+	wantSeqs(t, fmt.Sprintf("write from position %d", from), got, from, k)
+	switch {
+	case o.durable && !slices.Equal(seqs, ends):
+		t.Fatalf("write from position %d: sequences %v, want %v", from, seqs, ends)
+	case !o.durable && len(seqs) != 0:
+		t.Fatalf("volatile frames carry sequences %v", seqs)
+	}
+	// Byte for byte, the write is the frames a one-frame-per-write outbox
+	// would have sent, back to back.
+	var want []byte
+	start := from
+	for _, end := range ends {
+		ts := got[start-from : int(end)-from]
+		if o.durable {
+			want = appendSeqFrame(want, ts, end)
+		} else {
+			want = appendFrames(want, ts)
+		}
+		start = int(end)
+	}
+	if !bytes.Equal(w, want) {
+		t.Fatalf("write from position %d differs from its frames encoded one by one", from)
+	}
+}
+
+// bothLinks runs f as a volatile and as a durable subtest.
+func bothLinks(t *testing.T, f func(t *testing.T, durable bool)) {
 	for _, durable := range []bool{false, true} {
 		name := "volatile"
 		if durable {
 			name = "durable"
 		}
-		t.Run(name, func(t *testing.T) {
-			n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{OutboxCap: ringCap})
-			if err != nil {
+		t.Run(name, func(t *testing.T) { f(t, durable) })
+	}
+}
+
+// ship encodes frames where they lie in the ring, so a frame that reaches
+// the ring's end stops there and the rest goes out as the next frame of the
+// same write.
+func TestOutboxShipFromRingWrap(t *testing.T) {
+	bothLinks(t, func(t *testing.T, durable bool) {
+		o, conn := shipper(t, 16, durable)
+		o.enqueueBatch(seqRun(1, 0, 10))
+		shipWant(t, o, conn, 0, 10)
+		if durable {
+			if err := o.applyAck(10); err != nil {
 				t.Fatal(err)
 			}
-			defer n.Close()
-			// No writer goroutine: the test calls ship itself. Tuple Seq
-			// equals ring position throughout.
-			o := newOutbox(n, deadAddr(t), durable)
-			conn := &recordConn{}
-			shipOne := func(from, k int) {
-				t.Helper()
-				if got, err := o.ship(conn); got != k || err != nil {
-					t.Fatalf("ship from position %d: %d tuples (%v), want %d", from, got, err, k)
-				}
-				got, seqs, frames := decodeAll(t, conn.writes[len(conn.writes)-1])
-				if frames != 1 {
-					t.Fatalf("ship from position %d wrote %d frames in one write", from, frames)
-				}
-				wantSeqs(t, fmt.Sprintf("frame from position %d", from), got, from, k)
-				switch {
-				case durable && (len(seqs) != 1 || seqs[0] != uint64(from+k)):
-					t.Fatalf("frame from position %d: sequences %v, want [%d]", from, seqs, from+k)
-				case !durable && len(seqs) != 0:
-					t.Fatalf("volatile frame carries sequences %v", seqs)
-				}
+		}
+		// Positions 10..21 occupy slots 10..15, then wrap to slots 0..5.
+		if got := o.enqueueBatch(seqRun(1, 10, 12)); got != 12 {
+			t.Fatalf("accepted %d of 12", got)
+		}
+		shipWant(t, o, conn, 10, 16, 22)
+		if k, err := o.ship(conn); k != 0 || err != nil {
+			t.Fatalf("an empty ring shipped %d tuples (%v)", k, err)
+		}
+		wantAcked := uint64(22)
+		if durable {
+			wantAcked = 10
+		}
+		if o.acked != wantAcked || o.shipped != 22 || o.tail != 22 || len(conn.writes) != 2 {
+			t.Fatalf("cursors acked %d shipped %d tail %d after %d writes, want %d/22/22 after 2",
+				o.acked, o.shipped, o.tail, len(conn.writes), wantAcked)
+		}
+	})
+}
+
+// A full ring leaves in writes of as many whole outboxBatchMax frames as
+// fit in tupleConnBuffer: four of plain 28-byte records (a fifth would make
+// 71 710 bytes), three of keyed 36-byte ones (a fourth would make 73 752).
+func TestOutboxShipGathersWholeFrames(t *testing.T) {
+	bothLinks(t, func(t *testing.T, durable bool) {
+		o, conn := shipper(t, DefaultOutboxCap, durable)
+		o.enqueueBatch(seqRun(1, 0, DefaultOutboxCap))
+		shipWant(t, o, conn, 0, 512, 1024, 1536, 2048)
+		shipWant(t, o, conn, 2048, 2560, 3072, 3584, 4096)
+		if durable {
+			if err := o.applyAck(4096); err != nil {
+				t.Fatal(err)
 			}
-			o.enqueueBatch(seqRun(1, 0, 10))
-			shipOne(0, 10)
-			if durable {
-				if err := o.applyAck(10); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Positions 10..21 occupy slots 10..15, then wrap to slots 0..5.
-			if got := o.enqueueBatch(seqRun(1, 10, 12)); got != 12 {
-				t.Fatalf("accepted %d of 12", got)
-			}
-			shipOne(10, 6)
-			shipOne(16, 6)
+		} else if o.sent != DefaultOutboxCap {
+			t.Fatalf("sent %d of a full ring", o.sent)
+		}
+		keyed := seqRun(1, 4096, DefaultOutboxCap)
+		for i := range keyed {
+			keyed[i].Key = uint64(i + 1)
+		}
+		o.enqueueBatch(keyed)
+		shipWant(t, o, conn, 4096, 4608, 5120, 5632)
+		shipWant(t, o, conn, 5632, 6144, 6656, 7168)
+		shipWant(t, o, conn, 7168, 7680, 8192)
+	})
+}
+
+// A Drop fault discards one frame's run per ship and writes nothing; on a
+// durable link it first waits for the retained region ahead of the run to
+// be acked.
+func TestOutboxShipDropsOneRunPerShip(t *testing.T) {
+	bothLinks(t, func(t *testing.T, durable bool) {
+		o, conn := shipper(t, 16, durable)
+		o.enqueueBatch(seqRun(1, 0, 10))
+		shipWant(t, o, conn, 0, 10)
+		o.node.SetLinkFault(o.addr, LinkFault{Drop: true})
+		if durable {
+			o.enqueueBatch(seqRun(1, 10, 2))
 			if k, err := o.ship(conn); k != 0 || err != nil {
-				t.Fatalf("an empty ring shipped %d tuples (%v)", k, err)
+				t.Fatalf("dropped %d tuples (%v) behind an unacked region", k, err)
 			}
-			wantAcked := uint64(22)
-			if durable {
-				wantAcked = 10
+			if err := o.applyAck(10); err != nil {
+				t.Fatal(err)
 			}
-			if o.acked != wantAcked || o.shipped != 22 || o.tail != 22 || len(conn.writes) != 3 {
-				t.Fatalf("cursors acked %d shipped %d tail %d after %d writes, want %d/22/22 after 3",
-					o.acked, o.shipped, o.tail, len(conn.writes), wantAcked)
+			o.enqueueBatch(seqRun(1, 12, 10))
+		} else {
+			o.enqueueBatch(seqRun(1, 10, 12))
+		}
+		// Positions 10..21: a run to the ring's end, then the wrapped rest.
+		for _, want := range []int{6, 6, 0} {
+			if k, err := o.ship(conn); k != want || err != nil {
+				t.Fatalf("a drop-fault ship discarded %d tuples (%v), want %d", k, err, want)
 			}
-		})
-	}
+		}
+		if len(conn.writes) != 1 || o.dropped != 12 || o.sent != 10 || o.acked != 22 || o.shipped != 22 {
+			t.Fatalf("after the drop fault: %d writes, dropped %d, sent %d, acked %d, shipped %d; want 1/12/10/22/22",
+				len(conn.writes), o.dropped, o.sent, o.acked, o.shipped)
+		}
+	})
 }
 
 // An ack may only cover tuples already written. One that arrives while the

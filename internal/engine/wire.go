@@ -267,6 +267,16 @@ func decodeRecords(ts []Tuple, buf []byte, fields byte) {
 	}
 }
 
+// frameSize is the encoded size of an opTuples frame of count records
+// under a field mask.
+func frameSize(fields byte, count int) int {
+	size := frameHeaderSize + count*recordSize(fields)
+	if fields&fieldSeq != 0 {
+		size += seqFieldSize
+	}
+	return size
+}
+
 // appendFrame appends ts to dst as exactly one opTuples frame; seq is
 // written when fields has fieldSeq. A frame cannot declare more than
 // MaxBatchWire tuples, so handing it more is a caller bug (appendFrames
@@ -280,7 +290,7 @@ func appendFrame(dst []byte, ts []Tuple, fields byte, seq uint64) []byte {
 		hdr += seqFieldSize
 	}
 	n := len(dst)
-	need := hdr + len(ts)*recordSize(fields)
+	need := frameSize(fields, len(ts))
 	dst = slices.Grow(dst, need)[:n+need]
 	buf := dst[n:]
 	buf[0] = opTuples

@@ -13,8 +13,9 @@ import (
 // the lane queue itself, see lane.take; read only), emitted outputs, the
 // operator whose mutex the worker currently holds, the targeted-delivery
 // cache, per-destination forward groups, local re-entry buckets per lane,
-// and the per-operator estimator samples accumulated over the run. Reuse
-// keeps the steady-state dequeue path allocation-free.
+// the per-operator estimator samples accumulated over the run, and the
+// run's virtual-CPU pacing state. Reuse keeps the steady-state dequeue path
+// allocation-free.
 type workerRun struct {
 	tuples  []Tuple // read only: aliases the lane queue
 	outs    []Tuple
@@ -24,6 +25,13 @@ type workerRun struct {
 	egress  destRuns    // routeBatch per-destination remote groups
 	locals  [][]Tuple   // routeBatch per-lane local re-entry buckets
 	samples []runSample // per-(op, run) estimator aggregation
+
+	// Pacing (see charge): whether the node runs, its start, the shared
+	// virtual-time accumulator as last read or flushed, and the virtual
+	// time charged since then (node-wide and to this lane).
+	started             bool
+	startNano, busyBase int64
+	busyDelta, laneBusy int64
 }
 
 // runSample accumulates one operator's estimator sample over a whole run,
@@ -37,16 +45,15 @@ type runSample struct {
 	cpu float64
 }
 
-func (r *workerRun) sample(id int, out int64, cpu float64) {
+// sample returns op id's slot of the run's estimator samples.
+func (r *workerRun) sample(id int) *runSample {
 	for i := range r.samples {
 		if r.samples[i].id == id {
-			r.samples[i].in++
-			r.samples[i].out += out
-			r.samples[i].cpu += cpu
-			return
+			return &r.samples[i]
 		}
 	}
-	r.samples = append(r.samples, runSample{id: id, in: 1, out: out, cpu: cpu})
+	r.samples = append(r.samples, runSample{id: id})
+	return &r.samples[len(r.samples)-1]
 }
 
 func (r *workerRun) flushSamples(est *stats.CostEstimator) {
@@ -58,7 +65,7 @@ func (r *workerRun) flushSamples(est *stats.CostEstimator) {
 }
 
 // hold makes op the operator this worker has locked. The mutex stays held
-// from one tuple to the next for as long as consecutive tuples step the same
+// from one step to the next for as long as consecutive steps use the same
 // operator — a run of one stream with one consumer locks once, a stream with
 // two consumers alternates per tuple — and release drops it: before the next
 // different operator, before every pacing sleep, before a traced tuple's
@@ -77,6 +84,48 @@ func (r *workerRun) release() {
 	if r.held != nil {
 		r.held.mu.Unlock()
 		r.held = nil
+	}
+}
+
+// pacingSlack is how far virtual time may run ahead of wall time before a
+// worker sleeps.
+const pacingSlack = int64(500 * time.Microsecond)
+
+// charge adds one tuple's cost (> 0) to the run's virtual CPU and returns
+// how long the worker must sleep for virtual time not to run ahead of wall
+// time (0: no sleep). Callers skip it for a zero cost, so the zero-cost
+// path never reads the clock.
+func (r *workerRun) charge(cost, capacity float64) int64 {
+	d := int64(time.Duration(cost / capacity * float64(time.Second)))
+	r.busyDelta += d
+	r.laneBusy += d
+	if !r.started {
+		return 0
+	}
+	if ahead := r.busyBase + r.busyDelta - (time.Now().UnixNano() - r.startNano); ahead > pacingSlack {
+		return ahead
+	}
+	return 0
+}
+
+// sleep flushes the run's accumulated virtual time before sleeping, so stats
+// polled mid-sleep see it (a costly run can carry seconds of virtual time;
+// utilization must not lag by that much), and drops the operator mutex for
+// the sleep.
+func (n *Node) sleep(run *workerRun, ahead int64) {
+	run.busyBase = n.busy.Add(run.busyDelta)
+	run.busyDelta = 0
+	run.release()
+	time.Sleep(time.Duration(ahead))
+}
+
+// pace charges one tuple's cost and sleeps if virtual time ran ahead.
+func (n *Node) pace(run *workerRun, cost float64) {
+	if cost <= 0 {
+		return
+	}
+	if ahead := run.charge(cost, n.capacity); ahead > 0 {
+		n.sleep(run, ahead)
 	}
 }
 
@@ -160,92 +209,92 @@ func (n *Node) laneWorker(l *lane) {
 // runs outside the lane lock, pacing per tuple against a locally accumulated
 // busy delta (concurrent charges from other lanes and the ingress transfer
 // cost land in n.busy and are picked up at the next flush).
+//
+// Tuples are stepped a stretch at a time: the longest stretch of equal
+// Stream and target that has exactly one consumer — the stream's only local
+// operator, or the addressed replica — goes to process in one call. A
+// traced tuple, a stall tuple and a tuple of a stream with several
+// consumers are stretches of one, so the traced tuple's stage boundaries
+// stay its own and outputs stay tuple-major.
 func (n *Node) processRun(l *lane, run *workerRun) {
 	rs := n.route.Load()
 	nodeID := rs.nodeID()
 	ev, stages, _ := n.observer()
-	started := n.started.Load()
-	startNano := n.startNano.Load()
-	busyBase := n.busy.Load()
-	var busyDelta, laneBusy int64
+	run.started = n.started.Load()
+	run.startNano = n.startNano.Load()
+	run.busyBase = n.busy.Load()
+	run.busyDelta, run.laneBusy = 0, 0
 	var stranded int64
 	run.outs = run.outs[:0]
 	run.fwds.reset()
 	run.tgts = run.tgts[:0]
 	var sr *streamRoute
 	var sid int32
-	for i := range run.tuples {
+	for i := 0; i < len(run.tuples); {
 		t := &run.tuples[i]
-		var cost float64
-		outsBefore := len(run.outs)
-		// Stage boundary: a traced tuple leaves the queue now; the time
-		// since its ingress admission is queue wait, the time until its
-		// outputs are ready (including virtual-CPU pacing) is service.
-		tracedT := t.Flags&TupleTraced != 0 && t.Stream != stallStream
-		var svcStart int64
-		if tracedT {
-			svcStart = time.Now().UnixNano()
-		}
 		if t.Stream == stallStream {
 			// Migration state-transfer pause: Value already carries the
 			// cost units making svc = Value/capacity = the stall seconds.
-			cost = t.Value
-		} else {
-			if sr == nil || t.Stream != sid {
-				sid, sr = t.Stream, rs.lookup(t.Stream)
+			n.pace(run, t.Value)
+			i++
+			continue
+		}
+		if sr == nil || t.Stream != sid {
+			sid, sr = t.Stream, rs.lookup(t.Stream)
+		}
+		traced := t.Flags&TupleTraced != 0
+		j := i + 1
+		if !traced && (t.target != 0 || len(sr.cons) < 2) {
+			for j < len(run.tuples) {
+				u := &run.tuples[j]
+				if u.Stream != sid || u.target != t.target || u.Flags&TupleTraced != 0 {
+					break
+				}
+				j++
 			}
-			if t.target != 0 {
-				// Targeted (keyed) delivery: exactly one addressed
-				// replica, never the stream's broadcast consumer set. If
-				// the replica migrated between admission and draining,
-				// forward to its recorded new home; with no record left,
-				// count the loss.
-				if e := run.targetOf(rs, sr, t); e.op != nil {
-					cost = n.process(run, e.op, t)
-				} else if e.relay != "" {
-					run.fwds.add(e.relay, run.tuples[i:i+1])
-				} else {
-					stranded++
-				}
-			} else if len(sr.cons) > 0 {
-				for _, op := range sr.cons {
-					cost += n.process(run, op, t)
-				}
+		}
+		ts := run.tuples[i:j]
+		i = j
+		// Stage boundary: a traced tuple leaves the queue now; the time
+		// since its ingress admission is queue wait, the time until its
+		// outputs are ready (including virtual-CPU pacing) is service.
+		var svcStart int64
+		if traced {
+			svcStart = time.Now().UnixNano()
+		}
+		outsBefore := len(run.outs)
+		var cost float64 // the last tuple's, over its consumers; not yet charged
+		switch {
+		case t.target != 0:
+			// Targeted (keyed) delivery: exactly one addressed replica,
+			// never the stream's broadcast consumer set. If the replica
+			// migrated between admission and draining, forward to its
+			// recorded new home; with no record left, count the loss.
+			if e := run.targetOf(rs, sr, t); e.op != nil {
+				cost = n.process(run, e.op, ts)
+			} else if e.relay != "" {
+				run.fwds.add(e.relay, ts)
 			} else {
-				// Admitted while a local consumer existed, drained after
-				// it migrated away: relay toward the new home, or — with
-				// no relay route left — count the loss instead of
-				// silently absorbing the tuple (the conservation ledger
-				// audits this).
-				if len(sr.relays) == 0 {
-					stranded++
-				}
-				for _, d := range sr.relays {
-					run.fwds.add(d.Addr, run.tuples[i:i+1])
-				}
+				stranded += int64(len(ts))
+			}
+		case len(sr.cons) > 0:
+			for _, op := range sr.cons {
+				cost += n.process(run, op, ts)
+			}
+		default:
+			// Admitted while a local consumer existed, drained after it
+			// migrated away: relay toward the new home, or — with no relay
+			// route left — count the loss instead of silently absorbing
+			// the tuples (the conservation ledger audits this).
+			if len(sr.relays) == 0 {
+				stranded += int64(len(ts))
+			}
+			for _, d := range sr.relays {
+				run.fwds.add(d.Addr, ts)
 			}
 		}
-		if cost > 0 {
-			d := int64(time.Duration(cost / n.capacity * float64(time.Second)))
-			busyDelta += d
-			laneBusy += d
-			if started {
-				// Pace: virtual time must not run ahead of wall time.
-				ahead := busyBase + busyDelta - (time.Now().UnixNano() - startNano)
-				if ahead > int64(500*time.Microsecond) {
-					// Flush the accumulated virtual time before sleeping
-					// so stats polled mid-sleep see it (a costly run can
-					// carry seconds of virtual time; utilization must not
-					// lag by that much). The zero-cost path never touches
-					// the shared accumulator.
-					busyBase = n.busy.Add(busyDelta)
-					busyDelta = 0
-					run.release()
-					time.Sleep(time.Duration(ahead))
-				}
-			}
-		}
-		if tracedT {
+		n.pace(run, cost)
+		if traced {
 			run.release()
 			svcEnd := time.Now().UnixNano()
 			var queueSec float64
@@ -258,8 +307,8 @@ func (n *Node) processRun(l *lane, run *workerRun) {
 			// Outputs inherit the service-end boundary, so their next
 			// crossing (outbox residence or local re-queue wait) starts
 			// here and the stage durations keep telescoping.
-			for j := outsBefore; j < len(run.outs); j++ {
-				run.outs[j].TraceTs = svcEnd
+			for k := outsBefore; k < len(run.outs); k++ {
+				run.outs[k].TraceTs = svcEnd
 			}
 			ev.Emit(obs.LevelDebug, obs.EventSpan, "stage", "process",
 				"node", nodeID, "stream", int(t.Stream), "seq", t.Seq,
@@ -268,11 +317,11 @@ func (n *Node) processRun(l *lane, run *workerRun) {
 		}
 	}
 	run.release()
-	if busyDelta > 0 {
-		n.busy.Add(busyDelta)
+	if run.busyDelta > 0 {
+		n.busy.Add(run.busyDelta)
 	}
-	if laneBusy > 0 {
-		l.busy.Add(laneBusy)
+	if run.laneBusy > 0 {
+		l.busy.Add(run.laneBusy)
 	}
 	if stranded > 0 {
 		n.dropNoRt.Add(stranded)
@@ -285,48 +334,82 @@ func (n *Node) processRun(l *lane, run *workerRun) {
 	n.routeBatch(l, rs, run)
 }
 
-// process runs one tuple through one operator, appending emitted tuples to
-// run.outs and returning the cost-units consumed. The operator's mutable
-// state is guarded by its own mutex, which process leaves held for the next
-// tuple (see workerRun.hold).
-func (n *Node) process(run *workerRun, op *liveOp, t *Tuple) float64 {
+// process steps a stretch of tuples of one stream through one operator,
+// appending emitted tuples to run.outs. The operator's mutex is taken, its
+// spec read and its estimator slot found once per stretch; per tuple, in
+// locals, it advances the selectivity accumulator, the processed count, the
+// sample and a join's window, builds the outputs, and charges the cost —
+// pacing after every tuple but the last, whose cost it returns for the
+// caller to charge once the tuple's last consumer has stepped. The locals
+// are written back before every pacing sleep (which drops the mutex) and at
+// the end; the mutex itself stays held for the next step (see
+// workerRun.hold).
+func (n *Node) process(run *workerRun, op *liveOp, ts []Tuple) float64 {
 	run.hold(op)
-	cost := op.spec.Cost
-	produced := op.spec.Selectivity
-	if op.spec.Kind == "join" {
-		now := time.Now().UnixNano()
-		side := op.sideOf[int(t.Stream)]
-		op.window[side] = append(op.window[side], now)
-		horizon := now - int64(op.spec.Window/2*float64(time.Second))
-		for s := range op.window {
-			win := op.window[s]
-			lo := 0
-			for lo < len(win) && win[lo] < horizon {
-				lo++
+	spec := &op.spec
+	join := spec.Kind == "join"
+	side := 0
+	if join {
+		side = op.sideOf[int(ts[0].Stream)]
+	}
+	s := run.sample(spec.ID)
+	acc, processed := op.selAcc, op.processed
+	in, out, cpu := s.in, s.out, s.cpu
+	win := op.window
+	outs := run.outs
+	stream := int32(spec.Out)
+	cost, produced := spec.Cost, spec.Selectivity
+	for i := range ts {
+		t := &ts[i]
+		if join {
+			now := time.Now().UnixNano()
+			win[side] = append(win[side], now)
+			horizon := now - int64(spec.Window/2*float64(time.Second))
+			for w := range win {
+				lo := 0
+				for lo < len(win[w]) && win[w][lo] < horizon {
+					lo++
+				}
+				win[w] = win[w][lo:]
 			}
-			op.window[s] = win[lo:]
+			pairs := len(win[1-side])
+			cost = spec.Cost * float64(pairs)
+			produced = spec.Selectivity * float64(pairs)
 		}
-		pairs := len(op.window[1-side])
-		cost = op.spec.Cost * float64(pairs)
-		produced = op.spec.Selectivity * float64(pairs)
+		acc += produced
+		k := int(acc)
+		acc -= float64(k)
+		processed++
+		in++
+		out += int64(k)
+		cpu += cost
+		for ; k > 0; k-- {
+			// An output is the input with its stream rewritten, built in
+			// its slot: it inherits Ts, Seq, Value, the trace context and
+			// the partition key (so downstream sharded stages keep keyed
+			// semantics) but never the in-memory target, because
+			// addressing is resolved per stream by whoever routes the
+			// output.
+			outs = append(outs, *t)
+			o := &outs[len(outs)-1]
+			o.Stream = stream
+			o.target = 0
+		}
+		if cost <= 0 || i == len(ts)-1 {
+			continue
+		}
+		if ahead := run.charge(cost, n.capacity); ahead > 0 {
+			op.selAcc, op.processed, op.window = acc, processed, win
+			s.in, s.out, s.cpu = in, out, cpu
+			run.outs = outs
+			n.sleep(run, ahead)
+			run.hold(op)
+			acc, processed, win = op.selAcc, op.processed, op.window
+		}
 	}
-	op.selAcc += produced
-	k := int(op.selAcc)
-	op.selAcc -= float64(k)
-	op.processed++
-	out := int32(op.spec.Out)
-	run.sample(op.spec.ID, int64(k), cost)
-	for i := 0; i < k; i++ {
-		// An output is the input with its stream rewritten, built in its
-		// slot: it inherits Ts, Seq, Value, the trace context and the
-		// partition key (so downstream sharded stages keep keyed
-		// semantics) but never the in-memory target, because addressing is
-		// resolved per stream by whoever routes the output.
-		run.outs = append(run.outs, *t)
-		o := &run.outs[len(run.outs)-1]
-		o.Stream = out
-		o.target = 0
-	}
+	op.selAcc, op.processed, op.window = acc, processed, win
+	s.in, s.out, s.cpu = in, out, cpu
+	run.outs = outs
 	return cost
 }
 
