@@ -55,7 +55,9 @@ func BenchmarkPlaceBest(b *testing.B) {
 // m = 200, d = 5 tree graph on 10 nodes, a lower bound rotating over 16
 // forecast points at 15–50 % of capacity, and load model → PlaceBest(3000) →
 // a 60 000-sample ratio, on one worker. Its CPU profile is the cost budget of
-// a decision (DESIGN §7).
+// a decision (DESIGN §7). shared/op is the share of PlaceBest's Phase 2 steps
+// walked once for both arms, averaged over the forecast points after the
+// timed loop.
 func BenchmarkReplanDecision(b *testing.B) {
 	defer par.SetWorkers(0)
 	par.SetWorkers(1)
@@ -99,6 +101,30 @@ func BenchmarkReplanDecision(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	var shared float64
+	for _, lb := range bounds {
+		shared += sharedShare(lm.Coef, caps, Config{LowerBound: lb, Seed: 1})
+	}
+	b.ReportMetric(shared/float64(len(bounds)), "shared/op")
+}
+
+// sharedShare is the share of PlaceBest(lo, c, cfg)'s Phase 2 steps walked
+// once for both arms: every step before the first one whose Class II rules
+// disagree, or all of them when the rules never do.
+func sharedShare(lo *mat.Matrix, c mat.Vec, cfg Config) float64 {
+	cfg.Selector = portfolio[0]
+	w, err := newWalk(lo, c, cfg)
+	if err != nil {
+		return 0
+	}
+	f := w.walkShared()
+	if f == nil {
+		return 1
+	}
+	w.run(portfolio[0])
+	steps := w.report.ClassIAssignments + w.report.ClassIIAssignments
+	return float64(f.report.ClassIAssignments+f.report.ClassIIAssignments-1) / float64(steps)
 }
 
 // benchRatio keeps the measured decision's result live.

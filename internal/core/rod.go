@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"rodsp/internal/feasible"
@@ -139,30 +140,64 @@ type Report struct {
 // Place runs ROD over an operator load coefficient matrix and node
 // capacities, returning the plan and a report.
 func Place(lo *mat.Matrix, c mat.Vec, cfg Config) (*placement.Plan, *Report, error) {
+	w, err := newWalk(lo, c, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	w.run(cfg.Selector)
+	return w.result()
+}
+
+// walk is one ROD run from validation to the last assignment: Phase 1's
+// order and Phase 2's state. The incremental compute plane: per-node
+// accumulated load rows (ln) are the only mutable state, updated in O(d)
+// on each assignment, and every candidate (operator, node) pair is scored
+// in a single fused O(d) pass that never materializes the candidate weight
+// row — the Class I flag, squared norm, lower-bound dot product and worst
+// axis weight accumulate together, in the same index order the naive
+// matrix rebuild would use, so every decision (and therefore the plan) is
+// bit-identical to full recomputation.
+type walk struct {
+	lo       *mat.Matrix
+	c, lk, b mat.Vec // capacities, column sums, normalized lower bound
+	share    []float64
+	cfg      Config
+	rng      *rand.Rand // seeded on the first draw; see rand
+	ln       *mat.Matrix
+	nodeOf   []int
+	report   Report // Order and the class counts so far
+	at       int    // report.Order[:at] is placed
+	cand     candScores
+	classI   []int
+}
+
+// newWalk validates a run, orders the operators (Phase 1) and places the
+// pinned ones, leaving a walk at the first step of Phase 2.
+func newWalk(lo *mat.Matrix, c mat.Vec, cfg Config) (*walk, error) {
 	m, d := lo.Rows, lo.Cols
 	n := len(c)
 	if m == 0 {
-		return nil, nil, fmt.Errorf("core: no operators to place")
+		return nil, fmt.Errorf("core: no operators to place")
 	}
 	if n == 0 {
-		return nil, nil, fmt.Errorf("core: no nodes to place onto")
+		return nil, fmt.Errorf("core: no nodes to place onto")
 	}
 	for i, ci := range c {
 		if ci <= 0 {
-			return nil, nil, fmt.Errorf("core: node %d capacity %g must be positive", i, ci)
+			return nil, fmt.Errorf("core: node %d capacity %g must be positive", i, ci)
 		}
 	}
 	for j := 0; j < m; j++ {
 		for k := 0; k < d; k++ {
 			if lo.At(j, k) < 0 {
-				return nil, nil, fmt.Errorf("core: negative load coefficient l^o[%d][%d] = %g", j, k, lo.At(j, k))
+				return nil, fmt.Errorf("core: negative load coefficient l^o[%d][%d] = %g", j, k, lo.At(j, k))
 			}
 		}
 	}
 	lk := lo.ColSums()
 	for k, l := range lk {
 		if l <= 0 {
-			return nil, nil, fmt.Errorf("core: variable %d has zero total load coefficient (stream feeds no operator)", k)
+			return nil, fmt.Errorf("core: variable %d has zero total load coefficient (stream feeds no operator)", k)
 		}
 	}
 	ct := c.Sum()
@@ -171,22 +206,22 @@ func Place(lo *mat.Matrix, c mat.Vec, cfg Config) (*placement.Plan, *Report, err
 	b := mat.NewVec(d)
 	if cfg.LowerBound != nil {
 		if len(cfg.LowerBound) != d {
-			return nil, nil, fmt.Errorf("core: lower bound has %d entries for %d variables", len(cfg.LowerBound), d)
+			return nil, fmt.Errorf("core: lower bound has %d entries for %d variables", len(cfg.LowerBound), d)
 		}
 		for k := range b {
 			if v := cfg.LowerBound[k]; !(v >= 0) || math.IsInf(v, 1) {
-				return nil, nil, fmt.Errorf("core: lower bound %g for variable %d, want finite and non-negative", v, k)
+				return nil, fmt.Errorf("core: lower bound %g for variable %d, want finite and non-negative", v, k)
 			}
 		}
 		b = feasible.Normalize(cfg.LowerBound, lk, ct)
 	}
 	if cfg.Selector == SelectMinConnections && cfg.Graph == nil {
-		return nil, nil, fmt.Errorf("core: SelectMinConnections requires Config.Graph")
+		return nil, fmt.Errorf("core: SelectMinConnections requires Config.Graph")
 	}
 	if cfg.Graph != nil && cfg.Graph.NumOps() != m {
-		return nil, nil, fmt.Errorf("core: graph has %d operators, L^o has %d rows", cfg.Graph.NumOps(), m)
+		return nil, fmt.Errorf("core: graph has %d operators, L^o has %d rows", cfg.Graph.NumOps(), m)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	w := &walk{lo: lo, c: c, lk: lk, b: b, cfg: cfg, ln: mat.NewMatrix(n, d), nodeOf: make([]int, m), classI: make([]int, 0, n)}
 
 	// Phase 1: order by ‖l^o_j‖ descending (index ascending on ties), or
 	// per the ablation override.
@@ -202,27 +237,16 @@ func Place(lo *mat.Matrix, c mat.Vec, cfg Config) (*placement.Plan, *Report, err
 	case OrderNormAscending:
 		sort.SliceStable(order, func(a, x int) bool { return norms[order[a]] < norms[order[x]] })
 	case OrderRandom:
-		rng.Shuffle(m, func(a, x int) { order[a], order[x] = order[x], order[a] })
+		w.rand().Shuffle(m, func(a, x int) { order[a], order[x] = order[x], order[a] })
 	default:
 		sort.SliceStable(order, func(a, x int) bool { return norms[order[a]] > norms[order[x]] })
 	}
+	w.report.Order = order
 
-	// Phase 2: greedy assignment. Pinned operators are placed first so
-	// their load shapes every subsequent decision.
-	//
-	// The incremental compute plane: per-node accumulated load rows (ln)
-	// are the only mutable state, updated in O(d) on each assignment, and
-	// every candidate (operator, node) pair is scored in a single fused
-	// O(d) pass that never materializes the candidate weight row — the
-	// Class I flag, squared norm, lower-bound dot product and worst axis
-	// weight accumulate together, in the same index order the naive
-	// matrix rebuild would use, so every decision (and therefore the
-	// plan) is bit-identical to full recomputation.
-	nodeOf := make([]int, m)
-	ln := mat.NewMatrix(n, d)
-	report := &Report{Order: order}
-	// Pinned rows are added in ascending operator order: floating-point
-	// addition does not commute in the last bit, and map order is random.
+	// Phase 2 places pinned operators first so their load shapes every
+	// subsequent decision. Pinned rows are added in ascending operator
+	// order: floating-point addition does not commute in the last bit, and
+	// map order is random.
 	pinned := make([]int, 0, len(cfg.Pinned))
 	for j := range cfg.Pinned {
 		pinned = append(pinned, j)
@@ -231,79 +255,130 @@ func Place(lo *mat.Matrix, c mat.Vec, cfg Config) (*placement.Plan, *Report, err
 	for _, j := range pinned {
 		node := cfg.Pinned[j]
 		if j < 0 || j >= m {
-			return nil, nil, fmt.Errorf("core: pinned operator %d outside [0,%d)", j, m)
+			return nil, fmt.Errorf("core: pinned operator %d outside [0,%d)", j, m)
 		}
 		if node < 0 || node >= n {
-			return nil, nil, fmt.Errorf("core: operator %d pinned to node %d outside [0,%d)", j, node, n)
+			return nil, fmt.Errorf("core: operator %d pinned to node %d outside [0,%d)", j, node, n)
 		}
-		nodeOf[j] = node
-		ln.Row(node).AddInPlace(lo.Row(j))
-		report.PinnedAssignments++
+		w.nodeOf[j] = node
+		w.ln.Row(node).AddInPlace(lo.Row(j))
+		w.report.PinnedAssignments++
 	}
-	share := make([]float64, n)
-	for i := range share {
-		share[i] = c[i] / ct
+	w.share = make([]float64, n)
+	for i := range w.share {
+		w.share[i] = c[i] / ct
 	}
-	cand := candScores{
-		norm: make([]float64, n),
-		dotB: make([]float64, n),
-		maxW: make([]float64, n),
-	}
-	classI := make([]int, 0, n)
-	placedPrefix := make([]int, 0, m) // order prefix, every entry assigned
-	const eps = 1e-9
-	for _, j := range order {
-		if _, pinned := cfg.Pinned[j]; pinned {
-			placedPrefix = append(placedPrefix, j)
-			continue
-		}
-		loRow := lo.Row(j)
-		classI = classI[:0]
-		for i := 0; i < n; i++ {
-			lnRow := ln.Row(i)
-			sh := share[i]
-			inClassI := true
-			var s2, sb, maxV float64
-			for k := 0; k < d; k++ {
-				v := (lnRow[k] + loRow[k]) / lk[k] / sh
-				if v > 1+eps {
-					inClassI = false
-				}
-				s2 += v * v
-				sb += v * b[k]
-				if k == 0 || v > maxV {
-					maxV = v
-				}
-			}
-			cand.norm[i] = math.Sqrt(s2)
-			cand.dotB[i] = sb
-			cand.maxW[i] = maxV
-			if inClassI {
-				classI = append(classI, i)
-			}
-		}
-		var dest int
-		if len(classI) > 0 {
-			dest = selectClassI(classI, &cand, placedPrefix, nodeOf, j, cfg, rng)
-			report.ClassIAssignments++
-		} else {
-			dest = selectClassII(&cand, cfg)
-			report.ClassIIAssignments++
-		}
-		nodeOf[j] = dest
-		ln.Row(dest).AddInPlace(loRow)
-		placedPrefix = append(placedPrefix, j)
-	}
+	w.cand = newCandScores(n)
+	return w, nil
+}
 
-	plan := &placement.Plan{NodeOf: nodeOf, N: n}
-	wFinal, err := feasible.Weights(ln, c, lk)
+// rand is the run's random source. It is seeded on the first draw, since
+// seeding costs more than a Phase 2 step and most runs never draw; the
+// draws, and so the plan, are those of a source seeded up front.
+func (w *walk) rand() *rand.Rand {
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(w.cfg.Seed))
+	}
+	return w.rng
+}
+
+// scoreNext moves past pinned operators to the next one Phase 2 must
+// place and scores it on every node into cand and classI. It returns false
+// once every operator is placed.
+func (w *walk) scoreNext() bool {
+	order := w.report.Order
+	for ; w.at < len(order); w.at++ {
+		if _, pinned := w.cfg.Pinned[order[w.at]]; !pinned {
+			break
+		}
+	}
+	if w.at == len(order) {
+		return false
+	}
+	const eps = 1e-9
+	loRow := w.lo.Row(order[w.at])
+	d := len(loRow)
+	lk, b := w.lk, w.b
+	w.classI = w.classI[:0]
+	for i, sh := range w.share {
+		lnRow := w.ln.Row(i)
+		inClassI := true
+		var s2, sb, maxV float64
+		for k := 0; k < d; k++ {
+			v := (lnRow[k] + loRow[k]) / lk[k] / sh
+			if v > 1+eps {
+				inClassI = false
+			}
+			s2 += v * v
+			sb += v * b[k]
+			if k == 0 || v > maxV {
+				maxV = v
+			}
+		}
+		w.cand.norm[i] = math.Sqrt(s2)
+		w.cand.dotB[i] = sb
+		w.cand.maxW[i] = maxV
+		if inClassI {
+			w.classI = append(w.classI, i)
+		}
+	}
+	return true
+}
+
+// choose is sel's destination for the scored operator.
+func (w *walk) choose(sel Selector) int {
+	if len(w.classI) > 0 {
+		return w.selectClassI(sel)
+	}
+	return selectClassII(&w.cand, sel)
+}
+
+// assign places the scored operator on dest.
+func (w *walk) assign(dest int) {
+	if len(w.classI) > 0 {
+		w.report.ClassIAssignments++
+	} else {
+		w.report.ClassIIAssignments++
+	}
+	j := w.report.Order[w.at]
+	w.nodeOf[j] = dest
+	w.ln.Row(dest).AddInPlace(w.lo.Row(j))
+	w.at++
+}
+
+// run finishes Phase 2 with sel.
+func (w *walk) run(sel Selector) {
+	for w.scoreNext() {
+		w.assign(w.choose(sel))
+	}
+}
+
+// fork returns a copy of w that shares nothing mutable with it and holds
+// the scored operator's class, so each copy can assign it differently.
+// The copy has no random source: only selectors that never draw fork, and
+// after Phase 1 has drawn its order.
+func (w *walk) fork() *walk {
+	f := *w
+	f.ln = w.ln.Clone()
+	f.nodeOf = slices.Clone(w.nodeOf)
+	f.report.Order = slices.Clone(w.report.Order)
+	f.cand = newCandScores(len(w.share))
+	f.classI = append(make([]int, 0, len(w.share)), w.classI...)
+	f.rng = nil
+	return &f
+}
+
+// result is the placed walk's plan and report.
+func (w *walk) result() (*placement.Plan, *Report, error) {
+	wFinal, err := feasible.Weights(w.ln, w.c, w.lk)
 	if err != nil {
 		return nil, nil, err
 	}
+	report := w.report
 	report.Weights = wFinal
-	report.MinPlaneDistance = feasible.MinPlaneDistanceFrom(wFinal, b)
+	report.MinPlaneDistance = feasible.MinPlaneDistanceFrom(wFinal, w.b)
 	report.MinAxisDistances = feasible.MinAxisDistances(wFinal)
-	return plan, report, nil
+	return &placement.Plan{NodeOf: w.nodeOf, N: len(w.c)}, &report, nil
 }
 
 // candScores holds the fused per-candidate statistics of one Phase 2 step:
@@ -312,6 +387,10 @@ func Place(lo *mat.Matrix, c mat.Vec, cfg Config) (*placement.Plan, *Report, err
 // everything any selector needs, computed without building the row.
 type candScores struct {
 	norm, dotB, maxW []float64
+}
+
+func newCandScores(n int) candScores {
+	return candScores{norm: make([]float64, n), dotB: make([]float64, n), maxW: make([]float64, n)}
 }
 
 // distOrigin is feasible.PlaneDistance of the candidate row: 1/‖W_i‖, with
@@ -338,9 +417,9 @@ func (cs *candScores) distFromB(i int) float64 {
 // bound when configured); SelectAxisBalance maximizes that distance divided
 // by the node's worst axis weight, penalizing the deepest cut into the
 // ideal simplex.
-func selectClassII(cand *candScores, cfg Config) int {
+func selectClassII(cand *candScores, sel Selector) int {
 	n := len(cand.norm)
-	if cfg.Selector == SelectAxisBalance {
+	if sel == SelectAxisBalance {
 		best, bestScore := 0, math.Inf(-1)
 		for i := 0; i < n; i++ {
 			// Distance rewarded, worst-axis overshoot penalized: the deepest
@@ -362,8 +441,9 @@ func selectClassII(cand *candScores, cfg Config) int {
 	return best
 }
 
-func selectClassI(candidates []int, cand *candScores, placedPrefix []int, nodeOf []int, j int, cfg Config, rng *rand.Rand) int {
-	switch cfg.Selector {
+func (w *walk) selectClassI(sel Selector) int {
+	candidates, cand := w.classI, &w.cand
+	switch sel {
 	case SelectMaxPlaneDistance, SelectAxisBalance:
 		// Class I choices cannot shrink the reachable feasible set, so the
 		// tie-break always uses the origin-based plane distance: measuring
@@ -382,10 +462,11 @@ func selectClassI(candidates []int, cand *candScores, placedPrefix []int, nodeOf
 		// Maximize already-placed neighbors on the destination (equivalent
 		// to minimizing newly created inter-node streams).
 		best, bestScore := candidates[0], -1
+		j := w.report.Order[w.at]
 		for _, i := range candidates {
 			score := 0
-			for _, prev := range placedPrefix {
-				if nodeOf[prev] == i && cfg.Graph.Connected(query.OpID(j), query.OpID(prev)) {
+			for _, prev := range w.report.Order[:w.at] {
+				if w.nodeOf[prev] == i && w.cfg.Graph.Connected(query.OpID(j), query.OpID(prev)) {
 					score++
 				}
 			}
@@ -395,7 +476,7 @@ func selectClassI(candidates []int, cand *candScores, placedPrefix []int, nodeOf
 		}
 		return best
 	default: // SelectRandom
-		return candidates[rng.Intn(len(candidates))]
+		return candidates[w.rand().Intn(len(candidates))]
 	}
 }
 
@@ -407,31 +488,40 @@ func selectClassI(candidates []int, cand *candScores, placedPrefix []int, nodeOf
 // wins when operators are few and coarse, the refinement on operator-rich
 // workloads.
 //
-// The two arms run concurrently on the par worker pool; the winner is
-// chosen by comparing the arms in a fixed order, so the result is
-// identical to the serial portfolio for any worker count.
+// The two arms share validation, Phase 1 and every Class I choice, so they
+// are walked once until the first Class II step whose two rules disagree;
+// there the walk forks. The two suffixes and the two evaluations run
+// concurrently on the par worker pool, and arms that never disagree have
+// one plan, evaluated once. The winner is chosen by comparing the arms in
+// a fixed order, so the result is identical to two independent runs of
+// Place for any worker count.
 func PlaceBest(lo *mat.Matrix, c mat.Vec, cfg Config, samples int) (*placement.Plan, *Report, error) {
 	if samples <= 0 {
 		samples = 2000
 	}
-	lk := lo.ColSums()
-	selectors := []Selector{SelectMaxPlaneDistance, SelectAxisBalance}
+	cfg.Selector = portfolio[0]
+	w, err := newWalk(lo, c, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	walks := []*walk{w}
+	if f := w.walkShared(); f != nil {
+		walks = append(walks, f)
+	}
 	type arm struct {
 		plan   *placement.Plan
 		report *Report
 		ratio  float64
 	}
-	arms, err := par.Map(len(selectors), func(i int) (arm, error) {
-		c2 := cfg
-		c2.Selector = selectors[i]
-		plan, report, err := Place(lo, c, c2)
+	arms, err := par.Map(len(walks), func(i int) (arm, error) {
+		walks[i].run(portfolio[i])
+		plan, report, err := walks[i].result()
 		if err != nil {
 			return arm{}, err
 		}
 		var ratio float64
 		if cfg.LowerBound != nil {
-			nb := feasible.Normalize(cfg.LowerBound, lk, c.Sum())
-			ratio, err = feasible.RatioToIdealFrom(report.Weights, nb, samples)
+			ratio, err = feasible.RatioToIdealFrom(report.Weights, walks[i].b, samples)
 		} else {
 			ratio, err = feasible.RatioAuto(report.Weights, samples)
 		}
@@ -454,6 +544,29 @@ func PlaceBest(lo *mat.Matrix, c mat.Vec, cfg Config, samples int) (*placement.P
 		}
 	}
 	return bestPlan, bestReport, nil
+}
+
+// portfolio is PlaceBest's two arms, in the order ties go to. Both make
+// every Class I choice by distOrigin, so they can differ only at a Class II
+// step.
+var portfolio = [2]Selector{SelectMaxPlaneDistance, SelectAxisBalance}
+
+// walkShared walks w for both portfolio arms until the first Class II step
+// whose two rules pick different nodes. It places that step each arm's way
+// and returns the second arm's fork; it returns nil, with w placed, when
+// the rules never disagree.
+func (w *walk) walkShared() *walk {
+	for w.scoreNext() {
+		dest, alt := w.choose(portfolio[0]), w.choose(portfolio[1])
+		if alt != dest {
+			f := w.fork()
+			f.assign(alt)
+			w.assign(dest)
+			return f
+		}
+		w.assign(dest)
+	}
+	return nil
 }
 
 // PlaceGraph builds the (linearized) load model of g and runs ROD on it.

@@ -143,6 +143,44 @@ func TestHitKernelMatchesReference(t *testing.T) {
 			t.Fatalf("a row rejecting every point leaves %d hits", got)
 		}
 	}
+
+	// NaN > limit is false, so a row whose dot is NaN never rejects, not
+	// even beside a rejecting row of its panel, while a +Inf dot rejects.
+	// Every coordinate of a mapped table point is positive, so a +Inf
+	// entry makes the dot +Inf, a −Inf entry −Inf, and both together NaN.
+	nan, inf := math.NaN(), math.Inf(1)
+	lb := mat.NewVec(d)
+	for k := range lb {
+		lb[k] = 0.04
+	}
+	for _, tc := range []struct {
+		name   string
+		row    []float64
+		others float64 // every other row's entries
+		want   int
+	}{
+		{"NaN row", []float64{nan, nan, nan, nan, nan}, 0, n},
+		{"NaN entry", []float64{0.5, nan, 0.5, 0.5, 0.5}, 0, n},
+		{"NaN row beside rejecting rows", []float64{nan, nan, nan, nan, nan}, 1e300, 0},
+		{"+Inf row", []float64{inf, inf, inf, inf, inf}, 0, 0},
+		{"+Inf entry", []float64{0.1, 0.1, 0.1, inf, 0.1}, 0, 0},
+		{"−Inf entry", []float64{-inf, 5, 5, 5, 5}, 0, n},
+		{"+Inf beside −Inf", []float64{inf, 0.1, -inf, 0.1, 0.1}, 0, n},
+	} {
+		for _, b := range []mat.Vec{nil, lb} {
+			for _, at := range []int{0, 2, 5} {
+				w := mat.NewMatrix(6, d)
+				for i := range w.Data {
+					w.Data[i] = tc.others
+				}
+				copy(w.Row(at), tc.row)
+				what := fmt.Sprintf("%s at row %d, lb=%v", tc.name, at, b != nil)
+				if got, _ := checkKernel(t, what, w, b, pts); got != tc.want {
+					t.Fatalf("%s: %d hits, want %d", what, got, tc.want)
+				}
+			}
+		}
+	}
 }
 
 // A table point whose dot with one row lies a few ulps either side of the

@@ -394,14 +394,17 @@ func countPairs(pan []float64, d int, lb mat.Vec, scale float64, pts, xs []float
 // time: eight independent sums per column. Each row's sum starts from
 // w_i0·x_0 and adds the terms in ascending k, the order Vec.Dot uses, so
 // every dot and every decision is bit-identical to testing the rows one by
-// one. It returns once both points are rejected.
+// one. The eight verdicts of a panel are folded into one reject flag per
+// point without a branch: the points that reach the kernel lie near the
+// boundary, where a chain of conditional jumps mispredicts. It returns once
+// both points are rejected.
 func pairFits(pan, a, b []float64) (okA, okB bool) {
 	const limit = 1 + 1e-12
 	d := len(a)
 	b = b[:d]
 	stride := panelRows * d
-	okA, okB = true, true
-	for p := 0; p+stride <= len(pan) && (okA || okB); p += stride {
+	var rejA, rejB uint8
+	for p := 0; p+stride <= len(pan) && rejA&rejB == 0; p += stride {
 		q := pan[p : p+stride]
 		a0, b0 := a[0], b[0]
 		ra0, ra1, ra2, ra3 := q[0]*a0, q[1]*a0, q[2]*a0, q[3]*a0
@@ -418,12 +421,17 @@ func pairFits(pan, a, b []float64) (okA, okB bool) {
 			rb2 += c[2] * bk
 			rb3 += c[3] * bk
 		}
-		if ra0 > limit || ra1 > limit || ra2 > limit || ra3 > limit {
-			okA = false
-		}
-		if rb0 > limit || rb1 > limit || rb2 > limit || rb3 > limit {
-			okB = false
-		}
+		rejA |= above(ra0, limit) | above(ra1, limit) | above(ra2, limit) | above(ra3, limit)
+		rejB |= above(rb0, limit) | above(rb1, limit) | above(rb2, limit) | above(rb3, limit)
 	}
-	return okA, okB
+	return rejA == 0, rejB == 0
+}
+
+// above is x > y as 0 or 1, which the compiler sets from the flags
+// without a jump. A NaN x is not above, so NaN never rejects.
+func above(x, y float64) uint8 {
+	if x > y {
+		return 1
+	}
+	return 0
 }
