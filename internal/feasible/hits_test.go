@@ -3,6 +3,7 @@ package feasible
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -54,39 +55,88 @@ func pointSums(pts []float64, d int) []float64 {
 	return sums
 }
 
-// checkKernel compares the kernel, with the safe radius as newHitRule keeps
-// it, always on and always off, with the row-wise reference on pts and on its first few
-// prefixes, so empty blocks, a lone point, a pair and a pair plus an odd last
-// point are all covered. It returns the reference count over all of pts and
-// how many of those points the certificate decided.
-func checkKernel(t *testing.T, what string, w *mat.Matrix, lb mat.Vec, pts []float64) (hits, certified int) {
+// tableCells numbers the cells of the points as the table does, in order of
+// first appearance: each point's 1-based cell id and each id's grid key. Both
+// are nil for a dimension without cells.
+func tableCells(pts, sums []float64, d int) (cells, keys []uint16) {
+	q := cellLevels(d)
+	if q == 0 {
+		return nil, nil
+	}
+	idOf := map[uint16]uint16{}
+	cells = make([]uint16, len(sums))
+	for j, s := range sums {
+		key := cellKey(pts[j*d:(j+1)*d], s, q)
+		if idOf[key] == 0 {
+			keys = append(keys, key)
+			idOf[key] = uint16(len(keys))
+		}
+		cells[j] = idOf[key]
+	}
+	return cells, keys
+}
+
+// kernelRules returns the rule newHitRule builds for pts as RatioToIdealFrom
+// would (cells only past cellEvery samples per cell), the same with the
+// global radius and the cells forced on, that rule given no cell ids (as
+// the blocks past the table's cap are), and one deciding nothing, with the
+// cell ids each is to be given.
+func kernelRules(w *mat.Matrix, lb mat.Vec, scale float64, pts, sums []float64) (rules []hitRule, ids [][]uint16) {
+	cells, keys := tableCells(pts, sums, w.Cols)
+	built, builtIDs := newHitRule(w, lb, scale, nil), []uint16(nil)
+	if len(sums) >= cellEvery*len(keys) {
+		built, builtIDs = newHitRule(w, lb, scale, keys), cells
+	}
+	on := newHitRule(w, lb, scale, keys)
+	on.bounds[0].cert, on.decides = certRadius(w, lb, scale), true
+	off := built
+	off.decides = false
+	return []hitRule{built, on, on, off}, [][]uint16{builtIDs, cells, nil, nil}
+}
+
+// checkKernel compares the kernel, with each rule of kernelRules, with the
+// row-wise reference on pts and on its first few prefixes, so empty blocks,
+// a lone point, a pair and a pair plus an odd last point are all covered.
+// It returns the reference count over all of pts and how many of those
+// points the radii forced on certify and reject.
+func checkKernel(t *testing.T, what string, w *mat.Matrix, lb mat.Vec, pts []float64) (hits, certified, rejected int) {
 	t.Helper()
 	scale := 1.0
 	if lb != nil {
 		scale = 1 - lb.Sum()
 	}
 	d := w.Cols
-	built := newHitRule(w, lb, scale)
-	on, off := built, built
-	on.radius, off.radius = certRadius(w, lb, scale), math.Inf(-1)
 	sums := pointSums(pts, d)
+	rules, ids := kernelRules(w, lb, scale, pts, sums)
 	for _, n := range []int{0, 1, 2, 3, len(sums)} {
 		if n > len(sums) {
 			continue
 		}
 		want := countHitsRowwise(w, lb, scale, pts[:n*d])
-		for _, r := range []hitRule{built, on, off} {
-			if got := r.countHits(pts[:n*d], sums[:n]); got != want {
-				t.Fatalf("%s, %d points, radius %v: kernel counts %d hits, row-wise reference %d", what, n, r.radius, got, want)
+		for i, r := range rules {
+			cells := ids[i]
+			if cells != nil {
+				cells = cells[:n]
+			}
+			if got := r.countHits(pts[:n*d], sums[:n], cells); got != want {
+				t.Fatalf("%s, %d points, rule %d (cells %v, decides %v): kernel counts %d hits, row-wise reference %d", what, n, i, cells != nil, r.decides, got, want)
 			}
 		}
 	}
-	for _, s := range sums {
-		if s <= on.radius {
+	on, cells := rules[1], ids[1]
+	for j, s := range sums {
+		b := on.bounds[0]
+		if cells != nil {
+			b = on.bounds[cells[j]]
+		}
+		if s <= b.cert {
 			certified++
 		}
+		if s > b.reject {
+			rejected++
+		}
 	}
-	return countHitsRowwise(w, lb, scale, pts), certified
+	return countHitsRowwise(w, lb, scale, pts), certified, rejected
 }
 
 func uniformWeights(rng *rand.Rand, rows, d int, lo, hi float64) *mat.Matrix {
@@ -100,9 +150,9 @@ func uniformWeights(rng *rand.Rand, rows, d int, lo, hi float64) *mat.Matrix {
 func TestHitKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const n = 999 // odd: the last point is paired with itself
-	certified, tested := 0, 0
+	certified, rejected, tested := 0, 0, 0
 	for _, d := range []int{1, 2, 3, 4, 5, 7, 8, 12} {
-		pts, _ := simplexPoints(d, n)
+		pts := simplexPoints(d, n).pts
 		lb := mat.NewVec(d)
 		for k := range lb {
 			lb[k] = 0.3 * rng.Float64() / float64(d)
@@ -112,25 +162,25 @@ func TestHitKernelMatchesReference(t *testing.T) {
 			// pay for several panels and both outcomes occur.
 			w := uniformWeights(rng, rows, d, 0.6, 1.6)
 			for _, b := range []mat.Vec{nil, lb} {
-				_, c := checkKernel(t, fmt.Sprintf("d=%d rows=%d lb=%v", d, rows, b != nil), w, b, pts)
-				certified, tested = certified+c, tested+n
+				_, c, r := checkKernel(t, fmt.Sprintf("d=%d rows=%d lb=%v", d, rows, b != nil), w, b, pts)
+				certified, rejected, tested = certified+c, rejected+r, tested+n
 			}
 		}
 	}
-	// Both sides of the certificate must be exercised: blocks it decides
-	// alone, blocks it leaves to pairFits, and blocks mixing the two.
-	if certified == 0 || certified == tested {
-		t.Fatalf("the certificate decided %d of %d points; the cases must straddle it", certified, tested)
+	// Both sides of the certificates must be exercised: blocks they decide
+	// alone, blocks they leave to pairFits, and blocks mixing the two.
+	if certified == 0 || rejected == 0 || certified+rejected == tested {
+		t.Fatalf("the radii certified %d and rejected %d of %d points; the cases must straddle them", certified, rejected, tested)
 	}
 
 	const d = 5
-	pts, _ := simplexPoints(d, n)
+	pts := simplexPoints(d, n).pts
 	zero := uniformWeights(rng, 6, d, 0.8, 1.3)
 	for k := 0; k < d; k++ {
 		zero.Set(2, k, 0)
 	}
 	checkKernel(t, "a zero row", zero, nil, pts)
-	if got, _ := checkKernel(t, "all rows zero", mat.NewMatrix(3, d), nil, pts); got != n {
+	if got, _, _ := checkKernel(t, "all rows zero", mat.NewMatrix(3, d), nil, pts); got != n {
 		t.Fatalf("all-zero W keeps %d of %d points, want all", got, n)
 	}
 	checkKernel(t, "negative entries", uniformWeights(rng, 9, d, -1, 2.5), nil, pts)
@@ -139,7 +189,7 @@ func TestHitKernelMatchesReference(t *testing.T) {
 		for k := 0; k < d; k++ {
 			w.Set(at, k, 1e300)
 		}
-		if got, _ := checkKernel(t, fmt.Sprintf("rejecting row %d", at), w, nil, pts); got != 0 {
+		if got, _, _ := checkKernel(t, fmt.Sprintf("rejecting row %d", at), w, nil, pts); got != 0 {
 			t.Fatalf("a row rejecting every point leaves %d hits", got)
 		}
 	}
@@ -175,7 +225,7 @@ func TestHitKernelMatchesReference(t *testing.T) {
 				}
 				copy(w.Row(at), tc.row)
 				what := fmt.Sprintf("%s at row %d, lb=%v", tc.name, at, b != nil)
-				if got, _ := checkKernel(t, what, w, b, pts); got != tc.want {
+				if got, _, _ := checkKernel(t, what, w, b, pts); got != tc.want {
 					t.Fatalf("%s: %d hits, want %d", what, got, tc.want)
 				}
 			}
@@ -190,7 +240,7 @@ func TestHitKernelAtTheLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const limit = 1 + 1e-12
 	for _, d := range []int{2, 5, 7} {
-		pts, _ := simplexPoints(d, 64)
+		pts := simplexPoints(d, 64).pts
 		lb := mat.NewVec(d)
 		for k := range lb {
 			lb[k] = 0.2 / float64(d)
@@ -291,7 +341,7 @@ func ulpSteps(s float64) []float64 {
 
 // pointsSummingTo returns points p ≥ 0 of dimension d whose in-order sum is
 // exactly s: every vertex s·e_k, where W_i·p reaches max_k w_ik·Σp, and a few
-// interior points with one coordinate nudged until the sum is s.
+// interior points along random directions.
 func pointsSummingTo(rng *rand.Rand, d int, s float64) []float64 {
 	var pts []float64
 	for k := 0; k < d; k++ {
@@ -300,42 +350,36 @@ func pointsSummingTo(rng *rand.Rand, d int, s float64) []float64 {
 		pts = append(pts, p...)
 	}
 	for i := 0; i < 4; i++ {
-		p := make(mat.Vec, d)
-		for k := range p {
-			p[k] = rng.Float64()
+		u := make(mat.Vec, d)
+		for k := range u {
+			u[k] = rng.Float64()
 		}
-		p = p.Scale(s / p.Sum())
-		for step := 0; step < 64 && p.Sum() != s; step++ {
-			dir := math.Inf(1)
-			if p.Sum() > s {
-				dir = 0
-			}
-			p[d-1] = math.Nextafter(p[d-1], dir)
-		}
-		if p.Sum() == s {
+		if p, ok := pointAlong(u.Scale(1/u.Sum()), s); ok {
 			pts = append(pts, p...)
 		}
 	}
 	return pts
 }
 
-// Every point the safe radius certifies must be a hit of the row-wise
-// reference, on plans the certificate was not shaped around, with points
-// whose sum sits at the radius and within 4 ulps of it. Rows built so that
-// c_i + scale·max_k w_ik·Σp lands on the limit 1 + 1e-12 put the vertex
-// points at the radius as close to a miss as the margin allows; with ±1e6
-// entries cancelling in c_i, the rounding the margin covers is far above the
-// limit's 1e-12. A NaN or ±Inf entry must switch the certificate off.
-// Counts with the certificate must equal the reference's exactly.
-func TestCertifiedRadiusIsSound(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
+// soundCase is one plan and lower bound the certificates are held to.
+type soundCase struct {
+	name  string
+	w     *mat.Matrix
+	lb    mat.Vec
+	scale float64
+}
+
+// adversarialCases returns plans the certificates were not shaped around,
+// at d = 5, each under no lower bound, a typical one and ones with Σlb
+// within 1e-9 and 1e-4 of 1 (the bounds are returned too): negative entries, zero and
+// non-positive rows, magnitudes from 1e-6 to 1e6, and rows built so that
+// c_i + scale·max_k w_ik·σ lands on the limit 1 + 1e-12, with ±1e6 entries
+// cancelling in c_i when there is a lower bound. With those, the rounding
+// the margin covers is far above the limit's 1e-12.
+func adversarialCases(t *testing.T, rng *rand.Rand) (cases []soundCase, bounds []mat.Vec) {
+	t.Helper()
 	const d = 5
 	const limit = 1 + 1e-12
-
-	type plan struct {
-		name string
-		w    *mat.Matrix
-	}
 	zero := uniformWeights(rng, 6, d, 0.6, 1.6)
 	for k := 0; k < d; k++ {
 		zero.Set(2, k, 0)
@@ -344,14 +388,14 @@ func TestCertifiedRadiusIsSound(t *testing.T) {
 	for i := range mixed.Data {
 		mixed.Data[i] *= []float64{1e-6, 1, 1e6}[rng.Intn(3)]
 	}
-	plans := []plan{
-		{"typical", uniformWeights(rng, 10, d, 0.8, 1.1)},
-		{"negative entries", uniformWeights(rng, 9, d, -1, 2)},
-		{"non-positive rows", uniformWeights(rng, 4, d, -1, 0)},
-		{"a zero row", zero},
-		{"tiny", uniformWeights(rng, 6, d, 0, 1e-6)},
-		{"huge", uniformWeights(rng, 6, d, 0, 1e6)},
-		{"magnitudes 1e-6 to 1e6", mixed},
+	plans := []soundCase{
+		{name: "typical", w: uniformWeights(rng, 10, d, 0.8, 1.1)},
+		{name: "negative entries", w: uniformWeights(rng, 9, d, -1, 2)},
+		{name: "non-positive rows", w: uniformWeights(rng, 4, d, -1, 0)},
+		{name: "a zero row", w: zero},
+		{name: "tiny", w: uniformWeights(rng, 6, d, 0, 1e-6)},
+		{name: "huge", w: uniformWeights(rng, 6, d, 0, 1e6)},
+		{name: "magnitudes 1e-6 to 1e6", w: mixed},
 	}
 
 	nearOne := make(mat.Vec, d)
@@ -361,25 +405,37 @@ func TestCertifiedRadiusIsSound(t *testing.T) {
 	if gap := 1 - nearOne.Sum(); math.Abs(gap-1e-9) > 1e-15 {
 		t.Fatalf("Σlb is %v from 1, want 1e-9", gap)
 	}
+	// Σlb within 1e-4 of 1 keeps scale·Σp small enough that the rounding of
+	// a cancelling c_i outweighs cellSlack's widening, yet leaves room for
+	// a cell's reject radius below 1.
+	closeToOne := make(mat.Vec, d)
+	for k := range closeToOne {
+		closeToOne[k] = (1 - 1e-4) / d
+	}
 	typical := make(mat.Vec, d)
 	for k := range typical {
 		typical[k] = 0.3 * rng.Float64() / d
 	}
-	bounds := []mat.Vec{nil, typical, nearOne}
+	bounds = []mat.Vec{nil, typical, nearOne, closeToOne}
 
 	for _, lb := range bounds {
 		scale := 1.0
 		if lb != nil {
 			scale = 1 - lb.Sum()
 		}
-		cases := plans[:len(plans):len(plans)]
+		add := func(name string, w *mat.Matrix) {
+			cases = append(cases, soundCase{fmt.Sprintf("%s, lb=%v", name, lb), w, lb, scale})
+		}
+		for _, pl := range plans {
+			add(pl.name, pl.w)
+		}
 		for _, sigma := range []float64{0.05, 0.4, 0.9, 1} {
 			// A positive row scaled onto the limit at Σp = σ.
 			v := uniformWeights(rng, 1, d, 0.2, 1.2).Row(0)
 			v = v.Scale(limit / (lbDot(v, lb) + scale*v.Max()*sigma))
 			w := uniformWeights(rng, 4, d, 0, 0.1)
 			copy(w.Row(rng.Intn(4)), v)
-			cases = append(cases, plan{fmt.Sprintf("row at the limit for Σp=%v", sigma), w})
+			add(fmt.Sprintf("row at the limit for Σp=%v", sigma), w)
 			if lb == nil {
 				continue
 			}
@@ -390,44 +446,55 @@ func TestCertifiedRadiusIsSound(t *testing.T) {
 			v[d-1] = (limit - scale*a*sigma - lbDot(v, lb)) / lb[d-1]
 			w = uniformWeights(rng, 3, d, 0, 0.1)
 			copy(w.Row(rng.Intn(3)), v)
-			cases = append(cases, plan{fmt.Sprintf("cancelling ±1e6 row at the limit for Σp=%v", sigma), w})
+			add(fmt.Sprintf("cancelling ±1e6 row at the limit for Σp=%v", sigma), w)
 		}
+	}
+	return cases, bounds
+}
 
-		for _, pl := range cases {
-			what := fmt.Sprintf("%s, lb=%v", pl.name, lb)
-			radius := certRadius(pl.w, lb, scale)
-			if math.IsNaN(radius) || radius > 1 {
-				t.Fatalf("%s: radius %v, want at most 1", what, radius)
-			}
-			targets := []float64{0, 0.25, 0.5, 1}
-			if !math.IsInf(radius, -1) {
-				targets = append(targets, radius)
-			}
-			var pts []float64
-			for _, s := range targets {
-				for _, st := range ulpSteps(s) {
-					pts = append(pts, pointsSummingTo(rng, d, st)...)
-				}
-			}
-			sums := pointSums(pts, d)
-			certified := 0
-			for j, s := range sums {
-				if s <= radius {
-					certified++
-					if countHitsRowwise(pl.w, lb, scale, pts[j*d:(j+1)*d]) != 1 {
-						t.Fatalf("%s: point %v (sum %v ≤ radius %v) is certified but misses", what, pts[j*d:(j+1)*d], s, radius)
-					}
-				}
-			}
-			if certified == 0 && radius >= 0 {
-				t.Fatalf("%s: radius %v certified none of %d points; they must straddle it", what, radius, len(sums))
-			}
-			checkKernel(t, what, pl.w, lb, pts)
+// Every point the safe radius certifies must be a hit of the row-wise
+// reference, on the adversarial plans, with points whose sum sits at the
+// radius and within 4 ulps of it. Rows on the limit put the vertex points at
+// the radius as close to a miss as the margin allows. A NaN or ±Inf entry
+// must switch the certificate off. Counts with the certificate must equal
+// the reference's exactly.
+func TestCertifiedRadiusIsSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	const d = 5
+	cases, bounds := adversarialCases(t, rng)
+	for _, tc := range cases {
+		radius := certRadius(tc.w, tc.lb, tc.scale)
+		if math.IsNaN(radius) || radius > 1 {
+			t.Fatalf("%s: radius %v, want at most 1", tc.name, radius)
 		}
+		targets := []float64{0, 0.25, 0.5, 1}
+		if !math.IsInf(radius, -1) {
+			targets = append(targets, radius)
+		}
+		var pts []float64
+		for _, s := range targets {
+			for _, st := range ulpSteps(s) {
+				pts = append(pts, pointsSummingTo(rng, d, st)...)
+			}
+		}
+		sums := pointSums(pts, d)
+		certified := 0
+		for j, s := range sums {
+			if s <= radius {
+				certified++
+				if countHitsRowwise(tc.w, tc.lb, tc.scale, pts[j*d:(j+1)*d]) != 1 {
+					t.Fatalf("%s: point %v (sum %v ≤ radius %v) is certified but misses", tc.name, pts[j*d:(j+1)*d], s, radius)
+				}
+			}
+		}
+		if certified == 0 && radius >= 0 {
+			t.Fatalf("%s: radius %v certified none of %d points; they must straddle it", tc.name, radius, len(sums))
+		}
+		checkKernel(t, tc.name, tc.w, tc.lb, pts)
 	}
 
 	// Any non-finite entry switches the certificate off.
-	pts, _ := simplexPoints(d, 301)
+	pts := simplexPoints(d, 301).pts
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, lb := range bounds {
 			w := uniformWeights(rng, 6, d, 0.8, 1.1)
@@ -440,6 +507,228 @@ func TestCertifiedRadiusIsSound(t *testing.T) {
 				t.Fatalf("entry %v, lb=%v: radius %v, want -Inf", bad, lb, r)
 			}
 			checkKernel(t, fmt.Sprintf("entry %v, lb=%v", bad, lb), w, lb, pts)
+		}
+	}
+}
+
+// allCellKeys returns the grid key of every cell a point of the d-simplex
+// can land in: the levels i_k with Σ_k i_k ≤ q.
+func allCellKeys(d int) []uint16 {
+	q, b := cellLevels(d), cellBits(cellLevels(d))
+	var keys []uint16
+	var walk func(k, left, key int)
+	walk = func(k, left, key int) {
+		if k == d-1 {
+			keys = append(keys, uint16(key))
+			return
+		}
+		for i := 0; i < q && i <= left; i++ {
+			walk(k+1, left-i, key|i<<(b*k))
+		}
+	}
+	walk(0, q, 0)
+	return keys
+}
+
+// cellDir is a direction u (d coordinates, Σu = 1) and the grid key of the
+// cell whose radii the points along it are placed at.
+type cellDir struct {
+	u   []float64
+	key uint16
+}
+
+// cellDirections returns, for every cell, each corner of its box that lies
+// in the simplex, twice: exactly, every coordinate a multiple of 1/q, so the
+// points along it sit on grid lines and may land in a neighbouring cell; and
+// moved 1e-11 of the way to the cell's centre, so they land in the cell
+// itself, where its bounds are tight.
+func cellDirections(d int) []cellDir {
+	q, b := cellLevels(d), cellBits(cellLevels(d))
+	qf := float64(q)
+	var dirs []cellDir
+	for _, key := range allCellKeys(d) {
+		for corner := 0; corner < 1<<(d-1); corner++ {
+			u, in := make([]float64, d), make([]float64, d)
+			levels := 0
+			for k := 0; k < d-1; k++ {
+				i := int(key) >> (b * k) & (1<<b - 1)
+				at := i + corner>>k&1
+				u[k], levels = float64(at)/qf, levels+at
+				in[k] = u[k] + 1e-11*((float64(i)+0.5)/qf-u[k])
+			}
+			if levels > q {
+				continue
+			}
+			u[d-1] = float64(q-levels) / qf
+			in[d-1] = 1 - mat.Vec(in[:d-1]).Sum()
+			dirs = append(dirs, cellDir{u, key})
+			if in[d-1] >= 0 {
+				dirs = append(dirs, cellDir{in, key})
+			}
+		}
+	}
+	return dirs
+}
+
+// pointAlong returns a point p ≥ 0 along direction u whose in-order sum is
+// exactly s, nudging the last nonzero coordinate, or false when 64 nudges
+// do not get there.
+func pointAlong(u []float64, s float64) ([]float64, bool) {
+	d := len(u)
+	p := make(mat.Vec, d)
+	last := 0
+	for k := range u {
+		p[k] = u[k] * s
+		if p[k] > 0 {
+			last = k
+		}
+	}
+	for step := 0; step < 64 && p.Sum() != s; step++ {
+		dir := math.Inf(1)
+		if p.Sum() > s {
+			dir = 0
+		}
+		p[last] = math.Nextafter(p[last], dir)
+	}
+	return p, p.Sum() == s
+}
+
+// exactDirectionOutside reports how far, in units of cellSlack, the exact
+// direction p/Σp (Σp summed exactly) lies outside the level box [i_k/q,
+// (i_k+1)/q] of p's cell key: 0 inside it, at most 1 inside the widened box.
+// 2200 bits hold any sum of float64s exactly.
+func exactDirectionOutside(p []float64, key uint16, q int) float64 {
+	b := cellBits(q)
+	exact := func() *big.Float { return new(big.Float).SetPrec(2200) }
+	sum := exact()
+	for _, v := range p {
+		sum.Add(sum, exact().SetFloat64(v))
+	}
+	if sum.Sign() == 0 {
+		return 0
+	}
+	worst := 0.0
+	for k, v := range p[:len(p)-1] {
+		// i_k/q ≤ p_k/Σp ≤ (i_k+1)/q ⇔ i_k·Σp ≤ q·p_k ≤ (i_k+1)·Σp.
+		i := int(key) >> (b * k) & (1<<b - 1)
+		at := exact().Mul(exact().SetInt64(int64(q)), exact().SetFloat64(v))
+		lo := exact().Mul(exact().SetInt64(int64(i)), sum)
+		hi := exact().Add(lo, sum)
+		var gap *big.Float
+		switch {
+		case at.Cmp(lo) < 0:
+			gap = exact().Sub(lo, at)
+		case at.Cmp(hi) > 0:
+			gap = exact().Sub(at, hi)
+		default:
+			continue
+		}
+		g, _ := gap.Quo(gap, exact().Mul(exact().SetInt64(int64(q)), sum)).Float64()
+		worst = max(worst, g/cellSlack)
+	}
+	return worst
+}
+
+// Every point a cell's radii decide must get the row-wise reference's
+// verdict: certified points are hits and rejected points misses, on the
+// adversarial plans, with points along every corner of every cell (on the
+// grid lines, where rounding can move a point into the neighbouring cell)
+// at sums of exactly, and within 2 ulps of, the cell's certify and reject
+// radii. The exact direction of every such point must lie in its cell's box
+// widened by cellSlack, and some must lie outside the unwidened box, so the
+// widening is needed. A NaN or ±Inf entry must switch every cell off. Counts
+// with the cells on must equal the reference's exactly.
+func TestCellCertificateIsSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	const d = 5
+	q := cellLevels(d)
+	keys := allCellKeys(d)
+	idOf := map[uint16]uint16{}
+	for c, key := range keys {
+		idOf[key] = uint16(c + 1)
+	}
+	dirs := cellDirections(d)
+	cases, bounds := adversarialCases(t, rng)
+	var beyondGlobal, rejected, moved, outside int
+	for ci, tc := range cases {
+		rule := newHitRule(tc.w, tc.lb, tc.scale, keys)
+		global := certRadius(tc.w, tc.lb, tc.scale)
+		var pts []float64
+		for _, dir := range dirs {
+			b := rule.bounds[idOf[dir.key]]
+			for _, s := range []float64{b.cert, b.reject} {
+				if !(s >= 0 && s <= 1) {
+					continue
+				}
+				for _, st := range ulpSteps(s)[:5] {
+					if p, ok := pointAlong(dir.u, st); ok {
+						pts = append(pts, p...)
+					}
+				}
+			}
+		}
+		sums := pointSums(pts, d)
+		cells := make([]uint16, len(sums))
+		for j, s := range sums {
+			p := pts[j*d : (j+1)*d]
+			key := cellKey(p, s, q)
+			id := idOf[key]
+			if id == 0 {
+				t.Fatalf("%s: point %v lands in cell key %d, which no simplex point has", tc.name, p, key)
+			}
+			cells[j] = id
+			if ci == 0 {
+				switch gap := exactDirectionOutside(p, key, q); {
+				case gap > 1:
+					t.Fatalf("point %v: exact direction %v·cellSlack outside its cell %d", p, gap, key)
+				case gap > 0:
+					outside++
+				}
+			}
+			if key != cellKey(p, 1, q) {
+				moved++
+			}
+			b := rule.bounds[id]
+			hit := countHitsRowwise(tc.w, tc.lb, tc.scale, p) == 1
+			if s <= b.cert {
+				if !hit {
+					t.Fatalf("%s: point %v (sum %v ≤ cell radius %v) is certified but misses", tc.name, p, s, b.cert)
+				}
+				if !(s <= global) {
+					beyondGlobal++
+				}
+			}
+			if s > b.reject {
+				if hit {
+					t.Fatalf("%s: point %v (sum %v > cell reject radius %v) is rejected but hits", tc.name, p, s, b.reject)
+				}
+				rejected++
+			}
+		}
+		if got, want := rule.countHits(pts, sums, cells), countHitsRowwise(tc.w, tc.lb, tc.scale, pts); rule.decides && got != want {
+			t.Fatalf("%s: kernel with cells counts %d hits, row-wise reference %d", tc.name, got, want)
+		}
+	}
+	if beyondGlobal == 0 || rejected == 0 || moved == 0 || outside == 0 {
+		t.Fatalf("cells certified %d points beyond the global radius and rejected %d; %d points left their direction's cell and %d lie outside its unwidened box: each must be some",
+			beyondGlobal, rejected, moved, outside)
+	}
+
+	// Any non-finite entry switches every cell off.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, lb := range bounds {
+			w := uniformWeights(rng, 6, d, 0.8, 1.1)
+			w.Set(rng.Intn(6), rng.Intn(d), bad)
+			scale := 1.0
+			if lb != nil {
+				scale = 1 - lb.Sum()
+			}
+			r := newHitRule(w, lb, scale, keys)
+			for c, b := range r.bounds {
+				if !math.IsInf(b.cert, -1) || !math.IsInf(b.reject, 1) {
+					t.Fatalf("entry %v, lb=%v: cell %d radii %v, want -Inf and +Inf", bad, lb, c, b)
+				}
+			}
 		}
 	}
 }

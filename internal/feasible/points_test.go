@@ -3,6 +3,7 @@ package feasible
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -83,25 +84,54 @@ func checkPoints(t *testing.T, what string, d, first int, pts, sums []float64) {
 	}
 }
 
-// Growth must fill only the missing suffix and leave every slice handed out
-// earlier, points and sums, exactly as it was.
-func TestSimplexTablePrefixStability(t *testing.T) {
-	const d = 7
-	forgetTable(d)
-	var published [][2][]float64
-	for _, n := range []int{100, 5000, 60000} {
-		pts, sums := simplexPoints(d, n)
-		if len(pts) != n*d || len(sums) != n {
-			t.Fatalf("simplexPoints(%d, %d) holds %d floats and %d sums, want %d and %d", d, n, len(pts), len(sums), n*d, n)
-		}
-		published = append(published, [2][]float64{pts, sums})
-		for _, p := range published {
-			checkPoints(t, "after growth", d, 0, p[0], p[1])
-		}
+// checkCells holds a prefix's cells to the table's rules: each point's id
+// numbers its cellKey in order of first appearance over the prefix, keys
+// lists exactly the keys the prefix uses in that order, and a dimension
+// without cells has neither.
+func checkCells(t *testing.T, what string, d int, tab points) {
+	t.Helper()
+	cells, keys := tableCells(tab.pts, tab.sums, d)
+	if !slices.Equal(tab.cells, cells) || !slices.Equal(tab.keys, keys) || (tab.cells == nil) != (cells == nil) {
+		t.Fatalf("%s: %d cell ids over %d keys, want %d over %d numbered by first appearance", what, len(tab.cells), len(tab.keys), len(cells), len(keys))
 	}
-	// A smaller request is served from what is there.
-	if pts, sums := simplexPoints(d, 10); &pts[0] != &published[2][0][0] || &sums[0] != &published[2][1][0] {
-		t.Fatal("a request the table already covers must not reallocate it")
+}
+
+// Growth must fill only the missing suffix and leave every slice handed out
+// earlier, points, sums, cell ids and cell keys, exactly as it was: a grown
+// prefix keeps its points' cell ids and the numbering of its cells.
+func TestSimplexTablePrefixStability(t *testing.T) {
+	for _, d := range []int{3, 7, 14} {
+		forgetTable(d)
+		type snapshot struct {
+			tab         points
+			cells, keys []uint16
+		}
+		var published []snapshot
+		for _, n := range []int{100, 5000, 60000} {
+			tab := simplexPoints(d, n)
+			if len(tab.pts) != n*d || len(tab.sums) != n {
+				t.Fatalf("simplexPoints(%d, %d) holds %d floats and %d sums, want %d and %d", d, n, len(tab.pts), len(tab.sums), n*d, n)
+			}
+			checkCells(t, "after growth", d, tab)
+			published = append(published, snapshot{tab, slices.Clone(tab.cells), slices.Clone(tab.keys)})
+			for _, p := range published {
+				checkPoints(t, "after growth", d, 0, p.tab.pts, p.tab.sums)
+				if !slices.Equal(p.tab.cells, p.cells) || !slices.Equal(p.tab.keys, p.keys) {
+					t.Fatalf("d=%d: growth to %d points rewrote the cells of a %d-point prefix", d, n, len(p.tab.sums))
+				}
+				if !slices.Equal(tab.cells[:len(p.cells)], p.cells) || !slices.Equal(tab.keys[:len(p.keys)], p.keys) {
+					t.Fatalf("d=%d: growth to %d points renumbered the cells of a %d-point prefix", d, n, len(p.tab.sums))
+				}
+			}
+		}
+		if cellLevels(d) > 0 && len(published[0].keys) >= len(published[2].keys) {
+			t.Fatalf("d=%d: %d and %d cells; the growth must add some", d, len(published[0].keys), len(published[2].keys))
+		}
+		// A smaller request is served from what is there.
+		last := published[2].tab
+		if tab := simplexPoints(d, 10); &tab.pts[0] != &last.pts[0] || &tab.sums[0] != &last.sums[0] || (tab.cells != nil && &tab.cells[0] != &last.cells[0]) {
+			t.Fatal("a request the table already covers must not reallocate it")
+		}
 	}
 }
 
@@ -154,14 +184,14 @@ func TestSimplexTablePastCap(t *testing.T) {
 			t.Fatalf("workers=%d: ratio %v, reference %v", workers, got, want)
 		}
 	}
-	table, sums := simplexPoints(d, n)
-	if len(table) != tableCapFloats || len(sums) != capPoints {
-		t.Fatalf("table holds %d floats and %d sums after a %d-sample call, want the cap %d and %d", len(table), len(sums), n, tableCapFloats, capPoints)
+	tab := simplexPoints(d, n)
+	if len(tab.pts) != tableCapFloats || len(tab.sums) != capPoints {
+		t.Fatalf("table holds %d floats and %d sums after a %d-sample call, want the cap %d and %d", len(tab.pts), len(tab.sums), n, tableCapFloats, capPoints)
 	}
 	// The blocks past the cap carry sums too, generated with their points.
 	lo, hi := capPoints-5, capPoints+streamBlock+7
 	next := lo
-	eachBlock(table, sums, d, lo, hi, func(first int, blk, bs []float64) {
+	eachBlock(tab, d, lo, hi, func(first int, blk, bs []float64, _ []uint16) {
 		if first != next {
 			t.Fatalf("block starts at point %d, want %d", first, next)
 		}
@@ -180,7 +210,8 @@ func TestSimplexTablePastCap(t *testing.T) {
 }
 
 // Many goroutines hitting empty tables at once — the portfolio arms and the
-// bench trial-runner do — must each get the reference answer.
+// bench trial-runner do — must each get the reference answer, points, sums
+// and cells.
 func TestSimplexTableConcurrentFirstUse(t *testing.T) {
 	defer par.SetWorkers(0)
 	par.SetWorkers(4)
@@ -213,16 +244,39 @@ func TestSimplexTableConcurrentFirstUse(t *testing.T) {
 				t.Errorf("job %d (d=%d, n=%d): ratio %v err %v, reference %v", i, j.w.Cols, j.samples, got, err, j.want)
 			}
 			d := j.w.Cols
-			pts, sums := simplexPoints(d, j.samples)
+			tab := simplexPoints(d, j.samples)
+			pts, sums := tab.pts, tab.sums
 			for k, s := range sums {
 				if want := mat.Vec(pts[k*d : (k+1)*d]).Sum(); s != want {
 					t.Errorf("job %d (d=%d): sum of point %d = %v, want %v", i, d, k, s, want)
 					return
 				}
 			}
+			if cells, keys := tableCells(pts, sums, d); !slices.Equal(tab.cells, cells) || !slices.Equal(tab.keys, keys) {
+				t.Errorf("job %d (d=%d): %d cell ids over %d keys, want %d over %d", i, d, len(tab.cells), len(tab.keys), len(cells), len(keys))
+			}
 		}()
 	}
 	wg.Wait()
+
+	// First users of one size wait for one fill and share its slices.
+	const d, n, users = 5, 30000, 6
+	forgetTable(d)
+	got := make([]points, users)
+	for u := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[u] = simplexPoints(d, n)
+		}()
+	}
+	wg.Wait()
+	for u, tab := range got {
+		if &tab.pts[0] != &got[0].pts[0] || &tab.cells[0] != &got[0].cells[0] || len(tab.keys) != len(got[0].keys) {
+			t.Fatalf("user %d got a table of its own fill", u)
+		}
+	}
+	checkCells(t, "concurrent first use", d, got[0])
 }
 
 // simplexPointTwoPass is SimplexPoint as it was first written — the sum in

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"rodsp/internal/mat"
 	"rodsp/internal/par"
@@ -32,7 +33,12 @@ func SimplexPoint(u []float64, dst []float64) {
 
 // RatioAuto computes the feasible ratio with exact geometry where available
 // (d = 2 polygon clipping, d = 3 polytope enumeration) and QMC otherwise.
+// A non-positive budget is an error in every dimension, though only QMC
+// spends it.
 func RatioAuto(w *mat.Matrix, samples int) (float64, error) {
+	if _, err := boundScale(w.Cols, nil, samples); err != nil {
+		return 0, err
+	}
 	switch w.Cols {
 	case 2:
 		return ExactRatio2D(w), nil
@@ -64,13 +70,13 @@ func RatioToIdealFrom(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
 		return 0, err
 	}
 	d := w.Cols
-	pts, sums := simplexPoints(d, samples)
-	rule := newHitRule(w, lb, scale)
+	tab := samplePrefix(d, samples)
+	rule := newHitRule(w, lb, scale, tab.keys)
 	chunks := par.Chunks(samples, par.Workers())
 	hits := make([]int, len(chunks))
 	_ = par.ForEach(len(chunks), func(ci int) error {
-		eachBlock(pts, sums, d, chunks[ci].Lo, chunks[ci].Hi, func(_ int, blk, bs []float64) {
-			hits[ci] += rule.countHits(blk, bs)
+		eachBlock(tab, d, chunks[ci].Lo, chunks[ci].Hi, func(_ int, blk, bs []float64, cells []uint16) {
+			hits[ci] += rule.countHits(blk, bs, cells)
 		})
 		return nil
 	})
@@ -79,6 +85,17 @@ func RatioToIdealFrom(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
 		total += n
 	}
 	return float64(total) / float64(samples), nil
+}
+
+// samplePrefix returns the table prefix a samples-point evaluation of
+// dimension d integrates over, without its cells when it has fewer than
+// cellEvery samples per cell.
+func samplePrefix(d, samples int) points {
+	tab := simplexPoints(d, samples)
+	if samples < cellEvery*len(tab.keys) {
+		tab.cells, tab.keys = nil, nil
+	}
+	return tab
 }
 
 // boundScale checks a QMC evaluation's budget and lower bound and returns
@@ -117,7 +134,7 @@ func RatioToIdealMC(w *mat.Matrix, samples int, seed int64) (float64, error) {
 	if samples <= 0 {
 		return 0, fmt.Errorf("feasible: sample budget must be positive, got %d", samples)
 	}
-	rule := newHitRule(w, nil, 1)
+	rule := newHitRule(w, nil, 1, nil)
 	chunks := par.FixedChunks(samples, mcChunk)
 	hits := make([]int, len(chunks))
 	_ = par.ForEach(len(chunks), func(ci int) error {
@@ -133,7 +150,7 @@ func RatioToIdealMC(w *mat.Matrix, samples int, seed int64) (float64, error) {
 			SimplexPoint(u, p)
 			sums[j] = mat.Vec(p).Sum()
 		}
-		hits[ci] = rule.countHits(blk, sums)
+		hits[ci] = rule.countHits(blk, sums, nil)
 		return nil
 	})
 	total := 0
@@ -150,8 +167,7 @@ func RatioToIdealMC(w *mat.Matrix, samples int, seed int64) (float64, error) {
 // caller owns what it gets.
 func SamplePoints(d, n int) []mat.Vec {
 	pts := make([]mat.Vec, n)
-	table, sums := simplexPoints(d, n)
-	eachBlock(table, sums, d, 0, n, func(first int, blk, _ []float64) {
+	eachBlock(simplexPoints(d, n), d, 0, n, func(first int, blk, _ []float64, _ []uint16) {
 		for off := 0; off < len(blk); off += d {
 			pts[first+off/d] = mat.Vec(blk[off : off+d]).Clone()
 		}
@@ -206,11 +222,28 @@ func packPanels(w *mat.Matrix) []float64 {
 // kernel's verdict.
 const certMargin = 0x1p-30
 
+// hitLimit is the bound of the hit rule: a point is a hit when W_i·x ≤
+// hitLimit on every row.
+const hitLimit = 1 + 1e-12
+
+// rowSlack returns c = W_i·lb (0 for a nil lb), summed in ascending k, and
+// the margin e = 2⁻³⁰·(1 + Σ_k|w_ik|·lb_k + scale·max_k|w_ik|) of the row.
+func rowSlack(row, lb mat.Vec, scale float64) (c, e float64) {
+	var mag, top float64
+	for k, v := range row {
+		if lb != nil {
+			c += v * lb[k]
+			mag += math.Abs(v) * lb[k]
+		}
+		top = max(top, math.Abs(v))
+	}
+	return c, certMargin * (1 + mag + scale*top)
+}
+
 // certRadius returns the safe radius T of one evaluation: every point p ≥ 0
 // whose in-order coordinate sum s satisfies s ≤ T passes every row of w
 // after the map x_k = lb_k + scale·p_k (lb nil: the identity), i.e. pairFits
-// would find each row's dot ≤ 1 + 1e-12. With c_i = W_i·lb,
-// e_i = 2⁻³⁰·(1 + Σ_k|w_ik|·lb_k + scale·max_k|w_ik|) and
+// would find each row's dot ≤ 1 + 1e-12. With c_i and e_i of rowSlack and
 // M_i = max_k w_ik it is
 //
 //	T = min(1, min over rows with M_i > 0 of (1 − c_i − e_i) / (scale·M_i)),
@@ -238,103 +271,246 @@ func certRadius(w *mat.Matrix, lb mat.Vec, scale float64) float64 {
 	}
 	t := 1.0
 	for i := 0; i < w.Rows; i++ {
-		var c, mag, top float64
-		hi := math.Inf(-1)
-		for k, v := range w.Row(i) {
-			if lb != nil {
-				c += v * lb[k]
-				mag += math.Abs(v) * lb[k]
-			}
-			hi, top = max(hi, v), max(top, math.Abs(v))
-		}
-		room := 1 - c - certMargin*(1+mag+scale*top)
+		row := w.Row(i)
+		c, e := rowSlack(row, lb, scale)
+		room := 1 - c - e
 		if !(room >= 0) {
 			return math.Inf(-1)
 		}
-		if hi > 0 {
+		if hi := slices.Max(row); hi > 0 {
 			t = min(t, room/(scale*hi))
 		}
 	}
 	return t
 }
 
-// hitRule is one evaluation's plan laid out for countHits: W packed by
-// packPanels, the map x_k = lb_k + scale·p_k (the identity when lb is nil),
-// and the safe radius of certRadius, or −∞ when it would certify too few
-// points to pay for itself. It is read-only, so every par chunk and the
-// past-the-cap eachBlock path share one.
-type hitRule struct {
-	pan    []float64
-	d      int
-	lb     mat.Vec
-	scale  float64
-	radius float64
+// cellSlack widens every direction cell by 2⁻⁴⁰ on each side, more than the
+// (d + 3)·2⁻⁵³ ≤ 2⁻⁴⁹ (d ≤ 13) by which cellKey's rounding can put a point
+// outside the cell it lands in; see cellRadii.
+const cellSlack = 0x1p-40
+
+// cellBound is the pair of safe radii of one direction cell: a table point
+// of the cell whose sum s satisfies s ≤ cert is a hit, and one with
+// s > reject is a miss.
+type cellBound struct{ cert, reject float64 }
+
+// cellRow is one row of W as cellRadii reads it: w_i,d−1, the widths
+// Σ_k max(0, ±δ_ik)/q + ε·Σ_k|δ_ik| the cell corner's bound is moved by,
+// and the reciprocals of the two radii's numerators, times scale.
+type cellRow struct {
+	last, up, down, perRoom, perExcess float64
 }
 
-func newHitRule(w *mat.Matrix, lb mat.Vec, scale float64) hitRule {
-	r := hitRule{pan: packPanels(w), d: w.Cols, lb: lb, scale: scale, radius: certRadius(w, lb, scale)}
+// cellRadii writes into dst[c] the radii of the cell whose grid key is
+// keys[c], for a plan whose global radius T = certRadius(w, lb, scale) is
+// ≥ 0; T is the floor of every certify radius. It reports false, leaving
+// dst alone, when an entry of w exceeds 2⁵⁰⁰ in magnitude. With a point's
+// direction u = p/Σp, u_{d−1} = 1 − Σ_{k<d−1} u_k and δ_ik = w_ik − w_i,d−1,
+// W_i·u = w_i,d−1 + Σ_k δ_ik·u_k. Over a cell with lower corner lo
+// (lo_k = i_k/q) widened by ε = cellSlack on every side,
+//
+//	hi_ic = w_i,d−1 + Σ_k δ_ik·lo_k + Σ_k max(0, δ_ik)/q + ε·Σ_k|δ_ik| ≥ max W_i·u,
+//	lo_ic = w_i,d−1 + Σ_k δ_ik·lo_k − Σ_k max(0, −δ_ik)/q − ε·Σ_k|δ_ik| ≤ min W_i·u,
+//
+// and since exactly W_i·x = c_i + scale·Σp·(W_i·u), with certRadius' c_i and
+// e_i,
+//
+//	cert_c   = max(T, min(1, min over rows with hi_ic > 0 of (1 − c_i − e_i) / (scale·hi_ic))),
+//	reject_c = min over rows with lo_ic > 0 of (1 + 1e-12 − c_i + e_i) / (scale·lo_ic),
+//
+// each computed as the reciprocal of a maximum of products, so no division
+// runs per row and cell. Why rounding cannot break either, for a table point
+// (it lies in the simplex, so Σp ≤ 1 + d·u), with u = 2⁻⁵³:
+//
+//   - The direction: cellKey's fl(fl(p_k/s)·q) is within (d + 2)·u·q of
+//     q·u_k, s being within (d − 1)·u of Σp, so the exact u_k lies within
+//     (d + 2)·u of the level it lands in; the clamp to q − 1 only takes
+//     u_k ≤ 1. With fl(i_k/q) within u of i_k/q, ε ≥ (d + 3)·u covers both.
+//   - The bounds: Σ_k lo_k ≤ 1 + d·ε, so every partial result of hi_ic or
+//     lo_ic is below 5d·max_k|w_ik| in magnitude and their ≤ 3d roundings
+//     move them by less than 15d²·u·max_k|w_ik| < 2⁻⁴⁰·max_k|w_ik|; times
+//     scale·Σp that is under 2⁻¹⁰ of e_i's scale·max_k|w_ik| term.
+//   - The sum and the quotient: each radius is within 4u of its exact
+//     quotient, and Σp within (d − 1)·u of s, so s ≤ cert_c or s > reject_c
+//     moves the bound on the dot by at most (d + 4)·u·(2 + |c_i| + e_i).
+//     The 2⁵⁰⁰ limit keeps every product finite (1 − c_i − e_i is 0 or at
+//     least 2⁻⁸³); a product that underflows gives a radius past every sum,
+//     as the exact one is, and a 0·∞ product from a zero room is skipped,
+//     as the zero room itself bounds the dot by 1 − e_i.
+//   - c_i, the map and the kernel's dot: as in certRadius.
+//
+// Summed, the computed dot of a certified point stays below 1 + 1e-12, and
+// that of a rejected point above it, by e_i less at most (4d + 16)·u·(1 +
+// Σ_k|w_ik|·lb_k + scale·max_k|w_ik|) + 2⁻⁴⁰·scale·max_k|w_ik|, which is
+// positive for d ≤ 13. T ≥ 0 means w, lb and scale are finite and every
+// room 1 − c_i − e_i is ≥ 0, so every excess is > 0.
+func cellRadii(dst []cellBound, w *mat.Matrix, lb mat.Vec, scale, floor float64, keys []uint16) bool {
+	d := w.Cols
+	for _, v := range w.Data[:w.Rows*d] {
+		if !(math.Abs(v) <= 0x1p500) {
+			return false
+		}
+	}
+	q, m, n := cellLevels(d), d-1, w.Rows
+	qf, b := float64(q), cellBits(q)
+	rows := make([]cellRow, n)
+	delta := make([]float64, m*n) // column by column: δ_0k … δ_(n−1)k
+	for i := range rows {
+		row := w.Row(i)
+		c, e := rowSlack(row, lb, scale)
+		last := row[m]
+		var pos, neg float64
+		for k, v := range row[:m] {
+			dk := v - last
+			delta[k*n+i] = dk
+			pos, neg = pos+max(0, dk), neg+max(0, -dk)
+		}
+		slack := cellSlack * (pos + neg)
+		rows[i] = cellRow{last: last, up: pos/qf + slack, down: neg/qf + slack,
+			perRoom: scale / (1 - c - e), perExcess: scale / (hitLimit - c + e)}
+	}
+	mids := make([]float64, n)
+	for c, key := range keys {
+		for i, r := range rows {
+			mids[i] = r.last
+		}
+		// Column by column, so the rows' sums are independent chains.
+		for k := 0; k < m; k++ {
+			lo := float64(int(key)>>(b*k)&(1<<b-1)) / qf
+			for i, dk := range delta[k*n : (k+1)*n] {
+				mids[i] += dk * lo
+			}
+		}
+		// The largest scale·hi_ic/(1 − c_i − e_i) and scale·lo_ic/excess_i;
+		// a non-positive hi_ic or lo_ic, or a NaN, never exceeds 0.
+		var tight, sure float64
+		for i, r := range rows {
+			if v := (mids[i] + r.up) * r.perRoom; v > tight {
+				tight = v
+			}
+			if v := (mids[i] - r.down) * r.perExcess; v > sure {
+				sure = v
+			}
+		}
+		dst[c] = cellBound{max(min(1, 1/tight), floor), 1 / sure}
+	}
+	return true
+}
+
+// hitRule is one evaluation's plan laid out for countHits: W packed by
+// packPanels, the map x_k = lb_k + scale·p_k (the identity when lb is nil),
+// and the safe radii of classify: bounds[0] holds certRadius' radius and
+// +∞ for points without a cell, bounds[c] those of cell id c (cellRadii).
+// decides is false when the radii would decide too few points to pay for
+// themselves; countHits then tests every point where it lies. A rule is
+// read-only, so every par chunk and the past-the-cap eachBlock path share
+// one.
+type hitRule struct {
+	pan     []float64
+	d       int
+	lb      mat.Vec
+	scale   float64
+	bounds  []cellBound
+	decides bool
+}
+
+// newHitRule lays w out for countHits with the radii of the cells whose
+// grid keys are keys (cell id c at keys[c−1]; nil: no cells).
+func newHitRule(w *mat.Matrix, lb mat.Vec, scale float64, keys []uint16) hitRule {
+	r := hitRule{pan: packPanels(w), d: w.Cols, lb: lb, scale: scale, bounds: make([]cellBound, 1+len(keys))}
+	radius := certRadius(w, lb, scale)
+	global := radius
 	// The points with Σp ≤ T are a share T^d of the simplex the QMC points
 	// cover evenly, and about that share of each block certifies.
-	if !(r.radius >= 0) || math.Pow(r.radius, float64(r.d))*gatherEvery < 1 {
-		r.radius = math.Inf(-1)
+	if !(radius >= 0) || math.Pow(radius, float64(r.d))*gatherEvery < 1 {
+		global = math.Inf(-1)
+	}
+	for c := range r.bounds {
+		r.bounds[c] = cellBound{global, math.Inf(1)}
+	}
+	r.decides = global >= 0
+	if radius >= 0 && len(keys) > 0 && cellRadii(r.bounds[1:], w, lb, scale, radius, keys) {
+		r.decides = true
 	}
 	return r
 }
 
-// certBlock is how many points countHits certifies before it tests the
+// certBlock is how many points countHits classifies before it tests the
 // rest; their gathered copies stay in L1.
 const certBlock = 256
 
 // gatherEvery is the fewest points per certified one for which newHitRule
-// keeps the radius: below that share, the pass comparing sums and the
-// gather cost more than the dot products they save.
+// keeps the global radius: below that share, the pass comparing sums and
+// the gather cost more than the dot products they save.
 const gatherEvery = 8
 
+// cellEvery is the fewest samples per cell for which RatioToIdealFrom uses
+// the cells of its prefix. cellRadii costs about what the kernel spends on
+// ten points per cell: at d = 5 a 3 000-sample PlaceBest arm (280 cells)
+// about breaks even with them and the controller's 400 samples (187 cells)
+// lose, while the 60 000-sample final ratio (330 cells) runs twice as fast.
+const cellEvery = 20
+
+// noCells is the cell ids of points without a cell: all bounds[0].
+var noCells [certBlock]uint16
+
 // countHits returns how many of the flat row-major points in pts (with
-// sums[j] the in-order sum of point j) land in the feasible set after the
-// map: W_i·x ≤ 1 + 1e-12 on every row of W. It is the package's one hit
-// rule. Without a radius, every point goes to countPairs where it lies.
-// With one, a block of certBlock points is taken in two passes: the points
-// with sum ≤ radius count as hits, and the rest are mapped, gathered and
-// tested by countPairs. A certified point is a hit of pairFits too, so
-// either way the count is the same.
-func (r hitRule) countHits(pts, sums []float64) int {
+// sums[j] the in-order sum of point j and cells[j] its cell id, or cells
+// nil) land in the feasible set after the map: W_i·x ≤ 1 + 1e-12 on every
+// row of W. It is the package's one hit rule. When the rule decides nothing,
+// every point goes to countPairs where it lies. Otherwise a block of
+// certBlock points is classified by its radii: points with sum ≤ cert count
+// as hits, points with sum > reject as misses, and the rest are mapped,
+// gathered and tested by countPairs. A certified point is a hit of pairFits
+// too and a rejected point a miss, so either way the count is the same.
+func (r hitRule) countHits(pts, sums []float64, cells []uint16) int {
 	d := r.d
-	if r.radius < 0 {
+	if !r.decides {
 		var xs []float64
 		if r.lb != nil {
 			xs = make([]float64, 2*d)
 		}
 		return countPairs(r.pan, d, r.lb, r.scale, pts, xs)
 	}
-	var rest [certBlock]int // a block's uncertified points, in order
+	var rest [certBlock]int // a block's undecided points, in order
 	buf := make([]float64, min(len(sums), certBlock)*d)
 	hits := 0
 	for lo := 0; lo < len(sums); lo += certBlock {
 		bs := sums[lo:min(lo+certBlock, len(sums))]
 		blk := pts[lo*d : (lo+len(bs))*d]
-		n := uncertified(&rest, bs, r.radius)
+		ids := noCells[:len(bs)]
+		if cells != nil {
+			ids = cells[lo : lo+len(bs)]
+		}
+		n, rejected := classify(&rest, bs, ids, r.bounds)
 		for m, j := range rest[:n] {
 			mapPoint(buf[m*d:(m+1)*d], blk[j*d:(j+1)*d], r.lb, r.scale)
 		}
-		hits += len(bs) - n + countPairs(r.pan, d, nil, 1, buf[:n*d], nil)
+		hits += len(bs) - n - rejected + countPairs(r.pan, d, nil, 1, buf[:n*d], nil)
 	}
 	return hits
 }
 
-// uncertified writes the indices of the sums (at most certBlock) above
-// radius into rest, in order, and returns how many there are. It stores
-// every index and advances past the uncertified ones only, so the loop has
-// no branch to mispredict.
-func uncertified(rest *[certBlock]int, sums []float64, radius float64) int {
-	n := 0
+// classify sorts the points of one block (at most certBlock sums, with
+// their cell ids) by the radii of their cells in bounds: it returns how
+// many it rejects and writes the indices of the undecided ones into rest,
+// in order, returning how many there are. It stores every index and
+// advances past the undecided ones only, so the loop has no branch to
+// mispredict. It stays out of line: inlined into countHits, its counters
+// and slice bases spill to the stack on every point, and a 60 000-point
+// countHits measured 5–9 % slower (out of line won 58 of 70 rounds).
+//
+//go:noinline
+func classify(rest *[certBlock]int, sums []float64, ids []uint16, bounds []cellBound) (n, rejected int) {
+	ids = ids[:len(sums)]
 	for j, s := range sums {
+		b := bounds[ids[j]]
+		out := above(s, b.reject)
 		rest[n] = j
-		if !(s <= radius) {
-			n++
-		}
+		rejected += int(out)
+		n += int(1 - (atMost(s, b.cert) | out))
 	}
-	return n
+	return n, rejected
 }
 
 // mapPoint writes x_k = lb_k + scale·p_k into x, or copies p when lb is nil:
@@ -399,7 +575,6 @@ func countPairs(pan []float64, d int, lb mat.Vec, scale float64, pts, xs []float
 // boundary, where a chain of conditional jumps mispredicts. It returns once
 // both points are rejected.
 func pairFits(pan, a, b []float64) (okA, okB bool) {
-	const limit = 1 + 1e-12
 	d := len(a)
 	b = b[:d]
 	stride := panelRows * d
@@ -421,8 +596,8 @@ func pairFits(pan, a, b []float64) (okA, okB bool) {
 			rb2 += c[2] * bk
 			rb3 += c[3] * bk
 		}
-		rejA |= above(ra0, limit) | above(ra1, limit) | above(ra2, limit) | above(ra3, limit)
-		rejB |= above(rb0, limit) | above(rb1, limit) | above(rb2, limit) | above(rb3, limit)
+		rejA |= above(ra0, hitLimit) | above(ra1, hitLimit) | above(ra2, hitLimit) | above(ra3, hitLimit)
+		rejB |= above(rb0, hitLimit) | above(rb1, hitLimit) | above(rb2, hitLimit) | above(rb3, hitLimit)
 	}
 	return rejA == 0, rejB == 0
 }
@@ -431,6 +606,15 @@ func pairFits(pan, a, b []float64) (okA, okB bool) {
 // without a jump. A NaN x is not above, so NaN never rejects.
 func above(x, y float64) uint8 {
 	if x > y {
+		return 1
+	}
+	return 0
+}
+
+// atMost is x <= y as 0 or 1, set without a jump like above. Nothing is at
+// most NaN, so a NaN radius certifies nothing.
+func atMost(x, y float64) uint8 {
+	if x <= y {
 		return 1
 	}
 	return 0

@@ -62,28 +62,38 @@ func BenchmarkRatioToIdealFromDense(b *testing.B) {
 		benchRatio = r
 	}
 	b.StopTimer()
-	b.ReportMetric(certifiedShare(w, lb, 60000), "certified/op")
+	certified, rejected := decidedShares(w, lb, 60000)
+	b.ReportMetric(certified, "certified/op")
+	b.ReportMetric(rejected, "rejected/op")
 }
 
-// certifiedShare is the share of RatioToIdealFrom(w, lb, samples)'s points
-// that countHits counts as hits without testing a row: what the safe radius
-// saves on this plan (0 with the radius off).
-func certifiedShare(w *mat.Matrix, lb mat.Vec, samples int) float64 {
+// decidedShares is the share of RatioToIdealFrom(w, lb, samples)'s points
+// that countHits counts as hits, and the share it counts as misses, without
+// testing a row: what the safe radii save on this plan.
+func decidedShares(w *mat.Matrix, lb mat.Vec, samples int) (certified, rejected float64) {
 	scale, err := boundScale(w.Cols, lb, samples)
 	if err != nil || scale <= 0 {
-		return 0
+		return 0, 0
 	}
-	rule := newHitRule(w, lb, scale)
-	pts, sums := simplexPoints(w.Cols, samples)
+	tab := samplePrefix(w.Cols, samples)
+	rule := newHitRule(w, lb, scale, tab.keys)
+	if !rule.decides {
+		return 0, 0
+	}
 	var rest [certBlock]int
-	n := 0
-	eachBlock(pts, sums, w.Cols, 0, samples, func(_ int, _, bs []float64) {
+	undecided, out := 0, 0
+	eachBlock(tab, w.Cols, 0, samples, func(_ int, _, bs []float64, cells []uint16) {
 		for lo := 0; lo < len(bs); lo += certBlock {
 			blk := bs[lo:min(lo+certBlock, len(bs))]
-			n += len(blk) - uncertified(&rest, blk, rule.radius)
+			ids := noCells[:len(blk)]
+			if cells != nil {
+				ids = cells[lo : lo+len(blk)]
+			}
+			n, r := classify(&rest, blk, ids, rule.bounds)
+			undecided, out = undecided+n, out+r
 		}
 	})
-	return float64(n) / float64(samples)
+	return float64(samples-undecided-out) / float64(samples), float64(out) / float64(samples)
 }
 
 // benchRatio keeps the measured call's result live.

@@ -261,14 +261,19 @@ func TestRatioToIdealFromMatchesUnrestricted(t *testing.T) {
 func TestRatioErrors(t *testing.T) {
 	w := mat.NewMatrix(1, 2)
 	for name, f := range map[string]func() (float64, error){
-		"zero samples":    func() (float64, error) { return RatioToIdealFrom(w, nil, 0) },
-		"negative budget": func() (float64, error) { return RatioToIdealFrom(w, nil, -5) },
-		"lb too short":    func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(1), 10) },
-		"lb too long":     func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(0, 0, 0), 10) },
-		"NaN lb":          func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(math.NaN(), 0), 10) },
-		"+Inf lb":         func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(0, math.Inf(1)), 10) },
-		"negative lb":     func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(-0.1, 0.2), 10) },
-		"mc zero samples": func() (float64, error) { return RatioToIdealMC(w, 0, 1) },
+		"zero samples":      func() (float64, error) { return RatioToIdealFrom(w, nil, 0) },
+		"negative budget":   func() (float64, error) { return RatioToIdealFrom(w, nil, -5) },
+		"lb too short":      func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(1), 10) },
+		"lb too long":       func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(0, 0, 0), 10) },
+		"NaN lb":            func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(math.NaN(), 0), 10) },
+		"+Inf lb":           func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(0, math.Inf(1)), 10) },
+		"negative lb":       func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(-0.1, 0.2), 10) },
+		"mc zero samples":   func() (float64, error) { return RatioToIdealMC(w, 0, 1) },
+		"auto d=2 zero":     func() (float64, error) { return RatioAuto(w, 0) },
+		"auto d=2 negative": func() (float64, error) { return RatioAuto(w, -5) },
+		"auto d=3 zero":     func() (float64, error) { return RatioAuto(mat.NewMatrix(1, 3), 0) },
+		"auto d=3 negative": func() (float64, error) { return RatioAuto(mat.NewMatrix(2, 3), -1) },
+		"auto d=5 zero":     func() (float64, error) { return RatioAuto(mat.NewMatrix(1, 5), 0) },
 	} {
 		if r, err := f(); err == nil || r != 0 {
 			t.Fatalf("%s: ratio %v err %v, want 0 and an error", name, r, err)

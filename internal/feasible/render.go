@@ -23,7 +23,7 @@ func RenderASCII(w *mat.Matrix, width, height int) string {
 		height = 4
 	}
 	var b strings.Builder
-	rule := newHitRule(w, nil, 1)
+	rule := newHitRule(w, nil, 1, nil)
 	x, sum := make(mat.Vec, 2), make([]float64, 1)
 	for row := height - 1; row >= 0; row-- {
 		x[1] = (float64(row) + 0.5) / float64(height)
@@ -34,7 +34,7 @@ func RenderASCII(w *mat.Matrix, width, height int) string {
 			switch {
 			case x[0]+x[1] > 1:
 				b.WriteByte(' ')
-			case rule.countHits(x, sum) == 1:
+			case rule.countHits(x, sum, nil) == 1:
 				b.WriteByte('#')
 			default:
 				b.WriteString("·")
