@@ -3,11 +3,10 @@
 //
 // Usage:
 //
-//	rodbench [-quick] [-seed N] [-workers N] [experiment ...]
+//	rodbench [-quick] [-seed N] [-workers N] [-csv DIR] [-list] [experiment ...]
 //
-// With no experiment names it runs the full suite. Known experiments:
-// figure2, table2, figure9, figure14, figure15, optimal, latency,
-// loadshift, lowerbound, joins, clustering, rodvariants.
+// With no experiment names it runs the full suite; -list prints the
+// experiment names.
 //
 // -workers sets the compute-plane worker count (0 = GOMAXPROCS). The
 // rendered tables on stdout are byte-identical for any worker count;

@@ -41,8 +41,8 @@ func Table2Plans() map[string]*placement.Plan {
 }
 
 // Table2 reproduces Table 2 and Figures 5–6: the node coefficient matrix of
-// each example plan, its exact feasible-set size (d = 2, so exact polygon
-// clipping), and the ratio to the ideal feasible set of Theorem 1.
+// each example plan, its exact feasible-set size (feasible.ExactRatio), and
+// the ratio to the ideal feasible set of Theorem 1.
 func Table2() (*Table, error) {
 	g := Example2Graph()
 	lm, err := query.BuildLoadModel(g)
@@ -70,7 +70,10 @@ func Table2() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ratio := feasible.ExactRatio2D(w)
+		ratio, err := feasible.ExactRatio(w, nil)
+		if err != nil {
+			return nil, err
+		}
 		t.AddRow(
 			name,
 			ln.Row(0).String(),

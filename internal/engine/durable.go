@@ -107,7 +107,7 @@ func (n *Node) openDurability() error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("engine: wal dir: %w", err)
 	}
-	wl, err := wal.Open(dir, wal.Options{SegmentBytes: n.cfg.WALSegmentBytes})
+	wl, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		return fmt.Errorf("engine: opening wal: %w", err)
 	}

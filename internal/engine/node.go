@@ -66,11 +66,6 @@ type NodeConfig struct {
 	// (base·2^attempt capped at max, ±25% jitter). Defaults 50ms / 2s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// DialTimeout bounds each outbox dial. Default 2s.
-	DialTimeout time.Duration
-	// FlushTimeout is the per-flush write deadline, so a stalled (but not
-	// dead) peer surfaces as a link failure. Default 2s.
-	FlushTimeout time.Duration
 	// Workers is the worker-lane count: parallel data-plane shards, each
 	// with its own bounded queue, shed accounting and worker goroutine
 	// (see lane.go for the (stream, key) → lane assignment). <= 0 selects
@@ -90,8 +85,6 @@ type NodeConfig struct {
 	// outboxes), truncating the WAL behind it. <= 0 selects 100ms when
 	// WALDir is set.
 	CheckpointEvery time.Duration
-	// WALSegmentBytes overrides the WAL segment size (tests). 0 = default.
-	WALSegmentBytes int
 }
 
 // Default data-plane bounds.
@@ -103,6 +96,13 @@ const (
 // batchMax bounds how many tuples one lock acquisition may move on the hot
 // path: an ingress admission chunk and a worker dequeue run.
 const batchMax = 256
+
+// dialTimeout bounds each outbox dial. flushTimeout is the deadline of each
+// outbox write, so a stalled (but not dead) peer surfaces as a link failure.
+const (
+	dialTimeout  = 2 * time.Second
+	flushTimeout = 2 * time.Second
+)
 
 func (cfg *NodeConfig) applyDefaults() {
 	if cfg.IngressCap <= 0 {
@@ -116,12 +116,6 @@ func (cfg *NodeConfig) applyDefaults() {
 	}
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 2 * time.Second
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.FlushTimeout <= 0 {
-		cfg.FlushTimeout = 2 * time.Second
 	}
 	cfg.Workers = resolveWorkers(cfg.Workers)
 	if cfg.WALDir != "" && cfg.CheckpointEvery <= 0 {

@@ -196,7 +196,7 @@ func (o *outbox) dial() (net.Conn, error) {
 	if f := o.node.linkFault(o.addr); f != nil && f.Sever {
 		return nil, fmt.Errorf("engine: link to %s severed by fault", o.addr)
 	}
-	return net.DialTimeout("tcp", o.addr, o.node.cfg.DialTimeout)
+	return net.DialTimeout("tcp", o.addr, dialTimeout)
 }
 
 // run is the outbox goroutine: connect (with backoff), drain the ring,
@@ -265,7 +265,7 @@ func (o *outbox) writeLoop(conn net.Conn) error {
 		}()
 	}
 	o.enc = open
-	conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
+	conn.SetWriteDeadline(time.Now().Add(flushTimeout)) //nolint:errcheck
 	if _, err := conn.Write(open); err != nil {
 		return err
 	}
@@ -366,7 +366,7 @@ func (o *outbox) ship(conn net.Conn) (int, error) {
 	o.mu.Lock()
 	o.shipped = pos
 	o.mu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(o.node.cfg.FlushTimeout)) //nolint:errcheck
+	conn.SetWriteDeadline(time.Now().Add(flushTimeout)) //nolint:errcheck
 	_, err := conn.Write(o.enc)
 	k := int(pos - from)
 	if !o.durable {

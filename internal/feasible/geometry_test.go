@@ -142,8 +142,8 @@ func TestMMADBoundHolds(t *testing.T) {
 		n, d := 2+rng.Intn(4), 2+rng.Intn(3)
 		w := randWeights(rng, n, d)
 		lb := MMADLowerBound(w)
-		ratio := mustRatio(t, w, 4000)
-		if lb > ratio+0.02 {
+		ratio := mustExact(t, w, nil)
+		if lb > ratio+1e-12 {
 			t.Fatalf("MMAD bound %g exceeds measured ratio %g for\n%v", lb, ratio, w)
 		}
 	}
@@ -178,8 +178,8 @@ func TestHypersphereBoundHolds(t *testing.T) {
 		w := randWeights(rng, n, d)
 		r := MinPlaneDistance(w)
 		bound := HypersphereLowerBound(r, d)
-		ratio := mustRatio(t, w, 4000)
-		if bound > ratio+0.02 {
+		ratio := mustExact(t, w, nil)
+		if bound > ratio+1e-12 {
 			t.Fatalf("hypersphere bound %g exceeds ratio %g (r=%g)", bound, ratio, r)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"rodsp/internal/mat"
-	"rodsp/internal/par"
 )
 
 // countHitsRowwise is the hit kernel as it was before the panel layout: the
@@ -287,39 +286,6 @@ func TestHitKernelAtTheLimit(t *testing.T) {
 					t.Fatalf("d=%d point %d: %d dots above the limit, %d at or below; the steps must straddle it", d, i, above, below)
 				}
 			}
-		}
-	}
-}
-
-// RatioToIdealMC counts its draws with the panel kernel; a per-point loop
-// over the same draws (same chunks, same derived seeds, same SimplexPoint)
-// must give the same ratio.
-func TestRatioToIdealMCMatchesPerPoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for _, d := range []int{2, 5} {
-		w := uniformWeights(rng, 7, d, 0.7, 1.4)
-		samples := 2*mcChunk + 77
-		const seed = 5
-		got, err := RatioToIdealMC(w, samples, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hits := 0
-		for ci, c := range par.FixedChunks(samples, mcChunk) {
-			r := rand.New(rand.NewSource(seed + int64(ci)*0x9E3779B9))
-			u, x := make([]float64, d+1), make(mat.Vec, d)
-			for s := c.Lo; s < c.Hi; s++ {
-				for i := range u {
-					u[i] = r.Float64()
-				}
-				SimplexPoint(u, x)
-				if feasiblePoint(w, x) {
-					hits++
-				}
-			}
-		}
-		if want := float64(hits) / float64(samples); got != want {
-			t.Fatalf("d=%d: RatioToIdealMC %v, per-point reference %v", d, got, want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package feasible
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
 	"rodsp/internal/mat"
@@ -31,22 +30,17 @@ func SimplexPoint(u []float64, dst []float64) {
 	}
 }
 
-// RatioAuto computes the feasible ratio with exact geometry where available
-// (d = 2 polygon clipping, d = 3 polytope enumeration) and QMC otherwise.
-// A non-positive budget is an error in every dimension, though only QMC
-// spends it.
+// RatioAuto computes the feasible ratio exactly (ExactRatio) at d = 2 and
+// 3 and by QMC otherwise. A non-positive budget is an error in every
+// dimension, though only QMC spends it.
 func RatioAuto(w *mat.Matrix, samples int) (float64, error) {
-	if _, err := boundScale(w.Cols, nil, samples); err != nil {
+	if err := checkBudget(samples); err != nil {
 		return 0, err
 	}
-	switch w.Cols {
-	case 2:
-		return ExactRatio2D(w), nil
-	case 3:
-		return ExactRatio3D(w), nil
-	default:
-		return RatioToIdealFrom(w, nil, samples)
+	if w.Cols == 2 || w.Cols == 3 {
+		return ExactRatio(w, nil)
 	}
+	return RatioToIdealFrom(w, nil, samples)
 }
 
 // RatioToIdealFrom estimates |F(W)| / |F*|, the fraction of the ideal
@@ -65,7 +59,10 @@ func RatioAuto(w *mat.Matrix, samples int) (float64, error) {
 // ratio, so a bad config can neither crash a long bench run nor score as a
 // plan.
 func RatioToIdealFrom(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
-	scale, err := boundScale(w.Cols, lb, samples)
+	if err := checkBudget(samples); err != nil {
+		return 0, err
+	}
+	scale, err := boundScale(w.Cols, lb)
 	if err != nil || scale <= 0 {
 		return 0, err
 	}
@@ -98,13 +95,18 @@ func samplePrefix(d, samples int) points {
 	return tab
 }
 
-// boundScale checks a QMC evaluation's budget and lower bound and returns
-// the scale of the map x_k = lb_k + scale·p_k: 1 for a nil lb, 1 − Σ lb
-// otherwise, ≤ 0 when the restricted region is empty.
-func boundScale(d int, lb mat.Vec, samples int) (float64, error) {
+// checkBudget rejects a non-positive QMC sample budget.
+func checkBudget(samples int) error {
 	if samples <= 0 {
-		return 0, fmt.Errorf("feasible: sample budget must be positive, got %d", samples)
+		return fmt.Errorf("feasible: sample budget must be positive, got %d", samples)
 	}
+	return nil
+}
+
+// boundScale checks a lower bound and returns the scale of the map
+// x_k = lb_k + scale·p_k from the standard simplex onto the ideal region:
+// 1 for a nil lb, 1 − Σ lb otherwise, ≤ 0 when the region is empty.
+func boundScale(d int, lb mat.Vec) (float64, error) {
 	if lb == nil {
 		return 1, nil
 	}
@@ -117,47 +119,6 @@ func boundScale(d int, lb mat.Vec, samples int) (float64, error) {
 		}
 	}
 	return 1 - lb.Sum(), nil
-}
-
-// mcChunk is the fixed Monte-Carlo chunk size. It is independent of the
-// worker count so the per-chunk derived RNG streams — and therefore the
-// estimate — never change as parallelism changes.
-const mcChunk = 8192
-
-// RatioToIdealMC is the plain (pseudo-random) Monte Carlo counterpart of
-// RatioToIdealFrom(w, nil, samples), used to cross-validate the QMC
-// estimator. Samples are drawn in fixed-size chunks, each from an RNG
-// stream derived from seed and the chunk index, evaluated across the par
-// worker pool; the result is identical for any worker count.
-func RatioToIdealMC(w *mat.Matrix, samples int, seed int64) (float64, error) {
-	d := w.Cols
-	if samples <= 0 {
-		return 0, fmt.Errorf("feasible: sample budget must be positive, got %d", samples)
-	}
-	rule := newHitRule(w, nil, 1, nil)
-	chunks := par.FixedChunks(samples, mcChunk)
-	hits := make([]int, len(chunks))
-	_ = par.ForEach(len(chunks), func(ci int) error {
-		c := chunks[ci]
-		rng := rand.New(rand.NewSource(seed + int64(ci)*0x9E3779B9))
-		u := make([]float64, d+1)
-		blk, sums := make([]float64, (c.Hi-c.Lo)*d), make([]float64, c.Hi-c.Lo)
-		for j := range sums {
-			p := blk[j*d : (j+1)*d]
-			for i := range u {
-				u[i] = rng.Float64()
-			}
-			SimplexPoint(u, p)
-			sums[j] = mat.Vec(p).Sum()
-		}
-		hits[ci] = rule.countHits(blk, sums, nil)
-		return nil
-	})
-	total := 0
-	for _, n := range hits {
-		total += n
-	}
-	return float64(total) / float64(samples), nil
 }
 
 // SamplePoints returns n QMC points uniformly covering the ideal simplex in

@@ -71,7 +71,7 @@ func BenchmarkRatioToIdealFromDense(b *testing.B) {
 // that countHits counts as hits, and the share it counts as misses, without
 // testing a row: what the safe radii save on this plan.
 func decidedShares(w *mat.Matrix, lb mat.Vec, samples int) (certified, rejected float64) {
-	scale, err := boundScale(w.Cols, lb, samples)
+	scale, err := boundScale(w.Cols, lb)
 	if err != nil || scale <= 0 {
 		return 0, 0
 	}

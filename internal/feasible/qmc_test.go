@@ -190,7 +190,7 @@ func TestRatioToIdealAgainstExact2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 25; trial++ {
 		w := randWeights(rng, 2+rng.Intn(4), 2)
-		exact := ExactRatio2D(w)
+		exact := mustExact(t, w, nil)
 		qmc := mustRatio(t, w, 20000)
 		if math.Abs(exact-qmc) > 0.01 {
 			t.Fatalf("trial %d: exact %g vs QMC %g for\n%v", trial, exact, qmc, w)
@@ -198,29 +198,42 @@ func TestRatioToIdealAgainstExact2D(t *testing.T) {
 	}
 }
 
+// TestRatioToIdealAgainstMC checks QMC against a plain pseudo-random Monte
+// Carlo count over the same ideal simplex: a second estimator that shares
+// neither the Halton points nor ExactRatio's geometry.
 func TestRatioToIdealAgainstMC(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	w := randWeights(rng, 4, 4)
 	qmc := mustRatio(t, w, 30000)
-	mc, err := RatioToIdealMC(w, 200000, 33)
-	if err != nil {
-		t.Fatalf("RatioToIdealMC: %v", err)
+	const samples = 200000
+	u, p := make([]float64, w.Cols+1), make(mat.Vec, w.Cols)
+	hits := 0
+	for i := 0; i < samples; i++ {
+		for k := range u {
+			u[k] = rng.Float64()
+		}
+		SimplexPoint(u, p)
+		feasible := true
+		for r := 0; r < w.Rows && feasible; r++ {
+			feasible = w.Row(r).Dot(p) <= 1
+		}
+		if feasible {
+			hits++
+		}
 	}
-	if math.Abs(qmc-mc) > 0.015 {
+	if mc := float64(hits) / samples; math.Abs(qmc-mc) > 0.015 {
 		t.Fatalf("QMC %g vs MC %g disagree", qmc, mc)
 	}
 }
 
 func TestRatioAutoDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	// d=2 and d=3 must match the exact routines bit for bit.
-	w2 := randWeights(rng, 3, 2)
-	if mustAuto(t, w2, 10) != ExactRatio2D(w2) {
-		t.Fatal("d=2 must dispatch to the exact routine")
-	}
-	w3 := randWeights(rng, 3, 3)
-	if mustAuto(t, w3, 10) != ExactRatio3D(w3) {
-		t.Fatal("d=3 must dispatch to the exact routine")
+	// d=2 and d=3 must match ExactRatio bit for bit.
+	for _, d := range []int{2, 3} {
+		w := randWeights(rng, 3, d)
+		if mustAuto(t, w, 10) != mustExact(t, w, nil) {
+			t.Fatalf("d=%d must dispatch to ExactRatio", d)
+		}
 	}
 	// d=4 falls back to QMC.
 	w4 := randWeights(rng, 3, 4)
@@ -268,7 +281,6 @@ func TestRatioErrors(t *testing.T) {
 		"NaN lb":            func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(math.NaN(), 0), 10) },
 		"+Inf lb":           func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(0, math.Inf(1)), 10) },
 		"negative lb":       func() (float64, error) { return RatioToIdealFrom(w, mat.VecOf(-0.1, 0.2), 10) },
-		"mc zero samples":   func() (float64, error) { return RatioToIdealMC(w, 0, 1) },
 		"auto d=2 zero":     func() (float64, error) { return RatioAuto(w, 0) },
 		"auto d=2 negative": func() (float64, error) { return RatioAuto(w, -5) },
 		"auto d=3 zero":     func() (float64, error) { return RatioAuto(mat.NewMatrix(1, 3), 0) },
@@ -315,35 +327,4 @@ func TestSamplePoints(t *testing.T) {
 			t.Fatal("SamplePoints must be deterministic")
 		}
 	}
-}
-
-func TestExactRatio2DKnownCases(t *testing.T) {
-	// Single constraint x+y <= 1 is exactly the ideal simplex.
-	if got := ExactRatio2D(mat.MatrixOf([]float64{1, 1})); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("identity constraint ratio = %g", got)
-	}
-	// x <= 1/2 cuts the triangle to area 1/2 - 1/8 = 3/8, ratio 3/4.
-	if got := ExactRatio2D(mat.MatrixOf([]float64{2, 0})); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("half-cut ratio = %g, want 0.75", got)
-	}
-	// Infeasible everywhere.
-	if got := ExactRatio2D(mat.MatrixOf([]float64{1e9, 1e9})); got > 1e-6 {
-		t.Fatalf("degenerate ratio = %g", got)
-	}
-	// Two constraints x<=1/2 and y<=1/2: cut both corners, area 1/2-2/8=1/4...
-	// each corner triangle has legs 1/2 so area 1/8; remaining 0.5-0.25=0.25,
-	// ratio 0.5.
-	got := ExactRatio2D(mat.MatrixOf([]float64{2, 0}, []float64{0, 2}))
-	if math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("double half-cut ratio = %g, want 0.5", got)
-	}
-}
-
-func TestExactRatio2DPanicsOnWrongDim(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for d != 2")
-		}
-	}()
-	ExactRatio2D(mat.NewMatrix(1, 3))
 }

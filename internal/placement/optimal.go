@@ -8,9 +8,8 @@ import (
 )
 
 // Evaluate computes the feasible-set size of a plan as a ratio to the ideal
-// feasible set, by QMC over the ideal simplex — exact geometry at d = 2
-// (polygon clipping) and d = 3 (polytope vertex enumeration), where it is
-// both faster and error-free.
+// feasible set through feasible.RatioAuto: exactly (feasible.ExactRatio) at
+// d = 2 and 3, by QMC over the ideal simplex otherwise.
 func Evaluate(p *Plan, lo *mat.Matrix, c mat.Vec, samples int) (float64, error) {
 	w, err := WeightsOf(p, lo, c)
 	if err != nil {
@@ -42,7 +41,7 @@ func WeightsOf(p *Plan, lo *mat.Matrix, c mat.Vec) (*mat.Matrix, error) {
 
 // OptimalConfig bounds the brute-force search.
 type OptimalConfig struct {
-	// Samples is the QMC budget per candidate when d > 2.
+	// Samples is the QMC budget per candidate when d > 3.
 	Samples int
 	// MaxPlans caps the number of evaluated candidates (0 = no cap). The
 	// search fails rather than silently truncating when the cap is hit.

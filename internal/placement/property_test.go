@@ -64,32 +64,31 @@ func TestEvaluateMonotoneInConstraints(t *testing.T) {
 		for k := 0; k < d; k++ {
 			lo.Set(rng.Intn(m), k, 0.1+rng.Float64())
 		}
-		// Evaluate on 3 nodes vs the same assignment squashed to 2 nodes
-		// (merging nodes 1 and 2 removes one constraint but concentrates
-		// load — the 3-node system is never worse than the squashed one
-		// at matched capacity... not in general). Instead check the exact
-		// statement: a system with a strict subset of another's constraint
-		// rows has a ratio at least as large, at equal total capacity per
-		// remaining row. Build W directly.
+		// A system whose constraint rows are a subset of another's has a
+		// ratio at least as large. Build W directly.
 		p3 := Random(m, 3, rng)
 		c3 := mat.VecOf(1, 1, 1)
 		w, err := WeightsOf(p3, lo, c3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := exactOrQMC(w)
+		full := mustExact(t, w)
 		// Drop the last constraint row: feasible set can only grow.
 		sub := mat.NewMatrix(2, d)
 		copy(sub.Row(0), w.Row(0))
 		copy(sub.Row(1), w.Row(1))
-		subRatio := exactOrQMC(sub)
+		subRatio := mustExact(t, sub)
 		if subRatio < full-1e-9 {
 			t.Fatalf("dropping a constraint shrank the set: %g -> %g", full, subRatio)
 		}
 	}
 }
 
-func exactOrQMC(w *mat.Matrix) float64 {
-	// d=2 in these tests: exact.
-	return feasible.ExactRatio2D(w)
+func mustExact(t *testing.T, w *mat.Matrix) float64 {
+	t.Helper()
+	r, err := feasible.ExactRatio(w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

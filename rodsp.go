@@ -214,8 +214,8 @@ func PlaceBest(g *Graph, capacities []float64, cfg Config, samples int) (*Plan, 
 }
 
 // FeasibleRatio measures a plan's feasible-set size as a fraction of the
-// ideal feasible set (Theorem 1) by Quasi-Monte-Carlo integration (exact
-// polygon clipping when the model has two variables).
+// ideal feasible set (Theorem 1) by Quasi-Monte-Carlo integration (exactly
+// when the model has two or three variables).
 func FeasibleRatio(plan *Plan, lm *LoadModel, capacities []float64, samples int) (float64, error) {
 	return placement.Evaluate(plan, lm.Coef, mat.Vec(capacities), samples)
 }
