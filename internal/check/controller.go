@@ -89,13 +89,23 @@ func GenerateController(seed int64) (*Scenario, error) {
 	return s, nil
 }
 
-// Controller scenarios' monitor smooths source rates with this EWMA factor
-// (the default is 0.4), and their controller charges each migration this
-// state-transfer stall — which lockstep replays into the simulator.
+// Controller scenarios smooth source rates with this EWMA factor (the
+// default is obs.DefaultRateAlpha), and their controller charges each
+// migration this state-transfer stall — which lockstep replays into the
+// simulator.
 const (
 	controllerRateAlpha = 0.6
 	controllerStall     = 10 * time.Millisecond
 )
+
+// rateAlphaFor is the source-rate EWMA factor of a class's scenarios, the
+// one value both the engine monitor and the lockstep simulator run with.
+func rateAlphaFor(c Class) float64 {
+	if c == Controller {
+		return controllerRateAlpha
+	}
+	return obs.DefaultRateAlpha
+}
 
 // controllerConfigFor is the per-episode controller tuning: a 50ms decision
 // cadence with a 600ms forecast horizon (12 ticks of lead), so the ramp's

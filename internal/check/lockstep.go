@@ -141,8 +141,9 @@ func lockstep(sc *Scenario, l loop, tol Tolerances) (*LockstepResult, error) {
 		MaxEvents:      20_000_000,
 		Moves:          res.Moves,
 		// The controller schema mirror, so both runtimes expose the same
-		// instrument set.
-		Obs: &sim.ObsConfig{Controller: sc.Class == Controller},
+		// instrument set, and the engine monitor's rate smoothing, so the
+		// compared headroom series share one EWMA.
+		Obs: &sim.ObsConfig{Controller: sc.Class == Controller, RateAlpha: rateAlphaFor(sc.Class)},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("check: lockstep sim: %w", err)

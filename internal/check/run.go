@@ -158,14 +158,12 @@ func run(sc *Scenario, ev *obs.EventLog, l loop) (res *EpisodeResult, err error)
 			return nil, fmt.Errorf("check: load model: %w", err)
 		}
 		mcfg := engine.MonitorConfig{
-			Interval: 50 * time.Millisecond,
-			Events:   ev,
-			LM:       lm,
-			Plan:     res.plan,
-			Caps:     mat.Vec(sc.Caps),
-		}
-		if sc.Class == Controller {
-			mcfg.RateAlpha = controllerRateAlpha
+			Interval:  50 * time.Millisecond,
+			Events:    ev,
+			LM:        lm,
+			Plan:      res.plan,
+			Caps:      mat.Vec(sc.Caps),
+			RateAlpha: rateAlphaFor(sc.Class),
 		}
 		mon = cl.StartMonitor(mcfg)
 		if l == controlled {

@@ -160,11 +160,7 @@ type Controller struct {
 	cfg ControllerConfig
 	lm  *query.LoadModel
 
-	decC   *obs.Counter
-	movC   *obs.Counter
-	failC  *obs.Counter
-	sclC   *obs.Counter
-	fheadG *obs.Gauge
+	ins *obs.ControllerInstruments
 
 	fc     map[query.StreamID]*forecaster
 	routed map[query.StreamID]map[int]bool
@@ -199,6 +195,7 @@ func (cl *Cluster) StartController(cfg ControllerConfig) (*Controller, error) {
 		m:      m,
 		cfg:    cfg,
 		lm:     m.cfg.LM,
+		ins:    m.core.Controller(),
 		fc:     map[query.StreamID]*forecaster{},
 		routed: map[query.StreamID]map[int]bool{},
 		keyed:  map[query.StreamID]bool{},
@@ -206,18 +203,6 @@ func (cl *Cluster) StartController(cfg ControllerConfig) (*Controller, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	reg := m.cfg.Registry
-	c.decC = reg.Counter(obs.MetricControllerDecisions)
-	c.movC = reg.Counter(obs.MetricControllerMoves)
-	c.failC = reg.Counter(obs.MetricControllerMoveFailures)
-	c.sclC = reg.Counter(obs.MetricControllerScales)
-	c.fheadG = reg.Gauge(obs.MetricControllerForecastHeadroom)
-	c.fheadG.Set(1)
-	m.sampler.ProbeCounter(obs.MetricControllerDecisions, c.decC)
-	m.sampler.ProbeCounter(obs.MetricControllerMoves, c.movC)
-	m.sampler.ProbeCounter(obs.MetricControllerMoveFailures, c.failC)
-	m.sampler.ProbeCounter(obs.MetricControllerScales, c.sclC)
-	m.sampler.ProbeGauge(obs.MetricControllerForecastHeadroom, c.fheadG)
 
 	if groups, err := query.ShardGroups(c.lm.G); err == nil {
 		for _, grp := range groups {
@@ -254,11 +239,11 @@ func (c *Controller) Stats() ControllerStats {
 	last := c.lastAction
 	c.mu.Unlock()
 	return ControllerStats{
-		Decisions:        c.decC.Value(),
-		Moves:            c.movC.Value(),
-		MoveFailures:     c.failC.Value(),
-		Scales:           c.sclC.Value(),
-		ForecastHeadroom: c.fheadG.Value(),
+		Decisions:        c.ins.Decisions.Value(),
+		Moves:            c.ins.Moves.Value(),
+		MoveFailures:     c.ins.MoveFailures.Value(),
+		Scales:           c.ins.Scales.Value(),
+		ForecastHeadroom: c.ins.ForecastHeadroom.Value(),
 		LastAction:       last,
 	}
 }
@@ -289,7 +274,7 @@ func (c *Controller) run() {
 // the guard rails allow — re-place and migrate.
 func (c *Controller) decide(now time.Time) {
 	ev := c.m.cfg.Events
-	c.decC.Inc()
+	c.ins.Decisions.Inc()
 	snap := c.m.Snapshot()
 
 	// Feed this cycle's smoothed rates into the per-stream forecasters and
@@ -315,9 +300,9 @@ func (c *Controller) decide(now time.Time) {
 		ev.Emit(obs.LevelWarn, obs.EventControlError, "op", "controller_resolve", "err", err.Error())
 		return
 	}
-	loads := nodeLoads(opLoads, snap.NodeOf, len(snap.Caps))
-	minHead, hotNode := minHeadroom(loads, snap.Caps, snap.Stale)
-	c.fheadG.Set(minHead)
+	loads := obs.NodeLoads(make([]float64, len(snap.Caps)), opLoads, snap.NodeOf)
+	minHead, hotNode := obs.MinHeadroom(loads, snap.Caps, snap.Stale)
+	c.ins.ForecastHeadroom.Set(minHead)
 
 	overloaded := false
 	for i, ov := range snap.Overloaded {
@@ -401,7 +386,7 @@ func (c *Controller) decide(now time.Time) {
 	for _, mv := range moves {
 		next[mv.Op] = mv.To
 	}
-	newHead, _ := minHeadroom(nodeLoads(opLoads, next, len(snap.Caps)), snap.Caps, snap.Stale)
+	newHead, _ := obs.MinHeadroom(obs.NodeLoads(make([]float64, len(snap.Caps)), opLoads, next), snap.Caps, snap.Stale)
 	if newHead < minHead+c.cfg.HysteresisGain {
 		hold("insufficient_gain")
 		return
@@ -435,12 +420,12 @@ func (c *Controller) execute(moves []ctrlMove, snap MonitorSnapshot) {
 			OK:   err == nil,
 		}
 		if err == nil {
-			c.movC.Inc()
+			c.ins.Moves.Inc()
 			ev.Emit(obs.LevelInfo, obs.EventControllerMigrate,
 				"op", mv.Op, "from", from, "to", mv.To, "ok", true)
 		} else {
 			rec.Err = err.Error()
-			c.failC.Inc()
+			c.ins.MoveFailures.Inc()
 			ev.Emit(obs.LevelWarn, obs.EventControllerMigrate,
 				"op", mv.Op, "from", from, "to", mv.To, "ok", false, "err", err.Error())
 		}
@@ -516,12 +501,12 @@ func (c *Controller) maybeRebalance(snap MonitorSnapshot) bool {
 		err := c.cl.Repartition(query.StreamID(sid), next)
 		c.setAction(fmt.Sprintf("scale:%d", sid))
 		if err == nil {
-			c.sclC.Inc()
+			c.ins.Scales.Inc()
 			ev.Emit(obs.LevelInfo, obs.EventControllerScale,
 				"stream", sid, "k", k, "ok", true,
 				"max_share_before", curMax/total, "max_share_after", nextMax/total)
 		} else {
-			c.failC.Inc()
+			c.ins.MoveFailures.Inc()
 			ev.Emit(obs.LevelWarn, obs.EventControllerScale,
 				"stream", sid, "k", k, "ok", false, "err", err.Error())
 		}
@@ -588,37 +573,6 @@ type ctrlMove struct {
 	Op   int
 	To   int
 	Load float64
-}
-
-// nodeLoads aggregates per-operator loads by placement.
-func nodeLoads(opLoads []float64, nodeOf []int, n int) []float64 {
-	loads := make([]float64, n)
-	for op, node := range nodeOf {
-		if op < len(opLoads) && node >= 0 && node < n {
-			loads[node] += opLoads[op]
-		}
-	}
-	return loads
-}
-
-// minHeadroom returns the minimum 1 − load_i/C_i over non-stale nodes and
-// the node attaining it (−1 when every node is stale).
-func minHeadroom(loads []float64, caps mat.Vec, stale []bool) (float64, int) {
-	min, arg := 1.0, -1
-	for i, l := range loads {
-		if i < len(stale) && stale[i] {
-			continue
-		}
-		cp := 1.0
-		if i < len(caps) && caps[i] > 0 {
-			cp = caps[i]
-		}
-		h := 1 - l/cp
-		if arg < 0 || h < min {
-			min, arg = h, i
-		}
-	}
-	return min, arg
 }
 
 // planMoves diffs the candidate plan against the current placement and

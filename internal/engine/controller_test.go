@@ -83,41 +83,20 @@ func TestPlanMovesAdmissibility(t *testing.T) {
 func TestMinHeadroomSkipsStale(t *testing.T) {
 	loads := []float64{0.5, 2.0, 0.9}
 	caps := mat.Vec{1, 1, 1}
-	h, arg := minHeadroom(loads, caps, []bool{false, false, false})
+	h, arg := obs.MinHeadroom(loads, caps, []bool{false, false, false})
 	if arg != 1 || h > -0.99 {
-		t.Fatalf("minHeadroom = (%g, %d), want node 1 at -1", h, arg)
+		t.Fatalf("MinHeadroom = (%g, %d), want node 1 at -1", h, arg)
 	}
 	// Node 1 stale (its load figure is fiction): the minimum moves on.
-	h, arg = minHeadroom(loads, caps, []bool{false, true, false})
+	h, arg = obs.MinHeadroom(loads, caps, []bool{false, true, false})
 	if arg != 2 || h < 0.09 || h > 0.11 {
-		t.Fatalf("minHeadroom with stale node = (%g, %d), want node 2 at 0.1", h, arg)
+		t.Fatalf("MinHeadroom with stale node = (%g, %d), want node 2 at 0.1", h, arg)
 	}
-	h, arg = minHeadroom(loads, caps, []bool{true, true, true})
+	h, arg = obs.MinHeadroom(loads, caps, []bool{true, true, true})
 	if arg != -1 {
-		t.Fatalf("all-stale minHeadroom arg = %d, want -1", arg)
+		t.Fatalf("all-stale MinHeadroom arg = %d, want -1", arg)
 	}
 	_ = h
-}
-
-func TestMonitorClearQueueFloor(t *testing.T) {
-	// OverloadQueue < 4 used to default ClearQueue to 0, demanding a
-	// perfectly empty queue to clear the latch.
-	cfg := MonitorConfig{OverloadQueue: 2}
-	cfg.applyDefaults()
-	if cfg.ClearQueue != 1 {
-		t.Fatalf("ClearQueue = %d for OverloadQueue 2, want the ≥1 clamp", cfg.ClearQueue)
-	}
-	cfg = MonitorConfig{OverloadQueue: 100}
-	cfg.applyDefaults()
-	if cfg.ClearQueue != 25 {
-		t.Fatalf("ClearQueue = %d for OverloadQueue 100, want 25", cfg.ClearQueue)
-	}
-	// Negative requests an explicit empty-queue threshold.
-	cfg = MonitorConfig{OverloadQueue: 100, ClearQueue: -1}
-	cfg.applyDefaults()
-	if cfg.ClearQueue != 0 {
-		t.Fatalf("explicit ClearQueue -1 → %d, want 0", cfg.ClearQueue)
-	}
 }
 
 func TestControllerConfigDefaults(t *testing.T) {

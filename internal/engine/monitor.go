@@ -11,7 +11,9 @@ import (
 	"rodsp/internal/query"
 )
 
-// MonitorConfig configures the coordinator-side observability monitor.
+// MonitorConfig configures the coordinator-side observability monitor, a
+// wall-clock adapter around the per-window observer the simulator shares
+// (obs.Observer): the thresholds, defaults and series schema live there.
 type MonitorConfig struct {
 	// Interval between samples. Default 200ms.
 	Interval time.Duration
@@ -31,20 +33,13 @@ type MonitorConfig struct {
 	Plan *placement.Plan
 	Caps mat.Vec
 
-	// Overload detection: onset fires when a node's windowed utilization
-	// reaches OverloadUtil (default 0.95) with at least OverloadQueue queued
-	// tuples (default 100); clearance fires once utilization drops below
-	// OverloadUtil and the queue drains to ClearQueue (default
-	// OverloadQueue/4, clamped to at least 1 so a small OverloadQueue never
-	// demands a perfectly empty queue to clear). Set ClearQueue negative to
-	// request an explicit empty-queue clearance threshold of 0. The queue
-	// hysteresis keeps a saturated-but-draining node in the overloaded
-	// state.
-	OverloadUtil  float64
+	// OverloadQueue is the backlog an overload onset needs (default
+	// obs.DefaultOverloadQueue); onset also needs utilization at
+	// obs.OverloadUtil, and clearance a quarter of the backlog (at least 1).
 	OverloadQueue int
-	ClearQueue    int
 
-	// RateAlpha is the EWMA smoothing factor for source rates. Default 0.4.
+	// RateAlpha is the EWMA smoothing factor for source rates (default
+	// obs.DefaultRateAlpha).
 	RateAlpha float64
 
 	// LaneSeries enables per-worker-lane series (queue depth, processed
@@ -63,59 +58,17 @@ type MonitorConfig struct {
 	TraceEvery int64
 }
 
-func (cfg *MonitorConfig) applyDefaults() {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 200 * time.Millisecond
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
-	}
-	if cfg.Series == nil {
-		cfg.Series = obs.NewSeriesSet(0)
-	}
-	if cfg.Events == nil {
-		cfg.Events = obs.NewEventLog(0)
-	}
-	if cfg.OverloadUtil <= 0 {
-		cfg.OverloadUtil = 0.95
-	}
-	if cfg.OverloadQueue <= 0 {
-		cfg.OverloadQueue = 100
-	}
-	switch {
-	case cfg.ClearQueue < 0:
-		cfg.ClearQueue = 0 // explicit empty-queue requirement
-	case cfg.ClearQueue == 0:
-		cfg.ClearQueue = cfg.OverloadQueue / 4
-		if cfg.ClearQueue < 1 {
-			cfg.ClearQueue = 1
-		}
-	}
-	if cfg.RateAlpha <= 0 || cfg.RateAlpha > 1 {
-		cfg.RateAlpha = 0.4
-	}
-}
-
-// Monitor polls a running cluster, feeding the obs registry, time series
-// and event log: per-node windowed utilization, queue depth, tuple counts,
-// EWMA-smoothed source rates, sink latency quantiles, and — when a load
-// model is attached — the live feasibility headroom per node, with overload
-// onset/clearance events derived from the samples.
+// Monitor polls a running cluster and feeds each window to the shared
+// observer (obs.Observer): per-node windowed utilization, queue depth,
+// tuple counts, EWMA-smoothed source rates, sink latency quantiles, and —
+// when a load model is attached — the live feasibility headroom per node,
+// with overload onset/clearance events derived from the samples. The
+// monitor itself adds what only the engine has: stats polling, stale
+// nodes, WAL, lane, per-stream-shed and shard-rate series.
 type Monitor struct {
-	cl  *Cluster
-	cfg MonitorConfig
-
-	sampler *obs.Sampler
-
-	utilG  []*obs.Gauge
-	queueG []*obs.Gauge
-	headG  []*obs.Gauge
-	injC   []*obs.Counter
-	emiC   []*obs.Counter
-	shedC  []*obs.Counter
-	oDropC []*obs.Counter
-	reconC []*obs.Counter
-	noRteC []*obs.Counter
+	cl   *Cluster
+	cfg  MonitorConfig
+	core *obs.Observer
 
 	// Per-victim-stream shed counters, created lazily when a node first
 	// reports shedding on that stream (key "node/stream"). Touched only by
@@ -136,29 +89,11 @@ type Monitor struct {
 	laneP    map[string]*obs.Counter
 	laneBusy map[string]float64
 
-	latHist  *obs.Histogram
-	sinkC    *obs.Counter
-	latQ     map[float64]*obs.Gauge
-	stages   *obs.StageSet
-	stageP50 []*obs.Gauge
-	stageP99 []*obs.Gauge
 	lastBusy []float64
 	lastElap []float64
 	havePrev bool
 
-	// stateMu guards the overload latch and staleness flags, which the
-	// sampling goroutine writes and Snapshot (the elastic controller's read
-	// path) copies.
-	stateMu sync.Mutex
-	overQ   []bool
-	stale   []bool
-
-	srcMu   sync.Mutex
-	srcC    map[query.StreamID]*obs.Counter
-	srcRate map[query.StreamID]*obs.EWMA
-	srcG    map[query.StreamID]*obs.Gauge
-	srcLast map[query.StreamID]int64
-	inputs  []query.StreamID // rate-vector order = LM.G.Inputs()
+	inputs []query.StreamID // rate-vector order = LM.G.Inputs()
 
 	planMu sync.Mutex
 	nodeOf []int
@@ -188,97 +123,54 @@ type Monitor struct {
 // the headroom computation tracking the live placement. Close the monitor
 // before closing the cluster.
 func (cl *Cluster) StartMonitor(cfg MonitorConfig) *Monitor {
-	cfg.applyDefaults()
+	if cfg.Interval <= 0 {
+		cfg.Interval = 200 * time.Millisecond
+	}
 	n := len(cl.Controls)
+	caps := cfg.Caps
+	if caps == nil {
+		caps = mat.NewVec(n)
+		for i := range caps {
+			caps[i] = 1
+			if i < len(cl.Nodes) && cl.Nodes[i] != nil {
+				caps[i] = cl.Nodes[i].capacity
+			}
+		}
+	}
+	core := obs.NewObserver(cfg.Registry, cfg.Series, cfg.Events, obs.ObserverConfig{
+		Nodes:         n,
+		Caps:          caps,
+		OverloadQueue: cfg.OverloadQueue,
+		RateAlpha:     cfg.RateAlpha,
+	})
+	cfg.Registry, cfg.Series, cfg.Events = core.Registry(), core.Series(), core.Events()
 	m := &Monitor{
-		cl:      cl,
-		cfg:     cfg,
-		sampler: obs.NewSampler(cfg.Series),
-		utilG:   make([]*obs.Gauge, n),
-		queueG:  make([]*obs.Gauge, n),
-		headG:   make([]*obs.Gauge, n),
-		injC:    make([]*obs.Counter, n),
-		emiC:    make([]*obs.Counter, n),
-		shedC:   make([]*obs.Counter, n),
-		oDropC:  make([]*obs.Counter, n),
-		reconC:  make([]*obs.Counter, n),
-		noRteC:  make([]*obs.Counter, n),
-
+		cl:          cl,
+		cfg:         cfg,
+		core:        core,
 		shedStreamC: map[string]*obs.Counter{},
 		walC:        map[int]*walCounters{},
 		laneQ:       map[string]*obs.Gauge{},
 		laneU:       map[string]*obs.Gauge{},
 		laneP:       map[string]*obs.Counter{},
 		laneBusy:    map[string]float64{},
-
-		latQ:     map[float64]*obs.Gauge{},
-		overQ:    make([]bool, n),
-		stale:    make([]bool, n),
-		lastBusy: make([]float64, n),
-		lastElap: make([]float64, n),
-		srcC:     map[query.StreamID]*obs.Counter{},
-		srcRate:  map[query.StreamID]*obs.EWMA{},
-		srcG:     map[query.StreamID]*obs.Gauge{},
-		srcLast:  map[query.StreamID]int64{},
-		partLast: map[int][]int64{},
-		partRate: map[int][]float64{},
-		start:    time.Now(),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		lastBusy:    make([]float64, n),
+		lastElap:    make([]float64, n),
+		caps:        caps,
+		partLast:    map[int][]int64{},
+		partRate:    map[int][]float64{},
+		start:       time.Now(),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
 	}
 	m.lastTick = m.start
-	reg := cfg.Registry
-	for i := 0; i < n; i++ {
-		node := strconv.Itoa(i)
-		m.utilG[i] = reg.Gauge(obs.MetricNodeUtilization, "node", node)
-		m.queueG[i] = reg.Gauge(obs.MetricNodeQueueDepth, "node", node)
-		m.headG[i] = reg.Gauge(obs.MetricNodeHeadroom, "node", node)
-		m.headG[i].Set(1) // no observed load yet
-		m.injC[i] = reg.Counter(obs.MetricNodeInjected, "node", node)
-		m.emiC[i] = reg.Counter(obs.MetricNodeEmitted, "node", node)
-		m.shedC[i] = reg.Counter(obs.MetricNodeShed, "node", node)
-		m.oDropC[i] = reg.Counter(obs.MetricNodeOutboxDrop, "node", node)
-		m.reconC[i] = reg.Counter(obs.MetricNodePeerReconnects, "node", node)
-		m.noRteC[i] = reg.Counter(obs.MetricNodeNoRoute, "node", node)
-		m.sampler.ProbeGauge(obs.MetricNodeUtilization, m.utilG[i], "node", node)
-		m.sampler.ProbeGauge(obs.MetricNodeQueueDepth, m.queueG[i], "node", node)
-		m.sampler.ProbeGauge(obs.MetricNodeHeadroom, m.headG[i], "node", node)
-		m.sampler.ProbeCounter(obs.MetricNodeInjected, m.injC[i], "node", node)
-		m.sampler.ProbeCounter(obs.MetricNodeEmitted, m.emiC[i], "node", node)
-		m.sampler.ProbeCounter(obs.MetricNodeShed, m.shedC[i], "node", node)
-		m.sampler.ProbeCounter(obs.MetricNodeOutboxDrop, m.oDropC[i], "node", node)
-		m.sampler.ProbeCounter(obs.MetricNodePeerReconnects, m.reconC[i], "node", node)
-		m.sampler.ProbeCounter(obs.MetricNodeNoRoute, m.noRteC[i], "node", node)
-	}
-	m.latHist = reg.Histogram(obs.MetricSinkLatency, nil)
-	m.sinkC = reg.Counter(obs.MetricSinkTuples)
-	for _, p := range []float64{50, 95, 99} {
-		q := "p" + strconv.FormatFloat(p, 'g', -1, 64)
-		g := reg.Gauge(obs.MetricSinkLatencyQuantile, "quantile", q)
-		m.latQ[p] = g
-		m.sampler.ProbeGauge(obs.MetricSinkLatencyQuantile, g, "quantile", q)
-	}
-	m.sampler.ProbeCounter(obs.MetricSinkTuples, m.sinkC)
-
-	// Per-stage latency decomposition: the histograms traced tuples feed at
-	// each hop, plus sampled p50/p99 gauges and crossing counters per stage.
-	m.stages = obs.NewStageSet(reg)
-	m.stageP50 = make([]*obs.Gauge, obs.NumStages)
-	m.stageP99 = make([]*obs.Gauge, obs.NumStages)
-	for st := 0; st < obs.NumStages; st++ {
-		name := obs.StageName(st)
-		m.stageP50[st] = reg.Gauge(obs.MetricStageLatencyQuantile, "stage", name, "quantile", "p50")
-		m.stageP99[st] = reg.Gauge(obs.MetricStageLatencyQuantile, "stage", name, "quantile", "p99")
-		m.sampler.ProbeGauge(obs.MetricStageLatencyQuantile, m.stageP50[st], "stage", name, "quantile", "p50")
-		m.sampler.ProbeGauge(obs.MetricStageLatencyQuantile, m.stageP99[st], "stage", name, "quantile", "p99")
-		m.sampler.ProbeCounter(obs.MetricStageTuples,
-			reg.Counter(obs.MetricStageTuples, "stage", name), "stage", name)
-	}
 
 	if cfg.LM != nil {
+		// The inputs register first, so the observer's rates open with
+		// the load model's rate vector.
 		m.inputs = cfg.LM.G.Inputs()
 		for _, in := range m.inputs {
-			m.sourceCounterLocked(in)
+			m.SourceCounter(in)
 		}
 		// Per-shard routed-rate gauges for every keyed shard group, so a
 		// viewer can group replicas under the operator that was sharded.
@@ -289,8 +181,7 @@ func (cl *Cluster) StartMonitor(cfg MonitorConfig) *Monitor {
 				gs := make([]*obs.Gauge, len(grp.Replicas))
 				for i := range gs {
 					shard := strconv.Itoa(i)
-					gs[i] = reg.Gauge(obs.MetricShardRate, "op", parent, "shard", shard)
-					m.sampler.ProbeGauge(obs.MetricShardRate, gs[i], "op", parent, "shard", shard)
+					gs[i] = core.Gauge(obs.MetricShardRate, "op", parent, "shard", shard)
 				}
 				m.shardG[int(grp.Stream)] = gs
 			}
@@ -300,23 +191,13 @@ func (cl *Cluster) StartMonitor(cfg MonitorConfig) *Monitor {
 		m.nodeOf = make([]int, len(cfg.Plan.NodeOf))
 		copy(m.nodeOf, cfg.Plan.NodeOf)
 	}
-	m.caps = cfg.Caps
-	if m.caps == nil {
-		m.caps = mat.NewVec(n)
-		for i := range m.caps {
-			m.caps[i] = 1
-			if i < len(cl.Nodes) && cl.Nodes[i] != nil {
-				m.caps[i] = cl.Nodes[i].capacity
-			}
-		}
-	}
 
 	if cl.Collector != nil {
-		cl.Collector.SetObserver(m.latHist, m.sinkC, m.stages, cfg.Events, cfg.TraceEvery)
+		cl.Collector.SetObserver(core.SinkLatency(), core.SinkTuples(), core.Stages(), cfg.Events, cfg.TraceEvery)
 	}
 	for _, nd := range cl.Nodes {
 		if nd != nil {
-			nd.SetObserver(cfg.Events, m.stages, cfg.TraceEvery)
+			nd.SetObserver(cfg.Events, core.Stages(), cfg.TraceEvery)
 		}
 	}
 	cl.SetEvents(cfg.Events)
@@ -336,34 +217,19 @@ func (m *Monitor) Series() *obs.SeriesSet { return m.cfg.Series }
 func (m *Monitor) Events() *obs.EventLog { return m.cfg.Events }
 
 // Stages returns the per-stage latency decomposition traced tuples feed.
-func (m *Monitor) Stages() *obs.StageSet { return m.stages }
+func (m *Monitor) Stages() *obs.StageSet { return m.core.Stages() }
 
 // SourceCounter returns the injection counter for one input stream; wire it
 // to the matching SourceDriver.Count so the monitor can estimate R̂. The
 // counter (and its rate series) is created on first use.
 func (m *Monitor) SourceCounter(sid query.StreamID) *obs.Counter {
-	m.srcMu.Lock()
-	defer m.srcMu.Unlock()
-	return m.sourceCounterLocked(sid)
-}
-
-func (m *Monitor) sourceCounterLocked(sid query.StreamID) *obs.Counter {
-	if c, ok := m.srcC[sid]; ok {
-		return c
-	}
 	label := strconv.Itoa(int(sid))
 	if m.cfg.LM != nil {
 		if st := m.cfg.LM.G.Stream(sid); st != nil && st.Name != "" {
 			label = st.Name
 		}
 	}
-	c := m.cfg.Registry.Counter(obs.MetricSourceTuples, "stream", label)
-	g := m.cfg.Registry.Gauge(obs.MetricSourceRate, "stream", label)
-	m.srcC[sid] = c
-	m.srcRate[sid] = obs.NewEWMA(m.cfg.RateAlpha)
-	m.srcG[sid] = g
-	m.sampler.ProbeGauge(obs.MetricSourceRate, g, "stream", label)
-	return c
+	return m.core.Source(label)
 }
 
 // setOp tracks a migration: MoveOperator calls it after updating the plan
@@ -404,32 +270,18 @@ type MonitorSnapshot struct {
 // Snapshot copies the monitor's current view of the cluster. Safe to call
 // from any goroutine.
 func (m *Monitor) Snapshot() MonitorSnapshot {
-	n := len(m.utilG)
+	st := m.core.State()
 	s := MonitorSnapshot{
-		Utils:     make([]float64, n),
-		Queues:    make([]float64, n),
-		Headrooms: make([]float64, n),
+		Utils:      st.Utils,
+		Queues:     st.Queues,
+		Headrooms:  st.Headrooms,
+		Overloaded: st.Overloaded,
+		Stale:      st.Stale,
 	}
-	for i := 0; i < n; i++ {
-		s.Utils[i] = m.utilG[i].Value()
-		s.Queues[i] = m.queueG[i].Value()
-		s.Headrooms[i] = m.headG[i].Value()
-	}
-	m.stateMu.Lock()
-	s.Overloaded = append([]bool(nil), m.overQ...)
-	s.Stale = append([]bool(nil), m.stale...)
-	m.stateMu.Unlock()
-	m.srcMu.Lock()
 	if len(m.inputs) > 0 {
 		s.Inputs = append([]query.StreamID(nil), m.inputs...)
-		s.Rates = mat.NewVec(len(m.inputs))
-		for k, in := range m.inputs {
-			if e, ok := m.srcRate[in]; ok {
-				s.Rates[k] = e.Value()
-			}
-		}
+		s.Rates = st.Rates[:len(m.inputs)]
 	}
-	m.srcMu.Unlock()
 	m.planMu.Lock()
 	s.NodeOf = append([]int(nil), m.nodeOf...)
 	m.planMu.Unlock()
@@ -480,21 +332,15 @@ type walCounters struct {
 func (m *Monitor) walTick(node int, s *NodeStats) {
 	wc, ok := m.walC[node]
 	if !ok {
-		reg, lbl := m.cfg.Registry, strconv.Itoa(node)
+		lbl := strconv.Itoa(node)
 		wc = &walCounters{
-			records:      reg.Counter(obs.MetricWALRecords, "node", lbl),
-			syncs:        reg.Counter(obs.MetricWALSyncs, "node", lbl),
-			bytes:        reg.Counter(obs.MetricWALBytes, "node", lbl),
-			checkpoints:  reg.Counter(obs.MetricWALCheckpoints, "node", lbl),
-			replayed:     reg.Counter(obs.MetricRecoveryReplayed, "node", lbl),
-			dedupDropped: reg.Counter(obs.MetricRecoveryDedupDropped, "node", lbl),
+			records:      m.core.Counter(obs.MetricWALRecords, "node", lbl),
+			syncs:        m.core.Counter(obs.MetricWALSyncs, "node", lbl),
+			bytes:        m.core.Counter(obs.MetricWALBytes, "node", lbl),
+			checkpoints:  m.core.Counter(obs.MetricWALCheckpoints, "node", lbl),
+			replayed:     m.core.Counter(obs.MetricRecoveryReplayed, "node", lbl),
+			dedupDropped: m.core.Counter(obs.MetricRecoveryDedupDropped, "node", lbl),
 		}
-		m.sampler.ProbeCounter(obs.MetricWALRecords, wc.records, "node", lbl)
-		m.sampler.ProbeCounter(obs.MetricWALSyncs, wc.syncs, "node", lbl)
-		m.sampler.ProbeCounter(obs.MetricWALBytes, wc.bytes, "node", lbl)
-		m.sampler.ProbeCounter(obs.MetricWALCheckpoints, wc.checkpoints, "node", lbl)
-		m.sampler.ProbeCounter(obs.MetricRecoveryReplayed, wc.replayed, "node", lbl)
-		m.sampler.ProbeCounter(obs.MetricRecoveryDedupDropped, wc.dedupDropped, "node", lbl)
 		m.walC[node] = wc
 	}
 	wc.records.Store(s.WALRecords)
@@ -518,28 +364,16 @@ func (m *Monitor) laneTick(node int, s *NodeStats, prevElap float64) {
 		key := nodeLbl + "/" + laneLbl
 		qg, ok := m.laneQ[key]
 		if !ok {
-			reg := m.cfg.Registry
-			qg = reg.Gauge(obs.MetricLaneQueueDepth, "node", nodeLbl, "lane", laneLbl)
-			m.sampler.ProbeGauge(obs.MetricLaneQueueDepth, qg, "node", nodeLbl, "lane", laneLbl)
+			qg = m.core.Gauge(obs.MetricLaneQueueDepth, "node", nodeLbl, "lane", laneLbl)
 			m.laneQ[key] = qg
-			ug := reg.Gauge(obs.MetricLaneUtilization, "node", nodeLbl, "lane", laneLbl)
-			m.sampler.ProbeGauge(obs.MetricLaneUtilization, ug, "node", nodeLbl, "lane", laneLbl)
-			m.laneU[key] = ug
-			pc := reg.Counter(obs.MetricLaneProcessed, "node", nodeLbl, "lane", laneLbl)
-			m.sampler.ProbeCounter(obs.MetricLaneProcessed, pc, "node", nodeLbl, "lane", laneLbl)
-			m.laneP[key] = pc
+			m.laneU[key] = m.core.Gauge(obs.MetricLaneUtilization, "node", nodeLbl, "lane", laneLbl)
+			m.laneP[key] = m.core.Counter(obs.MetricLaneProcessed, "node", nodeLbl, "lane", laneLbl)
 		}
 		qg.Set(float64(ls.Queue + ls.InFlight))
 		m.laneP[key].Store(ls.Processed)
 		util := 0.0
 		if dElap > 0 {
-			util = (ls.BusySec - m.laneBusy[key]) / dElap
-			if util < 0 {
-				util = 0
-			}
-			if util > 1 {
-				util = 1
-			}
+			util = min(max((ls.BusySec-m.laneBusy[key])/dElap, 0), 1)
 		}
 		m.laneBusy[key] = ls.BusySec
 		m.laneU[key].Set(util)
@@ -560,46 +394,35 @@ func (m *Monitor) tick(now time.Time) {
 		return
 	}
 
-	// Per-node gauges: windowed utilization from busy-time deltas (the
-	// control plane reports cumulative busy/elapsed), queue depth, counts.
+	// Per-node windowed utilization from busy-time deltas (the control
+	// plane reports cumulative busy/elapsed), queue depth and counts.
 	// Unreachable nodes report nil stats (Cluster.Stats is partial); they
-	// are marked stale: utilization/queue gauges zeroed and any overload
-	// latch cleared, so nothing — controller included — keeps reacting to
-	// frozen last-observed values or chases a dead node.
-	utils := make([]float64, len(sts))
+	// are marked stale — gauges zeroed, overload latch cleared — so
+	// nothing, the controller included, keeps reacting to frozen
+	// last-observed values or chases a dead node.
+	w := obs.Window{
+		T:     now.Sub(m.start).Seconds(),
+		Dt:    dt,
+		Util:  make([]float64, len(sts)),
+		Queue: make([]int, len(sts)),
+	}
 	for i, s := range sts {
 		if s == nil {
-			if !m.stale[i] {
-				m.stateMu.Lock()
-				wasOver := m.overQ[i]
-				m.overQ[i] = false
-				m.stale[i] = true
-				m.stateMu.Unlock()
-				m.utilG[i].Set(0)
-				m.queueG[i].Set(0)
-				m.headG[i].Set(0)
+			if changed, wasOver := m.core.SetStale(i, true); changed {
 				ev.Emit(obs.LevelWarn, obs.EventNodeStale,
 					"node", i, "state", "stale", "was_overloaded", wasOver)
 			}
 			continue
 		}
-		if m.stale[i] {
-			m.stateMu.Lock()
-			m.stale[i] = false
-			m.stateMu.Unlock()
+		if changed, _ := m.core.SetStale(i, false); changed {
 			ev.Emit(obs.LevelInfo, obs.EventNodeStale, "node", i, "state", "fresh")
 		}
 		busy := s.Utilization * s.ElapsedSec
-		util := s.Utilization
+		w.Util[i] = s.Utilization // the first window is the run so far
 		if m.havePrev && s.ElapsedSec > m.lastElap[i] {
-			util = (busy - m.lastBusy[i]) / (s.ElapsedSec - m.lastElap[i])
-			if util < 0 {
-				util = 0
-			}
-			if util > 1 {
-				util = 1
-			}
+			w.Util[i] = (busy - m.lastBusy[i]) / (s.ElapsedSec - m.lastElap[i])
 		}
+		w.Queue[i] = s.QueueLen
 		if m.cfg.LaneSeries && len(s.Lanes) > 0 {
 			m.laneTick(i, s, m.lastElap[i])
 		}
@@ -607,32 +430,49 @@ func (m *Monitor) tick(now time.Time) {
 			m.walTick(i, s)
 		}
 		m.lastBusy[i], m.lastElap[i] = busy, s.ElapsedSec
-		utils[i] = util
-		m.utilG[i].Set(util)
-		m.queueG[i].Set(float64(s.QueueLen))
-		m.injC[i].Store(s.Injected)
-		m.emiC[i].Store(s.Emitted)
-		m.shedC[i].Store(s.Shed)
-		m.oDropC[i].Store(s.OutboxDropped)
-		m.reconC[i].Store(s.PeerReconnects)
-		m.noRteC[i].Store(s.DroppedNoRoute)
+		nd := m.core.Node(i)
+		nd.Injected.Store(s.Injected)
+		nd.Emitted.Store(s.Emitted)
+		nd.Shed.Store(s.Shed)
+		nd.OutboxDropped.Store(s.OutboxDropped)
+		nd.Reconnects.Store(s.PeerReconnects)
+		nd.NoRoute.Store(s.DroppedNoRoute)
 		for sid, cnt := range s.ShedByStream {
 			node, stream := strconv.Itoa(i), strconv.Itoa(sid)
 			key := node + "/" + stream
 			c, ok := m.shedStreamC[key]
 			if !ok {
-				c = m.cfg.Registry.Counter(obs.MetricStreamShed, "node", node, "stream", stream)
-				m.sampler.ProbeCounter(obs.MetricStreamShed, c, "node", node, "stream", stream)
+				c = m.core.Counter(obs.MetricStreamShed, "node", node, "stream", stream)
 				m.shedStreamC[key] = c
 			}
 			c.Store(cnt)
 		}
 	}
 	m.havePrev = true
+	m.partTick(sts, dt)
 
-	// Per-slot keyed-stream rates: PartCounts deltas over the window,
-	// EWMA-smoothed per slot. Summing over nodes is safe — only a
-	// splitter's home accumulates counts for its stream.
+	// Feasibility headroom at the smoothed rate point, against the live
+	// placement.
+	if m.cfg.LM != nil && m.nodeOf != nil {
+		w.Loads = func(rates []float64) []float64 {
+			x, err := m.cfg.LM.ResolveVars(rates[:len(m.inputs)])
+			if err != nil {
+				return nil
+			}
+			opLoads := m.cfg.LM.Loads(x)
+			m.planMu.Lock()
+			defer m.planMu.Unlock()
+			return obs.NodeLoads(make([]float64, len(sts)), opLoads, m.nodeOf)
+		}
+	}
+	m.core.Observe(w)
+}
+
+// partTick folds one window of keyed-stream slot counts: PartCounts deltas
+// over dt, EWMA-smoothed per slot, then summed per shard through the live
+// partition table into the rodsp_shard_rate gauges. Summing over nodes is
+// safe — only a splitter's home accumulates counts for its stream.
+func (m *Monitor) partTick(sts []*NodeStats, dt float64) {
 	partTotals := map[int][]int64{}
 	for _, s := range sts {
 		if s == nil {
@@ -649,7 +489,9 @@ func (m *Monitor) tick(now time.Time) {
 			partTotals[sid] = tot
 		}
 	}
+	alpha := m.core.RateAlpha()
 	m.partMu.Lock()
+	defer m.partMu.Unlock()
 	for sid, tot := range partTotals {
 		last := m.partLast[sid]
 		rate := m.partRate[sid]
@@ -662,14 +504,12 @@ func (m *Monitor) tick(now time.Time) {
 			if obsRate < 0 {
 				obsRate = 0 // counter reset (redeploy)
 			}
-			rate[j] += m.cfg.RateAlpha * (obsRate - rate[j])
+			rate[j] += alpha * (obsRate - rate[j])
 			last[j] = tot[j]
 		}
 		m.partLast[sid] = last
 		m.partRate[sid] = rate
 	}
-	// Fold slot rates into per-shard gauges through the live partition
-	// table, so /series carries each replica's routed share.
 	for sid, rate := range m.partRate {
 		gs := m.shardG[sid]
 		if gs == nil {
@@ -686,92 +526,4 @@ func (m *Monitor) tick(now time.Time) {
 			g.Set(sums[i])
 		}
 	}
-	m.partMu.Unlock()
-
-	// Source rates: counter deltas over the window, EWMA-smoothed into R̂.
-	m.srcMu.Lock()
-	for sid, c := range m.srcC {
-		cur := c.Value()
-		m.srcRate[sid].Observe(float64(cur-m.srcLast[sid]) / dt)
-		m.srcLast[sid] = cur
-		m.srcG[sid].Set(m.srcRate[sid].Value())
-	}
-	// Feasibility headroom 1 − L^n_i·R̂/C_i at the smoothed rate point.
-	if m.cfg.LM != nil && m.nodeOf != nil {
-		rhat := mat.NewVec(len(m.inputs))
-		for k, in := range m.inputs {
-			rhat[k] = m.srcRate[in].Value()
-		}
-		m.srcMu.Unlock()
-		if x, err := m.cfg.LM.ResolveVars(rhat); err == nil {
-			opLoads := m.cfg.LM.Loads(x)
-			loads := make([]float64, len(sts))
-			m.planMu.Lock()
-			for op, node := range m.nodeOf {
-				if node >= 0 && node < len(loads) {
-					loads[node] += opLoads[op]
-				}
-			}
-			m.planMu.Unlock()
-			for i := range loads {
-				if m.stale[i] {
-					continue // gauge pinned at 0 until the node recovers
-				}
-				cap := 1.0
-				if i < len(m.caps) && m.caps[i] > 0 {
-					cap = m.caps[i]
-				}
-				m.headG[i].Set(1 - loads[i]/cap)
-			}
-		}
-	} else {
-		m.srcMu.Unlock()
-	}
-
-	// Sink latency quantiles from the cumulative histogram.
-	for p, g := range m.latQ {
-		if v, ok := m.latHist.Quantile(p); ok {
-			g.Set(v)
-		}
-	}
-
-	// Per-stage latency quantiles from the decomposition histograms.
-	for st := 0; st < obs.NumStages; st++ {
-		h := m.stages.Hist(st)
-		if v, ok := h.Quantile(50); ok {
-			m.stageP50[st].Set(v)
-		}
-		if v, ok := h.Quantile(99); ok {
-			m.stageP99[st].Set(v)
-		}
-	}
-
-	// Overload onset/clearance with queue hysteresis. Stale nodes were
-	// already un-latched above.
-	for i, s := range sts {
-		if s == nil {
-			continue
-		}
-		m.stateMu.Lock()
-		var onset, clear bool
-		if !m.overQ[i] && utils[i] >= m.cfg.OverloadUtil && s.QueueLen >= m.cfg.OverloadQueue {
-			m.overQ[i] = true
-			onset = true
-		} else if m.overQ[i] && utils[i] < m.cfg.OverloadUtil && s.QueueLen <= m.cfg.ClearQueue {
-			m.overQ[i] = false
-			clear = true
-		}
-		m.stateMu.Unlock()
-		if onset {
-			ev.Emit(obs.LevelWarn, obs.EventOverloadOnset,
-				"node", i, "util", utils[i], "queue", s.QueueLen,
-				"headroom", m.headG[i].Value())
-		} else if clear {
-			ev.Emit(obs.LevelInfo, obs.EventOverloadClear,
-				"node", i, "util", utils[i], "queue", s.QueueLen,
-				"headroom", m.headG[i].Value())
-		}
-	}
-
-	m.sampler.Sample(now.Sub(m.start).Seconds())
 }

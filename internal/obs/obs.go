@@ -5,16 +5,16 @@
 // exposition in Prometheus text format, JSON and CSV.
 //
 // Both the TCP engine (internal/engine) and the discrete-event simulator
-// (internal/sim) report through this package using the same metric names,
-// so a DES run and a prototype run emit directly comparable series — in
-// particular the live feasibility headroom 1 − L^n_i·R̂/C_i, the paper's
-// feasibility test evaluated continuously against an EWMA of the observed
-// input rates.
+// (internal/sim) feed one per-window Observer, which registers the common
+// schema and runs the shared per-window rules, so a DES run and a
+// prototype run emit directly comparable series — in particular the live
+// feasibility headroom 1 − L^n_i·R̂/C_i, the paper's feasibility test
+// evaluated continuously against an EWMA of the observed input rates.
 package obs
 
-// Canonical metric names shared by the engine and the simulator. Keeping
-// them as constants guarantees the two runtimes emit an identical series
-// schema (exercised by the sim-vs-prototype cross-validation).
+// Canonical metric names. The common schema is registered once, by
+// NewObserver; the engine-only series (lanes, WAL, shard rates, per-stream
+// shed) are registered lazily by the engine monitor.
 const (
 	// MetricNodeUtilization is each node's utilization over the last sample
 	// window (busy virtual-CPU seconds per wall/sim second, capped at 1).

@@ -8,33 +8,25 @@ import (
 	"rodsp/internal/query"
 )
 
-// ObsConfig enables observability inside a simulation run: the same metric
-// schema the engine's Monitor emits (per-node utilization, queue depth,
-// feasibility headroom, tuple counts, source rates, sink latency), sampled
-// at virtual-time intervals into ring-buffered series, plus overload
-// onset/clearance and migration events stamped with simulation time.
+// ObsConfig enables observability inside a simulation run: the engine
+// monitor's per-window observer (obs.Observer: per-node utilization, queue
+// depth, feasibility headroom, tuple counts, source rates, sink and stage
+// latency, the overload latch) fed once per virtual-time interval, with
+// every event stamped with simulation time.
 type ObsConfig struct {
 	// Interval is the virtual-time sampling period (simulated seconds).
 	// Default Duration/100.
 	Interval float64
-	// SeriesCap bounds the points retained per series (obs default when 0).
-	SeriesCap int
 
-	// Registry and Events receive the metrics and events; fresh instances
-	// are created for any left nil (exposed on the Result).
-	Registry *obs.Registry
-	Events   *obs.EventLog
+	// Events receives the events; a fresh log is created when nil.
+	Events *obs.EventLog
 
-	// Overload detection thresholds, matching engine.MonitorConfig:
-	// onset at OverloadUtil (default 0.95) with OverloadQueue queued items
-	// (default 100); clearance below OverloadUtil with the queue at or
-	// under ClearQueue (default OverloadQueue/4, clamped to at least 1;
-	// negative requests an explicit empty-queue threshold of 0).
-	OverloadUtil  float64
+	// OverloadQueue is the backlog an overload onset needs (default
+	// obs.DefaultOverloadQueue).
 	OverloadQueue int
-	ClearQueue    int
 
-	// RateAlpha is the EWMA smoothing for source rates (default 0.4).
+	// RateAlpha is the EWMA smoothing for source rates (default
+	// obs.DefaultRateAlpha).
 	RateAlpha float64
 
 	// Controller mirrors the engine's elastic-controller observability:
@@ -46,48 +38,28 @@ type ObsConfig struct {
 	Controller bool
 }
 
-// observer carries the per-run observability state; nil when disabled.
+// observer adapts the shared obs.Observer to the event loop; nil when
+// observability is disabled.
 type observer struct {
-	cfg     ObsConfig
-	reg     *obs.Registry
-	set     *obs.SeriesSet
-	ev      *obs.EventLog
-	sampler *obs.Sampler
+	core     *obs.Observer
+	ev       *obs.EventLog
+	interval float64
 
 	lm   *query.LoadModel // nil when the graph has no valid load model
 	caps mat.Vec
+	src  []*obs.Counter // injection counter per input stream index
 
-	utilG  []*obs.Gauge
-	queueG []*obs.Gauge
-	headG  []*obs.Gauge
-	injC   []*obs.Counter
-	emiC   []*obs.Counter
-
-	srcG     []*obs.Gauge
-	srcTotC  []*obs.Counter
-	srcRate  []*obs.EWMA
-	srcCount []int64 // arrivals per input stream (cumulative)
-	srcLast  []int64
-
-	hist  *obs.Histogram
-	sinkC *obs.Counter
-	latQ  map[float64]*obs.Gauge
-
-	stages   *obs.StageSet
-	stageP50 []*obs.Gauge
-	stageP99 []*obs.Gauge
+	// ctrl mirrors the controller series; nil unless ObsConfig.Controller.
+	// Each sample window counts as one decision and its forecast headroom
+	// is the observed minimum; scheduled moves feed the move counter and
+	// the failure counter stays at zero (the simulator cannot abort a
+	// migration).
+	ctrl *obs.ControllerInstruments
 
 	lastBusy []float64
-	over     []bool
-
-	// Controller-mirror instruments; nil unless ObsConfig.Controller.
-	ctrlDecC  *obs.Counter
-	ctrlMovC  *obs.Counter
-	ctrlFailC *obs.Counter
-	ctrlSclC  *obs.Counter
-	ctrlHeadG *obs.Gauge
-
-	scratch mat.Scratch // per-sample vectors; sample() runs on one goroutine
+	util     []float64
+	queue    []int
+	scratch  mat.Scratch // per-sample vectors; sample() runs on one goroutine
 }
 
 // newObserver builds the observer for one run; cfg.Obs must be non-nil.
@@ -96,129 +68,35 @@ func newObserver(cfg *Config, g *query.Graph, inputs []query.StreamID, n int) *o
 	if oc.Interval <= 0 {
 		oc.Interval = cfg.Duration / 100
 	}
-	if oc.Registry == nil {
-		oc.Registry = obs.NewRegistry()
-	}
-	if oc.Events == nil {
-		oc.Events = obs.NewEventLog(0)
-	}
-	if oc.OverloadUtil <= 0 {
-		oc.OverloadUtil = 0.95
-	}
-	if oc.OverloadQueue <= 0 {
-		oc.OverloadQueue = 100
-	}
-	switch {
-	case oc.ClearQueue < 0:
-		oc.ClearQueue = 0 // explicit empty-queue requirement
-	case oc.ClearQueue == 0:
-		oc.ClearQueue = oc.OverloadQueue / 4
-		if oc.ClearQueue < 1 {
-			oc.ClearQueue = 1
-		}
-	}
-
+	core := obs.NewObserver(nil, nil, oc.Events, obs.ObserverConfig{
+		Nodes:         n,
+		Caps:          cfg.Capacities,
+		OverloadQueue: oc.OverloadQueue,
+		RateAlpha:     oc.RateAlpha,
+		VirtualClock:  true,
+	})
 	o := &observer{
-		cfg:      oc,
-		reg:      oc.Registry,
-		set:      obs.NewSeriesSet(oc.SeriesCap),
-		ev:       oc.Events,
+		core:     core,
+		ev:       core.Events(),
+		interval: oc.Interval,
 		caps:     cfg.Capacities,
-		utilG:    make([]*obs.Gauge, n),
-		queueG:   make([]*obs.Gauge, n),
-		headG:    make([]*obs.Gauge, n),
-		injC:     make([]*obs.Counter, n),
-		emiC:     make([]*obs.Counter, n),
-		srcG:     make([]*obs.Gauge, len(inputs)),
-		srcTotC:  make([]*obs.Counter, len(inputs)),
-		srcRate:  make([]*obs.EWMA, len(inputs)),
-		srcCount: make([]int64, len(inputs)),
-		srcLast:  make([]int64, len(inputs)),
-		latQ:     map[float64]*obs.Gauge{},
+		src:      make([]*obs.Counter, len(inputs)),
 		lastBusy: make([]float64, n),
-		over:     make([]bool, n),
+		util:     make([]float64, n),
+		queue:    make([]int, n),
 	}
-	o.sampler = obs.NewSampler(o.set)
 	if lm, err := query.BuildLoadModel(g); err == nil {
 		o.lm = lm
-	}
-	for i := 0; i < n; i++ {
-		node := strconv.Itoa(i)
-		o.utilG[i] = o.reg.Gauge(obs.MetricNodeUtilization, "node", node)
-		o.queueG[i] = o.reg.Gauge(obs.MetricNodeQueueDepth, "node", node)
-		o.headG[i] = o.reg.Gauge(obs.MetricNodeHeadroom, "node", node)
-		o.headG[i].Set(1)
-		o.injC[i] = o.reg.Counter(obs.MetricNodeInjected, "node", node)
-		o.emiC[i] = o.reg.Counter(obs.MetricNodeEmitted, "node", node)
-		o.sampler.ProbeGauge(obs.MetricNodeUtilization, o.utilG[i], "node", node)
-		o.sampler.ProbeGauge(obs.MetricNodeQueueDepth, o.queueG[i], "node", node)
-		o.sampler.ProbeGauge(obs.MetricNodeHeadroom, o.headG[i], "node", node)
-		o.sampler.ProbeCounter(obs.MetricNodeInjected, o.injC[i], "node", node)
-		o.sampler.ProbeCounter(obs.MetricNodeEmitted, o.emiC[i], "node", node)
-		// The simulator's unbounded queues never shed and its delivery is
-		// lossless, so the engine's resilience counters stay at zero — but
-		// they are emitted to keep the two runtimes' series schemas identical
-		// (the sim-vs-prototype cross-validation asserts exact equality).
-		for _, name := range []string{
-			obs.MetricNodeShed, obs.MetricNodeOutboxDrop, obs.MetricNodePeerReconnects,
-			obs.MetricNodeNoRoute,
-		} {
-			o.sampler.ProbeCounter(name, o.reg.Counter(name, "node", node), "node", node)
-		}
 	}
 	for s, in := range inputs {
 		label := strconv.Itoa(int(in))
 		if st := g.Stream(in); st != nil && st.Name != "" {
 			label = st.Name
 		}
-		o.srcTotC[s] = o.reg.Counter(obs.MetricSourceTuples, "stream", label)
-		o.srcG[s] = o.reg.Gauge(obs.MetricSourceRate, "stream", label)
-		o.srcRate[s] = obs.NewEWMA(oc.RateAlpha)
-		o.sampler.ProbeGauge(obs.MetricSourceRate, o.srcG[s], "stream", label)
-	}
-	o.hist = o.reg.Histogram(obs.MetricSinkLatency, nil)
-	o.sinkC = o.reg.Counter(obs.MetricSinkTuples)
-	for _, p := range []float64{50, 95, 99} {
-		q := "p" + strconv.FormatFloat(p, 'g', -1, 64)
-		g := o.reg.Gauge(obs.MetricSinkLatencyQuantile, "quantile", q)
-		o.latQ[p] = g
-		o.sampler.ProbeGauge(obs.MetricSinkLatencyQuantile, g, "quantile", q)
-	}
-	o.sampler.ProbeCounter(obs.MetricSinkTuples, o.sinkC)
-	// Per-stage latency decomposition, matching the engine monitor's schema.
-	// The simulator genuinely populates transit (network delay), queue and
-	// service; outbox and deliver are engine wire artifacts and stay at zero
-	// observations — but every stage's series is registered and probed so
-	// the two runtimes' schemas remain identical.
-	o.stages = obs.NewStageSet(o.reg)
-	o.stageP50 = make([]*obs.Gauge, obs.NumStages)
-	o.stageP99 = make([]*obs.Gauge, obs.NumStages)
-	for st := 0; st < obs.NumStages; st++ {
-		name := obs.StageName(st)
-		o.stageP50[st] = o.reg.Gauge(obs.MetricStageLatencyQuantile, "stage", name, "quantile", "p50")
-		o.stageP99[st] = o.reg.Gauge(obs.MetricStageLatencyQuantile, "stage", name, "quantile", "p99")
-		o.sampler.ProbeGauge(obs.MetricStageLatencyQuantile, o.stageP50[st], "stage", name, "quantile", "p50")
-		o.sampler.ProbeGauge(obs.MetricStageLatencyQuantile, o.stageP99[st], "stage", name, "quantile", "p99")
-		o.sampler.ProbeCounter(obs.MetricStageTuples,
-			o.reg.Counter(obs.MetricStageTuples, "stage", name), "stage", name)
+		o.src[s] = core.Source(label)
 	}
 	if oc.Controller {
-		// One mirrored decision per sample window; scheduled moves feed the
-		// move counter and the failure counter stays at zero (the simulator
-		// cannot abort a migration). Registered only on request so the
-		// schema matches the engine, which registers these series only when
-		// its controller is running.
-		o.ctrlDecC = o.reg.Counter(obs.MetricControllerDecisions)
-		o.ctrlMovC = o.reg.Counter(obs.MetricControllerMoves)
-		o.ctrlFailC = o.reg.Counter(obs.MetricControllerMoveFailures)
-		o.ctrlSclC = o.reg.Counter(obs.MetricControllerScales)
-		o.ctrlHeadG = o.reg.Gauge(obs.MetricControllerForecastHeadroom)
-		o.ctrlHeadG.Set(1)
-		o.sampler.ProbeCounter(obs.MetricControllerDecisions, o.ctrlDecC)
-		o.sampler.ProbeCounter(obs.MetricControllerMoves, o.ctrlMovC)
-		o.sampler.ProbeCounter(obs.MetricControllerMoveFailures, o.ctrlFailC)
-		o.sampler.ProbeCounter(obs.MetricControllerScales, o.ctrlSclC)
-		o.sampler.ProbeGauge(obs.MetricControllerForecastHeadroom, o.ctrlHeadG)
+		o.ctrl = core.Controller()
 	}
 	return o
 }
@@ -226,10 +104,10 @@ func newObserver(cfg *Config, g *query.Graph, inputs []query.StreamID, n int) *o
 // onMove mirrors one applied scheduled move into the controller series
 // (no-op unless ObsConfig.Controller).
 func (o *observer) onMove(now float64, op, from, to int) {
-	if o.ctrlMovC == nil {
+	if o.ctrl == nil {
 		return
 	}
-	o.ctrlMovC.Inc()
+	o.ctrl.Moves.Inc()
 	o.ev.EmitAt(now, obs.LevelInfo, obs.EventControllerMigrate,
 		"op", op, "from", from, "to", to, "ok", true)
 }
@@ -239,128 +117,64 @@ func (o *observer) onMove(now float64, op, from, to int) {
 // increments it from the shard scale actuator).
 func (o *observer) onRepart(now float64, stream, k int) {
 	o.ev.EmitAt(now, obs.LevelInfo, obs.EventRepartition, "stream", stream, "k", k)
-	if o.ctrlSclC != nil {
-		o.ctrlSclC.Inc()
+	if o.ctrl != nil {
+		o.ctrl.Scales.Inc()
 		o.ev.EmitAt(now, obs.LevelInfo, obs.EventControllerScale,
 			"stream", stream, "k", k, "ok", true)
 	}
 }
 
-// onStage records one stage crossing (seconds of wall/sim time).
+// onStage records one stage crossing (seconds of sim time).
 func (o *observer) onStage(stage int, sec float64) {
-	o.stages.Observe(stage, sec)
+	o.core.Stages().Observe(stage, sec)
 }
 
-// onSource records one source arrival on input stream index s and feeds
-// the per-stream injection counter.
+// onSource records one source arrival on input stream index s.
 func (o *observer) onSource(s int) {
-	o.srcCount[s]++
-	o.srcTotC[s].Inc()
+	o.src[s].Inc()
 }
 
 // onSink records one sink tuple's end-to-end latency.
 func (o *observer) onSink(lat float64) {
-	o.hist.Observe(lat)
-	o.sinkC.Inc()
+	o.core.SinkLatency().Observe(lat)
+	o.core.SinkTuples().Inc()
 }
 
-// sample takes one virtual-time sample at now, reading node and placement
-// state owned by the (single-threaded) event loop.
+// sample feeds one virtual-time window ending at now, reading node and
+// placement state owned by the (single-threaded) event loop.
 func (o *observer) sample(now float64, nodes []nodeState, nodeOf []int) {
 	// Windowed utilization from busy-time deltas. Service time is charged
 	// up front at service start, so a window's delta can exceed the
-	// interval; cap at 1 like the engine monitor.
-	o.scratch.Reset()
-	utils := o.scratch.Vec(len(nodes))
+	// interval; the observer caps it at 1.
 	for i := range nodes {
-		util := (nodes[i].busyTime - o.lastBusy[i]) / o.cfg.Interval
+		o.util[i] = (nodes[i].busyTime - o.lastBusy[i]) / o.interval
 		o.lastBusy[i] = nodes[i].busyTime
-		if util < 0 {
-			util = 0
-		}
-		if util > 1 {
-			util = 1
-		}
-		utils[i] = util
-		o.utilG[i].Set(util)
-		o.queueG[i].Set(float64(nodes[i].qlen()))
+		o.queue[i] = nodes[i].qlen()
 	}
-
-	// Source rates (EWMA of per-window arrival counts).
-	for s := range o.srcCount {
-		o.srcRate[s].Observe(float64(o.srcCount[s]-o.srcLast[s]) / o.cfg.Interval)
-		o.srcLast[s] = o.srcCount[s]
-		o.srcG[s].Set(o.srcRate[s].Value())
+	o.scratch.Reset()
+	if o.ctrl != nil {
+		o.ctrl.Decisions.Inc() // one mirrored decision per sample window
 	}
-
-	// Feasibility headroom at the smoothed rate point, against the live
-	// operator→node map (rebalancing mutates it mid-run).
-	if o.lm != nil {
-		rhat := o.scratch.Vec(len(o.srcRate))
-		for s := range o.srcRate {
-			rhat[s] = o.srcRate[s].Value()
-		}
-		if x, err := o.lm.ResolveVars(rhat); err == nil {
+	o.core.Observe(obs.Window{
+		T: now, Dt: o.interval, Util: o.util, Queue: o.queue,
+		// Headroom against the live operator→node map (rebalancing
+		// mutates it mid-run).
+		Loads: func(rates []float64) []float64 {
+			if o.lm == nil {
+				return nil
+			}
+			x, err := o.lm.ResolveVars(rates)
+			if err != nil {
+				return nil
+			}
 			opLoads := o.scratch.Vec(o.lm.Coef.Rows)
 			o.lm.Coef.MulVecTo(opLoads, x)
-			loads := o.scratch.Vec(len(nodes))
-			for op, node := range nodeOf {
-				if node >= 0 && node < len(loads) {
-					loads[node] += opLoads[op]
-				}
+			loads := obs.NodeLoads(o.scratch.Vec(len(nodes)), opLoads, nodeOf)
+			if o.ctrl != nil {
+				minHead, _ := obs.MinHeadroom(loads, o.caps, nil)
+				o.ctrl.ForecastHeadroom.Set(minHead)
 			}
-			minHead := 1.0
-			for i := range loads {
-				cap := 1.0
-				if i < len(o.caps) && o.caps[i] > 0 {
-					cap = o.caps[i]
-				}
-				h := 1 - loads[i]/cap
-				o.headG[i].Set(h)
-				if i == 0 || h < minHead {
-					minHead = h
-				}
-			}
-			if o.ctrlHeadG != nil {
-				o.ctrlHeadG.Set(minHead)
-			}
-		}
-	}
-	if o.ctrlDecC != nil {
-		o.ctrlDecC.Inc() // one mirrored decision per sample window
-	}
-
-	// Sink latency quantiles from the cumulative histogram.
-	for p, g := range o.latQ {
-		if v, ok := o.hist.Quantile(p); ok {
-			g.Set(v)
-		}
-	}
-
-	// Per-stage latency quantiles from the decomposition histograms.
-	for st := 0; st < obs.NumStages; st++ {
-		h := o.stages.Hist(st)
-		if v, ok := h.Quantile(50); ok {
-			o.stageP50[st].Set(v)
-		}
-		if v, ok := h.Quantile(99); ok {
-			o.stageP99[st].Set(v)
-		}
-	}
-
-	// Overload onset/clearance with queue hysteresis.
-	for i := range nodes {
-		q := nodes[i].qlen()
-		if !o.over[i] && utils[i] >= o.cfg.OverloadUtil && q >= o.cfg.OverloadQueue {
-			o.over[i] = true
-			o.ev.EmitAt(now, obs.LevelWarn, obs.EventOverloadOnset,
-				"node", i, "util", utils[i], "queue", q, "headroom", o.headG[i].Value())
-		} else if o.over[i] && utils[i] < o.cfg.OverloadUtil && q <= o.cfg.ClearQueue {
-			o.over[i] = false
-			o.ev.EmitAt(now, obs.LevelInfo, obs.EventOverloadClear,
-				"node", i, "util", utils[i], "queue", q, "headroom", o.headG[i].Value())
-		}
-	}
-
-	o.sampler.Sample(now)
+			return loads
+		},
+	})
 }

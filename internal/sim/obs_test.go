@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"rodsp/internal/mat"
@@ -98,5 +99,35 @@ func TestSimObsFeasible(t *testing.T) {
 	// Latency summary still populated via the shared digest.
 	if res.LatencySamples == 0 || res.LatencyP95 <= 0 {
 		t.Fatalf("latency summary missing: %+v", res)
+	}
+}
+
+// TestSimObsSchemaIsTheCore asserts the simulator adds no series of its
+// own: a run's schema is exactly the shared observer's, with and without
+// the controller series.
+func TestSimObsSchemaIsTheCore(t *testing.T) {
+	g := obsGraph(t, 0.002)
+	for _, ctrl := range []bool{false, true} {
+		res, err := Run(Config{
+			Graph:      g,
+			NodeOf:     []int{0},
+			Capacities: mat.Vec{1},
+			Sources: map[query.StreamID]*trace.Trace{
+				g.Inputs()[0]: trace.New("const", 1, []float64{100}),
+			},
+			Duration: 1,
+			Obs:      &ObsConfig{Controller: ctrl},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		core := obs.NewObserver(nil, nil, nil, obs.ObserverConfig{Nodes: 1})
+		core.Source("I")
+		if ctrl {
+			core.Controller()
+		}
+		if got, want := res.Series.Names(), core.Series().Names(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("controller=%v: sim schema %v, core schema %v", ctrl, got, want)
+		}
 	}
 }

@@ -391,7 +391,7 @@ func Run(cfg Config) (*Result, error) {
 	)
 	if cfg.Obs != nil {
 		obsv = newObserver(&cfg, g, inputs, n)
-		result.Series = obsv.set
+		result.Series = obsv.core.Series()
 		result.EventLog = obsv.ev
 		perNode := make([]int, n)
 		for _, node := range nodeOf {
@@ -486,7 +486,7 @@ func Run(cfg Config) (*Result, error) {
 		sched(event{time: cfg.Repartitions[i].Time, kind: evRepart, src: i})
 	}
 	if obsv != nil {
-		sched(event{time: obsv.cfg.Interval, kind: evSample})
+		sched(event{time: obsv.interval, kind: evSample})
 	}
 
 	// rebalance collects one window's statistics, asks the policy for moves
@@ -676,7 +676,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		case evSample:
 			obsv.sample(e.time, nodes, nodeOf)
-			if next := e.time + obsv.cfg.Interval; next <= cfg.Duration {
+			if next := e.time + obsv.interval; next <= cfg.Duration {
 				sched(event{time: next, kind: evSample})
 			}
 		case evArrival:
@@ -684,7 +684,7 @@ func Run(cfg Config) (*Result, error) {
 			e.item.enq = e.time
 			ns.push(e.item)
 			if obsv != nil {
-				obsv.injC[e.node].Inc()
+				obsv.core.Node(e.node).Injected.Inc()
 			}
 			if !ns.busy {
 				startService(e.node, e.time)
@@ -692,7 +692,7 @@ func Run(cfg Config) (*Result, error) {
 		case evCompletion:
 			k := emitted(e.item)
 			if k > 0 && obsv != nil {
-				obsv.emiC[e.node].Add(int64(k))
+				obsv.core.Node(e.node).Emitted.Add(int64(k))
 			}
 			if k > 0 {
 				op := g.Op(e.item.op)

@@ -136,7 +136,8 @@ type (
 	// see EngineCluster.StartController.
 	Controller = engine.Controller
 	// SimObsConfig enables the simulator's virtual-time observer, which
-	// emits the same metric schema as the engine monitor.
+	// feeds the engine monitor's per-window observer and so emits its
+	// schema.
 	SimObsConfig = sim.ObsConfig
 	// LatencySummary is the shared latency digest (count, mean, quantiles).
 	LatencySummary = obs.LatencySummary
