@@ -27,8 +27,10 @@
 //
 // -recover N runs N kill-and-recover episodes: a durable cluster (every
 // node logs its ingress to a WAL and checkpoints at drained moments), an
-// interior victim node killed mid-episode and restarted from its log. The
-// gate is exact: ledger residual 0 with zero slack, zero shed, zero
+// interior victim node killed mid-episode and restarted from its log. Odd
+// seeds run chains through the victim, even seeds two chains merged by a
+// union off it, so two consecutive seeds cover both shapes. The gate is
+// exact: ledger residual 0 with zero slack, zero shed, zero
 // duplicate sink deliveries, and a recorded restart latency. A failing
 // episode keeps its WAL root on disk and reports the path.
 //

@@ -14,9 +14,10 @@ import (
 
 // Span-trace analysis: the engine emits one "span" event per stage crossing
 // of a sampled tuple (ingress, process, outbox on every hop; sink once).
-// All spans of one tuple share its origin timestamp and sequence number, so
-// (ts, seq) is the correlation key even as operators rewrite the stream id
-// hop by hop.
+// All spans of one tuple share its origin timestamp, so ts is the
+// correlation key even as operators rewrite the stream id and each node
+// renumbers the streams it produces (a span's seq is its stream's number
+// on that hop).
 
 // hop is one reconstructed stage crossing.
 type hop struct {
@@ -32,7 +33,7 @@ type hop struct {
 
 // tupleTrace is every hop of one sampled tuple in emission order.
 type tupleTrace struct {
-	ts, seq int64
+	ts      int64
 	hops    []hop
 	latency float64 // end-to-end sink latency (seconds; 0 until the sink hop)
 	sunk    bool
@@ -98,8 +99,8 @@ func runSpans(path string, top int) error {
 		top = len(full)
 	}
 	for _, tr := range full[:top] {
-		fmt.Printf("\ntrace ts=%d seq=%d  end-to-end %.3f ms over %d hops\n",
-			tr.ts, tr.seq, tr.latency*1000, len(tr.hops))
+		fmt.Printf("\ntrace ts=%d  end-to-end %.3f ms over %d hops\n",
+			tr.ts, tr.latency*1000, len(tr.hops))
 		// Critical path = the single largest stage duration in the trace.
 		worst, worstDur := -1, 0.0
 		type line struct {
@@ -189,8 +190,8 @@ func readSpanEvents(path string) ([]obs.Event, error) {
 
 // correlate groups spans into per-tuple traces and collects per-stage
 // duration samples (seconds) for the aggregate table.
-func correlate(events []obs.Event) (map[[2]int64]*tupleTrace, map[string][]float64) {
-	traces := map[[2]int64]*tupleTrace{}
+func correlate(events []obs.Event) (map[int64]*tupleTrace, map[string][]float64) {
+	traces := map[int64]*tupleTrace{}
 	stageVals := map[string][]float64{}
 	record := func(st string, v float64) float64 {
 		stageVals[st] = append(stageVals[st], v)
@@ -200,15 +201,13 @@ func correlate(events []obs.Event) (map[[2]int64]*tupleTrace, map[string][]float
 		f := e.Fields
 		stage, _ := f["stage"].(string)
 		ts, tsOK := num(f["ts"])
-		seq, seqOK := num(f["seq"])
-		if stage == "" || !tsOK || !seqOK {
+		if stage == "" || !tsOK {
 			continue
 		}
-		key := [2]int64{int64(ts), int64(seq)}
-		tr := traces[key]
+		tr := traces[int64(ts)]
 		if tr == nil {
-			tr = &tupleTrace{ts: int64(ts), seq: int64(seq)}
-			traces[key] = tr
+			tr = &tupleTrace{ts: int64(ts)}
+			traces[int64(ts)] = tr
 		}
 		h := hop{eventSeq: e.Seq, t: e.T, stage: stage, durs: map[string]float64{}}
 		if v, ok := num(f["stream"]); ok {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rodsp/internal/obs"
+	"rodsp/internal/query"
 )
 
 func TestGenerateRecoverDeterministic(t *testing.T) {
@@ -52,12 +53,50 @@ func TestGenerateRecoverVictimInterior(t *testing.T) {
 	}
 }
 
-func TestRunRecoverEpisode(t *testing.T) {
+// TestGenerateRecoverShapes pins the alternation: odd seeds build plain
+// chains, even seeds merge two chains that cross the victim in one union
+// off it, so every two consecutive seeds (rodcheck -recover 2) run both.
+func TestGenerateRecoverShapes(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		sc, err := GenerateRecover(seed, 3+int(seed%3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var unions []query.OpID
+		for _, op := range sc.Graph.Ops() {
+			if op.Kind == query.Union {
+				unions = append(unions, op.ID)
+			}
+		}
+		if seed%2 == 1 {
+			if len(unions) != 0 {
+				t.Fatalf("seed %d: chain shape has unions %v", seed, unions)
+			}
+			continue
+		}
+		if len(unions) != 1 {
+			t.Fatalf("seed %d: merge shape has %d unions, want 1", seed, len(unions))
+		}
+		u := sc.Graph.Op(unions[0])
+		if len(u.Inputs) != 2 || u.Selectivity != 1 || sc.Plan.NodeOf[u.ID] == sc.Victim {
+			t.Fatalf("seed %d: union %+v on node %d (victim %d)", seed, u, sc.Plan.NodeOf[u.ID], sc.Victim)
+		}
+		for _, in := range u.Inputs {
+			if p := sc.Graph.Stream(in).Producer; sc.Plan.NodeOf[p] != sc.Victim {
+				t.Fatalf("seed %d: union input %d produced off the victim", seed, in)
+			}
+		}
+	}
+}
+
+// runRecover runs one recover episode and gates it on the episode's own
+// invariants plus its bookkeeping.
+func runRecover(t *testing.T, seed int64) {
 	if testing.Short() {
 		t.Skip("drives a live loopback cluster through a kill and restart")
 	}
 	ev := obs.NewEventLog(256)
-	sc, err := GenerateRecover(1, 3)
+	sc, err := GenerateRecover(seed, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,3 +117,9 @@ func TestRunRecoverEpisode(t *testing.T) {
 		t.Fatalf("passing episode left its WAL root behind: %s", res.WALDir)
 	}
 }
+
+func TestRunRecoverEpisode(t *testing.T) { runRecover(t, 1) }
+
+// The merge shape: two chains cross the killed victim and meet in a union
+// on a survivor, whose output must reach the sink exactly once.
+func TestRunRecoverEpisodeMerge(t *testing.T) { runRecover(t, 2) }

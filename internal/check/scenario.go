@@ -124,8 +124,9 @@ type FaultOp struct {
 }
 
 // Scenario is the complete description of one conformance run: a
-// unit-multiplicity query graph (selectivity-1 chains, one consumer per
-// stream — the shape under which tuple conservation is exact), a placement
+// unit-multiplicity query graph (selectivity-1 chains, merged at most by
+// selectivity-1 unions, one consumer per stream — the shape under which
+// tuple conservation is exact), a placement
 // that forces cross-node hops, wall-clock traces, data-plane knobs, keyed
 // routing, and the schedule of timed operations applied while the sources
 // run.
@@ -349,10 +350,15 @@ func GenerateCorrSpike(seed int64, nodes int) (*Scenario, error) {
 	return s, nil
 }
 
-// GenerateRecover builds the deterministic kill-and-recover scenario: 2–3
+// GenerateRecover builds the deterministic kill-and-recover scenario. Its
+// graph alternates between two shapes by seed. Odd seeds build 2–3
 // selectivity-1 chains of exactly 3 Delay operators, with every chain's
 // MIDDLE operator placed on a dedicated victim node (the last index) and the
-// heads/tails spread over the remaining nodes. Sources feed only head nodes
+// heads/tails spread over the remaining nodes. Even seeds build the merge
+// shape: two chains of 2 Delay operators whose second operators sit on the
+// victim, merged by a selectivity-1 union on a non-victim node, so the
+// sink hears one stream produced from two (the ledger identity still holds:
+// one delivery per source tuple). Either way, sources feed only head nodes
 // and the collector hears only tail nodes, so the victim sits strictly
 // interior to the durable ack protocol: killing it exercises upstream
 // retention (heads' unacked batches re-send on reconnect) and WAL replay
@@ -366,13 +372,18 @@ func GenerateRecover(seed int64, nodes int) (*Scenario, error) {
 	rng := rand.New(rand.NewSource(seed))
 	s := &Scenario{Seed: seed, Class: Recover, Nodes: nodes, Victim: nodes - 1}
 
-	chains := 2 + rng.Intn(2)
+	merge := seed%2 == 0
+	chains, depth := 2+rng.Intn(2), 3
+	if merge {
+		chains, depth = 2, 2
+	}
 	b := query.NewBuilder()
 	var nodeOf []int
+	var tails []query.StreamID
 	for c := 0; c < chains; c++ {
 		in := b.Input(fmt.Sprintf("rec%d", c))
 		cur := in
-		for o := 0; o < 3; o++ {
+		for o := 0; o < depth; o++ {
 			cost := 0.00003 + rng.Float64()*0.00005
 			cur = b.Delay(fmt.Sprintf("r%d_op%d", c, o), cost, 1, cur)
 			if o == 1 {
@@ -381,6 +392,11 @@ func GenerateRecover(seed int64, nodes int) (*Scenario, error) {
 				nodeOf = append(nodeOf, (c+o)%(nodes-1))
 			}
 		}
+		tails = append(tails, cur)
+	}
+	if merge {
+		b.Union("rec_merge", 0.00003+rng.Float64()*0.00005, tails...)
+		nodeOf = append(nodeOf, rng.Intn(nodes-1))
 	}
 	g, err := b.Build()
 	if err != nil {

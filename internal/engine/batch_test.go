@@ -65,9 +65,9 @@ func TestNoRouteAccounting(t *testing.T) {
 	n.SetObserver(ev, nil, 0)
 
 	for i := 0; i < 10; i++ {
-		n.enqueueInboundBatch([]Tuple{{Stream: 7, Seq: int64(i)}})
+		n.enqueueInboundBatch([]Tuple{{Stream: 7, Seq: int64(i)}}, "")
 	}
-	n.enqueueInboundBatch([]Tuple{{Stream: 8}, {Stream: 8}, {Stream: 7}})
+	n.enqueueInboundBatch([]Tuple{{Stream: 8}, {Stream: 8}, {Stream: 7}}, "")
 	s := n.Stats()
 	if s.DroppedNoRoute != 13 {
 		t.Fatalf("DroppedNoRoute = %d, want 13", s.DroppedNoRoute)

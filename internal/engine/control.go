@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"rodsp/internal/query"
@@ -254,6 +255,7 @@ func (n *Node) deploy(spec *NodeSpec) error {
 	}
 	rs := emptyRouteState()
 	rs.spec = spec
+	clear(n.departed)
 	for i := range spec.Parts {
 		rs.stream(spec.Parts[i].Stream).part = newPartTable(&spec.Parts[i])
 	}
@@ -297,15 +299,86 @@ func newLiveOp(spec OpSpec) *liveOp {
 	return lo
 }
 
+// departed is what removeOp keeps of an operator that migrated away, for
+// when it comes back: the operator, whose output numbering the returning
+// instance continues (so its receivers, which keep their marks for this
+// node, see only new numbers), and the relay and forward entries its
+// removal holds, which its return retires (left in place, they would
+// bounce its input between the two homes). A removal holds the entries it
+// added and those another departed operator holds — two consumers of one
+// stream that left for the same node share its relay there — and an entry
+// is retired only when its last holder returns.
+type departed struct {
+	op     *liveOp
+	routes []heldRoute
+}
+
+// heldRoute names one relay (fwd false) or forward entry of stream sid.
+type heldRoute struct {
+	sid  int
+	addr string
+	fwd  bool
+}
+
+// routeHeld reports whether a departed operator other than except holds h.
+func (n *Node) routeHeld(except int, h heldRoute) bool {
+	for id, d := range n.departed {
+		if id != except && slices.Contains(d.routes, h) {
+			return true
+		}
+	}
+	return false
+}
+
 // addOp installs one operator at runtime and merges the supplied routes
 // (local subscriptions and forwards), deduplicating existing entries.
 func (n *Node) addOp(spec *OpSpec, routes map[int][]Dest) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	rs := n.route.Load().clone()
-	rs.ops[spec.ID] = newLiveOp(*spec)
+	lo := newLiveOp(*spec)
+	d, back := n.departed[spec.ID]
+	if back {
+		d.op.mu.Lock()
+		lo.nextSeq = d.op.nextSeq
+		d.op.mu.Unlock()
+		for _, h := range d.routes {
+			if n.routeHeld(spec.ID, h) {
+				continue
+			}
+			if sr := rs.stream(h.sid); h.fwd {
+				sr.fwd = dropDest(sr.fwd, h.addr)
+			} else {
+				sr.relays = dropDest(sr.relays, h.addr)
+			}
+		}
+		delete(n.departed, spec.ID)
+	}
+	rs.ops[spec.ID] = lo
 	rs.mergeRoutes(routes)
 	n.publish(rs)
+	// A relay another departed operator still holds keeps carrying this
+	// operator's input to its old home, which from now on hands back only
+	// what reached it while the operator was still there (see
+	// enqueueChunk). What this node sent there before the return and the
+	// peer has not acknowledged — on a volatile link, not yet written — may
+	// arrive after that, so it goes to the operator here instead; a tuple
+	// that also reached it there is processed twice.
+	var ts []Tuple
+	for _, h := range d.routes {
+		if back && !h.fwd && n.routeHeld(-1, h) {
+			if o := n.outboxFor(h.addr); o != nil {
+				ts = o.unacked(int32(h.sid), ts)
+			}
+		}
+	}
+	if len(ts) > 0 {
+		for i := range ts {
+			ts[i].target = int32(spec.ID) + 1
+		}
+		n.injected.Add(int64(len(ts)))
+		n.lanes[fibLane(uint64(spec.ID+1), n.workers)].requeue(ts)
+	}
 }
 
 // removeOp uninstalls one operator: its local subscriptions disappear and
@@ -314,11 +387,16 @@ func (n *Node) addOp(spec *OpSpec, routes map[int][]Dest) {
 func (n *Node) removeOp(id int, relay map[int][]Dest) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.ingress.Lock()
+	defer n.ingress.Unlock()
 	rs := n.route.Load().clone()
-	if _, ok := rs.ops[id]; !ok {
+	op, ok := rs.ops[id]
+	if !ok {
 		return fmt.Errorf("engine: operator %d not deployed here", id)
 	}
 	delete(rs.ops, id)
+	gone := departed{op: op}
+	fresh := map[int32][]string{} // relay targets this removal adds, per stream
 	for _, sr := range rs.streams {
 		kept := sr.subs[:0]
 		for _, op := range sr.subs {
@@ -339,11 +417,20 @@ func (n *Node) removeOp(id int, relay map[int][]Dest) error {
 			if d.Local {
 				continue
 			}
-			if !hasDest(sr.relays, d.Addr) {
-				sr.relays = append(sr.relays, d)
-			}
-			if !hasDest(sr.fwd, d.Addr) {
-				sr.fwd = append(sr.fwd, d)
+			for _, h := range []heldRoute{{sid, d.Addr, false}, {sid, d.Addr, true}} {
+				entries := &sr.relays
+				if h.fwd {
+					entries = &sr.fwd
+				}
+				if !hasDest(*entries, d.Addr) {
+					*entries = append(*entries, d)
+					if !h.fwd {
+						fresh[int32(sid)] = append(fresh[int32(sid)], d.Addr)
+					}
+				} else if !n.routeHeld(id, h) {
+					continue // the deployed spec's own entry
+				}
+				gone.routes = append(gone.routes, h)
 			}
 			// A migrating shard replica: repoint its shard slot at the new
 			// home and record the per-op relay, so keyed tuples — queued,
@@ -360,7 +447,41 @@ func (n *Node) removeOp(id int, relay map[int][]Dest) error {
 			}
 		}
 	}
+	n.departed[id] = gone
+	// The queued tuples of its input streams were admitted for the removed
+	// operator, so they go to each relay target this removal adds, in
+	// queue order and ahead of anything an ingress relays there from now
+	// on: the receiver's marks would take an older tuple arriving after a
+	// newer one for a duplicate. The targets an earlier removal added have
+	// them already (relayed at ingress, or handed over by that removal),
+	// so a tuple whose stream keeps no consumer here becomes a no-op in its
+	// queue slot. The removal excludes ingress chunks (n.ingress) and
+	// holds every lane until the successor is live, and a worker reads the
+	// snapshot under its lane lock when it takes a run, so each queued
+	// tuple is either taken with the operator installed or handed over.
+	var handover destRuns
+	for _, l := range n.lanes {
+		l.mu.Lock()
+		q := l.queue[l.qhead:]
+		for i := range q {
+			if _, in := relay[int(q[i].Stream)]; !in || q[i].target != 0 {
+				continue
+			}
+			for _, addr := range fresh[q[i].Stream] {
+				handover.add(addr, q[i:i+1])
+			}
+			if len(rs.lookup(q[i].Stream).subs) == 0 {
+				q[i] = Tuple{Stream: stallStream}
+			}
+		}
+	}
+	for i := range handover {
+		n.sendBatch(handover[i].addr, handover[i].ts)
+	}
 	n.publish(rs)
+	for _, l := range n.lanes {
+		l.mu.Unlock()
+	}
 	return nil
 }
 
@@ -420,6 +541,11 @@ func hasDest(dests []Dest, addr string) bool {
 		}
 	}
 	return false
+}
+
+// dropDest removes dests' remote entry for addr, in place.
+func dropDest(dests []Dest, addr string) []Dest {
+	return slices.DeleteFunc(dests, func(d Dest) bool { return !d.Local && d.Addr == addr })
 }
 
 // mergeRoutes merges route entries into the (unpublished) snapshot,

@@ -128,13 +128,14 @@ type Collector struct {
 	stages    *obs.StageSet
 	events    *obs.EventLog
 
-	// At-least-once sink dedup (SetDedup): per-stream max-Seq watermarks.
-	// A tuple at or below its stream's watermark is a duplicate delivery —
-	// counted and excluded from every latency/count statistic, so the
-	// kill-and-recover ledger can gate on Duplicates() == 0.
-	dedup     bool
-	sinkMarks map[int32]int64
-	dups      int64
+	// At-least-once sink dedup (SetDedup): the engine's one rule, with one
+	// seqMarks per sender. A duplicate delivery is counted and excluded
+	// from every latency/count statistic, so the kill-and-recover ledger
+	// can gate on Duplicates() == 0.
+	dedup bool
+	marks map[string]seqMarks
+	adm   admission
+	dups  int64
 }
 
 // NewCollector starts a collector on addr.
@@ -184,14 +185,16 @@ func (c *Collector) SetObserver(h *obs.Histogram, count *obs.Counter, stages *ob
 }
 
 // SetDedup enables (or disables) duplicate-delivery filtering at the sink:
-// per-stream max-Seq watermarks drop any tuple already delivered. Used by
-// kill-and-recover episodes, whose ledger requires exactly-once *observable*
-// delivery on top of the engine's at-least-once transport. Enabling resets
-// the watermarks and the duplicate count.
+// the rule nodes apply at ingress (seqMarks), keyed by (sender, stream) —
+// the sender from the connection's hello, the Seq as the producing node
+// numbered it — drops any tuple already delivered. Used by durable runs,
+// whose ledger requires exactly-once *observable* delivery on top of the
+// engine's at-least-once transport. Enabling resets the marks and the
+// duplicate count.
 func (c *Collector) SetDedup(on bool) {
 	c.mu.Lock()
 	c.dedup = on
-	c.sinkMarks = map[int32]int64{}
+	c.marks = map[string]seqMarks{}
 	c.dups = 0
 	c.mu.Unlock()
 }
@@ -204,24 +207,31 @@ func (c *Collector) Duplicates() int64 {
 	return c.dups
 }
 
-// recordBatch folds one decoded batch, received at wall time now, into the
-// sink statistics under a single c.mu acquisition: the dedup rule
-// (sinkDedup) first, then per admitted tuple, in arrival order, the count,
-// the latency sum and the uniform reservoir (one rng draw per admitted
-// tuple past the cap, exactly as if each tuple had been recorded on its
-// own). The latency sum is taken per batch as an exact int64 of
+// recordBatch folds one decoded batch from sender from, received at wall
+// time now, into the sink statistics under a single c.mu acquisition: the
+// dedup rule (seqMarks) first, then per admitted tuple, in arrival order,
+// the count, the latency sum and the uniform reservoir (one rng draw per
+// admitted tuple past the cap, exactly as if each tuple had been recorded
+// on its own). The latency sum is taken per batch as an exact int64 of
 // nanoseconds and added into latSumNs, which is exact while the total
 // stays below 2⁵³ ns, so any batching of one arrival sequence gives the
 // same mean. The observers — counter, histogram, and a traced tuple's
 // deliver stage and sink span — are fed after the unlock. It returns the
 // admitted tuples: batch compacted in place, so the caller's slab is
 // overwritten.
-func (c *Collector) recordBatch(batch []Tuple, now int64) []Tuple {
+func (c *Collector) recordBatch(batch []Tuple, from string, now int64) []Tuple {
 	c.mu.Lock()
 	admitted := batch
 	if c.dedup {
+		m := c.marks[from]
+		if m == nil {
+			m = seqMarks{}
+			c.marks[from] = m
+		}
 		var dups int64
-		admitted, dups = sinkDedup(c.sinkMarks, batch)
+		c.adm.keep = batch[:0] // the survivors compact into batch itself
+		admitted, dups = m.filter(batch, &c.adm)
+		m.advance(c.adm.pending)
 		c.dups += dups
 	}
 	var sumNs int64
@@ -296,7 +306,8 @@ func (c *Collector) accept() {
 				if err != nil {
 					return
 				}
-				c.recordBatch(batch, time.Now().UnixNano())
+				_, from, _ := tr.Hello()
+				c.recordBatch(batch, from, time.Now().UnixNano())
 			}
 		}()
 	}
@@ -330,7 +341,7 @@ func (c *Collector) LatencySummary() (obs.LatencySummary, bool) {
 }
 
 // Reset clears the latency statistics and the duplicate count. The dedup
-// watermarks stay, so a duplicate arriving after a Reset is still caught;
+// marks stay, so a duplicate arriving after a Reset is still caught;
 // SetDedup is what clears them.
 func (c *Collector) Reset() {
 	c.mu.Lock()

@@ -3,10 +3,12 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -25,42 +27,54 @@ import (
 //     in the sender's outbox and will be re-sent on reconnect. Acks are
 //     cumulative, so a frame whose successor has already arrived whole is
 //     covered by that successor's ack (serveTuples).
-//   - Duplicates from re-sends and replay are filtered by per-stream
-//     max-Seq watermarks: "Seq ≤ watermark" is a duplicate. That is exact
-//     only while each stream arrives in Seq order (sources emit dense
-//     per-stream sequences, lanes preserve per-stream FIFO, one stream
-//     reaches a node over one link). A restart in the middle of a burst
-//     breaks the premise: replayed and re-sent tuples interleave, and the
-//     rule then drops tuples that were never delivered (a known hole; the
-//     benchmark once lost 512 that way). The watermarks are the node's
-//     ONLY dedup state: they are checkpointed with the operator state and
-//     re-advanced by replay.
+//   - Duplicates from re-sends and replay are filtered by one rule, keyed
+//     by (sender, stream): a tuple whose Seq is at or below the last Seq
+//     admitted from that sender on that stream is a duplicate (seqMarks).
+//     The node that produces a stream numbers it: sources number their
+//     streams, and every operator output takes its node's next number for
+//     that stream (liveOp.nextSeq), so each (sender, stream) pair carries
+//     one dense, increasing sequence over one FIFO link — also for unions,
+//     joins and selectivities other than 1. The sender is the address in
+//     the connection's hello, stable across reconnects and restarts, so a
+//     migrated operator's outputs are judged against its new home's marks.
+//     The same rule runs at ingress, at replay and at the sink; the marks
+//     are checkpointed with the operator state and the output counters.
 //
 // Checkpoints land only at drained moments (no in-flight durable
 // admission, empty lanes, no worker mid-batch, empty outboxes including
 // retained-unacked batches): at such a moment every logged input's effects
 // are durable downstream — processed, shipped, and acked — so the WAL
 // prefix can be truncated. The checkpoint captures the scalar operator
-// state (selectivity accumulator, processed count) and the watermarks;
-// windowed join contents restore empty, which is sound for the
-// at-least-once gates because recover scenarios use selectivity-1 chains
-// (documented limitation, as are runtime route mutations: recovery
-// restores the spec persisted at deploy/start/stop, so migrations are not
-// scheduled across a crash).
+// state (selectivity accumulator, processed count, output counter) and the
+// marks; windowed join contents restore empty. Runtime route mutations are
+// not logged: recovery restores the spec persisted at deploy/start/stop, so
+// migrations are not scheduled across a crash. An operator whose input is
+// not logged (fed by a source's volatile link) has nothing to replay, so
+// recovery restarts its numbering at the node's birth time, above anything
+// it emitted before the crash; what it had in flight is lost with the link.
+//
+// Remaining limitation (ROADMAP items 19 and 1): replay re-derives the same
+// output numbers only when each operator on the crashed node sees its input
+// in a reproducible order — one input stream, arriving over one durable
+// link or from one local producer. A union or join on the crashed node is
+// not covered: WAL order across senders and lanes is not processing order,
+// and join windows read the wall clock.
 //
 // Recovery (openDurability) runs before the node accepts any connection:
 // restore the manifest's spec, apply the checkpoint, replay the WAL tail
 // into the lane queues, then open the gates. Re-sent retained batches
-// arriving afterwards dedup against the restored+replayed watermarks.
+// arriving afterwards dedup against the restored+replayed marks.
 
-// walRecordTuples tags a WAL record holding admitted ingress tuples (tag
-// byte followed by opTuples wire frames; a frame logged as received keeps
-// its sequence field, which replay ignores). walRecordRetired is the tag the
-// pre-opTuples binaries wrote; its frames are not decodable any more, and
+// walRecordTuples tags a WAL record holding admitted ingress tuples: the
+// tag byte, a hello frame naming the sender, then opTuples wire frames (a
+// frame logged as received keeps its sequence field, which replay
+// ignores). The retired tags hold tuples this binary cannot replay — 0x01
+// frames that predate opTuples, 0x02 frames without their sender — and
 // since every logged tuple was acked, such a record stops recovery.
 const (
-	walRecordTuples  byte = 0x02
-	walRecordRetired byte = 0x01
+	walRecordTuples   byte = 0x03
+	walRecordRetired  byte = 0x01
+	walRecordNoSender byte = 0x02
 )
 
 // manifestFile persists the deployed spec and run state at control-plane
@@ -83,20 +97,24 @@ type opCheckpoint struct {
 	ID        int     `json:"id"`
 	SelAcc    float64 `json:"selAcc"`
 	Processed int64   `json:"processed"`
+	NextSeq   int64   `json:"nextSeq"`
 }
 
-// streamMark is one stream's dedup watermark.
+// streamMark is one (sender, stream) dedup mark.
 type streamMark struct {
-	Stream int32 `json:"stream"`
-	Seq    int64 `json:"seq"`
+	Sender string `json:"sender"`
+	Stream int32  `json:"stream"`
+	Seq    int64  `json:"seq"`
 }
 
 // checkpointState is the drained-moment snapshot: everything before WalPos
-// is truncated, everything after replays on recovery.
+// is truncated, everything after replays on recovery. Retired is where a
+// binary that keyed marks by stream alone wrote them; recovery refuses it.
 type checkpointState struct {
-	WalPos uint64         `json:"walPos"`
-	Ops    []opCheckpoint `json:"ops,omitempty"`
-	Marks  []streamMark   `json:"marks,omitempty"`
+	WalPos  uint64          `json:"walPos"`
+	Ops     []opCheckpoint  `json:"ops,omitempty"`
+	Marks   []streamMark    `json:"senderMarks,omitempty"`
+	Retired json.RawMessage `json:"marks,omitempty"`
 }
 
 // openDurability opens (or recovers) the node's WAL directory. Called from
@@ -126,25 +144,25 @@ func (n *Node) openDurability() error {
 	}
 	from := uint64(1)
 	ck, err := loadJSON[checkpointState](filepath.Join(dir, checkpointFile))
+	if err == nil && ck != nil && len(ck.Retired) > 0 {
+		err = errors.New("its dedup marks are keyed by stream alone, a retired format")
+	}
 	if err != nil {
 		wl.Close()
 		return fmt.Errorf("engine: reading checkpoint: %w", err)
 	}
+	rs := n.route.Load()
 	if ck != nil {
-		rs := n.route.Load()
 		for _, oc := range ck.Ops {
 			if op := rs.ops[oc.ID]; op != nil {
 				op.mu.Lock()
-				op.selAcc = oc.SelAcc
-				op.processed = oc.Processed
+				op.selAcc, op.processed, op.nextSeq = oc.SelAcc, oc.Processed, oc.NextSeq
 				op.mu.Unlock()
 			}
 		}
-		n.dedupMu.Lock()
 		for _, mk := range ck.Marks {
-			n.dedup[mk.Stream] = mk.Seq
+			n.senderOf(mk.Sender).marks[mk.Stream] = mk.Seq
 		}
-		n.dedupMu.Unlock()
 		from = ck.WalPos + 1
 	}
 	if err := wl.Replay(from, func(seq uint64, payload []byte) error {
@@ -156,6 +174,26 @@ func (n *Node) openDurability() error {
 		wl.Close()
 		return fmt.Errorf("engine: replaying wal: %w", err)
 	}
+	// An operator with a logged input keeps the exact checkpointed count,
+	// so its replayed outputs take their old numbers. One whose input is
+	// not logged — a source's volatile link, or a local operator so fed —
+	// replays nothing, and may have numbered past the checkpoint before
+	// the crash: it resumes at the node's birth time, above anything it
+	// emitted (less than one output per nanosecond since its last birth).
+	// The spec lists operators in graph order, producers first.
+	logged := map[int]bool{}
+	for _, s := range n.senders {
+		for sid := range s.marks {
+			logged[int(sid)] = true
+		}
+	}
+	for _, os := range m.Spec.Ops {
+		if op := rs.ops[os.ID]; slices.ContainsFunc(os.Inputs, func(in int) bool { return logged[in] }) {
+			logged[os.Out] = true
+		} else {
+			op.nextSeq = max(op.nextSeq, n.bornNano)
+		}
+	}
 	if m.Started {
 		n.startNano.Store(m.StartNano)
 		n.started.Store(true)
@@ -164,23 +202,26 @@ func (n *Node) openDurability() error {
 	return nil
 }
 
-// replayRecord re-admits one WAL record's tuples: advance the dedup
-// watermarks (these tuples were admitted by the previous incarnation) and
-// enqueue them into the lane queues. Records under an unknown tag are
-// skipped, but a data record this binary cannot decode is an error: its
-// tuples were acked, so starting without them would lose them silently.
+// replayRecord re-admits one WAL record's tuples through its sender's
+// marks (these tuples were admitted by the previous incarnation, so the
+// rule keeps them all and moves the marks over them) and enqueues them
+// into the lane queues. Records under an unknown tag are skipped, but a
+// data record this binary cannot decode is an error: its tuples were
+// acked, so starting without them would lose them silently.
 func (n *Node) replayRecord(payload []byte) error {
 	if len(payload) == 0 {
 		return nil
 	}
-	switch payload[0] {
+	switch tag := payload[0]; tag {
 	case walRecordTuples:
-	case walRecordRetired:
-		return fmt.Errorf("tag 0x%02x holds tuples in the retired pre-opTuples format", walRecordRetired)
+	case walRecordRetired, walRecordNoSender:
+		return fmt.Errorf("tag 0x%02x holds tuples in a retired format (%s)", tag,
+			map[byte]string{walRecordRetired: "pre-opTuples frames", walRecordNoSender: "no sender"}[tag])
 	default:
 		return nil
 	}
 	tr := NewTupleReader(bytes.NewReader(payload[1:]))
+	var a admission
 	for {
 		batch, err := tr.ReadBatch()
 		if err == io.EOF {
@@ -189,36 +230,41 @@ func (n *Node) replayRecord(payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("tag 0x%02x: %w", walRecordTuples, err)
 		}
-		n.replayMarks(batch)
-		n.replayed.Add(int64(len(batch)))
-		n.enqueueInboundBatch(batch)
+		_, from, _ := tr.Hello()
+		marks := n.senderOf(from).marks
+		kept, dups := marks.filter(batch, &a)
+		marks.advance(a.pending)
+		n.dedupDropped.Add(dups)
+		n.replayed.Add(int64(len(kept)))
+		n.enqueueInboundBatch(kept, from)
 	}
 }
 
 // admission is one tuple connection's durable-admission scratch, reused
-// frame after frame: the survivors of a frame with duplicates, the
-// watermark advances the frame owes once it is durable, and the WAL record.
+// frame after frame: the survivors of a frame with duplicates, the mark
+// advances the frame owes once it is durable, and the WAL record.
 type admission struct {
 	keep    []Tuple
 	pending []markRun
 	record  []byte
 }
 
-// admitDurable admits one sequence-bearing frame (batch, decoded from
-// frame as received): filter it against the watermarks, log what
-// survives, wait for the group commit, advance the watermarks and enqueue.
-// The record is the tag byte and the frame as received when the filter
-// kept all of it, the survivors re-encoded otherwise. On a WAL error
-// nothing is admitted and no watermark moved, so the sender's re-send
-// passes the filter again. The caller holds the sender's admission lock.
-func (n *Node) admitDurable(batch []Tuple, frame []byte, a *admission) error {
+// admitDurable admits one sequence-bearing frame from sender s (batch,
+// decoded from frame as received): filter it against the sender's marks,
+// log what survives, wait for the group commit, advance the marks and
+// enqueue. The record carries the frame as received when the filter kept
+// all of it, the survivors re-encoded otherwise. On a WAL error nothing is
+// admitted and no mark moved, so the sender's re-send passes the filter
+// again. The caller holds s.mu.
+func (n *Node) admitDurable(s *sender, batch []Tuple, frame []byte, a *admission) error {
 	n.durableInflight.Add(1)
 	defer n.durableInflight.Add(-1)
-	kept := n.dedupFilter(batch, a)
+	kept, dups := s.marks.filter(batch, a)
+	n.dedupDropped.Add(dups)
 	if len(kept) == 0 {
 		return nil
 	}
-	a.record = append(a.record[:0], walRecordTuples)
+	a.record = appendHello(append(a.record[:0], walRecordTuples), 0, s.addr)
 	if len(kept) == len(batch) {
 		a.record = append(a.record, frame...)
 	} else {
@@ -231,136 +277,76 @@ func (n *Node) admitDurable(batch []Tuple, frame []byte, a *admission) error {
 	if err != nil {
 		return err
 	}
-	n.advanceMarks(a.pending)
-	n.enqueueInboundBatch(kept)
+	s.marks.advance(a.pending)
+	n.enqueueInboundBatch(kept, s.addr)
 	return nil
 }
 
-// The node applies two dedup rules, both per-stream max-Seq watermarks,
-// both decided once per run of one stream instead of once per tuple:
-//
-//   - ingress (dedupFilter + advanceMarks): every tuple of a frame is
-//     compared against its stream's mark as it stood when the frame
-//     arrived; the marks advance to the highest kept Seq only once the
-//     frame is durable. Replay (replayMarks) advances them the same way.
-//   - sink (sinkDedup): a running rule in arrival order — a tuple at or
-//     below the mark is a duplicate, any other becomes the mark.
-//
-// They differ inside a frame (a Seq that recurs or falls back within one
-// frame passes ingress but not the sink); both are kept as they are until
-// the rule itself changes.
+// seqMarks is one sender's dedup marks: stream → the highest Seq admitted
+// from that sender on that stream. A missing entry means nothing admitted
+// yet (sequences start at 0, so the zero value cannot stand for "none").
+// Nodes keep one per sender (sender.marks), the collector one per sender
+// too.
+type seqMarks map[int32]int64
 
-// markRun is one pending watermark advance: the highest Seq the ingress
-// filter kept from one run of a stream.
+// markRun is one pending mark advance: the highest Seq the filter admitted
+// of one stream.
 type markRun struct {
 	stream int32
 	seq    int64
 }
 
-// dedupFilter filters a durable ingress frame against the per-stream
-// watermarks WITHOUT advancing them — advanceMarks applies a.pending only
-// after the frame is durably logged, so a WAL failure never strands tuples
-// behind an advanced watermark (the sender re-sends and they pass the
-// filter again). It returns the tuples to admit: batch itself when nothing
-// is a duplicate, else the survivors compacted into a.keep. Duplicates
-// (re-sent retained frames covering tuples this node already logged) are
-// counted and dropped — they are ledger-invisible, since the sender's
-// `sent` counts each tuple exactly once (on ack). One stream arrives over
-// one link and each connection is served sequentially, so
-// filter-then-advance is not racy per stream.
-func (n *Node) dedupFilter(batch []Tuple, a *admission) []Tuple {
+// filter applies the dedup rule to batch in arrival order — a tuple whose
+// Seq is at or below its stream's mark is a duplicate, any other is
+// admitted and becomes the mark — decided once per run of one stream. The
+// marks themselves stay put: the advances collect in a.pending, for
+// advance to apply once the admission is final (at once on replay and at
+// the sink, after the WAL commit at ingress). It returns the admitted
+// tuples — batch itself when nothing is a duplicate, else the survivors
+// compacted into a.keep — and the number of duplicates dropped.
+func (m seqMarks) filter(batch []Tuple, a *admission) (kept []Tuple, dups int64) {
 	a.pending = a.pending[:0]
-	dropped := 0
-	n.dedupMu.Lock()
 	for i := 0; i < len(batch); {
 		sid := batch[i].Stream
-		// A missing entry means the stream has never been admitted here —
-		// sequences start at 0, so the zero value cannot double as "none".
-		mk, seen := n.dedup[sid]
-		hi, kept := int64(0), false
-		for ; i < len(batch) && batch[i].Stream == sid; i++ {
-			if seen && batch[i].Seq <= mk {
-				if dropped == 0 {
-					a.keep = append(a.keep[:0], batch[:i]...)
-				}
-				dropped++
-				continue
-			}
-			if !kept || batch[i].Seq > hi {
-				hi, kept = batch[i].Seq, true
-			}
-			if dropped > 0 {
-				a.keep = append(a.keep, batch[i])
-			}
+		p := 0 // the stream's pending advance, if an earlier run made one
+		for p < len(a.pending) && a.pending[p].stream != sid {
+			p++
 		}
-		if kept {
-			a.pending = append(a.pending, markRun{sid, hi})
+		mk, seen := m[sid]
+		if p < len(a.pending) {
+			mk, seen = a.pending[p].seq, true
 		}
-	}
-	n.dedupMu.Unlock()
-	if dropped == 0 {
-		return batch
-	}
-	n.dedupDropped.Add(int64(dropped))
-	return a.keep
-}
-
-// advanceMarks applies dedupFilter's pending advances (their frame is now
-// durable).
-func (n *Node) advanceMarks(pending []markRun) {
-	n.dedupMu.Lock()
-	for _, p := range pending {
-		if mk, seen := n.dedup[p.stream]; !seen || p.seq > mk {
-			n.dedup[p.stream] = p.seq
-		}
-	}
-	n.dedupMu.Unlock()
-}
-
-// replayMarks advances the watermarks over a replayed frame — its tuples
-// were admitted by the previous incarnation — once per run.
-func (n *Node) replayMarks(batch []Tuple) {
-	n.dedupMu.Lock()
-	for i := 0; i < len(batch); {
-		sid, hi := batch[i].Stream, batch[i].Seq
-		for i++; i < len(batch) && batch[i].Stream == sid; i++ {
-			hi = max(hi, batch[i].Seq)
-		}
-		if mk, seen := n.dedup[sid]; !seen || hi > mk {
-			n.dedup[sid] = hi
-		}
-	}
-	n.dedupMu.Unlock()
-}
-
-// sinkDedup is the sink's rule over one delivered batch: compacts the
-// admitted tuples to the front of batch, in arrival order, and returns them
-// with the number of duplicates dropped. A run's mark is held in a local
-// and written back to marks once, when the run admitted anything.
-func sinkDedup(marks map[int32]int64, batch []Tuple) (admitted []Tuple, dups int64) {
-	k := 0
-	for i := 0; i < len(batch); {
-		sid := batch[i].Stream
-		// Missing entry = stream never seen; sequences start at 0, so the
-		// map's zero value cannot stand in for "none".
-		mk, seen := marks[sid]
 		moved := false
 		for ; i < len(batch) && batch[i].Stream == sid; i++ {
 			if seen && batch[i].Seq <= mk {
-				dups++ // duplicate delivery (recovery re-send)
+				if dups == 0 {
+					a.keep = append(a.keep[:0], batch[:i]...)
+				}
+				dups++
 				continue
 			}
 			mk, seen, moved = batch[i].Seq, true, true
-			if k != i {
-				batch[k] = batch[i]
+			if dups > 0 {
+				a.keep = append(a.keep, batch[i])
 			}
-			k++
 		}
-		if moved {
-			marks[sid] = mk
+		if moved && p < len(a.pending) {
+			a.pending[p].seq = mk
+		} else if moved {
+			a.pending = append(a.pending, markRun{sid, mk})
 		}
 	}
-	return batch[:k], dups
+	if dups == 0 {
+		return batch, 0
+	}
+	return a.keep, dups
+}
+
+// advance applies filter's pending advances.
+func (m seqMarks) advance(pending []markRun) {
+	for _, p := range pending {
+		m[p.stream] = p.seq
+	}
 }
 
 // persistManifest writes the deployed spec and run state; called by the
@@ -446,19 +432,26 @@ func (n *Node) tryCheckpoint() bool {
 	ck := checkpointState{WalPos: pos}
 	for id, op := range rs.ops {
 		op.mu.Lock()
-		ck.Ops = append(ck.Ops, opCheckpoint{ID: id, SelAcc: op.selAcc, Processed: op.processed})
+		ck.Ops = append(ck.Ops, opCheckpoint{ID: id, SelAcc: op.selAcc, Processed: op.processed, NextSeq: op.nextSeq})
 		op.mu.Unlock()
 	}
-	n.dedupMu.Lock()
-	for sid, seq := range n.dedup {
-		ck.Marks = append(ck.Marks, streamMark{Stream: sid, Seq: seq})
+	n.sendersMu.Lock()
+	for addr, s := range n.senders {
+		s.mu.Lock()
+		for sid, seq := range s.marks {
+			ck.Marks = append(ck.Marks, streamMark{Sender: addr, Stream: sid, Seq: seq})
+		}
+		s.mu.Unlock()
 	}
-	n.dedupMu.Unlock()
+	n.sendersMu.Unlock()
 	if !n.drained() || n.wal.Stats().LastSeq != pos {
 		return false
 	}
 	sort.Slice(ck.Ops, func(i, j int) bool { return ck.Ops[i].ID < ck.Ops[j].ID })
-	sort.Slice(ck.Marks, func(i, j int) bool { return ck.Marks[i].Stream < ck.Marks[j].Stream })
+	sort.Slice(ck.Marks, func(i, j int) bool {
+		a, b := ck.Marks[i], ck.Marks[j]
+		return a.Sender < b.Sender || a.Sender == b.Sender && a.Stream < b.Stream
+	})
 	data, err := json.Marshal(&ck)
 	if err == nil {
 		err = wal.WriteFileAtomic(filepath.Join(n.cfg.WALDir, checkpointFile), data)

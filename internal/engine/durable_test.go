@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"maps"
 	"math/rand"
 	"net"
 	"os"
@@ -22,113 +21,109 @@ import (
 	"rodsp/internal/wal"
 )
 
-// TestDedupWatermarkFirstTuple pins the "seq 0" regression: sources number
-// tuples from zero, so a missing watermark entry must admit seq 0 — the
-// map's zero value cannot double as "already seen". The very first tuple
-// of every stream was silently dropped as a duplicate before this was an
+// TestDedupWatermarkFirstTuple pins the "seq 0" regression: every stream
+// is numbered from zero, so a missing mark must admit seq 0 — the map's
+// zero value cannot double as "already seen". The very first tuple of
+// every stream was once silently dropped as a duplicate before this was an
 // existence check.
 func TestDedupWatermarkFirstTuple(t *testing.T) {
-	n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{WALDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-
+	m := seqMarks{}
 	var a admission
+	admit := func(batch ...Tuple) ([]Tuple, int64) {
+		kept, dups := m.filter(batch, &a)
+		m.advance(a.pending)
+		return kept, dups
+	}
 	first := []Tuple{{Stream: 7, Seq: 0}, {Stream: 7, Seq: 1}}
-	keep := n.dedupFilter(first, &a)
-	if len(keep) != 2 {
-		t.Fatalf("fresh stream: kept %d of 2 (seq 0 must pass an empty watermark)", len(keep))
+	if keep, _ := admit(first...); len(keep) != 2 {
+		t.Fatalf("fresh stream: kept %d of 2 (seq 0 must pass an empty mark)", len(keep))
 	}
-	n.advanceMarks(a.pending)
 
-	// Re-sent retained batch: both now behind the watermark.
-	keep = n.dedupFilter(first, &a)
-	if len(keep) != 0 {
-		t.Fatalf("re-send: kept %d, want 0", len(keep))
-	}
-	if got := n.dedupDropped.Load(); got != 2 {
-		t.Fatalf("dedupDropped = %d, want 2", got)
+	// Re-sent retained batch: both now behind the mark.
+	if keep, dups := admit(first...); len(keep) != 0 || dups != 2 {
+		t.Fatalf("re-send: kept %d with %d duplicates, want 0 and 2", len(keep), dups)
 	}
 
 	// Progress resumes past the mark, and an unrelated stream starts fresh
 	// at seq 0 too.
-	keep = n.dedupFilter([]Tuple{{Stream: 7, Seq: 2}, {Stream: 9, Seq: 0}}, &a)
-	if len(keep) != 2 {
+	if keep, _ := admit(Tuple{Stream: 7, Seq: 2}, Tuple{Stream: 9, Seq: 0}); len(keep) != 2 {
 		t.Fatalf("progress + fresh stream: kept %d of 2", len(keep))
 	}
-	n.advanceMarks(a.pending)
 
-	// A fresh stream whose seq 0 sits in the middle of its run: the run's
-	// first tuple must not stand in for a watermark the stream lacks.
-	keep = n.dedupFilter([]Tuple{{Stream: 7, Seq: 3}, {Stream: 11, Seq: 2}, {Stream: 11, Seq: 0}, {Stream: 11, Seq: 1}}, &a)
-	if len(keep) != 4 {
-		t.Fatalf("seq 0 mid-run of a fresh stream: kept %d of 4", len(keep))
+	// A fresh stream whose seq 0 sits in the middle of the frame, and which
+	// recurs after another stream's run: the frame's first tuple must not
+	// stand in for a mark the stream lacks, and the recurrence is judged
+	// against the mark its first run left.
+	keep, dups := admit(Tuple{Stream: 7, Seq: 3}, Tuple{Stream: 11, Seq: 0}, Tuple{Stream: 7, Seq: 4},
+		Tuple{Stream: 11, Seq: 1}, Tuple{Stream: 11, Seq: 1})
+	if len(keep) != 4 || dups != 1 {
+		t.Fatalf("seq 0 mid-frame of a fresh stream: kept %d of 5 with %d duplicates, want 4 and 1", len(keep), dups)
 	}
-	n.advanceMarks(a.pending)
-	if mk := n.dedup[11]; mk != 2 {
-		t.Fatalf("stream 11 watermark %d, want 2", mk)
+	if m[11] != 1 || m[7] != 4 {
+		t.Fatalf("marks %v, want 7→4 and 11→1", m)
 	}
 }
 
-// ---- the per-run dedup rules against per-tuple references ----
+// ---- the one dedup rule against a per-tuple reference ----
 //
-// The node decides its two dedup rules once per run of one stream; the
-// references below decide them once per tuple, exactly as the rules are
-// stated (durable.go). They live here, not in the package, so they cannot
-// drift along with the code.
+// The node and the collector decide the rule once per run of one stream;
+// the reference decides it once per tuple, exactly as it is stated
+// (durable.go): per (sender, stream), a tuple at or below the last
+// admitted Seq is a duplicate, any other is admitted and becomes the mark.
+// It lives here, not in the package, so it cannot drift along with the
+// code.
 
-// refIngress is the per-tuple ingress rule: every tuple of a frame is
-// compared against the marks as they stood when the frame arrived, then
-// the marks advance over the kept tuples one by one.
-type refIngress struct {
-	marks   map[int32]int64
-	dropped int64
+type refKey struct {
+	sender string
+	stream int32
 }
 
-func (r *refIngress) admit(frame []Tuple) (keep []Tuple) {
-	for _, tp := range frame {
-		if mk, seen := r.marks[tp.Stream]; !seen || tp.Seq > mk {
-			keep = append(keep, tp)
-		} else {
-			r.dropped++
+// refAdmit applies the rule to one tuple from sender from.
+func refAdmit(marks map[refKey]int64, from string, tp Tuple) bool {
+	k := refKey{from, tp.Stream}
+	if mk, seen := marks[k]; seen && tp.Seq <= mk {
+		return false
+	}
+	marks[k] = tp.Seq
+	return true
+}
+
+// nodeMarks flattens a node's per-sender marks into the reference's shape.
+func nodeMarks(n *Node) map[refKey]int64 {
+	out := map[refKey]int64{}
+	n.sendersMu.Lock()
+	defer n.sendersMu.Unlock()
+	for from, s := range n.senders {
+		for sid, seq := range s.marks {
+			out[refKey{from, sid}] = seq
 		}
 	}
-	for _, tp := range keep {
-		refAdvance(r.marks, tp)
-	}
-	return keep
+	return out
 }
 
-// refAdvance advances one stream's mark over one tuple (ingress after the
-// commit, and replay).
-func refAdvance(marks map[int32]int64, tp Tuple) {
-	if mk, seen := marks[tp.Stream]; !seen || tp.Seq > mk {
-		marks[tp.Stream] = tp.Seq
-	}
-}
-
-// dedupFrames builds n frames with every shape a per-run rule could get
-// wrong: interleaved streams and runs of one stream that recur inside a
-// frame, streams that first appear (at seq 0) partway through, re-sent
-// stretches of earlier traffic overlapping new tuples, and neighbours of
-// one run swapped so seqs fall back inside it.
-func dedupFrames(rng *rand.Rand, n int) [][]Tuple {
-	next := map[int32]int64{}
-	var sent []Tuple
-	frames := make([][]Tuple, 0, n)
+// dedupFrames builds n frames, each from one of three senders, with every
+// shape a per-run rule could get wrong: interleaved streams and runs of one
+// stream that recur inside a frame, streams that first appear (at seq 0)
+// partway through, re-sent stretches of the sender's earlier traffic
+// overlapping new tuples, neighbours of one run swapped so seqs fall back
+// inside it, and a frame's own stretch repeated at its end, so a stream's
+// later run falls back below what its earlier run admitted.
+func dedupFrames(rng *rand.Rand, n int) (senders []string, frames [][]Tuple) {
+	next := map[refKey]int64{}
+	sent := map[string][]Tuple{}
 	for len(frames) < n {
+		from := []string{"a:1", "b:2", ""}[rng.Intn(3)]
 		var f []Tuple
-		if len(sent) > 0 && rng.Intn(3) == 0 {
-			from := rng.Intn(len(sent))
-			f = append(f, sent[from:min(len(sent), from+1+rng.Intn(40))]...)
+		if old := sent[from]; len(old) > 0 && rng.Intn(3) == 0 {
+			at := rng.Intn(len(old))
+			f = append(f, old[at:min(len(old), at+1+rng.Intn(40))]...)
 		}
 		streams := 2 + len(frames)/10 // a new stream joins every 10 frames
 		for runs := 1 + rng.Intn(6); runs > 0; runs-- {
-			sid := int32(1 + rng.Intn(streams))
-			for k := 1 + rng.Intn(8); k > 0; k-- {
-				f = append(f, Tuple{Stream: sid, Seq: next[sid], Ts: int64(rng.Intn(1e9)), Value: float64(next[sid])})
-				next[sid]++
+			k := refKey{from, int32(1 + rng.Intn(streams))}
+			for c := 1 + rng.Intn(8); c > 0; c-- {
+				f = append(f, Tuple{Stream: k.stream, Seq: next[k], Ts: int64(rng.Intn(1e9)), Value: float64(next[k])})
+				next[k]++
 			}
 		}
 		if rng.Intn(3) == 0 {
@@ -136,99 +131,120 @@ func dedupFrames(rng *rand.Rand, n int) [][]Tuple {
 				f[i], f[i-1] = f[i-1], f[i]
 			}
 		}
-		sent = append(sent, f...)
-		frames = append(frames, f)
+		if rng.Intn(4) == 0 {
+			at := rng.Intn(len(f))
+			f = append(f, f[at:min(len(f), at+1+rng.Intn(12))]...)
+		}
+		sent[from] = append(sent[from], f...)
+		senders, frames = append(senders, from), append(frames, f)
 	}
-	return frames
+	return senders, frames
 }
 
 func sameTuples(a, b []Tuple) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
+// TestDedupRunsMatchPerTupleReference holds the one rule, at each place it
+// runs, against the per-tuple reference: durable ingress (filter, WAL
+// record, commit, advance) frame by frame; replay of the records ingress
+// logged, which must rebuild the same marks and drop nothing; and the sink,
+// batch by batch.
 func TestDedupRunsMatchPerTupleReference(t *testing.T) {
-	frames := dedupFrames(rand.New(rand.NewSource(11)), 400)
+	senders, frames := dedupFrames(rand.New(rand.NewSource(11)), 400)
 
-	// Ingress: filter, then advance once the frame would be durable.
-	n, err := NewNode("127.0.0.1:0", 1)
+	// Ingress.
+	n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{WALDir: t.TempDir(), CheckpointEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	ref := &refIngress{marks: map[int32]int64{}}
+	ref := map[refKey]int64{}
+	var dropped, admitted int64
 	var a admission
 	var partial, whole int
 	for i, f := range frames {
-		in := append([]Tuple(nil), f...)
-		got := n.dedupFilter(in, &a)
-		want := ref.admit(f)
+		var want []Tuple
+		for _, tp := range f {
+			if refAdmit(ref, senders[i], tp) {
+				want = append(want, tp)
+			} else {
+				dropped++
+			}
+		}
+		admitted += int64(len(want))
+		from := n.senderOf(senders[i])
+		got, _ := from.marks.filter(f, &a)
 		if !sameTuples(got, want) {
 			t.Fatalf("frame %d: ingress kept %v, per-tuple rule %v", i, got, want)
 		}
 		switch {
 		case len(want) == len(f):
 			whole++
-			if &got[0] != &in[0] {
+			if &got[0] != &f[0] {
 				t.Fatalf("frame %d: nothing filtered, but the frame was copied", i)
 			}
 		case len(want) > 0:
 			partial++
 		}
-		n.advanceMarks(a.pending)
-		if !reflect.DeepEqual(n.dedup, ref.marks) {
-			t.Fatalf("frame %d: marks %v, per-tuple rule %v", i, n.dedup, ref.marks)
+		from.mu.Lock()
+		err := n.admitDurable(from, f, appendSeqFrame(nil, f, uint64(i+1)), &a)
+		from.mu.Unlock()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got := n.dedupDropped.Load(); got != ref.dropped {
-			t.Fatalf("frame %d: dedupDropped %d, per-tuple rule %d", i, got, ref.dropped)
+		if got := nodeMarks(n); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("frame %d: marks %v, per-tuple rule %v", i, got, ref)
+		}
+		if got := n.dedupDropped.Load(); got != dropped {
+			t.Fatalf("frame %d: dedupDropped %d, per-tuple rule %d", i, got, dropped)
 		}
 	}
-	if partial < 10 || whole < 10 || ref.dropped < 100 {
-		t.Fatalf("scenario too tame: %d partly and %d wholly kept frames, %d dropped", partial, whole, ref.dropped)
+	if partial < 10 || whole < 10 || dropped < 100 {
+		t.Fatalf("scenario too tame: %d partly and %d wholly kept frames, %d dropped", partial, whole, dropped)
 	}
 
-	// Replay: records of three frames each, logged as received.
+	// Replay of what ingress logged.
 	r, err := NewNode("127.0.0.1:0", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	replayMarks := map[int32]int64{}
-	for i := 0; i < len(frames); i += 3 {
-		rec := []byte{walRecordTuples}
-		for j, f := range frames[i:min(len(frames), i+3)] {
-			rec = appendSeqFrame(rec, f, uint64(i+j+1))
-			for _, tp := range f {
-				refAdvance(replayMarks, tp)
-			}
-		}
-		if err := r.replayRecord(rec); err != nil {
-			t.Fatalf("record at frame %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(r.dedup, replayMarks) {
-			t.Fatalf("record at frame %d: replayed marks %v, per-tuple rule %v", i, r.dedup, replayMarks)
-		}
+	if err := n.wal.Replay(1, func(_ uint64, p []byte) error { return r.replayRecord(p) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := nodeMarks(r); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("replayed marks %v, per-tuple rule %v", got, ref)
+	}
+	if r.replayed.Load() != admitted || r.dedupDropped.Load() != 0 {
+		t.Fatalf("replay re-admitted %d (dropped %d), ingress admitted %d", r.replayed.Load(), r.dedupDropped.Load(), admitted)
 	}
 
-	// Sink: the running rule, batch by batch against tuple by tuple.
+	// Sink.
 	c, err := NewCollector("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	c.SetDedup(true)
-	sink := &refSink{cap: DefaultLatencyReservoir, rng: rand.New(rand.NewSource(1)), marks: map[int32]int64{}}
+	sink := &refSink{cap: DefaultLatencyReservoir, rng: rand.New(rand.NewSource(1)), marks: map[refKey]int64{}}
 	for i, f := range frames {
 		var want []Tuple
 		for _, tp := range f {
-			if sink.add(tp, 0) {
+			if sink.add(senders[i], tp, 0) {
 				want = append(want, tp)
 			}
 		}
-		if got := c.recordBatch(append([]Tuple(nil), f...), 0); !sameTuples(got, want) {
+		if got := c.recordBatch(append([]Tuple(nil), f...), senders[i], 0); !sameTuples(got, want) {
 			t.Fatalf("frame %d: sink admitted %v, per-tuple rule %v", i, got, want)
 		}
 		c.mu.Lock()
-		marks := maps.Clone(c.sinkMarks)
+		marks := map[refKey]int64{}
+		for from, m := range c.marks {
+			for sid, seq := range m {
+				marks[refKey{from, sid}] = seq
+			}
+		}
 		c.mu.Unlock()
 		if !reflect.DeepEqual(marks, sink.marks) {
 			t.Fatalf("frame %d: sink marks %v, per-tuple rule %v", i, marks, sink.marks)
@@ -251,14 +267,14 @@ func TestCollectorResetKeepsDedupMarks(t *testing.T) {
 	}
 	defer c.Close()
 	c.SetDedup(true)
-	c.recordBatch(seqRun(1, 0, 10), 0)
+	c.recordBatch(seqRun(1, 0, 10), "n1", 0)
 	c.Reset()
-	c.recordBatch([]Tuple{{Stream: 1, Seq: 5}}, 0)
+	c.recordBatch([]Tuple{{Stream: 1, Seq: 5}}, "n1", 0)
 	if count, _, _, _, _ := c.LatencyStats(); c.Duplicates() != 1 || count != 0 {
 		t.Fatalf("after Reset, re-sent seq 5: %d duplicates, count %d; want 1 and 0", c.Duplicates(), count)
 	}
 	c.SetDedup(true) // SetDedup, not Reset, clears the marks
-	c.recordBatch([]Tuple{{Stream: 1, Seq: 5}}, 0)
+	c.recordBatch([]Tuple{{Stream: 1, Seq: 5}}, "n1", 0)
 	if count, _, _, _, _ := c.LatencyStats(); c.Duplicates() != 0 || count != 1 {
 		t.Fatalf("after SetDedup, seq 5: %d duplicates, count %d; want 0 and 1", c.Duplicates(), count)
 	}
@@ -294,8 +310,9 @@ func TestWALRecordAsReceivedReplays(t *testing.T) {
 		if _, err := tr.ReadBatch(); err != nil {
 			t.Fatal(err)
 		}
-		received := append([]byte{walRecordTuples}, tr.Frame()...)
-		reencoded := appendFrames([]byte{walRecordTuples}, ts)
+		head := recordHead("n1:1")
+		received := append(head, tr.Frame()...)
+		reencoded := appendFrames(recordHead("n1:1"), ts)
 		if len(received) != len(reencoded)+seqFieldSize {
 			t.Fatalf("%s: record as received is %d bytes, re-encoded %d", shape.name, len(received), len(reencoded))
 		}
@@ -307,8 +324,8 @@ func TestWALRecordAsReceivedReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.replayRecord(received); err != nil || n.replayed.Load() != int64(len(ts)) || n.dedup[3] != 48 {
-			t.Fatalf("%s: replayRecord: err %v, replayed %d, mark %d", shape.name, err, n.replayed.Load(), n.dedup[3])
+		if err := n.replayRecord(received); err != nil || n.replayed.Load() != int64(len(ts)) || n.senderOf("n1:1").marks[3] != 48 {
+			t.Fatalf("%s: replayRecord: err %v, replayed %d, marks %v", shape.name, err, n.replayed.Load(), nodeMarks(n))
 		}
 		n.Close()
 	}
@@ -335,7 +352,7 @@ func TestDurableRecordHoldsSurvivors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.admitDurable(batch, tr.Frame(), &a); err != nil {
+		if err := n.admitDurable(n.senderOf("n1:1"), batch, tr.Frame(), &a); err != nil {
 			t.Fatal(err)
 		}
 		frames = append(frames, frame)
@@ -350,12 +367,18 @@ func TestDurableRecordHoldsSurvivors(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("%d records, want 2", len(recs))
 	}
-	if !bytes.Equal(recs[0], append([]byte{walRecordTuples}, frames[0]...)) {
+	if !bytes.Equal(recs[0], append(recordHead("n1:1"), frames[0]...)) {
 		t.Fatal("a wholly kept frame was not logged as received")
 	}
 	if got := replayTuples(t, recs[1]); !reflect.DeepEqual(got, seqRun(1, 4, 2)) {
 		t.Fatalf("frame with duplicates logged as %v, want only its survivors (seqs 4, 5)", got)
 	}
+}
+
+// recordHead is a tuple record's tag and sender, as admitDurable writes
+// them.
+func recordHead(from string) []byte {
+	return appendHello([]byte{walRecordTuples}, 0, from)
 }
 
 // replayTuples decodes a WAL data record the way replayRecord does.
@@ -582,12 +605,27 @@ func TestDurableIngressMixedFrames(t *testing.T) {
 }
 
 // TestClusterKillRestartRecovers is the in-process kill-and-recover path:
-// a three-node chain with the middle node durable-killed mid-stream, then
-// restarted from its WAL directory by the coordinator. Everything injected
-// must reach the sink exactly once — replay plus upstream re-send cover
-// the crash window, the watermarks and the sink filter suppress the
-// overlap.
+// a three-node durable chain with one node killed mid-stream, then
+// restarted from its WAL directory by the coordinator.
+//
+//   - interior: the middle node. Everything injected must reach the sink
+//     exactly once — replay plus upstream re-send cover the crash window,
+//     the marks and the sink filter suppress the overlap.
+//   - head: the node the source feeds. Its input link is volatile, so what
+//     it held at the kill is lost with it (and the source, its only
+//     destination gone, stops); a second source then feeds the restarted
+//     node. Nothing it injects may be lost: the restarted head numbers its
+//     outputs above what the next node has admitted from it, so none is
+//     taken for a duplicate. Everything delivered was injected, once.
 func TestClusterKillRestartRecovers(t *testing.T) {
+	for _, victim := range []int{1, 0} {
+		t.Run(map[int]string{0: "head", 1: "interior"}[victim], func(t *testing.T) {
+			killRestart(t, victim)
+		})
+	}
+}
+
+func killRestart(t *testing.T, victim int) {
 	qb := query.NewBuilder()
 	in := qb.Input("I")
 	s1 := qb.Delay("a", 0.00002, 1, in)
@@ -604,6 +642,7 @@ func TestClusterKillRestartRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	tap := tapCollector(t, cl)
 	cl.Collector.SetDedup(true)
 	if err := cl.Deploy(g, plan, caps); err != nil {
 		t.Fatal(err)
@@ -612,35 +651,55 @@ func TestClusterKillRestartRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	src := &SourceDriver{
-		Stream:  g.Inputs()[0],
-		Trace:   trace.New("const", 1, []float64{400, 400}),
-		Addrs:   []string{cl.Nodes[0].Addr()},
-		MaxRate: 5000,
+	source := func(i int, d time.Duration) <-chan int64 {
+		src := &SourceDriver{
+			Stream:  g.Inputs()[0],
+			Trace:   trace.New("const", 1, []float64{400, 400}),
+			Addrs:   []string{cl.Nodes[0].Addr()},
+			MaxRate: 5000,
+			Keys:    sourceKeys(i),
+		}
+		done := make(chan int64, 1)
+		go func() {
+			n, _ := src.Run(d, nil)
+			done <- n
+		}()
+		return done
 	}
-	done := make(chan int64, 1)
-	go func() {
-		n, _ := src.Run(900*time.Millisecond, nil)
-		done <- n
-	}()
-
+	done := source(0, 900*time.Millisecond)
 	time.Sleep(300 * time.Millisecond)
-	if err := cl.Controls[1].Fault(FaultSpec{Kill: true}); err != nil {
+	if err := cl.Controls[victim].Fault(FaultSpec{Kill: true}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(150 * time.Millisecond)
-	if err := cl.RestartNode(1); err != nil {
+	if err := cl.RestartNode(victim); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
 	injected := <-done
+	var after int64
+	if victim == 0 {
+		after = <-source(1, 300*time.Millisecond)
+	}
 
 	if err := cl.AwaitQuiescence(15*time.Second, 100*time.Millisecond); err != nil {
 		t.Fatalf("recovery never drained: %v", err)
 	}
 	delivered, _, _, _, _ := cl.Collector.LatencyStats()
-	if delivered != injected {
-		t.Fatalf("delivered %d of %d injected across the crash", delivered, injected)
+	distinct := tap.distinct()
+	lost := int64(0)
+	for k := uint64(1); k <= uint64(after); k++ {
+		if tap.count(2<<32+k) != 1 {
+			lost++
+		}
 	}
+	switch {
+	case victim == 0 && (after == 0 || lost != 0 || delivered > injected+after || distinct != delivered):
+		t.Fatalf("delivered %d (%d distinct) of %d + %d injected across the crash; %d injected after the restart missing",
+			delivered, distinct, injected, after, lost)
+	case victim != 0 && (delivered != injected || distinct != injected):
+		t.Fatalf("delivered %d (%d distinct) of %d injected across the crash", delivered, distinct, injected)
+	}
+	t.Logf("delivered %d of %d + %d injected", delivered, injected, after)
 	if dups := cl.Collector.Duplicates(); dups != 0 {
 		t.Fatalf("sink saw %d duplicate deliveries", dups)
 	}
@@ -648,13 +707,18 @@ func TestClusterKillRestartRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sts[1] == nil || !sts[1].Recovered {
-		t.Fatalf("restarted node must report Recovered: %+v", sts[1])
+	if sts[victim] == nil || !sts[victim].Recovered {
+		t.Fatalf("restarted node must report Recovered: %+v", sts[victim])
 	}
 	for i, s := range sts {
 		if s.Shed != 0 || s.OutboxDropped != 0 || s.DroppedNoRoute != 0 {
 			t.Fatalf("node %d lost tuples: shed=%d dropped=%d noroute=%d",
 				i, s.Shed, s.OutboxDropped, s.DroppedNoRoute)
+		}
+		// Re-sends after an interior crash are duplicates by design; a
+		// killed head re-sends nothing, so any drop is a real tuple.
+		if victim == 0 && s.DedupDropped != 0 {
+			t.Fatalf("node %d dropped %d outputs of the restarted head as duplicates", i, s.DedupDropped)
 		}
 	}
 }
@@ -833,15 +897,18 @@ func walDirWith(t *testing.T, payloads ...[]byte) string {
 
 // TestReplayRefusesUndecodableRecords pins "never ack what cannot be
 // replayed" at recovery: every logged tuple was acked upstream, so a data
-// record this binary cannot decode — one written by a pre-opTuples binary,
-// or one cut short inside a frame — must stop the node from starting (WAL
-// left in place) instead of being skipped. Records under a tag no binary
-// ever wrote stay skipped.
+// record this binary cannot decode or attribute — one written by a
+// pre-opTuples binary, one without its sender (the 0x02 layout), or one cut
+// short inside a frame — and a checkpoint whose marks carry no sender must
+// stop the node from starting (WAL left in place) instead of being skipped
+// or misread. Records under a tag no binary ever wrote stay skipped.
 func TestReplayRefusesUndecodableRecords(t *testing.T) {
 	ts := []Tuple{{Stream: 1, Seq: 0}, {Stream: 1, Seq: 1}, {Stream: 1, Seq: 2}}
-	good := appendFrames([]byte{walRecordTuples}, ts)
-	// What the retired binary logged: tag 0x01, then its 0x81 batch frame.
+	good := appendFrames(recordHead("n1:1"), ts)
+	// What the retired binaries logged: tag 0x01, then its 0x81 batch
+	// frame; tag 0x02, then opTuples frames with no sender.
 	retired := append([]byte{walRecordRetired, 0x81, 0, 0, 0, 1}, make([]byte, tupleFrameSize)...)
+	noSender := appendFrames([]byte{walRecordNoSender}, ts)
 
 	n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{WALDir: walDirWith(t, []byte{0x7f, 1, 2, 3}, good)})
 	if err != nil {
@@ -853,16 +920,24 @@ func TestReplayRefusesUndecodableRecords(t *testing.T) {
 	n.Close()
 
 	for _, c := range []struct {
-		name    string
-		payload []byte
-		names   string
-		is      error
+		name       string
+		payload    []byte
+		checkpoint string
+		names      string
+		is         error
 	}{
-		{"retired tag", retired, "0x01", nil},
-		{"retired frame under the live tag", append([]byte{walRecordTuples}, retired[1:]...), "0x81", errRetiredOpcode},
-		{"truncated record", good[:len(good)-5], "0x02", io.ErrUnexpectedEOF},
+		{"retired tag", retired, "", "0x01", nil},
+		{"record without its sender", noSender, "", "0x02", nil},
+		{"retired frame under the live tag", append(recordHead("n1:1"), retired[1:]...), "", "0x81", errRetiredOpcode},
+		{"truncated record", good[:len(good)-5], "", "0x03", io.ErrUnexpectedEOF},
+		{"checkpoint marks without senders", good, `{"walPos":0,"marks":[{"stream":1,"seq":2}]}`, "retired format", nil},
 	} {
 		dir := walDirWith(t, good, c.payload)
+		if c.checkpoint != "" {
+			if err := wal.WriteFileAtomic(filepath.Join(dir, checkpointFile), []byte(c.checkpoint)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{WALDir: dir})
 		if err == nil {
 			n.Close()

@@ -68,12 +68,12 @@ func BenchmarkIngressChunk(b *testing.B) {
 	n := hotPathNode(b)
 	l := parkLane(b, n, 0)
 	chunk := seqRun(1, 0, batchMax)
-	n.enqueueChunk(chunk)
+	n.enqueueChunk(chunk, "")
 	l.empty()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.enqueueChunk(chunk)
+		n.enqueueChunk(chunk, "")
 		l.empty()
 	}
 	reportPerTuple(b, batchMax)
@@ -85,12 +85,12 @@ func BenchmarkWorkerRun(b *testing.B) {
 	n := hotPathNode(b)
 	run := workerRun{locals: make([][]Tuple, n.workers), tuples: seqRun(1, 0, batchMax)}
 	for i := 0; i < 2*DefaultOutboxCap/batchMax; i++ {
-		n.processRun(n.lanes[0], &run) // fill the ring, grow the scratch
+		n.processRun(n.lanes[0], &run, n.route.Load()) // fill the ring, grow the scratch
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.processRun(n.lanes[0], &run)
+		n.processRun(n.lanes[0], &run, n.route.Load())
 	}
 	reportPerTuple(b, batchMax)
 }
@@ -151,7 +151,7 @@ func BenchmarkSinkBatch(b *testing.B) {
 				for j := range batch {
 					batch[j].Seq += batchMax // fresh sequences: nothing is a duplicate
 				}
-				c.recordBatch(batch, int64(time.Second))
+				c.recordBatch(batch, "n1", int64(time.Second))
 			}
 			reportPerTuple(b, batchMax)
 		})
@@ -159,8 +159,8 @@ func BenchmarkSinkBatch(b *testing.B) {
 }
 
 // durableAdmitter returns one durable admission of a 512-tuple sequenced
-// frame — filter, WAL append, group commit, watermark advance, enqueue —
-// on a WAL in dir. The stream's watermark is cleared before each admission
+// frame — filter, WAL append, group commit, mark advance, enqueue — on a
+// WAL in dir. The stream's mark is cleared before each admission
 // so the whole frame is fresh every time, and the parked lane is emptied
 // after it. Checkpoints are held off: a checkpoint attempt reads the lanes
 // parkLane swaps and allocates while other layers are being counted.
@@ -174,11 +174,13 @@ func durableAdmitter(tb testing.TB, dir string) func() {
 		tb.Fatal(err)
 	}
 	var a admission
+	from := n.senderOf("bench")
 	return func() {
-		n.dedupMu.Lock()
-		delete(n.dedup, 1)
-		n.dedupMu.Unlock()
-		if err := n.admitDurable(batch, tr.Frame(), &a); err != nil {
+		from.mu.Lock()
+		delete(from.marks, 1)
+		err := n.admitDurable(from, batch, tr.Frame(), &a)
+		from.mu.Unlock()
+		if err != nil {
 			tb.Fatal(err)
 		}
 		l.empty()
@@ -203,11 +205,11 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 	l := parkLane(t, n, 0)
 	chunk := seqRun(1, 0, batchMax)
 	ingress := func() {
-		n.enqueueChunk(chunk)
+		n.enqueueChunk(chunk, "")
 		l.empty()
 	}
 	run := workerRun{locals: make([][]Tuple, n.workers), tuples: seqRun(1, 0, batchMax)}
-	worker := func() { n.processRun(l, &run) }
+	worker := func() { n.processRun(l, &run, n.route.Load()) }
 	c, err := NewCollector("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +222,7 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 		for j := range batch {
 			batch[j].Seq += batchMax
 		}
-		c.recordBatch(batch, int64(time.Second))
+		c.recordBatch(batch, "n1", int64(time.Second))
 	}
 	o := newOutbox(n, deadAddr(t), false)
 	o.enqueueBatch(seqRun(2, 0, len(o.ring)))

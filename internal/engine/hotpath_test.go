@@ -61,6 +61,8 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 		k := int(op.selAcc)
 		op.selAcc -= float64(k)
 		op.processed++
+		seq := op.nextSeq // outputs are numbered by their operator's counter
+		op.nextSeq += int64(k)
 		op.mu.Unlock()
 		s := samples[op.spec.ID]
 		if s == nil {
@@ -72,7 +74,7 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 		s.out += int64(k)
 		s.cpu += cost
 		for i := 0; i < k; i++ {
-			outs = append(outs, Tuple{Stream: int32(op.spec.Out), Ts: t.Ts, Seq: t.Seq,
+			outs = append(outs, Tuple{Stream: int32(op.spec.Out), Ts: t.Ts, Seq: seq + int64(i),
 				Value: t.Value, Key: t.Key, Flags: t.Flags, TraceTs: t.TraceTs})
 		}
 		return cost
@@ -241,6 +243,7 @@ func mixedRun(rng *rand.Rand, rs *routeState, n int, seq *int64) []Tuple {
 
 type opState struct {
 	Processed int64
+	NextSeq   int64
 	SelAcc    float64
 	Window    [2]int
 	Cost, Sel float64
@@ -252,7 +255,7 @@ func opStates(n *Node) map[int]opState {
 	out := map[int]opState{}
 	for id, op := range n.route.Load().ops {
 		op.mu.Lock()
-		s := opState{Processed: op.processed, SelAcc: op.selAcc,
+		s := opState{Processed: op.processed, NextSeq: op.nextSeq, SelAcc: op.selAcc,
 			Window: [2]int{len(op.window[0]), len(op.window[1])}}
 		op.mu.Unlock()
 		s.Cost, _ = n.estimator.Cost(id)
@@ -274,7 +277,7 @@ func TestHeldOpLockMatchesReference(t *testing.T) {
 		tuples := mixedRun(rng, got.route.Load(), batchMax, &seq)
 		run.tuples = append(run.tuples[:0], tuples...)
 		before := time.Now().UnixNano()
-		got.processRun(got.lanes[0], &run)
+		got.processRun(got.lanes[0], &run, got.route.Load())
 		if run.held != nil {
 			t.Fatalf("run %d: processRun returned holding operator %d's mutex", r, run.held.spec.ID)
 		}
@@ -363,7 +366,7 @@ func TestHeldOpLockReleasedWhilePacing(t *testing.T) {
 		t.Fatal(resp.Err)
 	}
 	op := n.route.Load().ops[0]
-	n.enqueueInboundBatch(seqRun(1, 0, 6))
+	n.enqueueInboundBatch(seqRun(1, 0, 6), "")
 	waitUntil(t, 2*time.Second, "worker inside the run", func() bool {
 		return n.Stats().WorkerInFlight == 6
 	})
@@ -395,20 +398,20 @@ func TestHeldOpLockReleasedWhilePacing(t *testing.T) {
 type refSink struct {
 	cap       int
 	rng       *rand.Rand
-	marks     map[int32]int64
+	marks     map[refKey]int64
 	dups      int64
 	count     int64
 	latSumNs  float64
 	latencies []float64
 }
 
-// add records one delivered tuple and reports whether it was admitted.
-func (r *refSink) add(t Tuple, now int64) bool {
-	if mk, seen := r.marks[t.Stream]; seen && t.Seq <= mk {
+// add records one tuple delivered by sender from and reports whether it
+// was admitted.
+func (r *refSink) add(from string, t Tuple, now int64) bool {
+	if !refAdmit(r.marks, from, t) {
 		r.dups++
 		return false
 	}
-	r.marks[t.Stream] = t.Seq
 	lat := float64(now-t.Ts) / float64(time.Second)
 	r.count++
 	r.latSumNs += float64(now - t.Ts)
@@ -439,9 +442,9 @@ func TestSinkBatchMatchesPerTupleSink(t *testing.T) {
 	arrivals[1792] = arrivals[1791]
 	copy(arrivals[2500:2520], arrivals[2400:2420])
 
-	ref := &refSink{cap: sampleCap, rng: rand.New(rand.NewSource(1)), marks: map[int32]int64{}}
+	ref := &refSink{cap: sampleCap, rng: rand.New(rand.NewSource(1)), marks: map[refKey]int64{}}
 	for _, tp := range arrivals {
-		ref.add(tp, now)
+		ref.add("n1", tp, now)
 	}
 	if ref.dups < 22 || ref.count <= sampleCap {
 		t.Fatalf("scenario too tame: %d duplicates, %d admitted", ref.dups, ref.count)
@@ -458,7 +461,7 @@ func TestSinkBatchMatchesPerTupleSink(t *testing.T) {
 		slab := make([]Tuple, size)
 		for at := 0; at < len(arrivals); at += size {
 			batch := slab[:copy(slab, arrivals[at:])] // recordBatch compacts in place
-			admitted = append(admitted, c.recordBatch(batch, now)...)
+			admitted = append(admitted, c.recordBatch(batch, "n1", now)...)
 		}
 		if c.Duplicates() != ref.dups {
 			t.Fatalf("batches of %d: %d duplicates, per-tuple sink %d", size, c.Duplicates(), ref.dups)
@@ -773,10 +776,10 @@ func TestStreamRouteKeyedTuplesFollowTheirReplica(t *testing.T) {
 			t.Fatalf("%s: %d tuples on the lanes, want %d", what, got, want)
 		}
 	}
-	n.enqueueChunk(append(seqRun(5, 0, batchMax), seqRun(1, 0, 10)...))
+	n.enqueueChunk(append(seqRun(5, 0, batchMax), seqRun(1, 0, 10)...), "")
 	drained("ingress", batchMax+10)
 
 	run := workerRun{locals: make([][]Tuple, workers), tuples: seqRun(1, 0, batchMax)}
-	n.processRun(lanes[rs.lookup(1).lane], &run)
+	n.processRun(lanes[rs.lookup(1).lane], &run, n.route.Load())
 	drained("operator output", batchMax)
 }

@@ -127,7 +127,7 @@ func TestLaneOrderingEndToEnd(t *testing.T) {
 						Tuple{Stream: a, Seq: seq + i, Key: uint64(a)},
 						Tuple{Stream: b, Seq: seq + i, Key: uint64(b)})
 				}
-				n.enqueueInboundBatch(batch)
+				n.enqueueInboundBatch(batch, "")
 			}
 		}(p)
 	}
@@ -272,10 +272,10 @@ func TestLaneDrainAliasIsStable(t *testing.T) {
 		}
 	}()
 	run := workerRun{locals: make([][]Tuple, got.workers), tuples: held}
-	got.processRun(l, &run)
+	got.processRun(l, &run, got.route.Load())
 	<-done
 	want := workerRun{locals: make([][]Tuple, ref.workers), tuples: copied}
-	ref.processRun(newLane(0, laneCap), &want)
+	ref.processRun(newLane(0, laneCap), &want, ref.route.Load())
 	if len(run.outs) != batchMax || !reflect.DeepEqual(run.outs, want.outs) {
 		t.Fatalf("the held run's %d outputs differ from the %d of a copy taken at the drain", len(run.outs), len(want.outs))
 	}

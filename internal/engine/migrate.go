@@ -21,7 +21,10 @@ import (
 //  3. the source node removes the operator and converts its input streams
 //     into relay routes toward the destination, so upstream producers and
 //     source drivers keep sending to the old home and tuples take one extra
-//     hop until the next full redeployment.
+//     hop until the next full redeployment. Tuples queued there for the
+//     operator follow it (removeOp); an operator moving back home retires
+//     the relays its departure added, unless another departed operator
+//     still relies on them (addOp).
 //
 // During the brief hand-over both homes may process a few of the same
 // tuples (at-least-once), the usual trade of pause-free migration.

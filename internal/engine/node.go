@@ -174,10 +174,9 @@ type Node struct {
 	bornNano        int64
 	wal             *wal.Log
 	durableInflight atomic.Int64 // durable admissions between WAL append and enqueue
-	dedupMu         sync.Mutex
-	dedup           map[int32]int64 // stream → max admitted durable tuple Seq
-	admitsMu        sync.Mutex
-	admits          map[string]*sync.Mutex // per-sender durable admission serialization
+	ingress         sync.RWMutex // held shared per ingress chunk, exclusively by removeOp
+	sendersMu       sync.Mutex
+	senders         map[string]*sender // per-sender admission lock and dedup marks
 	dedupDropped    atomic.Int64
 	replayed        atomic.Int64
 	checkpoints     atomic.Int64
@@ -185,6 +184,8 @@ type Node struct {
 	restartIntent   atomic.Bool // set by the control-plane restart command
 	ckQuit          chan struct{}
 	done            chan struct{} // closed when Close completes (see Done)
+
+	departed map[int]departed // operators migrated away, by id; guarded by mu
 }
 
 // nodeProbe bundles the observer state so data-plane goroutines (ingress,
@@ -212,6 +213,7 @@ type liveOp struct {
 	window    [2][]int64 // join windows: origin-arrival wall ns per side
 	sideOf    map[int]int
 	processed int64
+	nextSeq   int64 // Seq of the operator's next output (see process)
 }
 
 // partTable is a node's keyed routing table for one sharded stream: fixed
@@ -314,8 +316,8 @@ func NewNodeConfig(addr string, capacity float64, cfg NodeConfig) (*Node, error)
 		faults:        map[string]*LinkFault{},
 		conns:         map[net.Conn]bool{},
 		estimator:     stats.NewCostEstimator(),
-		dedup:         map[int32]int64{},
-		admits:        map[string]*sync.Mutex{},
+		senders:       map[string]*sender{},
+		departed:      map[int]departed{},
 		bornNano:      time.Now().UnixNano(),
 		done:          make(chan struct{}),
 	}
@@ -329,7 +331,7 @@ func NewNodeConfig(addr string, capacity float64, cfg NodeConfig) (*Node, error)
 	// Recovery runs BEFORE any goroutine starts: the WAL's surviving
 	// backlog is replayed into the lane queues while no connection can be
 	// accepted, so re-sent retained batches from upstream peers cannot
-	// race the replay (they would advance the dedup watermarks past
+	// race the replay (they would advance the dedup marks past
 	// records not yet re-admitted). Peers dialing during replay queue in
 	// the listen backlog.
 	if cfg.WALDir != "" {
@@ -503,29 +505,29 @@ const MaxWriteTuples = tupleConnBuffer / tupleFrameSize
 // serveTuples drains one tuple connection until it ends or a frame fails
 // to decode (nothing of a bad frame is admitted). Sequence-bearing batches
 // from durable senders take the durability path (admitDurable: dedup
-// against the per-stream watermarks, WAL-append, wait for the group
-// commit, admit), then ack the sequence so the sender releases its
-// retained copy — the ack is written only after fsync, which is the
-// at-least-once linchpin (anything unacked is still retained upstream and
-// re-sent). Acks are cumulative, so the ack is skipped when br already
-// holds the whole next sequenced frame: reading that frame cannot block,
-// and its ack covers this one. An ack is therefore never withheld across a
-// read that might block; if the next frame then fails (its decode or its
-// WAL write) the connection drops and the sender re-sends both, which the
-// watermarks filter. Frames without a sequence (sources, or a node without a WAL)
-// take the volatile path; both coexist on one connection.
+// against the sender's marks, WAL-append, wait for the group commit,
+// admit), then ack the sequence so the sender releases its retained copy —
+// the ack is written only after fsync, which is the at-least-once linchpin
+// (anything unacked is still retained upstream and re-sent). Acks are
+// cumulative, so the ack is skipped when br already holds the whole next
+// sequenced frame: reading that frame cannot block, and its ack covers
+// this one. An ack is therefore never withheld across a read that might
+// block; if the next frame then fails (its decode or its WAL write) the
+// connection drops and the sender re-sends both, which the marks filter.
+// Frames without a sequence (sources, or a node without a WAL) take the
+// volatile path; both coexist on one connection.
 //
-// The whole filter→log→commit→advance window runs under a per-sender
-// admission lock: a sender that reconnects and replays a retained batch
-// while the OLD connection's goroutine is still mid-admission (blocked in
-// WaitCommitted, marks not yet advanced) would otherwise pass dedupFilter a
-// second time and be delivered twice. The lock is keyed on the hello
-// identity (stable across reconnects and restarts), so admissions from
-// DIFFERENT senders still share one group commit.
+// The whole filter→log→commit→advance window runs under the sender's
+// admission lock (sender.mu), which also guards its marks: a sender that
+// reconnects and replays a retained batch while the OLD connection's
+// goroutine is still mid-admission (blocked in WaitCommitted, marks not
+// yet advanced) would otherwise pass the filter a second time and be
+// delivered twice. Admissions from DIFFERENT senders still share one group
+// commit.
 func (n *Node) serveTuples(br *bufio.Reader, conn net.Conn) {
 	tr := NewTupleReader(br)
 	var adm admission
-	var admit *sync.Mutex
+	var from *sender
 	for {
 		batch, err := tr.ReadBatch()
 		if err != nil {
@@ -533,21 +535,21 @@ func (n *Node) serveTuples(br *bufio.Reader, conn net.Conn) {
 		}
 		seq, sequenced := tr.BatchSeq()
 		if !sequenced || n.wal == nil {
-			n.enqueueInboundBatch(batch)
+			_, addr, _ := tr.Hello()
+			n.enqueueInboundBatch(batch, addr)
 			continue
 		}
-		if admit == nil {
-			_, sender, _ := tr.Hello()
-			admit = n.admitLock(sender)
+		if from == nil {
+			_, addr, _ := tr.Hello()
+			from = n.senderOf(addr)
 		}
-		admit.Lock()
-		err = n.admitDurable(batch, tr.Frame(), &adm)
-		admit.Unlock()
+		from.mu.Lock()
+		err = n.admitDurable(from, batch, tr.Frame(), &adm)
+		from.mu.Unlock()
 		if err != nil {
 			// The WAL failed: without durability we must not ack (the
-			// sender keeps the batch and re-sends), and the watermarks
-			// were not advanced, so nothing is stranded. Drop the
-			// connection.
+			// sender keeps the batch and re-sends), and the marks were
+			// not advanced, so nothing is stranded. Drop the connection.
 			ev, _, _ := n.observer()
 			ev.Emit(obs.LevelWarn, obs.EventWALError,
 				"node", n.route.Load().nodeID(), "err", err.Error())
@@ -562,20 +564,27 @@ func (n *Node) serveTuples(br *bufio.Reader, conn net.Conn) {
 	}
 }
 
-// admitLock returns (creating on first use) the durable-admission mutex for
-// one sender identity — the address announced in its hello frame, which an
-// outbox keeps across reconnects and a restarted node re-announces. Sequenced
-// batches that arrive without a hello (hand-rolled senders) share the ""
-// key, which is safe (over-serialization, never under-).
-func (n *Node) admitLock(sender string) *sync.Mutex {
-	n.admitsMu.Lock()
-	defer n.admitsMu.Unlock()
-	m, ok := n.admits[sender]
-	if !ok {
-		m = &sync.Mutex{}
-		n.admits[sender] = m
+// sender is one upstream sender's dedup state at this node: its marks and
+// the admission lock that guards them. A sender is the address announced
+// in its connection's hello, which an outbox keeps across reconnects and a
+// restarted node re-announces; sequenced batches without a hello
+// (hand-rolled senders) share the "" entry.
+type sender struct {
+	addr  string
+	mu    sync.Mutex
+	marks seqMarks
+}
+
+// senderOf returns (creating on first use) one sender's entry.
+func (n *Node) senderOf(addr string) *sender {
+	n.sendersMu.Lock()
+	defer n.sendersMu.Unlock()
+	s := n.senders[addr]
+	if s == nil {
+		s = &sender{addr: addr, marks: seqMarks{}}
+		n.senders[addr] = s
 	}
-	return m
+	return s
 }
 
 // relayRun is one per-destination slice of tuples to forward, built while
@@ -619,15 +628,21 @@ func (d *destRuns) add(addr string, ts []Tuple) {
 // per-stream shed counters, the shed-onset hysteresis latch and relay
 // fan-out are all computed batch-wise with per-tuple accounting preserved;
 // relays are grouped per destination so the outbox is offered slices
-// rather than single tuples.
-func (n *Node) enqueueInboundBatch(ts []Tuple) {
+// rather than single tuples. from is the sender's hello address ("" for
+// sources): a tuple that has a consumer here is never relayed back to the
+// node it came from. Two consumers of one stream that migrated to the same
+// node, one of which then returned, leave each home relaying the stream to
+// the other; without this every tuple would bounce back and be processed
+// twice. A tuple with no consumer here still goes back: that is the
+// hand-over of one that was in flight when its consumer returned home.
+func (n *Node) enqueueInboundBatch(ts []Tuple, from string) {
 	for len(ts) > 0 {
 		chunk := ts
 		if len(chunk) > batchMax {
 			chunk = ts[:batchMax]
 		}
 		ts = ts[len(chunk):]
-		n.enqueueChunk(chunk)
+		n.enqueueChunk(chunk, from)
 	}
 }
 
@@ -680,10 +695,12 @@ func (sc *ingressScratch) reset() {
 // lane which stretches of the chunk it admits, then copies each lane's
 // stretches from the chunk into its queue with one lane-lock acquisition.
 // No node-wide lock is taken anywhere on this path.
-func (n *Node) enqueueChunk(chunk []Tuple) {
+func (n *Node) enqueueChunk(chunk []Tuple, from string) {
 	if n.closed.Load() {
 		return
 	}
+	n.ingress.RLock()
+	defer n.ingress.RUnlock()
 	rs := n.route.Load()
 	ev, stages, every := n.observer()
 	sc := n.scratch.Get().(*ingressScratch)
@@ -742,7 +759,9 @@ func (n *Node) enqueueChunk(chunk []Tuple) {
 			n.dropNoRoute(sc, sid)
 		}
 		for _, d := range sr.relays {
-			sc.relays.add(d.Addr, chunk[ci:ci+1])
+			if d.Addr != from || len(sr.subs) == 0 {
+				sc.relays.add(d.Addr, chunk[ci:ci+1])
+			}
 		}
 	}
 	if xferBusy > 0 {

@@ -122,6 +122,19 @@ func (o *outbox) enqueueBatch(ts []Tuple) int {
 	return k
 }
 
+// unacked appends the tuples of stream sid the ring still holds unacked
+// to ts.
+func (o *outbox) unacked(sid int32, ts []Tuple) []Tuple {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for p := o.acked; p < o.tail; p++ {
+		if t := o.ring[p%uint64(len(o.ring))]; t.Stream == sid {
+			ts = append(ts, t)
+		}
+	}
+	return ts
+}
+
 func (o *outbox) wake() {
 	select {
 	case o.notify <- struct{}{}:
@@ -241,14 +254,14 @@ func (o *outbox) run() {
 }
 
 // writeLoop ships tuples over one connection until it fails or quit fires.
-// A durable connection opens with the hello and a rewind of shipped to
+// Every connection opens with the hello, which names the sender the
+// receiver keys its dedup marks by. A durable one then rewinds shipped to
 // acked, so everything the peer has not acknowledged goes out again ahead
 // of anything new.
 func (o *outbox) writeLoop(conn net.Conn) error {
-	open := append(o.enc[:0], connTuples)
+	open := appendHello(append(o.enc[:0], connTuples), o.incarnation, o.node.Addr())
 	var ackDone chan error
 	if o.durable {
-		open = appendHello(open, o.incarnation, o.node.Addr())
 		o.mu.Lock()
 		o.shipped = o.acked
 		o.mu.Unlock()

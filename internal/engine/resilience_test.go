@@ -57,7 +57,7 @@ func TestCollectorReservoirSampling(t *testing.T) {
 	batch := make([]Tuple, 50)
 	for _, now := range []time.Duration{time.Second, 2 * time.Second} {
 		for i := 0; i < 100; i++ {
-			c.recordBatch(batch, int64(now))
+			c.recordBatch(batch, "", int64(now))
 		}
 	}
 	sum, ok := c.LatencySummary()

@@ -225,16 +225,16 @@ func TestStageTelescoping(t *testing.T) {
 
 	// Correlation: pick a sink span and walk its tuple's hops in emission
 	// order — the trace must cross both nodes and end at the sink with
-	// non-decreasing wall offsets.
+	// non-decreasing wall offsets. The origin timestamp is the key: each
+	// node numbers the stream it produces, so seq changes hop by hop.
 	events := ev.Events()
 	var key struct {
-		ts, seq int64
-		found   bool
+		ts    int64
+		found bool
 	}
 	for _, e := range events {
 		if e.Type == obs.EventSpan && e.Fields["stage"] == "sink" {
 			key.ts = asInt64(e.Fields["ts"])
-			key.seq = asInt64(e.Fields["seq"])
 			key.found = true
 			break
 		}
@@ -245,7 +245,7 @@ func TestStageTelescoping(t *testing.T) {
 	var stagesSeen []string
 	lastT := -1.0
 	for _, e := range events {
-		if e.Type != obs.EventSpan || asInt64(e.Fields["ts"]) != key.ts || asInt64(e.Fields["seq"]) != key.seq {
+		if e.Type != obs.EventSpan || asInt64(e.Fields["ts"]) != key.ts {
 			continue
 		}
 		if e.T < lastT {
@@ -306,9 +306,9 @@ func TestUnsampledIngressAllocsZero(t *testing.T) {
 	// Warm-up latches the once-per-stream no-route warning (the batch has
 	// no consumer, so tuples exit before the queue — keeping the worker
 	// out of the allocation measurement).
-	n.enqueueInboundBatch(batch)
+	n.enqueueInboundBatch(batch, "")
 	avg := testing.AllocsPerRun(200, func() {
-		n.enqueueInboundBatch(batch)
+		n.enqueueInboundBatch(batch, "")
 	})
 	if avg != 0 {
 		t.Fatalf("unsampled ingress allocates %.1f per batch, want 0", avg)
@@ -340,11 +340,11 @@ func BenchmarkIngressTraceArmed(b *testing.B) {
 				batch[i] = Tuple{Stream: 9, Seq: seq}
 				seq++
 			}
-			n.enqueueInboundBatch(batch)
+			n.enqueueInboundBatch(batch, "")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n.enqueueInboundBatch(batch)
+				n.enqueueInboundBatch(batch, "")
 			}
 		})
 	}

@@ -43,13 +43,15 @@ const (
 	// frame's last tuple): the receiver logs the batch and acks that
 	// sequence, while frames without it take the volatile path.
 	opTuples byte = 0x88
-	// opHello identifies a durable sender right after the preamble:
+	// opHello identifies the sending node right after the preamble:
 	//
 	//	opHello | uint64(incarnation) | uint16(len) | sender address
 	//
-	// The incarnation is the sender outbox's birth timestamp; a receiver
-	// uses (address, incarnation) to tell a reconnect of the same outbox
-	// from a restarted node. Non-durable senders never emit it.
+	// Every outbox connection opens with it; sources and hand-rolled
+	// writers may omit it. Receivers key their dedup marks by the address,
+	// which stays the same across reconnects and restarts; the incarnation
+	// is the sender node's birth timestamp. A WAL tuple record starts with
+	// one too, naming the sender its tuples came from.
 	opHello byte = 0x85
 	// opAck is the durability acknowledgement:
 	//
@@ -96,7 +98,11 @@ const TupleTraced uint8 = 1 << 0
 
 // Tuple is the data-plane unit. Ts is the origin timestamp in nanoseconds
 // (wall clock at injection) used for end-to-end latency; Value is an opaque
-// payload the delay-style operators carry through. Flags and TraceTs are
+// payload the delay-style operators carry through. Seq numbers the tuple
+// within its stream as produced by one node: a source numbers its stream
+// from 0, and every operator output takes its node's next number for the
+// operator's output stream, so each (sender, stream) pair is one dense,
+// increasing sequence that receivers dedup by. Flags and TraceTs are
 // the sampled-trace context: TraceTs holds the wall timestamp (ns) of the
 // tuple's last recorded stage boundary, so each hop can attribute
 // now−TraceTs to one stage and the stage durations telescope to the

@@ -182,6 +182,7 @@ func (n *Node) laneWorker(l *lane) {
 		// in flight so stats (and the quiescence barrier) never report an
 		// empty pipeline while the worker still owns admitted tuples.
 		run.tuples = l.take()
+		rs := n.route.Load() // under the lane lock: see removeOp
 		qlen := l.qlenLocked()
 		shedClear := false
 		if l.shedding && qlen <= l.cap/2 {
@@ -199,13 +200,13 @@ func (n *Node) laneWorker(l *lane) {
 				"node", n.route.Load().nodeID(), "lane", int(l.id), "queue", qlen, "cap", l.cap,
 				"shed", shedTotal)
 		}
-		n.processRun(l, &run)
+		n.processRun(l, &run, rs)
 		l.endRun()
 	}
 }
 
-// processRun steps run.tuples through their operators against one route
-// snapshot, then accounts, forwards and routes what the run produced. It
+// processRun steps run.tuples through their operators against rs, the
+// route snapshot read when the run was taken, then accounts, forwards and routes what the run produced. It
 // runs outside the lane lock, pacing per tuple against a locally accumulated
 // busy delta (concurrent charges from other lanes and the ingress transfer
 // cost land in n.busy and are picked up at the next flush).
@@ -216,8 +217,7 @@ func (n *Node) laneWorker(l *lane) {
 // traced tuple, a stall tuple and a tuple of a stream with several
 // consumers are stretches of one, so the traced tuple's stage boundaries
 // stay its own and outputs stay tuple-major.
-func (n *Node) processRun(l *lane, run *workerRun) {
-	rs := n.route.Load()
+func (n *Node) processRun(l *lane, run *workerRun, rs *routeState) {
 	nodeID := rs.nodeID()
 	ev, stages, _ := n.observer()
 	run.started = n.started.Load()
@@ -338,7 +338,8 @@ func (n *Node) processRun(l *lane, run *workerRun) {
 // appending emitted tuples to run.outs. The operator's mutex is taken, its
 // spec read and its estimator slot found once per stretch; per tuple, in
 // locals, it advances the selectivity accumulator, the processed count, the
-// sample and a join's window, builds the outputs, and charges the cost —
+// output counter, the sample and a join's window, builds the outputs, and
+// charges the cost —
 // pacing after every tuple but the last, whose cost it returns for the
 // caller to charge once the tuple's last consumer has stepped. The locals
 // are written back before every pacing sleep (which drops the mutex) and at
@@ -353,7 +354,9 @@ func (n *Node) process(run *workerRun, op *liveOp, ts []Tuple) float64 {
 		side = op.sideOf[int(ts[0].Stream)]
 	}
 	s := run.sample(spec.ID)
-	acc, processed := op.selAcc, op.processed
+	// The next output's Seq is seq0+out: numbering off the sample's output
+	// count keeps the loop one carried counter short.
+	acc, processed, seq0 := op.selAcc, op.processed, op.nextSeq-s.out
 	in, out, cpu := s.in, s.out, s.cpu
 	win := op.window
 	outs := run.outs
@@ -385,29 +388,30 @@ func (n *Node) process(run *workerRun, op *liveOp, ts []Tuple) float64 {
 		cpu += cost
 		for ; k > 0; k-- {
 			// An output is the input with its stream rewritten, built in
-			// its slot: it inherits Ts, Seq, Value, the trace context and
-			// the partition key (so downstream sharded stages keep keyed
-			// semantics) but never the in-memory target, because
-			// addressing is resolved per stream by whoever routes the
-			// output.
+			// its slot: it inherits Ts, Value, the trace context and the
+			// partition key (so downstream sharded stages keep keyed
+			// semantics), takes the next number of its stream as its Seq
+			// (receivers dedup by it; out already counts the k outputs
+			// of this input), and never keeps the in-memory
+			// target, because addressing is resolved per stream by whoever
+			// routes the output.
 			outs = append(outs, *t)
 			o := &outs[len(outs)-1]
-			o.Stream = stream
-			o.target = 0
+			o.Stream, o.Seq, o.target = stream, seq0+out-int64(k), 0
 		}
 		if cost <= 0 || i == len(ts)-1 {
 			continue
 		}
 		if ahead := run.charge(cost, n.capacity); ahead > 0 {
-			op.selAcc, op.processed, op.window = acc, processed, win
+			op.selAcc, op.processed, op.nextSeq, op.window = acc, processed, seq0+out, win
 			s.in, s.out, s.cpu = in, out, cpu
 			run.outs = outs
 			n.sleep(run, ahead)
 			run.hold(op)
-			acc, processed, win = op.selAcc, op.processed, op.window
+			acc, processed, seq0, win = op.selAcc, op.processed, op.nextSeq-out, op.window
 		}
 	}
-	op.selAcc, op.processed, op.window = acc, processed, win
+	op.selAcc, op.processed, op.nextSeq, op.window = acc, processed, seq0+out, win
 	s.in, s.out, s.cpu = in, out, cpu
 	run.outs = outs
 	return cost

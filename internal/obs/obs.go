@@ -102,7 +102,8 @@ const (
 	// node's last recovery.
 	MetricRecoveryReplayed = "rodsp_recovery_replayed_total"
 	// MetricRecoveryDedupDropped counts duplicate tuples discarded by the
-	// per-stream watermarks (re-sent retained batches after a restart).
+	// (sender, stream) dedup rule at ingress and replay (re-sent retained
+	// batches after a reconnect or a restart).
 	MetricRecoveryDedupDropped = "rodsp_recovery_dedup_dropped_total"
 )
 
@@ -161,7 +162,8 @@ const (
 	// table push failed part-way; routing stays safe on mixed tables).
 	EventControllerScale = "controller_scale"
 	// EventCheckpoint records one landed durability checkpoint: the WAL
-	// position truncated behind, and the operator/watermark counts captured.
+	// position truncated behind, and the operator and dedup-mark counts
+	// captured.
 	EventCheckpoint = "checkpoint"
 	// EventRecover records a node restart that restored state from its WAL
 	// directory (replayed tuple count, checkpoint presence).
