@@ -54,50 +54,30 @@ func pointSums(pts []float64, d int) []float64 {
 	return sums
 }
 
-// tableCells numbers the cells of the points as the table does, in order of
-// first appearance: each point's 1-based cell id and each id's grid key. Both
-// are nil for a dimension without cells.
-func tableCells(pts, sums []float64, d int) (cells, keys []uint16) {
-	q := cellLevels(d)
-	if q == 0 {
-		return nil, nil
+// kernelViews returns the views countView is held to on pts: grouped by
+// cell as RatioToIdealFrom's view is (cells only past cellEvery points per
+// cell), grouped with the cells forced on, and a single group, where the
+// global radius alone decides.
+func kernelViews(pts, sums []float64, d int) []*cellView {
+	return []*cellView{
+		newCellView(pts, sums, d, pointKeys(pts, sums, d, cellEvery)),
+		newCellView(pts, sums, d, pointKeys(pts, sums, d, 0)),
+		newCellView(pts, sums, d, nil),
 	}
-	idOf := map[uint16]uint16{}
-	cells = make([]uint16, len(sums))
-	for j, s := range sums {
-		key := cellKey(pts[j*d:(j+1)*d], s, q)
-		if idOf[key] == 0 {
-			keys = append(keys, key)
-			idOf[key] = uint16(len(keys))
-		}
-		cells[j] = idOf[key]
-	}
-	return cells, keys
 }
 
-// kernelRules returns the rule newHitRule builds for pts as RatioToIdealFrom
-// would (cells only past cellEvery samples per cell), the same with the
-// global radius and the cells forced on, that rule given no cell ids (as
-// the blocks past the table's cap are), and one deciding nothing, with the
-// cell ids each is to be given.
-func kernelRules(w *mat.Matrix, lb mat.Vec, scale float64, pts, sums []float64) (rules []hitRule, ids [][]uint16) {
-	cells, keys := tableCells(pts, sums, w.Cols)
-	built, builtIDs := newHitRule(w, lb, scale, nil), []uint16(nil)
-	if len(sums) >= cellEvery*len(keys) {
-		built, builtIDs = newHitRule(w, lb, scale, keys), cells
-	}
-	on := newHitRule(w, lb, scale, keys)
-	on.bounds[0].cert, on.decides = certRadius(w, lb, scale), true
-	off := built
-	off.decides = false
-	return []hitRule{built, on, on, off}, [][]uint16{builtIDs, cells, nil, nil}
+// viewHits counts v's points [lo, hi) as RatioToIdealFrom counts a chunk.
+func viewHits(w *mat.Matrix, lb mat.Vec, scale float64, v *cellView, lo, hi int) int {
+	return newHitRule(w, lb, scale, v.keys).countView(v, lo, hi, make([]float64, 2*w.Cols))
 }
 
-// checkKernel compares the kernel, with each rule of kernelRules, with the
-// row-wise reference on pts and on its first few prefixes, so empty blocks,
-// a lone point, a pair and a pair plus an odd last point are all covered.
-// It returns the reference count over all of pts and how many of those
-// points the radii forced on certify and reject.
+// checkKernel compares the kernel, through each view of kernelViews and
+// with no radius at all (as the points past a view are counted), with the
+// row-wise reference on pts and on its first few prefixes, so empty groups,
+// a lone point, a pair and a pair plus an odd last point are all covered;
+// the view with the cells forced on is also counted in two and in three
+// chunks that cut its groups. It returns the reference count over all of
+// pts and how many of those points that view's radii certify and reject.
 func checkKernel(t *testing.T, what string, w *mat.Matrix, lb mat.Vec, pts []float64) (hits, certified, rejected int) {
 	t.Helper()
 	scale := 1.0
@@ -106,36 +86,44 @@ func checkKernel(t *testing.T, what string, w *mat.Matrix, lb mat.Vec, pts []flo
 	}
 	d := w.Cols
 	sums := pointSums(pts, d)
-	rules, ids := kernelRules(w, lb, scale, pts, sums)
+	xs := make([]float64, 2*d)
+	var on *cellView
+	var onRule hitRule
 	for _, n := range []int{0, 1, 2, 3, len(sums)} {
 		if n > len(sums) {
 			continue
 		}
 		want := countHitsRowwise(w, lb, scale, pts[:n*d])
-		for i, r := range rules {
-			cells := ids[i]
-			if cells != nil {
-				cells = cells[:n]
+		if got := countPairs(packPanels(w), d, lb, scale, pts[:n*d], xs); got != want {
+			t.Fatalf("%s, %d points, no radius: kernel counts %d hits, row-wise reference %d", what, n, got, want)
+		}
+		for i, v := range kernelViews(pts[:n*d], sums[:n], d) {
+			rule := newHitRule(w, lb, scale, v.keys)
+			if got := rule.countView(v, 0, n, xs); got != want {
+				t.Fatalf("%s, %d points, view %d (%d groups): kernel counts %d hits, row-wise reference %d", what, n, i, len(v.starts)-1, got, want)
 			}
-			if got := r.countHits(pts[:n*d], sums[:n], cells); got != want {
-				t.Fatalf("%s, %d points, rule %d (cells %v, decides %v): kernel counts %d hits, row-wise reference %d", what, n, i, cells != nil, r.decides, got, want)
+			if i == 1 {
+				on, onRule = v, rule
 			}
 		}
 	}
-	on, cells := rules[1], ids[1]
-	for j, s := range sums {
-		b := on.bounds[0]
-		if cells != nil {
-			b = on.bounds[cells[j]]
+	n := len(sums)
+	hits = countHitsRowwise(w, lb, scale, pts)
+	for _, cuts := range [][]int{{0, n / 2, n}, {0, n / 3, 2 * n / 3, n}} {
+		got := 0
+		for c := 1; c < len(cuts); c++ {
+			got += onRule.countView(on, cuts[c-1], cuts[c], xs)
 		}
-		if s <= b.cert {
-			certified++
-		}
-		if s > b.reject {
-			rejected++
+		if got != hits {
+			t.Fatalf("%s: kernel counts %d hits in chunks %v, row-wise reference %d", what, got, cuts, hits)
 		}
 	}
-	return countHitsRowwise(w, lb, scale, pts), certified, rejected
+	for g, bd := range onRule.bounds {
+		group := on.sums[on.starts[g]:on.starts[g+1]]
+		sure, in := bd.split(group)
+		certified, rejected = certified+sure, rejected+len(group)-in
+	}
+	return hits, certified, rejected
 }
 
 func uniformWeights(rng *rand.Rand, rows, d int, lo, hi float64) *mat.Matrix {
@@ -609,9 +597,9 @@ func TestCellCertificateIsSound(t *testing.T) {
 	const d = 5
 	q := cellLevels(d)
 	keys := allCellKeys(d)
-	idOf := map[uint16]uint16{}
+	idOf := map[uint16]int{}
 	for c, key := range keys {
-		idOf[key] = uint16(c + 1)
+		idOf[key] = c
 	}
 	dirs := cellDirections(d)
 	cases, bounds := adversarialCases(t, rng)
@@ -634,15 +622,13 @@ func TestCellCertificateIsSound(t *testing.T) {
 			}
 		}
 		sums := pointSums(pts, d)
-		cells := make([]uint16, len(sums))
 		for j, s := range sums {
 			p := pts[j*d : (j+1)*d]
 			key := cellKey(p, s, q)
-			id := idOf[key]
-			if id == 0 {
+			id, ok := idOf[key]
+			if !ok {
 				t.Fatalf("%s: point %v lands in cell key %d, which no simplex point has", tc.name, p, key)
 			}
-			cells[j] = id
 			if ci == 0 {
 				switch gap := exactDirectionOutside(p, key, q); {
 				case gap > 1:
@@ -671,7 +657,8 @@ func TestCellCertificateIsSound(t *testing.T) {
 				rejected++
 			}
 		}
-		if got, want := rule.countHits(pts, sums, cells), countHitsRowwise(tc.w, tc.lb, tc.scale, pts); rule.decides && got != want {
+		v := newCellView(pts, sums, d, pointKeys(pts, sums, d, 0))
+		if got, want := viewHits(tc.w, tc.lb, tc.scale, v, 0, len(sums)), countHitsRowwise(tc.w, tc.lb, tc.scale, pts); got != want {
 			t.Fatalf("%s: kernel with cells counts %d hits, row-wise reference %d", tc.name, got, want)
 		}
 	}

@@ -12,45 +12,36 @@ import (
 
 const (
 	// tableCapFloats bounds the memoised points of one dimension to 16 MiB,
-	// plus 1/d of that for their sums and 1/(4d) for their cells. Every
-	// in-repo caller stays far below it (60 000 samples at d ≤ 10 is 5.4 MB
-	// with the sums and cells); it exists because the rodsp façade accepts
-	// any budget.
+	// plus 1/d of that for their sums, and the dimension's cell views,
+	// their points and sums together, to as much again. Every in-repo
+	// caller stays far below it (60 000 samples at d ≤ 10 is 5.3 MB of
+	// table and as much per view); it exists because the rodsp façade
+	// accepts any budget.
 	tableCapFloats = 1 << 21
 	// streamBlock is how many points past the cap are generated at a time.
 	streamBlock = 512
 	// maxCells bounds a dimension's direction grid, q^(d−1) ≤ maxCells
-	// (cellLevels), so a cell id and a cell key fit a uint16.
+	// (cellLevels), so a cell key fits a uint16.
 	maxCells = 4096
 )
 
-// pointTable holds the first len(sums) QMC simplex points of one dimension
-// and, in sums, each point's in-order coordinate sum (mat.Vec.Sum), the Σp
-// the safe radii are compared with. In cells it holds each point's direction
-// cell (cellKey) as a 1-based id: ids are handed out in order of first
-// appearance, so the cells of a prefix are a prefix of keys, and firstOf[c]
-// is the first point of cell id c+1. A published slice is never written
-// again: growth allocates new pts, sums and cells and appends to clipped
-// keys and firstOf, so readers keep using the slices they were handed
-// without synchronisation. idOf, the id of each grid key (0: not seen), is
-// read and written under mu only.
+// pointTable holds the first len(sums) QMC simplex points of one dimension,
+// each point's in-order coordinate sum (mat.Vec.Sum) in sums, and the cell
+// views built from them so far, least recently used first. A published
+// slice or view is never written again: growth allocates new pts and sums,
+// so readers keep using what they were handed without synchronisation.
+// views is read and written under mu only.
 type pointTable struct {
-	mu      sync.Mutex
-	pts     []float64
-	sums    []float64
-	cells   []uint16
-	keys    []uint16
-	firstOf []int
-	idOf    []uint16
+	mu    sync.Mutex
+	pts   []float64
+	sums  []float64
+	views []*cellView
 }
 
 // points is a prefix [0, n) of one dimension's table: the flat row-major
-// points, their sums, their cell ids, and the grid key of every cell id the
-// prefix uses (id c at keys[c−1]). cells and keys are nil for a dimension
-// without cells (cellLevels 0).
+// points and their sums.
 type points struct {
-	pts, sums   []float64
-	cells, keys []uint16
+	pts, sums []float64
 }
 
 var (
@@ -58,30 +49,39 @@ var (
 	tables   = map[int]*pointTable{}
 )
 
-// simplexPoints returns the first n points (fewer when n exceeds the cap) of
-// the dimension-d simplex QMC sequence, with their sums and cells. The points
-// and their cells are a pure function of (d, index), so they are generated
-// once per process and shared by every evaluation; memoising them can change
-// how long a call takes, never what it returns. Concurrent callers needing
-// the same missing suffix wait for one fill instead of each running their
-// own.
-func simplexPoints(d, n int) points {
+// tableOf returns dimension d's table, creating it empty on first use.
+func tableOf(d int) *pointTable {
 	if d <= 0 {
 		panic(fmt.Sprintf("feasible: dimension must be positive, got %d", d))
 	}
-	capPoints := tableCapFloats / d
-	n = min(n, capPoints)
-
 	tablesMu.Lock()
+	defer tablesMu.Unlock()
 	t := tables[d]
 	if t == nil {
 		t = &pointTable{}
 		tables[d] = t
 	}
-	tablesMu.Unlock()
+	return t
+}
 
+// simplexPoints returns the first n points (fewer when n exceeds the cap) of
+// the dimension-d simplex QMC sequence, with their sums. The points are a
+// pure function of (d, index), so they are generated once per process and
+// shared by every evaluation; memoising them can change how long a call
+// takes, never what it returns. Concurrent callers needing the same missing
+// suffix wait for one fill instead of each running their own.
+func simplexPoints(d, n int) points {
+	t := tableOf(d)
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.prefix(d, n)
+}
+
+// prefix grows the table to cover n points, at least doubling it, and
+// returns its first n (fewer past the cap). The caller holds t.mu.
+func (t *pointTable) prefix(d, n int) points {
+	capPoints := tableCapFloats / d
+	n = min(n, capPoints)
 	if have := len(t.sums); have < n {
 		size := min(max(n, 2*have), capPoints)
 		grownPts, grownSums := make([]float64, size*d), make([]float64, size)
@@ -89,36 +89,135 @@ func simplexPoints(d, n int) points {
 		copy(grownSums, t.sums)
 		fillPoints(grownPts[have*d:], grownSums[have:], d, have)
 		t.pts, t.sums = grownPts, grownSums
-		if q := cellLevels(d); q > 0 {
-			grownCells := make([]uint16, size)
-			copy(grownCells, t.cells)
-			t.cells = grownCells
-			t.assignCells(d, q, have)
-		}
 	}
-	p := points{pts: t.pts[:n*d], sums: t.sums[:n]}
-	if t.cells != nil {
-		used, _ := slices.BinarySearch(t.firstOf, n)
-		p.cells, p.keys = t.cells[:n], t.keys[:used:used]
-	}
-	return p
+	return points{pts: t.pts[:n*d], sums: t.sums[:n]}
 }
 
-// assignCells numbers the cells of the points from first on, continuing the
-// table's first-appearance numbering.
-func (t *pointTable) assignCells(d, q, first int) {
-	if t.idOf == nil {
-		t.idOf = make([]uint16, 1<<(cellBits(q)*(d-1)))
-	}
-	t.keys, t.firstOf = slices.Clip(t.keys), slices.Clip(t.firstOf)
-	for j := first; j < len(t.sums); j++ {
-		key := cellKey(t.pts[j*d:(j+1)*d], t.sums[j], q)
-		if t.idOf[key] == 0 {
-			t.keys, t.firstOf = append(t.keys, key), append(t.firstOf, j)
-			t.idOf[key] = uint16(len(t.keys))
+// viewCap is the most points a cell view of dimension d covers: one view's
+// points and sums fill the views' budget.
+func viewCap(d int) int { return tableCapFloats / (d + 1) }
+
+// cellViewOf returns the cell view of the first n ≤ viewCap(d) points of
+// dimension d. The first caller of an n builds it from the table under the
+// dimension's mutex, so concurrent first callers wait for one build; later
+// callers share it. To keep the dimension's views within tableCapFloats,
+// the least recently used are dropped first; a caller still counting with a
+// dropped view keeps it until it is done, and the next caller of its n
+// builds it again, identical.
+func cellViewOf(d, n int) *cellView {
+	t := tableOf(d)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i, v := range t.views {
+		if len(v.sums) == n {
+			t.views = append(slices.Delete(t.views, i, i+1), v)
+			return v
 		}
-		t.cells[j] = t.idOf[key]
 	}
+	tab := t.prefix(d, n)
+	v := newCellView(tab.pts, tab.sums, d, pointKeys(tab.pts, tab.sums, d, cellEvery))
+	used := v.floats()
+	for _, held := range t.views {
+		used += held.floats()
+	}
+	for used > tableCapFloats {
+		used -= t.views[0].floats()
+		t.views = slices.Delete(t.views, 0, 1)
+	}
+	t.views = append(t.views, v)
+	return v
+}
+
+// cellView is a prefix of one dimension's table laid out for hitRule: its
+// points grouped by direction cell, group g holding those of grid key
+// keys[g] at [starts[g], starts[g+1]), in ascending key order, and sorted by
+// Σp inside each group (ties in table order), with pts and sums copied in
+// that order. keys is nil when the view is a single group. A view is never
+// written after newCellView returns.
+type cellView struct {
+	pts, sums []float64
+	keys      []uint16
+	starts    []int
+}
+
+// floats is what a view counts against its dimension's budget.
+func (v *cellView) floats() int { return len(v.pts) + len(v.sums) }
+
+// pointKeys returns the grid key (cellKey) of every one of the flat
+// row-major points pts with sums, or nil when dimension d has no cells or
+// the points number fewer than every per cell they use: below that,
+// cellRadii costs more than the radii of the cells save.
+func pointKeys(pts, sums []float64, d, every int) []uint16 {
+	q := cellLevels(d)
+	if q == 0 {
+		return nil
+	}
+	keys := make([]uint16, len(sums))
+	seen := make([]bool, 1<<(cellBits(q)*(d-1)))
+	used := 0
+	for j, s := range sums {
+		key := cellKey(pts[j*d:(j+1)*d], s, q)
+		keys[j] = key
+		if !seen[key] {
+			seen[key], used = true, used+1
+		}
+	}
+	if len(sums) < every*used {
+		return nil
+	}
+	return keys
+}
+
+// newCellView lays out the flat row-major points pts with sums as a cell
+// view, grouped by keys (one key per point; nil or empty: a single group).
+// Table sums are never NaN, so sorting by them is a total order.
+func newCellView(pts, sums []float64, d int, keys []uint16) *cellView {
+	type slot struct {
+		sum float64
+		j   int
+	}
+	n := len(sums)
+	order := make([]slot, n)
+	v := &cellView{pts: make([]float64, n*d), sums: make([]float64, n), starts: []int{0, n}}
+	if len(keys) == 0 {
+		for j, s := range sums {
+			order[j] = slot{s, j}
+		}
+	} else {
+		// A counting sort by key, in ascending key and then input order.
+		at := make([]int, int(slices.Max(keys))+1)
+		for _, key := range keys {
+			at[key]++
+		}
+		v.starts = v.starts[:1]
+		for key, c := range at {
+			at[key] = v.starts[len(v.starts)-1]
+			if c > 0 {
+				v.keys = append(v.keys, uint16(key))
+				v.starts = append(v.starts, at[key]+c)
+			}
+		}
+		for j, key := range keys {
+			order[at[key]] = slot{sums[j], j}
+			at[key]++
+		}
+	}
+	for g := 0; g+1 < len(v.starts); g++ {
+		slices.SortFunc(order[v.starts[g]:v.starts[g+1]], func(a, b slot) int {
+			switch {
+			case a.sum < b.sum:
+				return -1
+			case a.sum > b.sum:
+				return 1
+			}
+			return a.j - b.j
+		})
+	}
+	for at, o := range order {
+		copy(v.pts[at*d:(at+1)*d], pts[o.j*d:(o.j+1)*d])
+		v.sums[at] = o.sum
+	}
+	return v
 }
 
 // cellLevels returns q, the levels each of a direction's first d − 1
@@ -128,7 +227,8 @@ func cellLevels(d int) int {
 	if d < 2 {
 		return 0
 	}
-	q := 1
+	// Start just below the root, so the loop takes a step or two.
+	q := max(1, int(math.Pow(maxCells, 1/float64(d-1)))-1)
 	for math.Pow(float64(q+1), float64(d-1)) <= maxCells {
 		q++
 	}
@@ -174,25 +274,20 @@ func fillPoints(dst, sums []float64, d, first int) {
 }
 
 // eachBlock calls visit with the points numbered [lo, hi) of tab's dimension
-// d, their sums and cells, in order, as flat blocks: the table serves the
-// indices it covers in one block (cells nil if tab has none), and the rest
-// are generated into a reused scratch block, without cells, that is only
-// valid during the visit.
-func eachBlock(tab points, d, lo, hi int, visit func(first int, blk, sums []float64, cells []uint16)) {
+// d and their sums, in order, as flat blocks: the table serves the indices
+// it covers in one block, and the rest are generated into a reused scratch
+// block that is only valid during the visit.
+func eachBlock(tab points, d, lo, hi int, visit func(first int, blk, sums []float64)) {
 	cached := len(tab.sums)
 	var scratch, scratchSums []float64
 	for s := lo; s < hi; {
 		var (
 			end     int
 			blk, bs []float64
-			cells   []uint16
 		)
 		if s < cached {
 			end = min(hi, cached)
 			blk, bs = tab.pts[s*d:end*d], tab.sums[s:end]
-			if tab.cells != nil {
-				cells = tab.cells[s:end]
-			}
 		} else {
 			if scratch == nil {
 				scratch, scratchSums = make([]float64, streamBlock*d), make([]float64, streamBlock)
@@ -201,7 +296,7 @@ func eachBlock(tab points, d, lo, hi int, visit func(first int, blk, sums []floa
 			blk, bs = scratch[:(end-s)*d], scratchSums[:end-s]
 			fillPoints(blk, bs, d, s)
 		}
-		visit(s, blk, bs, cells)
+		visit(s, blk, bs)
 		s = end
 	}
 }

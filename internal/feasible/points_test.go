@@ -1,9 +1,9 @@
 package feasible
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -84,52 +84,25 @@ func checkPoints(t *testing.T, what string, d, first int, pts, sums []float64) {
 	}
 }
 
-// checkCells holds a prefix's cells to the table's rules: each point's id
-// numbers its cellKey in order of first appearance over the prefix, keys
-// lists exactly the keys the prefix uses in that order, and a dimension
-// without cells has neither.
-func checkCells(t *testing.T, what string, d int, tab points) {
-	t.Helper()
-	cells, keys := tableCells(tab.pts, tab.sums, d)
-	if !slices.Equal(tab.cells, cells) || !slices.Equal(tab.keys, keys) || (tab.cells == nil) != (cells == nil) {
-		t.Fatalf("%s: %d cell ids over %d keys, want %d over %d numbered by first appearance", what, len(tab.cells), len(tab.keys), len(cells), len(keys))
-	}
-}
-
 // Growth must fill only the missing suffix and leave every slice handed out
-// earlier, points, sums, cell ids and cell keys, exactly as it was: a grown
-// prefix keeps its points' cell ids and the numbering of its cells.
+// earlier, points and sums, exactly as it was.
 func TestSimplexTablePrefixStability(t *testing.T) {
 	for _, d := range []int{3, 7, 14} {
 		forgetTable(d)
-		type snapshot struct {
-			tab         points
-			cells, keys []uint16
-		}
-		var published []snapshot
+		var published []points
 		for _, n := range []int{100, 5000, 60000} {
 			tab := simplexPoints(d, n)
 			if len(tab.pts) != n*d || len(tab.sums) != n {
 				t.Fatalf("simplexPoints(%d, %d) holds %d floats and %d sums, want %d and %d", d, n, len(tab.pts), len(tab.sums), n*d, n)
 			}
-			checkCells(t, "after growth", d, tab)
-			published = append(published, snapshot{tab, slices.Clone(tab.cells), slices.Clone(tab.keys)})
+			published = append(published, tab)
 			for _, p := range published {
-				checkPoints(t, "after growth", d, 0, p.tab.pts, p.tab.sums)
-				if !slices.Equal(p.tab.cells, p.cells) || !slices.Equal(p.tab.keys, p.keys) {
-					t.Fatalf("d=%d: growth to %d points rewrote the cells of a %d-point prefix", d, n, len(p.tab.sums))
-				}
-				if !slices.Equal(tab.cells[:len(p.cells)], p.cells) || !slices.Equal(tab.keys[:len(p.keys)], p.keys) {
-					t.Fatalf("d=%d: growth to %d points renumbered the cells of a %d-point prefix", d, n, len(p.tab.sums))
-				}
+				checkPoints(t, "after growth", d, 0, p.pts, p.sums)
 			}
 		}
-		if cellLevels(d) > 0 && len(published[0].keys) >= len(published[2].keys) {
-			t.Fatalf("d=%d: %d and %d cells; the growth must add some", d, len(published[0].keys), len(published[2].keys))
-		}
 		// A smaller request is served from what is there.
-		last := published[2].tab
-		if tab := simplexPoints(d, 10); &tab.pts[0] != &last.pts[0] || &tab.sums[0] != &last.sums[0] || (tab.cells != nil && &tab.cells[0] != &last.cells[0]) {
+		last := published[2]
+		if tab := simplexPoints(d, 10); &tab.pts[0] != &last.pts[0] || &tab.sums[0] != &last.sums[0] {
 			t.Fatal("a request the table already covers must not reallocate it")
 		}
 	}
@@ -191,7 +164,7 @@ func TestSimplexTablePastCap(t *testing.T) {
 	// The blocks past the cap carry sums too, generated with their points.
 	lo, hi := capPoints-5, capPoints+streamBlock+7
 	next := lo
-	eachBlock(tab, d, lo, hi, func(first int, blk, bs []float64, _ []uint16) {
+	eachBlock(tab, d, lo, hi, func(first int, blk, bs []float64) {
 		if first != next {
 			t.Fatalf("block starts at point %d, want %d", first, next)
 		}
@@ -211,7 +184,7 @@ func TestSimplexTablePastCap(t *testing.T) {
 
 // Many goroutines hitting empty tables at once — the portfolio arms and the
 // bench trial-runner do — must each get the reference answer, points, sums
-// and cells.
+// and cell view.
 func TestSimplexTableConcurrentFirstUse(t *testing.T) {
 	defer par.SetWorkers(0)
 	par.SetWorkers(4)
@@ -252,9 +225,7 @@ func TestSimplexTableConcurrentFirstUse(t *testing.T) {
 					return
 				}
 			}
-			if cells, keys := tableCells(pts, sums, d); !slices.Equal(tab.cells, cells) || !slices.Equal(tab.keys, keys) {
-				t.Errorf("job %d (d=%d): %d cell ids over %d keys, want %d over %d", i, d, len(tab.cells), len(tab.keys), len(cells), len(keys))
-			}
+			checkView(t, fmt.Sprintf("job %d (d=%d)", i, d), d, cellViewOf(d, j.samples))
 		}()
 	}
 	wg.Wait()
@@ -272,11 +243,10 @@ func TestSimplexTableConcurrentFirstUse(t *testing.T) {
 	}
 	wg.Wait()
 	for u, tab := range got {
-		if &tab.pts[0] != &got[0].pts[0] || &tab.cells[0] != &got[0].cells[0] || len(tab.keys) != len(got[0].keys) {
+		if &tab.pts[0] != &got[0].pts[0] || &tab.sums[0] != &got[0].sums[0] {
 			t.Fatalf("user %d got a table of its own fill", u)
 		}
 	}
-	checkCells(t, "concurrent first use", d, got[0])
 }
 
 // simplexPointTwoPass is SimplexPoint as it was first written — the sum in

@@ -51,13 +51,13 @@ func RatioAuto(w *mat.Matrix, samples int) (float64, error) {
 // Returns 0 when the restricted region is empty (Σ lb ≥ 1).
 //
 // The sample points are a pure function of (d, index) and come from the
-// process-wide table (simplexPoints); only the hit count depends on w and lb.
-// The sweep is chunked across the par worker pool and the per-chunk hit
-// counts are integers reduced in chunk order, so the result is bit-identical
-// for any worker count. A malformed budget or lower bound (wrong length, a
-// negative or non-finite entry) returns an error, not a panic and not a
-// ratio, so a bad config can neither crash a long bench run nor score as a
-// plan.
+// process-wide table, laid out as its cell view (cellViewOf); only the hit
+// count depends on w and lb. The sweep is chunked across the par worker pool
+// and the per-chunk hit counts are integers reduced in chunk order, so the
+// result is bit-identical for any worker count. A malformed budget or lower
+// bound (wrong length, a negative or non-finite entry) returns an error, not
+// a panic and not a ratio, so a bad config can neither crash a long bench
+// run nor score as a plan.
 func RatioToIdealFrom(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
 	if err := checkBudget(samples); err != nil {
 		return 0, err
@@ -67,13 +67,24 @@ func RatioToIdealFrom(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
 		return 0, err
 	}
 	d := w.Cols
-	tab := samplePrefix(d, samples)
-	rule := newHitRule(w, lb, scale, tab.keys)
+	n := min(samples, viewCap(d))
+	v := cellViewOf(d, n)
+	var tab points // the points past the view, if any
+	if samples > n {
+		tab = simplexPoints(d, samples)
+	}
+	rule := newHitRule(w, lb, scale, v.keys)
 	chunks := par.Chunks(samples, par.Workers())
 	hits := make([]int, len(chunks))
 	_ = par.ForEach(len(chunks), func(ci int) error {
-		eachBlock(tab, d, chunks[ci].Lo, chunks[ci].Hi, func(_ int, blk, bs []float64, cells []uint16) {
-			hits[ci] += rule.countHits(blk, bs, cells)
+		lo, hi := chunks[ci].Lo, chunks[ci].Hi
+		var xs []float64
+		if lb != nil {
+			xs = make([]float64, 2*d)
+		}
+		hits[ci] = rule.countView(v, lo, min(hi, n), xs)
+		eachBlock(tab, d, max(lo, n), hi, func(_ int, blk, _ []float64) {
+			hits[ci] += countPairs(rule.pan, d, lb, scale, blk, xs)
 		})
 		return nil
 	})
@@ -82,17 +93,6 @@ func RatioToIdealFrom(w *mat.Matrix, lb mat.Vec, samples int) (float64, error) {
 		total += n
 	}
 	return float64(total) / float64(samples), nil
-}
-
-// samplePrefix returns the table prefix a samples-point evaluation of
-// dimension d integrates over, without its cells when it has fewer than
-// cellEvery samples per cell.
-func samplePrefix(d, samples int) points {
-	tab := simplexPoints(d, samples)
-	if samples < cellEvery*len(tab.keys) {
-		tab.cells, tab.keys = nil, nil
-	}
-	return tab
 }
 
 // checkBudget rejects a non-positive QMC sample budget.
@@ -128,7 +128,7 @@ func boundScale(d int, lb mat.Vec) (float64, error) {
 // caller owns what it gets.
 func SamplePoints(d, n int) []mat.Vec {
 	pts := make([]mat.Vec, n)
-	eachBlock(simplexPoints(d, n), d, 0, n, func(first int, blk, _ []float64, _ []uint16) {
+	eachBlock(simplexPoints(d, n), d, 0, n, func(first int, blk, _ []float64) {
 		for off := 0; off < len(blk); off += d {
 			pts[first+off/d] = mat.Vec(blk[off : off+d]).Clone()
 		}
@@ -156,12 +156,12 @@ func Normalize(r, lk mat.Vec, ct float64) mat.Vec {
 	return x
 }
 
-// panelRows is how many node rows countHits tests a point against in one
+// panelRows is how many node rows pairFits tests a point against in one
 // pass: a single row's dot is one serial chain of adds, four are
 // independent and overlap. pairFits is written out for exactly four.
 const panelRows = 4
 
-// packPanels lays w out for countHits: its rows in groups of panelRows, the
+// packPanels lays w out for pairFits: its rows in groups of panelRows, the
 // last group padded with zero rows, each group stored column by column (the
 // panelRows weights of column 0, then those of column 1, …). A padding row's
 // dot is zero, so it never rejects a point.
@@ -264,8 +264,8 @@ type cellRow struct {
 
 // cellRadii writes into dst[c] the radii of the cell whose grid key is
 // keys[c], for a plan whose global radius T = certRadius(w, lb, scale) is
-// ≥ 0; T is the floor of every certify radius. It reports false, leaving
-// dst alone, when an entry of w exceeds 2⁵⁰⁰ in magnitude. With a point's
+// ≥ 0; T is the floor of every certify radius. It leaves dst alone when an
+// entry of w exceeds 2⁵⁰⁰ in magnitude. With a point's
 // direction u = p/Σp, u_{d−1} = 1 − Σ_{k<d−1} u_k and δ_ik = w_ik − w_i,d−1,
 // W_i·u = w_i,d−1 + Σ_k δ_ik·u_k. Over a cell with lower corner lo
 // (lo_k = i_k/q) widened by ε = cellSlack on every side,
@@ -305,11 +305,11 @@ type cellRow struct {
 // Σ_k|w_ik|·lb_k + scale·max_k|w_ik|) + 2⁻⁴⁰·scale·max_k|w_ik|, which is
 // positive for d ≤ 13. T ≥ 0 means w, lb and scale are finite and every
 // room 1 − c_i − e_i is ≥ 0, so every excess is > 0.
-func cellRadii(dst []cellBound, w *mat.Matrix, lb mat.Vec, scale, floor float64, keys []uint16) bool {
+func cellRadii(dst []cellBound, w *mat.Matrix, lb mat.Vec, scale, floor float64, keys []uint16) {
 	d := w.Cols
 	for _, v := range w.Data[:w.Rows*d] {
 		if !(math.Abs(v) <= 0x1p500) {
-			return false
+			return
 		}
 	}
 	q, m, n := cellLevels(d), d-1, w.Rows
@@ -355,136 +355,90 @@ func cellRadii(dst []cellBound, w *mat.Matrix, lb mat.Vec, scale, floor float64,
 		}
 		dst[c] = cellBound{max(min(1, 1/tight), floor), 1 / sure}
 	}
-	return true
 }
 
-// hitRule is one evaluation's plan laid out for countHits: W packed by
+// hitRule is one evaluation's plan laid out for countView: W packed by
 // packPanels, the map x_k = lb_k + scale·p_k (the identity when lb is nil),
-// and the safe radii of classify: bounds[0] holds certRadius' radius and
-// +∞ for points without a cell, bounds[c] those of cell id c (cellRadii).
-// decides is false when the radii would decide too few points to pay for
-// themselves; countHits then tests every point where it lies. A rule is
-// read-only, so every par chunk and the past-the-cap eachBlock path share
-// one.
+// and the safe radii of each group of the view: bounds[g] holds those of
+// cell keys[g] (cellRadii), or certRadius' radius and +∞ for a view of a
+// single group. A rule is read-only, so every par chunk shares one.
 type hitRule struct {
-	pan     []float64
-	d       int
-	lb      mat.Vec
-	scale   float64
-	bounds  []cellBound
-	decides bool
+	pan    []float64
+	d      int
+	lb     mat.Vec
+	scale  float64
+	bounds []cellBound
 }
 
-// newHitRule lays w out for countHits with the radii of the cells whose
-// grid keys are keys (cell id c at keys[c−1]; nil: no cells).
+// newHitRule lays w out for countView with the radii of the cells whose
+// grid keys are keys (nil: a single group).
 func newHitRule(w *mat.Matrix, lb mat.Vec, scale float64, keys []uint16) hitRule {
-	r := hitRule{pan: packPanels(w), d: w.Cols, lb: lb, scale: scale, bounds: make([]cellBound, 1+len(keys))}
+	r := hitRule{pan: packPanels(w), d: w.Cols, lb: lb, scale: scale, bounds: make([]cellBound, max(1, len(keys)))}
 	radius := certRadius(w, lb, scale)
-	global := radius
-	// The points with Σp ≤ T are a share T^d of the simplex the QMC points
-	// cover evenly, and about that share of each block certifies.
-	if !(radius >= 0) || math.Pow(radius, float64(r.d))*gatherEvery < 1 {
-		global = math.Inf(-1)
+	for g := range r.bounds {
+		r.bounds[g] = cellBound{radius, math.Inf(1)}
 	}
-	for c := range r.bounds {
-		r.bounds[c] = cellBound{global, math.Inf(1)}
-	}
-	r.decides = global >= 0
-	if radius >= 0 && len(keys) > 0 && cellRadii(r.bounds[1:], w, lb, scale, radius, keys) {
-		r.decides = true
+	if radius >= 0 && len(keys) > 0 {
+		cellRadii(r.bounds, w, lb, scale, radius, keys)
 	}
 	return r
 }
 
-// certBlock is how many points countHits classifies before it tests the
-// rest; their gathered copies stay in L1.
-const certBlock = 256
-
-// gatherEvery is the fewest points per certified one for which newHitRule
-// keeps the global radius: below that share, the pass comparing sums and
-// the gather cost more than the dot products they save.
-const gatherEvery = 8
-
-// cellEvery is the fewest samples per cell for which RatioToIdealFrom uses
-// the cells of its prefix. cellRadii costs about what the kernel spends on
-// ten points per cell: at d = 5 a 3 000-sample PlaceBest arm (280 cells)
+// cellEvery is the fewest samples per cell for which a view groups its
+// points by cell (pointKeys). cellRadii costs about what the kernel spends
+// on ten points per cell: at d = 5 a 3 000-sample PlaceBest arm (280 cells)
 // about breaks even with them and the controller's 400 samples (187 cells)
 // lose, while the 60 000-sample final ratio (330 cells) runs twice as fast.
+// 8 and 4, which give the arms cells too, made a replan decision slower.
 const cellEvery = 20
 
-// noCells is the cell ids of points without a cell: all bounds[0].
-var noCells [certBlock]uint16
-
-// countHits returns how many of the flat row-major points in pts (with
-// sums[j] the in-order sum of point j and cells[j] its cell id, or cells
-// nil) land in the feasible set after the map: W_i·x ≤ 1 + 1e-12 on every
-// row of W. It is the package's one hit rule. When the rule decides nothing,
-// every point goes to countPairs where it lies. Otherwise a block of
-// certBlock points is classified by its radii: points with sum ≤ cert count
-// as hits, points with sum > reject as misses, and the rest are mapped,
-// gathered and tested by countPairs. A certified point is a hit of pairFits
-// too and a rejected point a miss, so either way the count is the same.
-func (r hitRule) countHits(pts, sums []float64, cells []uint16) int {
-	d := r.d
-	if !r.decides {
-		var xs []float64
-		if r.lb != nil {
-			xs = make([]float64, 2*d)
-		}
-		return countPairs(r.pan, d, r.lb, r.scale, pts, xs)
+// countView returns how many of the view's points [lo, hi) land in the
+// feasible set after the map: W_i·x ≤ 1 + 1e-12 on every row of W. It is
+// the package's one hit rule. In each group, cut to [lo, hi), its sums are
+// ascending, so two binary searches split it: the points with Σp ≤ cert
+// are hits, those with Σp > reject misses (a point that is both is a miss),
+// and only the band between goes to countPairs. A certified point is a hit
+// of pairFits too and a rejected point a miss, so the count is the one
+// countPairs would give for every point. xs is countPairs' scratch (2·d
+// floats when lb is non-nil).
+func (r hitRule) countView(v *cellView, lo, hi int, xs []float64) int {
+	if lo >= hi {
+		return 0
 	}
-	var rest [certBlock]int // a block's undecided points, in order
-	buf := make([]float64, min(len(sums), certBlock)*d)
+	d := r.d
 	hits := 0
-	for lo := 0; lo < len(sums); lo += certBlock {
-		bs := sums[lo:min(lo+certBlock, len(sums))]
-		blk := pts[lo*d : (lo+len(bs))*d]
-		ids := noCells[:len(bs)]
-		if cells != nil {
-			ids = cells[lo : lo+len(bs)]
-		}
-		n, rejected := classify(&rest, bs, ids, r.bounds)
-		for m, j := range rest[:n] {
-			mapPoint(buf[m*d:(m+1)*d], blk[j*d:(j+1)*d], r.lb, r.scale)
-		}
-		hits += len(bs) - n - rejected + countPairs(r.pan, d, nil, 1, buf[:n*d], nil)
+	g, _ := slices.BinarySearch(v.starts, lo+1) // the group holding lo, plus 1
+	for g--; v.starts[g] < hi; g++ {
+		a, b := max(lo, v.starts[g]), min(hi, v.starts[g+1])
+		sure, in := r.bounds[g].split(v.sums[a:b])
+		hits += sure + countPairs(r.pan, d, r.lb, r.scale, v.pts[(a+sure)*d:(a+in)*d], xs)
 	}
 	return hits
 }
 
-// classify sorts the points of one block (at most certBlock sums, with
-// their cell ids) by the radii of their cells in bounds: it returns how
-// many it rejects and writes the indices of the undecided ones into rest,
-// in order, returning how many there are. It stores every index and
-// advances past the undecided ones only, so the loop has no branch to
-// mispredict. It stays out of line: inlined into countHits, its counters
-// and slice bases spill to the stack on every point, and a 60 000-point
-// countHits measured 5–9 % slower (out of line won 58 of 70 rounds).
-//
-//go:noinline
-func classify(rest *[certBlock]int, sums []float64, ids []uint16, bounds []cellBound) (n, rejected int) {
-	ids = ids[:len(sums)]
-	for j, s := range sums {
-		b := bounds[ids[j]]
-		out := above(s, b.reject)
-		rest[n] = j
-		rejected += int(out)
-		n += int(1 - (atMost(s, b.cert) | out))
-	}
-	return n, rejected
+// split returns how many of a group's ascending sums the radii certify and
+// how many they do not reject: the first sure points are hits, the points
+// from in on misses, and [sure, in) is the band left to countPairs.
+func (bd cellBound) split(sums []float64) (sure, in int) {
+	in = countAtMost(sums, bd.reject)
+	return min(countAtMost(sums, bd.cert), in), in
 }
 
-// mapPoint writes x_k = lb_k + scale·p_k into x, or copies p when lb is nil:
-// the expression countPairs' pair loop maps with, so a gathered point is
-// bit for bit the point countPairs would have tested.
-func mapPoint(x, p []float64, lb mat.Vec, scale float64) {
-	if lb == nil {
-		copy(x, p)
-		return
+// countAtMost returns how many of the ascending sums are ≤ x: 0 for a NaN x,
+// so a NaN radius certifies nothing. A reject radius is never NaN (+∞ or
+// cellRadii's 1/sure with sure ≥ 0), so the count of sums not above it is
+// the same search.
+func countAtMost(sums []float64, x float64) int {
+	lo, hi := 0, len(sums)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if sums[m] <= x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	for k := range x {
-		x[k] = lb[k] + scale*p[k]
-	}
+	return lo
 }
 
 // countPairs counts the hits among pts two points at a time with pairFits;
@@ -517,7 +471,9 @@ func countPairs(pan []float64, d int, lb mat.Vec, scale float64, pts, xs []float
 	if off < len(pts) {
 		last := pts[off : off+d]
 		if lb != nil {
-			mapPoint(xa, last, lb, scale)
+			for k := range xa {
+				xa[k] = lb[k] + scale*last[k]
+			}
 			last = xa
 		}
 		if ok, _ := pairFits(pan, last, last); ok {
@@ -567,15 +523,6 @@ func pairFits(pan, a, b []float64) (okA, okB bool) {
 // without a jump. A NaN x is not above, so NaN never rejects.
 func above(x, y float64) uint8 {
 	if x > y {
-		return 1
-	}
-	return 0
-}
-
-// atMost is x <= y as 0 or 1, set without a jump like above. Nothing is at
-// most NaN, so a NaN radius certifies nothing.
-func atMost(x, y float64) uint8 {
-	if x <= y {
 		return 1
 	}
 	return 0

@@ -68,33 +68,38 @@ func BenchmarkRatioToIdealFromDense(b *testing.B) {
 }
 
 // decidedShares is the share of RatioToIdealFrom(w, lb, samples)'s points
-// that countHits counts as hits, and the share it counts as misses, without
-// testing a row: what the safe radii save on this plan.
+// that its view's radii count as hits, and the share they count as misses,
+// without testing a row: what the safe radii save on this plan.
 func decidedShares(w *mat.Matrix, lb mat.Vec, samples int) (certified, rejected float64) {
 	scale, err := boundScale(w.Cols, lb)
 	if err != nil || scale <= 0 {
 		return 0, 0
 	}
-	tab := samplePrefix(w.Cols, samples)
-	rule := newHitRule(w, lb, scale, tab.keys)
-	if !rule.decides {
-		return 0, 0
+	v := cellViewOf(w.Cols, min(samples, viewCap(w.Cols)))
+	sure, out := 0, 0
+	for g, bd := range newHitRule(w, lb, scale, v.keys).bounds {
+		sums := v.sums[v.starts[g]:v.starts[g+1]]
+		s, in := bd.split(sums)
+		sure, out = sure+s, out+len(sums)-in
 	}
-	var rest [certBlock]int
-	undecided, out := 0, 0
-	eachBlock(tab, w.Cols, 0, samples, func(_ int, _, bs []float64, cells []uint16) {
-		for lo := 0; lo < len(bs); lo += certBlock {
-			blk := bs[lo:min(lo+certBlock, len(bs))]
-			ids := noCells[:len(blk)]
-			if cells != nil {
-				ids = cells[lo : lo+len(blk)]
-			}
-			n, r := classify(&rest, blk, ids, rule.bounds)
-			undecided, out = undecided+n, out+r
-		}
-	})
-	return float64(samples-undecided-out) / float64(samples), float64(out) / float64(samples)
+	return float64(sure) / float64(samples), float64(out) / float64(samples)
 }
+
+// BenchmarkCellView is the one-time build of the view the replan workload's
+// final ratio counts with (d = 5, 60 000 points, 330 cells): the cell keys,
+// the grouping, the sorts and the copy, from a filled table.
+func BenchmarkCellView(b *testing.B) {
+	const d, n = 5, 60000
+	tab := simplexPoints(d, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchView = newCellView(tab.pts, tab.sums, d, pointKeys(tab.pts, tab.sums, d, cellEvery))
+	}
+}
+
+// benchView keeps the built view live.
+var benchView *cellView
 
 // benchRatio keeps the measured call's result live.
 var benchRatio float64

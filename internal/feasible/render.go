@@ -23,18 +23,17 @@ func RenderASCII(w *mat.Matrix, width, height int) string {
 		height = 4
 	}
 	var b strings.Builder
-	rule := newHitRule(w, nil, 1, nil)
-	x, sum := make(mat.Vec, 2), make([]float64, 1)
+	pan := packPanels(w)
+	x := make(mat.Vec, 2)
 	for row := height - 1; row >= 0; row-- {
 		x[1] = (float64(row) + 0.5) / float64(height)
 		b.WriteByte('|')
 		for col := 0; col < width; col++ {
 			x[0] = (float64(col) + 0.5) / float64(width)
-			sum[0] = x.Sum()
-			switch {
+			switch ok, _ := pairFits(pan, x, x); {
 			case x[0]+x[1] > 1:
 				b.WriteByte(' ')
-			case rule.countHits(x, sum, nil) == 1:
+			case ok:
 				b.WriteByte('#')
 			default:
 				b.WriteString("·")
