@@ -175,7 +175,8 @@ func run(sc *Scenario, ev *obs.EventLog, l loop) (res *EpisodeResult, err error)
 	}
 
 	// Sources: one driver per input stream, addressed to the consumers'
-	// homes now (migrations leave relays behind, so these stay valid).
+	// deployed homes (a migration leaves a relay entry there for the
+	// consumer it moves, so these stay valid).
 	addrs := cl.Addrs()
 	inputNodes := engine.InputNodes(sc.Graph, res.plan)
 	inputs := sc.Graph.Inputs()

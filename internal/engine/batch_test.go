@@ -53,7 +53,7 @@ func TestBatchWireRoundTrip(t *testing.T) {
 	}
 }
 
-// A tuple with no local subscription and no relay route is counted in
+// A tuple with no local consumer and no route onward is counted in
 // DroppedNoRoute and warns once per stream instead of vanishing.
 func TestNoRouteAccounting(t *testing.T) {
 	n, err := NewNode("127.0.0.1:0", 1)
@@ -65,9 +65,9 @@ func TestNoRouteAccounting(t *testing.T) {
 	n.SetObserver(ev, nil, 0)
 
 	for i := 0; i < 10; i++ {
-		n.enqueueInboundBatch([]Tuple{{Stream: 7, Seq: int64(i)}}, "")
+		n.enqueueInboundBatch([]Tuple{{Stream: 7, Seq: int64(i)}})
 	}
-	n.enqueueInboundBatch([]Tuple{{Stream: 8}, {Stream: 8}, {Stream: 7}}, "")
+	n.enqueueInboundBatch([]Tuple{{Stream: 8}, {Stream: 8}, {Stream: 7}})
 	s := n.Stats()
 	if s.DroppedNoRoute != 13 {
 		t.Fatalf("DroppedNoRoute = %d, want 13", s.DroppedNoRoute)

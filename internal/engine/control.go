@@ -84,9 +84,9 @@ type NodeStats struct {
 	Shed         int64         `json:"shed,omitempty"`
 	ShedByStream map[int]int64 `json:"shedByStream,omitempty"`
 
-	// DroppedNoRoute counts inbound tuples discarded because their stream
-	// had neither a local subscription nor a relay route (a routing gap —
-	// each affected stream also emits one no_route warn event).
+	// DroppedNoRoute counts tuples discarded because they had neither a
+	// local consumer nor a route onward (a routing gap — each affected
+	// stream also emits one no_route warn event).
 	DroppedNoRoute int64 `json:"droppedNoRoute,omitempty"`
 
 	// PartCounts reports, per keyed stream, the cumulative tuples routed
@@ -255,7 +255,6 @@ func (n *Node) deploy(spec *NodeSpec) error {
 	}
 	rs := emptyRouteState()
 	rs.spec = spec
-	clear(n.departed)
 	for i := range spec.Parts {
 		rs.stream(spec.Parts[i].Stream).part = newPartTable(&spec.Parts[i])
 	}
@@ -299,189 +298,62 @@ func newLiveOp(spec OpSpec) *liveOp {
 	return lo
 }
 
-// departed is what removeOp keeps of an operator that migrated away, for
-// when it comes back: the operator, whose output numbering the returning
-// instance continues (so its receivers, which keep their marks for this
-// node, see only new numbers), and the relay and forward entries its
-// removal holds, which its return retires (left in place, they would
-// bounce its input between the two homes). A removal holds the entries it
-// added and those another departed operator holds — two consumers of one
-// stream that left for the same node share its relay there — and an entry
-// is retired only when its last holder returns.
-type departed struct {
-	op     *liveOp
-	routes []heldRoute
-}
-
-// heldRoute names one relay (fwd false) or forward entry of stream sid.
-type heldRoute struct {
-	sid  int
-	addr string
-	fwd  bool
-}
-
-// routeHeld reports whether a departed operator other than except holds h.
-func (n *Node) routeHeld(except int, h heldRoute) bool {
-	for id, d := range n.departed {
-		if id != except && slices.Contains(d.routes, h) {
-			return true
-		}
-	}
-	return false
-}
-
-// addOp installs one operator at runtime and merges the supplied routes
-// (local subscriptions and forwards), deduplicating existing entries.
+// addOp installs one operator at runtime, merges the supplied forwards for
+// what it produces, and deletes the relay entries its earlier departure
+// from this node left: its tuples stop following it away once it is here.
+// Local subscriptions are the deployed spec's alone — deploy installs them
+// and nothing removes them — so an operator moved in takes only the copies
+// addressed to it, and one returning to its deployed home takes the
+// untargeted tuples again, starting with those still queued. Its outputs
+// are numbered from the node clock, the floor recovery uses: fewer than one
+// output per nanosecond since any earlier instance here started keeps the
+// new numbers above everything that instance sent.
 func (n *Node) addOp(spec *OpSpec, routes map[int][]Dest) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	rs := n.route.Load().clone()
 	lo := newLiveOp(*spec)
-	d, back := n.departed[spec.ID]
-	if back {
-		d.op.mu.Lock()
-		lo.nextSeq = d.op.nextSeq
-		d.op.mu.Unlock()
-		for _, h := range d.routes {
-			if n.routeHeld(spec.ID, h) {
-				continue
-			}
-			if sr := rs.stream(h.sid); h.fwd {
-				sr.fwd = dropDest(sr.fwd, h.addr)
-			} else {
-				sr.relays = dropDest(sr.relays, h.addr)
-			}
-		}
-		delete(n.departed, spec.ID)
-	}
+	lo.nextSeq = time.Now().UnixNano()
 	rs.ops[spec.ID] = lo
-	rs.mergeRoutes(routes)
-	n.publish(rs)
-	// A relay another departed operator still holds keeps carrying this
-	// operator's input to its old home, which from now on hands back only
-	// what reached it while the operator was still there (see
-	// enqueueChunk). What this node sent there before the return and the
-	// peer has not acknowledged — on a volatile link, not yet written — may
-	// arrive after that, so it goes to the operator here instead; a tuple
-	// that also reached it there is processed twice.
-	var ts []Tuple
-	for _, h := range d.routes {
-		if back && !h.fwd && n.routeHeld(-1, h) {
-			if o := n.outboxFor(h.addr); o != nil {
-				ts = o.unacked(int32(h.sid), ts)
+	for _, sr := range rs.streams {
+		delete(sr.relay, spec.ID)
+	}
+	for sid, dests := range routes {
+		sr := rs.stream(sid)
+		for _, d := range dests {
+			if !d.Local && !slices.ContainsFunc(sr.fwd, func(e Dest) bool { return e.Addr == d.Addr }) {
+				sr.fwd = append(sr.fwd, d)
 			}
 		}
 	}
-	if len(ts) > 0 {
-		for i := range ts {
-			ts[i].target = int32(spec.ID) + 1
-		}
-		n.injected.Add(int64(len(ts)))
-		n.lanes[fibLane(uint64(spec.ID+1), n.workers)].requeue(ts)
-	}
+	n.publish(rs)
 }
 
-// removeOp uninstalls one operator: its local subscriptions disappear and
-// the given relay routes take over its input streams (forwarding in-flight
-// and future tuples toward the new home).
+// removeOp uninstalls one operator and records, on each input stream the
+// relay map names, the node it went to: the lane workers copy its queued
+// and future tuples there, addressed to it (see processRun). Without an
+// entry its tuples here have no route.
 func (n *Node) removeOp(id int, relay map[int][]Dest) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.ingress.Lock()
-	defer n.ingress.Unlock()
 	rs := n.route.Load().clone()
-	op, ok := rs.ops[id]
-	if !ok {
+	if _, ok := rs.ops[id]; !ok {
 		return fmt.Errorf("engine: operator %d not deployed here", id)
 	}
 	delete(rs.ops, id)
-	gone := departed{op: op}
-	fresh := map[int32][]string{} // relay targets this removal adds, per stream
-	for _, sr := range rs.streams {
-		kept := sr.subs[:0]
-		for _, op := range sr.subs {
-			if op != id {
-				kept = append(kept, op)
-			}
-		}
-		sr.subs = kept
-	}
-	// Tuples on the removed operator's input streams now relay to its new
-	// home — both tuples arriving from the network (relays, kept separate
-	// from producer forwards so they never loop: a relay target consumes
-	// locally and installs no relay of its own) and tuples produced by
-	// co-located upstream operators (fwd).
 	for sid, dests := range relay {
-		sr := rs.stream(sid)
 		for _, d := range dests {
 			if d.Local {
 				continue
 			}
-			for _, h := range []heldRoute{{sid, d.Addr, false}, {sid, d.Addr, true}} {
-				entries := &sr.relays
-				if h.fwd {
-					entries = &sr.fwd
-				}
-				if !hasDest(*entries, d.Addr) {
-					*entries = append(*entries, d)
-					if !h.fwd {
-						fresh[int32(sid)] = append(fresh[int32(sid)], d.Addr)
-					}
-				} else if !n.routeHeld(id, h) {
-					continue // the deployed spec's own entry
-				}
-				gone.routes = append(gone.routes, h)
+			sr := rs.stream(sid)
+			if sr.relay == nil {
+				sr.relay = map[int]string{}
 			}
-			// A migrating shard replica: repoint its shard slot at the new
-			// home and record the per-op relay, so keyed tuples — queued,
-			// in-flight, or arriving from peers with stale tables — follow
-			// it. (The blanket relays/fwd entries above are inert for
-			// partitioned streams, whose routing never reads them.)
-			if pt := sr.part; pt != nil {
-				for i, opID := range pt.ops {
-					if opID == id && pt.shards[i].Local && pt.shards[i].LocalOp == id {
-						pt.shards[i] = Dest{Addr: d.Addr}
-					}
-				}
-				pt.relay[id] = d.Addr
-			}
+			sr.relay[id] = d.Addr
 		}
-	}
-	n.departed[id] = gone
-	// The queued tuples of its input streams were admitted for the removed
-	// operator, so they go to each relay target this removal adds, in
-	// queue order and ahead of anything an ingress relays there from now
-	// on: the receiver's marks would take an older tuple arriving after a
-	// newer one for a duplicate. The targets an earlier removal added have
-	// them already (relayed at ingress, or handed over by that removal),
-	// so a tuple whose stream keeps no consumer here becomes a no-op in its
-	// queue slot. The removal excludes ingress chunks (n.ingress) and
-	// holds every lane until the successor is live, and a worker reads the
-	// snapshot under its lane lock when it takes a run, so each queued
-	// tuple is either taken with the operator installed or handed over.
-	var handover destRuns
-	for _, l := range n.lanes {
-		l.mu.Lock()
-		q := l.queue[l.qhead:]
-		for i := range q {
-			if _, in := relay[int(q[i].Stream)]; !in || q[i].target != 0 {
-				continue
-			}
-			for _, addr := range fresh[q[i].Stream] {
-				handover.add(addr, q[i:i+1])
-			}
-			if len(rs.lookup(q[i].Stream).subs) == 0 {
-				q[i] = Tuple{Stream: stallStream}
-			}
-		}
-	}
-	for i := range handover {
-		n.sendBatch(handover[i].addr, handover[i].ts)
 	}
 	n.publish(rs)
-	for _, l := range n.lanes {
-		l.mu.Unlock()
-	}
 	return nil
 }
 
@@ -504,8 +376,7 @@ func (ps *PartitionSpec) validate() error {
 // repart installs or replaces the keyed routing table of one sharded
 // stream at runtime (slot reassignment, or a post-migration table push).
 // Per-slot counters survive the swap so observed slot rates keep
-// accumulating; relay entries for replicas the new table marks local
-// again are retired.
+// accumulating.
 func (n *Node) repart(ps *PartitionSpec) error {
 	if err := ps.validate(); err != nil {
 		return err
@@ -514,67 +385,11 @@ func (n *Node) repart(ps *PartitionSpec) error {
 	defer n.mu.Unlock()
 	rs := n.route.Load().clone()
 	sr := rs.stream(ps.Stream)
-	if sr.part == nil {
-		sr.part = newPartTable(ps)
-		n.publish(rs)
-		return nil
+	pt := newPartTable(ps)
+	if sr.part != nil {
+		pt.counts = sr.part.counts
 	}
-	pt := sr.part
-	pt.parent = ps.Parent
-	pt.k = ps.K
-	pt.slots = append([]int(nil), ps.Slots...)
-	pt.shards = append([]Dest(nil), ps.Shards...)
-	pt.ops = append([]int(nil), ps.Ops...)
-	for i, d := range pt.shards {
-		if d.Local {
-			delete(pt.relay, pt.ops[i])
-		}
-	}
+	sr.part = pt
 	n.publish(rs)
 	return nil
-}
-
-func hasDest(dests []Dest, addr string) bool {
-	for _, d := range dests {
-		if !d.Local && d.Addr == addr {
-			return true
-		}
-	}
-	return false
-}
-
-// dropDest removes dests' remote entry for addr, in place.
-func dropDest(dests []Dest, addr string) []Dest {
-	return slices.DeleteFunc(dests, func(d Dest) bool { return !d.Local && d.Addr == addr })
-}
-
-// mergeRoutes merges route entries into the (unpublished) snapshot,
-// skipping exact duplicates.
-func (rs *routeState) mergeRoutes(routes map[int][]Dest) {
-	for sid, dests := range routes {
-		sr := rs.stream(sid)
-		for _, d := range dests {
-			if d.Local {
-				dup := false
-				for _, existing := range sr.subs {
-					if existing == d.LocalOp {
-						dup = true
-					}
-				}
-				if !dup {
-					sr.subs = append(sr.subs, d.LocalOp)
-				}
-			} else {
-				dup := false
-				for _, existing := range sr.fwd {
-					if existing.Addr == d.Addr {
-						dup = true
-					}
-				}
-				if !dup {
-					sr.fwd = append(sr.fwd, d)
-				}
-			}
-		}
-	}
 }

@@ -29,18 +29,18 @@ import (
 //     minimum number of samples (a trend fitted to one point is noise);
 //   - cooldown: a minimum wall-clock gap between actuations, so one hot
 //     window cannot thrash operators back and forth;
-//   - admissibility: a migration destination must hold no route — past or
-//     present — for any of the operator's streams, the same no-duplication
-//     constraint internal/check enforces for scheduled migrations (relays
-//     left behind by earlier moves would otherwise double-deliver);
+//   - reachability: a move whose source or destination node is stale is
+//     skipped. Any other destination is admissible — one that already
+//     carries the operator's streams, or its old home: relay entries name
+//     the consumer they serve, so no node delivers a tuple twice (see
+//     migrate.go);
 //   - budget: at most MaxMoves migrations per actuation;
 //   - hysteresis: the post-budget candidate must improve the forecast
 //     minimum headroom by at least HysteresisGain, or the controller holds.
 //
 // An aborted migration (MoveOperator rolled the destination back) counts as
-// actuation failure: the failure counter increments, controller_migrate is
-// emitted with ok=false, and the destination is conservatively marked
-// routed so it is never retried for that operator's streams.
+// actuation failure: the failure counter increments and controller_migrate
+// is emitted with ok=false.
 
 // ControllerConfig tunes the elastic placement controller.
 type ControllerConfig struct {
@@ -162,11 +162,7 @@ type Controller struct {
 
 	ins *obs.ControllerInstruments
 
-	fc     map[query.StreamID]*forecaster
-	routed map[query.StreamID]map[int]bool
-	keyed  map[query.StreamID]bool // partitioned streams: exempt from the
-	// no-duplication admissibility constraint (targeted delivery routes
-	// each keyed tuple to exactly one replica, so relays cannot duplicate)
+	fc map[query.StreamID]*forecaster
 
 	mu            sync.Mutex
 	log           []ControllerMove
@@ -191,33 +187,19 @@ func (cl *Cluster) StartController(cfg ControllerConfig) (*Controller, error) {
 		return nil, fmt.Errorf("engine: StartController requires a monitor with LM and Plan (headroom inputs)")
 	}
 	c := &Controller{
-		cl:     cl,
-		m:      m,
-		cfg:    cfg,
-		lm:     m.cfg.LM,
-		ins:    m.core.Controller(),
-		fc:     map[query.StreamID]*forecaster{},
-		routed: map[query.StreamID]map[int]bool{},
-		keyed:  map[query.StreamID]bool{},
-		start:  time.Now(),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		cl:    cl,
+		m:     m,
+		cfg:   cfg,
+		lm:    m.cfg.LM,
+		ins:   m.core.Controller(),
+		fc:    map[query.StreamID]*forecaster{},
+		start: time.Now(),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
-
-	if groups, err := query.ShardGroups(c.lm.G); err == nil {
-		for _, grp := range groups {
-			c.keyed[grp.Stream] = true
-		}
-	}
-
-	snap := m.Snapshot()
-	for _, in := range snap.Inputs {
+	for _, in := range m.Snapshot().Inputs {
 		c.fc[in] = newForecaster(cfg.Alpha, cfg.Beta, cfg.Gamma, cfg.SeasonPeriod)
 	}
-	// Seed the no-duplication sets from the placement at controller start.
-	// Migrations executed by other actors afterwards are not tracked — the
-	// controller assumes it is the only mover while running.
-	seedRouted(c.routed, c.keyed, c.lm.G, snap.NodeOf)
 
 	go c.run()
 	return c, nil
@@ -374,7 +356,7 @@ func (c *Controller) decide(now time.Time) {
 		return
 	}
 
-	moves := planMoves(snap.NodeOf, cand.NodeOf, opLoads, snap.Stale, c.lm.G, c.routed, c.keyed, c.cfg.MaxMoves)
+	moves := planMoves(snap.NodeOf, cand.NodeOf, opLoads, snap.Stale, c.cfg.MaxMoves)
 	if len(moves) == 0 {
 		hold("no_admissible_moves")
 		return
@@ -404,8 +386,8 @@ func (c *Controller) decide(now time.Time) {
 	c.mu.Unlock()
 }
 
-// execute runs the budgeted move set against the live cluster, updating the
-// no-duplication sets and the migration log per outcome.
+// execute runs the budgeted move set against the live cluster, recording
+// each outcome in the migration log.
 func (c *Controller) execute(moves []ctrlMove, snap MonitorSnapshot) {
 	ev := c.m.cfg.Events
 	plan := &placement.Plan{NodeOf: append([]int(nil), snap.NodeOf...), N: len(snap.Caps)}
@@ -429,10 +411,6 @@ func (c *Controller) execute(moves []ctrlMove, snap MonitorSnapshot) {
 			ev.Emit(obs.LevelWarn, obs.EventControllerMigrate,
 				"op", mv.Op, "from", from, "to", mv.To, "ok", false, "err", err.Error())
 		}
-		// Mark the destination routed either way: even an aborted move
-		// briefly installed routes there, so it is never reused for these
-		// streams (conservative, keeps the ledger exact).
-		markRouted(c.routed, c.keyed, c.lm.G.Op(query.OpID(mv.Op)), mv.To)
 		c.mu.Lock()
 		c.log = append(c.log, rec)
 		c.mu.Unlock()
@@ -576,14 +554,9 @@ type ctrlMove struct {
 }
 
 // planMoves diffs the candidate plan against the current placement and
-// returns the admissible moves, highest forecast load first, capped at
-// maxMoves. A move is admissible when neither endpoint is stale and the
-// destination holds no route — past or present — for any of the operator's
-// streams (the relay no-duplication constraint). Later candidates see
-// earlier admitted moves through a tentative overlay; the shared routed
-// sets are only committed by execute, so a move set the hysteresis gate
-// rejects burns no admissibility.
-func planMoves(cur, cand []int, opLoads []float64, stale []bool, g *query.Graph, routed map[query.StreamID]map[int]bool, keyed map[query.StreamID]bool, maxMoves int) []ctrlMove {
+// returns the moves whose endpoints are both live, highest forecast load
+// first, capped at maxMoves.
+func planMoves(cur, cand []int, opLoads []float64, stale []bool, maxMoves int) []ctrlMove {
 	var diff []ctrlMove
 	for op := range cur {
 		if cand[op] == cur[op] {
@@ -603,74 +576,18 @@ func planMoves(cur, cand []int, opLoads []float64, stale []bool, g *query.Graph,
 			diff[j], diff[j-1] = diff[j-1], diff[j]
 		}
 	}
-	tent := map[query.StreamID]map[int]bool{}
 	var moves []ctrlMove
 	for _, mv := range diff {
 		if len(moves) >= maxMoves {
 			break
 		}
-		src := cur[mv.Op]
-		if src < len(stale) && stale[src] {
+		if src := cur[mv.Op]; src < len(stale) && stale[src] {
 			continue // source control plane unreachable
 		}
 		if mv.To < len(stale) && stale[mv.To] {
 			continue
 		}
-		op := g.Op(query.OpID(mv.Op))
-		if !admissible(routed, keyed, op, mv.To) || !admissible(tent, keyed, op, mv.To) {
-			continue
-		}
-		markRouted(tent, keyed, op, mv.To)
 		moves = append(moves, mv)
 	}
 	return moves
-}
-
-// admissible reports whether dst holds no route for any of op's streams.
-// Keyed (partitioned) streams are exempt: their targeted routing delivers
-// each tuple to exactly one replica regardless of how many nodes hold the
-// table, so a shard replica (or splitter) can migrate anywhere.
-func admissible(routed map[query.StreamID]map[int]bool, keyed map[query.StreamID]bool, op *query.Operator, dst int) bool {
-	if !keyed[op.Out] && routed[op.Out][dst] {
-		return false
-	}
-	for _, in := range op.Inputs {
-		if keyed[in] {
-			continue
-		}
-		if routed[in][dst] {
-			return false
-		}
-	}
-	return true
-}
-
-// markRouted records dst as holding routes for op's non-keyed streams.
-func markRouted(routed map[query.StreamID]map[int]bool, keyed map[query.StreamID]bool, op *query.Operator, dst int) {
-	mark := func(sid query.StreamID) {
-		if keyed[sid] {
-			return
-		}
-		m := routed[sid]
-		if m == nil {
-			m = map[int]bool{}
-			routed[sid] = m
-		}
-		m[dst] = true
-	}
-	mark(op.Out)
-	for _, in := range op.Inputs {
-		mark(in)
-	}
-}
-
-// seedRouted marks every stream's producer and consumer homes under the
-// given placement (mirrors internal/check's routedNodes).
-func seedRouted(routed map[query.StreamID]map[int]bool, keyed map[query.StreamID]bool, g *query.Graph, nodeOf []int) {
-	for _, op := range g.Ops() {
-		if int(op.ID) >= len(nodeOf) {
-			continue
-		}
-		markRouted(routed, keyed, op, nodeOf[op.ID])
-	}
 }

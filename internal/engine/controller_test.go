@@ -21,60 +21,49 @@ func chainGraph(t *testing.T, ca, cb float64) *query.Graph {
 }
 
 func TestPlanMovesBudgetAndOrder(t *testing.T) {
-	g := chainGraph(t, 0.001, 0.0001)
 	cur := []int{0, 0}
 	cand := []int{1, 2}
 	opLoads := []float64{0.8, 0.1}
 	stale := []bool{false, false, false}
-	routed := map[query.StreamID]map[int]bool{}
-	seedRouted(routed, nil, g, cur)
 
 	// Budget 1: only the heaviest operator moves.
-	moves := planMoves(cur, cand, opLoads, stale, g, routed, nil, 1)
+	moves := planMoves(cur, cand, opLoads, stale, 1)
 	if len(moves) != 1 || moves[0].Op != 0 || moves[0].To != 1 {
 		t.Fatalf("budget-1 moves = %+v, want op 0 → node 1", moves)
 	}
 	// Budget 2: both, heaviest first.
-	moves = planMoves(cur, cand, opLoads, stale, g, routed, nil, 2)
+	moves = planMoves(cur, cand, opLoads, stale, 2)
 	if len(moves) != 2 || moves[0].Op != 0 || moves[1].Op != 1 {
 		t.Fatalf("budget-2 moves = %+v, want ops [0 1]", moves)
-	}
-	// planMoves must not commit to the shared routed sets (the hysteresis
-	// gate may still reject the whole set): planning again must yield the
-	// same moves.
-	again := planMoves(cur, cand, opLoads, stale, g, routed, nil, 2)
-	if len(again) != 2 {
-		t.Fatalf("replanning yielded %+v — planMoves committed tentative routes", again)
 	}
 }
 
 func TestPlanMovesAdmissibility(t *testing.T) {
 	g := chainGraph(t, 0.001, 0.0001)
-	cur := []int{0, 0}
-	cand := []int{1, 2}
 	opLoads := []float64{0.8, 0.1}
 	stale := []bool{false, false, false}
 
-	// Node 2 already held a route for b's input stream (a past migration
-	// left a relay): moving b there would double-deliver, so only a moves.
-	routed := map[query.StreamID]map[int]bool{}
-	seedRouted(routed, nil, g, cur)
-	bOp := g.Op(1)
-	routed[bOp.Inputs[0]][2] = true
-	moves := planMoves(cur, cand, opLoads, stale, g, routed, nil, 2)
-	if len(moves) != 1 || moves[0].Op != 0 {
-		t.Fatalf("moves = %+v, want only op 0 (node 2 inadmissible for op 1)", moves)
+	// a on node 0 feeds b on node 1, so node 0 holds b's input route. A
+	// relay entry names the consumer it serves, so b may move onto a's node
+	// and a onto b's: both moves are planned.
+	cur := []int{0, 1}
+	if in := g.Op(1).Inputs[0]; g.Stream(in).Producer != 0 {
+		t.Fatalf("b's input %d is not a's output", in)
+	}
+	moves := planMoves(cur, []int{1, 0}, opLoads, stale, 2)
+	if len(moves) != 2 || moves[0] != (ctrlMove{Op: 0, To: 1, Load: 0.8}) || moves[1] != (ctrlMove{Op: 1, To: 0, Load: 0.1}) {
+		t.Fatalf("moves = %+v, want a → node 1 and b → node 0, where its input is routed", moves)
 	}
 
 	// Stale endpoints are skipped: a stale destination for a, a stale
 	// source for everything on node 0.
-	routed = map[query.StreamID]map[int]bool{}
-	seedRouted(routed, nil, g, cur)
-	moves = planMoves(cur, cand, opLoads, []bool{false, true, false}, g, routed, nil, 2)
+	cur = []int{0, 0}
+	cand := []int{1, 2}
+	moves = planMoves(cur, cand, opLoads, []bool{false, true, false}, 2)
 	if len(moves) != 1 || moves[0].Op != 1 {
 		t.Fatalf("moves = %+v, want only op 1 (node 1 stale)", moves)
 	}
-	moves = planMoves(cur, cand, opLoads, []bool{true, false, false}, g, routed, nil, 2)
+	moves = planMoves(cur, cand, opLoads, []bool{true, false, false}, 2)
 	if len(moves) != 0 {
 		t.Fatalf("moves = %+v, want none (source node stale)", moves)
 	}

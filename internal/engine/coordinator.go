@@ -185,12 +185,12 @@ func (c *Collector) SetObserver(h *obs.Histogram, count *obs.Counter, stages *ob
 }
 
 // SetDedup enables (or disables) duplicate-delivery filtering at the sink:
-// the rule nodes apply at ingress (seqMarks), keyed by (sender, stream) —
-// the sender from the connection's hello, the Seq as the producing node
-// numbered it — drops any tuple already delivered. Used by durable runs,
-// whose ledger requires exactly-once *observable* delivery on top of the
-// engine's at-least-once transport. Enabling resets the marks and the
-// duplicate count.
+// the rule nodes apply at ingress (seqMarks), keyed by (sender, stream,
+// target) — the sender from the connection's hello, the Seq as the
+// producing node numbered it — drops any tuple already delivered. Used by
+// durable runs, whose ledger requires exactly-once *observable* delivery on
+// top of the engine's at-least-once transport. Enabling resets the marks
+// and the duplicate count.
 func (c *Collector) SetDedup(on bool) {
 	c.mu.Lock()
 	c.dedup = on
@@ -558,10 +558,13 @@ type Cluster struct {
 
 	// Keyed-stream bookkeeping, recorded at Deploy: the live slot tables
 	// and replica sets (see shard.go), plus the plan whose NodeOf tracks
-	// migrations so table pushes resolve replica homes correctly.
+	// migrations so table pushes resolve replica homes correctly. homes is
+	// the deployed placement itself, which migrations leave alone: the
+	// nodes whose specs subscribe each operator (see MoveOperator).
 	shardMu sync.Mutex
 	shards  map[int]*shardState
 	plan    *placement.Plan
+	homes   []int
 }
 
 // SetEvents attaches an event log to the cluster's control plane: deploys,
@@ -710,6 +713,7 @@ func (cl *Cluster) Deploy(g *query.Graph, plan *placement.Plan, capacities []flo
 	}
 	cl.shardMu.Lock()
 	cl.plan = plan
+	cl.homes = append([]int(nil), plan.NodeOf...)
 	cl.shards = map[int]*shardState{}
 	for _, grp := range groups {
 		cl.shards[int(grp.Stream)] = &shardState{

@@ -28,15 +28,22 @@ import (
 //     cumulative, so a frame whose successor has already arrived whole is
 //     covered by that successor's ack (serveTuples).
 //   - Duplicates from re-sends and replay are filtered by one rule, keyed
-//     by (sender, stream): a tuple whose Seq is at or below the last Seq
-//     admitted from that sender on that stream is a duplicate (seqMarks).
-//     The node that produces a stream numbers it: sources number their
-//     streams, and every operator output takes its node's next number for
-//     that stream (liveOp.nextSeq), so each (sender, stream) pair carries
-//     one dense, increasing sequence over one FIFO link — also for unions,
-//     joins and selectivities other than 1. The sender is the address in
-//     the connection's hello, stable across reconnects and restarts, so a
-//     migrated operator's outputs are judged against its new home's marks.
+//     by (sender, stream, target): a tuple whose Seq is at or below the
+//     last Seq admitted from that sender on that stream, addressed to that
+//     consumer (0 for untargeted), is a duplicate (seqMarks). The node that
+//     produces a stream numbers it: sources number their streams, and every
+//     operator output takes its node's next number for that stream
+//     (liveOp.nextSeq), so each (sender, stream) pair carries one dense,
+//     increasing sequence over one FIFO link — also for unions, joins and
+//     selectivities other than 1. The addressed copies a relay entry
+//     carries are numbered by the relaying node's outbox, per (stream,
+//     target), so each is one increasing sequence beside the untargeted
+//     one — even when a node relays one tuple to two consumers on one
+//     node, relays it to a node it also forwards the untargeted tuple to,
+//     or relays an old tuple that came back with its consumer behind newer
+//     ones. The sender is the address in the connection's hello, stable
+//     across reconnects and restarts, so a migrated operator's outputs are
+//     judged against its new home's marks.
 //     The same rule runs at ingress, at replay and at the sink; the marks
 //     are checkpointed with the operator state and the output counters.
 //
@@ -48,7 +55,8 @@ import (
 // state (selectivity accumulator, processed count, output counter) and the
 // marks; windowed join contents restore empty. Runtime route mutations are
 // not logged: recovery restores the spec persisted at deploy/start/stop, so
-// migrations are not scheduled across a crash. An operator whose input is
+// migrations are not scheduled across a crash (a replayed copy addressed to
+// an operator the spec does not place here has no route). An operator whose input is
 // not logged (fed by a source's volatile link) has nothing to replay, so
 // recovery restarts its numbering at the node's birth time, above anything
 // it emitted before the crash; what it had in flight is lost with the link.
@@ -100,10 +108,11 @@ type opCheckpoint struct {
 	NextSeq   int64   `json:"nextSeq"`
 }
 
-// streamMark is one (sender, stream) dedup mark.
+// streamMark is one (sender, stream, target) dedup mark.
 type streamMark struct {
 	Sender string `json:"sender"`
 	Stream int32  `json:"stream"`
+	Target int32  `json:"target,omitempty"`
 	Seq    int64  `json:"seq"`
 }
 
@@ -161,7 +170,7 @@ func (n *Node) openDurability() error {
 			}
 		}
 		for _, mk := range ck.Marks {
-			n.senderOf(mk.Sender).marks[mk.Stream] = mk.Seq
+			n.senderOf(mk.Sender).marks[markKey{mk.Stream, mk.Target}] = mk.Seq
 		}
 		from = ck.WalPos + 1
 	}
@@ -183,8 +192,8 @@ func (n *Node) openDurability() error {
 	// The spec lists operators in graph order, producers first.
 	logged := map[int]bool{}
 	for _, s := range n.senders {
-		for sid := range s.marks {
-			logged[int(sid)] = true
+		for k := range s.marks {
+			logged[int(k.stream)] = true
 		}
 	}
 	for _, os := range m.Spec.Ops {
@@ -236,7 +245,7 @@ func (n *Node) replayRecord(payload []byte) error {
 		marks.advance(a.pending)
 		n.dedupDropped.Add(dups)
 		n.replayed.Add(int64(len(kept)))
-		n.enqueueInboundBatch(kept, from)
+		n.enqueueInboundBatch(kept)
 	}
 }
 
@@ -278,27 +287,31 @@ func (n *Node) admitDurable(s *sender, batch []Tuple, frame []byte, a *admission
 		return err
 	}
 	s.marks.advance(a.pending)
-	n.enqueueInboundBatch(kept, s.addr)
+	n.enqueueInboundBatch(kept)
 	return nil
 }
 
-// seqMarks is one sender's dedup marks: stream → the highest Seq admitted
-// from that sender on that stream. A missing entry means nothing admitted
-// yet (sequences start at 0, so the zero value cannot stand for "none").
-// Nodes keep one per sender (sender.marks), the collector one per sender
-// too.
-type seqMarks map[int32]int64
+// seqMarks is one sender's dedup marks: (stream, target) → the highest Seq
+// admitted from that sender on that stream addressed to that consumer. A
+// missing entry means nothing admitted yet (sequences start at 0, so the
+// zero value cannot stand for "none"). Nodes keep one per sender
+// (sender.marks), the collector one per sender too.
+type seqMarks map[markKey]int64
+
+// markKey names one sequence of a sender: a stream, and the consumer its
+// tuples are addressed to (Tuple.target; 0 for untargeted tuples).
+type markKey struct{ stream, target int32 }
 
 // markRun is one pending mark advance: the highest Seq the filter admitted
-// of one stream.
+// of one sequence.
 type markRun struct {
-	stream int32
-	seq    int64
+	key markKey
+	seq int64
 }
 
 // filter applies the dedup rule to batch in arrival order — a tuple whose
-// Seq is at or below its stream's mark is a duplicate, any other is
-// admitted and becomes the mark — decided once per run of one stream. The
+// Seq is at or below its sequence's mark is a duplicate, any other is
+// admitted and becomes the mark — decided once per run of one sequence. The
 // marks themselves stay put: the advances collect in a.pending, for
 // advance to apply once the admission is final (at once on replay and at
 // the sink, after the WAL commit at ingress). It returns the admitted
@@ -307,17 +320,17 @@ type markRun struct {
 func (m seqMarks) filter(batch []Tuple, a *admission) (kept []Tuple, dups int64) {
 	a.pending = a.pending[:0]
 	for i := 0; i < len(batch); {
-		sid := batch[i].Stream
-		p := 0 // the stream's pending advance, if an earlier run made one
-		for p < len(a.pending) && a.pending[p].stream != sid {
+		key := markKey{batch[i].Stream, batch[i].target}
+		p := 0 // the sequence's pending advance, if an earlier run made one
+		for p < len(a.pending) && a.pending[p].key != key {
 			p++
 		}
-		mk, seen := m[sid]
+		mk, seen := m[key]
 		if p < len(a.pending) {
 			mk, seen = a.pending[p].seq, true
 		}
 		moved := false
-		for ; i < len(batch) && batch[i].Stream == sid; i++ {
+		for ; i < len(batch) && batch[i].Stream == key.stream && batch[i].target == key.target; i++ {
 			if seen && batch[i].Seq <= mk {
 				if dups == 0 {
 					a.keep = append(a.keep[:0], batch[:i]...)
@@ -333,7 +346,7 @@ func (m seqMarks) filter(batch []Tuple, a *admission) (kept []Tuple, dups int64)
 		if moved && p < len(a.pending) {
 			a.pending[p].seq = mk
 		} else if moved {
-			a.pending = append(a.pending, markRun{sid, mk})
+			a.pending = append(a.pending, markRun{key, mk})
 		}
 	}
 	if dups == 0 {
@@ -345,7 +358,7 @@ func (m seqMarks) filter(batch []Tuple, a *admission) (kept []Tuple, dups int64)
 // advance applies filter's pending advances.
 func (m seqMarks) advance(pending []markRun) {
 	for _, p := range pending {
-		m[p.stream] = p.seq
+		m[p.key] = p.seq
 	}
 }
 
@@ -438,8 +451,8 @@ func (n *Node) tryCheckpoint() bool {
 	n.sendersMu.Lock()
 	for addr, s := range n.senders {
 		s.mu.Lock()
-		for sid, seq := range s.marks {
-			ck.Marks = append(ck.Marks, streamMark{Sender: addr, Stream: sid, Seq: seq})
+		for k, seq := range s.marks {
+			ck.Marks = append(ck.Marks, streamMark{Sender: addr, Stream: k.stream, Target: k.target, Seq: seq})
 		}
 		s.mu.Unlock()
 	}
@@ -450,7 +463,8 @@ func (n *Node) tryCheckpoint() bool {
 	sort.Slice(ck.Ops, func(i, j int) bool { return ck.Ops[i].ID < ck.Ops[j].ID })
 	sort.Slice(ck.Marks, func(i, j int) bool {
 		a, b := ck.Marks[i], ck.Marks[j]
-		return a.Sender < b.Sender || a.Sender == b.Sender && a.Stream < b.Stream
+		return a.Sender < b.Sender || a.Sender == b.Sender &&
+			(a.Stream < b.Stream || a.Stream == b.Stream && a.Target < b.Target)
 	})
 	data, err := json.Marshal(&ck)
 	if err == nil {

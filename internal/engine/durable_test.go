@@ -59,8 +59,17 @@ func TestDedupWatermarkFirstTuple(t *testing.T) {
 	if len(keep) != 4 || dups != 1 {
 		t.Fatalf("seq 0 mid-frame of a fresh stream: kept %d of 5 with %d duplicates, want 4 and 1", len(keep), dups)
 	}
-	if m[11] != 1 || m[7] != 4 {
+	if m[markKey{stream: 11}] != 1 || m[markKey{stream: 7}] != 4 {
 		t.Fatalf("marks %v, want 7→4 and 11→1", m)
+	}
+
+	// Copies of one tuple a relay addressed to two consumers, beside the
+	// untargeted one, are three sequences: none is a duplicate of another,
+	// and a re-sent copy is judged against its own consumer's mark.
+	keep, dups = admit(Tuple{Stream: 7, Seq: 5}, Tuple{Stream: 7, Seq: 5, target: 3},
+		Tuple{Stream: 7, Seq: 5, target: 4}, Tuple{Stream: 7, Seq: 5, target: 3})
+	if len(keep) != 3 || dups != 1 || m[markKey{7, 3}] != 5 || m[markKey{7, 4}] != 5 {
+		t.Fatalf("addressed copies: kept %d of 4 with %d duplicates (want 3 and 1), marks %v", len(keep), dups, m)
 	}
 }
 
@@ -68,19 +77,19 @@ func TestDedupWatermarkFirstTuple(t *testing.T) {
 //
 // The node and the collector decide the rule once per run of one stream;
 // the reference decides it once per tuple, exactly as it is stated
-// (durable.go): per (sender, stream), a tuple at or below the last
+// (durable.go): per (sender, stream, target), a tuple at or below the last
 // admitted Seq is a duplicate, any other is admitted and becomes the mark.
 // It lives here, not in the package, so it cannot drift along with the
 // code.
 
 type refKey struct {
-	sender string
-	stream int32
+	sender         string
+	stream, target int32
 }
 
 // refAdmit applies the rule to one tuple from sender from.
 func refAdmit(marks map[refKey]int64, from string, tp Tuple) bool {
-	k := refKey{from, tp.Stream}
+	k := refKey{from, tp.Stream, tp.target}
 	if mk, seen := marks[k]; seen && tp.Seq <= mk {
 		return false
 	}
@@ -94,15 +103,16 @@ func nodeMarks(n *Node) map[refKey]int64 {
 	n.sendersMu.Lock()
 	defer n.sendersMu.Unlock()
 	for from, s := range n.senders {
-		for sid, seq := range s.marks {
-			out[refKey{from, sid}] = seq
+		for k, seq := range s.marks {
+			out[refKey{from, k.stream, k.target}] = seq
 		}
 	}
 	return out
 }
 
 // dedupFrames builds n frames, each from one of three senders, with every
-// shape a per-run rule could get wrong: interleaved streams and runs of one
+// shape a per-run rule could get wrong: interleaved streams (untargeted, or
+// relayed copies addressed to one of two consumers) and runs of one
 // stream that recur inside a frame, streams that first appear (at seq 0)
 // partway through, re-sent stretches of the sender's earlier traffic
 // overlapping new tuples, neighbours of one run swapped so seqs fall back
@@ -120,9 +130,9 @@ func dedupFrames(rng *rand.Rand, n int) (senders []string, frames [][]Tuple) {
 		}
 		streams := 2 + len(frames)/10 // a new stream joins every 10 frames
 		for runs := 1 + rng.Intn(6); runs > 0; runs-- {
-			k := refKey{from, int32(1 + rng.Intn(streams))}
+			k := refKey{from, int32(1 + rng.Intn(streams)), []int32{0, 0, 3, 4}[rng.Intn(4)]}
 			for c := 1 + rng.Intn(8); c > 0; c-- {
-				f = append(f, Tuple{Stream: k.stream, Seq: next[k], Ts: int64(rng.Intn(1e9)), Value: float64(next[k])})
+				f = append(f, Tuple{Stream: k.stream, Seq: next[k], Ts: int64(rng.Intn(1e9)), Value: float64(next[k]), target: k.target})
 				next[k]++
 			}
 		}
@@ -241,8 +251,8 @@ func TestDedupRunsMatchPerTupleReference(t *testing.T) {
 		c.mu.Lock()
 		marks := map[refKey]int64{}
 		for from, m := range c.marks {
-			for sid, seq := range m {
-				marks[refKey{from, sid}] = seq
+			for k, seq := range m {
+				marks[refKey{from, k.stream, k.target}] = seq
 			}
 		}
 		c.mu.Unlock()
@@ -283,7 +293,7 @@ func TestCollectorResetKeepsDedupMarks(t *testing.T) {
 // A record logged from a received sequenced frame — tag byte, then the
 // frame as received, sequence field included — replays to exactly the
 // tuples of the re-encoded record the survivors path writes, for every
-// record shape.
+// record shape, addressed ones included.
 func TestWALRecordAsReceivedReplays(t *testing.T) {
 	base := seqRun(3, 40, 9)
 	for _, shape := range []struct {
@@ -300,6 +310,7 @@ func TestWALRecordAsReceivedReplays(t *testing.T) {
 		{"traced+keyed", func(i int, tp *Tuple) {
 			tp.Flags, tp.TraceTs, tp.Key = TupleTraced, int64(i+1), uint64(i+7)
 		}},
+		{"targeted", func(i int, tp *Tuple) { tp.target = 1 }},
 	} {
 		ts := append([]Tuple(nil), base...)
 		for i := range ts {
@@ -324,10 +335,45 @@ func TestWALRecordAsReceivedReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.replayRecord(received); err != nil || n.replayed.Load() != int64(len(ts)) || n.senderOf("n1:1").marks[3] != 48 {
+		if err := n.replayRecord(received); err != nil || n.replayed.Load() != int64(len(ts)) ||
+			n.senderOf("n1:1").marks[markKey{3, ts[0].target}] != 48 {
 			t.Fatalf("%s: replayRecord: err %v, replayed %d, marks %v", shape.name, err, n.replayed.Load(), nodeMarks(n))
 		}
 		n.Close()
+	}
+
+	// A relayed copy keeps its address through the log: replayed on a node
+	// where two operators consume the stream, it reaches the one it names.
+	n, err := NewNode("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if err := n.deploy(&NodeSpec{
+		Ops: []OpSpec{
+			{ID: 0, Kind: "map", Selectivity: 1, Inputs: []int{3}, Out: 4},
+			{ID: 1, Kind: "map", Selectivity: 1, Inputs: []int{3}, Out: 5},
+		},
+		Routes: map[int][]Dest{3: {{Local: true, LocalOp: 0}, {Local: true, LocalOp: 1}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ts := append([]Tuple(nil), base...)
+	for i := range ts {
+		ts[i].target = 2
+	}
+	tr := NewTupleReader(bytes.NewReader(appendSeqFrame(nil, ts, 78)))
+	if _, err := tr.ReadBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.replayRecord(append(recordHead("n1:1"), tr.Frame()...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AwaitDrained(2*time.Second, 20*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if st := opStates(n); st[0].Processed != 0 || st[1].Processed != int64(len(ts)) {
+		t.Fatalf("replayed copies addressed to op 1: op 0 processed %d, op 1 %d of %d", st[0].Processed, st[1].Processed, len(ts))
 	}
 }
 
@@ -463,7 +509,7 @@ func TestDurableAckCadence(t *testing.T) {
 		// the last for the last frame's sequence.
 		conn := durableConn(t)
 		o, _ := shipper(t, 2*outboxBatchMax+76, true)
-		o.enqueueBatch(seqRun(1, 0, 2*outboxBatchMax+76))
+		o.enqueueBatch(seqRun(1, 0, 2*outboxBatchMax+76), false)
 		if got, err := o.ship(conn); got != 2*outboxBatchMax+76 || err != nil {
 			t.Fatalf("shipped %d tuples (%v)", got, err)
 		}
@@ -953,5 +999,51 @@ func TestReplayRefusesUndecodableRecords(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, manifestFile)); err != nil {
 			t.Errorf("%s: manifest gone after the refused start: %v", c.name, err)
 		}
+	}
+}
+
+// A checkpoint keeps each sender's marks per (stream, target), and a
+// restart from it restores them: an addressed copy re-sent after the
+// restart is judged against its own consumer's mark, not the stream's.
+func TestCheckpointKeepsAddressedMarks(t *testing.T) {
+	dir := t.TempDir()
+	cfg := NodeConfig{WALDir: dir, CheckpointEvery: time.Hour}
+	n, err := NewNodeConfig("127.0.0.1:0", 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := n.handleControl(&controlRequest{Cmd: "deploy", Spec: &NodeSpec{
+		Ops:    []OpSpec{{ID: 0, Kind: "map", Selectivity: 1, Inputs: []int{3}, Out: 4}},
+		Routes: map[int][]Dest{3: {{Local: true, LocalOp: 0}}},
+	}}); !resp.OK {
+		t.Fatal(resp.Err)
+	}
+	tr := NewTupleReader(bytes.NewReader(appendSeqFrame(nil,
+		[]Tuple{{Stream: 3, Seq: 5}, {Stream: 3, Seq: 9, target: 1}, {Stream: 3, Seq: 7, target: 2}}, 1)))
+	batch, err := tr.ReadBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := n.senderOf("n1:1")
+	var a admission
+	from.mu.Lock()
+	err = n.admitDurable(from, batch, tr.Frame(), &a)
+	from.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 2*time.Second, "a checkpoint at a drained moment", n.tryCheckpoint)
+	want := nodeMarks(n)
+	n.Close()
+	if len(want) != 3 || want[refKey{"n1:1", 3, 1}] != 9 || want[refKey{"n1:1", 3, 2}] != 7 {
+		t.Fatalf("marks before the restart: %v", want)
+	}
+	n, err = NewNodeConfig("127.0.0.1:0", 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if got := nodeMarks(n); !reflect.DeepEqual(got, want) {
+		t.Fatalf("marks after the restart %v, before %v", got, want)
 	}
 }

@@ -14,6 +14,7 @@ import (
 // are capped), and whatever decodes must re-encode to a frame that decodes
 // to the same tuples.
 func FuzzReadFrame(f *testing.F) {
+	const allFields = fieldTrace | fieldKey | fieldTarget
 	f.Add(appendFrames(nil, []Tuple{{Stream: 1}, {Stream: 2, Seq: 9}, {Stream: 3, Value: -1}}))
 	f.Add(appendFrames(nil, []Tuple{
 		{Stream: 1, Flags: TupleTraced, TraceTs: 987654321},
@@ -21,10 +22,16 @@ func FuzzReadFrame(f *testing.F) {
 	}))
 	f.Add(appendFrames(nil, []Tuple{{Stream: 4, Seq: 1, Key: 0xfeed}, {Stream: 4, Seq: 2}}))
 	f.Add(appendSeqFrame(nil, []Tuple{{Stream: 5, Seq: 7, Key: 3, Flags: TupleTraced, TraceTs: 11}}, 42))
+	// Relayed copies addressed to a consumer: alone, beside untargeted
+	// tuples, with every other field, and naming no plausible operator.
+	f.Add(appendFrames(nil, []Tuple{{Stream: 3, Seq: 4, target: 2}, {Stream: 3, Seq: 4}, {Stream: 3, Seq: 4, target: 9}}))
+	f.Add(appendSeqFrame(nil, []Tuple{{Stream: 5, Seq: 8, Key: 3, Flags: TupleTraced, TraceTs: 12, target: 1}}, 43))
+	f.Add(appendFrames(nil, []Tuple{{Stream: 1, target: -1}, {Stream: 1, target: 1 << 30}}))
+	f.Add([]byte{opTuples, fieldTarget, 0, 0, 0, 1, 0, 0, 0, 1})     // record cut short of its target
 	f.Add([]byte{opTuples, 0, 0xff, 0xff, 0xff, 0xff})               // absurd declared count
 	f.Add([]byte{opTuples, fieldTrace | fieldKey, 0, 1, 0, 1})       // one past the cap
 	f.Add([]byte{opTuples, 0, 0, 0, 0, 0})                           // empty frame
-	f.Add([]byte{opTuples, 0x08, 0, 0, 0, 1})                        // unknown field bit
+	f.Add([]byte{opTuples, 0x10, 0, 0, 0, 1})                        // unknown field bit
 	f.Add([]byte{opTuples, fieldSeq, 0, 0, 0, 1, 0xff, 0xff})        // sequence cut short
 	f.Add(appendFrames(nil, []Tuple{{Stream: 1}, {Stream: 2}})[:40]) // record cut short
 	f.Add([]byte{0x81, 0, 0, 0, 1})                                  // retired batch opcode
@@ -59,7 +66,7 @@ func FuzzReadFrame(f *testing.F) {
 			if len(batch) == 0 || len(batch) > MaxBatchWire {
 				t.Fatalf("ReadBatch returned %d tuples", len(batch))
 			}
-			again, err := NewTupleReader(bytes.NewReader(appendFrame(nil, batch, fieldTrace|fieldKey, 0))).ReadBatch()
+			again, err := NewTupleReader(bytes.NewReader(appendFrame(nil, batch, allFields, 0))).ReadBatch()
 			if err != nil || len(again) != len(batch) {
 				t.Fatalf("re-encode of %d tuples: %d tuples, err %v", len(batch), len(again), err)
 			}
@@ -71,7 +78,7 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		// The reader's reusable buffers stay bounded by the wire cap no
 		// matter what lengths the input declared.
-		if cap(tr.buf) > MaxBatchWire*recordSize(fieldTrace|fieldKey) {
+		if cap(tr.buf) > MaxBatchWire*recordSize(allFields) {
 			t.Fatalf("payload buffer grew to %d", cap(tr.buf))
 		}
 		if cap(tr.slab) > MaxBatchWire {

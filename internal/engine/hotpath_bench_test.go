@@ -68,12 +68,12 @@ func BenchmarkIngressChunk(b *testing.B) {
 	n := hotPathNode(b)
 	l := parkLane(b, n, 0)
 	chunk := seqRun(1, 0, batchMax)
-	n.enqueueChunk(chunk, "")
+	n.enqueueChunk(chunk)
 	l.empty()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.enqueueChunk(chunk, "")
+		n.enqueueChunk(chunk)
 		l.empty()
 	}
 	reportPerTuple(b, batchMax)
@@ -109,7 +109,7 @@ func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 func BenchmarkOutboxShip(b *testing.B) {
 	n := hotPathNode(b)
 	o := newOutbox(n, deadAddr(b), false)
-	o.enqueueBatch(seqRun(2, 0, len(o.ring)))
+	o.enqueueBatch(seqRun(2, 0, len(o.ring)), false)
 	var conn net.Conn = discardConn{}
 	ship := func() int {
 		k, err := o.ship(conn)
@@ -177,7 +177,7 @@ func durableAdmitter(tb testing.TB, dir string) func() {
 	from := n.senderOf("bench")
 	return func() {
 		from.mu.Lock()
-		delete(from.marks, 1)
+		delete(from.marks, markKey{stream: 1})
 		err := n.admitDurable(from, batch, tr.Frame(), &a)
 		from.mu.Unlock()
 		if err != nil {
@@ -205,7 +205,7 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 	l := parkLane(t, n, 0)
 	chunk := seqRun(1, 0, batchMax)
 	ingress := func() {
-		n.enqueueChunk(chunk, "")
+		n.enqueueChunk(chunk)
 		l.empty()
 	}
 	run := workerRun{locals: make([][]Tuple, n.workers), tuples: seqRun(1, 0, batchMax)}
@@ -225,7 +225,7 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 		c.recordBatch(batch, "n1", int64(time.Second))
 	}
 	o := newOutbox(n, deadAddr(t), false)
-	o.enqueueBatch(seqRun(2, 0, len(o.ring)))
+	o.enqueueBatch(seqRun(2, 0, len(o.ring)), false)
 	var conn net.Conn = discardConn{}
 	ship := func() {
 		k, _ := o.ship(conn)

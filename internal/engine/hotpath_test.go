@@ -23,8 +23,8 @@ import (
 // ---- (a) the lane worker against a lock-per-tuple, lookup-per-tuple one ----
 
 // refProcessRun is the reference worker: it re-resolves a tuple's consumers,
-// relay routes, partition table and transfer cost from the snapshot's edited
-// fields for every tuple, steps one tuple per operator call, locks and
+// relay entries, partition table and transfer cost from the snapshot's
+// edited fields for every tuple, steps one tuple per operator call, locks and
 // unlocks the operator around every step, and bumps the shared per-slot
 // counter once per keyed output. The estimator sample is one per (operator,
 // run), as the package documents. A join's window records arrival order
@@ -89,29 +89,28 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 		if t.target != 0 {
 			if op := rs.ops[int(t.target)-1]; op != nil {
 				charge(step(op, t))
-			} else if addr := sr.part.relay[int(t.target)-1]; addr != "" {
+			} else if addr := sr.relay[int(t.target)-1]; addr != "" {
 				fwds.add(addr, []Tuple{t})
 			} else {
 				n.dropNoRt.Add(1)
 			}
 			continue
 		}
-		consumed, cost := false, 0.0
+		taken, cost := false, 0.0
 		for _, id := range sr.subs {
 			if op := rs.ops[id]; op != nil {
 				cost += step(op, t)
-				consumed = true
+				taken = true
+			} else if addr := sr.relay[id]; addr != "" {
+				c := t
+				c.target = int32(id) + 1
+				fwds.add(addr, []Tuple{c})
+				taken = true
 			}
 		}
-		if consumed {
-			charge(cost)
-			continue
-		}
-		if len(sr.relays) == 0 {
+		charge(cost)
+		if !taken {
 			n.dropNoRt.Add(1)
-		}
-		for _, d := range sr.relays {
-			fwds.add(d.Addr, []Tuple{t})
 		}
 	}
 	n.lanes[0].processed.Add(int64(len(tuples)))
@@ -120,7 +119,7 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 		n.estimator.Record(id, stats.OpSample{In: s.in, Out: s.out, CPU: s.cpu})
 	}
 	for i := range fwds {
-		n.sendBatch(fwds[i].addr, fwds[i].ts)
+		n.sendRelay(fwds[i].addr, fwds[i].ts)
 	}
 	var egress destRuns
 	for _, t := range outs {
@@ -153,9 +152,11 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 
 // heldLockNode deploys the mixed scenario of TestHeldOpLockMatchesReference:
 //
-//	stream 1 → ops 0 (sel 1) and 1 (sel 0.5), two consumers of one stream
-//	stream 2 → keyed, replicas 2 and 3 here (tuples arrive targeted)
-//	stream 3 → op 4, which is then removed with a relay route
+//	stream 1 → ops 0 (sel 1) and 1 (sel 0.5), two consumers of one stream,
+//	           then op 1 is removed with a relay entry (a copy for it)
+//	stream 2 → keyed, replicas 2 and 3 here (tuples arrive targeted), then
+//	           replica 3 is removed with a relay entry (its tuples follow)
+//	stream 3 → op 4, which is then removed with a relay entry
 //	stream 4 → nothing at all
 //	stream 5 → op 5 (sel 0.7), its only consumer
 //	streams 6, 7 → op 6, a two-input join
@@ -202,8 +203,10 @@ func heldLockNode(t *testing.T, peer, relay string) *Node {
 	if err := n.deploy(spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.removeOp(4, map[int][]Dest{3: {{Addr: relay}}}); err != nil {
-		t.Fatal(err)
+	for id, sid := range map[int]int{1: 1, 3: 2, 4: 3} {
+		if err := n.removeOp(id, map[int][]Dest{sid: {{Addr: relay}}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return n
 }
@@ -366,7 +369,7 @@ func TestHeldOpLockReleasedWhilePacing(t *testing.T) {
 		t.Fatal(resp.Err)
 	}
 	op := n.route.Load().ops[0]
-	n.enqueueInboundBatch(seqRun(1, 0, 6), "")
+	n.enqueueInboundBatch(seqRun(1, 0, 6))
 	waitUntil(t, 2*time.Second, "worker inside the run", func() bool {
 		return n.Stats().WorkerInFlight == 6
 	})
@@ -510,11 +513,11 @@ func describe(rs *routeState) string {
 	sort.Ints(sids)
 	for _, sid := range sids {
 		sr := rs.streams[int32(sid)]
-		fmt.Fprintf(&b, "stream %d subs %v fwd %v relays %v xfer %g | cons %v lane %d xferNs %d\n",
-			sid, sr.subs, sr.fwd, sr.relays, sr.xfer, sr.cons, sr.lane, sr.xferNs)
+		fmt.Fprintf(&b, "stream %d subs %v fwd %v relay %v xfer %g | cons %v follow %v lane %d xferNs %d\n",
+			sid, sr.subs, sr.fwd, sr.relay, sr.xfer, sr.cons, sr.follow, sr.lane, sr.xferNs)
 		if pt := sr.part; pt != nil {
-			fmt.Fprintf(&b, "  part %s k %d slots %v shards %v ops %v relay %v route %v\n",
-				pt.parent, pt.k, pt.slots, pt.shards, pt.ops, pt.relay, pt.route)
+			fmt.Fprintf(&b, "  part %s k %d slots %v shards %v ops %v route %v\n",
+				pt.parent, pt.k, pt.slots, pt.shards, pt.ops, pt.route)
 		}
 	}
 	return b.String()
@@ -527,13 +530,16 @@ func checkDerived(t *testing.T, what string, rs *routeState, w uint32, capacity 
 	t.Helper()
 	for sid, sr := range rs.streams {
 		var cons []*liveOp
+		var follow []follower
 		for _, id := range sr.subs {
 			if op := rs.ops[id]; op != nil {
 				cons = append(cons, op)
+			} else if addr, ok := sr.relay[id]; ok {
+				follow = append(follow, follower{int32(id) + 1, addr})
 			}
 		}
-		if !reflect.DeepEqual(sr.cons, cons) {
-			t.Fatalf("%s: stream %d consumers %v, naive %v", what, sid, sr.cons, cons)
+		if !reflect.DeepEqual(sr.cons, cons) || !reflect.DeepEqual(sr.follow, follow) {
+			t.Fatalf("%s: stream %d consumers %v followers %v, naive %v %v", what, sid, sr.cons, sr.follow, cons, follow)
 		}
 		var xferNs int64
 		if sr.xfer > 0 {
@@ -579,10 +585,8 @@ func checkDerived(t *testing.T, what string, rs *routeState, w uint32, capacity 
 			var want slotDest
 			if d := pt.shards[pt.slots[slot]]; !d.Local {
 				want.addr = d.Addr
-			} else if _, ok := rs.ops[d.LocalOp]; ok {
-				want.target = int32(d.LocalOp) + 1
 			} else {
-				want.addr = pt.relay[d.LocalOp]
+				want.target = int32(d.LocalOp) + 1
 			}
 			if pt.route[slot] != want {
 				t.Fatalf("%s: stream %d slot %d resolves to %+v, naive %+v", what, sid, slot, pt.route[slot], want)
@@ -663,31 +667,54 @@ func TestStreamRouteMatchesNaiveDerivation(t *testing.T) {
 		t.Fatalf("stream 5 slots resolve to %+v", sr.part.route[:3])
 	}
 
-	// Subscribe: a new operator joins stream 3's consumers and ties stream 6
-	// into the same consumer group.
+	// Migrate in: operator 4 takes streams 3 and 6 from elsewhere. The
+	// deployed spec does not subscribe it, so it joins no consumer set and
+	// ties no consumer group: its input arrives addressed to it. Its output
+	// forward merges without duplicating the deployed one.
 	rs = mutate("addop", func() error {
-		n.addOp(&OpSpec{ID: 4, Kind: "union", Selectivity: 1, Inputs: []int{3, 6}, Out: 12},
-			map[int][]Dest{3: {{Local: true, LocalOp: 4}}, 6: {{Local: true, LocalOp: 4}}, 12: {{Addr: peerA}}})
+		n.addOp(&OpSpec{ID: 4, Kind: "union", Selectivity: 1, Inputs: []int{3, 6}, Out: 10},
+			map[int][]Dest{3: {{Local: true, LocalOp: 4}}, 6: {{Local: true, LocalOp: 4}}, 10: {{Addr: peerA}, {Addr: peerB}}})
 		return nil
 	})
-	if a, b := rs.lookup(3), rs.lookup(6); a.lane != b.lane || len(a.cons) != 2 || a.cons[1] != rs.ops[4] {
-		t.Fatalf("after subscribe: lanes %d/%d, stream 3 consumers %v", a.lane, b.lane, a.cons)
+	if a := rs.lookup(3); len(a.cons) != 1 || a.cons[0] != rs.ops[1] || len(rs.lookup(6).subs) != 0 {
+		t.Fatalf("after migrate in: stream 3 consumers %v, stream 6 subs %v", a.cons, rs.lookup(6).subs)
+	}
+	if fwd := rs.lookup(10).fwd; len(fwd) != 2 {
+		t.Fatalf("after migrate in: stream 10 forwards %v", fwd)
+	}
+	if !rs.accepts(3, rs.lookup(3), 5) || !rs.accepts(6, rs.lookup(6), 5) || rs.accepts(1, rs.lookup(1), 5) || rs.accepts(3, rs.lookup(3), 8) {
+		t.Fatal("addressed tuples: op 4 must take streams 3 and 6 only, and an unknown target nothing")
 	}
 
-	// Unsubscribe / migrate out: operator 1 leaves for peerB; stream 3 keeps
-	// operator 4 and gains the relay.
+	// Migrate out: operator 1 leaves for peerB. Stream 3 keeps it
+	// subscribed and gains its relay entry, a follower; the moved-in
+	// operator 4 leaves for peerA, an entry that serves addressed tuples
+	// alone.
 	rs = mutate("removeop 1", func() error { return n.removeOp(1, map[int][]Dest{3: {{Addr: peerB}}}) })
-	if sr := rs.lookup(3); !reflect.DeepEqual(sr.subs, []int{4}) || !hasDest(sr.relays, peerB) || !hasDest(sr.fwd, peerB) {
-		t.Fatalf("after migrate out: stream 3 subs %v relays %v fwd %v", sr.subs, sr.relays, sr.fwd)
+	rs = mutate("removeop 4", func() error {
+		return n.removeOp(4, map[int][]Dest{3: {{Addr: peerA}}, 6: {{Addr: peerA}}})
+	})
+	if sr := rs.lookup(3); !reflect.DeepEqual(sr.subs, []int{1}) || len(sr.cons) != 0 ||
+		!reflect.DeepEqual(sr.follow, []follower{{2, peerB}}) || sr.relay[4] != peerA {
+		t.Fatalf("after migrate out: stream 3 subs %v consumers %v followers %v relay %v", sr.subs, sr.cons, sr.follow, sr.relay)
+	}
+	if !rs.accepts(3, rs.lookup(3), 5) || !rs.accepts(3, rs.lookup(3), 2) || rs.accepts(1, rs.lookup(1), 5) {
+		t.Fatal("addressed tuples must follow the relay entries of their own stream")
 	}
 
-	// A shard replica migrates out: its slots follow it to peerA.
+	// A shard replica migrates out: its slot stays addressed to it, and
+	// its entry carries the addressed tuples on.
 	rs = mutate("removeop 3", func() error { return n.removeOp(3, map[int][]Dest{5: {{Addr: peerA}}}) })
-	if sr := rs.lookup(5); sr.part.route[1] != (slotDest{addr: peerA}) || sr.part.relay[3] != peerA {
-		t.Fatalf("after replica migration: slot 1 %+v, relay %v", sr.part.route[1], sr.part.relay)
+	if sr := rs.lookup(5); sr.part.route[1] != (slotDest{target: 4}) || sr.relay[3] != peerA {
+		t.Fatalf("after replica migration: slot 1 %+v, relay %v", sr.part.route[1], sr.relay)
 	}
 
-	// Migrate in: the replica comes back and a pushed table marks it local.
+	// Back home: operator 1 and the replica return, which deletes their
+	// entries, and a pushed table moves the replica's slots.
+	mutate("addop 1", func() error {
+		n.addOp(&OpSpec{ID: 1, Kind: "map", Selectivity: 1, Inputs: []int{3}, Out: 11}, nil)
+		return nil
+	})
 	mutate("addop 3", func() error {
 		n.addOp(&OpSpec{ID: 3, Kind: "map", Selectivity: 1, Inputs: []int{5}, Out: 20}, nil)
 		return nil
@@ -700,8 +727,11 @@ func TestStreamRouteMatchesNaiveDerivation(t *testing.T) {
 		return n.repart(&PartitionSpec{Stream: 5, Parent: "p", K: 3, Slots: slots,
 			Shards: []Dest{{Local: true, LocalOp: 2}, {Local: true, LocalOp: 3}, {Addr: peerB}}, Ops: []int{2, 3, 6}})
 	})
-	if sr := rs.lookup(5); sr.part.route[0].target != 4 || sr.part.route[1].addr != peerB || len(sr.part.relay) != 0 {
-		t.Fatalf("after repart: slots %+v relay %v", sr.part.route[:2], sr.part.relay)
+	if sr := rs.lookup(5); sr.part.route[0].target != 4 || sr.part.route[1].addr != peerB || len(sr.relay) != 0 {
+		t.Fatalf("after repart: slots %+v relay %v", sr.part.route[:2], sr.relay)
+	}
+	if sr := rs.lookup(3); len(sr.cons) != 1 || len(sr.follow) != 0 || sr.relay[4] != peerA {
+		t.Fatalf("after the return: stream 3 consumers %v followers %v relay %v", sr.cons, sr.follow, sr.relay)
 	}
 
 	// A first table for a stream that had none, and a malformed one.
@@ -776,7 +806,7 @@ func TestStreamRouteKeyedTuplesFollowTheirReplica(t *testing.T) {
 			t.Fatalf("%s: %d tuples on the lanes, want %d", what, got, want)
 		}
 	}
-	n.enqueueChunk(append(seqRun(5, 0, batchMax), seqRun(1, 0, 10)...), "")
+	n.enqueueChunk(append(seqRun(5, 0, batchMax), seqRun(1, 0, 10)...))
 	drained("ingress", batchMax+10)
 
 	run := workerRun{locals: make([][]Tuple, workers), tuples: seqRun(1, 0, batchMax)}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,10 +17,11 @@ import (
 // is ever touched by two lanes at once and per-(stream, key) order is
 // preserved:
 //
-//   - targeted (keyed) tuples hash their addressed replica: every tuple of
-//     one partition slot resolves to one replica and therefore one lane,
+//   - addressed tuples hash the operator they are addressed to: every tuple
+//     of one partition slot resolves to one replica and therefore one lane,
 //     which is the Fibonacci hash of (stream, key) by way of the partition
-//     table — keyed-shard slot affinity;
+//     table — keyed-shard slot affinity — and a moved-in operator's
+//     relayed input sits on its own lane the same way;
 //   - broadcast tuples hash their stream's *consumer group*: streams that
 //     share a consumer operator (a join's two inputs, a merge's replica
 //     outputs) are unioned into one group so the shared operator stays
@@ -26,11 +29,12 @@ import (
 //     lowest stream id — per-stream FIFO order is preserved because one
 //     stream maps to exactly one lane.
 //
-// Route mutations (deploy, addop/removeop during migration, repart) can
-// re-pin a stream to a different lane; liveOp state is mutex-guarded (see
-// workerRun.hold) so such transitions are safe, and the transient cross-lane
-// reordering they allow is the same reordering migration relays already
-// introduce.
+// Route mutations (deploy, addop/removeop during migration, repart) never
+// re-pin a broadcast stream: its consumer group is the deployed spec's
+// subscriptions, which no mutation edits. A moved-in operator's input
+// arrives addressed to it and sits on its replica-style lane; liveOp state
+// is mutex-guarded (see workerRun.hold), so an operator fed from two lanes
+// stays safe.
 
 // maxWorkers caps the lane count at a sane bound.
 const maxWorkers = 64
@@ -224,16 +228,34 @@ type routeState struct {
 // it by routeState.complete, so the hot paths never resolve an operator id,
 // hash a stream or divide by the capacity per tuple. A published entry is
 // immutable.
+//
+// relay is the one record migration keeps: for each consumer of the stream
+// that left this node, the node it went to next. An entry is added when the
+// consumer is removed here and deleted when it is installed here again, so
+// entries only point where a consumer went next and the entries a tuple
+// follows end where the consumer is (a tuple comes back to a node only with
+// its consumer). Whatever follows an entry carries the consumer's id
+// (Tuple.target): a moved-in operator takes only such addressed copies,
+// never the untargeted tuples of a stream its deployed spec does not
+// subscribe it to.
 type streamRoute struct {
-	subs   []int      // local consumer operator ids
-	fwd    []Dest     // remote destinations of tuples produced here
-	relays []Dest     // where *inbound* tuples follow a consumer that left
-	part   *partTable // keyed routing table; nil for a broadcast stream
-	xfer   float64    // transfer cost, cost units per tuple crossing a link
+	subs  []int          // local consumers the deployed spec subscribes
+	fwd   []Dest         // remote destinations of tuples produced here
+	relay map[int]string // departed consumer id → the node it went to next
+	part  *partTable     // keyed routing table; nil for a broadcast stream
+	xfer  float64        // transfer cost, cost units per tuple crossing a link
 
-	cons   []*liveOp // subs that are installed here, in subs order
-	lane   uint32    // pinned lane (consumer-group hash, see complete)
-	xferNs int64     // xfer as virtual-CPU ns at this node's capacity
+	cons   []*liveOp  // subs that are installed here, in subs order
+	follow []follower // relay entries of subs: each takes a copy of every untargeted tuple
+	lane   uint32     // pinned lane (consumer-group hash, see complete)
+	xferNs int64      // xfer as virtual-CPU ns at this node's capacity
+}
+
+// follower is the relay entry of a subscriber that left: the Tuple.target
+// its copies carry and where they go.
+type follower struct {
+	target int32
+	addr   string
 }
 
 // noRoute is the entry of every stream the snapshot does not mention.
@@ -287,7 +309,7 @@ func (rs *routeState) clone() *routeState {
 		cp := *sr
 		cp.subs = append([]int(nil), sr.subs...)
 		cp.fwd = append([]Dest(nil), sr.fwd...)
-		cp.relays = append([]Dest(nil), sr.relays...)
+		cp.relay = maps.Clone(sr.relay)
 		if sr.part != nil {
 			cp.part = sr.part.clone()
 		}
@@ -298,10 +320,11 @@ func (rs *routeState) clone() *routeState {
 
 // complete derives every entry's resolved fields from the edited ones; each
 // mutator calls it on its clone right before publishing. Consumers are the
-// subscribed operators installed here; partition tables get their per-slot
-// resolution; and streams are pinned to lanes: streams sharing a consumer
-// operator are unioned into one group (so a join or merge is fed by a single
-// lane), and each group hashes its lowest stream id to a lane.
+// subscribed operators installed here, followers the relay entries of those
+// that left; partition tables get their per-slot resolution; and streams are
+// pinned to lanes: streams sharing a consumer operator are unioned into one
+// group (so a join or merge is fed by a single lane), and each group hashes
+// its lowest stream id to a lane.
 func (rs *routeState) complete(w uint32, capacity float64) {
 	// Union-find over stream ids, keyed by shared consumer op.
 	parent := map[int32]int32{}
@@ -328,10 +351,12 @@ func (rs *routeState) complete(w uint32, capacity float64) {
 	}
 	byOp := map[int]int32{} // op id → representative input stream
 	for sid, sr := range rs.streams {
-		sr.cons = nil
+		sr.cons, sr.follow = nil, nil
 		for _, id := range sr.subs {
 			if op := rs.ops[id]; op != nil {
 				sr.cons = append(sr.cons, op)
+			} else if addr := sr.relay[id]; addr != "" {
+				sr.follow = append(sr.follow, follower{int32(id) + 1, addr})
 			}
 			if rep, ok := byOp[id]; ok {
 				union(rep, sid)
@@ -341,7 +366,7 @@ func (rs *routeState) complete(w uint32, capacity float64) {
 		}
 		sr.xferNs = max(0, int64(time.Duration(sr.xfer/capacity*float64(time.Second))))
 		if sr.part != nil {
-			sr.part.complete(rs)
+			sr.part.complete()
 		}
 	}
 	for sid, sr := range rs.streams {
@@ -349,9 +374,9 @@ func (rs *routeState) complete(w uint32, capacity float64) {
 	}
 }
 
-// laneFor assigns one tuple of the stream to its lane: targeted (keyed)
-// tuples hash the addressed replica, whatever the stream's pinning;
-// everything else goes to the stream's pinned consumer group.
+// laneFor assigns one tuple of the stream to its lane: addressed tuples
+// hash the operator they name, whatever the stream's pinning; everything
+// else goes to the stream's pinned consumer group.
 func (sr *streamRoute) laneFor(t *Tuple, w uint32) uint32 {
 	if t.target != 0 {
 		return fibLane(uint64(uint32(t.target)), w)
@@ -363,7 +388,7 @@ func (sr *streamRoute) laneFor(t *Tuple, w uint32) uint32 {
 // counts slice is shared — per-slot routed counters are atomics that keep
 // accumulating across snapshot swaps (and survive repartitions).
 func (pt *partTable) clone() *partTable {
-	c := &partTable{
+	return &partTable{
 		parent: pt.parent,
 		k:      pt.k,
 		slots:  append([]int(nil), pt.slots...),
@@ -371,10 +396,18 @@ func (pt *partTable) clone() *partTable {
 		ops:    append([]int(nil), pt.ops...),
 		counts: pt.counts,
 		route:  pt.route,
-		relay:  make(map[int]string, len(pt.relay)),
 	}
-	for k, v := range pt.relay {
-		c.relay[k] = v
+}
+
+// accepts reports whether a tuple of stream sid addressed to target (an
+// operator id + 1, as decoded off the wire) has somewhere to go here: the
+// operator is installed and consumes the stream, or it left and the stream
+// holds its relay entry. Anything else is a routing gap, whatever the
+// target names.
+func (rs *routeState) accepts(sid int32, sr *streamRoute, target int32) bool {
+	id := int(target) - 1
+	if op := rs.ops[id]; op != nil {
+		return slices.Contains(op.spec.Inputs, int(sid))
 	}
-	return c
+	return sr.relay[id] != ""
 }

@@ -127,7 +127,7 @@ func TestLaneOrderingEndToEnd(t *testing.T) {
 						Tuple{Stream: a, Seq: seq + i, Key: uint64(a)},
 						Tuple{Stream: b, Seq: seq + i, Key: uint64(b)})
 				}
-				n.enqueueInboundBatch(batch, "")
+				n.enqueueInboundBatch(batch)
 			}
 		}(p)
 	}

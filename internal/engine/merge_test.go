@@ -221,17 +221,24 @@ func TestDurableMergeAndFanOutDeliverAll(t *testing.T) {
 	}
 }
 
-// TestDurableMigrationNoLoss moves operators of a durable graph to a spare
-// node mid-stream and back home: the interior one of a chain, whose
-// receiver is the next node; the tail, whose receiver is the sink; and two
-// consumers of one stream, both moved to the same spare node and one moved
-// back, so the relay both rely on must outlive the first one's return.
-// Keyed by sender, the receivers judge an operator's outputs from each
-// home against that home's own marks, and the home it returns to resumes
-// its numbering above what its receivers have seen, so nothing is lost:
-// every source tuple reaches every sink stream. The hand-over may process
-// a few tuples twice (migration is at-least-once); the excess is reported,
-// not gated.
+// TestDurableMigrationNoLoss moves operators of a graph mid-stream, with
+// and without a WAL: the interior one of a chain, whose receiver is the
+// next node; the tail, whose receiver is the sink; two consumers of one
+// stream, both moved to the same spare node and one moved back; a consumer
+// moved onto the node of a sibling consumer of its stream (and back), and
+// onto its own producer's node — destinations that already carry the
+// operator's stream for someone else. Two rows aim at the hand-over itself:
+// a costly consumer moved to a node its stream is already relayed to, while
+// tuples admitted at its home before its install still wait in the queue
+// there; and a consumer moved off the node of an overloaded producer, whose
+// paced runs straddle the removal, while a sibling consumer stays.
+//
+// Relay entries name the consumer they serve, so a node delivers each
+// tuple to the consumers placed there by the deployment and hands an
+// addressed copy to each one that moved, and every home numbers what it
+// produces above what its receivers have seen: every source tuple reaches
+// every sink stream, and at most a twentieth more arrive, renumbered by a
+// node that stepped a tuple twice.
 func TestDurableMigrationNoLoss(t *testing.T) {
 	chain := func() (*query.Graph, *placement.Plan) {
 		b := query.NewBuilder()
@@ -241,14 +248,25 @@ func TestDurableMigrationNoLoss(t *testing.T) {
 		plan, _ := placement.NewPlan([]int{0, 1, 2}, 4)
 		return b.MustBuild(), plan
 	}
-	shared := func() (*query.Graph, *placement.Plan) {
-		b := query.NewBuilder()
-		a := b.Delay("a", 0.00002, 1, b.Input("I"))
-		b.Delay("x", 0.00002, 1, a)
-		b.Delay("y", 0.00002, 1, a)
-		plan, _ := placement.NewPlan([]int{0, 1, 1}, 3)
-		return b.MustBuild(), plan
+	// fork builds a → x, y with the given costs of a and y.
+	fork := func(costA, costY float64, nodeOf ...int) func() (*query.Graph, *placement.Plan) {
+		return func() (*query.Graph, *placement.Plan) {
+			b := query.NewBuilder()
+			a := b.Delay("a", costA, 1, b.Input("I"))
+			b.Delay("x", 0.00002, 1, a)
+			b.Delay("y", costY, 1, a)
+			plan, _ := placement.NewPlan(nodeOf, 3)
+			return b.MustBuild(), plan
+		}
 	}
+	shared := fork(0.00002, 0.00002, 0, 1, 1)
+	siblings := fork(0.00002, 0.00002, 0, 1, 2)
+	// y is costly enough that its home falls behind: tuples admitted there
+	// long before y leaves still wait in its queue.
+	backlogged := fork(0.00002, 0.007, 0, 1, 1)
+	// a is overloaded on the node it shares with both consumers: its paced
+	// runs span most of the wall time, so a removal lands inside one.
+	coLocated := fork(0.003, 0.00002, 0, 0, 0)
 	type move struct {
 		op query.OpID
 		to int
@@ -261,25 +279,38 @@ func TestDurableMigrationNoLoss(t *testing.T) {
 		{"interior", chain, []move{{1, 3}, {1, 1}}},
 		{"tail", chain, []move{{2, 3}, {2, 2}}},
 		{"two-consumers", shared, []move{{1, 2}, {2, 2}, {1, 1}}},
+		{"onto-sibling-consumer", siblings, []move{{1, 2}}},
+		{"onto-sibling-and-back", siblings, []move{{1, 2}, {1, 1}}},
+		{"onto-own-producer", chain, []move{{1, 0}}},
+		{"relayed-before-install", backlogged, []move{{1, 2}, {2, 2}}},
+		{"producer-run-straddles-removal", coLocated, []move{{1, 1}, {1, 0}, {1, 1}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			g, plan := c.graph()
-			r := runGraph(t, g, plan, true, true, func(cl *Cluster) {
-				for _, m := range c.moves {
-					time.Sleep(120 * time.Millisecond)
-					if err := cl.MoveOperator(g, plan, m.op, m.to, 0); err != nil {
-						t.Error(err)
-						return
-					}
+			for _, wal := range []bool{true, false} {
+				name := "wal"
+				if !wal {
+					name = "no-wal"
 				}
-			})
-			want := r.injected * int64(len(g.Sinks()))
-			if r.injected == 0 || r.distinct != want || r.dedupDropped != 0 {
-				t.Fatalf("delivered %d distinct of %d (%d injected × %d sink streams) across %d moves (%d ingress dedup drops)",
-					r.distinct, want, r.injected, len(g.Sinks()), len(c.moves), r.dedupDropped)
+				t.Run(name, func(t *testing.T) {
+					g, plan := c.graph()
+					r := runGraph(t, g, plan, wal, true, func(cl *Cluster) {
+						for _, m := range c.moves {
+							time.Sleep(120 * time.Millisecond)
+							if err := cl.MoveOperator(g, plan, m.op, m.to, 0); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					})
+					want := r.injected * int64(len(g.Sinks()))
+					if r.injected == 0 || r.distinct != want || r.dedupDropped != 0 || r.delivered-r.distinct > want/20 {
+						t.Fatalf("delivered %d, %d distinct of %d (%d injected × %d sink streams) across %d moves: %d processed twice (at most %d), %d ingress dedup drops",
+							r.delivered, r.distinct, want, r.injected, len(g.Sinks()), len(c.moves), r.delivered-r.distinct, want/20, r.dedupDropped)
+					}
+					t.Logf("delivered %d tuples, %d distinct of %d: %d processed twice in the hand-overs, %d sink duplicates",
+						r.delivered, r.distinct, want, r.delivered-r.distinct, r.dups)
+				})
 			}
-			t.Logf("delivered %d tuples, %d distinct of %d: %d processed twice in the hand-overs, %d sink duplicates",
-				r.delivered, r.distinct, want, r.delivered-r.distinct, r.dups)
 		})
 	}
 }

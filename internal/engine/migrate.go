@@ -15,19 +15,24 @@ import (
 //
 // The protocol avoids tuple loss without global pauses:
 //
-//  1. the destination node installs the operator and its outbound routes;
+//  1. the destination node installs the operator and the forwards for its
+//     output, which go where the deployed spec sends that stream; an entry
+//     its earlier departure from there left is deleted;
 //  2. both nodes charge a stall (the state-transfer cost) to their virtual
 //     CPUs;
-//  3. the source node removes the operator and converts its input streams
-//     into relay routes toward the destination, so upstream producers and
-//     source drivers keep sending to the old home and tuples take one extra
-//     hop until the next full redeployment. Tuples queued there for the
-//     operator follow it (removeOp); an operator moving back home retires
-//     the relays its departure added, unless another departed operator
-//     still relies on them (addOp).
+//  3. the source node removes the operator and records, on each input
+//     stream, a relay entry naming it and the destination. Upstream
+//     producers and source drivers keep sending to the deployed homes; a
+//     home's lane worker copies each tuple queued for, or arriving after,
+//     the departed operator along the entries, addressed to it, until the
+//     next full redeployment.
 //
-// During the brief hand-over both homes may process a few of the same
-// tuples (at-least-once), the usual trade of pause-free migration.
+// Because the copies are addressed, the destination may be any node: one
+// that already carries the operator's streams for other consumers delivers
+// their untargeted tuples to those consumers only, and an operator back at
+// its deployed home takes the untargeted tuples again. Each tuple a worker
+// takes meets one route snapshot, so it is stepped by the operator or
+// copied toward it, never both and never neither.
 
 // MoveOperator migrates one operator to dstNode at runtime, updating the
 // plan in place. stall is the simulated state-transfer time charged to both
@@ -47,20 +52,25 @@ func (cl *Cluster) MoveOperator(g *query.Graph, plan *placement.Plan, opID query
 	spec := opSpecOf(op)
 	addrs := cl.Addrs()
 
-	// Routes the destination needs: the operator's output fan-out under the
-	// updated plan, plus local subscriptions for its input streams. A
-	// splitter's output is keyed — it routes through a partition table
-	// pushed separately below, never through broadcast fan-out (fan-out
-	// would deliver every tuple to every replica).
+	// Routes the destination needs: the operator's output fan-out toward
+	// each consumer's deployed home (a consumer that moved since is reached
+	// through the relay entry its departure left there; one whose home is
+	// the destination is subscribed there already). A splitter's output is
+	// keyed — it routes through a partition table pushed separately below,
+	// never through broadcast fan-out (fan-out would deliver every tuple to
+	// every replica).
+	cl.shardMu.Lock()
+	homes := cl.homes
+	cl.shardMu.Unlock()
+	if len(homes) != g.NumOps() {
+		return fmt.Errorf("engine: the deployed placement covers %d operators, the graph %d (deploy it first)", len(homes), g.NumOps())
+	}
 	routes := map[int][]Dest{}
 	consumers := g.Consumers(op.Out)
 	if op.Shard != query.ShardSplit {
-		remote := map[int]bool{}
+		remote := map[int]bool{dstNode: true}
 		for _, c := range consumers {
-			cn := plan.NodeOf[c]
-			if cn == dstNode {
-				routes[int(op.Out)] = append(routes[int(op.Out)], Dest{Local: true, LocalOp: int(c)})
-			} else if !remote[cn] {
+			if cn := homes[c]; !remote[cn] {
 				remote[cn] = true
 				routes[int(op.Out)] = append(routes[int(op.Out)], Dest{Addr: addrs[cn]})
 			}
@@ -69,8 +79,14 @@ func (cl *Cluster) MoveOperator(g *query.Graph, plan *placement.Plan, opID query
 			routes[int(op.Out)] = append(routes[int(op.Out)], Dest{Addr: cl.Collector.Addr()})
 		}
 	}
-	for _, in := range op.Inputs {
-		routes[int(in)] = append(routes[int(in)], Dest{Local: true, LocalOp: int(op.ID)})
+	// relayTo names node's address on each of the operator's inputs: the
+	// relay entries a removal records.
+	relayTo := func(node int) map[int][]Dest {
+		relay := map[int][]Dest{}
+		for _, in := range op.Inputs {
+			relay[int(in)] = []Dest{{Addr: addrs[node]}}
+		}
+		return relay
 	}
 
 	// 1. Install at the destination.
@@ -82,11 +98,14 @@ func (cl *Cluster) MoveOperator(g *query.Graph, plan *placement.Plan, opID query
 		"op", int(opID), "from", srcNode, "to", dstNode)
 
 	// abort rolls the destination install back after a later step failed, so
-	// the operator is never left live on both homes with no relay and a
-	// stale plan. If the rollback itself fails (destination died too), the
-	// plan still reflects reality — the source copy is the only survivor.
+	// the operator is never left live on both homes and the plan stays true.
+	// The rollback leaves a relay entry back to the source, which carries
+	// on whatever the destination had started to take (and, when the
+	// destination is the operator's deployed home, the tuples it receives
+	// there). If the rollback itself fails (destination died too), the plan
+	// still reflects reality — the source copy is the only survivor.
 	abort := func(step string, cause error) error {
-		if rbErr := cl.Controls[dstNode].RemoveOp(int(op.ID), nil); rbErr != nil {
+		if rbErr := cl.Controls[dstNode].RemoveOp(int(op.ID), relayTo(srcNode)); rbErr != nil {
 			cl.events.Emit(obs.LevelWarn, obs.EventControlError,
 				"op", "rollback", "node", dstNode, "err", rbErr.Error())
 		}
@@ -145,11 +164,7 @@ func (cl *Cluster) MoveOperator(g *query.Graph, plan *placement.Plan, opID query
 			"op", int(opID), "sec", stall.Seconds())
 	}
 	// 3. Remove at the source, relaying its inputs toward the destination.
-	relay := map[int][]Dest{}
-	for _, in := range op.Inputs {
-		relay[int(in)] = append(relay[int(in)], Dest{Addr: addrs[dstNode]})
-	}
-	if err := cl.Controls[srcNode].RemoveOp(int(op.ID), relay); err != nil {
+	if err := cl.Controls[srcNode].RemoveOp(int(op.ID), relayTo(dstNode)); err != nil {
 		cl.events.Emit(obs.LevelWarn, obs.EventControlError, "op", "removeop", "node", srcNode, "err", err.Error())
 		return abort("removeop", fmt.Errorf("engine: removing op %d from node %d: %w", opID, srcNode, err))
 	}
@@ -215,14 +230,15 @@ func opSpecOf(op *query.Operator) OpSpec {
 	}
 }
 
-// AddOp installs an operator and merges routes at runtime.
+// AddOp installs an operator and merges the forwards of its output at
+// runtime; local subscriptions come from the deployed spec alone.
 func (c *ControlClient) AddOp(spec *OpSpec, routes map[int][]Dest) error {
 	_, err := c.call(&controlRequest{Cmd: "addop", Op: spec, Routes: routes})
 	return err
 }
 
-// RemoveOp uninstalls an operator, replacing the local subscriptions of its
-// input streams with the given relay routes.
+// RemoveOp uninstalls an operator, recording the given relay routes (one
+// node per input stream) as where its tuples follow it.
 func (c *ControlClient) RemoveOp(id int, relay map[int][]Dest) error {
 	_, err := c.call(&controlRequest{Cmd: "removeop", OpID: &id, Routes: relay})
 	return err

@@ -144,7 +144,7 @@ type Node struct {
 	busy      atomic.Int64 // virtual CPU ns consumed (all lanes + transfer)
 	injected  atomic.Int64
 	emitted   atomic.Int64
-	dropNoRt  atomic.Int64 // inbound tuples with no local sub and no relay
+	dropNoRt  atomic.Int64 // tuples with no local consumer and no route onward
 	closed    atomic.Bool
 
 	warnMu        sync.Mutex
@@ -174,7 +174,6 @@ type Node struct {
 	bornNano        int64
 	wal             *wal.Log
 	durableInflight atomic.Int64 // durable admissions between WAL append and enqueue
-	ingress         sync.RWMutex // held shared per ingress chunk, exclusively by removeOp
 	sendersMu       sync.Mutex
 	senders         map[string]*sender // per-sender admission lock and dedup marks
 	dedupDropped    atomic.Int64
@@ -184,8 +183,6 @@ type Node struct {
 	restartIntent   atomic.Bool // set by the control-plane restart command
 	ckQuit          chan struct{}
 	done            chan struct{} // closed when Close completes (see Done)
-
-	departed map[int]departed // operators migrated away, by id; guarded by mu
 }
 
 // nodeProbe bundles the observer state so data-plane goroutines (ingress,
@@ -217,15 +214,16 @@ type liveOp struct {
 }
 
 // partTable is a node's keyed routing table for one sharded stream: fixed
-// slots map to shard indices, shard indices to destinations (a co-located
-// replica, or a remote replica home). relay records the new home of a
-// replica that migrated away from this node, so keyed tuples addressed to
-// the departed copy follow it instead of vanishing. route is the per-slot
-// answer the data plane reads, derived from the other fields by complete.
-// counts accumulates per-slot routed tuples on the splitter's home — the
-// observed slot rates skew-aware repartitioning feeds on; its entries are
-// accessed atomically and the slice is shared across route snapshots. The
-// other fields are immutable once the table is published in a snapshot.
+// slots map to shard indices, shard indices to destinations (a replica that
+// is local under the table, or a remote replica home). A replica that
+// migrated away keeps its slots addressed to it here until the next table
+// push, and the worker forwards them along the stream's relay entry. route
+// is the per-slot answer the data plane reads, derived from the other fields
+// by complete. counts accumulates per-slot routed tuples on the splitter's
+// home — the observed slot rates skew-aware repartitioning feeds on; its
+// entries are accessed atomically and the slice is shared across route
+// snapshots. The other fields are immutable once the table is published in a
+// snapshot.
 type partTable struct {
 	parent string
 	k      int
@@ -234,14 +232,12 @@ type partTable struct {
 	ops    []int
 	counts []int64
 	route  []slotDest
-	relay  map[int]string
 }
 
 // slotDest is where one partition slot's tuples go from this node: target
-// is the owning replica's local operator id + 1 when it is installed here
-// (the Tuple.target encoding), otherwise addr is where to send — the
-// replica's remote home, or the recorded new home of a replica that
-// migrated away. Both zero means the tuple has nowhere to go.
+// is the owning replica's operator id + 1 when the table marks it local
+// (the Tuple.target encoding), otherwise addr is the replica's remote home.
+// Both zero means the tuple has nowhere to go.
 type slotDest struct {
 	target int32
 	addr   string
@@ -255,7 +251,6 @@ func newPartTable(ps *PartitionSpec) *partTable {
 		shards: append([]Dest(nil), ps.Shards...),
 		ops:    append([]int(nil), ps.Ops...),
 		counts: make([]int64, len(ps.Slots)),
-		relay:  map[int]string{},
 	}
 }
 
@@ -270,20 +265,15 @@ func slotOf(t *Tuple) int {
 	return query.SlotOfKey(k)
 }
 
-// complete resolves every slot against the operators installed in rs. It
-// builds a fresh route slice: the previous one may belong to a published
-// snapshot.
-func (pt *partTable) complete(rs *routeState) {
+// complete resolves every slot. It builds a fresh route slice: the previous
+// one may belong to a published snapshot.
+func (pt *partTable) complete() {
 	pt.route = make([]slotDest, len(pt.slots))
 	for slot, shard := range pt.slots {
-		d := pt.shards[shard]
-		switch {
-		case !d.Local:
-			pt.route[slot].addr = d.Addr
-		case rs.ops[d.LocalOp] != nil:
+		if d := pt.shards[shard]; d.Local {
 			pt.route[slot].target = int32(d.LocalOp) + 1
-		default:
-			pt.route[slot].addr = pt.relay[d.LocalOp]
+		} else {
+			pt.route[slot].addr = d.Addr
 		}
 	}
 }
@@ -317,7 +307,6 @@ func NewNodeConfig(addr string, capacity float64, cfg NodeConfig) (*Node, error)
 		conns:         map[net.Conn]bool{},
 		estimator:     stats.NewCostEstimator(),
 		senders:       map[string]*sender{},
-		departed:      map[int]departed{},
 		bornNano:      time.Now().UnixNano(),
 		done:          make(chan struct{}),
 	}
@@ -535,8 +524,7 @@ func (n *Node) serveTuples(br *bufio.Reader, conn net.Conn) {
 		}
 		seq, sequenced := tr.BatchSeq()
 		if !sequenced || n.wal == nil {
-			_, addr, _ := tr.Hello()
-			n.enqueueInboundBatch(batch, addr)
+			n.enqueueInboundBatch(batch)
 			continue
 		}
 		if from == nil {
@@ -602,47 +590,54 @@ func (d *destRuns) reset() { *d = (*d)[:0] }
 
 // add appends ts, in order, to addr's run.
 func (d *destRuns) add(addr string, ts []Tuple) {
+	r := d.run(addr)
+	r.ts = append(r.ts, ts...)
+}
+
+// addFor appends copies of ts addressed to the follower's consumer.
+func (d *destRuns) addFor(f follower, ts []Tuple) {
+	r := d.run(f.addr)
+	n := len(r.ts)
+	r.ts = append(r.ts, ts...)
+	for i := n; i < len(r.ts); i++ {
+		r.ts[i].target = f.target
+	}
+}
+
+// run returns addr's run, starting an empty one on first use.
+func (d *destRuns) run(addr string) *relayRun {
 	rs := *d
-	i := 0
-	for ; i < len(rs); i++ {
+	for i := range rs {
 		if rs[i].addr == addr {
-			break
+			return &rs[i]
 		}
 	}
-	if i == len(rs) {
-		if i < cap(rs) {
-			rs = rs[:i+1]
-			rs[i].addr = addr
-			rs[i].ts = rs[i].ts[:0]
-		} else {
-			rs = append(rs, relayRun{addr: addr})
-		}
-		*d = rs
+	if i := len(rs); i < cap(rs) {
+		rs = rs[:i+1]
+		rs[i].addr = addr
+		rs[i].ts = rs[i].ts[:0]
+	} else {
+		rs = append(rs, relayRun{addr: addr})
 	}
-	rs[i].ts = append(rs[i].ts, ts...)
+	*d = rs
+	return &rs[len(rs)-1]
 }
 
 // enqueueInboundBatch admits a batch of tuples arriving from the network
 // (or a source injector) to the bounded per-lane work queues, processing
 // chunks of at most batchMax tuples. Shedding (per the configured policy),
-// per-stream shed counters, the shed-onset hysteresis latch and relay
-// fan-out are all computed batch-wise with per-tuple accounting preserved;
-// relays are grouped per destination so the outbox is offered slices
-// rather than single tuples. from is the sender's hello address ("" for
-// sources): a tuple that has a consumer here is never relayed back to the
-// node it came from. Two consumers of one stream that migrated to the same
-// node, one of which then returned, leave each home relaying the stream to
-// the other; without this every tuple would bounce back and be processed
-// twice. A tuple with no consumer here still goes back: that is the
-// hand-over of one that was in flight when its consumer returned home.
-func (n *Node) enqueueInboundBatch(ts []Tuple, from string) {
+// per-stream shed counters, the shed-onset hysteresis latch and keyed
+// forwarding are all computed batch-wise with per-tuple accounting
+// preserved; forwards are grouped per destination so the outbox is offered
+// slices rather than single tuples.
+func (n *Node) enqueueInboundBatch(ts []Tuple) {
 	for len(ts) > 0 {
 		chunk := ts
 		if len(chunk) > batchMax {
 			chunk = ts[:batchMax]
 		}
 		ts = ts[len(chunk):]
-		n.enqueueChunk(chunk, from)
+		n.enqueueChunk(chunk)
 	}
 }
 
@@ -657,11 +652,11 @@ type ingressSpan struct {
 
 // ingressScratch is the pooled per-call grouping state of enqueueChunk:
 // admissions bucketed per lane (as stretches of the chunk, not copies of
-// it), relay runs per destination, deferred events. Pooled (not per-call)
+// it), keyed forwards per destination, deferred events. Pooled (not per-call)
 // so the unsampled ingress path stays allocation-free.
 type ingressScratch struct {
 	perLane [][]chunkRange
-	relays  destRuns
+	fwds    destRuns
 	spans   []ingressSpan
 	noRoute []int32
 }
@@ -685,7 +680,7 @@ func (sc *ingressScratch) reset() {
 	for i := range sc.perLane {
 		sc.perLane[i] = sc.perLane[i][:0]
 	}
-	sc.relays.reset()
+	sc.fwds.reset()
 	sc.spans = sc.spans[:0]
 	sc.noRoute = sc.noRoute[:0]
 }
@@ -695,12 +690,20 @@ func (sc *ingressScratch) reset() {
 // lane which stretches of the chunk it admits, then copies each lane's
 // stretches from the chunk into its queue with one lane-lock acquisition.
 // No node-wide lock is taken anywhere on this path.
-func (n *Node) enqueueChunk(chunk []Tuple, from string) {
+//
+// A tuple goes to a lane when a consumer here takes it: an addressed tuple
+// (relayed to one consumer, or keyed to one replica) when rs.accepts it, an
+// untargeted one when the stream has subscribers. The lane worker decides
+// what each of them does, against the snapshot it takes the tuple with —
+// step the consumer, or, for one that has left, copy the tuple along its
+// relay entry — so every tuple meets exactly one snapshot's routing, and a
+// consumer's copies leave in queue order, however its moves interleave with
+// the queue. Only a keyed tuple whose replica lives elsewhere by the table
+// is forwarded from here.
+func (n *Node) enqueueChunk(chunk []Tuple) {
 	if n.closed.Load() {
 		return
 	}
-	n.ingress.RLock()
-	defer n.ingress.RUnlock()
 	rs := n.route.Load()
 	ev, stages, every := n.observer()
 	sc := n.scratch.Get().(*ingressScratch)
@@ -710,11 +713,12 @@ func (n *Node) enqueueChunk(chunk []Tuple, from string) {
 	nodeID := rs.nodeID()
 	n.injected.Add(int64(len(chunk)))
 	var sr *streamRoute
-	var sid int32
+	var sid, tgt int32
+	var tgtOK bool // whether rs accepts target tgt on stream sid
 	for ci := range chunk {
 		t := &chunk[ci]
 		if sr == nil || t.Stream != sid {
-			sid, sr = t.Stream, rs.lookup(t.Stream)
+			sid, sr, tgt = t.Stream, rs.lookup(t.Stream), 0
 		}
 		// Mark trace samples at first ingress unless the source already
 		// flagged them (TraceTs starts from the origin Ts, keeping the
@@ -737,31 +741,34 @@ func (n *Node) enqueueChunk(chunk []Tuple, from string) {
 			}
 		}
 		xferBusy += sr.xferNs // receive-side transfer CPU cost
-		// Keyed (sharded) streams route through the partition table: each
-		// tuple goes to exactly one replica — targeted locally when that
-		// replica lives here, forwarded to its home otherwise. They never
-		// take the broadcast subs/relays path below.
-		if pt := sr.part; pt != nil {
-			switch d := &pt.route[slotOf(t)]; {
+		switch {
+		case t.target != 0:
+			if t.target != tgt {
+				tgt, tgtOK = t.target, rs.accepts(sid, sr, t.target)
+			}
+			if tgtOK {
+				sc.bucket(sr.laneFor(t, n.workers), ci)
+			} else {
+				n.dropNoRoute(sc, sid)
+			}
+		case sr.part != nil:
+			// Keyed (sharded) streams route through the partition table:
+			// each tuple goes to exactly one replica — addressed to it here
+			// when the table marks it local, forwarded to its home
+			// otherwise — never to the stream's broadcast subscribers.
+			switch d := &sr.part.route[slotOf(t)]; {
 			case d.target != 0:
 				t.target = d.target
 				sc.bucket(sr.laneFor(t, n.workers), ci)
 			case d.addr != "":
-				sc.relays.add(d.addr, chunk[ci:ci+1])
+				sc.fwds.add(d.addr, chunk[ci:ci+1])
 			default:
 				n.dropNoRoute(sc, sid)
 			}
-			continue
-		}
-		if len(sr.subs) > 0 {
-			sc.bucket(sr.laneFor(t, n.workers), ci)
-		} else if len(sr.relays) == 0 {
+		case len(sr.subs) > 0:
+			sc.bucket(sr.lane, ci)
+		default:
 			n.dropNoRoute(sc, sid)
-		}
-		for _, d := range sr.relays {
-			if d.Addr != from || len(sr.subs) == 0 {
-				sc.relays.add(d.Addr, chunk[ci:ci+1])
-			}
 		}
 	}
 	if xferBusy > 0 {
@@ -792,18 +799,18 @@ func (n *Node) enqueueChunk(chunk []Tuple, from string) {
 		ev.Emit(obs.LevelWarn, obs.EventNoRoute,
 			"node", nodeID, "stream", int(sid))
 	}
-	// Relays are best-effort: the per-peer outbox absorbs (or drops) the
+	// Forwards are best-effort: the per-peer outbox absorbs (or drops) the
 	// run without ever blocking the receive path, and link failures
 	// surface as warn events latched per destination (re-armed on
 	// recovery, so a peer that heals and fails again stays visible).
-	for i := range sc.relays {
-		n.sendBatch(sc.relays[i].addr, sc.relays[i].ts)
+	for i := range sc.fwds {
+		n.sendBatch(sc.fwds[i].addr, sc.fwds[i].ts)
 	}
 	n.scratch.Put(sc)
 }
 
 // dropNoRoute counts one inbound tuple that has neither a local consumer
-// nor a relay route (instead of silently absorbing it into the injected
+// nor a route onward (instead of silently absorbing it into the injected
 // count) and queues the stream's one-shot warn event.
 func (n *Node) dropNoRoute(sc *ingressScratch, sid int32) {
 	n.dropNoRt.Add(1)
@@ -849,11 +856,17 @@ const stallStream int32 = -1
 // asserts the worker path never stalls). It returns how many tuples were
 // accepted (a prefix of ts); the rest are counted in the outbox's drop
 // counter.
-func (n *Node) sendBatch(addr string, ts []Tuple) int {
+func (n *Node) sendBatch(addr string, ts []Tuple) int { return n.send(addr, ts, false) }
+
+// sendRelay is sendBatch for the addressed copies relay entries carry,
+// which the outbox numbers per flow (see outbox.enqueueBatch).
+func (n *Node) sendRelay(addr string, ts []Tuple) int { return n.send(addr, ts, true) }
+
+func (n *Node) send(addr string, ts []Tuple, relay bool) int {
 	t0 := time.Now()
 	accepted := 0
 	if o := n.outboxFor(addr); o != nil {
-		accepted = o.enqueueBatch(ts)
+		accepted = o.enqueueBatch(ts, relay)
 	}
 	storeMax(&n.sendMaxNanos, int64(time.Since(t0)))
 	return accepted

@@ -22,7 +22,7 @@ import (
 //	 settled│ on the wire,  │ accepted, not  │ free: tail − acked ≤ OutboxCap
 //	        │ awaiting ack  │ yet written    │
 //
-// Producers (lane workers, ingress relays) append at tail and never block:
+// Producers (lane workers, ingress forwards) append at tail and never block:
 // a full ring drops with a counter. The writer reads [shipped, tail) under
 // the lock and, with the lock released, encodes it straight from the ring
 // slots as consecutive frames of at most outboxBatchMax tuples each (a frame
@@ -85,7 +85,8 @@ type outbox struct {
 	sent                 int64
 	dropped              int64
 	reconnects           int64
-	conn                 net.Conn // live connection, so a sever fault can break it
+	conn                 net.Conn          // live connection, so a sever fault can break it
+	relaySeq             map[markKey]int64 // next Seq of each addressed flow (see enqueueBatch)
 
 	enc []byte // writer-owned: the frame being shipped
 }
@@ -106,12 +107,34 @@ func newOutbox(n *Node, addr string, durable bool) *outbox {
 // accepting the longest prefix the ring has room for and dropping (with a
 // counter) the rest. It never blocks; the tuples are copied, so the caller
 // keeps ownership of ts.
-func (o *outbox) enqueueBatch(ts []Tuple) int {
+//
+// With relay set, ts are addressed copies a relay entry carries, and the
+// outbox numbers them itself, per (stream, target), in ring order: each
+// flow it carries is then one increasing sequence, as the receiver's marks
+// require, although the copies' own Seqs may run backwards — a tuple can
+// reach this node again after its consumer came and went, behind newer
+// ones. A flow starts at the clock, above anything an earlier outbox to
+// the peer numbered.
+func (o *outbox) enqueueBatch(ts []Tuple, relay bool) int {
 	o.mu.Lock()
 	k := min(len(o.ring)-int(o.tail-o.acked), len(ts))
 	at := int(o.tail % uint64(len(o.ring)))
 	first := copy(o.ring[at:], ts[:k])
 	copy(o.ring, ts[first:k])
+	if relay {
+		if o.relaySeq == nil {
+			o.relaySeq = map[markKey]int64{}
+		}
+		for p := o.tail; p < o.tail+uint64(k); p++ {
+			t := &o.ring[p%uint64(len(o.ring))]
+			key := markKey{t.Stream, t.target}
+			seq, ok := o.relaySeq[key]
+			if !ok {
+				seq = time.Now().UnixNano()
+			}
+			t.Seq, o.relaySeq[key] = seq, seq+1
+		}
+	}
 	o.tail += uint64(k)
 	o.enqueued += int64(len(ts))
 	o.dropped += int64(len(ts) - k)
@@ -120,19 +143,6 @@ func (o *outbox) enqueueBatch(ts []Tuple) int {
 		o.wake()
 	}
 	return k
-}
-
-// unacked appends the tuples of stream sid the ring still holds unacked
-// to ts.
-func (o *outbox) unacked(sid int32, ts []Tuple) []Tuple {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for p := o.acked; p < o.tail; p++ {
-		if t := o.ring[p%uint64(len(o.ring))]; t.Stream == sid {
-			ts = append(ts, t)
-		}
-	}
-	return ts
 }
 
 func (o *outbox) wake() {

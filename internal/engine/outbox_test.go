@@ -769,7 +769,7 @@ func bothLinks(t *testing.T, f func(t *testing.T, durable bool)) {
 func TestOutboxShipFromRingWrap(t *testing.T) {
 	bothLinks(t, func(t *testing.T, durable bool) {
 		o, conn := shipper(t, 16, durable)
-		o.enqueueBatch(seqRun(1, 0, 10))
+		o.enqueueBatch(seqRun(1, 0, 10), false)
 		shipWant(t, o, conn, 0, 10)
 		if durable {
 			if err := o.applyAck(10); err != nil {
@@ -777,7 +777,7 @@ func TestOutboxShipFromRingWrap(t *testing.T) {
 			}
 		}
 		// Positions 10..21 occupy slots 10..15, then wrap to slots 0..5.
-		if got := o.enqueueBatch(seqRun(1, 10, 12)); got != 12 {
+		if got := o.enqueueBatch(seqRun(1, 10, 12), false); got != 12 {
 			t.Fatalf("accepted %d of 12", got)
 		}
 		shipWant(t, o, conn, 10, 16, 22)
@@ -801,7 +801,7 @@ func TestOutboxShipFromRingWrap(t *testing.T) {
 func TestOutboxShipGathersWholeFrames(t *testing.T) {
 	bothLinks(t, func(t *testing.T, durable bool) {
 		o, conn := shipper(t, DefaultOutboxCap, durable)
-		o.enqueueBatch(seqRun(1, 0, DefaultOutboxCap))
+		o.enqueueBatch(seqRun(1, 0, DefaultOutboxCap), false)
 		shipWant(t, o, conn, 0, 512, 1024, 1536, 2048)
 		shipWant(t, o, conn, 2048, 2560, 3072, 3584, 4096)
 		if durable {
@@ -815,7 +815,7 @@ func TestOutboxShipGathersWholeFrames(t *testing.T) {
 		for i := range keyed {
 			keyed[i].Key = uint64(i + 1)
 		}
-		o.enqueueBatch(keyed)
+		o.enqueueBatch(keyed, false)
 		shipWant(t, o, conn, 4096, 4608, 5120, 5632)
 		shipWant(t, o, conn, 5632, 6144, 6656, 7168)
 		shipWant(t, o, conn, 7168, 7680, 8192)
@@ -828,20 +828,20 @@ func TestOutboxShipGathersWholeFrames(t *testing.T) {
 func TestOutboxShipDropsOneRunPerShip(t *testing.T) {
 	bothLinks(t, func(t *testing.T, durable bool) {
 		o, conn := shipper(t, 16, durable)
-		o.enqueueBatch(seqRun(1, 0, 10))
+		o.enqueueBatch(seqRun(1, 0, 10), false)
 		shipWant(t, o, conn, 0, 10)
 		o.node.SetLinkFault(o.addr, LinkFault{Drop: true})
 		if durable {
-			o.enqueueBatch(seqRun(1, 10, 2))
+			o.enqueueBatch(seqRun(1, 10, 2), false)
 			if k, err := o.ship(conn); k != 0 || err != nil {
 				t.Fatalf("dropped %d tuples (%v) behind an unacked region", k, err)
 			}
 			if err := o.applyAck(10); err != nil {
 				t.Fatal(err)
 			}
-			o.enqueueBatch(seqRun(1, 12, 10))
+			o.enqueueBatch(seqRun(1, 12, 10), false)
 		} else {
-			o.enqueueBatch(seqRun(1, 10, 12))
+			o.enqueueBatch(seqRun(1, 10, 12), false)
 		}
 		// Positions 10..21: a run to the ring's end, then the wrapped rest.
 		for _, want := range []int{6, 6, 0} {
@@ -973,6 +973,46 @@ func TestDurableReconnectResendsIdenticalRecords(t *testing.T) {
 		want := float64(replay[i].TraceTs-first[i].TraceTs) / float64(time.Second)
 		if w := waits[int64(i)]; len(w) < 2 || w[1] != want {
 			t.Fatalf("traced tuple %d: outbox waits %v, want the replay's to be %v", i, w, want)
+		}
+	}
+}
+
+// Addressed copies a relay entry carries are numbered by the outbox, one
+// increasing sequence per (stream, target) in ring order, whatever Seqs
+// they came with: a tuple that reached the node again after its consumer
+// came and went may sit behind newer ones. Untargeted tuples keep the Seq
+// their producer gave them, and a copy the full ring drops takes no number.
+func TestOutboxNumbersRelayedFlows(t *testing.T) {
+	o, _ := shipper(t, 8, true)
+	o.enqueueBatch([]Tuple{{Stream: 1, Seq: 40}, {Stream: 1, Seq: 41}}, false)
+	before := time.Now().UnixNano()
+	relayed := []Tuple{
+		{Stream: 1, Seq: 90, target: 3}, {Stream: 1, Seq: 12, target: 3}, // a newer copy, then an older one
+		{Stream: 1, Seq: 90, target: 4}, // the same tuple for a second consumer
+		{Stream: 2, Seq: 5, target: 3},
+	}
+	if got := o.enqueueBatch(relayed, true); got != 4 {
+		t.Fatalf("accepted %d of 4", got)
+	}
+	if got := o.enqueueBatch([]Tuple{{Stream: 1, Seq: 7, target: 3}, {Stream: 1, Seq: 8, target: 3}, {Stream: 1, Seq: 9, target: 3}}, true); got != 2 {
+		t.Fatalf("accepted %d of 3 into a ring with 2 slots free", got)
+	}
+	seqs := map[markKey][]int64{}
+	for _, tp := range o.ring {
+		seqs[markKey{tp.Stream, tp.target}] = append(seqs[markKey{tp.Stream, tp.target}], tp.Seq)
+	}
+	if u := seqs[markKey{1, 0}]; len(u) != 2 || u[0] != 40 || u[1] != 41 {
+		t.Fatalf("untargeted tuples renumbered: %v", u)
+	}
+	for key, want := range map[markKey]int{{1, 3}: 4, {1, 4}: 1, {2, 3}: 1} {
+		s := seqs[key]
+		if len(s) != want || s[0] < before {
+			t.Fatalf("flow %+v: seqs %v, want %d starting at the clock (%d)", key, s, want, before)
+		}
+		for i := 1; i < len(s); i++ {
+			if s[i] != s[i-1]+1 {
+				t.Fatalf("flow %+v: seqs %v, want consecutive", key, s)
+			}
 		}
 	}
 }

@@ -62,7 +62,7 @@ func queueSeqs(n *Node) []int64 {
 func TestShedDropNewest(t *testing.T) {
 	n, ev := startShedNode(t, 4, DropNewest, 0.3)
 	for i := 0; i < 10; i++ {
-		n.enqueueInboundBatch([]Tuple{{Stream: 1, Seq: int64(i)}}, "")
+		n.enqueueInboundBatch([]Tuple{{Stream: 1, Seq: int64(i)}})
 	}
 	if got := queueSeqs(n); len(got) != 4 || got[0] != 0 || got[3] != 3 {
 		t.Fatalf("drop-newest queue = %v, want [0 1 2 3]", got)
@@ -92,7 +92,7 @@ func TestShedDropNewest(t *testing.T) {
 func TestShedDropOldest(t *testing.T) {
 	n, ev := startShedNode(t, 4, DropOldest, 0.3)
 	for i := 0; i < 10; i++ {
-		n.enqueueInboundBatch([]Tuple{{Stream: 1, Seq: int64(i)}}, "")
+		n.enqueueInboundBatch([]Tuple{{Stream: 1, Seq: int64(i)}})
 	}
 	if got := queueSeqs(n); len(got) != 4 || got[0] != 6 || got[3] != 9 {
 		t.Fatalf("drop-oldest queue = %v, want [6 7 8 9]", got)

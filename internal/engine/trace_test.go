@@ -306,9 +306,9 @@ func TestUnsampledIngressAllocsZero(t *testing.T) {
 	// Warm-up latches the once-per-stream no-route warning (the batch has
 	// no consumer, so tuples exit before the queue — keeping the worker
 	// out of the allocation measurement).
-	n.enqueueInboundBatch(batch, "")
+	n.enqueueInboundBatch(batch)
 	avg := testing.AllocsPerRun(200, func() {
-		n.enqueueInboundBatch(batch, "")
+		n.enqueueInboundBatch(batch)
 	})
 	if avg != 0 {
 		t.Fatalf("unsampled ingress allocates %.1f per batch, want 0", avg)
@@ -340,11 +340,11 @@ func BenchmarkIngressTraceArmed(b *testing.B) {
 				batch[i] = Tuple{Stream: 9, Seq: seq}
 				seq++
 			}
-			n.enqueueInboundBatch(batch, "")
+			n.enqueueInboundBatch(batch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n.enqueueInboundBatch(batch, "")
+				n.enqueueInboundBatch(batch)
 			}
 		})
 	}

@@ -34,11 +34,15 @@ const (
 	//
 	//	opTuples | fields u8 | count u32 | [batchSeq u64 if fieldSeq] |
 	//	count × (28-byte tuple [+ flags u8 + traceTs i64 if fieldTrace]
-	//	                       [+ key u64 if fieldKey])
+	//	                       [+ key u64 if fieldKey]
+	//	                       [+ target i32 if fieldTarget])
 	//
-	// Writers set fieldTrace / fieldKey only when some tuple in the batch
-	// has a nonzero flags byte / key, so plain traffic pays 28 bytes per
-	// tuple; absent fields decode as zero. fieldSeq carries the sender's
+	// Writers set fieldTrace / fieldKey / fieldTarget only when some tuple
+	// in the batch has a nonzero flags byte / key / target, so plain
+	// traffic pays 28 bytes per tuple; absent fields decode as zero. The
+	// target is the consumer a relayed copy is addressed to (operator id +
+	// 1); the receiver validates it against its own routes (see
+	// routeState.accepts). fieldSeq carries the sender's
 	// per-outbox durability sequence (the outbox ring position after the
 	// frame's last tuple): the receiver logs the batch and acks that
 	// sequence, while frames without it take the volatile path.
@@ -70,9 +74,10 @@ const (
 
 // Field-presence bits of an opTuples frame; any other bit is rejected.
 const (
-	fieldSeq   byte = 1 << 0 // header carries a durability batch sequence
-	fieldTrace byte = 1 << 1 // records carry flags + trace timestamp
-	fieldKey   byte = 1 << 2 // records carry the partition key
+	fieldSeq    byte = 1 << 0 // header carries a durability batch sequence
+	fieldTrace  byte = 1 << 1 // records carry flags + trace timestamp
+	fieldKey    byte = 1 << 2 // records carry the partition key
+	fieldTarget byte = 1 << 3 // records carry the addressed consumer
 )
 
 // Decode errors a tuple connection is dropped with. Peers and WAL records
@@ -114,10 +119,11 @@ const TupleTraced uint8 = 1 << 0
 type Tuple struct {
 	Stream int32
 
-	// target is in-memory routing state (never on the wire): when nonzero,
-	// the tuple is addressed to local operator id target−1 alone instead of
-	// every subscriber of its stream — how keyed ingress delivers one key
-	// partition to one co-located shard replica.
+	// target, when nonzero, addresses the tuple to operator id target−1
+	// alone instead of every subscriber of its stream: how keyed ingress
+	// delivers one key partition to one shard replica, and how a relay
+	// entry carries a copy to the consumer that left. It crosses the wire
+	// under fieldTarget, and dedup marks keep one sequence per target.
 	target int32
 
 	Ts      int64
@@ -140,6 +146,7 @@ const (
 	tupleFrameSize  = 4 + 8 + 8 + 8
 	traceFieldSize  = 1 + 8
 	keyFieldSize    = 8
+	targetFieldSize = 4
 	frameHeaderSize = 1 + 1 + 4
 	seqFieldSize    = 8
 	ackFrameSize    = 1 + 8
@@ -196,22 +203,32 @@ func recordSize(fields byte) int {
 	if fields&fieldKey != 0 {
 		rec += keyFieldSize
 	}
+	if fields&fieldTarget != 0 {
+		rec += targetFieldSize
+	}
 	return rec
 }
 
-// fieldsOf returns the optional record fields ts needs on the wire.
+// fieldsOf returns the optional record fields ts needs on the wire. It
+// ORs each field over the batch without a branch per tuple.
 func fieldsOf(ts []Tuple) byte {
-	var fields byte
+	var flags uint8
+	var key uint64
+	var target int32
 	for i := range ts {
-		if ts[i].Flags != 0 {
-			fields |= fieldTrace
-		}
-		if ts[i].Key != 0 {
-			fields |= fieldKey
-		}
-		if fields == fieldTrace|fieldKey {
-			break
-		}
+		flags |= ts[i].Flags
+		key |= ts[i].Key
+		target |= ts[i].target
+	}
+	var fields byte
+	if flags != 0 {
+		fields |= fieldTrace
+	}
+	if key != 0 {
+		fields |= fieldKey
+	}
+	if target != 0 {
+		fields |= fieldTarget
 	}
 	return fields
 }
@@ -241,6 +258,12 @@ func encodeRecords(buf []byte, ts []Tuple, fields byte) {
 		for i := range ts {
 			binary.BigEndian.PutUint64(buf[i*rec+off:i*rec+off+keyFieldSize], ts[i].Key)
 		}
+		off += keyFieldSize
+	}
+	if fields&fieldTarget != 0 {
+		for i := range ts {
+			binary.BigEndian.PutUint32(buf[i*rec+off:i*rec+off+targetFieldSize], uint32(ts[i].target))
+		}
 	}
 }
 
@@ -269,6 +292,12 @@ func decodeRecords(ts []Tuple, buf []byte, fields byte) {
 	if fields&fieldKey != 0 {
 		for i := range ts {
 			ts[i].Key = binary.BigEndian.Uint64(buf[i*rec+off : i*rec+off+keyFieldSize])
+		}
+		off += keyFieldSize
+	}
+	if fields&fieldTarget != 0 {
+		for i := range ts {
+			ts[i].target = int32(binary.BigEndian.Uint32(buf[i*rec+off : i*rec+off+targetFieldSize]))
 		}
 	}
 }
@@ -460,7 +489,7 @@ func (tr *TupleReader) ReadBatch() ([]Tuple, error) {
 			return nil, unexpectedEOF(err)
 		}
 		fields := tr.hdr[1]
-		if fields&^(fieldSeq|fieldTrace|fieldKey) != 0 {
+		if fields&^(fieldSeq|fieldTrace|fieldKey|fieldTarget) != 0 {
 			return nil, fmt.Errorf("%w 0x%02x", errUnknownField, fields)
 		}
 		n := int(binary.BigEndian.Uint32(tr.hdr[2:6]))

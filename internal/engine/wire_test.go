@@ -12,8 +12,8 @@ import (
 	"unsafe"
 )
 
-// maskTuples builds n tuples that need exactly the trace/key fields of
-// mask on the wire: member 0 carries them, later members only some.
+// maskTuples builds n tuples that need exactly the trace/key/target fields
+// of mask on the wire: member 0 carries them, later members only some.
 func maskTuples(n int, mask byte) []Tuple {
 	ts := make([]Tuple, n)
 	for i := range ts {
@@ -24,6 +24,9 @@ func maskTuples(n int, mask byte) []Tuple {
 		}
 		if mask&fieldKey != 0 && i%2 == 0 {
 			ts[i].Key = uint64(i) + 0xabc
+		}
+		if mask&fieldTarget != 0 && i%4 == 0 {
+			ts[i].target = int32(i%7) + 1
 		}
 	}
 	return ts
@@ -55,7 +58,7 @@ func decodeAll(t *testing.T, wire []byte) (out []Tuple, seqs []uint64, frames in
 // one frame, and the bytes on the wire are the header plus count records of
 // the mask's width — nothing else.
 func TestFrameCodecTable(t *testing.T) {
-	for mask := byte(0); mask < 8; mask++ {
+	for mask := byte(0); mask < 16; mask++ {
 		for _, n := range []int{1, 2, 256, MaxBatchWire, MaxBatchWire + 1} {
 			t.Run(fmt.Sprintf("mask%03b/n%d", mask, n), func(t *testing.T) {
 				in := maskTuples(n, mask)
@@ -124,7 +127,7 @@ func TestFrameRejections(t *testing.T) {
 		wire []byte
 		want error
 	}{
-		{"unknown field bit", []byte{opTuples, 0x08, 0, 0, 0, 1}, errUnknownField},
+		{"unknown field bit", []byte{opTuples, 0x10, 0, 0, 0, 1}, errUnknownField},
 		{"retired 0x81", []byte{0x81, 0, 0, 0, 1}, errRetiredOpcode},
 		{"retired 0x82", []byte{0x82, 0, 0, 0, 1}, errRetiredOpcode},
 		{"retired 0x83", []byte{0x83, 0, 0, 0, 1}, errRetiredOpcode},
@@ -212,5 +215,59 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 func TestTupleSize(t *testing.T) {
 	if got := unsafe.Sizeof(Tuple{}); got != 56 {
 		t.Fatalf("Tuple is %d bytes, want 56", got)
+	}
+}
+
+// A target decoded off the wire is the sender's claim, checked against this
+// node's routes: a copy addressed to an operator that is installed here but
+// does not consume the stream, to no operator at all, or to a nonsense id
+// is counted as a routing gap; one addressed to an operator that consumes
+// the stream reaches it alone, and one addressed to an operator that left
+// follows its relay entry.
+func TestNodeValidatesDecodedTargets(t *testing.T) {
+	n, err := NewNode("127.0.0.1:0", 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	peer := deadAddr(t)
+	if err := n.deploy(&NodeSpec{
+		Ops: []OpSpec{
+			{ID: 0, Kind: "map", Selectivity: 1, Inputs: []int{1}, Out: 3},
+			{ID: 1, Kind: "map", Selectivity: 1, Inputs: []int{1}, Out: 4},
+			{ID: 6, Kind: "map", Selectivity: 1, Inputs: []int{1}, Out: 5},
+		},
+		Routes: map[int][]Dest{1: {{Local: true, LocalOp: 0}, {Local: true, LocalOp: 1}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.removeOp(6, map[int][]Dest{1: {{Addr: peer}}}); err != nil {
+		t.Fatal(err)
+	}
+	var ts []Tuple
+	for i, c := range []struct {
+		stream, target int32
+	}{
+		{1, 1}, {1, 1}, // op 0 consumes stream 1
+		{2, 1},                               // op 0 does not consume stream 2
+		{1, 100},                             // no such operator, no entry
+		{1, -3}, {1, 1 << 30}, {1, -1 << 31}, // ids no operator has
+		{1, 7}, {1, 7}, {1, 7}, // op 6 left: its entry takes them
+	} {
+		ts = append(ts, Tuple{Stream: c.stream, Seq: int64(i), target: c.target})
+	}
+	batch, err := NewTupleReader(bytes.NewReader(appendFrames(nil, ts))).ReadBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.enqueueInboundBatch(batch)
+	waitUntil(t, 2*time.Second, "the accepted copies stepped or relayed", func() bool {
+		st := n.Stats()
+		return st.QueueLen == 0 && st.WorkerInFlight == 0 && st.OutboxEnqueued == 3
+	})
+	st, ops := n.Stats(), opStates(n)
+	if st.DroppedNoRoute != 5 || ops[0].Processed != 2 || ops[1].Processed != 0 || st.OutboxEnqueued != 3 {
+		t.Fatalf("no-route drops %d (want 5), op 0 processed %d (want 2), op 1 %d (want 0), relayed %d (want 3)",
+			st.DroppedNoRoute, ops[0].Processed, ops[1].Processed, st.OutboxEnqueued)
 	}
 }

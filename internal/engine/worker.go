@@ -21,7 +21,7 @@ type workerRun struct {
 	outs    []Tuple
 	held    *liveOp // operator whose mu this worker holds; see hold
 	tgts    []tgtEntry
-	fwds    destRuns    // queued-before-migration tuples to relay onward
+	fwds    destRuns    // copies for consumers that left, along their relay entries
 	egress  destRuns    // routeBatch per-destination remote groups
 	locals  [][]Tuple   // routeBatch per-lane local re-entry buckets
 	samples []runSample // per-(op, run) estimator aggregation
@@ -129,30 +129,27 @@ func (n *Node) pace(run *workerRun, cost float64) {
 	}
 }
 
-// tgtEntry caches the resolution of one targeted (keyed) delivery for the
-// current run: the addressed replica when it is still installed, or the
-// relay address of its new home when it migrated away mid-queue.
+// tgtEntry caches the resolution of one addressed delivery for the current
+// run: the addressed operator when it is installed, or the relay entry of
+// the node it went to.
 type tgtEntry struct {
-	id    int32
-	op    *liveOp
-	relay string
+	id, sid int32
+	op      *liveOp
+	relay   string
 }
 
-// targetOf returns the cached resolution for a targeted tuple of stream
-// entry sr, resolving it from the route snapshot (and the stream's
-// partition-table relay map) on a miss. The snapshot is immutable, so no
-// lock is needed.
+// targetOf returns the cached resolution for an addressed tuple of stream
+// entry sr, resolving it from the route snapshot on a miss. The snapshot is
+// immutable, so no lock is needed.
 func (r *workerRun) targetOf(rs *routeState, sr *streamRoute, t *Tuple) *tgtEntry {
 	for i := range r.tgts {
-		if r.tgts[i].id == t.target {
+		if r.tgts[i].id == t.target && r.tgts[i].sid == t.Stream {
 			return &r.tgts[i]
 		}
 	}
-	e := tgtEntry{id: t.target}
-	if op := rs.ops[int(t.target)-1]; op != nil {
-		e.op = op
-	} else if sr.part != nil {
-		e.relay = sr.part.relay[int(t.target)-1]
+	e := tgtEntry{id: t.target, sid: t.Stream, op: rs.ops[int(t.target)-1]}
+	if e.op == nil {
+		e.relay = sr.relay[int(t.target)-1]
 	}
 	r.tgts = append(r.tgts, e)
 	return &r.tgts[len(r.tgts)-1]
@@ -182,7 +179,7 @@ func (n *Node) laneWorker(l *lane) {
 		// in flight so stats (and the quiescence barrier) never report an
 		// empty pipeline while the worker still owns admitted tuples.
 		run.tuples = l.take()
-		rs := n.route.Load() // under the lane lock: see removeOp
+		rs := n.route.Load()
 		qlen := l.qlenLocked()
 		shedClear := false
 		if l.shedding && qlen <= l.cap/2 {
@@ -206,17 +203,18 @@ func (n *Node) laneWorker(l *lane) {
 }
 
 // processRun steps run.tuples through their operators against rs, the
-// route snapshot read when the run was taken, then accounts, forwards and routes what the run produced. It
-// runs outside the lane lock, pacing per tuple against a locally accumulated
-// busy delta (concurrent charges from other lanes and the ingress transfer
-// cost land in n.busy and are picked up at the next flush).
+// route snapshot read when the run was taken, then accounts, forwards and
+// routes what the run produced. It runs outside the lane lock, pacing per
+// tuple against a locally accumulated busy delta (concurrent charges from
+// other lanes and the ingress transfer cost land in n.busy and are picked
+// up at the next flush).
 //
 // Tuples are stepped a stretch at a time: the longest stretch of equal
 // Stream and target that has exactly one consumer — the stream's only local
-// operator, or the addressed replica — goes to process in one call. A
-// traced tuple, a stall tuple and a tuple of a stream with several
-// consumers are stretches of one, so the traced tuple's stage boundaries
-// stay its own and outputs stay tuple-major.
+// operator, or the addressed one — goes to process in one call, and to each
+// relay entry as one copy. A traced tuple, a stall tuple and a tuple of a
+// stream with several consumers are stretches of one, so the traced tuple's
+// stage boundaries stay its own and outputs stay tuple-major.
 func (n *Node) processRun(l *lane, run *workerRun, rs *routeState) {
 	nodeID := rs.nodeID()
 	ev, stages, _ := n.observer()
@@ -266,10 +264,10 @@ func (n *Node) processRun(l *lane, run *workerRun, rs *routeState) {
 		var cost float64 // the last tuple's, over its consumers; not yet charged
 		switch {
 		case t.target != 0:
-			// Targeted (keyed) delivery: exactly one addressed replica,
-			// never the stream's broadcast consumer set. If the replica
-			// migrated between admission and draining, forward to its
-			// recorded new home; with no record left, count the loss.
+			// Addressed delivery (a keyed replica, or a consumer the tuple
+			// was relayed to): exactly one operator, never the stream's
+			// subscribers. If it left between admission and draining,
+			// follow its relay entry; with none, count the loss.
 			if e := run.targetOf(rs, sr, t); e.op != nil {
 				cost = n.process(run, e.op, ts)
 			} else if e.relay != "" {
@@ -277,20 +275,20 @@ func (n *Node) processRun(l *lane, run *workerRun, rs *routeState) {
 			} else {
 				stranded += int64(len(ts))
 			}
-		case len(sr.cons) > 0:
+		case len(sr.cons)+len(sr.follow) == 0:
+			// Every subscriber left without a relay entry: count the loss
+			// instead of silently absorbing the tuples (the conservation
+			// ledger audits this).
+			stranded += int64(len(ts))
+		default:
 			for _, op := range sr.cons {
 				cost += n.process(run, op, ts)
 			}
-		default:
-			// Admitted while a local consumer existed, drained after it
-			// migrated away: relay toward the new home, or — with no relay
-			// route left — count the loss instead of silently absorbing
-			// the tuples (the conservation ledger audits this).
-			if len(sr.relays) == 0 {
-				stranded += int64(len(ts))
-			}
-			for _, d := range sr.relays {
-				run.fwds.add(d.Addr, ts)
+			// Each subscriber that left takes its copy, addressed to it,
+			// in queue order: whatever was queued when it left and
+			// whatever arrives after, by the one path.
+			for _, f := range sr.follow {
+				run.fwds.addFor(f, ts)
 			}
 		}
 		n.pace(run, cost)
@@ -329,7 +327,7 @@ func (n *Node) processRun(l *lane, run *workerRun, rs *routeState) {
 	l.processed.Add(int64(len(run.tuples)))
 	run.flushSamples(n.estimator)
 	for i := range run.fwds {
-		n.sendBatch(run.fwds[i].addr, run.fwds[i].ts)
+		n.sendRelay(run.fwds[i].addr, run.fwds[i].ts)
 	}
 	n.routeBatch(l, rs, run)
 }
@@ -419,14 +417,15 @@ func (n *Node) process(run *workerRun, op *liveOp, ts []Tuple) float64 {
 
 // routeBatch delivers a run of operator-emitted tuples: local consumers
 // re-enter their lane's queue (bucketed per lane, one lock acquisition per
-// lane); remote destinations are aggregated per peer and offered to that
-// peer's outbox ring in one sendBatch each (charging send-side transfer cost
-// per accepted tuple). Routing state comes from the run's route snapshot,
-// one entry lookup per run of equal Stream; no node-wide lock is taken. A
-// run of equal Stream on a broadcast stream goes to its lane bucket and to
-// each forward group in one bulk append apiece; keyed outputs are routed one
-// by one, since each picks its own replica. Every bucket and group still
-// receives its tuples in output order.
+// lane, also for a subscriber that left, whose copy its relay entry takes
+// from there in queue order); remote destinations are aggregated per peer
+// and offered to that peer's outbox ring in one sendBatch each (charging
+// send-side transfer cost per accepted tuple). Routing state comes from the
+// run's route snapshot, one entry lookup per run of equal Stream; no
+// node-wide lock is taken. A run of equal Stream on a broadcast stream goes
+// to its lane bucket and to each forward group in one bulk append apiece;
+// keyed outputs are routed one by one, since each picks its own replica.
+// Every bucket and group still receives its tuples in output order.
 func (n *Node) routeBatch(l *lane, rs *routeState, run *workerRun) {
 	outs := run.outs
 	if len(outs) == 0 {

@@ -52,8 +52,8 @@ const (
 	// MetricNodePeerReconnects counts peer links re-established after a
 	// failure (the outbox backoff/reconnect cycle succeeding).
 	MetricNodePeerReconnects = "rodsp_node_peer_reconnects_total"
-	// MetricNodeNoRoute counts inbound tuples discarded because their
-	// stream had neither a local subscription nor a relay route.
+	// MetricNodeNoRoute counts tuples discarded because they had neither a
+	// local consumer nor a route onward (a relay entry or a keyed home).
 	MetricNodeNoRoute = "rodsp_node_tuples_no_route_total"
 	// MetricLaneQueueDepth is one worker lane's queued + in-flight tuple
 	// count (labels node, lane). Lane series are emitted only for
@@ -131,7 +131,7 @@ const (
 	// EventLinkFault records an injected link fault being set or cleared.
 	EventLinkFault = "link_fault"
 	// EventNoRoute warns (once per stream) that inbound tuples are being
-	// discarded for lack of any local subscription or relay route.
+	// discarded for lack of any local consumer or route onward.
 	EventNoRoute = "no_route"
 	// EventInvariantViolation is emitted by the conformance harness
 	// (internal/check) when a cluster-wide invariant — the tuple
