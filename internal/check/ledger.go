@@ -18,14 +18,16 @@ import (
 // because each source tuple takes a single path and every exit from that
 // path is counted: the driver skipping a dead destination, the collector
 // recording the sink arrival, a bounded ingress queue shedding it, an
-// outbox dropping it (overflow, drop fault, failed write), a routing gap
+// outbox dropping it (overflow on a node without a WAL, drop fault, failed
+// write, or left in a ring at shutdown; a node with a WAL waits instead of
+// overflowing), a routing gap
 // discarding it, or the tuple still sitting in a queue or outbox ring.
 type Ledger struct {
 	Sources       int64 // tuples emitted by all source drivers
 	SrcDropped    int64 // per-destination sends the drivers skipped (dead link)
 	Delivered     int64 // sink tuples recorded by the collector
 	Shed          int64 // tuples shed at bounded ingress queues
-	OutboxDropped int64 // tuples dropped by per-peer outboxes
+	OutboxDropped int64 // outbox drops: overflow without a WAL, drop faults, failed writes, shutdown leftovers
 	NoRoute       int64 // tuples discarded for lack of any route
 	InFlight      int64 // queued, in a worker's current run, or outbox-buffered at snapshot
 }

@@ -2,8 +2,10 @@ package check
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"rodsp/internal/engine"
 	"rodsp/internal/obs"
 	"rodsp/internal/query"
 )
@@ -123,3 +125,32 @@ func TestRunRecoverEpisode(t *testing.T) { runRecover(t, 1) }
 // The merge shape: two chains cross the killed victim and meet in a union
 // on a survivor, whose output must reach the sink exactly once.
 func TestRunRecoverEpisodeMerge(t *testing.T) { runRecover(t, 2) }
+
+// A node with a WAL waits for ring room instead of dropping, and Recover
+// schedules no Drop fault, so the gate fails a durable episode with one
+// outbox drop even though its ledger balances; the same result passes once
+// the drop is gone, and a strict (volatile) episode may drop and balance.
+func TestGateRejectsDurableOutboxDrop(t *testing.T) {
+	result := func(dropped int64) *EpisodeResult {
+		stats := []*engine.NodeStats{
+			{OutboxEnqueued: 10 + dropped, OutboxSent: 10, OutboxDropped: dropped},
+			{},
+		}
+		return &EpisodeResult{Stats: stats, Sources: 100, Delivered: 100 - dropped,
+			Ledger: Assemble(stats, 100-dropped, 100, 0)}
+	}
+	durable := &Scenario{Class: Recover}
+	if !durable.durable() {
+		t.Fatal("a Recover scenario is not durable")
+	}
+	err := gate(durable, result(1))
+	if err == nil || !strings.Contains(err.Error(), "dropped by outboxes") {
+		t.Fatalf("a durable episode with an outbox drop: %v", err)
+	}
+	if err := gate(durable, result(0)); err != nil {
+		t.Fatalf("a durable episode without drops: %v", err)
+	}
+	if err := gate(&Scenario{Class: Strict}, result(1)); err != nil {
+		t.Fatalf("a strict episode whose drop balances: %v", err)
+	}
+}

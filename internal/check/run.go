@@ -370,10 +370,15 @@ func gate(sc *Scenario, res *EpisodeResult) error {
 		return err
 	}
 	// Durable scenarios are provisioned feasible, so a shed means recovery
-	// lost provisioning; the sink filter must have caught no re-delivery.
+	// lost provisioning; a node with a WAL waits for ring room instead of
+	// dropping, and the episode schedules no Drop fault, so an outbox drop
+	// is a loss; the sink filter must have caught no re-delivery.
 	if sc.durable() {
 		if res.Ledger.Shed != 0 {
 			return fmt.Errorf("check: %d tuples shed in a %s episode (must be 0)", res.Ledger.Shed, sc.Class)
+		}
+		if res.Ledger.OutboxDropped != 0 {
+			return fmt.Errorf("check: %d tuples dropped by outboxes in a %s episode (must be 0)", res.Ledger.OutboxDropped, sc.Class)
 		}
 		if res.Duplicates != 0 {
 			return fmt.Errorf("check: %d duplicate sink deliveries after recovery (must be 0)", res.Duplicates)

@@ -11,9 +11,11 @@ import (
 )
 
 // Chaos: a deployed query runs under a mid-run node kill and a link
-// partition. The surviving nodes must never stall (the sink keeps receiving
-// and the worker-path send never blocks), every lost tuple must be
-// accounted by the shed/drop counters, and the cluster must close cleanly.
+// partition, on volatile links (no WAL). The surviving nodes must never
+// stall (the sink keeps receiving and the worker-path send never blocks: a
+// volatile ring drops what does not fit, where a durable one would make the
+// worker wait for acks), every lost tuple must be accounted by the
+// shed/drop counters, and the cluster must close cleanly.
 // Run with -race: the fault paths (outbox reconnect, control kill, partial
 // stats) are exactly where data races would hide.
 func TestChaosKillAndPartition(t *testing.T) {

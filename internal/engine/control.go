@@ -98,7 +98,8 @@ type NodeStats struct {
 	// Outbox accounting summed over peers: enqueued == sent + dropped +
 	// pending at quiescence. Reconnects counts links re-established after
 	// a failure; SendMaxMs is the worst wall time one send() spent handing
-	// a tuple to an outbox (the non-blocking-worker-path guarantee).
+	// tuples to an outbox: bounded on a node without a WAL, whose worker
+	// never blocks, and including the wait for room on a node with one.
 	OutboxEnqueued int64   `json:"outboxEnqueued,omitempty"`
 	OutboxSent     int64   `json:"outboxSent,omitempty"`
 	OutboxDropped  int64   `json:"outboxDropped,omitempty"`

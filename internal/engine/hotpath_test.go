@@ -79,13 +79,23 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 		}
 		return cost
 	}
-	var fwds destRuns
+	var fwds, keyed destRuns
 	for _, t := range tuples {
 		if t.Stream == stallStream {
 			charge(t.Value)
 			continue
 		}
 		sr := entry(t.Stream)
+		if pt := sr.part; pt != nil && t.target == 0 {
+			// Ingress left it untargeted: its replica was remote by the
+			// table ingress read. Resolve it by this one's.
+			if d := pt.shards[pt.slots[slotOf(&t)]]; !d.Local {
+				keyed.add(d.Addr, []Tuple{t})
+				continue
+			} else {
+				t.target = int32(d.LocalOp) + 1
+			}
+		}
 		if t.target != 0 {
 			if op := rs.ops[int(t.target)-1]; op != nil {
 				charge(step(op, t))
@@ -121,6 +131,9 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 	for i := range fwds {
 		n.sendRelay(fwds[i].addr, fwds[i].ts)
 	}
+	for i := range keyed {
+		n.sendBatch(keyed[i].addr, keyed[i].ts)
+	}
 	var egress destRuns
 	for _, t := range outs {
 		sr := entry(t.Stream)
@@ -154,13 +167,15 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 //
 //	stream 1 → ops 0 (sel 1) and 1 (sel 0.5), two consumers of one stream,
 //	           then op 1 is removed with a relay entry (a copy for it)
-//	stream 2 → keyed, replicas 2 and 3 here (tuples arrive targeted), then
+//	stream 2 → keyed, replicas 2 and 3 here (tuples arrive targeted, or
+//	           untargeted as if ingress had read an older table), then
 //	           replica 3 is removed with a relay entry (its tuples follow)
 //	stream 3 → op 4, which is then removed with a relay entry
 //	stream 4 → nothing at all
 //	stream 5 → op 5 (sel 0.7), its only consumer
 //	streams 6, 7 → op 6, a two-input join
-//	stream 12 (replica output) → keyed, both shards remote
+//	stream 12 (replica output) → keyed, both shards remote; arriving
+//	           untargeted, it goes on to the replica's node
 //
 // Every output leaves for a dead peer, so nothing re-enters a lane and the
 // node's own lane worker stays idle while the test steps runs by hand.
@@ -211,14 +226,18 @@ func heldLockNode(t *testing.T, peer, relay string) *Node {
 	return n
 }
 
-// mixedRun builds one run of n tuples: runs over the seven input streams,
-// mostly short and one in ten up to n long, keyed tuples addressed the way
-// ingress would address them, one tuple in 16 traced and one in 40
-// preceded by a stall.
+// mixedRun builds one run of n tuples: runs over the seven input streams
+// and keyed stream 12, mostly short and one in ten up to n long, keyed
+// tuples addressed the way ingress would address them (three in four of
+// stream 2; the rest, and stream 12, whose replicas are remote, arrive
+// untargeted), one tuple in 16 traced and one in 40 preceded by a stall.
 func mixedRun(rng *rand.Rand, rs *routeState, n int, seq *int64) []Tuple {
 	ts := make([]Tuple, 0, n)
 	for len(ts) < n {
-		sid := int32(1 + rng.Intn(7))
+		sid := int32(1 + rng.Intn(8))
+		if sid == 8 {
+			sid = 12
+		}
 		k := 1 + rng.Intn(6)
 		if rng.Intn(10) == 0 {
 			k = 1 + rng.Intn(n)
@@ -232,7 +251,7 @@ func mixedRun(rng *rand.Rand, rs *routeState, n int, seq *int64) []Tuple {
 			}
 			*seq++
 			t := Tuple{Stream: sid, Seq: *seq, Ts: *seq * 10, Key: rng.Uint64() | 1, Value: float64(*seq)}
-			if sid == 2 {
+			if sid == 2 && rng.Intn(4) != 0 {
 				t.target = rs.lookup(2).part.route[slotOf(&t)].target
 			}
 			if rng.Intn(16) == 0 {
@@ -308,7 +327,7 @@ func TestHeldOpLockMatchesReference(t *testing.T) {
 			}
 		}
 		for i := 1; i < len(tuples); i++ {
-			if s := tuples[i].Stream; s >= 5 && s == tuples[i-1].Stream && tuples[i].Flags == 0 {
+			if s := tuples[i].Stream; s >= 5 && s < 12 && s == tuples[i-1].Stream && tuples[i].Flags == 0 {
 				stretched++
 			}
 		}

@@ -103,24 +103,54 @@ func sourceKeys(i int) func() uint64 {
 	return func() uint64 { k++; return k }
 }
 
-// mergeRun is one crash-free run's account: what the sources injected,
-// what the sink admitted (all of it, and as distinct (sink stream, source
-// tuple) pairs), the sink's duplicates and the nodes' ingress dedup drops.
+// mergeRun is one run's account: what the sources injected, what the sink
+// admitted (all of it, and as distinct (sink stream, source tuple) pairs),
+// the sink's duplicates, the nodes' ingress dedup drops, sheds and outbox
+// drops, summed, and the longest a worker spent handing tuples to an outbox.
 type mergeRun struct {
 	injected, delivered, distinct, dups, dedupDropped int64
+	shed, outboxDropped                               int64
+	sendMaxMs                                         []float64 // per node
 }
 
-// runGraph deploys g under plan on a fresh cluster (durable when wal),
-// drives every input at 400 tuples/s for 0.6 s, waits for quiescence and
-// accounts the run. between, when set, runs while the sources inject.
-func runGraph(t *testing.T, g *query.Graph, plan *placement.Plan, wal, sinkDedup bool, between func(*Cluster)) mergeRun {
+// drive is how runGraph runs a graph: every input's rate (tuples/s) and
+// how long it injects, the nodes' config, whether the sink filters
+// duplicates, a node to kill and restart mid-run, and what else to do
+// while the sources inject.
+type drive struct {
+	rate      float64
+	dur       time.Duration
+	cfg       NodeConfig // a WAL root is made per run when wal is set
+	wal       bool
+	sinkDedup bool
+	crash     *crash
+	between   func(*Cluster)
+}
+
+// crash kills node at the given offset into the run and restarts it on
+// its address and WAL directory down later.
+type crash struct {
+	node     int
+	at, down time.Duration
+}
+
+// lightDrive is the crash-free drive: 400 tuples/s per input for 0.6 s,
+// checkpoints every 25 ms.
+func lightDrive(wal, sinkDedup bool, between func(*Cluster)) drive {
+	return drive{rate: 400, dur: 600 * time.Millisecond, cfg: NodeConfig{CheckpointEvery: 25 * time.Millisecond},
+		wal: wal, sinkDedup: sinkDedup, between: between}
+}
+
+// runGraph deploys g under plan on a fresh cluster of capacity-1 nodes,
+// drives it as d says, waits for quiescence and accounts the run.
+func runGraph(t *testing.T, g *query.Graph, plan *placement.Plan, d drive) mergeRun {
 	t.Helper()
 	caps := make([]float64, plan.N)
 	for i := range caps {
 		caps[i] = 1
 	}
-	cfg := NodeConfig{CheckpointEvery: 25 * time.Millisecond}
-	if wal {
+	cfg := d.cfg
+	if d.wal {
 		cfg.WALDir = t.TempDir()
 	}
 	cl, err := StartClusterConfig(caps, cfg)
@@ -129,7 +159,7 @@ func runGraph(t *testing.T, g *query.Graph, plan *placement.Plan, wal, sinkDedup
 	}
 	defer cl.Close()
 	tap := tapCollector(t, cl)
-	cl.Collector.SetDedup(sinkDedup)
+	cl.Collector.SetDedup(d.sinkDedup)
 	if err := cl.Deploy(g, plan, caps); err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +172,14 @@ func runGraph(t *testing.T, g *query.Graph, plan *placement.Plan, wal, sinkDedup
 	for i, in := range g.Inputs() {
 		src := &SourceDriver{
 			Stream: in,
-			Trace:  trace.New("const", 1, []float64{400}),
+			Trace:  trace.New("const", 1, []float64{d.rate}),
 			Addrs:  []string{cl.Addrs()[plan.NodeOf[g.Consumers(in)[0]]]},
 			Keys:   sourceKeys(i),
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n, err := src.Run(600*time.Millisecond, nil)
+			n, err := src.Run(d.dur, nil)
 			if err != nil {
 				t.Error(err)
 			}
@@ -158,8 +188,18 @@ func runGraph(t *testing.T, g *query.Graph, plan *placement.Plan, wal, sinkDedup
 			mu.Unlock()
 		}()
 	}
-	if between != nil {
-		between(cl)
+	if c := d.crash; c != nil {
+		time.Sleep(c.at)
+		if err := cl.Controls[c.node].Fault(FaultSpec{Kill: true}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(c.down)
+		if err := cl.RestartNode(c.node); err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+	}
+	if d.between != nil {
+		d.between(cl)
 	}
 	wg.Wait()
 	if err := cl.AwaitQuiescence(10*time.Second, 100*time.Millisecond); err != nil {
@@ -174,6 +214,9 @@ func runGraph(t *testing.T, g *query.Graph, plan *placement.Plan, wal, sinkDedup
 	}
 	for _, s := range sts {
 		run.dedupDropped += s.DedupDropped
+		run.shed += s.Shed
+		run.outboxDropped += s.OutboxDropped
+		run.sendMaxMs = append(run.sendMaxMs, s.SendMaxMs)
 	}
 	return run
 }
@@ -212,7 +255,7 @@ func TestDurableMergeAndFanOutDeliverAll(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			g, plan, mult := c.graph()
-			r := runGraph(t, g, plan, c.wal, c.sinkDedup, nil)
+			r := runGraph(t, g, plan, lightDrive(c.wal, c.sinkDedup, nil))
 			if r.injected == 0 || r.delivered != mult*r.injected || r.distinct != r.injected || r.dups != 0 || r.dedupDropped != 0 {
 				t.Fatalf("delivered %d of %d expected (%d injected × %d; %d distinct), %d sink duplicates, %d ingress dedup drops",
 					r.delivered, mult*r.injected, r.injected, mult, r.distinct, r.dups, r.dedupDropped)
@@ -293,7 +336,7 @@ func TestDurableMigrationNoLoss(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					g, plan := c.graph()
-					r := runGraph(t, g, plan, wal, true, func(cl *Cluster) {
+					r := runGraph(t, g, plan, lightDrive(wal, true, func(cl *Cluster) {
 						for _, m := range c.moves {
 							time.Sleep(120 * time.Millisecond)
 							if err := cl.MoveOperator(g, plan, m.op, m.to, 0); err != nil {
@@ -301,7 +344,7 @@ func TestDurableMigrationNoLoss(t *testing.T) {
 								return
 							}
 						}
-					})
+					}))
 					want := r.injected * int64(len(g.Sinks()))
 					if r.injected == 0 || r.distinct != want || r.dedupDropped != 0 || r.delivered-r.distinct > want/20 {
 						t.Fatalf("delivered %d, %d distinct of %d (%d injected × %d sink streams) across %d moves: %d processed twice (at most %d), %d ingress dedup drops",
@@ -311,6 +354,70 @@ func TestDurableMigrationNoLoss(t *testing.T) {
 						r.delivered, r.distinct, want, r.delivered-r.distinct, r.dups)
 				})
 			}
+		})
+	}
+}
+
+// TestDurableRestartUnderLoad: a node with a WAL never drops on a full
+// ring. A sender's ring room is its credit, so a receiver that is down,
+// catching up after a restart, or slow to ack holds its senders' workers
+// until room frees, and every tuple arrives: distinct deliveries equal the injected
+// count, with no sink duplicate, no shed and no outbox drop on any node.
+//
+// Two rows kill node 2 at 300 ms and restart it 150 ms later, at the
+// default OutboxCap, under rates whose backlog (150 ms × 40 000/s on the
+// chain's one link in, the union's two inputs at 20 000/s each) reaches
+// it. The third kills nothing: the two nodes of a cycle, a(0) → x(1) →
+// d(0), get a 256-tuple ring, and each write on the links between them is
+// held (20 ms from node 0, 40 ms back), so each link carries less than what
+// is offered to it and the workers of both nodes wait for each other's
+// acks.
+func TestDurableRestartUnderLoad(t *testing.T) {
+	const cost = 0.00002
+	chain := func(x int) (*query.Graph, *placement.Plan) {
+		b := query.NewBuilder()
+		a := b.Delay("a", cost, 1, b.Input("I"))
+		b.Delay("d", cost, 1, b.Delay("x", cost, 1, a))
+		plan, _ := placement.NewPlan([]int{0, x, 0}, 3)
+		return b.MustBuild(), plan
+	}
+	union := func() (*query.Graph, *placement.Plan) {
+		b := query.NewBuilder()
+		u := b.Union("u", cost, b.Delay("a", cost, 1, b.Input("I1")), b.Delay("b", cost, 1, b.Input("I2")))
+		b.Delay("d", cost, 1, u)
+		plan, _ := placement.NewPlan([]int{0, 1, 2, 0}, 3)
+		return b.MustBuild(), plan
+	}
+	restart := &crash{node: 2, at: 300 * time.Millisecond, down: 150 * time.Millisecond}
+	slowLinks := func(cl *Cluster) {
+		cl.Nodes[0].SetLinkFault(cl.Nodes[1].Addr(), LinkFault{Delay: 20 * time.Millisecond})
+		cl.Nodes[1].SetLinkFault(cl.Nodes[0].Addr(), LinkFault{Delay: 40 * time.Millisecond})
+	}
+	for _, c := range []struct {
+		name    string
+		graph   func() (*query.Graph, *placement.Plan)
+		rate    float64
+		cfg     NodeConfig
+		crash   *crash
+		between func(*Cluster)
+	}{
+		{"chain/restart", func() (*query.Graph, *placement.Plan) { return chain(2) }, 40000, NodeConfig{}, restart, nil},
+		{"union/restart", union, 20000, NodeConfig{}, restart, nil},
+		{"cycle/small-ring", func() (*query.Graph, *placement.Plan) { return chain(1) }, 20000,
+			NodeConfig{OutboxCap: 256}, nil, slowLinks},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, plan := c.graph()
+			cfg := c.cfg
+			cfg.CheckpointEvery = 25 * time.Millisecond
+			r := runGraph(t, g, plan, drive{rate: c.rate, dur: 600 * time.Millisecond, cfg: cfg,
+				wal: true, sinkDedup: true, crash: c.crash, between: c.between})
+			if r.injected == 0 || r.distinct != r.injected || r.dups != 0 || r.shed != 0 || r.outboxDropped != 0 {
+				t.Fatalf("%d distinct of %d injected (%d delivered): %d sink duplicates, %d shed, %d outbox drops",
+					r.distinct, r.injected, r.delivered, r.dups, r.shed, r.outboxDropped)
+			}
+			t.Logf("%d distinct of %d injected, %d delivered, %d ingress dedup drops; longest send per node %.1f ms",
+				r.distinct, r.injected, r.delivered, r.dedupDropped, r.sendMaxMs)
 		})
 	}
 }

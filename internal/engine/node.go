@@ -59,8 +59,10 @@ type NodeConfig struct {
 	ShedPolicy ShedPolicy
 	// OutboxCap is the number of tuples one per-peer outbox holds, in
 	// total: accepted-but-unwritten plus, on a durable link, written-but-
-	// unacked. Every producer shares it; an offer beyond it drops with a
-	// counter. <= 0 selects DefaultOutboxCap.
+	// unacked. Every lane worker shares it. Without a WAL an offer beyond
+	// it drops with a counter; with one it is the sender's credit, and a
+	// worker whose offer does not fit waits for room (see outbox.go).
+	// <= 0 selects DefaultOutboxCap.
 	OutboxCap int
 	// BackoffBase/BackoffMax shape the reconnect schedule
 	// (base·2^attempt capped at max, ±25% jitter). Defaults 50ms / 2s.
@@ -381,9 +383,10 @@ func tracePick(every int64, t Tuple) bool {
 
 // Close shuts the node down and waits for its goroutines. Outboxes drain
 // best-effort (buffered tuples are flushed when the link is up, counted as
-// dropped otherwise) before their goroutines exit; once every producer has
-// stopped, any tuples stranded in outbox rings are swept into the drop
-// counters so the outbox accounting closes post-Close.
+// dropped otherwise) before their goroutines exit, and a worker waiting
+// for ring room gives up; once every producer has stopped, any
+// tuples stranded in outbox rings are swept into the drop counters so the
+// outbox accounting closes post-Close.
 func (n *Node) Close() error {
 	if !n.closed.CompareAndSwap(false, true) {
 		return nil
@@ -401,7 +404,7 @@ func (n *Node) Close() error {
 	if !n.peersClosed {
 		n.peersClosed = true
 		for _, o := range n.peers {
-			close(o.quit)
+			o.stop()
 		}
 	}
 	n.peersMu.Unlock()
@@ -456,7 +459,16 @@ func (n *Node) acceptLoop() {
 }
 
 func (n *Node) serveConn(conn net.Conn) {
+	// Close marks the node closed before it closes the registered
+	// connections, so a connection accepted just before Close either is
+	// registered in time to be closed or sees the mark here; otherwise its
+	// reader would block Close's wait for as long as the peer keeps it open.
 	n.connsMu.Lock()
+	if n.closed.Load() {
+		n.connsMu.Unlock()
+		conn.Close()
+		return
+	}
 	n.conns[conn] = true
 	n.connsMu.Unlock()
 	defer func() {
@@ -575,61 +587,11 @@ func (n *Node) senderOf(addr string) *sender {
 	return s
 }
 
-// relayRun is one per-destination slice of tuples to forward, built while
-// admitting a batch and shipped after all queue locks are released.
-type relayRun struct {
-	addr string
-	ts   []Tuple
-}
-
-// destRuns groups tuples into one run per destination address. reset keeps
-// the runs' backing arrays, so steady-state grouping allocates nothing.
-type destRuns []relayRun
-
-func (d *destRuns) reset() { *d = (*d)[:0] }
-
-// add appends ts, in order, to addr's run.
-func (d *destRuns) add(addr string, ts []Tuple) {
-	r := d.run(addr)
-	r.ts = append(r.ts, ts...)
-}
-
-// addFor appends copies of ts addressed to the follower's consumer.
-func (d *destRuns) addFor(f follower, ts []Tuple) {
-	r := d.run(f.addr)
-	n := len(r.ts)
-	r.ts = append(r.ts, ts...)
-	for i := n; i < len(r.ts); i++ {
-		r.ts[i].target = f.target
-	}
-}
-
-// run returns addr's run, starting an empty one on first use.
-func (d *destRuns) run(addr string) *relayRun {
-	rs := *d
-	for i := range rs {
-		if rs[i].addr == addr {
-			return &rs[i]
-		}
-	}
-	if i := len(rs); i < cap(rs) {
-		rs = rs[:i+1]
-		rs[i].addr = addr
-		rs[i].ts = rs[i].ts[:0]
-	} else {
-		rs = append(rs, relayRun{addr: addr})
-	}
-	*d = rs
-	return &rs[len(rs)-1]
-}
-
 // enqueueInboundBatch admits a batch of tuples arriving from the network
 // (or a source injector) to the bounded per-lane work queues, processing
 // chunks of at most batchMax tuples. Shedding (per the configured policy),
-// per-stream shed counters, the shed-onset hysteresis latch and keyed
-// forwarding are all computed batch-wise with per-tuple accounting
-// preserved; forwards are grouped per destination so the outbox is offered
-// slices rather than single tuples.
+// per-stream shed counters and the shed-onset hysteresis latch are all
+// computed batch-wise with per-tuple accounting preserved.
 func (n *Node) enqueueInboundBatch(ts []Tuple) {
 	for len(ts) > 0 {
 		chunk := ts
@@ -652,11 +614,10 @@ type ingressSpan struct {
 
 // ingressScratch is the pooled per-call grouping state of enqueueChunk:
 // admissions bucketed per lane (as stretches of the chunk, not copies of
-// it), keyed forwards per destination, deferred events. Pooled (not per-call)
-// so the unsampled ingress path stays allocation-free.
+// it) and deferred events. Pooled (not per-call) so the unsampled ingress
+// path stays allocation-free.
 type ingressScratch struct {
 	perLane [][]chunkRange
-	fwds    destRuns
 	spans   []ingressSpan
 	noRoute []int32
 }
@@ -680,7 +641,6 @@ func (sc *ingressScratch) reset() {
 	for i := range sc.perLane {
 		sc.perLane[i] = sc.perLane[i][:0]
 	}
-	sc.fwds.reset()
 	sc.spans = sc.spans[:0]
 	sc.noRoute = sc.noRoute[:0]
 }
@@ -689,17 +649,19 @@ func (sc *ingressScratch) reset() {
 // fetches a stream's entry once per run of equal Stream, records per worker
 // lane which stretches of the chunk it admits, then copies each lane's
 // stretches from the chunk into its queue with one lane-lock acquisition.
-// No node-wide lock is taken anywhere on this path.
+// No node-wide lock is taken anywhere on this path, and nothing is sent:
+// ingress only admits, so it never waits on an outbox (see outbox.go).
 //
 // A tuple goes to a lane when a consumer here takes it: an addressed tuple
 // (relayed to one consumer, or keyed to one replica) when rs.accepts it, an
-// untargeted one when the stream has subscribers. The lane worker decides
-// what each of them does, against the snapshot it takes the tuple with —
-// step the consumer, or, for one that has left, copy the tuple along its
-// relay entry — so every tuple meets exactly one snapshot's routing, and a
-// consumer's copies leave in queue order, however its moves interleave with
-// the queue. Only a keyed tuple whose replica lives elsewhere by the table
-// is forwarded from here.
+// untargeted one when the stream has subscribers, and an untargeted keyed
+// tuple whose replica lives elsewhere by the table, which goes onward from
+// its stream's lane. The lane worker decides what each of them does,
+// against the snapshot it takes the tuple with — step the consumer, or, for
+// one that has left, copy the tuple along its relay entry, or send a keyed
+// tuple to its replica's node — so every tuple meets exactly one snapshot's
+// routing, and a consumer's copies leave in queue order, however its moves
+// interleave with the queue.
 func (n *Node) enqueueChunk(chunk []Tuple) {
 	if n.closed.Load() {
 		return
@@ -754,14 +716,15 @@ func (n *Node) enqueueChunk(chunk []Tuple) {
 		case sr.part != nil:
 			// Keyed (sharded) streams route through the partition table:
 			// each tuple goes to exactly one replica — addressed to it here
-			// when the table marks it local, forwarded to its home
-			// otherwise — never to the stream's broadcast subscribers.
+			// when the table marks it local, left untargeted for the
+			// stream's lane to send to its home otherwise — never to the
+			// stream's broadcast subscribers.
 			switch d := &sr.part.route[slotOf(t)]; {
 			case d.target != 0:
 				t.target = d.target
 				sc.bucket(sr.laneFor(t, n.workers), ci)
 			case d.addr != "":
-				sc.fwds.add(d.addr, chunk[ci:ci+1])
+				sc.bucket(sr.lane, ci)
 			default:
 				n.dropNoRoute(sc, sid)
 			}
@@ -798,13 +761,6 @@ func (n *Node) enqueueChunk(chunk []Tuple) {
 	for _, sid := range sc.noRoute {
 		ev.Emit(obs.LevelWarn, obs.EventNoRoute,
 			"node", nodeID, "stream", int(sid))
-	}
-	// Forwards are best-effort: the per-peer outbox absorbs (or drops) the
-	// run without ever blocking the receive path, and link failures
-	// surface as warn events latched per destination (re-armed on
-	// recovery, so a peer that heals and fails again stays visible).
-	for i := range sc.fwds {
-		n.sendBatch(sc.fwds[i].addr, sc.fwds[i].ts)
 	}
 	n.scratch.Put(sc)
 }
@@ -850,12 +806,14 @@ func (n *Node) stall(sec float64) {
 // stallStream is the reserved stream id carrying stall work items.
 const stallStream int32 = -1
 
-// sendBatch offers a run of tuples to the destination's outbox without ever
-// blocking: a dead, slow or partitioned peer costs the caller one bounded
-// ring insertion (accounted, worst case, in sendMaxNanos — the chaos test
-// asserts the worker path never stalls). It returns how many tuples were
-// accepted (a prefix of ts); the rest are counted in the outbox's drop
-// counter.
+// sendBatch offers a run of tuples to the destination's outbox. Only lane
+// workers call it. On a node without a WAL it never blocks: a dead, slow or
+// partitioned peer costs the caller one bounded ring insertion (the chaos
+// test asserts the worker path never stalls there), and the rest of ts that
+// did not fit is counted in the outbox's drop counter. On a node with a WAL
+// the caller waits, while the ring is full, for room (see outbox.go).
+// sendMaxNanos records the longest call either way. It returns how many
+// tuples the ring took, a prefix of ts.
 func (n *Node) sendBatch(addr string, ts []Tuple) int { return n.send(addr, ts, false) }
 
 // sendRelay is sendBatch for the addressed copies relay entries carry,
@@ -927,9 +885,10 @@ func (n *Node) durablePeer(addr string) bool {
 // (outboxFor), so an outbox created before the spec named its peer durable —
 // or a redeploy that changes the durable peer set — would otherwise silently
 // keep the wrong mode, dropping the retain-until-ack guarantee for that
-// path. The retired writer drains best-effort and exits (deploy precedes
-// start, so the link is normally idle); the next send to the address creates
-// a fresh outbox in the correct mode.
+// path. The retired writer drains best-effort and exits, and a worker
+// waiting for its ring room gives up (deploy precedes start, so the link is
+// normally idle); the next send to the address creates a fresh outbox in
+// the correct mode.
 func (n *Node) refreshOutboxDurability() {
 	ev, _, _ := n.observer()
 	n.peersMu.Lock()
@@ -942,7 +901,7 @@ func (n *Node) refreshOutboxDurability() {
 		if o.durable == want {
 			continue
 		}
-		close(o.quit)
+		o.stop()
 		delete(n.peers, addr)
 		n.retired = append(n.retired, o)
 		ev.Emit(obs.LevelInfo, obs.EventDeploy,

@@ -22,23 +22,38 @@ import (
 //	 settled│ on the wire,  │ accepted, not  │ free: tail − acked ≤ OutboxCap
 //	        │ awaiting ack  │ yet written    │
 //
-// Producers (lane workers, ingress forwards) append at tail and never block:
-// a full ring drops with a counter. The writer reads [shipped, tail) under
-// the lock and, with the lock released, encodes it straight from the ring
-// slots as consecutive frames of at most outboxBatchMax tuples each (a frame
-// stops at the ring's wrap, so its slots are contiguous; see ship for why
-// nobody else touches them), gathering whole frames while the burst fits the
-// receiver's read buffer; it then advances shipped and issues one write. On
-// a volatile link acked follows shipped as soon as the write returns. On a
-// durable link (the peer runs a WAL) each frame carries the position after
-// its last tuple as its sequence, so the peer's cumulative ack IS the new
-// acked cursor: a tuple leaves the ring only when an ack covers it,
-// retention is the region [acked, shipped) held in place, and a reconnect
-// rewinds shipped to acked — replay is the ordinary ship loop. Ack room is
-// ring room, so overload lands where it always has: at enqueueBatch's drop
-// counter. The outbox dials with exponential backoff plus jitter and re-arms
-// the per-peer relay-error latch on recovery so repeated failures stay
-// visible.
+// The producers are the node's lane workers; they append at tail. The
+// writer reads [shipped, tail) under the lock and, with the lock released,
+// encodes it straight from the ring slots as consecutive frames of at most
+// outboxBatchMax tuples each (a frame stops at the ring's wrap, so its slots
+// are contiguous; see ship for why nobody else touches them), gathering
+// whole frames while the burst fits the receiver's read buffer; it then
+// advances shipped and issues one write. On a volatile link acked follows
+// shipped as soon as the write returns. On a durable link (the peer runs a
+// WAL too) each frame carries the position after its last tuple as its
+// sequence, so the peer's cumulative ack IS the new acked cursor: a tuple
+// leaves the ring only when an ack covers it, retention is the region
+// [acked, shipped) held in place, and a reconnect rewinds shipped to
+// acked — replay is the ordinary ship loop.
+//
+// On a node that runs a WAL no ring drops: its free room is the sender's
+// credit. A worker whose offer does not fit waits until room frees — with
+// the peer's acks on a durable link, with each completed write on the
+// volatile link to the sink — and then places the rest in order, so a
+// receiver that is down or behind slows its senders' workers, their lanes
+// fill, and their ingress sheds: overload lands at a node's edge, where it
+// is counted per stream. The waits cannot close a cycle: only lane workers
+// wait, and a worker waits only for a peer's acks or its own writer's
+// writes. A peer acks from its ingress goroutine after its WAL group
+// commit, which never waits on a lane (a full lane sheds) or on a ring
+// (ingress sends nothing), and the sink's reader waits on nothing, so
+// every chain of waits has length one, around node-level cycles such as
+// a(0) → x(2) → d(0) too. Stopping the outbox (node Close, or a
+// durability-mode retirement) releases a waiting worker, and what it had
+// not placed is counted dropped, as at shutdown. A node without a WAL
+// never waits: a full ring drops the rest of an offer with a counter. The
+// outbox dials with exponential backoff plus jitter and re-arms the
+// per-peer relay-error latch on recovery so repeated failures stay visible.
 
 // errOutboxClosed signals an orderly shutdown of the writer loop.
 var errOutboxClosed = errors.New("engine: outbox closed")
@@ -51,8 +66,11 @@ const outboxBatchMax = 512
 
 // LinkFault is an injected fault on the outbound link to one peer address:
 // Sever fails dials and breaks the live connection, Drop silently discards
-// tuples (counted as outbox drops), Delay stalls each flush by the given
-// duration. Faults compose (a Drop+Delay link discards slowly).
+// tuples (counted as outbox drops; a discarded run frees its ring room as a
+// write or an ack would), Delay stalls each flush by the given duration.
+// Faults compose (a Drop+Delay link discards slowly). On a node with a WAL
+// a ring that Sever or Delay keeps full makes the workers wait until the
+// fault clears.
 type LinkFault struct {
 	Sever bool
 	Drop  bool
@@ -65,7 +83,7 @@ type outboxStats struct {
 	Addr       string
 	Enqueued   int64 // tuples offered
 	Sent       int64 // tuples written (volatile) or acked (durable)
-	Dropped    int64 // overflow + fault-drop + lost-on-disconnect
+	Dropped    int64 // overflow without a WAL + fault-drop + failed write + shutdown leftovers
 	Pending    int64 // still in the ring: tail − acked
 	Reconnects int64 // successful connections after a loss
 }
@@ -79,8 +97,10 @@ type outbox struct {
 	notify      chan struct{} // capacity-1 writer wakeup
 
 	mu                   sync.Mutex
-	ring                 []Tuple // position p lives in ring[p % len(ring)]
-	acked, shipped, tail uint64  // acked ≤ shipped ≤ tail ≤ acked + len(ring)
+	room                 sync.Cond // on mu: acked moved or the outbox stopped
+	stopped              bool      // no room will come: waiting producers give up
+	ring                 []Tuple   // position p lives in ring[p % len(ring)]
+	acked, shipped, tail uint64    // acked ≤ shipped ≤ tail ≤ acked + len(ring)
 	enqueued             int64
 	sent                 int64
 	dropped              int64
@@ -92,7 +112,7 @@ type outbox struct {
 }
 
 func newOutbox(n *Node, addr string, durable bool) *outbox {
-	return &outbox{
+	o := &outbox{
 		node:        n,
 		addr:        addr,
 		durable:     durable,
@@ -101,12 +121,18 @@ func newOutbox(n *Node, addr string, durable bool) *outbox {
 		notify:      make(chan struct{}, 1),
 		ring:        make([]Tuple, n.cfg.OutboxCap),
 	}
+	o.room.L = &o.mu
+	return o
 }
 
-// enqueueBatch offers a run of tuples under a single lock acquisition,
-// accepting the longest prefix the ring has room for and dropping (with a
-// counter) the rest. It never blocks; the tuples are copied, so the caller
-// keeps ownership of ts.
+// enqueueBatch places a run of tuples at the ring's tail, in order, and
+// returns how many it placed; the tuples are copied, so the caller keeps
+// ownership of ts. On a node without a WAL the ring takes the longest
+// prefix it has room for and drops the rest with a counter. On a node with
+// one it takes what fits, then waits under o.mu until room frees (applyAck,
+// or ship settling a volatile write), and so on until all of ts is in. A
+// stopped outbox takes nothing more: stop ends a wait, and what was not
+// placed is counted dropped, as at shutdown.
 //
 // With relay set, ts are addressed copies a relay entry carries, and the
 // outbox numbers them itself, per (stream, target), in ring order: each
@@ -117,6 +143,27 @@ func newOutbox(n *Node, addr string, durable bool) *outbox {
 // the peer numbered.
 func (o *outbox) enqueueBatch(ts []Tuple, relay bool) int {
 	o.mu.Lock()
+	k := 0
+	for !o.stopped {
+		if k += o.put(ts[k:], relay); k == len(ts) || o.node.cfg.WALDir == "" {
+			break
+		}
+		o.wake() // the placed prefix must ship for room to come
+		o.room.Wait()
+	}
+	o.enqueued += int64(len(ts) - k)
+	o.dropped += int64(len(ts) - k)
+	o.mu.Unlock()
+	if k > 0 {
+		o.wake()
+	}
+	return k
+}
+
+// put copies the longest prefix of ts the ring has room for to its tail,
+// numbering relayed copies, and returns the prefix's length. Callers hold
+// o.mu.
+func (o *outbox) put(ts []Tuple, relay bool) int {
 	k := min(len(o.ring)-int(o.tail-o.acked), len(ts))
 	at := int(o.tail % uint64(len(o.ring)))
 	first := copy(o.ring[at:], ts[:k])
@@ -136,13 +183,18 @@ func (o *outbox) enqueueBatch(ts []Tuple, relay bool) int {
 		}
 	}
 	o.tail += uint64(k)
-	o.enqueued += int64(len(ts))
-	o.dropped += int64(len(ts) - k)
-	o.mu.Unlock()
-	if k > 0 {
-		o.wake()
-	}
+	o.enqueued += int64(k)
 	return k
+}
+
+// stop ends the outbox: its writer exits after a best-effort final drain,
+// and a producer waiting for ring room gives up, since no room will come.
+func (o *outbox) stop() {
+	close(o.quit)
+	o.mu.Lock()
+	o.stopped = true
+	o.room.Broadcast()
+	o.mu.Unlock()
 }
 
 func (o *outbox) wake() {
@@ -180,6 +232,7 @@ func (o *outbox) applyAck(seq uint64) error {
 	if seq > o.acked {
 		o.sent += int64(seq - o.acked)
 		o.acked = seq
+		o.room.Broadcast()
 		o.wake() // a fault-drop may be waiting for the retained region to settle
 	}
 	return nil
@@ -358,6 +411,7 @@ func (o *outbox) ship(conn net.Conn) (int, error) {
 			o.acked += uint64(k)
 			o.shipped = o.acked
 			o.dropped += int64(k)
+			o.room.Broadcast()
 		}
 		o.mu.Unlock()
 		return k, nil
@@ -395,6 +449,7 @@ func (o *outbox) ship(conn net.Conn) (int, error) {
 	if !o.durable {
 		o.mu.Lock()
 		o.acked = o.shipped
+		o.room.Broadcast()
 		if err != nil {
 			o.dropped += int64(k)
 		} else {

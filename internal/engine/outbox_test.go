@@ -359,22 +359,20 @@ func awaitOutbox(t *testing.T, n *Node, what string, sent, pending int64) outbox
 }
 
 // OutboxCap is the bound: with the writer stalled, every producer together
-// gets exactly OutboxCap tuples accepted, the rest are dropped and counted.
-// The volatile arm stalls the writer with a Delay fault (a peer that merely
-// stops reading cannot: 64 tuples vanish into the kernel's socket buffer);
-// the durable arm's peer accepts the connection and never acks.
+// gets exactly OutboxCap tuples into the ring. On a node without a WAL the
+// rest are dropped and counted; the writer is stalled with a Delay fault (a
+// peer that merely stops reading cannot: 64 tuples vanish into the kernel's
+// socket buffer). On a node with a WAL the rest wait for room until Close
+// releases them, on a durable link whose peer accepts the connection and
+// never acks and on a volatile one stalled like the first.
 func TestOutboxCapIsTheBound(t *testing.T) {
 	const (
 		bound     = 64
-		producers = 5 // four lanes' workers plus the ingress relay path
+		producers = 5 // more producers than lanes: offers interleave
 		runs, per = 20, 16
 	)
-	for _, durable := range []bool{false, true} {
-		name := "volatile"
-		if durable {
-			name = "durable"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, link := range []string{"volatile", "durable", "volatile-with-wal"} {
+		t.Run(link, func(t *testing.T) {
 			peer := newAckPeer(t)
 			// Connections are held open and never read.
 			var heldMu sync.Mutex
@@ -399,9 +397,12 @@ func TestOutboxCapIsTheBound(t *testing.T) {
 			}()
 			cfg := NodeConfig{Workers: 4, OutboxCap: bound}
 			var n *Node
-			if durable {
+			if link == "durable" {
 				n = durableSender(t, peer.addr(), cfg)
 			} else {
+				if link == "volatile-with-wal" {
+					cfg.WALDir = t.TempDir()
+				}
 				var err error
 				if n, err = NewNodeConfig("127.0.0.1:0", 1, cfg); err != nil {
 					t.Fatal(err)
@@ -423,16 +424,49 @@ func TestOutboxCapIsTheBound(t *testing.T) {
 				}
 				wg.Wait()
 			}
+			const offered = producers * runs * per
+			if link != "volatile" {
+				done := make(chan struct{})
+				go func() {
+					offer()
+					close(done)
+				}()
+				waitUntil(t, 5*time.Second, "a full ring", func() bool {
+					ss := n.outboxSnapshots()
+					return len(ss) == 1 && ss[0].Pending == bound
+				})
+				// A second buffer behind the ring would show up as more
+				// tuples placed by now.
+				time.Sleep(50 * time.Millisecond)
+				if s := n.outboxSnapshots()[0]; s.Enqueued != bound || s.Pending != bound || s.Dropped != 0 || s.Sent != 0 {
+					t.Fatalf("a full ring that cannot ship or settle: %+v", s)
+				}
+				select {
+				case <-done:
+					t.Fatal("every producer returned with the ring full and no ack")
+				default:
+				}
+				// Close releases the waiting producers; the rest of each
+				// waiting offer counts dropped, and later offers find no
+				// outbox, as at any shutdown. (The stalled volatile writer's
+				// final drain may still write the ring out.)
+				n.Close()
+				<-done
+				if s := n.outboxSnapshots()[0]; accepted.Load() != bound || s.Enqueued <= bound ||
+					s.Sent+s.Dropped != s.Enqueued || s.Dropped < s.Enqueued-bound || s.Pending != 0 {
+					t.Fatalf("accepted %d of %d offered with OutboxCap %d, then closed: %+v", accepted.Load(), offered, bound, s)
+				}
+				return
+			}
 			offer()
 			// Give the writer time to take its first run out of the ring: a
 			// second buffer behind the ring would show up as room here.
 			time.Sleep(50 * time.Millisecond)
 			offer()
-			const offered = 2 * producers * runs * per
 			s := n.outboxSnapshots()[0]
-			if accepted.Load() != bound || s.Pending != bound || s.Dropped != offered-bound ||
-				s.Enqueued != offered || s.Sent != 0 {
-				t.Fatalf("accepted %d of %d offered with OutboxCap %d: %+v", accepted.Load(), offered, bound, s)
+			if accepted.Load() != bound || s.Pending != bound || s.Dropped != 2*offered-bound ||
+				s.Enqueued != 2*offered || s.Sent != 0 {
+				t.Fatalf("accepted %d of %d offered with OutboxCap %d: %+v", accepted.Load(), 2*offered, bound, s)
 			}
 		})
 	}
@@ -573,39 +607,95 @@ func TestOutboxMultiProducerFIFO(t *testing.T) {
 	}
 }
 
-// Retention is the ring itself: while the peer withholds acks the ring
-// fills to OutboxCap and further offers drop with a counter; nothing that
-// was accepted is lost, and the acks settle exactly the accepted tuples.
+// Retention is the ring itself, and its free room is the sender's credit:
+// while the peer withholds acks the ring fills to OutboxCap and further
+// offers wait. Each ack frees room, the waiting offers go on in order, and
+// nothing is dropped: the acks settle every tuple offered, and the identity
+// enqueued == sent + dropped + pending holds while the producer waits.
 func TestDurableRetainInPlace(t *testing.T) {
-	const bound = 64
+	const bound, total = 64, 12 * 16
 	peer := newAckPeer(t)
 	n := durableSender(t, peer.addr(), NodeConfig{OutboxCap: bound})
-	accepted := 0
-	for r := 0; r < 12; r++ {
-		accepted += n.sendBatch(peer.addr(), seqRun(1, r*16, 16))
-	}
-	if accepted != bound {
-		t.Fatalf("accepted %d tuples with no ack outstanding, want OutboxCap %d", accepted, bound)
-	}
+	done := make(chan int, 1)
+	go func() {
+		accepted := 0
+		for r := 0; r < total/16; r++ {
+			accepted += n.sendBatch(peer.addr(), seqRun(1, r*16, 16))
+		}
+		done <- accepted
+	}()
 	c := peer.accept()
 	wantSeqs(t, "shipped while unacked", c.readN(0, bound), 0, bound)
-	if got := n.sendBatch(peer.addr(), seqRun(1, 1000, 8)); got != 0 {
-		t.Fatalf("a ring full of unacked tuples accepted %d more", got)
-	}
 	s := awaitOutbox(t, n, "ring full, nothing acked", 0, bound)
-	if s.Dropped != 12*16+8-bound || s.Enqueued != 12*16+8 {
-		t.Fatalf("overflow accounting: %+v", s)
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case k := <-done:
+		t.Fatalf("offers past a full ring returned (%d placed) with no ack", k)
+	default:
 	}
+	if s = n.outboxSnapshots()[0]; s.Enqueued != bound || s.Dropped != 0 || s.Pending != bound {
+		t.Fatalf("waiting for room: %+v", s)
+	}
+	// Each ack makes room for the next OutboxCap tuples, which the writer
+	// ships, numbered where the ring left off.
+	for read := bound; read < total; read += min(bound, total-read) {
+		c.ack(uint64(read))
+		k := min(bound, total-read)
+		wantSeqs(t, fmt.Sprintf("after the ack of %d", read), c.readN(uint64(read), k), read, k)
+	}
+	c.ack(total)
+	s = awaitOutbox(t, n, "everything offered acked", total, 0)
+	if k := <-done; k != total || s.Dropped != 0 || s.Enqueued != total {
+		t.Fatalf("placed %d of %d: %+v", k, total, s)
+	}
+}
 
-	c.ack(bound)
-	awaitOutbox(t, n, "everything accepted acked", bound, 0)
-	// The freed ring takes offers again, numbered where the ring left off.
-	if got := n.sendBatch(peer.addr(), seqRun(1, bound, 10)); got != 10 {
-		t.Fatalf("acked ring accepted %d of 10", got)
+// A producer waiting for durable ring room is released when no ack can come
+// any more: by the node's Close, and by a redeploy that retires the outbox
+// (its peer is no longer durable). What it had not placed is counted
+// dropped, as at shutdown, and the outbox identity still closes.
+func TestDurableRetainReleasedByStop(t *testing.T) {
+	const bound, offered = 64, 100
+	for _, how := range []string{"close", "retire"} {
+		t.Run(how, func(t *testing.T) {
+			peer := newAckPeer(t) // the kernel completes the dial; nothing acks
+			n := durableSender(t, peer.addr(), NodeConfig{OutboxCap: bound})
+			o := n.outboxFor(peer.addr())
+			done := make(chan int, 1)
+			go func() { done <- n.sendBatch(peer.addr(), seqRun(1, 0, offered)) }()
+			waitUntil(t, 5*time.Second, "a full ring", func() bool { return o.stats().Pending == bound })
+			select {
+			case k := <-done:
+				t.Fatalf("the offer returned (%d placed) with the ring full and no ack", k)
+			case <-time.After(50 * time.Millisecond):
+			}
+			t0 := time.Now()
+			if how == "close" {
+				n.Close()
+			} else if err := n.deploy(&NodeSpec{}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case k := <-done:
+				if k != bound {
+					t.Fatalf("released offer placed %d, want %d", k, bound)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%s did not release the waiting producer", how)
+			}
+			if d := time.Since(t0); d > time.Second {
+				t.Fatalf("%s released the waiting producer after %v", how, d)
+			}
+			s := o.stats()
+			swept := int64(0)
+			if how == "close" {
+				swept = bound // Close sweeps the ring itself too
+			}
+			if s.Enqueued != offered || s.Dropped != offered-bound+swept || s.Enqueued != s.Sent+s.Dropped+s.Pending {
+				t.Fatalf("after %s: %+v", how, s)
+			}
+		})
 	}
-	wantSeqs(t, "after the ack", c.readN(bound, 10), bound, 10)
-	c.ack(bound + 10)
-	awaitOutbox(t, n, "second run acked", bound+10, 0)
 }
 
 // A reconnect rewinds shipped to acked: the new connection opens with the
@@ -695,6 +785,7 @@ func (c *recordConn) SetWriteDeadline(time.Time) error { return nil }
 
 // shipper is an outbox with no writer goroutine, for a test that calls ship
 // itself and records each write. Tuple Seq equals ring position throughout.
+// Its node runs no WAL, so a full ring drops rather than waits.
 func shipper(t *testing.T, ringCap int, durable bool) (*outbox, *recordConn) {
 	t.Helper()
 	n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{OutboxCap: ringCap})

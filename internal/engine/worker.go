@@ -12,16 +12,17 @@ import (
 // workerRun holds one lane worker's per-run state: the run it took (slots of
 // the lane queue itself, see lane.take; read only), emitted outputs, the
 // operator whose mutex the worker currently holds, the targeted-delivery
-// cache, per-destination forward groups, local re-entry buckets per lane,
-// the per-operator estimator samples accumulated over the run, and the
-// run's virtual-CPU pacing state. Reuse keeps the steady-state dequeue path
-// allocation-free.
+// cache, per-destination relay, keyed-forward and egress groups, local
+// re-entry buckets per lane, the per-operator estimator samples accumulated
+// over the run, and the run's virtual-CPU pacing state. Reuse keeps the
+// steady-state dequeue path allocation-free.
 type workerRun struct {
 	tuples  []Tuple // read only: aliases the lane queue
 	outs    []Tuple
 	held    *liveOp // operator whose mu this worker holds; see hold
 	tgts    []tgtEntry
 	fwds    destRuns    // copies for consumers that left, along their relay entries
+	keyed   destRuns    // keyed tuples received for a replica on another node
 	egress  destRuns    // routeBatch per-destination remote groups
 	locals  [][]Tuple   // routeBatch per-lane local re-entry buckets
 	samples []runSample // per-(op, run) estimator aggregation
@@ -32,6 +33,54 @@ type workerRun struct {
 	started             bool
 	startNano, busyBase int64
 	busyDelta, laneBusy int64
+}
+
+// relayRun is one per-destination slice of tuples a worker run sends, built
+// while the run steps its tuples and offered once the run is done.
+type relayRun struct {
+	addr string
+	ts   []Tuple
+}
+
+// destRuns groups tuples into one run per destination address. reset keeps
+// the runs' backing arrays, so steady-state grouping allocates nothing.
+type destRuns []relayRun
+
+func (d *destRuns) reset() { *d = (*d)[:0] }
+
+// add appends ts, in order, to addr's run.
+func (d *destRuns) add(addr string, ts []Tuple) {
+	r := d.run(addr)
+	r.ts = append(r.ts, ts...)
+}
+
+// addFor appends copies of ts addressed to the follower's consumer.
+func (d *destRuns) addFor(f follower, ts []Tuple) {
+	r := d.run(f.addr)
+	n := len(r.ts)
+	r.ts = append(r.ts, ts...)
+	for i := n; i < len(r.ts); i++ {
+		r.ts[i].target = f.target
+	}
+}
+
+// run returns addr's run, starting an empty one on first use.
+func (d *destRuns) run(addr string) *relayRun {
+	rs := *d
+	for i := range rs {
+		if rs[i].addr == addr {
+			return &rs[i]
+		}
+	}
+	if i := len(rs); i < cap(rs) {
+		rs = rs[:i+1]
+		rs[i].addr = addr
+		rs[i].ts = rs[i].ts[:0]
+	} else {
+		rs = append(rs, relayRun{addr: addr})
+	}
+	*d = rs
+	return &rs[len(rs)-1]
 }
 
 // runSample accumulates one operator's estimator sample over a whole run,
@@ -138,18 +187,18 @@ type tgtEntry struct {
 	relay   string
 }
 
-// targetOf returns the cached resolution for an addressed tuple of stream
-// entry sr, resolving it from the route snapshot on a miss. The snapshot is
-// immutable, so no lock is needed.
-func (r *workerRun) targetOf(rs *routeState, sr *streamRoute, t *Tuple) *tgtEntry {
+// targetOf returns the cached resolution of a delivery on stream sid (entry
+// sr) addressed to target, resolving it from the route snapshot on a miss.
+// The snapshot is immutable, so no lock is needed.
+func (r *workerRun) targetOf(rs *routeState, sr *streamRoute, sid, target int32) *tgtEntry {
 	for i := range r.tgts {
-		if r.tgts[i].id == t.target && r.tgts[i].sid == t.Stream {
+		if r.tgts[i].id == target && r.tgts[i].sid == sid {
 			return &r.tgts[i]
 		}
 	}
-	e := tgtEntry{id: t.target, sid: t.Stream, op: rs.ops[int(t.target)-1]}
+	e := tgtEntry{id: target, sid: sid, op: rs.ops[int(target)-1]}
 	if e.op == nil {
-		e.relay = sr.relay[int(t.target)-1]
+		e.relay = sr.relay[int(target)-1]
 	}
 	r.tgts = append(r.tgts, e)
 	return &r.tgts[len(r.tgts)-1]
@@ -212,9 +261,10 @@ func (n *Node) laneWorker(l *lane) {
 // Tuples are stepped a stretch at a time: the longest stretch of equal
 // Stream and target that has exactly one consumer — the stream's only local
 // operator, or the addressed one — goes to process in one call, and to each
-// relay entry as one copy. A traced tuple, a stall tuple and a tuple of a
-// stream with several consumers are stretches of one, so the traced tuple's
-// stage boundaries stay its own and outputs stay tuple-major.
+// relay entry as one copy. A traced tuple, a stall tuple, an untargeted
+// keyed tuple (each picks its own replica) and a tuple of a stream with
+// several consumers are stretches of one, so the traced tuple's stage
+// boundaries stay its own and outputs stay tuple-major.
 func (n *Node) processRun(l *lane, run *workerRun, rs *routeState) {
 	nodeID := rs.nodeID()
 	ev, stages, _ := n.observer()
@@ -225,6 +275,7 @@ func (n *Node) processRun(l *lane, run *workerRun, rs *routeState) {
 	var stranded int64
 	run.outs = run.outs[:0]
 	run.fwds.reset()
+	run.keyed.reset()
 	run.tgts = run.tgts[:0]
 	var sr *streamRoute
 	var sid int32
@@ -242,7 +293,7 @@ func (n *Node) processRun(l *lane, run *workerRun, rs *routeState) {
 		}
 		traced := t.Flags&TupleTraced != 0
 		j := i + 1
-		if !traced && (t.target != 0 || len(sr.cons) < 2) {
+		if !traced && (t.target != 0 || sr.part == nil && len(sr.cons) < 2) {
 			for j < len(run.tuples) {
 				u := &run.tuples[j]
 				if u.Stream != sid || u.target != t.target || u.Flags&TupleTraced != 0 {
@@ -263,15 +314,33 @@ func (n *Node) processRun(l *lane, run *workerRun, rs *routeState) {
 		outsBefore := len(run.outs)
 		var cost float64 // the last tuple's, over its consumers; not yet charged
 		switch {
-		case t.target != 0:
+		case t.target != 0 || sr.part != nil:
 			// Addressed delivery (a keyed replica, or a consumer the tuple
 			// was relayed to): exactly one operator, never the stream's
 			// subscribers. If it left between admission and draining,
-			// follow its relay entry; with none, count the loss.
-			if e := run.targetOf(rs, sr, t); e.op != nil {
+			// follow its relay entry; with none, count the loss. A keyed
+			// tuple admitted untargeted — its replica lived on another node
+			// by the table ingress read — is routed by this snapshot's
+			// table: addressed to its replica when that is here now, sent
+			// on to the replica's node as it is otherwise (its Seq kept,
+			// and counted again neither in the slot tallies, which only the
+			// splitter's home keeps, nor as emitted).
+			tgt := t.target
+			if tgt == 0 {
+				d := &sr.part.route[slotOf(t)]
+				if tgt = d.target; tgt == 0 {
+					if d.addr != "" {
+						run.keyed.add(d.addr, ts)
+					} else {
+						stranded += int64(len(ts))
+					}
+					break
+				}
+			}
+			if e := run.targetOf(rs, sr, sid, tgt); e.op != nil {
 				cost = n.process(run, e.op, ts)
 			} else if e.relay != "" {
-				run.fwds.add(e.relay, ts)
+				run.fwds.addFor(follower{tgt, e.relay}, ts)
 			} else {
 				stranded += int64(len(ts))
 			}
@@ -328,6 +397,9 @@ func (n *Node) processRun(l *lane, run *workerRun, rs *routeState) {
 	run.flushSamples(n.estimator)
 	for i := range run.fwds {
 		n.sendRelay(run.fwds[i].addr, run.fwds[i].ts)
+	}
+	for i := range run.keyed {
+		n.sendBatch(run.keyed[i].addr, run.keyed[i].ts)
 	}
 	n.routeBatch(l, rs, run)
 }

@@ -47,7 +47,9 @@ const (
 	// MetricStreamShed counts shed tuples per node and victim stream.
 	MetricStreamShed = "rodsp_stream_tuples_shed_total"
 	// MetricNodeOutboxDrop counts tuples dropped by a node's per-peer
-	// outboxes (overflow, injected drop faults, lost on disconnect).
+	// outboxes: ring overflow on a node without a WAL, injected drop
+	// faults, failed writes, and what a ring still holds at shutdown. A
+	// node with a WAL never overflows a ring: its workers wait for room.
 	MetricNodeOutboxDrop = "rodsp_node_outbox_dropped_total"
 	// MetricNodePeerReconnects counts peer links re-established after a
 	// failure (the outbox backoff/reconnect cycle succeeding).
