@@ -105,7 +105,7 @@ func main() {
 
 		queue      = flag.Int("queue", engine.DefaultIngressCap, "per-node ingress queue bound (tuples); arrivals beyond it are shed")
 		shedPolicy = flag.String("shed-policy", "drop-newest", "load-shedding policy at the ingress bound: drop-newest | drop-oldest")
-		outboxCap  = flag.Int("outbox", engine.DefaultOutboxCap, "per-peer outbox buffer (tuples); overflow is dropped and counted")
+		outboxCap  = flag.Int("outbox", engine.DefaultOutboxCap, "per-peer outbox bound (tuples; each ring grows to what its link holds, up to this); without a WAL, overflow is dropped and counted")
 		workers    = flag.Int("workers", 0, "worker lanes per node (parallel data-plane shards; 0 = one per core, 1 = single-lane)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run here")

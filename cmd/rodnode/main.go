@@ -53,7 +53,7 @@ func main() {
 	capacity := flag.Float64("capacity", 1.0, "virtual CPU capacity (cost-units/second)")
 	queue := flag.Int("queue", engine.DefaultIngressCap, "ingress queue bound (tuples); arrivals beyond it are shed")
 	shedPolicy := flag.String("shed-policy", "drop-newest", "load-shedding policy at the ingress bound: drop-newest | drop-oldest")
-	outboxCap := flag.Int("outbox", engine.DefaultOutboxCap, "per-peer outbox buffer (tuples); overflow is dropped and counted")
+	outboxCap := flag.Int("outbox", engine.DefaultOutboxCap, "per-peer outbox bound (tuples; each ring grows to what its link holds, up to this); without a WAL, overflow is dropped and counted")
 	workers := flag.Int("workers", 0, "worker lanes (parallel data-plane shards; 0 = one per core, 1 = single-lane)")
 	eventsPath := flag.String("events", "", "append JSON-lines events to this file ('-' for stderr)")
 	walDir := flag.String("wal-dir", "", "enable the durability layer: WAL + checkpoints in this directory (recovered on restart)")

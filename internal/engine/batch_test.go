@@ -84,10 +84,12 @@ func TestNoRouteAccounting(t *testing.T) {
 // Outbox invariant under batched flushes: concurrent batch enqueues racing
 // a severed/healed link and reconnects still satisfy
 // enqueued == sent + dropped + pending at quiescence, with every tuple
-// accounted exactly once. Run with -race.
+// accounted exactly once. The ring starts at one frame of slots and grows
+// to OutboxCap while the link flips, and some tuples are traced, so the
+// writer's TraceTs refresh meets the growth. Run with -race.
 func TestOutboxBatchInvariant(t *testing.T) {
 	a, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{
-		OutboxCap:   512,
+		OutboxCap:   4 * outboxBatchMax,
 		BackoffBase: 2 * time.Millisecond,
 		BackoffMax:  10 * time.Millisecond,
 	})
@@ -95,6 +97,7 @@ func TestOutboxBatchInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	a.SetObserver(obs.NewEventLog(0), nil, 0)
 	b, err := NewNode("127.0.0.1:0", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +121,9 @@ func TestOutboxBatchInvariant(t *testing.T) {
 			for i := 0; i < batches; i++ {
 				for j := range batch {
 					batch[j] = Tuple{Stream: 1, Seq: int64(p*batches*batchSize + i*batchSize + j)}
+					if j%7 == 0 {
+						batch[j].Flags, batch[j].TraceTs = TupleTraced, 1
+					}
 				}
 				a.sendBatch(addr, batch)
 			}
@@ -170,6 +176,7 @@ func TestOutboxBatchOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	a.SetObserver(obs.NewEventLog(0), nil, 0)
 	b, err := NewNode("127.0.0.1:0", 1)
 	if err != nil {
 		t.Fatal(err)

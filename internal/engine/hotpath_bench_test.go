@@ -101,15 +101,16 @@ type discardConn struct{ net.Conn }
 func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
 func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 
-// One outbox write: whole frames gathered from a full ring up to the write
-// budget (four 512-tuple frames of plain records), encoded and written to a
-// connection that discards them. After each ship the freed slots are handed
-// back as if a producer had refilled them (tail moves, the slots keep the
-// tuples they held), so only the writer's side is timed.
+// One outbox write: whole frames gathered from a ring filled to OutboxCap
+// up to the write budget (four 512-tuple frames of plain records), encoded
+// and written to a connection that discards them. After each ship the
+// freed slots are handed back as if a producer had refilled them (tail
+// moves, the slots keep the tuples they held), so only the writer's side
+// is timed.
 func BenchmarkOutboxShip(b *testing.B) {
 	n := hotPathNode(b)
 	o := newOutbox(n, deadAddr(b), false)
-	o.enqueueBatch(seqRun(2, 0, len(o.ring)), false)
+	o.enqueueBatch(seqRun(2, 0, n.cfg.OutboxCap), false)
 	var conn net.Conn = discardConn{}
 	ship := func() int {
 		k, err := o.ship(conn)
@@ -199,6 +200,27 @@ func BenchmarkDurableAdmit(b *testing.B) {
 	reportPerTuple(b, outboxBatchMax)
 }
 
+// A new link's first batch: the outbox is created, takes one 256-tuple
+// offer and ships it to a connection that discards it, at OutboxCap 65 536.
+// B/op is what a new peer link costs before its first tuple leaves: the
+// ring's first frame of slots and the writer's encode buffer.
+func BenchmarkOutboxFirstOffer(b *testing.B) {
+	n := hotPathNodeConfig(b, NodeConfig{OutboxCap: 65536})
+	batch := seqRun(2, 0, 256)
+	var conn net.Conn = discardConn{}
+	addr := deadAddr(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := newOutbox(n, addr, false)
+		o.enqueueBatch(batch, false)
+		if k, err := o.ship(conn); k != len(batch) || err != nil {
+			b.Fatalf("shipped %d tuples (%v), want %d", k, err, len(batch))
+		}
+	}
+	reportPerTuple(b, len(batch))
+}
+
 // After warm-up none of the five layers allocates per run.
 func TestHotPathSteadyStateAllocs(t *testing.T) {
 	n := hotPathNode(t)
@@ -225,7 +247,7 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 		c.recordBatch(batch, "n1", int64(time.Second))
 	}
 	o := newOutbox(n, deadAddr(t), false)
-	o.enqueueBatch(seqRun(2, 0, len(o.ring)), false)
+	o.enqueueBatch(seqRun(2, 0, n.cfg.OutboxCap), false) // grows the ring to its last size
 	var conn net.Conn = discardConn{}
 	ship := func() {
 		k, _ := o.ship(conn)

@@ -12,7 +12,9 @@ import (
 
 // tupleSink is a raw TCP collector: it accepts tuple connections (the
 // connTuples preamble plus binary frames, exactly what a peer node would
-// read) and records arrivals per stream in arrival order.
+// read) and records arrivals per stream in arrival order. It acks each
+// frame that carries a sequence once it has recorded the frame, as a
+// durable peer acks once it has logged one.
 type tupleSink struct {
 	ln       net.Listener
 	mu       sync.Mutex
@@ -58,6 +60,11 @@ func (s *tupleSink) serve(conn net.Conn) {
 			s.total++
 		}
 		s.mu.Unlock()
+		if seq, ok := tr.BatchSeq(); ok {
+			if writeAck(conn, seq) != nil {
+				return
+			}
+		}
 	}
 }
 

@@ -19,7 +19,8 @@ import (
 //     output, which go where the deployed spec sends that stream; an entry
 //     its earlier departure from there left is deleted;
 //  2. both nodes charge a stall (the state-transfer cost) to their virtual
-//     CPUs;
+//     CPUs, which delays their tuples only by what exceeds each node's
+//     idle credit (see Node.stall) — a charge, not a pause;
 //  3. the source node removes the operator and records, on each input
 //     stream, a relay entry naming it and the destination. Upstream
 //     producers and source drivers keep sending to the deployed homes; a
@@ -36,7 +37,11 @@ import (
 
 // MoveOperator migrates one operator to dstNode at runtime, updating the
 // plan in place. stall is the simulated state-transfer time charged to both
-// nodes' virtual CPUs (0 for stateless operators).
+// nodes' virtual CPUs (0 for stateless operators). The charge pauses
+// neither node: it delays a node's tuples only by what exceeds the node's
+// idle credit (see Node.stall), so a move between lightly loaded nodes
+// costs them nothing and one off a saturated node holds it for up to
+// stall.
 func (cl *Cluster) MoveOperator(g *query.Graph, plan *placement.Plan, opID query.OpID, dstNode int, stall time.Duration) error {
 	if dstNode < 0 || dstNode >= len(cl.Nodes) {
 		return fmt.Errorf("engine: destination node %d outside [0,%d)", dstNode, len(cl.Nodes))

@@ -13,8 +13,9 @@ import (
 )
 
 // Per-peer outbox: every remote destination gets one goroutine (the
-// writer) fed by ONE bounded ring of exactly cfg.OutboxCap tuples. Three
-// monotone positions under one mutex describe everything the outbox holds:
+// writer) fed by ONE bounded ring that holds at most cfg.OutboxCap tuples.
+// Three monotone positions under one mutex describe everything the outbox
+// holds:
 //
 //	      acked          shipped           tail
 //	        │               │                │
@@ -22,17 +23,25 @@ import (
 //	 settled│ on the wire,  │ accepted, not  │ free: tail − acked ≤ OutboxCap
 //	        │ awaiting ack  │ yet written    │
 //
+// The ring's backing array grows to what the link holds: it starts at one
+// frame, min(OutboxCap, outboxBatchMax) slots, and put doubles it, up to
+// OutboxCap, when an offer would take tail − acked past its length, copying
+// [acked, tail) to the same positions modulo the new length. It never
+// shrinks, so its memory follows the link's high-water mark, and a new link
+// costs one frame of slots rather than OutboxCap of them. The bound and the
+// credit are OutboxCap whatever the array's length.
+//
 // The producers are the node's lane workers; they append at tail. The
-// writer reads [shipped, tail) under the lock and, with the lock released,
-// encodes it straight from the ring slots as consecutive frames of at most
-// outboxBatchMax tuples each (a frame stops at the ring's wrap, so its slots
-// are contiguous; see ship for why nobody else touches them), gathering
-// whole frames while the burst fits the receiver's read buffer; it then
-// advances shipped and issues one write. On a volatile link acked follows
-// shipped as soon as the write returns. On a durable link (the peer runs a
-// WAL too) each frame carries the position after its last tuple as its
-// sequence, so the peer's cumulative ack IS the new acked cursor: a tuple
-// leaves the ring only when an ack covers it, retention is the region
+// writer takes the array with [shipped, tail) under the lock and, with the
+// lock released, encodes it straight from those slots as consecutive frames
+// of at most outboxBatchMax tuples each (a frame stops at the array's wrap,
+// so its slots are contiguous; see ship for why nobody else touches them),
+// gathering whole frames while the burst fits the receiver's read buffer;
+// it then advances shipped and issues one write. On a volatile link acked
+// follows shipped as soon as the write returns. On a durable link (the peer
+// runs a WAL too) each frame carries the position after its last tuple as
+// its sequence, so the peer's cumulative ack IS the new acked cursor: a
+// tuple leaves the ring only when an ack covers it, retention is the region
 // [acked, shipped) held in place, and a reconnect rewinds shipped to
 // acked — replay is the ordinary ship loop.
 //
@@ -99,7 +108,7 @@ type outbox struct {
 	mu                   sync.Mutex
 	room                 sync.Cond // on mu: acked moved or the outbox stopped
 	stopped              bool      // no room will come: waiting producers give up
-	ring                 []Tuple   // position p lives in ring[p % len(ring)]
+	ring                 []Tuple   // position p lives in ring[p % len(ring)]; grows to OutboxCap
 	acked, shipped, tail uint64    // acked ≤ shipped ≤ tail ≤ acked + len(ring)
 	enqueued             int64
 	sent                 int64
@@ -119,7 +128,7 @@ func newOutbox(n *Node, addr string, durable bool) *outbox {
 		incarnation: uint64(n.bornNano),
 		quit:        make(chan struct{}),
 		notify:      make(chan struct{}, 1),
-		ring:        make([]Tuple, n.cfg.OutboxCap),
+		ring:        make([]Tuple, min(n.cfg.OutboxCap, outboxBatchMax)),
 	}
 	o.room.L = &o.mu
 	return o
@@ -161,10 +170,12 @@ func (o *outbox) enqueueBatch(ts []Tuple, relay bool) int {
 }
 
 // put copies the longest prefix of ts the ring has room for to its tail,
-// numbering relayed copies, and returns the prefix's length. Callers hold
-// o.mu.
+// growing the array first if the offer would overfill it, numbering relayed
+// copies, and returns the prefix's length. Callers hold o.mu.
 func (o *outbox) put(ts []Tuple, relay bool) int {
-	k := min(len(o.ring)-int(o.tail-o.acked), len(ts))
+	held := int(o.tail - o.acked)
+	o.grow(held + len(ts))
+	k := min(len(o.ring)-held, len(ts))
 	at := int(o.tail % uint64(len(o.ring)))
 	first := copy(o.ring[at:], ts[:k])
 	copy(o.ring, ts[first:k])
@@ -185,6 +196,27 @@ func (o *outbox) put(ts []Tuple, relay bool) int {
 	o.tail += uint64(k)
 	o.enqueued += int64(k)
 	return k
+}
+
+// grow doubles the ring's array until it holds need tuples or reaches
+// OutboxCap, and moves [acked, tail) to the same positions modulo the new
+// length. The old array is never written again, so a writer still encoding
+// from it reads slots nobody touches (see ship). Callers hold o.mu.
+func (o *outbox) grow(need int) {
+	size, bound := len(o.ring), o.node.cfg.OutboxCap
+	if need <= size || size == bound {
+		return
+	}
+	for size < need && size < bound {
+		size *= 2
+	}
+	ring := make([]Tuple, min(size, bound))
+	for p := o.acked; p < o.tail; {
+		from, to := int(p%uint64(len(o.ring))), int(p%uint64(len(ring)))
+		k := copy(ring[to:], o.ring[from:min(len(o.ring), from+int(o.tail-p))])
+		p += uint64(k)
+	}
+	o.ring = ring
 }
 
 // stop ends the outbox: its writer exits after a best-effort final drain,
@@ -377,25 +409,28 @@ func (o *outbox) drain(conn net.Conn) error {
 // ship sends what is ready, [shipped, tail), as a burst of frames with one
 // write under a write deadline (so a stalled peer surfaces as an error
 // instead of blocking shutdown), honoring an injected fault, and returns
-// how many tuples it shipped (0: nothing to do until the next wakeup). A
-// frame is at most outboxBatchMax tuples and never crosses the ring's wrap,
-// so it is one contiguous stretch of ring slots, encoded where it lies with
-// the lock released; whole frames are gathered while the write stays within
-// tupleConnBuffer, the receiver's read buffer. Producers only write slots at
-// positions ≥ tail, which map onto the ring clear of [acked, tail), and
-// acked never passes shipped, which moves only after the encode — so
-// nothing else touches the burst's slots meanwhile, and an ack arriving
-// before shipped moves names tuples not yet written and fails the
-// connection (applyAck). Drop accounting stays per tuple. A volatile burst
-// is settled here — sent on success, dropped on a failed write. Each durable
-// frame carries its end position as its sequence and stays in the ring
-// until applyAck covers it; a failed write leaves the burst for the
-// reconnect replay. A Drop fault discards one frame's worth of tuples per
-// call, and a Delay fault stalls each write.
+// how many tuples it shipped (0: nothing to do until the next wakeup). It
+// takes the ring's array with the cursors and encodes from that snapshot
+// with the lock released. A frame is at most outboxBatchMax tuples and
+// never crosses the array's wrap, so it is one contiguous stretch of slots,
+// encoded where it lies; whole frames are gathered while the write stays
+// within tupleConnBuffer, the receiver's read buffer. Nothing else writes
+// the burst's slots meanwhile: producers only write the current array, at
+// positions ≥ tail, which map clear of [acked, tail); acked never passes
+// shipped, which moves only after the encode; a growth copies the slots
+// into a new array and never writes the old one again; and the only other
+// slot write, traceOut's, is this goroutine's. An ack arriving before
+// shipped moves names tuples not yet written and fails the connection
+// (applyAck). Drop accounting stays per tuple. A volatile burst is settled
+// here — sent on success, dropped on a failed write. Each durable frame
+// carries its end position as its sequence and stays in the ring until
+// applyAck covers it; a failed write leaves the burst for the reconnect
+// replay. A Drop fault discards one frame's worth of tuples per call, and a
+// Delay fault stalls each write.
 func (o *outbox) ship(conn net.Conn) (int, error) {
 	f := o.node.linkFault(o.addr)
 	o.mu.Lock()
-	from, tail := o.shipped, o.tail
+	ring, from, tail := o.ring, o.shipped, o.tail
 	if from == tail {
 		o.mu.Unlock()
 		return 0, nil
@@ -407,7 +442,7 @@ func (o *outbox) ship(conn net.Conn) (int, error) {
 		// tuples as dropped.
 		k := 0
 		if o.acked == o.shipped {
-			k = o.frameLen(from, tail)
+			k = frameLen(from, tail, len(ring))
 			o.acked += uint64(k)
 			o.shipped = o.acked
 			o.dropped += int64(k)
@@ -420,9 +455,9 @@ func (o *outbox) ship(conn net.Conn) (int, error) {
 	o.enc = o.enc[:0]
 	pos := from
 	for pos < tail {
-		k := o.frameLen(pos, tail)
-		at := int(pos % uint64(len(o.ring)))
-		run := o.ring[at : at+k]
+		k := frameLen(pos, tail, len(ring))
+		at := int(pos % uint64(len(ring)))
+		run := ring[at : at+k]
 		fields := fieldsOf(run)
 		if o.durable {
 			fields |= fieldSeq
@@ -430,7 +465,7 @@ func (o *outbox) ship(conn net.Conn) (int, error) {
 		if len(o.enc) > 0 && len(o.enc)+frameSize(fields, k) > tupleConnBuffer {
 			break
 		}
-		o.traceOut(run)
+		o.traceOut(run, pos)
 		pos += uint64(k)
 		o.enc = appendFrame(o.enc, run, fields, pos)
 	}
@@ -460,20 +495,26 @@ func (o *outbox) ship(conn net.Conn) (int, error) {
 	return k, err
 }
 
-// frameLen is the length of the frame that starts at position pos: at most
-// outboxBatchMax tuples, ending at tail or at the ring's end.
-func (o *outbox) frameLen(pos, tail uint64) int {
-	return min(int(tail-pos), outboxBatchMax, len(o.ring)-int(pos%uint64(len(o.ring))))
+// frameLen is the length of the frame that starts at position pos in an
+// array of size slots: at most outboxBatchMax tuples, ending at tail or at
+// the array's end.
+func frameLen(pos, tail uint64, size int) int {
+	return min(int(tail-pos), outboxBatchMax, size-int(pos%uint64(size)))
 }
 
-// traceOut marks the stage boundary of a traced tuple leaving the outbox:
-// the time since its last boundary (the worker's service end, or its
-// ingress admission on a relay hop) is outbox residence. The refreshed
-// TraceTs is written into the ring slot and goes onto the wire from there,
-// so the receiver's transit stage starts here. A durable replay re-sends the
-// slot as it was last shipped and refreshes it again: its outbox stage is
-// the time since the previous send, and the stages still telescope.
-func (o *outbox) traceOut(run []Tuple) {
+// traceOut marks the stage boundary of the traced tuples of run, which
+// starts at position pos, as they leave the outbox: the time since a
+// tuple's last boundary (the worker's service end, or its ingress admission
+// on a relay hop) is outbox residence. The spans are emitted without the
+// lock; the refreshed TraceTs is then written, under o.mu (a growth reads
+// the current array's slots), into run (the writer's snapshot, which goes
+// onto the wire)
+// and into the slot of the ring's current array, which differs if the ring
+// grew since the snapshot, so the receiver's transit stage starts here. A
+// durable replay re-sends the slot as it was last shipped and refreshes it
+// again: its outbox stage is the time since the previous send, and the
+// stages still telescope.
+func (o *outbox) traceOut(run []Tuple, pos uint64) {
 	ev, stages, _ := o.node.observer()
 	if ev == nil && stages == nil {
 		return
@@ -490,12 +531,22 @@ func (o *outbox) traceOut(run []Tuple) {
 		if run[i].TraceTs > 0 {
 			wait = float64(now-run[i].TraceTs) / float64(time.Second)
 		}
-		run[i].TraceTs = now
 		stages.Observe(obs.StageOutbox, wait)
 		ev.Emit(obs.LevelDebug, obs.EventSpan, "stage", "outbox",
 			"addr", o.addr, "stream", int(run[i].Stream), "seq", run[i].Seq,
 			"ts", run[i].Ts, "wait", wait)
 	}
+	if now == 0 {
+		return
+	}
+	o.mu.Lock()
+	for i := range run {
+		if run[i].Flags&TupleTraced != 0 {
+			run[i].TraceTs = now
+			o.ring[(pos+uint64(i))%uint64(len(o.ring))].TraceTs = now
+		}
+	}
+	o.mu.Unlock()
 }
 
 // dropRemaining counts everything still in the ring as dropped — at

@@ -525,86 +525,115 @@ func TestOutboxAckValidation(t *testing.T) {
 	awaitOutbox(t, n, "replayed tuples acked", 15, 0)
 }
 
-// N producers share one outbox to a reading peer: each producer's accepted
-// tuples arrive in the order it offered them, the ledger closes, and the
-// identity enqueued == sent + dropped + pending holds on every snapshot
-// taken while producers and writer are running, not only at the end.
+// Every producer's accepted tuples arrive in its offer order while the
+// ring wraps, grows and (without a WAL) overflows under several producers,
+// and enqueued == sent + dropped + pending holds in every snapshot. The
+// ring starts at one frame of slots and grows to OutboxCap while the
+// writer encodes from it and, on the durable link, acks arrive; some
+// tuples are traced, so the writer's TraceTs refresh meets the growth.
 func TestOutboxMultiProducerFIFO(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	}
 	const producers, runs, per = 6, 300, 24
-	sink := newTupleSink(t)
-	addr := sink.ln.Addr().String()
-	// A ring much smaller than the offered total, so it wraps many times
-	// and overflows now and then.
-	n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{OutboxCap: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	o := n.outboxFor(addr)
-
-	stop := make(chan struct{})
-	sampled := make(chan int)
-	go func() {
-		samples := 0
-		defer func() { sampled <- samples }()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	bothLinks(t, func(t *testing.T, durable bool) {
+		sink := newTupleSink(t)
+		addr := sink.ln.Addr().String()
+		// A ring much smaller than the offered total, so it wraps many
+		// times and, on the volatile link, overflows now and then.
+		cfg := NodeConfig{OutboxCap: 4 * outboxBatchMax}
+		var n *Node
+		if durable {
+			n = durableSender(t, addr, cfg)
+		} else {
+			var err error
+			if n, err = NewNodeConfig("127.0.0.1:0", 1, cfg); err != nil {
+				t.Fatal(err)
 			}
-			samples++
-			if s := o.stats(); s.Enqueued-s.Sent-s.Dropped-s.Pending != 0 {
-				t.Errorf("sample %d breaks the ledger: %+v", samples, s)
-				return
-			}
+			defer n.Close()
 		}
-	}()
+		n.SetObserver(obs.NewEventLog(0), nil, 0)
+		o := n.outboxFor(addr)
+		// The link is up before the producers start, so the writer
+		// encodes while they offer.
+		waitUntil(t, 5*time.Second, "the outbox connected", func() bool {
+			o.mu.Lock()
+			defer o.mu.Unlock()
+			return o.conn != nil
+		})
 
-	want := make([][]int64, producers)
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for r := 0; r < runs; r++ {
-				run := seqRun(int32(p+1), r*per, per)
-				for _, tp := range run[:n.sendBatch(addr, run)] {
-					want[p] = append(want[p], tp.Seq)
+		stop := make(chan struct{})
+		sampled := make(chan int)
+		go func() {
+			samples := 0
+			defer func() { sampled <- samples }()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				samples++
+				if s := o.stats(); s.Enqueued-s.Sent-s.Dropped-s.Pending != 0 {
+					t.Errorf("sample %d breaks the ledger: %+v", samples, s)
+					return
 				}
 			}
-		}(p)
-	}
-	wg.Wait()
-	waitUntil(t, 10*time.Second, "outbox drained into the sink", func() bool {
-		s := o.stats()
-		return s.Pending == 0 && int64(sink.count()) == s.Sent
-	})
-	close(stop)
-	if samples := <-sampled; samples == 0 {
-		t.Fatal("the sampler never ran")
-	}
+		}()
 
-	s := o.stats()
-	if s.Enqueued != producers*runs*per || s.Enqueued != s.Sent+s.Dropped {
-		t.Fatalf("ledger does not close: %+v", s)
-	}
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	for p := range want {
-		got := sink.byStream[int32(p+1)]
-		if len(got) != len(want[p]) {
-			t.Fatalf("producer %d: %d tuples at the sink, %d accepted", p, len(got), len(want[p]))
+		want := make([][]int64, producers)
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for r := 0; r < runs; r++ {
+					run := seqRun(int32(p+1), r*per, per)
+					for i := range run {
+						if (p+i)%7 == 0 {
+							run[i].Flags, run[i].TraceTs = TupleTraced, 1
+						}
+					}
+					for _, tp := range run[:n.sendBatch(addr, run)] {
+						want[p] = append(want[p], tp.Seq)
+					}
+				}
+			}(p)
 		}
-		for i := range got {
-			if got[i].Seq != want[p][i] {
-				t.Fatalf("producer %d: arrival %d has Seq %d, want %d (order broken)", p, i, got[i].Seq, want[p][i])
+		wg.Wait()
+		waitUntil(t, 10*time.Second, "outbox drained into the sink", func() bool {
+			s := o.stats()
+			return s.Pending == 0 && int64(sink.count()) == s.Sent
+		})
+		close(stop)
+		if samples := <-sampled; samples == 0 {
+			t.Fatal("the sampler never ran")
+		}
+
+		s := o.stats()
+		if s.Enqueued != producers*runs*per || s.Enqueued != s.Sent+s.Dropped || durable && s.Dropped != 0 {
+			t.Fatalf("ledger does not close: %+v", s)
+		}
+		o.mu.Lock()
+		slots := len(o.ring)
+		o.mu.Unlock()
+		if slots <= outboxBatchMax {
+			t.Fatalf("the ring never grew past %d slots: %+v", slots, s)
+		}
+		sink.mu.Lock()
+		defer sink.mu.Unlock()
+		for p := range want {
+			got := sink.byStream[int32(p+1)]
+			if len(got) != len(want[p]) {
+				t.Fatalf("producer %d: %d tuples at the sink, %d accepted", p, len(got), len(want[p]))
+			}
+			for i := range got {
+				if got[i].Seq != want[p][i] {
+					t.Fatalf("producer %d: arrival %d has Seq %d, want %d (order broken)", p, i, got[i].Seq, want[p][i])
+				}
 			}
 		}
-	}
+	})
 }
 
 // Retention is the ring itself, and its free room is the sender's credit:
@@ -886,6 +915,114 @@ func TestOutboxShipFromRingWrap(t *testing.T) {
 	})
 }
 
+// The ring's array grows to what the link holds. A fresh outbox holds one
+// frame of slots whatever OutboxCap is, and an offer that would overfill
+// the array doubles it to the smallest size that takes the offer, never
+// above OutboxCap, carrying the held region [acked, tail) to the same
+// positions. The ledger balances in every snapshot. A durable ring that
+// grows while it holds an unacked region that wraps its old array re-sends
+// that region after a reconnect, record for record and in order, and a
+// traced tuple's refreshed TraceTs lands in the array current at the
+// refresh, though the writer encodes from an older one.
+func TestOutboxRingGrowsWithOccupancy(t *testing.T) {
+	bothLinks(t, func(t *testing.T, durable bool) {
+		const bound = 65536
+		o, conn := shipper(t, bound, durable)
+		if len(o.ring) != outboxBatchMax {
+			t.Fatalf("a fresh outbox at OutboxCap %d holds %d slots, want %d", bound, len(o.ring), outboxBatchMax)
+		}
+		hwm := 0
+		offer := func(from, k int) {
+			t.Helper()
+			ts := seqRun(1, from, k)
+			for i := range ts {
+				ts[i].Ts, ts[i].Value, ts[i].Key = int64(from+i)*7, float64(from+i)/3, uint64(1000+from+i)
+				if i%5 == 0 {
+					ts[i].Flags, ts[i].TraceTs = TupleTraced, int64(from+i)
+				}
+			}
+			room := bound - int(o.tail-o.acked)
+			if got := o.enqueueBatch(ts, false); got != min(k, room) {
+				t.Fatalf("offer of %d at position %d: %d accepted", k, from, got)
+			}
+			hwm = max(hwm, int(o.tail-o.acked))
+			want := outboxBatchMax
+			for want < hwm {
+				want *= 2
+			}
+			if len(o.ring) != min(want, bound) {
+				t.Fatalf("after an offer to position %d (high-water mark %d): %d slots, want %d",
+					from+k, hwm, len(o.ring), min(want, bound))
+			}
+			if s := o.stats(); s.Enqueued != s.Sent+s.Dropped+s.Pending {
+				t.Fatalf("after an offer to position %d: %+v", from+k, s)
+			}
+		}
+		settle := func(pos uint64) {
+			t.Helper()
+			if durable {
+				if err := o.applyAck(pos); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		offer(0, 300)
+		shipWant(t, o, conn, 0, 300)
+		settle(300)
+		// Positions 300..699 wrap the 512-slot array.
+		offer(300, 400)
+		shipWant(t, o, conn, 300, 512, 700)
+		first, _, _ := decodeAll(t, conn.writes[len(conn.writes)-1])
+		if durable {
+			// The region stays unacked while the ring doubles beneath it.
+			offer(700, 600)
+			o.mu.Lock()
+			o.shipped = o.acked // what a reconnect does (writeLoop)
+			o.mu.Unlock()
+			shipWant(t, o, conn, 300, 812, 1024, 1300)
+			replay, _, _ := decodeAll(t, conn.writes[len(conn.writes)-1])
+			for i := range first {
+				if replay[i] != first[i] {
+					t.Fatalf("replayed tuple %d is %+v, first sent as %+v", i, replay[i], first[i])
+				}
+			}
+			settle(1300)
+		} else {
+			offer(700, 600)
+			shipWant(t, o, conn, 700, 1024, 1300)
+		}
+		// Offers up to the bound double the array to OutboxCap, not past it.
+		for pos := 1300; pos < 1300+bound+600; pos += 6000 {
+			offer(pos, min(6000, 1300+bound+600-pos))
+		}
+		if s := o.stats(); len(o.ring) != bound || s.Pending != bound || s.Dropped != 600 {
+			t.Fatalf("past the bound: %d slots, %+v", len(o.ring), s)
+		}
+
+		if durable {
+			o, _ := shipper(t, bound, true)
+			o.node.SetObserver(obs.NewEventLog(0), nil, 0)
+			ts := seqRun(1, 0, 100)
+			for i := range ts {
+				ts[i].Flags, ts[i].TraceTs = TupleTraced, 1
+			}
+			o.enqueueBatch(ts, false)
+			snap := o.ring
+			o.enqueueBatch(seqRun(1, 100, 1000), false)
+			if len(o.ring) != 2048 {
+				t.Fatalf("%d slots after 1100 offered, want 2048", len(o.ring))
+			}
+			o.traceOut(snap[:100], 0)
+			for i := range ts {
+				if o.ring[i].TraceTs <= 1 || o.ring[i].TraceTs != snap[i].TraceTs {
+					t.Fatalf("traced tuple %d: TraceTs %d in the ring, %d in the snapshot: want both refreshed",
+						i, o.ring[i].TraceTs, snap[i].TraceTs)
+				}
+			}
+		}
+	})
+}
+
 // A full ring leaves in writes of as many whole outboxBatchMax frames as
 // fit in tupleConnBuffer: four of plain 28-byte records (a fifth would make
 // 71 710 bytes), three of keyed 36-byte ones (a fourth would make 73 752).
@@ -1089,7 +1226,8 @@ func TestOutboxNumbersRelayedFlows(t *testing.T) {
 		t.Fatalf("accepted %d of 3 into a ring with 2 slots free", got)
 	}
 	seqs := map[markKey][]int64{}
-	for _, tp := range o.ring {
+	for p := o.acked; p < o.tail; p++ {
+		tp := o.ring[p%uint64(len(o.ring))]
 		seqs[markKey{tp.Stream, tp.target}] = append(seqs[markKey{tp.Stream, tp.target}], tp.Seq)
 	}
 	if u := seqs[markKey{1, 0}]; len(u) != 2 || u[0] != 40 || u[1] != 41 {

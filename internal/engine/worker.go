@@ -282,7 +282,7 @@ func (n *Node) processRun(l *lane, run *workerRun, rs *routeState) {
 	for i := 0; i < len(run.tuples); {
 		t := &run.tuples[i]
 		if t.Stream == stallStream {
-			// Migration state-transfer pause: Value already carries the
+			// Migration state-transfer charge: Value already carries the
 			// cost units making svc = Value/capacity = the stall seconds.
 			n.pace(run, t.Value)
 			i++
