@@ -112,12 +112,13 @@ type NodeStats struct {
 	OpCost map[int]float64 `json:"opCost,omitempty"`
 	OpSel  map[int]float64 `json:"opSel,omitempty"`
 
-	// Durability accounting (only when the node runs a WAL). WALRecords /
-	// WALSyncs / WALBytes mirror the log's counters; Checkpoints counts
-	// landed (drained-moment) checkpoints; Replayed is the tuple count
-	// re-admitted from the WAL at the last recovery; DedupDropped counts
-	// duplicate tuples discarded by the per-stream watermarks (re-sent
-	// retained batches after a restart); Recovered marks a node that
+	// Durability accounting (only when the node runs a WAL, except
+	// DedupDropped). WALRecords / WALSyncs / WALBytes mirror the log's
+	// counters; Checkpoints counts landed (drained-moment) checkpoints;
+	// Replayed is the tuple count re-admitted from the WAL at the last
+	// recovery; DedupDropped counts duplicate tuples the sender marks
+	// discarded (re-sent retained batches from a sender with a WAL, which
+	// a node without one filters too); Recovered marks a node that
 	// restored state or backlog from a prior incarnation's WAL directory.
 	WALActive    bool  `json:"walActive,omitempty"`
 	WALRecords   int64 `json:"walRecords,omitempty"`
@@ -141,7 +142,19 @@ func (n *Node) serveControl(br *bufio.Reader, conn net.Conn) {
 		if err := enc.Encode(resp); err != nil {
 			return
 		}
+		if req.closes() {
+			// Answered; now die. Close waits for this goroutine, so it
+			// runs on its own.
+			go n.Close()
+			return
+		}
 	}
+}
+
+// closes reports whether the request, once answered, closes the node: a
+// kill fault or a restart.
+func (req *controlRequest) closes() bool {
+	return req.Cmd == "restart" || req.Cmd == "fault" && req.Fault != nil && req.Fault.Kill
 }
 
 func (n *Node) handleControl(req *controlRequest) *ControlResponse {
@@ -204,12 +217,7 @@ func (n *Node) handleControl(req *controlRequest) *ControlResponse {
 		}
 		switch f := req.Fault; {
 		case f.Kill:
-			// Answer first, then die: the brief delay lets the OK response
-			// flush before the listener and connections are torn down.
-			go func() {
-				time.Sleep(20 * time.Millisecond)
-				n.Close()
-			}()
+			// serveControl closes the node once the answer is written.
 		case f.Clear:
 			n.ClearLinkFault(f.Addr)
 		default:
@@ -231,12 +239,9 @@ func (n *Node) handleControl(req *controlRequest) *ControlResponse {
 		// Like kill, but flags the intent: a supervisor (rodnode's main
 		// loop, or the coordinator's RestartNode) observes
 		// RestartRequested and recreates the node on the same address and
-		// WAL directory, which replays the log and recovers.
+		// WAL directory, which replays the log and recovers. serveControl
+		// closes the node once the answer is written.
 		n.restartIntent.Store(true)
-		go func() {
-			time.Sleep(20 * time.Millisecond)
-			n.Close()
-		}()
 		return &ControlResponse{OK: true}
 	default:
 		return &ControlResponse{Err: fmt.Sprintf("unknown command %q", req.Cmd)}
@@ -276,9 +281,6 @@ func (n *Node) deploy(spec *NodeSpec) error {
 		rs.stream(sid).xfer = x
 	}
 	n.publish(rs)
-	// The durable peer set may have changed with the spec; outboxes created
-	// under the previous route must not keep a stale durability mode.
-	n.refreshOutboxDurability()
 	return nil
 }
 

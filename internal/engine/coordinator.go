@@ -139,7 +139,11 @@ type Collector struct {
 }
 
 // NewCollector starts a collector on addr.
-func NewCollector(addr string) (*Collector, error) {
+func NewCollector(addr string) (*Collector, error) { return newCollector(addr, nil) }
+
+// newCollector starts a collector on addr that also hands every batch it
+// admits to tap, when tap is set.
+func newCollector(addr string, tap func([]Tuple)) (*Collector, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("engine: collector listen: %w", err)
@@ -151,7 +155,7 @@ func NewCollector(addr string) (*Collector, error) {
 		conns: map[net.Conn]bool{},
 	}
 	c.wg.Add(1)
-	go c.accept()
+	go c.accept(tap)
 	return c, nil
 }
 
@@ -276,7 +280,7 @@ func (c *Collector) recordBatch(batch []Tuple, from string, now int64) []Tuple {
 	return admitted
 }
 
-func (c *Collector) accept() {
+func (c *Collector) accept(tap func([]Tuple)) {
 	defer c.wg.Done()
 	for {
 		conn, err := c.ln.Accept()
@@ -295,21 +299,39 @@ func (c *Collector) accept() {
 				delete(c.conns, conn)
 				c.mu.Unlock()
 			}()
-			br := bufio.NewReaderSize(conn, tupleConnBuffer)
-			kind, err := br.ReadByte()
-			if err != nil || kind != connTuples {
+			c.serve(conn, tap)
+		}()
+	}
+}
+
+// serve records one tuple connection's batches until it ends, and acks
+// each sequenced frame (every frame from a node with a WAL) once recorded,
+// so the sender releases it from its ring. The ack follows serveTuples'
+// rule: it is skipped when the read buffer already holds the whole next
+// sequenced frame, whose ack covers both. Nothing here waits on a lane or
+// a ring, which the senders' wait argument relies on (see outbox.go).
+func (c *Collector) serve(conn net.Conn, tap func([]Tuple)) {
+	br := bufio.NewReaderSize(conn, tupleConnBuffer)
+	kind, err := br.ReadByte()
+	if err != nil || kind != connTuples {
+		return
+	}
+	tr := NewTupleReader(br)
+	for {
+		batch, err := tr.ReadBatch()
+		if err != nil {
+			return
+		}
+		_, from, _ := tr.Hello()
+		admitted := c.recordBatch(batch, from, time.Now().UnixNano())
+		if tap != nil {
+			tap(admitted)
+		}
+		if seq, ok := tr.BatchSeq(); ok && !seqFrameBuffered(br) {
+			if writeAck(conn, seq) != nil {
 				return
 			}
-			tr := NewTupleReader(br)
-			for {
-				batch, err := tr.ReadBatch()
-				if err != nil {
-					return
-				}
-				_, from, _ := tr.Hello()
-				c.recordBatch(batch, from, time.Now().UnixNano())
-			}
-		}()
+		}
 	}
 }
 

@@ -18,13 +18,19 @@ import (
 
 // Per-node durability layer (enabled by NodeConfig.WALDir).
 //
-// The design splits responsibility between the two ends of every durable
-// link:
+// Durability is a property of the sender: a node with a WAL numbers every
+// frame it ships and retains it in its outbox until the receiver acks it,
+// on every link it feeds, the collector's included (outbox.go). Every
+// receiver acks the sequenced frames it reads, so the two ends of a link
+// split the work:
 //
-//   - The RECEIVER logs each sequence-bearing ingress batch to its WAL and
-//     acks only after the fsync-batched group commit — so an acked batch
-//     is recoverable, and an unacked one is by definition still retained
-//     in the sender's outbox and will be re-sent on reconnect. Acks are
+//   - The RECEIVER filters each sequence-bearing ingress frame through the
+//     sender's marks, and on a node with a WAL logs what survives and acks
+//     only after the fsync-batched group commit — so an acked batch is
+//     recoverable, and an unacked one is by definition still retained in
+//     the sender's outbox and will be re-sent on reconnect. A node without
+//     a WAL takes the same path with the log step skipped and acks on
+//     admission; the collector acks after recording the batch. Acks are
 //     cumulative, so a frame whose successor has already arrived whole is
 //     covered by that successor's ack (serveTuples).
 //   - Duplicates from re-sends and replay are filtered by one rule, keyed
@@ -260,11 +266,12 @@ type admission struct {
 
 // admitDurable admits one sequence-bearing frame from sender s (batch,
 // decoded from frame as received): filter it against the sender's marks,
-// log what survives, wait for the group commit, advance the marks and
-// enqueue. The record carries the frame as received when the filter kept
-// all of it, the survivors re-encoded otherwise. On a WAL error nothing is
-// admitted and no mark moved, so the sender's re-send passes the filter
-// again. The caller holds s.mu.
+// log what survives and wait for the group commit (on a node with a WAL;
+// a node without one skips this step), advance the marks and enqueue. The
+// record carries the frame as received when the filter kept all of it, the
+// survivors re-encoded otherwise. On a WAL error nothing is admitted and no
+// mark moved, so the sender's re-send passes the filter again. The caller
+// holds s.mu.
 func (n *Node) admitDurable(s *sender, batch []Tuple, frame []byte, a *admission) error {
 	n.durableInflight.Add(1)
 	defer n.durableInflight.Add(-1)
@@ -273,18 +280,20 @@ func (n *Node) admitDurable(s *sender, batch []Tuple, frame []byte, a *admission
 	if len(kept) == 0 {
 		return nil
 	}
-	a.record = appendHello(append(a.record[:0], walRecordTuples), 0, s.addr)
-	if len(kept) == len(batch) {
-		a.record = append(a.record, frame...)
-	} else {
-		a.record = appendFrames(a.record, kept)
-	}
-	rec, err := n.wal.Append(a.record)
-	if err == nil {
-		err = n.wal.WaitCommitted(rec)
-	}
-	if err != nil {
-		return err
+	if n.wal != nil {
+		a.record = appendHello(append(a.record[:0], walRecordTuples), 0, s.addr)
+		if len(kept) == len(batch) {
+			a.record = append(a.record, frame...)
+		} else {
+			a.record = appendFrames(a.record, kept)
+		}
+		rec, err := n.wal.Append(a.record)
+		if err == nil {
+			err = n.wal.WaitCommitted(rec)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	s.marks.advance(a.pending)
 	n.enqueueInboundBatch(kept)

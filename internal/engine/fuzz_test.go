@@ -92,9 +92,11 @@ func FuzzReadFrame(f *testing.F) {
 // frames, valid commands in hostile order — may panic the node or wedge it;
 // after the fuzz bytes are consumed a fresh control connection must still
 // answer a well-formed stats request. The one exception is an input that
-// legitimately decodes to a kill fault, which is *supposed* to stop the node.
+// legitimately decodes to a kill fault or a restart, which is *supposed* to
+// stop the node.
 func FuzzControlCommand(f *testing.F) {
 	f.Add([]byte(`{"cmd":"stats"}`))
+	f.Add([]byte(`{"cmd":"restart"}`))
 	f.Add([]byte(`{"cmd":"deploy"}`))
 	f.Add([]byte(`{"cmd":"deploy","spec":{"nodeId":-7,"ops":[{"id":99}]}}`))
 	f.Add([]byte(`{"cmd":"addop","op":{"id":0,"kind":"delay","cost":-1}}`))
@@ -109,8 +111,9 @@ func FuzzControlCommand(f *testing.F) {
 	f.Add([]byte("\x00\xff garbage"))
 	f.Add([]byte(`{"cmd":"stats"`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// An input containing a decodable kill fault is allowed (required,
-		// even) to stop the node; skip the liveness assertion for those.
+		// An input containing a decodable kill fault or restart is allowed
+		// (required, even) to stop the node; skip the liveness assertion
+		// for those.
 		expectDead := false
 		dec := json.NewDecoder(bytes.NewReader(data))
 		for {
@@ -118,7 +121,7 @@ func FuzzControlCommand(f *testing.F) {
 			if err := dec.Decode(&req); err != nil {
 				break
 			}
-			if req.Cmd == "fault" && req.Fault != nil && req.Fault.Kill {
+			if req.closes() {
 				expectDead = true
 			}
 		}

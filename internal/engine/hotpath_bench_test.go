@@ -109,7 +109,7 @@ func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 // is timed.
 func BenchmarkOutboxShip(b *testing.B) {
 	n := hotPathNode(b)
-	o := newOutbox(n, deadAddr(b), false)
+	o := newOutbox(n, deadAddr(b))
 	o.enqueueBatch(seqRun(2, 0, n.cfg.OutboxCap), false)
 	var conn net.Conn = discardConn{}
 	ship := func() int {
@@ -212,7 +212,7 @@ func BenchmarkOutboxFirstOffer(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := newOutbox(n, addr, false)
+		o := newOutbox(n, addr)
 		o.enqueueBatch(batch, false)
 		if k, err := o.ship(conn); k != len(batch) || err != nil {
 			b.Fatalf("shipped %d tuples (%v), want %d", k, err, len(batch))
@@ -246,7 +246,7 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 		}
 		c.recordBatch(batch, "n1", int64(time.Second))
 	}
-	o := newOutbox(n, deadAddr(t), false)
+	o := newOutbox(n, deadAddr(t))
 	o.enqueueBatch(seqRun(2, 0, n.cfg.OutboxCap), false) // grows the ring to its last size
 	var conn net.Conn = discardConn{}
 	ship := func() {

@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"bufio"
-	"math/rand"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -50,49 +47,16 @@ func (s *sinkTap) count(key uint64) (n int) {
 }
 
 // tapCollector replaces cl's collector, before Deploy, with one that also
-// hands every tuple it admits to the returned tap: the collector's own
-// accept loop with the tap added.
+// hands every tuple it admits to the returned tap.
 func tapCollector(t *testing.T, cl *Cluster) *sinkTap {
 	t.Helper()
 	cl.Collector.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	tap := &sinkTap{seen: map[[2]uint64]int{}}
+	c, err := newCollector("127.0.0.1:0", tap.add)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Collector{ln: ln, cap: DefaultLatencyReservoir, rng: rand.New(rand.NewSource(1)), conns: map[net.Conn]bool{}}
 	cl.Collector = c
-	tap := &sinkTap{seen: map[[2]uint64]int{}}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			c.mu.Lock()
-			c.conns[conn] = true
-			c.mu.Unlock()
-			c.wg.Add(1)
-			go func() {
-				defer c.wg.Done()
-				defer conn.Close()
-				br := bufio.NewReaderSize(conn, tupleConnBuffer)
-				if kind, err := br.ReadByte(); err != nil || kind != connTuples {
-					return
-				}
-				tr := NewTupleReader(br)
-				for {
-					batch, err := tr.ReadBatch()
-					if err != nil {
-						return
-					}
-					_, from, _ := tr.Hello()
-					tap.add(c.recordBatch(batch, from, time.Now().UnixNano()))
-				}
-			}()
-		}
-	}()
 	return tap
 }
 
@@ -420,4 +384,112 @@ func TestDurableRestartUnderLoad(t *testing.T) {
 				r.distinct, r.injected, r.delivered, r.dedupDropped, r.sendMaxMs)
 		})
 	}
+}
+
+// TestDurableSinkLinkSurvivesSever: the link from a node with a WAL to the
+// collector is durable like any other it ships on, so severing it in the
+// middle of a burst loses nothing. The last node of a two-node durable
+// chain at 5 000/s is cut off from the sink for 100 ms; its ring retains
+// what the collector has not acked and re-sends it on reconnect. Every
+// injected tuple is delivered, with no outbox drop on any node; the sink
+// filter absorbs whatever of a partly read burst arrives twice.
+func TestDurableSinkLinkSurvivesSever(t *testing.T) {
+	g := pipeline(t, 0.00002, 0.00002)
+	plan, _ := placement.NewPlan([]int{0, 1}, 2)
+	r := runGraph(t, g, plan, drive{rate: 5000, dur: 800 * time.Millisecond, wal: true, sinkDedup: true,
+		cfg: NodeConfig{CheckpointEvery: 25 * time.Millisecond, BackoffBase: 5 * time.Millisecond},
+		between: func(cl *Cluster) {
+			time.Sleep(300 * time.Millisecond)
+			cl.Nodes[1].SetLinkFault(cl.Collector.Addr(), LinkFault{Sever: true})
+			time.Sleep(100 * time.Millisecond)
+			cl.Nodes[1].ClearLinkFault(cl.Collector.Addr())
+		}})
+	if r.injected == 0 || r.delivered != r.injected || r.distinct != r.injected || r.outboxDropped != 0 || r.shed != 0 {
+		t.Fatalf("delivered %d (%d distinct) of %d injected across a sink-link sever: %d outbox drops, %d shed",
+			r.delivered, r.distinct, r.injected, r.outboxDropped, r.shed)
+	}
+	t.Logf("delivered %d of %d, %d sink duplicates filtered; longest send per node %.1f ms",
+		r.delivered, r.injected, r.dups, r.sendMaxMs)
+}
+
+// TestMixedDurabilityCluster: a node with a WAL feeding one without. The
+// sender's WAL alone makes its link durable, and the receiver without a
+// WAL acks each frame on admission and filters re-sends through the
+// sender's marks (TestDurableIngressMixedFrames/no-wal sends it one), so
+// the sender's 256-tuple ring turns over many times (more than four
+// rings' worth is injected) and a 200 ms sever of the middle link, which
+// fills it, loses nothing and duplicates nothing: every tuple is delivered
+// once, with no shed and no outbox drop. The node without a WAL keeps the
+// default OutboxCap: its link to the sink is volatile, and a volatile ring
+// drops when full by design.
+func TestMixedDurabilityCluster(t *testing.T) {
+	cfgs := []NodeConfig{
+		{WALDir: t.TempDir(), OutboxCap: 256, BackoffBase: 5 * time.Millisecond, CheckpointEvery: 25 * time.Millisecond},
+		{BackoffBase: 5 * time.Millisecond},
+	}
+	var nodes []*Node
+	var addrs []string
+	for _, cfg := range cfgs {
+		n, err := NewNodeConfig("127.0.0.1:0", 1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		nodes = append(nodes, n)
+		addrs = append(addrs, n.Addr())
+	}
+	cl, err := ConnectCluster(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	tap := tapCollector(t, cl)
+	cl.Collector.SetDedup(true)
+	g := pipeline(t, 0.00002, 0.00002)
+	plan, _ := placement.NewPlan([]int{0, 1}, 2)
+	if err := cl.Deploy(g, plan, []float64{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	src := &SourceDriver{
+		Stream: g.Inputs()[0],
+		Trace:  trace.New("const", 1, []float64{2000}),
+		Addrs:  []string{addrs[0]},
+		Keys:   sourceKeys(0),
+	}
+	done := make(chan int64, 1)
+	go func() {
+		n, err := src.Run(800*time.Millisecond, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- n
+	}()
+	time.Sleep(300 * time.Millisecond)
+	nodes[0].SetLinkFault(addrs[1], LinkFault{Sever: true})
+	time.Sleep(200 * time.Millisecond)
+	nodes[0].ClearLinkFault(addrs[1])
+	injected := <-done
+	if err := cl.AwaitQuiescence(10*time.Second, 100*time.Millisecond); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	delivered, _, _, _, _ := cl.Collector.LatencyStats()
+	sts, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shed, dropped int64
+	for _, s := range sts {
+		shed += s.Shed
+		dropped += s.OutboxDropped
+	}
+	if injected <= 4*256 || delivered != injected || tap.distinct() != injected || cl.Collector.Duplicates() != 0 ||
+		shed != 0 || dropped != 0 {
+		t.Fatalf("delivered %d (%d distinct) of %d injected: %d sink duplicates, %d shed, %d outbox drops",
+			delivered, tap.distinct(), injected, cl.Collector.Duplicates(), shed, dropped)
+	}
+	t.Logf("delivered %d of %d; %d re-sent tuples filtered at node 1; longest send on node 0 %.1f ms",
+		delivered, injected, sts[1].DedupDropped, sts[0].SendMaxMs)
 }

@@ -58,13 +58,14 @@ type NodeConfig struct {
 	// ShedPolicy picks the victim when the ingress queue is full.
 	ShedPolicy ShedPolicy
 	// OutboxCap is the number of tuples one per-peer outbox holds, in
-	// total: accepted-but-unwritten plus, on a durable link, written-but-
-	// unacked. Every lane worker shares it. Without a WAL an offer beyond
-	// it drops with a counter; with one it is the sender's credit, and a
-	// worker whose offer does not fit waits for room (see outbox.go). It
-	// bounds the ring, it does not size it: the ring starts at one frame
-	// of slots and grows to the link's high-water mark, so its memory is
-	// what the link has held at most, never more than OutboxCap tuples.
+	// total: accepted-but-unwritten plus, on a node with a WAL, written-
+	// but-unacked. Every lane worker shares it. Without a WAL an offer
+	// beyond it drops with a counter; with one it is the sender's credit,
+	// and a worker whose offer does not fit waits for the receiver's acks
+	// to free room (see outbox.go). It bounds the ring, it does not size
+	// it: the ring starts at one frame of slots and grows to the link's
+	// high-water mark, so its memory is what the link has held at most,
+	// never more than OutboxCap tuples.
 	// <= 0 selects DefaultOutboxCap.
 	OutboxCap int
 	// BackoffBase/BackoffMax shape the reconnect schedule
@@ -78,12 +79,17 @@ type NodeConfig struct {
 	// that want one lane per core pass runtime.GOMAXPROCS(0). Capped at
 	// maxWorkers.
 	Workers int
-	// WALDir enables the per-node durability layer: ingress batches from
-	// durable peers are WAL-logged (fsync-batched) before admission and
-	// acked back so senders release them from their outbox rings, and a
-	// restart with the same WALDir recovers the deployed spec, operator
-	// state and the unprocessed backlog (see durable.go). Empty disables
-	// durability (the legacy volatile data plane).
+	// WALDir enables the per-node durability layer, and it alone decides
+	// what the node's links do. As a sender, the node numbers every frame
+	// it ships (to other nodes and to the collector alike), retains it in
+	// the outbox ring until the receiver acks it, and makes a worker wait
+	// for room when the ring is full. As a receiver, it WAL-logs
+	// (fsync-batched) each sequenced frame before admission and acks it
+	// after the commit, and a restart with the same WALDir recovers the
+	// deployed spec, operator state and the unprocessed backlog (see
+	// durable.go). Empty: frames go out unsequenced, settle when written
+	// and drop on a full ring, and sequenced frames that arrive are
+	// deduped and acked on admission, without a log.
 	WALDir string
 	// CheckpointEvery is the interval between checkpoint attempts; a
 	// checkpoint only lands at a drained moment (empty lanes, empty
@@ -159,7 +165,6 @@ type Node struct {
 	peers       map[string]*outbox
 	peersMu     sync.Mutex
 	peersClosed bool
-	retired     []*outbox // outboxes replaced by a durability-mode change; swept at Close
 
 	faultsMu sync.Mutex
 	faults   map[string]*LinkFault
@@ -419,13 +424,9 @@ func (n *Node) Close() error {
 	n.wg.Wait()
 	// Producers may have appended after an outbox writer's final drain, and
 	// a durable writer exits with its unacked region still in the ring;
-	// with all goroutines stopped, sweep the leftovers (live outboxes and
-	// any retired by a durability-mode change alike).
+	// with all goroutines stopped, sweep the leftovers.
 	n.peersMu.Lock()
 	for _, o := range n.peers {
-		o.dropRemaining()
-	}
-	for _, o := range n.retired {
 		o.dropRemaining()
 	}
 	n.peersMu.Unlock()
@@ -507,19 +508,21 @@ const tupleConnBuffer = 64 << 10
 const MaxWriteTuples = tupleConnBuffer / tupleFrameSize
 
 // serveTuples drains one tuple connection until it ends or a frame fails
-// to decode (nothing of a bad frame is admitted). Sequence-bearing batches
-// from durable senders take the durability path (admitDurable: dedup
-// against the sender's marks, WAL-append, wait for the group commit,
-// admit), then ack the sequence so the sender releases its retained copy —
-// the ack is written only after fsync, which is the at-least-once linchpin
-// (anything unacked is still retained upstream and re-sent). Acks are
-// cumulative, so the ack is skipped when br already holds the whole next
-// sequenced frame: reading that frame cannot block, and its ack covers
-// this one. An ack is therefore never withheld across a read that might
-// block; if the next frame then fails (its decode or its WAL write) the
-// connection drops and the sender re-sends both, which the marks filter.
-// Frames without a sequence (sources, or a node without a WAL) take the
-// volatile path; both coexist on one connection.
+// to decode (nothing of a bad frame is admitted). Sequence-bearing frames,
+// which every node with a WAL sends, take admitDurable (dedup against the
+// sender's marks; on this node's WAL, append and wait for the group
+// commit; admit), then ack the sequence so the sender releases its
+// retained copy. With a WAL here the ack is written only after fsync,
+// which is the at-least-once linchpin (anything unacked is still retained
+// upstream and re-sent); without one it follows admission, so the
+// sender's retention still covers the link and the marks filter its
+// re-sends. Acks are cumulative, so the ack is skipped when br already
+// holds the whole next sequenced frame: reading that frame cannot block,
+// and its ack covers this one. An ack is therefore never withheld across a
+// read that might block; if the next frame then fails (its decode or its
+// WAL write) the connection drops and the sender re-sends both, which the
+// marks filter. Frames without a sequence (sources, or a node without a
+// WAL) take the volatile path; both coexist on one connection.
 //
 // The whole filter→log→commit→advance window runs under the sender's
 // admission lock (sender.mu), which also guards its marks: a sender that
@@ -538,7 +541,7 @@ func (n *Node) serveTuples(br *bufio.Reader, conn net.Conn) {
 			return
 		}
 		seq, sequenced := tr.BatchSeq()
-		if !sequenced || n.wal == nil {
+		if !sequenced {
 			n.enqueueInboundBatch(batch)
 			continue
 		}
@@ -821,7 +824,8 @@ const stallStream int32 = -1
 // partitioned peer costs the caller one bounded ring insertion (the chaos
 // test asserts the worker path never stalls there), and the rest of ts that
 // did not fit is counted in the outbox's drop counter. On a node with a WAL
-// the caller waits, while the ring is full, for room (see outbox.go).
+// the caller waits, while the ring is full, for the receiver's acks to free
+// room (see outbox.go).
 // sendMaxNanos records the longest call either way. It returns how many
 // tuples the ring took, a prefix of ts.
 func (n *Node) sendBatch(addr string, ts []Tuple) int { return n.send(addr, ts, false) }
@@ -862,62 +866,12 @@ func (n *Node) outboxFor(addr string) *outbox {
 	}
 	o, ok := n.peers[addr]
 	if !ok {
-		o = newOutbox(n, addr, n.durablePeer(addr))
+		o = newOutbox(n, addr)
 		n.peers[addr] = o
 		n.wg.Add(1)
 		go o.run()
 	}
 	return o
-}
-
-// durablePeer reports whether the link to addr should run in durable
-// (retain-until-ack) mode: this node has a WAL and the deployed spec names
-// addr as a durable peer (another WAL-running node — the collector is
-// excluded, since sinks sit outside the ack protocol).
-func (n *Node) durablePeer(addr string) bool {
-	if n.cfg.WALDir == "" {
-		return false
-	}
-	rs := n.route.Load()
-	if rs.spec == nil {
-		return false
-	}
-	for _, a := range rs.spec.DurablePeers {
-		if a == addr {
-			return true
-		}
-	}
-	return false
-}
-
-// refreshOutboxDurability retires any live outbox whose durable mode no
-// longer matches the deployed spec: the mode is decided once at creation
-// (outboxFor), so an outbox created before the spec named its peer durable —
-// or a redeploy that changes the durable peer set — would otherwise silently
-// keep the wrong mode, dropping the retain-until-ack guarantee for that
-// path. The retired writer drains best-effort and exits, and a worker
-// waiting for its ring room gives up (deploy precedes start, so the link is
-// normally idle); the next send to the address creates a fresh outbox in
-// the correct mode.
-func (n *Node) refreshOutboxDurability() {
-	ev, _, _ := n.observer()
-	n.peersMu.Lock()
-	defer n.peersMu.Unlock()
-	if n.peersClosed {
-		return
-	}
-	for addr, o := range n.peers {
-		want := n.durablePeer(addr)
-		if o.durable == want {
-			continue
-		}
-		o.stop()
-		delete(n.peers, addr)
-		n.retired = append(n.retired, o)
-		ev.Emit(obs.LevelInfo, obs.EventDeploy,
-			"node", n.route.Load().nodeID(), "addr", addr,
-			"outboxDurable", want, "recreated", true)
-	}
 }
 
 // linkFault returns the injected fault for addr (nil when healthy).
@@ -1104,8 +1058,8 @@ func (n *Node) Stats() *NodeStats {
 		s.WALBytes = ws.Bytes
 		s.Checkpoints = n.checkpoints.Load()
 		s.Replayed = n.replayed.Load()
-		s.DedupDropped = n.dedupDropped.Load()
 		s.Recovered = n.recovered.Load()
 	}
+	s.DedupDropped = n.dedupDropped.Load()
 	return s
 }

@@ -37,32 +37,36 @@ import (
 // of at most outboxBatchMax tuples each (a frame stops at the array's wrap,
 // so its slots are contiguous; see ship for why nobody else touches them),
 // gathering whole frames while the burst fits the receiver's read buffer;
-// it then advances shipped and issues one write. On a volatile link acked
-// follows shipped as soon as the write returns. On a durable link (the peer
-// runs a WAL too) each frame carries the position after its last tuple as
-// its sequence, so the peer's cumulative ack IS the new acked cursor: a
-// tuple leaves the ring only when an ack covers it, retention is the region
-// [acked, shipped) held in place, and a reconnect rewinds shipped to
-// acked — replay is the ordinary ship loop.
+// it then advances shipped and issues one write.
 //
-// On a node that runs a WAL no ring drops: its free room is the sender's
-// credit. A worker whose offer does not fit waits until room frees — with
-// the peer's acks on a durable link, with each completed write on the
-// volatile link to the sink — and then places the rest in order, so a
+// One fact decides what a link does: whether the sending node runs a WAL.
+// Every outbox of a node that does is durable, the one to the collector
+// included: each frame carries the position after its last tuple as its
+// sequence, and every receiver acks the sequenced frames it reads (a node
+// with a WAL after its group commit, a node without one after admission,
+// the collector after recording), so the cumulative ack IS the new acked
+// cursor: a tuple leaves the ring only when an ack covers it, retention is
+// the region [acked, shipped) held in place, and a reconnect rewinds
+// shipped to acked — replay is the ordinary ship loop. No ring drops: its
+// free room is the sender's credit, and a worker whose offer does not fit
+// waits for acks to free room, then places the rest in order, so a
 // receiver that is down or behind slows its senders' workers, their lanes
 // fill, and their ingress sheds: overload lands at a node's edge, where it
-// is counted per stream. The waits cannot close a cycle: only lane workers
-// wait, and a worker waits only for a peer's acks or its own writer's
-// writes. A peer acks from its ingress goroutine after its WAL group
-// commit, which never waits on a lane (a full lane sheds) or on a ring
-// (ingress sends nothing), and the sink's reader waits on nothing, so
+// is counted per stream. The waits cannot close a cycle: only workers on
+// nodes with a WAL wait, only for acks, and every ack is written by a
+// reader goroutine (a node's ingress or the collector's) that never waits
+// on a lane (a full lane sheds) or on a ring (a reader sends nothing), so
 // every chain of waits has length one, around node-level cycles such as
-// a(0) → x(2) → d(0) too. Stopping the outbox (node Close, or a
-// durability-mode retirement) releases a waiting worker, and what it had
-// not placed is counted dropped, as at shutdown. A node without a WAL
-// never waits: a full ring drops the rest of an offer with a counter. The
-// outbox dials with exponential backoff plus jitter and re-arms the
-// per-peer relay-error latch on recovery so repeated failures stay visible.
+// a(0) → x(2) → d(0) too. Stopping the outbox (node Close) releases a
+// waiting worker, and what it had not placed is counted dropped, as at
+// shutdown.
+//
+// An outbox of a node without a WAL is volatile: its frames carry no
+// sequence, acked follows shipped as soon as the write returns, and a full
+// ring drops the rest of an offer with a counter, so its workers never
+// wait. The outbox dials with exponential backoff plus jitter and re-arms
+// the per-peer relay-error latch on recovery so repeated failures stay
+// visible.
 
 // errOutboxClosed signals an orderly shutdown of the writer loop.
 var errOutboxClosed = errors.New("engine: outbox closed")
@@ -100,7 +104,7 @@ type outboxStats struct {
 type outbox struct {
 	node        *Node
 	addr        string
-	durable     bool   // retain-until-ack link (decided at creation)
+	durable     bool   // the node runs a WAL: number, retain until acked, wait for room
 	incarnation uint64 // sender identity: the owning node's birth nanos
 	quit        chan struct{}
 	notify      chan struct{} // capacity-1 writer wakeup
@@ -120,11 +124,11 @@ type outbox struct {
 	enc []byte // writer-owned: the frame being shipped
 }
 
-func newOutbox(n *Node, addr string, durable bool) *outbox {
+func newOutbox(n *Node, addr string) *outbox {
 	o := &outbox{
 		node:        n,
 		addr:        addr,
-		durable:     durable,
+		durable:     n.wal != nil,
 		incarnation: uint64(n.bornNano),
 		quit:        make(chan struct{}),
 		notify:      make(chan struct{}, 1),
@@ -138,10 +142,10 @@ func newOutbox(n *Node, addr string, durable bool) *outbox {
 // returns how many it placed; the tuples are copied, so the caller keeps
 // ownership of ts. On a node without a WAL the ring takes the longest
 // prefix it has room for and drops the rest with a counter. On a node with
-// one it takes what fits, then waits under o.mu until room frees (applyAck,
-// or ship settling a volatile write), and so on until all of ts is in. A
-// stopped outbox takes nothing more: stop ends a wait, and what was not
-// placed is counted dropped, as at shutdown.
+// one it takes what fits, then waits under o.mu until an ack frees room
+// (applyAck), and so on until all of ts is in. A stopped outbox takes
+// nothing more: stop ends a wait, and what was not placed is counted
+// dropped, as at shutdown.
 //
 // With relay set, ts are addressed copies a relay entry carries, and the
 // outbox numbers them itself, per (stream, target), in ring order: each
@@ -154,7 +158,7 @@ func (o *outbox) enqueueBatch(ts []Tuple, relay bool) int {
 	o.mu.Lock()
 	k := 0
 	for !o.stopped {
-		if k += o.put(ts[k:], relay); k == len(ts) || o.node.cfg.WALDir == "" {
+		if k += o.put(ts[k:], relay); k == len(ts) || !o.durable {
 			break
 		}
 		o.wake() // the placed prefix must ship for room to come
@@ -422,7 +426,8 @@ func (o *outbox) drain(conn net.Conn) error {
 // slot write, traceOut's, is this goroutine's. An ack arriving before
 // shipped moves names tuples not yet written and fails the connection
 // (applyAck). Drop accounting stays per tuple. A volatile burst is settled
-// here — sent on success, dropped on a failed write. Each durable frame
+// here — sent on success, dropped on a failed write; nobody waits for its
+// room, since only a node with a WAL waits. Each durable frame
 // carries its end position as its sequence and stays in the ring until
 // applyAck covers it; a failed write leaves the burst for the reconnect
 // replay. A Drop fault discards one frame's worth of tuples per call, and a
@@ -484,7 +489,6 @@ func (o *outbox) ship(conn net.Conn) (int, error) {
 	if !o.durable {
 		o.mu.Lock()
 		o.acked = o.shipped
-		o.room.Broadcast()
 		if err != nil {
 			o.dropped += int64(k)
 		} else {

@@ -185,11 +185,6 @@ func TestOutboxDropFault(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer a.Close()
-			if durable {
-				if err := a.deploy(&NodeSpec{DurablePeers: []string{addr}}); err != nil {
-					t.Fatal(err)
-				}
-			}
 			// Increasing sequences: a durable receiver dedups on them.
 			var seq int64
 			send := func() {
@@ -234,8 +229,9 @@ func seqRun(stream int32, from, n int) []Tuple {
 	return ts
 }
 
-// durableSender starts a WAL-armed node whose link to peer is durable.
-func durableSender(t *testing.T, peer string, cfg NodeConfig) *Node {
+// durableSender starts a WAL-armed node, so every link it ships on is
+// durable.
+func durableSender(t *testing.T, cfg NodeConfig) *Node {
 	t.Helper()
 	cfg.WALDir = t.TempDir()
 	n, err := NewNodeConfig("127.0.0.1:0", 1, cfg)
@@ -243,9 +239,6 @@ func durableSender(t *testing.T, peer string, cfg NodeConfig) *Node {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n.Close() })
-	if err := n.deploy(&NodeSpec{DurablePeers: []string{peer}}); err != nil {
-		t.Fatal(err)
-	}
 	return n
 }
 
@@ -363,15 +356,15 @@ func awaitOutbox(t *testing.T, n *Node, what string, sent, pending int64) outbox
 // rest are dropped and counted; the writer is stalled with a Delay fault (a
 // peer that merely stops reading cannot: 64 tuples vanish into the kernel's
 // socket buffer). On a node with a WAL the rest wait for room until Close
-// releases them, on a durable link whose peer accepts the connection and
-// never acks and on a volatile one stalled like the first.
+// releases them, on a link whose peer accepts the connection and never
+// acks.
 func TestOutboxCapIsTheBound(t *testing.T) {
 	const (
 		bound     = 64
 		producers = 5 // more producers than lanes: offers interleave
 		runs, per = 20, 16
 	)
-	for _, link := range []string{"volatile", "durable", "volatile-with-wal"} {
+	for _, link := range []string{"volatile", "durable"} {
 		t.Run(link, func(t *testing.T) {
 			peer := newAckPeer(t)
 			// Connections are held open and never read.
@@ -398,11 +391,8 @@ func TestOutboxCapIsTheBound(t *testing.T) {
 			cfg := NodeConfig{Workers: 4, OutboxCap: bound}
 			var n *Node
 			if link == "durable" {
-				n = durableSender(t, peer.addr(), cfg)
+				n = durableSender(t, cfg)
 			} else {
-				if link == "volatile-with-wal" {
-					cfg.WALDir = t.TempDir()
-				}
 				var err error
 				if n, err = NewNodeConfig("127.0.0.1:0", 1, cfg); err != nil {
 					t.Fatal(err)
@@ -425,7 +415,7 @@ func TestOutboxCapIsTheBound(t *testing.T) {
 				wg.Wait()
 			}
 			const offered = producers * runs * per
-			if link != "volatile" {
+			if link == "durable" {
 				done := make(chan struct{})
 				go func() {
 					offer()
@@ -448,8 +438,7 @@ func TestOutboxCapIsTheBound(t *testing.T) {
 				}
 				// Close releases the waiting producers; the rest of each
 				// waiting offer counts dropped, and later offers find no
-				// outbox, as at any shutdown. (The stalled volatile writer's
-				// final drain may still write the ring out.)
+				// outbox, as at any shutdown.
 				n.Close()
 				<-done
 				if s := n.outboxSnapshots()[0]; accepted.Load() != bound || s.Enqueued <= bound ||
@@ -478,7 +467,7 @@ func TestOutboxCapIsTheBound(t *testing.T) {
 // releasing anything — the unacked tuples replay on the next one.
 func TestOutboxAckValidation(t *testing.T) {
 	peer := newAckPeer(t)
-	n := durableSender(t, peer.addr(), NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
+	n := durableSender(t, NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
 	n.sendBatch(peer.addr(), seqRun(1, 0, 10))
 	c := peer.accept()
 	wantSeqs(t, "first frame", c.readN(0, 10), 0, 10)
@@ -544,7 +533,7 @@ func TestOutboxMultiProducerFIFO(t *testing.T) {
 		cfg := NodeConfig{OutboxCap: 4 * outboxBatchMax}
 		var n *Node
 		if durable {
-			n = durableSender(t, addr, cfg)
+			n = durableSender(t, cfg)
 		} else {
 			var err error
 			if n, err = NewNodeConfig("127.0.0.1:0", 1, cfg); err != nil {
@@ -644,7 +633,7 @@ func TestOutboxMultiProducerFIFO(t *testing.T) {
 func TestDurableRetainInPlace(t *testing.T) {
 	const bound, total = 64, 12 * 16
 	peer := newAckPeer(t)
-	n := durableSender(t, peer.addr(), NodeConfig{OutboxCap: bound})
+	n := durableSender(t, NodeConfig{OutboxCap: bound})
 	done := make(chan int, 1)
 	go func() {
 		accepted := 0
@@ -680,51 +669,40 @@ func TestDurableRetainInPlace(t *testing.T) {
 }
 
 // A producer waiting for durable ring room is released when no ack can come
-// any more: by the node's Close, and by a redeploy that retires the outbox
-// (its peer is no longer durable). What it had not placed is counted
-// dropped, as at shutdown, and the outbox identity still closes.
+// any more, by the node's Close. What it had not placed is counted dropped,
+// as at shutdown, and the outbox identity still closes.
 func TestDurableRetainReleasedByStop(t *testing.T) {
 	const bound, offered = 64, 100
-	for _, how := range []string{"close", "retire"} {
-		t.Run(how, func(t *testing.T) {
-			peer := newAckPeer(t) // the kernel completes the dial; nothing acks
-			n := durableSender(t, peer.addr(), NodeConfig{OutboxCap: bound})
-			o := n.outboxFor(peer.addr())
-			done := make(chan int, 1)
-			go func() { done <- n.sendBatch(peer.addr(), seqRun(1, 0, offered)) }()
-			waitUntil(t, 5*time.Second, "a full ring", func() bool { return o.stats().Pending == bound })
-			select {
-			case k := <-done:
-				t.Fatalf("the offer returned (%d placed) with the ring full and no ack", k)
-			case <-time.After(50 * time.Millisecond):
+	t.Run("close", func(t *testing.T) {
+		peer := newAckPeer(t) // the kernel completes the dial; nothing acks
+		n := durableSender(t, NodeConfig{OutboxCap: bound})
+		o := n.outboxFor(peer.addr())
+		done := make(chan int, 1)
+		go func() { done <- n.sendBatch(peer.addr(), seqRun(1, 0, offered)) }()
+		waitUntil(t, 5*time.Second, "a full ring", func() bool { return o.stats().Pending == bound })
+		select {
+		case k := <-done:
+			t.Fatalf("the offer returned (%d placed) with the ring full and no ack", k)
+		case <-time.After(50 * time.Millisecond):
+		}
+		t0 := time.Now()
+		n.Close()
+		select {
+		case k := <-done:
+			if k != bound {
+				t.Fatalf("released offer placed %d, want %d", k, bound)
 			}
-			t0 := time.Now()
-			if how == "close" {
-				n.Close()
-			} else if err := n.deploy(&NodeSpec{}); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case k := <-done:
-				if k != bound {
-					t.Fatalf("released offer placed %d, want %d", k, bound)
-				}
-			case <-time.After(2 * time.Second):
-				t.Fatalf("%s did not release the waiting producer", how)
-			}
-			if d := time.Since(t0); d > time.Second {
-				t.Fatalf("%s released the waiting producer after %v", how, d)
-			}
-			s := o.stats()
-			swept := int64(0)
-			if how == "close" {
-				swept = bound // Close sweeps the ring itself too
-			}
-			if s.Enqueued != offered || s.Dropped != offered-bound+swept || s.Enqueued != s.Sent+s.Dropped+s.Pending {
-				t.Fatalf("after %s: %+v", how, s)
-			}
-		})
-	}
+		case <-time.After(2 * time.Second):
+			t.Fatal("close did not release the waiting producer")
+		}
+		if d := time.Since(t0); d > time.Second {
+			t.Fatalf("close released the waiting producer after %v", d)
+		}
+		// Close sweeps the ring itself too.
+		if s := o.stats(); s.Enqueued != offered || s.Dropped != offered || s.Enqueued != s.Sent+s.Dropped+s.Pending {
+			t.Fatalf("after close: %+v", s)
+		}
+	})
 }
 
 // A reconnect rewinds shipped to acked: the new connection opens with the
@@ -732,7 +710,7 @@ func TestDurableRetainReleasedByStop(t *testing.T) {
 // positional sequences, ahead of anything new.
 func TestDurableReconnectRewindsToAcked(t *testing.T) {
 	peer := newAckPeer(t)
-	n := durableSender(t, peer.addr(), NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
+	n := durableSender(t, NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
 	n.sendBatch(peer.addr(), seqRun(1, 0, 10))
 	c := peer.accept()
 	wantSeqs(t, "first connection", c.readN(0, 10), 0, 10)
@@ -814,15 +792,20 @@ func (c *recordConn) SetWriteDeadline(time.Time) error { return nil }
 
 // shipper is an outbox with no writer goroutine, for a test that calls ship
 // itself and records each write. Tuple Seq equals ring position throughout.
-// Its node runs no WAL, so a full ring drops rather than waits.
+// A durable one belongs to a node with a WAL, so an offer that overfills
+// its ring waits for an ack or for stop.
 func shipper(t *testing.T, ringCap int, durable bool) (*outbox, *recordConn) {
 	t.Helper()
-	n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{OutboxCap: ringCap})
+	cfg := NodeConfig{OutboxCap: ringCap}
+	if durable {
+		cfg.WALDir = t.TempDir()
+	}
+	n, err := NewNodeConfig("127.0.0.1:0", 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n.Close() })
-	return newOutbox(n, deadAddr(t), durable), &recordConn{}
+	return newOutbox(n, deadAddr(t)), &recordConn{}
 }
 
 // shipWant ships once and checks that it made one write of whole frames,
@@ -992,6 +975,16 @@ func TestOutboxRingGrowsWithOccupancy(t *testing.T) {
 			shipWant(t, o, conn, 700, 1024, 1300)
 		}
 		// Offers up to the bound double the array to OutboxCap, not past it.
+		// A volatile ring drops the 600 past it; a durable one waits for
+		// room until stop ends the wait, and counts them dropped then.
+		if durable {
+			go func() {
+				for o.stats().Pending < bound {
+					time.Sleep(time.Millisecond)
+				}
+				o.stop()
+			}()
+		}
 		for pos := 1300; pos < 1300+bound+600; pos += 6000 {
 			offer(pos, min(6000, 1300+bound+600-pos))
 		}
@@ -1090,7 +1083,7 @@ func TestOutboxShipDropsOneRunPerShip(t *testing.T) {
 // replays the run under the same sequence.
 func TestOutboxEarlyAckRejected(t *testing.T) {
 	peer := newAckPeer(t)
-	n := durableSender(t, peer.addr(), NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
+	n := durableSender(t, NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
 	n.SetLinkFault(peer.addr(), LinkFault{Delay: 300 * time.Millisecond})
 	n.sendBatch(peer.addr(), seqRun(1, 0, 10))
 	c := peer.accept()
@@ -1138,7 +1131,7 @@ func (p *ackPeer) firstFrame() ([]byte, []Tuple) {
 // replay's outbox stage is the time since the previous send.
 func TestDurableReconnectResendsIdenticalRecords(t *testing.T) {
 	peer := newAckPeer(t)
-	n := durableSender(t, peer.addr(), NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
+	n := durableSender(t, NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
 	ev := obs.NewEventLog(0)
 	n.SetObserver(ev, nil, 0)
 	const count = 40
@@ -1210,8 +1203,10 @@ func TestDurableReconnectResendsIdenticalRecords(t *testing.T) {
 // they came with: a tuple that reached the node again after its consumer
 // came and went may sit behind newer ones. Untargeted tuples keep the Seq
 // their producer gave them, and a copy the full ring drops takes no number.
+// Numbering does not depend on the link's mode; a volatile ring is the one
+// that drops.
 func TestOutboxNumbersRelayedFlows(t *testing.T) {
-	o, _ := shipper(t, 8, true)
+	o, _ := shipper(t, 8, false)
 	o.enqueueBatch([]Tuple{{Stream: 1, Seq: 40}, {Stream: 1, Seq: 41}}, false)
 	before := time.Now().UnixNano()
 	relayed := []Tuple{

@@ -30,7 +30,7 @@ const DefaultQuiescePoll = 10 * time.Millisecond
 // Callers should heal link faults first: a severed outbox retains pending
 // tuples across reconnect backoff and can legitimately take seconds to drain.
 func (cl *Cluster) AwaitQuiescence(timeout, settle time.Duration) error {
-	return cl.await(timeout, settle, true)
+	return awaitQuiet("cluster", timeout, settle, true, cl.Stats, cl.Collector)
 }
 
 // AwaitSettled waits only for counter stability, not for empty queues and
@@ -38,10 +38,25 @@ func (cl *Cluster) AwaitQuiescence(timeout, settle time.Duration) error {
 // hold pending tuples that can never flush, yet the rest of the cluster
 // still reaches a stable (auditable) state.
 func (cl *Cluster) AwaitSettled(timeout, settle time.Duration) error {
-	return cl.await(timeout, settle, false)
+	return awaitQuiet("cluster", timeout, settle, false, cl.Stats, cl.Collector)
 }
 
-func (cl *Cluster) await(timeout, settle time.Duration, requireDrained bool) error {
+// AwaitDrained is the single-node barrier used by tests that drive a Node
+// directly (no Cluster): it polls Stats until the ingress queue and outbox
+// are empty and the counters hold still for settle.
+func (n *Node) AwaitDrained(timeout, settle time.Duration) error {
+	return awaitQuiet("node", timeout, settle, true, func() ([]*NodeStats, error) {
+		return []*NodeStats{n.Stats()}, nil
+	}, nil)
+}
+
+// awaitQuiet is the one barrier loop: it polls stats (and the collector's
+// delivered count, when col is set) every DefaultQuiescePoll until at
+// least one node is reachable, the nodes are drained if requireDrained,
+// and the fingerprint has held still for settle (default 50ms), or fails
+// naming what after timeout (default 10s).
+func awaitQuiet(what string, timeout, settle time.Duration, requireDrained bool,
+	stats func() ([]*NodeStats, error), col *Collector) error {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
@@ -53,8 +68,8 @@ func (cl *Cluster) await(timeout, settle time.Duration, requireDrained bool) err
 	var since time.Time
 	var why string
 	for {
-		stats, err := cl.Stats()
-		fp, drained, reach := quiesceFingerprint(stats, cl.Collector)
+		sts, err := stats()
+		fp, drained, reach := quiesceFingerprint(sts, col)
 		now := time.Now()
 		if fp != last {
 			last, since = fp, now
@@ -73,7 +88,7 @@ func (cl *Cluster) await(timeout, settle time.Duration, requireDrained bool) err
 			why = "counters still moving: " + fp
 		}
 		if now.Sub(start) >= timeout {
-			return fmt.Errorf("engine: cluster not quiescent after %v (%s)", timeout, why)
+			return fmt.Errorf("engine: %s not quiescent after %v (%s)", what, timeout, why)
 		}
 		time.Sleep(DefaultQuiescePoll)
 	}
@@ -106,33 +121,4 @@ func quiesceFingerprint(stats []*NodeStats, col *Collector) (fp string, drained 
 		drained = false
 	}
 	return b.String(), drained, reachable
-}
-
-// AwaitDrained is the single-node barrier used by tests that drive a Node
-// directly (no Cluster): it polls Stats until the ingress queue and outbox
-// are empty and the counters hold still for settle.
-func (n *Node) AwaitDrained(timeout, settle time.Duration) error {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	if settle <= 0 {
-		settle = 50 * time.Millisecond
-	}
-	start := time.Now()
-	var last string
-	var since time.Time
-	for {
-		fp, drained, _ := quiesceFingerprint([]*NodeStats{n.Stats()}, nil)
-		now := time.Now()
-		if fp != last {
-			last, since = fp, now
-		}
-		if drained && now.Sub(since) >= settle {
-			return nil
-		}
-		if now.Sub(start) >= timeout {
-			return fmt.Errorf("engine: node not drained after %v (%s)", timeout, fp)
-		}
-		time.Sleep(DefaultQuiescePoll)
-	}
 }

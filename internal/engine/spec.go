@@ -50,13 +50,6 @@ type NodeSpec struct {
 	Routes   map[int][]Dest  `json:"routes"` // stream id → destinations
 	XferCost map[int]float64 `json:"xferCost,omitempty"`
 	Parts    []PartitionSpec `json:"parts,omitempty"`
-
-	// DurablePeers lists the data-plane addresses of the other cluster
-	// nodes. A node configured with a WAL ships to these peers in durable
-	// (retain-until-ack) mode; the collector is deliberately absent (sinks
-	// sit outside the ack protocol). Inert when the node runs without a
-	// WAL, so BuildSpecs always populates it.
-	DurablePeers []string `json:"durablePeers,omitempty"`
 }
 
 // BuildSpecs compiles a graph + plan into one deployment spec per node.
@@ -76,11 +69,6 @@ func BuildSpecs(g *query.Graph, plan *placement.Plan, capacities []float64, addr
 			Capacity: capacities[i],
 			Routes:   map[int][]Dest{},
 			XferCost: map[int]float64{},
-		}
-		for j, a := range addrs {
-			if j != i {
-				specs[i].DurablePeers = append(specs[i].DurablePeers, a)
-			}
 		}
 	}
 	for _, op := range g.Ops() {
