@@ -8,7 +8,7 @@
 //	rodengine [-nodes 3] [-streams 3] [-algo rod|llf|random] [-util 0.6] \
 //	          [-seconds 5] [-speedup 20] [-seed 1] [-max-shards 4] \
 //	          [-controller] [-forecast-horizon 1.5s] [-cooldown 2s] [-max-moves 1] \
-//	          [-queue 100000] [-shed-policy drop-newest|drop-oldest] [-outbox 4096] \
+//	          [-queue 100000] [-outbox 4096] \
 //	          [-workers 0] [-metrics-addr 127.0.0.1:9900] [-events events.jsonl] [-hold 30] \
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-pprof-addr 127.0.0.1:6060]
 //
@@ -37,8 +37,8 @@
 // surface as controller_decide / controller_migrate events and
 // rodsp_controller_* metrics.
 //
-// -queue bounds each node's ingress queue (arrivals beyond it are shed under
-// -shed-policy and counted), and -outbox bounds each per-peer send buffer;
+// -queue bounds each node's ingress queue (arrivals that find it full are
+// shed and counted), and -outbox bounds each per-peer send buffer;
 // both surface in the final report and in /metrics as shed/drop counters.
 //
 // With -metrics-addr the coordinator serves live observability over HTTP
@@ -103,10 +103,9 @@ func main() {
 		cooldown        = flag.Duration("cooldown", 0, "minimum gap between controller migration rounds (default 2s)")
 		maxMoves        = flag.Int("max-moves", 0, "controller migration budget per decision cycle (default 1)")
 
-		queue      = flag.Int("queue", engine.DefaultIngressCap, "per-node ingress queue bound (tuples); arrivals beyond it are shed")
-		shedPolicy = flag.String("shed-policy", "drop-newest", "load-shedding policy at the ingress bound: drop-newest | drop-oldest")
-		outboxCap  = flag.Int("outbox", engine.DefaultOutboxCap, "per-peer outbox bound (tuples; each ring grows to what its link holds, up to this); without a WAL, overflow is dropped and counted")
-		workers    = flag.Int("workers", 0, "worker lanes per node (parallel data-plane shards; 0 = one per core, 1 = single-lane)")
+		queue     = flag.Int("queue", engine.DefaultIngressCap, "per-node ingress queue bound (tuples); arrivals beyond it are shed")
+		outboxCap = flag.Int("outbox", engine.DefaultOutboxCap, "per-peer outbox bound (tuples; each ring grows to what its link holds, up to this); without a WAL, overflow is dropped and counted")
+		workers   = flag.Int("workers", 0, "worker lanes per node (parallel data-plane shards; 0 = one per core, 1 = single-lane)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run here")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit here")
@@ -114,17 +113,12 @@ func main() {
 	)
 	flag.Parse()
 
-	policy, err := engine.ParseShedPolicy(*shedPolicy)
-	if err != nil {
-		fail(err)
-	}
 	w := *workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
 	nodeCfg := engine.NodeConfig{
 		IngressCap: *queue,
-		ShedPolicy: policy,
 		OutboxCap:  *outboxCap,
 		Workers:    w,
 	}

@@ -7,16 +7,15 @@
 // Usage:
 //
 //	rodnode -addr 127.0.0.1:7101 -capacity 1.0 \
-//	        [-workers 0] [-queue 100000] [-shed-policy drop-newest|drop-oldest] \
-//	        [-outbox 4096] [-events events.jsonl] \
+//	        [-workers 0] [-queue 100000] [-outbox 4096] [-events events.jsonl] \
 //	        [-wal-dir /var/lib/rodsp/n0] [-checkpoint-interval 100ms]
 //
 // -workers sets the node's worker-lane count — parallel data-plane shards,
 // each with its own bounded ingress queue and lock-free per-peer outbox
 // ring. 0 (the default) runs one lane per core (GOMAXPROCS); 1 restores
 // the single-lane data plane. -queue bounds the ingress queue (arrivals
-// beyond it are shed under -shed-policy; with W lanes each lane holds
-// queue/W), -outbox bounds each per-peer send buffer, and -events appends
+// that find it full are shed; with W lanes each lane holds queue/W),
+// -outbox bounds each per-peer send buffer, and -events appends
 // the node's structured JSON-lines events (shed onset/clearance, relay
 // errors, peer recovery, injected link faults) to a file, or stderr with
 // "-".
@@ -52,7 +51,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
 	capacity := flag.Float64("capacity", 1.0, "virtual CPU capacity (cost-units/second)")
 	queue := flag.Int("queue", engine.DefaultIngressCap, "ingress queue bound (tuples); arrivals beyond it are shed")
-	shedPolicy := flag.String("shed-policy", "drop-newest", "load-shedding policy at the ingress bound: drop-newest | drop-oldest")
 	outboxCap := flag.Int("outbox", engine.DefaultOutboxCap, "per-peer outbox bound (tuples; each ring grows to what its link holds, up to this); without a WAL, overflow is dropped and counted")
 	workers := flag.Int("workers", 0, "worker lanes (parallel data-plane shards; 0 = one per core, 1 = single-lane)")
 	eventsPath := flag.String("events", "", "append JSON-lines events to this file ('-' for stderr)")
@@ -60,10 +58,6 @@ func main() {
 	ckEvery := flag.Duration("checkpoint-interval", 0, "interval between checkpoint attempts (0 = engine default; needs -wal-dir)")
 	flag.Parse()
 
-	policy, err := engine.ParseShedPolicy(*shedPolicy)
-	if err != nil {
-		fail(err)
-	}
 	w := *workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -73,7 +67,6 @@ func main() {
 	}
 	cfg := engine.NodeConfig{
 		IngressCap:      *queue,
-		ShedPolicy:      policy,
 		OutboxCap:       *outboxCap,
 		Workers:         w,
 		WALDir:          *walDir,

@@ -115,16 +115,14 @@ func rateAlphaFor(c Class) float64 {
 // of masquerading as trend.
 func controllerConfigFor(seed int64) engine.ControllerConfig {
 	return engine.ControllerConfig{
-		Interval:       50 * time.Millisecond,
-		Horizon:        600 * time.Millisecond,
-		Cooldown:       time.Second,
-		MaxMoves:       2,
-		HeadroomLow:    0.15,
-		HysteresisGain: 0.02,
-		Samples:        400,
-		Stall:          controllerStall,
-		Seed:           seed,
-		SeasonPeriod:   20,
+		Interval:     50 * time.Millisecond,
+		Horizon:      600 * time.Millisecond,
+		Cooldown:     time.Second,
+		MaxMoves:     2,
+		HeadroomLow:  0.15,
+		Stall:        controllerStall,
+		Seed:         seed,
+		SeasonPeriod: 20,
 	}
 }
 

@@ -260,9 +260,9 @@ func generate(seed int64, nodes int, class Class, allowShed bool) (*Scenario, er
 	}
 	if shedExercise {
 		cfg.IngressCap = 256
-		if rng.Float64() < 0.5 {
-			cfg.ShedPolicy = engine.DropOldest
-		}
+		// This draw once picked a shed policy. It stays, its value unused,
+		// so every seed's schedule below draws the same numbers as before.
+		_ = rng.Float64()
 	}
 	s.Config = cfg
 

@@ -125,7 +125,7 @@ func TestOutboxBatchInvariant(t *testing.T) {
 						batch[j].Flags, batch[j].TraceTs = TupleTraced, 1
 					}
 				}
-				a.sendBatch(addr, batch)
+				a.sendBatch(a.lanes[0], addr, batch)
 			}
 		}(p)
 	}
@@ -188,7 +188,7 @@ func TestOutboxBatchOrdering(t *testing.T) {
 	for i := range batch {
 		batch[i] = Tuple{Stream: 1, Seq: int64(i)}
 	}
-	if got := a.sendBatch(b.Addr(), batch); got != total {
+	if got := a.sendBatch(a.lanes[0], b.Addr(), batch); got != total {
 		t.Fatalf("accepted %d of %d", got, total)
 	}
 	waitUntil(t, 2*time.Second, "all tuples delivered", func() bool {

@@ -79,8 +79,8 @@ type NodeStats struct {
 	Workers int         `json:"workers,omitempty"`
 	Lanes   []LaneStats `json:"lanes,omitempty"`
 
-	// Load-shedding accounting: tuples refused (or evicted from) the
-	// bounded ingress queue, total and per stream.
+	// Load-shedding accounting: tuples refused by the bounded ingress
+	// queue, total and per stream.
 	Shed         int64         `json:"shed,omitempty"`
 	ShedByStream map[int]int64 `json:"shedByStream,omitempty"`
 
@@ -98,8 +98,9 @@ type NodeStats struct {
 	// Outbox accounting summed over peers: enqueued == sent + dropped +
 	// pending at quiescence. Reconnects counts links re-established after
 	// a failure; SendMaxMs is the worst wall time one send() spent handing
-	// tuples to an outbox: bounded on a node without a WAL, whose worker
-	// never blocks, and including the wait for room on a node with one.
+	// tuples to an outbox, a send still in progress counted by its time so
+	// far: bounded on a node without a WAL, whose worker never blocks, and
+	// including the wait for room on a node with one.
 	OutboxEnqueued int64   `json:"outboxEnqueued,omitempty"`
 	OutboxSent     int64   `json:"outboxSent,omitempty"`
 	OutboxDropped  int64   `json:"outboxDropped,omitempty"`

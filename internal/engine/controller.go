@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -36,11 +35,27 @@ import (
 //     migrate.go);
 //   - budget: at most MaxMoves migrations per actuation;
 //   - hysteresis: the post-budget candidate must improve the forecast
-//     minimum headroom by at least HysteresisGain, or the controller holds.
+//     minimum headroom by at least ctrlHysteresisGain, or the controller
+//     holds.
 //
 // An aborted migration (MoveOperator rolled the destination back) counts as
 // actuation failure: the failure counter increments and controller_migrate
 // is emitted with ok=false.
+
+// Controller constants: the forecaster's smoothing (level, trend, seasonal;
+// see forecast.go), the samples a stream's forecaster must see before the
+// controller may act, the fraction of live capacity the forecast rate
+// point's load is clamped to before it becomes placement's lower bound (an
+// infeasible floor would distort every Class II decision), the minimum
+// forecast-headroom improvement a budgeted move set must deliver, and the
+// QMC samples behind PlaceBest's feasible-set estimate.
+const (
+	ctrlAlpha, ctrlBeta, ctrlGamma = 0.5, 0.3, 0.2
+	ctrlWarmup                     = 3
+	ctrlLoadCeiling                = 0.9
+	ctrlHysteresisGain             = 0.02
+	ctrlSamples                    = 400
+)
 
 // ControllerConfig tunes the elastic placement controller.
 type ControllerConfig struct {
@@ -56,44 +71,13 @@ type ControllerConfig struct {
 	// HeadroomLow triggers re-placement when the forecast minimum headroom
 	// drops below it (or a node is already overloaded). Default 0.1.
 	HeadroomLow float64
-	// HysteresisGain is the minimum forecast-headroom improvement the
-	// budgeted move set must deliver for the controller to act. Default 0.02.
-	HysteresisGain float64
-	// Samples drives PlaceBest's feasible-set estimation. Default 400.
-	Samples int
 	// Stall is the state-transfer pause charged per migration. Default 0.
 	Stall time.Duration
 	// Seed drives the ROD re-placement.
 	Seed int64
-
-	// Forecaster smoothing: Alpha (level), Beta (trend), Gamma (seasonal);
-	// defaults 0.5/0.3/0.2. SeasonPeriod is the seasonal cycle length in
-	// decision ticks (0 disables the seasonal term). Warmup is the minimum
-	// samples per stream before the controller may act; default 3.
-	Alpha, Beta, Gamma float64
-	SeasonPeriod       int
-	Warmup             int
-
-	// LoadCeiling clamps the forecast rate point so the total resolved load
-	// stays at or under this fraction of the live capacity sum before it is
-	// fed to placement as a lower bound (an infeasible floor would distort
-	// every Class II decision). Default 0.9.
-	LoadCeiling float64
-
-	// ShardRebalance, when set, arms the shard scale actuator: given a
-	// keyed stream's observed per-slot rates and shard count it returns a
-	// fresh slot assignment (wire workload.AssignSkewAware here; the engine
-	// deliberately does not import the generator package). The actuator
-	// shares the migration cooldown, acts on at most one stream per cycle,
-	// and only when the assignment cuts the maximum per-shard load share by
-	// at least RebalanceGain. nil disables scaling.
-	ShardRebalance func(rates []float64, k int) []int
-	// RebalanceGain is the minimum relative reduction of the maximum
-	// per-shard load share a reassignment must deliver. Default 0.1.
-	RebalanceGain float64
-	// RebalanceMinRate is the minimum total observed keyed-stream rate
-	// (tuples/second) before the actuator considers it. Default 10.
-	RebalanceMinRate float64
+	// SeasonPeriod is the forecaster's seasonal cycle length in decision
+	// ticks (0 disables the seasonal term).
+	SeasonPeriod int
 }
 
 func (cfg *ControllerConfig) applyDefaults() {
@@ -112,24 +96,6 @@ func (cfg *ControllerConfig) applyDefaults() {
 	if cfg.HeadroomLow <= 0 {
 		cfg.HeadroomLow = 0.1
 	}
-	if cfg.HysteresisGain <= 0 {
-		cfg.HysteresisGain = 0.02
-	}
-	if cfg.Samples <= 0 {
-		cfg.Samples = 400
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 3
-	}
-	if cfg.LoadCeiling <= 0 || cfg.LoadCeiling > 1 {
-		cfg.LoadCeiling = 0.9
-	}
-	if cfg.RebalanceGain <= 0 {
-		cfg.RebalanceGain = 0.1
-	}
-	if cfg.RebalanceMinRate <= 0 {
-		cfg.RebalanceMinRate = 10
-	}
 }
 
 // ControllerMove records one controller-initiated migration attempt.
@@ -146,9 +112,8 @@ type ControllerStats struct {
 	Decisions        int64
 	Moves            int64
 	MoveFailures     int64
-	Scales           int64
 	ForecastHeadroom float64
-	LastAction       string // "hold:<reason>", "migrate:<n>" or "scale:<stream>"
+	LastAction       string // "hold:<reason>" or "migrate:<n>"
 }
 
 // Controller is the closed-loop elastic placement controller. Start it with
@@ -198,7 +163,7 @@ func (cl *Cluster) StartController(cfg ControllerConfig) (*Controller, error) {
 		done:  make(chan struct{}),
 	}
 	for _, in := range m.Snapshot().Inputs {
-		c.fc[in] = newForecaster(cfg.Alpha, cfg.Beta, cfg.Gamma, cfg.SeasonPeriod)
+		c.fc[in] = newForecaster(ctrlAlpha, ctrlBeta, ctrlGamma, cfg.SeasonPeriod)
 	}
 
 	go c.run()
@@ -224,7 +189,6 @@ func (c *Controller) Stats() ControllerStats {
 		Decisions:        c.ins.Decisions.Value(),
 		Moves:            c.ins.Moves.Value(),
 		MoveFailures:     c.ins.MoveFailures.Value(),
-		Scales:           c.ins.Scales.Value(),
 		ForecastHeadroom: c.ins.ForecastHeadroom.Value(),
 		LastAction:       last,
 	}
@@ -267,11 +231,11 @@ func (c *Controller) decide(now time.Time) {
 	for k, in := range snap.Inputs {
 		f := c.fc[in]
 		if f == nil {
-			f = newForecaster(c.cfg.Alpha, c.cfg.Beta, c.cfg.Gamma, c.cfg.SeasonPeriod)
+			f = newForecaster(ctrlAlpha, ctrlBeta, ctrlGamma, c.cfg.SeasonPeriod)
 			c.fc[in] = f
 		}
 		f.Observe(snap.Rates[k])
-		if f.seen < c.cfg.Warmup {
+		if f.seen < ctrlWarmup {
 			warm = false
 		}
 		fRates[k] = f.Forecast(h)
@@ -304,17 +268,6 @@ func (c *Controller) decide(now time.Time) {
 	c.mu.Lock()
 	cooling := now.Before(c.cooldownUntil)
 	c.mu.Unlock()
-
-	// Shard scale actuator first: it acts on observed per-slot skew, which
-	// the model headroom cannot see (the load model assumes each replica
-	// carries a uniform 1/k of the keyed stream). Shares the cooldown and
-	// actuates at most one stream per cycle.
-	if !cooling && c.maybeRebalance(snap) {
-		c.mu.Lock()
-		c.cooldownUntil = now.Add(c.cfg.Cooldown)
-		c.mu.Unlock()
-		return
-	}
 
 	if minHead >= c.cfg.HeadroomLow && !overloaded {
 		hold("headroom_ok")
@@ -349,7 +302,7 @@ func (c *Controller) decide(now time.Time) {
 		LowerBound: fRates,
 		Seed:       c.cfg.Seed,
 		Pinned:     pinned,
-	}, c.cfg.Samples)
+	}, ctrlSamples)
 	if err != nil {
 		ev.Emit(obs.LevelWarn, obs.EventControlError, "op", "controller_place", "err", err.Error())
 		hold("place_error")
@@ -369,7 +322,7 @@ func (c *Controller) decide(now time.Time) {
 		next[mv.Op] = mv.To
 	}
 	newHead, _ := obs.MinHeadroom(obs.NodeLoads(make([]float64, len(snap.Caps)), opLoads, next), snap.Caps, snap.Stale)
-	if newHead < minHead+c.cfg.HysteresisGain {
+	if newHead < minHead+ctrlHysteresisGain {
 		hold("insufficient_gain")
 		return
 	}
@@ -423,95 +376,8 @@ func (c *Controller) setAction(a string) {
 	c.mu.Unlock()
 }
 
-// maybeRebalance runs the shard scale actuator over the observed per-slot
-// rates: for the first keyed stream (ascending id) whose reassignment cuts
-// the maximum per-shard load share by at least RebalanceGain, it pushes
-// the new slot table via Repartition. Returns whether it actuated (success
-// or failure — either way the caller applies the cooldown).
-func (c *Controller) maybeRebalance(snap MonitorSnapshot) bool {
-	if c.cfg.ShardRebalance == nil || len(snap.SlotRates) == 0 {
-		return false
-	}
-	ev := c.m.cfg.Events
-	sids := make([]int, 0, len(snap.SlotRates))
-	for sid := range snap.SlotRates {
-		sids = append(sids, sid)
-	}
-	sort.Ints(sids)
-	for _, sid := range sids {
-		k := c.cl.ShardK(query.StreamID(sid))
-		if k < 2 {
-			continue
-		}
-		rates := snap.SlotRates[sid]
-		total := 0.0
-		for _, r := range rates {
-			total += r
-		}
-		if total < c.cfg.RebalanceMinRate {
-			continue
-		}
-		cur := c.cl.ShardSlotsOf(query.StreamID(sid))
-		if len(cur) != len(rates) {
-			continue
-		}
-		next := c.cfg.ShardRebalance(rates, k)
-		if len(next) != len(rates) {
-			continue
-		}
-		curMax := maxShardShare(cur, rates, k)
-		nextMax := maxShardShare(next, rates, k)
-		// Hysteresis: the reassignment must cut the hottest shard's share
-		// by the configured relative gain, or the actuator holds.
-		if curMax <= 0 || nextMax >= curMax*(1-c.cfg.RebalanceGain) {
-			continue
-		}
-		same := true
-		for i := range cur {
-			if cur[i] != next[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			continue
-		}
-		err := c.cl.Repartition(query.StreamID(sid), next)
-		c.setAction(fmt.Sprintf("scale:%d", sid))
-		if err == nil {
-			c.ins.Scales.Inc()
-			ev.Emit(obs.LevelInfo, obs.EventControllerScale,
-				"stream", sid, "k", k, "ok", true,
-				"max_share_before", curMax/total, "max_share_after", nextMax/total)
-		} else {
-			c.ins.MoveFailures.Inc()
-			ev.Emit(obs.LevelWarn, obs.EventControllerScale,
-				"stream", sid, "k", k, "ok", false, "err", err.Error())
-		}
-		return true
-	}
-	return false
-}
-
-// maxShardShare is the largest per-shard rate sum under the assignment.
-func maxShardShare(assign []int, rates []float64, k int) float64 {
-	loads := make([]float64, k)
-	for i, s := range assign {
-		if s >= 0 && s < k && i < len(rates) {
-			loads[s] += rates[i]
-		}
-	}
-	max := 0.0
-	for _, l := range loads {
-		if l > max {
-			max = l
-		}
-	}
-	return max
-}
-
 // resolveClamped resolves per-operator loads at the forecast rate point,
-// scaling the rates down if the total load exceeds LoadCeiling × the live
+// scaling the rates down if the total load exceeds ctrlLoadCeiling × the live
 // (non-stale) capacity sum — an infeasible lower bound would distort the
 // re-placement rather than inform it.
 func (c *Controller) resolveClamped(fRates mat.Vec, snap MonitorSnapshot) ([]float64, mat.Vec, error) {
@@ -531,7 +397,7 @@ func (c *Controller) resolveClamped(fRates mat.Vec, snap MonitorSnapshot) ([]flo
 		}
 		capSum += cp
 	}
-	if ceil := c.cfg.LoadCeiling * capSum; total > ceil && total > 0 {
+	if ceil := ctrlLoadCeiling * capSum; total > ceil && total > 0 {
 		scale := ceil / total
 		scaled := append(mat.Vec(nil), fRates...)
 		for k := range scaled {

@@ -94,7 +94,7 @@ func TestControllerConfigDefaults(t *testing.T) {
 	if cfg.Interval != 500*time.Millisecond || cfg.Horizon != 3*cfg.Interval {
 		t.Fatalf("interval/horizon defaults wrong: %v/%v", cfg.Interval, cfg.Horizon)
 	}
-	if cfg.MaxMoves != 1 || cfg.HeadroomLow != 0.1 || cfg.Warmup != 3 {
+	if cfg.Cooldown != 2*time.Second || cfg.MaxMoves != 1 || cfg.HeadroomLow != 0.1 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 }

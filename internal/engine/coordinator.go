@@ -629,8 +629,8 @@ func StartCluster(capacities []float64) (*Cluster, error) {
 }
 
 // StartClusterConfig launches a cluster whose nodes share the given
-// data-plane resilience configuration (queue bounds, shed policy, outbox
-// sizing, reconnect backoff).
+// data-plane resilience configuration (queue bounds, outbox sizing,
+// reconnect backoff).
 func StartClusterConfig(capacities []float64, cfg NodeConfig) (*Cluster, error) {
 	cl := &Cluster{caps: append([]float64(nil), capacities...), cfg: cfg}
 	col, err := NewCollector("127.0.0.1:0")

@@ -867,6 +867,81 @@ func TestConcurrentReplaySameSenderNoDuplicates(t *testing.T) {
 	}
 }
 
+// Replayed tuples were acked before the restart, so recovery never sheds
+// them, however far the WAL's backlog runs past the ingress bound: a node
+// with IngressCap 64 that logged 1 024 tuples since its last checkpoint
+// replays all of them into its lanes, and every one reaches the sink again
+// (where the sink's dedup drops it as a duplicate).
+func TestDurableReplayNeverSheds(t *testing.T) {
+	const frames, per = 16, 64
+	g := pipeline(t, 0.00001, 0.00001)
+	plan, _ := placement.NewPlan([]int{0, 0}, 1)
+	caps := []float64{1}
+	cl, err := StartClusterConfig(caps, NodeConfig{
+		WALDir:          t.TempDir(),
+		IngressCap:      per,
+		CheckpointEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Collector.SetDedup(true)
+	if err := cl.Deploy(g, plan, caps); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	in := int32(g.Inputs()[0])
+
+	conn, err := net.DialTimeout("tcp", cl.Nodes[0].Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(20 * time.Second)) //nolint:errcheck
+	if _, err := conn.Write(appendHello([]byte{connTuples}, 1, "replay-sender")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frames; i++ {
+		if _, err := conn.Write(appendSeqFrame(nil, seqRun(in, i*per, per), uint64((i+1)*per))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readAck(conn); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		// The lane drains each frame before the next, so no live admission
+		// meets a full lane.
+		waitUntil(t, 5*time.Second, "the frame processed", func() bool {
+			st := cl.Nodes[0].Stats()
+			return st.QueueLen == 0 && st.WorkerInFlight == 0
+		})
+	}
+	if err := cl.AwaitQuiescence(15*time.Second, 50*time.Millisecond); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if st := cl.Nodes[0].Stats(); st.Shed != 0 || st.Checkpoints != 0 {
+		t.Fatalf("before the restart: shed %d, checkpoints %d, want 0 and 0", st.Shed, st.Checkpoints)
+	}
+
+	if err := cl.RestartNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.AwaitQuiescence(15*time.Second, 50*time.Millisecond); err != nil {
+		t.Fatalf("drain after the restart: %v", err)
+	}
+	st := cl.Nodes[0].Stats()
+	if st.Replayed != frames*per || st.Shed != 0 {
+		t.Fatalf("replayed %d and shed %d of %d logged tuples, want all replayed and none shed",
+			st.Replayed, st.Shed, frames*per)
+	}
+	delivered, _, _, _, _ := cl.Collector.LatencyStats()
+	if dups := cl.Collector.Duplicates(); delivered != frames*per || dups != frames*per {
+		t.Fatalf("sink: delivered %d, duplicates %d, want %d each", delivered, dups, frames*per)
+	}
+}
+
 // TestRestartNodeRejectsLiveExternal pins RestartNode's guard rails: only
 // coordinator-owned nodes can be restarted in-process.
 func TestRestartNodeRejectsLiveExternal(t *testing.T) {

@@ -129,10 +129,10 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 		n.estimator.Record(id, stats.OpSample{In: s.in, Out: s.out, CPU: s.cpu})
 	}
 	for i := range fwds {
-		n.sendRelay(fwds[i].addr, fwds[i].ts)
+		n.sendRelay(n.lanes[0], fwds[i].addr, fwds[i].ts)
 	}
 	for i := range keyed {
-		n.sendBatch(keyed[i].addr, keyed[i].ts)
+		n.sendBatch(n.lanes[0], keyed[i].addr, keyed[i].ts)
 	}
 	var egress destRuns
 	for _, t := range outs {
@@ -154,7 +154,7 @@ func refProcessRun(n *Node, tuples []Tuple) (outs []Tuple) {
 		}
 	}
 	for i := range egress {
-		accepted := n.sendBatch(egress[i].addr, egress[i].ts)
+		accepted := n.sendBatch(n.lanes[0], egress[i].addr, egress[i].ts)
 		n.emitted.Add(int64(accepted))
 		for _, t := range egress[i].ts[:accepted] {
 			charge(entry(t.Stream).xfer)

@@ -74,7 +74,7 @@ func fibLane(x uint64, w uint32) uint32 {
 // fields never share a cache line.
 type lane struct {
 	id  uint32
-	cap int // per-lane ingress bound: ceil(IngressCap / W)
+	cap int // per-lane ingress bound: ceil(IngressCap / W), none during recovery
 
 	mu           sync.Mutex
 	cond         *sync.Cond
@@ -87,6 +87,7 @@ type lane struct {
 	shed      atomic.Int64
 	processed atomic.Int64
 	busy      atomic.Int64 // ns of virtual-CPU time charged by this lane
+	sendStart atomic.Int64 // Unix ns the worker's send in progress began; 0 when none
 	_         [64]byte
 }
 
@@ -113,13 +114,12 @@ type admitResult struct {
 type chunkRange struct{ lo, hi int }
 
 // admit appends the given stretches of an ingress chunk, in order, to the
-// lane queue under one lock acquisition, shedding per the node policy when
-// the lane bound is hit. The prefix of a stretch that fits goes in with one
-// bulk copy; every tuple after it meets a full lane and is shed one at a
-// time, so per-tuple accounting (shed counters, the onset hysteresis latch,
-// drop-oldest eviction) matches the single-queue semantics exactly, per
-// lane.
-func (l *lane) admit(chunk []Tuple, ranges []chunkRange, policy ShedPolicy) admitResult {
+// lane queue under one lock acquisition, shedding the arrivals that find
+// the lane bound hit. The prefix of a stretch that fits goes in with one
+// bulk copy; every tuple after it meets a full lane and is shed, counted
+// per tuple (shed counters, the onset hysteresis latch), so the accounting
+// matches the single-queue semantics exactly, per lane.
+func (l *lane) admit(chunk []Tuple, ranges []chunkRange) admitResult {
 	var res admitResult
 	l.mu.Lock()
 	for _, r := range ranges {
@@ -130,21 +130,14 @@ func (l *lane) admit(chunk []Tuple, ranges []chunkRange, policy ShedPolicy) admi
 			res.admitted = true
 		}
 		for i := k; i < len(ts); i++ {
-			// Lane full: shed. Drop-newest rejects the arrival; drop-oldest
-			// evicts the head to admit it, so the lane stays full.
-			victim := ts[i].Stream
-			if policy == DropOldest {
-				victim = l.queue[l.qhead].Stream
-				l.qhead++
-				l.queue = append(l.queue, ts[i])
-				res.admitted = true
-			}
+			// Lane full: the arrival is shed.
+			sid := ts[i].Stream
 			l.shed.Add(1)
-			l.shedByStream[victim]++
+			l.shedByStream[sid]++
 			if !l.shedding {
 				l.shedding = true
 				res.shedOnset = true
-				res.onsetStream = victim
+				res.onsetStream = sid
 			}
 		}
 	}
@@ -177,7 +170,6 @@ func (l *lane) requeue(ts []Tuple) {
 //   - admit, requeue and stall only append, and an append that outgrows the
 //     array moves the queue to a new one, leaving the old array — which the
 //     run still points into — as it was;
-//   - drop-oldest eviction only advances qhead, past slots behind the run;
 //   - the only writes below len, resetting an empty queue and compacting a
 //     long-drained one, are endRun's, and endRun runs after the run.
 func (l *lane) take() []Tuple {

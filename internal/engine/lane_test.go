@@ -227,13 +227,13 @@ func TestComputeLanesGroupsSharedConsumers(t *testing.T) {
 }
 
 // A run the worker took aliases the lane queue (lane.take) until endRun.
-// While it is out, producers evict with drop-oldest, requeue enough to
-// outgrow the queue's array, and keep doing both concurrently with
-// processRun: the run's outputs must equal those of a copy taken at the
-// drain, and the queue must hold exactly what a plain FIFO model holds. The
-// queue is due for compaction from the moment the run is taken, and its
-// survivors would land on the run's slots: compacting before processRun
-// instead of in endRun fails this test.
+// While it is out, producers offer admissions to the full lane (all shed),
+// requeue enough to outgrow the queue's array, and keep doing both
+// concurrently with processRun: the run's outputs must equal those of a
+// copy taken at the drain, and the queue must hold exactly what a plain
+// FIFO model holds. The queue is due for compaction from the moment the
+// run is taken, and its survivors would land on the run's slots:
+// compacting before processRun instead of in endRun fails this test.
 func TestLaneDrainAliasIsStable(t *testing.T) {
 	got, ref := hotPathNode(t), hotPathNode(t)
 	const total, laneCap = 9000, 512
@@ -257,12 +257,9 @@ func TestLaneDrainAliasIsStable(t *testing.T) {
 	held := take()
 	copied := append([]Tuple(nil), held...)
 	model := seqRun(1, end, total-end)
-	// Every admission meets a full lane, so each tuple evicts the head.
+	// Every admission meets a full lane, so each tuple is shed.
 	admit := func(ts []Tuple) {
-		l.admit(ts, []chunkRange{{0, len(ts)}}, DropOldest)
-		for _, tp := range ts {
-			model = append(model[1:], tp)
-		}
+		l.admit(ts, []chunkRange{{0, len(ts)}})
 	}
 	requeue := func(ts []Tuple) {
 		l.requeue(ts)
@@ -289,5 +286,8 @@ func TestLaneDrainAliasIsStable(t *testing.T) {
 	l.endRun()
 	if !reflect.DeepEqual(l.queue[l.qhead:], model) {
 		t.Fatalf("the queue holds %d tuples after the run, the FIFO model %d, or they differ", l.qlenLocked(), len(model))
+	}
+	if shed := l.shed.Load(); shed != 100+8*50 {
+		t.Fatalf("shed %d admissions, want all %d", shed, 100+8*50)
 	}
 }

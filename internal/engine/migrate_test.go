@@ -235,7 +235,7 @@ func TestPeerReconnectAfterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := bNode.Addr()
-	if a.sendBatch(addr, []Tuple{{Stream: 1}}) != 1 {
+	if a.sendBatch(a.lanes[0], addr, []Tuple{{Stream: 1}}) != 1 {
 		t.Fatal("first send rejected")
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -248,7 +248,7 @@ func TestPeerReconnectAfterFailure(t *testing.T) {
 	bNode.Close()
 	// Sends never block while the peer is down: the outbox buffers (and
 	// eventually drops), the caller always returns immediately.
-	a.sendBatch(addr, []Tuple{{Stream: 1}})
+	a.sendBatch(a.lanes[0], addr, []Tuple{{Stream: 1}})
 	// Restart a node on the same address; the outbox must reconnect and
 	// deliver subsequent tuples.
 	b2, err := NewNode(addr, 1)
@@ -258,7 +258,7 @@ func TestPeerReconnectAfterFailure(t *testing.T) {
 	defer b2.Close()
 	deadline = time.Now().Add(4 * time.Second)
 	for {
-		a.sendBatch(addr, []Tuple{{Stream: 1}})
+		a.sendBatch(a.lanes[0], addr, []Tuple{{Stream: 1}})
 		if b2.Stats().Injected > 0 {
 			return // reconnected and delivering
 		}

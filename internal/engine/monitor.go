@@ -33,11 +33,6 @@ type MonitorConfig struct {
 	Plan *placement.Plan
 	Caps mat.Vec
 
-	// OverloadQueue is the backlog an overload onset needs (default
-	// obs.DefaultOverloadQueue); onset also needs utilization at
-	// obs.OverloadUtil, and clearance a quarter of the backlog (at least 1).
-	OverloadQueue int
-
 	// RateAlpha is the EWMA smoothing factor for source rates (default
 	// obs.DefaultRateAlpha).
 	RateAlpha float64
@@ -100,9 +95,8 @@ type Monitor struct {
 	caps   mat.Vec
 
 	// Per-slot routed rates of keyed streams, EWMA-smoothed from the
-	// cumulative PartCounts the splitter homes report — the observed skew
-	// signal the controller's shard-rebalance actuator feeds on.
-	partMu   sync.Mutex
+	// cumulative PartCounts the splitter homes report; only the sampling
+	// loop touches them.
 	partLast map[int][]int64
 	partRate map[int][]float64
 	// shardG exposes each keyed stream's per-shard routed rate (slot rates
@@ -138,10 +132,9 @@ func (cl *Cluster) StartMonitor(cfg MonitorConfig) *Monitor {
 		}
 	}
 	core := obs.NewObserver(cfg.Registry, cfg.Series, cfg.Events, obs.ObserverConfig{
-		Nodes:         n,
-		Caps:          caps,
-		OverloadQueue: cfg.OverloadQueue,
-		RateAlpha:     cfg.RateAlpha,
+		Nodes:     n,
+		Caps:      caps,
+		RateAlpha: cfg.RateAlpha,
 	})
 	cfg.Registry, cfg.Series, cfg.Events = core.Registry(), core.Series(), core.Events()
 	m := &Monitor{
@@ -262,9 +255,6 @@ type MonitorSnapshot struct {
 	// Caps the node capacities used in the headroom computation.
 	NodeOf []int
 	Caps   mat.Vec
-	// SlotRates holds, per keyed stream, the EWMA-smoothed per-slot routed
-	// rates (tuples/second) — empty until a sharded stream reports counts.
-	SlotRates map[int][]float64
 }
 
 // Snapshot copies the monitor's current view of the cluster. Safe to call
@@ -286,14 +276,6 @@ func (m *Monitor) Snapshot() MonitorSnapshot {
 	s.NodeOf = append([]int(nil), m.nodeOf...)
 	m.planMu.Unlock()
 	s.Caps = append(mat.Vec(nil), m.caps...)
-	m.partMu.Lock()
-	if len(m.partRate) > 0 {
-		s.SlotRates = make(map[int][]float64, len(m.partRate))
-		for sid, r := range m.partRate {
-			s.SlotRates[sid] = append([]float64(nil), r...)
-		}
-	}
-	m.partMu.Unlock()
 	return s
 }
 
@@ -490,8 +472,6 @@ func (m *Monitor) partTick(sts []*NodeStats, dt float64) {
 		}
 	}
 	alpha := m.core.RateAlpha()
-	m.partMu.Lock()
-	defer m.partMu.Unlock()
 	for sid, tot := range partTotals {
 		last := m.partLast[sid]
 		rate := m.partRate[sid]

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -16,47 +17,14 @@ import (
 	"rodsp/internal/wal"
 )
 
-// ShedPolicy selects which tuple is sacrificed when the bounded ingress
-// queue is full.
-type ShedPolicy int
-
-const (
-	// DropNewest rejects the arriving tuple (default: keeps the oldest
-	// work, preserving FIFO latency for tuples already admitted).
-	DropNewest ShedPolicy = iota
-	// DropOldest evicts the head of the queue to admit the arrival
-	// (bounds staleness: fresh tuples win over stale backlog).
-	DropOldest
-)
-
-func (p ShedPolicy) String() string {
-	if p == DropOldest {
-		return "drop-oldest"
-	}
-	return "drop-newest"
-}
-
-// ParseShedPolicy parses "drop-newest" | "drop-oldest".
-func ParseShedPolicy(s string) (ShedPolicy, error) {
-	switch s {
-	case "", "drop-newest":
-		return DropNewest, nil
-	case "drop-oldest":
-		return DropOldest, nil
-	default:
-		return DropNewest, fmt.Errorf("engine: unknown shed policy %q (want drop-newest|drop-oldest)", s)
-	}
-}
-
 // NodeConfig tunes the node's data-plane resilience knobs. The zero value
 // selects the defaults noted on each field.
 type NodeConfig struct {
-	// IngressCap bounds the work queue; arrivals beyond it are shed per
-	// ShedPolicy. With W worker lanes each lane is bounded at
-	// ceil(IngressCap/W). <= 0 selects DefaultIngressCap.
+	// IngressCap bounds the work queue; an arrival that finds it full is
+	// shed, so admitted work keeps its FIFO latency. With W worker lanes
+	// each lane is bounded at ceil(IngressCap/W). <= 0 selects
+	// DefaultIngressCap.
 	IngressCap int
-	// ShedPolicy picks the victim when the ingress queue is full.
-	ShedPolicy ShedPolicy
 	// OutboxCap is the number of tuples one per-peer outbox holds, in
 	// total: accepted-but-unwritten plus, on a node with a WAL, written-
 	// but-unacked. Every lane worker shares it. Without a WAL an offer
@@ -321,10 +289,10 @@ func NewNodeConfig(addr string, capacity float64, cfg NodeConfig) (*Node, error)
 		done:          make(chan struct{}),
 	}
 	n.route.Store(emptyRouteState())
-	laneCap := (cfg.IngressCap + w - 1) / w
+	// The lanes start unbounded and take their bound once recovery is done.
 	n.lanes = make([]*lane, w)
 	for i := range n.lanes {
-		n.lanes[i] = newLane(uint32(i), laneCap)
+		n.lanes[i] = newLane(uint32(i), math.MaxInt)
 	}
 	n.scratch.New = func() any { return newIngressScratch(w) }
 	// Recovery runs BEFORE any goroutine starts: the WAL's surviving
@@ -332,12 +300,18 @@ func NewNodeConfig(addr string, capacity float64, cfg NodeConfig) (*Node, error)
 	// accepted, so re-sent retained batches from upstream peers cannot
 	// race the replay (they would advance the dedup marks past
 	// records not yet re-admitted). Peers dialing during replay queue in
-	// the listen backlog.
+	// the listen backlog. Replayed tuples were acked by the previous
+	// incarnation, so shedding one would lose it: like a worker's local
+	// re-entries they are never shed, and the backlog they form is at most
+	// what the WAL logged since the last checkpoint.
 	if cfg.WALDir != "" {
 		if err := n.openDurability(); err != nil {
 			ln.Close()
 			return nil, err
 		}
+	}
+	for _, l := range n.lanes {
+		l.cap = (cfg.IngressCap + w - 1) / w
 	}
 	n.wg.Add(1 + w)
 	go n.acceptLoop()
@@ -595,9 +569,9 @@ func (n *Node) senderOf(addr string) *sender {
 
 // enqueueInboundBatch admits a batch of tuples arriving from the network
 // (or a source injector) to the bounded per-lane work queues, processing
-// chunks of at most batchMax tuples. Shedding (per the configured policy),
-// per-stream shed counters and the shed-onset hysteresis latch are all
-// computed batch-wise with per-tuple accounting preserved.
+// chunks of at most batchMax tuples. Shedding, per-stream shed counters
+// and the shed-onset hysteresis latch are all computed batch-wise with
+// per-tuple accounting preserved.
 func (n *Node) enqueueInboundBatch(ts []Tuple) {
 	for len(ts) > 0 {
 		chunk := ts
@@ -755,13 +729,12 @@ func (n *Node) enqueueChunk(chunk []Tuple) {
 		if len(sc.perLane[li]) == 0 {
 			continue
 		}
-		res := n.lanes[li].admit(chunk, sc.perLane[li], n.cfg.ShedPolicy)
+		res := n.lanes[li].admit(chunk, sc.perLane[li])
 		if res.shedOnset {
 			ev.Emit(obs.LevelWarn, obs.EventShedOnset,
 				"node", nodeID, "lane", int(n.lanes[li].id),
 				"queue", res.qlen, "cap", n.lanes[li].cap,
-				"policy", n.cfg.ShedPolicy.String(), "stream", int(res.onsetStream),
-				"shed", res.shedTotal)
+				"stream", int(res.onsetStream), "shed", res.shedTotal)
 		}
 	}
 	for _, sid := range sc.noRoute {
@@ -820,27 +793,30 @@ func (n *Node) stall(sec float64) {
 const stallStream int32 = -1
 
 // sendBatch offers a run of tuples to the destination's outbox. Only lane
-// workers call it. On a node without a WAL it never blocks: a dead, slow or
-// partitioned peer costs the caller one bounded ring insertion (the chaos
-// test asserts the worker path never stalls there), and the rest of ts that
-// did not fit is counted in the outbox's drop counter. On a node with a WAL
-// the caller waits, while the ring is full, for the receiver's acks to free
-// room (see outbox.go).
-// sendMaxNanos records the longest call either way. It returns how many
-// tuples the ring took, a prefix of ts.
-func (n *Node) sendBatch(addr string, ts []Tuple) int { return n.send(addr, ts, false) }
+// workers call it, each for its own lane l. On a node without a WAL it never
+// blocks: a dead, slow or partitioned peer costs the caller one bounded ring
+// insertion (the chaos test asserts the worker path never stalls there), and
+// the rest of ts that did not fit is counted in the outbox's drop counter.
+// On a node with a WAL the caller waits, while the ring is full, for the
+// receiver's acks to free room (see outbox.go).
+// sendMaxNanos records the longest call either way, and l.sendStart
+// publishes the call in progress, so Stats shows a wait while it lasts. It
+// returns how many tuples the ring took, a prefix of ts.
+func (n *Node) sendBatch(l *lane, addr string, ts []Tuple) int { return n.send(l, addr, ts, false) }
 
 // sendRelay is sendBatch for the addressed copies relay entries carry,
 // which the outbox numbers per flow (see outbox.enqueueBatch).
-func (n *Node) sendRelay(addr string, ts []Tuple) int { return n.send(addr, ts, true) }
+func (n *Node) sendRelay(l *lane, addr string, ts []Tuple) int { return n.send(l, addr, ts, true) }
 
-func (n *Node) send(addr string, ts []Tuple, relay bool) int {
+func (n *Node) send(l *lane, addr string, ts []Tuple, relay bool) int {
 	t0 := time.Now()
+	l.sendStart.Store(t0.UnixNano())
 	accepted := 0
 	if o := n.outboxFor(addr); o != nil {
 		accepted = o.enqueueBatch(ts, relay)
 	}
 	storeMax(&n.sendMaxNanos, int64(time.Since(t0)))
+	l.sendStart.Store(0)
 	return accepted
 }
 
@@ -963,7 +939,6 @@ func (n *Node) Stats() *NodeStats {
 		Injected:       n.injected.Load(),
 		Emitted:        n.emitted.Load(),
 		DroppedNoRoute: n.dropNoRt.Load(),
-		SendMaxMs:      float64(n.sendMaxNanos.Load()) / float64(time.Millisecond),
 		OpCost:         map[int]float64{},
 		OpSel:          map[int]float64{},
 		Workers:        int(n.workers),
@@ -973,7 +948,11 @@ func (n *Node) Stats() *NodeStats {
 	}
 	multi := n.workers > 1
 	var shedBy map[int]int64
+	now, sendMax := time.Now().UnixNano(), n.sendMaxNanos.Load()
 	for _, l := range n.lanes {
+		if t0 := l.sendStart.Load(); t0 != 0 {
+			sendMax = max(sendMax, now-t0)
+		}
 		l.mu.Lock()
 		q := l.qlenLocked()
 		ir := l.inRun
@@ -1001,6 +980,7 @@ func (n *Node) Stats() *NodeStats {
 		}
 	}
 	s.ShedByStream = shedBy
+	s.SendMaxMs = float64(sendMax) / float64(time.Millisecond)
 	for sid, sr := range rs.streams {
 		pt := sr.part
 		if pt == nil {

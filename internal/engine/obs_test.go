@@ -39,12 +39,11 @@ func TestMonitorOverloadLifecycle(t *testing.T) {
 	defer cl.Close()
 
 	m := cl.StartMonitor(MonitorConfig{
-		Interval:      50 * time.Millisecond,
-		LM:            lm,
-		Plan:          plan,
-		Caps:          caps,
-		OverloadQueue: 15,
-		TraceEvery:    25,
+		Interval:   50 * time.Millisecond,
+		LM:         lm,
+		Plan:       plan,
+		Caps:       caps,
+		TraceEvery: 25,
 	})
 	if err := cl.Deploy(g, plan, caps); err != nil {
 		t.Fatal(err)
@@ -53,10 +52,11 @@ func TestMonitorOverloadLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 150 tuples/s against 50/s of capacity: the queue builds at ~100/s.
+	// 300 tuples/s against 50/s of capacity: the queue builds at ~250/s,
+	// past obs.OverloadQueue well before the drive ends.
 	src := &SourceDriver{
 		Stream: in,
-		Trace:  trace.New("const", 1, []float64{150, 150}),
+		Trace:  trace.New("const", 1, []float64{300, 300}),
 		Addrs:  []string{cl.Nodes[0].Addr()},
 		Count:  m.SourceCounter(in),
 	}
@@ -86,7 +86,7 @@ func TestMonitorOverloadLifecycle(t *testing.T) {
 		t.Fatalf("clear (seq %d) must follow onset (seq %d)", clr.Seq, onset.Seq)
 	}
 
-	// The headroom at the observed ~150 tuples/s is 1 − 150·0.02 = −2.
+	// The headroom at the observed ~300 tuples/s is 1 − 300·0.02 = −5.
 	head := m.Series().Series(obs.MetricNodeHeadroom, "node", "0")
 	if min, ok := head.Min(); !ok || min > 0 {
 		t.Fatalf("headroom min = %g (ok=%v), want ≤ 0 during overload", min, ok)

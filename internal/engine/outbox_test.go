@@ -77,7 +77,7 @@ func TestOutboxOverflowAccounting(t *testing.T) {
 	const total = 100
 	accepted := 0
 	for i := 0; i < total; i++ {
-		if n.sendBatch(addr, []Tuple{{Stream: 1, Seq: int64(i)}}) == 1 {
+		if n.sendBatch(n.lanes[0], addr, []Tuple{{Stream: 1, Seq: int64(i)}}) == 1 {
 			accepted++
 		}
 	}
@@ -130,7 +130,7 @@ func TestOutboxReconnectAfterPartition(t *testing.T) {
 	defer b.Close()
 	addr := b.Addr()
 
-	a.sendBatch(addr, []Tuple{{Stream: 1}})
+	a.sendBatch(a.lanes[0], addr, []Tuple{{Stream: 1}})
 	waitUntil(t, 2*time.Second, "first delivery", func() bool {
 		return b.Stats().Injected > 0
 	})
@@ -140,13 +140,13 @@ func TestOutboxReconnectAfterPartition(t *testing.T) {
 	// The severed link surfaces as a relay_error once the outbox notices
 	// (the break, or the next failed dial).
 	waitUntil(t, 2*time.Second, "relay_error after sever", func() bool {
-		a.sendBatch(addr, []Tuple{{Stream: 1}})
+		a.sendBatch(a.lanes[0], addr, []Tuple{{Stream: 1}})
 		return ev.Count(obs.EventRelayError) > 0
 	})
 
 	a.ClearLinkFault(addr)
 	waitUntil(t, 4*time.Second, "delivery after heal", func() bool {
-		a.sendBatch(addr, []Tuple{{Stream: 1}})
+		a.sendBatch(a.lanes[0], addr, []Tuple{{Stream: 1}})
 		return b.Stats().Injected > before
 	})
 	if s := a.outboxSnapshots()[0]; s.Reconnects < 1 {
@@ -188,7 +188,7 @@ func TestOutboxDropFault(t *testing.T) {
 			// Increasing sequences: a durable receiver dedups on them.
 			var seq int64
 			send := func() {
-				a.sendBatch(addr, []Tuple{{Stream: 1, Seq: seq}})
+				a.sendBatch(a.lanes[0], addr, []Tuple{{Stream: 1, Seq: seq}})
 				seq++
 			}
 
@@ -408,7 +408,7 @@ func TestOutboxCapIsTheBound(t *testing.T) {
 					go func(p int) {
 						defer wg.Done()
 						for r := 0; r < runs; r++ {
-							accepted.Add(int64(n.sendBatch(peer.addr(), seqRun(int32(p+1), r*per, per))))
+							accepted.Add(int64(n.sendBatch(n.lanes[0], peer.addr(), seqRun(int32(p+1), r*per, per))))
 						}
 					}(p)
 				}
@@ -468,7 +468,7 @@ func TestOutboxCapIsTheBound(t *testing.T) {
 func TestOutboxAckValidation(t *testing.T) {
 	peer := newAckPeer(t)
 	n := durableSender(t, NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
-	n.sendBatch(peer.addr(), seqRun(1, 0, 10))
+	n.sendBatch(n.lanes[0], peer.addr(), seqRun(1, 0, 10))
 	c := peer.accept()
 	wantSeqs(t, "first frame", c.readN(0, 10), 0, 10)
 	awaitOutbox(t, n, "shipped, unacked", 0, 10)
@@ -498,7 +498,7 @@ func TestOutboxAckValidation(t *testing.T) {
 	// Five more tuples go out as positions 11..15; the peer acks far beyond
 	// them. Nothing is released, the connection fails, and the next one
 	// opens with the hello and the same five tuples.
-	n.sendBatch(peer.addr(), seqRun(1, 10, 5))
+	n.sendBatch(n.lanes[0], peer.addr(), seqRun(1, 10, 5))
 	wantSeqs(t, "second frame", c.readN(10, 5), 10, 5)
 	c.ack(99)
 	c2 := peer.accept()
@@ -583,7 +583,7 @@ func TestOutboxMultiProducerFIFO(t *testing.T) {
 							run[i].Flags, run[i].TraceTs = TupleTraced, 1
 						}
 					}
-					for _, tp := range run[:n.sendBatch(addr, run)] {
+					for _, tp := range run[:n.sendBatch(n.lanes[0], addr, run)] {
 						want[p] = append(want[p], tp.Seq)
 					}
 				}
@@ -638,7 +638,7 @@ func TestDurableRetainInPlace(t *testing.T) {
 	go func() {
 		accepted := 0
 		for r := 0; r < total/16; r++ {
-			accepted += n.sendBatch(peer.addr(), seqRun(1, r*16, 16))
+			accepted += n.sendBatch(n.lanes[0], peer.addr(), seqRun(1, r*16, 16))
 		}
 		done <- accepted
 	}()
@@ -678,7 +678,7 @@ func TestDurableRetainReleasedByStop(t *testing.T) {
 		n := durableSender(t, NodeConfig{OutboxCap: bound})
 		o := n.outboxFor(peer.addr())
 		done := make(chan int, 1)
-		go func() { done <- n.sendBatch(peer.addr(), seqRun(1, 0, offered)) }()
+		go func() { done <- n.sendBatch(n.lanes[0], peer.addr(), seqRun(1, 0, offered)) }()
 		waitUntil(t, 5*time.Second, "a full ring", func() bool { return o.stats().Pending == bound })
 		select {
 		case k := <-done:
@@ -705,13 +705,41 @@ func TestDurableRetainReleasedByStop(t *testing.T) {
 	})
 }
 
+// A worker waiting for ring room shows in SendMaxMs while it waits, not
+// only once its send returns: a receiver that never acks reads as a send
+// that has lasted as long as the wait so far.
+func TestDurableSendMaxCountsWait(t *testing.T) {
+	const bound, offered = 64, 100
+	peer := newAckPeer(t) // the kernel completes the dial; nothing acks
+	n := durableSender(t, NodeConfig{OutboxCap: bound})
+	o := n.outboxFor(peer.addr())
+	done := make(chan int, 1)
+	t0 := time.Now()
+	go func() { done <- n.sendBatch(n.lanes[0], peer.addr(), seqRun(1, 0, offered)) }()
+	waitUntil(t, 5*time.Second, "a full ring", func() bool { return o.stats().Pending == bound })
+	time.Sleep(time.Until(t0.Add(500 * time.Millisecond)))
+	if ms := n.Stats().SendMaxMs; ms < 400 {
+		t.Fatalf("SendMaxMs %.1f while a send has waited 500 ms, want at least 400", ms)
+	}
+	select {
+	case k := <-done:
+		t.Fatalf("the offer returned (%d placed) with the ring full and no ack", k)
+	default:
+	}
+	n.Close()
+	<-done
+	if ms, start := n.Stats().SendMaxMs, n.lanes[0].sendStart.Load(); ms < 400 || start != 0 {
+		t.Fatalf("after the send returned: SendMaxMs %.1f (want at least 400), send start %d (want 0)", ms, start)
+	}
+}
+
 // A reconnect rewinds shipped to acked: the new connection opens with the
 // hello, then carries exactly the unacked suffix, in order, under the same
 // positional sequences, ahead of anything new.
 func TestDurableReconnectRewindsToAcked(t *testing.T) {
 	peer := newAckPeer(t)
 	n := durableSender(t, NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
-	n.sendBatch(peer.addr(), seqRun(1, 0, 10))
+	n.sendBatch(n.lanes[0], peer.addr(), seqRun(1, 0, 10))
 	c := peer.accept()
 	wantSeqs(t, "first connection", c.readN(0, 10), 0, 10)
 	inc, sender, ok := c.tr.Hello()
@@ -727,7 +755,7 @@ func TestDurableReconnectRewindsToAcked(t *testing.T) {
 	if inc2, sender2, ok := c2.tr.Hello(); !ok || inc2 != inc || sender2 != sender {
 		t.Fatalf("reconnect hello = (%d, %q, %v), want (%d, %q)", inc2, sender2, ok, inc, sender)
 	}
-	n.sendBatch(peer.addr(), seqRun(1, 10, 3))
+	n.sendBatch(n.lanes[0], peer.addr(), seqRun(1, 10, 3))
 	wantSeqs(t, "new tuples after the replay", c2.readN(10, 3), 10, 3)
 	c2.ack(13)
 	s := awaitOutbox(t, n, "all acked", 13, 0)
@@ -1085,7 +1113,7 @@ func TestOutboxEarlyAckRejected(t *testing.T) {
 	peer := newAckPeer(t)
 	n := durableSender(t, NodeConfig{OutboxCap: 64, BackoffBase: 5 * time.Millisecond})
 	n.SetLinkFault(peer.addr(), LinkFault{Delay: 300 * time.Millisecond})
-	n.sendBatch(peer.addr(), seqRun(1, 0, 10))
+	n.sendBatch(n.lanes[0], peer.addr(), seqRun(1, 0, 10))
 	c := peer.accept()
 	c.ack(10)
 	c2 := peer.accept()
@@ -1142,7 +1170,7 @@ func TestDurableReconnectResendsIdenticalRecords(t *testing.T) {
 			ts[i].Flags, ts[i].TraceTs = TupleTraced, 1
 		}
 	}
-	n.sendBatch(peer.addr(), ts)
+	n.sendBatch(n.lanes[0], peer.addr(), ts)
 	raw1, first := peer.firstFrame() // closing it makes the outbox reconnect
 	raw2, replay := peer.firstFrame()
 

@@ -10,12 +10,9 @@ import (
 // startShedNode builds a started node with a tiny ingress bound, one local
 // consumer on stream 1, and a worker pinned by a virtual-CPU stall so the
 // queue fills deterministically.
-func startShedNode(t *testing.T, ingressCap int, policy ShedPolicy, stallSec float64) (*Node, *obs.EventLog) {
+func startShedNode(t *testing.T, ingressCap int, stallSec float64) (*Node, *obs.EventLog) {
 	t.Helper()
-	n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{
-		IngressCap: ingressCap,
-		ShedPolicy: policy,
-	})
+	n, err := NewNodeConfig("127.0.0.1:0", 1, NodeConfig{IngressCap: ingressCap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +54,10 @@ func queueSeqs(n *Node) []int64 {
 	return out
 }
 
-// Drop-newest: arrivals beyond the bound are rejected, the oldest admitted
-// tuples survive, and the episode is bracketed by shed_onset/shed_clear.
+// Arrivals beyond the bound are rejected, the oldest admitted tuples
+// survive, and the episode is bracketed by shed_onset/shed_clear.
 func TestShedDropNewest(t *testing.T) {
-	n, ev := startShedNode(t, 4, DropNewest, 0.3)
+	n, ev := startShedNode(t, 4, 0.3)
 	for i := 0; i < 10; i++ {
 		n.enqueueInboundBatch([]Tuple{{Stream: 1, Seq: int64(i)}})
 	}
@@ -85,44 +82,4 @@ func TestShedDropNewest(t *testing.T) {
 	waitUntil(t, 2*time.Second, "shed_clear", func() bool {
 		return ev.Count(obs.EventShedClear) == 1
 	})
-}
-
-// Drop-oldest: the head is evicted to admit each arrival, so the newest
-// tuples survive and the evicted ones are counted against their stream.
-func TestShedDropOldest(t *testing.T) {
-	n, ev := startShedNode(t, 4, DropOldest, 0.3)
-	for i := 0; i < 10; i++ {
-		n.enqueueInboundBatch([]Tuple{{Stream: 1, Seq: int64(i)}})
-	}
-	if got := queueSeqs(n); len(got) != 4 || got[0] != 6 || got[3] != 9 {
-		t.Fatalf("drop-oldest queue = %v, want [6 7 8 9]", got)
-	}
-	st := n.Stats()
-	if st.Shed != 6 {
-		t.Fatalf("shed = %d, want 6", st.Shed)
-	}
-	if st.ShedByStream[1] != 6 {
-		t.Fatalf("shedByStream = %v, want {1: 6}", st.ShedByStream)
-	}
-	if ev.Count(obs.EventShedOnset) != 1 {
-		t.Fatalf("shed_onset events = %d, want 1", ev.Count(obs.EventShedOnset))
-	}
-	waitUntil(t, 2*time.Second, "shed_clear", func() bool {
-		return ev.Count(obs.EventShedClear) == 1
-	})
-}
-
-func TestParseShedPolicy(t *testing.T) {
-	if p, err := ParseShedPolicy(""); err != nil || p != DropNewest {
-		t.Fatalf("empty: %v %v", p, err)
-	}
-	if p, err := ParseShedPolicy("drop-oldest"); err != nil || p != DropOldest {
-		t.Fatalf("drop-oldest: %v %v", p, err)
-	}
-	if _, err := ParseShedPolicy("lifo"); err == nil {
-		t.Fatal("unknown policy must error")
-	}
-	if DropNewest.String() != "drop-newest" || DropOldest.String() != "drop-oldest" {
-		t.Fatal("String() mismatch")
-	}
 }

@@ -396,10 +396,10 @@ func (n *Node) processRun(l *lane, run *workerRun, rs *routeState) {
 	l.processed.Add(int64(len(run.tuples)))
 	run.flushSamples(n.estimator)
 	for i := range run.fwds {
-		n.sendRelay(run.fwds[i].addr, run.fwds[i].ts)
+		n.sendRelay(l, run.fwds[i].addr, run.fwds[i].ts)
 	}
 	for i := range run.keyed {
-		n.sendBatch(run.keyed[i].addr, run.keyed[i].ts)
+		n.sendBatch(l, run.keyed[i].addr, run.keyed[i].ts)
 	}
 	n.routeBatch(l, rs, run)
 }
@@ -562,7 +562,7 @@ func (n *Node) routeBatch(l *lane, rs *routeState, run *workerRun) {
 	}
 	for gi := range run.egress {
 		g := &run.egress[gi]
-		accepted := n.sendBatch(g.addr, g.ts)
+		accepted := n.sendBatch(l, g.addr, g.ts)
 		if accepted == 0 {
 			continue
 		}

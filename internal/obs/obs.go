@@ -80,10 +80,6 @@ const (
 	// headroom 1 − L^n_i·R̂(t+H)/C_i at the controller's forecast rate
 	// point — the signal the decision rule triggers on.
 	MetricControllerForecastHeadroom = "rodsp_controller_forecast_headroom"
-	// MetricControllerScales counts shard scale actions the controller
-	// executed (skew-aware slot reassignments of a keyed stream's
-	// partition table).
-	MetricControllerScales = "rodsp_controller_scales_total"
 	// MetricShardRate is the EWMA-smoothed routed rate (tuples/second) of
 	// one keyed shard: the sum of its partition-table slots' rates, labeled
 	// by the sharded parent operator ("op") and the replica index ("shard").
@@ -159,10 +155,6 @@ const (
 	// EventRepartition records a keyed stream's slot table being reassigned
 	// at runtime (skew-aware rebalance or post-migration table push).
 	EventRepartition = "repartition"
-	// EventControllerScale records one controller-initiated shard scale
-	// action: a skew-aware repartition of a keyed stream (ok=false when the
-	// table push failed part-way; routing stays safe on mixed tables).
-	EventControllerScale = "controller_scale"
 	// EventCheckpoint records one landed durability checkpoint: the WAL
 	// position truncated behind, and the operator and dedup-mark counts
 	// captured.

@@ -6,14 +6,13 @@ import (
 )
 
 // The overload latch's one definition: a node latches overloaded once its
-// windowed utilization reaches OverloadUtil with at least the onset backlog
-// queued, and clears once utilization drops below OverloadUtil and the
-// queue drains to a quarter of the onset backlog (at least 1, so a small
-// backlog never demands a perfectly empty queue). The queue hysteresis
+// windowed utilization reaches OverloadUtil with at least OverloadQueue
+// tuples queued, and clears once utilization drops below OverloadUtil and
+// the queue drains to a quarter of OverloadQueue. The queue hysteresis
 // keeps a saturated-but-draining node latched.
 const (
-	OverloadUtil         = 0.95
-	DefaultOverloadQueue = 100
+	OverloadUtil  = 0.95
+	OverloadQueue = 100
 	// DefaultRateAlpha is the EWMA smoothing factor for source rates.
 	DefaultRateAlpha = 0.4
 )
@@ -25,9 +24,6 @@ type ObserverConfig struct {
 	// Caps are the node capacities C_i of the headroom 1 − load_i/C_i; a
 	// missing or non-positive entry counts as 1.
 	Caps []float64
-	// OverloadQueue is the backlog an overload onset needs (default
-	// DefaultOverloadQueue).
-	OverloadQueue int
 	// RateAlpha is the source-rate EWMA smoothing factor in (0, 1]
 	// (default DefaultRateAlpha).
 	RateAlpha float64
@@ -45,8 +41,8 @@ type NodeInstruments struct {
 
 // ControllerInstruments are the elastic controller's series.
 type ControllerInstruments struct {
-	Decisions, Moves, MoveFailures, Scales *Counter
-	ForecastHeadroom                       *Gauge
+	Decisions, Moves, MoveFailures *Counter
+	ForecastHeadroom               *Gauge
 }
 
 // Window is one sample window's runtime-specific input to Observe.
@@ -126,9 +122,6 @@ func NewObserver(reg *Registry, set *SeriesSet, ev *EventLog, cfg ObserverConfig
 	}
 	if ev == nil {
 		ev = NewEventLog(0)
-	}
-	if cfg.OverloadQueue <= 0 {
-		cfg.OverloadQueue = DefaultOverloadQueue
 	}
 	if cfg.RateAlpha <= 0 || cfg.RateAlpha > 1 {
 		cfg.RateAlpha = DefaultRateAlpha
@@ -243,7 +236,6 @@ func (o *Observer) Controller() *ControllerInstruments {
 			Decisions:        o.Counter(MetricControllerDecisions),
 			Moves:            o.Counter(MetricControllerMoves),
 			MoveFailures:     o.Counter(MetricControllerMoveFailures),
-			Scales:           o.Counter(MetricControllerScales),
 			ForecastHeadroom: o.Gauge(MetricControllerForecastHeadroom),
 		}
 		o.ctrl.ForecastHeadroom.Set(1)
@@ -348,15 +340,14 @@ func (o *Observer) Observe(w Window) {
 	}
 
 	// Overload onset/clearance with queue hysteresis.
-	clearQueue := max(1, o.cfg.OverloadQueue/4)
 	for i := range o.nodes {
 		if o.stale[i] {
 			continue
 		}
 		u, q := w.Util[i], w.Queue[i]
 		o.mu.Lock()
-		onset := !o.over[i] && u >= OverloadUtil && q >= o.cfg.OverloadQueue
-		cleared := o.over[i] && u < OverloadUtil && q <= clearQueue
+		onset := !o.over[i] && u >= OverloadUtil && q >= OverloadQueue
+		cleared := o.over[i] && u < OverloadUtil && q <= OverloadQueue/4
 		if onset || cleared {
 			o.over[i] = onset
 		}

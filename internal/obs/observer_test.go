@@ -43,7 +43,7 @@ func TestObserverWindows(t *testing.T) {
 		},
 		{
 			name: "hysteresis keeps a draining node latched",
-			cfg:  ObserverConfig{Nodes: 1, OverloadQueue: 100},
+			cfg:  ObserverConfig{Nodes: 1},
 			steps: []step{
 				{util: []float64{1}, queue: []int{100}},
 				{util: []float64{0.5}, queue: []int{26}},
@@ -54,24 +54,12 @@ func TestObserverWindows(t *testing.T) {
 			over:   []bool{false},
 		},
 		{
-			// A quarter of a backlog under 4 is 0; the floor of 1 keeps a
-			// small OverloadQueue from demanding a perfectly empty queue.
-			name: "clear floor of one queued tuple",
-			cfg:  ObserverConfig{Nodes: 1, OverloadQueue: 2},
-			steps: []step{
-				{util: []float64{1}, queue: []int{2}},
-				{util: []float64{0.5}, queue: []int{1}},
-			},
-			events: []string{"overload_onset@0:2", "overload_clear@0:1"},
-			over:   []bool{false},
-		},
-		{
 			name: "utilization clamped into [0, 1]",
-			cfg:  ObserverConfig{Nodes: 2, OverloadQueue: 10},
+			cfg:  ObserverConfig{Nodes: 2},
 			steps: []step{
-				{util: []float64{1.7, -0.3}, queue: []int{10, 0}},
+				{util: []float64{1.7, -0.3}, queue: []int{100, 0}},
 			},
-			events: []string{"overload_onset@0:10"},
+			events: []string{"overload_onset@0:100"},
 			util:   []float64{1, 0},
 			over:   []bool{true, false},
 		},
@@ -90,7 +78,7 @@ func TestObserverWindows(t *testing.T) {
 			// Node 1's capacity 0 counts as 1, node 2 has none (1 too) but
 			// is stale: its gauges stay zeroed and it never latches.
 			name: "headroom with a non-positive capacity and a stale node",
-			cfg:  ObserverConfig{Nodes: 3, Caps: []float64{2, 0}, OverloadQueue: 10},
+			cfg:  ObserverConfig{Nodes: 3, Caps: []float64{2, 0}},
 			steps: []step{
 				{util: []float64{0.2, 0.4, 1}, queue: []int{0, 0, 500}, loads: []float64{1, 0.5, 3}, stale: []int{2}},
 			},
@@ -100,12 +88,12 @@ func TestObserverWindows(t *testing.T) {
 		},
 		{
 			name: "going stale clears the latch without a clear event",
-			cfg:  ObserverConfig{Nodes: 1, OverloadQueue: 10},
+			cfg:  ObserverConfig{Nodes: 1},
 			steps: []step{
-				{util: []float64{1}, queue: []int{50}},
-				{util: []float64{1}, queue: []int{50}, stale: []int{0}},
+				{util: []float64{1}, queue: []int{150}},
+				{util: []float64{1}, queue: []int{150}, stale: []int{0}},
 			},
-			events: []string{"overload_onset@0:50"},
+			events: []string{"overload_onset@0:150"},
 			util:   []float64{0},
 			head:   []float64{0},
 			over:   []bool{false},
@@ -176,8 +164,8 @@ func TestObserverControllerSchema(t *testing.T) {
 	if o.Controller() != c {
 		t.Fatal("Controller must register its series once")
 	}
-	if got := len(o.Series().Names()); got != base+5 {
-		t.Fatalf("%d series names with the controller, want %d", got, base+5)
+	if got := len(o.Series().Names()); got != base+4 {
+		t.Fatalf("%d series names with the controller, want %d", got, base+4)
 	}
 	if c.ForecastHeadroom.Value() != 1 {
 		t.Fatalf("forecast headroom starts at %g, want 1", c.ForecastHeadroom.Value())
@@ -189,7 +177,7 @@ func TestObserverControllerSchema(t *testing.T) {
 // it, late Source registrations and the controller's registration — for
 // the race detector.
 func TestObserverConcurrentReaders(t *testing.T) {
-	o := NewObserver(nil, nil, nil, ObserverConfig{Nodes: 2, OverloadQueue: 1})
+	o := NewObserver(nil, nil, nil, ObserverConfig{Nodes: 2})
 	in := o.Source("I")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -223,7 +211,7 @@ func TestObserverConcurrentReaders(t *testing.T) {
 		o.Observe(Window{
 			T: float64(k), Dt: 1,
 			Util:  []float64{float64(k % 2), 1},
-			Queue: []int{k % 2, 3},
+			Queue: []int{k % 2 * OverloadQueue, 3 * OverloadQueue},
 			Loads: func(rates []float64) []float64 { return []float64{rates[0], 1} },
 		})
 	}

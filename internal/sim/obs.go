@@ -21,10 +21,6 @@ type ObsConfig struct {
 	// Events receives the events; a fresh log is created when nil.
 	Events *obs.EventLog
 
-	// OverloadQueue is the backlog an overload onset needs (default
-	// obs.DefaultOverloadQueue).
-	OverloadQueue int
-
 	// RateAlpha is the EWMA smoothing for source rates (default
 	// obs.DefaultRateAlpha).
 	RateAlpha float64
@@ -69,11 +65,10 @@ func newObserver(cfg *Config, g *query.Graph, inputs []query.StreamID, n int) *o
 		oc.Interval = cfg.Duration / 100
 	}
 	core := obs.NewObserver(nil, nil, oc.Events, obs.ObserverConfig{
-		Nodes:         n,
-		Caps:          cfg.Capacities,
-		OverloadQueue: oc.OverloadQueue,
-		RateAlpha:     oc.RateAlpha,
-		VirtualClock:  true,
+		Nodes:        n,
+		Caps:         cfg.Capacities,
+		RateAlpha:    oc.RateAlpha,
+		VirtualClock: true,
 	})
 	o := &observer{
 		core:     core,
@@ -112,16 +107,9 @@ func (o *observer) onMove(now float64, op, from, to int) {
 		"op", op, "from", from, "to", to, "ok", true)
 }
 
-// onRepart mirrors one applied scheduled repartition: always an event,
-// plus the controller scale counter when ObsConfig.Controller (the engine
-// increments it from the shard scale actuator).
+// onRepart records one applied scheduled repartition as an event.
 func (o *observer) onRepart(now float64, stream, k int) {
 	o.ev.EmitAt(now, obs.LevelInfo, obs.EventRepartition, "stream", stream, "k", k)
-	if o.ctrl != nil {
-		o.ctrl.Scales.Inc()
-		o.ev.EmitAt(now, obs.LevelInfo, obs.EventControllerScale,
-			"stream", stream, "k", k, "ok", true)
-	}
 }
 
 // onStage records one stage crossing (seconds of sim time).

@@ -32,7 +32,7 @@ func TestSimObsOverload(t *testing.T) {
 			g.Inputs()[0]: trace.New("const", 1, []float64{150, 150, 150, 150, 150}),
 		},
 		Duration: 5,
-		Obs:      &ObsConfig{Interval: 0.1, OverloadQueue: 15},
+		Obs:      &ObsConfig{Interval: 0.1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -41,8 +41,6 @@ type RebalanceConfig struct {
 	MigrationTime float64
 	// Policy chooses the moves; nil disables rebalancing.
 	Policy Policy
-	// MaxMovesPerRound caps the moves applied per period (0 = unlimited).
-	MaxMovesPerRound int
 }
 
 // RebalanceStats reports what the dynamic mechanism did during a run.

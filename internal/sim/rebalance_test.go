@@ -267,32 +267,6 @@ func (bogusPolicy) Plan(opLoads []float64, nodeOf []int, caps mat.Vec) []Move {
 	return []Move{{Op: -1, To: 0}, {Op: 0, To: 99}, {Op: 1, To: nodeOf[1]}}
 }
 
-func TestMaxMovesPerRound(t *testing.T) {
-	g := twoChains(t, 0.004)
-	res, err := Run(Config{
-		Graph:      g,
-		NodeOf:     []int{0, 0, 0, 0},
-		Capacities: mat.VecOf(1, 1),
-		Sources: map[query.StreamID]*trace.Trace{
-			g.Inputs()[0]: constantTrace(60, 10),
-			g.Inputs()[1]: constantTrace(60, 10),
-		},
-		Duration: 10,
-		Rebalance: &RebalanceConfig{
-			Period:           5,
-			Policy:           &LLFPolicy{Tolerance: 0.001},
-			MaxMovesPerRound: 1,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rebalance.Moves > res.Rebalance.Rounds {
-		t.Fatalf("moves %d exceed rounds %d with MaxMovesPerRound=1",
-			res.Rebalance.Moves, res.Rebalance.Rounds)
-	}
-}
-
 func TestCorrelationHelperFunctions(t *testing.T) {
 	if got := correlation([]float64{1, 2, 3}, []float64{2, 4, 6}); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("correlation = %g", got)

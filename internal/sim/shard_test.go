@@ -121,9 +121,8 @@ func TestSimScheduledRepartition(t *testing.T) {
 	if u0 < 0.15 || u1 < 0.15 {
 		t.Fatalf("replica utilizations %g/%g, want ~0.2 each (half the run)", u0, u1)
 	}
-	if res.EventLog.Count("repartition") != 1 || res.EventLog.Count("controller_scale") != 1 {
-		t.Fatalf("want 1 repartition + 1 controller_scale event, got %d/%d",
-			res.EventLog.Count("repartition"), res.EventLog.Count("controller_scale"))
+	if n := res.EventLog.Count("repartition"); n != 1 {
+		t.Fatalf("want 1 repartition event, got %d", n)
 	}
 }
 

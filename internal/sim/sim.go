@@ -44,8 +44,6 @@ type Config struct {
 	Arrivals Arrivals
 	Seed     int64
 
-	// NetworkDelay is added to tuples hopping between nodes (seconds).
-	NetworkDelay float64
 	// ChargeTransfer also charges each stream's XferCost as CPU work on
 	// both the sending and the receiving node for cross-node hops
 	// (Section 6.3's communication CPU cost).
@@ -53,9 +51,6 @@ type Config struct {
 
 	// MaxEvents aborts runaway simulations (default 10M).
 	MaxEvents int
-	// LatencyReservoir caps the retained latency samples (default 100k,
-	// reservoir-sampled beyond that).
-	LatencyReservoir int
 
 	// Rebalance enables dynamic operator redistribution (nil = static
 	// placement, the paper's setting for ROD).
@@ -293,10 +288,6 @@ func Run(cfg Config) (*Result, error) {
 	if maxEvents == 0 {
 		maxEvents = 10_000_000
 	}
-	reservoirCap := cfg.LatencyReservoir
-	if reservoirCap == 0 {
-		reservoirCap = 100_000
-	}
 
 	if cfg.Rebalance != nil {
 		if err := cfg.Rebalance.validate(); err != nil {
@@ -439,19 +430,12 @@ func Run(cfg Config) (*Result, error) {
 		return -1
 	}
 
-	// routeTo enqueues a tuple at a consumer operator, adding network delay
-	// and (optionally) transfer CPU overhead when it crosses nodes.
+	// routeTo enqueues a tuple at a consumer operator, adding (optionally)
+	// transfer CPU overhead when it crosses nodes.
 	routeTo := func(consumer query.OpID, via query.StreamID, fromNode int, ts, now float64) {
 		dst := nodeOf[consumer]
-		at := now
 		var extra float64
 		if fromNode >= 0 && dst != fromNode {
-			at += cfg.NetworkDelay
-			if obsv != nil && cfg.NetworkDelay > 0 {
-				// Cross-node hop: the same transit stage the engine's traced
-				// tuples record between outbox ship and remote ingress.
-				obsv.onStage(obs.StageTransit, cfg.NetworkDelay)
-			}
 			if cfg.ChargeTransfer {
 				xfer := g.Stream(via).XferCost
 				if xfer > 0 {
@@ -466,7 +450,7 @@ func Run(cfg Config) (*Result, error) {
 		if m, ok := joinSide[consumer]; ok {
 			side = m[via]
 		}
-		sched(event{time: at, kind: evArrival, node: dst,
+		sched(event{time: now, kind: evArrival, node: dst,
 			item: workItem{op: consumer, ts: ts, side: side, extra: extra}})
 	}
 
@@ -506,9 +490,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 		moves := rc.Policy.Plan(opLoads, nodeOf, cfg.Capacities)
 		sortMovesDeterministic(moves)
-		if rc.MaxMovesPerRound > 0 && len(moves) > rc.MaxMovesPerRound {
-			moves = moves[:rc.MaxMovesPerRound]
-		}
 		for _, mv := range moves {
 			if mv.Op < 0 || mv.Op >= len(nodeOf) || mv.To < 0 || mv.To >= n {
 				continue // defensive: ignore out-of-range policy output
@@ -603,6 +584,9 @@ func Run(cfg Config) (*Result, error) {
 		sched(event{time: now + svc, kind: evCompletion, node: node, item: w})
 	}
 
+	// The latency summary keeps at most latencyReservoir samples,
+	// reservoir-sampled beyond that.
+	const latencyReservoir = 100_000
 	recordLatency := func(lat, now float64) {
 		if obsv != nil {
 			obsv.onSink(lat) // histogram mirrors every sink tuple, like the engine collector
@@ -611,9 +595,9 @@ func Run(cfg Config) (*Result, error) {
 			return
 		}
 		result.LatencySamples++
-		if len(latencies) < reservoirCap {
+		if len(latencies) < latencyReservoir {
 			latencies = append(latencies, lat)
-		} else if idx := rng.Int63n(result.LatencySamples); idx < int64(reservoirCap) {
+		} else if idx := rng.Int63n(result.LatencySamples); idx < latencyReservoir {
 			latencies[idx] = lat
 		}
 	}

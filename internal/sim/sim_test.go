@@ -160,34 +160,6 @@ func TestFanOutDuplicates(t *testing.T) {
 	}
 }
 
-func TestNetworkDelayAddsLatency(t *testing.T) {
-	b := query.NewBuilder()
-	in := b.Input("I")
-	s := b.Map("m1", 0.001, in)
-	b.Map("m2", 0.001, s)
-	g := b.MustBuild()
-	run := func(nodeOf []int) *Result {
-		res, err := Run(Config{
-			Graph:        g,
-			NodeOf:       nodeOf,
-			Capacities:   mat.VecOf(1, 1),
-			Sources:      sources(g, constantTrace(10, 20)),
-			Duration:     20,
-			NetworkDelay: 0.5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	colocated := run([]int{0, 0})
-	split := run([]int{0, 1})
-	gap := split.LatencyMean - colocated.LatencyMean
-	if math.Abs(gap-0.5) > 0.01 {
-		t.Fatalf("cross-node latency gap = %g, want ~0.5", gap)
-	}
-}
-
 func TestChargeTransferRaisesUtilization(t *testing.T) {
 	b := query.NewBuilder()
 	in := b.Input("I")

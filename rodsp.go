@@ -89,12 +89,9 @@ type (
 	EngineSource = engine.SourceDriver
 	// EngineNodeStats is a node's metrics snapshot.
 	EngineNodeStats = engine.NodeStats
-	// EngineNodeConfig tunes a node's data plane: ingress queue bound and
-	// shed policy, per-peer outbox capacity, reconnect backoff and timeouts.
+	// EngineNodeConfig tunes a node's data plane: ingress queue bound,
+	// per-peer outbox capacity, reconnect backoff and timeouts.
 	EngineNodeConfig = engine.NodeConfig
-	// EngineShedPolicy selects what a full ingress queue sheds
-	// (drop-newest or drop-oldest).
-	EngineShedPolicy = engine.ShedPolicy
 	// EngineLinkFault describes an injected outbound-link fault (sever,
 	// drop, or delay) for resilience testing.
 	EngineLinkFault = engine.LinkFault
